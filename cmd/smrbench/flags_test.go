@@ -171,9 +171,10 @@ func TestParseSchemesCoversAll(t *testing.T) {
 }
 
 // TestExperimentHintDerivedFromRegistry pins the stale-message bugfix:
-// the unknown-experiment error's hint is derived from the bench
-// registry, so every registered experiment — including pool, which a
-// hardcoded predecessor of the hint omitted — appears in it.
+// the hint behind `grid -experiments` (its flag help and its
+// unknown-experiment error) is derived from the bench registry, so every
+// registered experiment — including pool, which a hardcoded predecessor
+// of the hint omitted — appears in it.
 func TestExperimentHintDerivedFromRegistry(t *testing.T) {
 	hint := experimentHint()
 	for _, name := range bench.ExperimentNames() {

@@ -3,7 +3,7 @@ package main
 // The `smrbench grid` subcommand: the declarative experiment-grid
 // runner. It executes the grid committed in experiments.json — every
 // experiment point measured -repeats times after warmup runs — and
-// aggregates each point's throughput into a schema-2 report
+// aggregates each point's throughput into a report
 // (mean/std/min/max), emitting BENCH_*.json plus CSV and a markdown
 // table suitable for pasting into EXPERIMENTS.md:
 //
@@ -33,6 +33,14 @@ import (
 	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
+// experimentHint lists the registered experiment names for flag help and
+// error messages, derived from the bench registry so it cannot go stale
+// (a hardcoded predecessor said "want fig1, fig5 or table2" long after
+// the pool experiment landed).
+func experimentHint() string {
+	return strings.Join(bench.ExperimentNames(), ", ")
+}
+
 func runGrid(args []string) {
 	fs := flag.NewFlagSet("grid", flag.ExitOnError)
 	config := fs.String("config", "experiments.json", "grid declaration to execute")
@@ -42,7 +50,7 @@ func runGrid(args []string) {
 	seed := fs.Uint64("seed", 0, "workload seed (0 = the spec's)")
 	outDir := fs.String("out", ".", "directory to write BENCH_<experiment>.json, GRID.csv and GRID.md into")
 	schemeList := fs.String("schemes", "", "comma-separated scheme filter on top of the spec's")
-	expList := fs.String("experiments", "", "comma-separated experiment filter (run only these entries of the spec)")
+	expList := fs.String("experiments", "", "comma-separated experiment filter: run only these entries of the spec (registered: "+experimentHint()+")")
 	trajectory := fs.Bool("trajectory", false, "diff against committed baselines instead of overwriting them")
 	baseDir := fs.String("baseline-dir", ".", "directory holding the baseline BENCH_*.json for -trajectory")
 	tolerance := fs.Float64("tolerance", 0.15, "trajectory noise floor and throughput gate; >=1 = cross-machine mode (regressions informational, bounds and coverage still gate)")
@@ -69,7 +77,7 @@ func runGrid(args []string) {
 				}
 			}
 			if !found {
-				fatalArg(fmt.Errorf("grid: -experiments: %q is not in %s", n, *config))
+				fatalArg(fmt.Errorf("grid: -experiments: %q is not in %s (registered experiments: %s)", n, *config, experimentHint()))
 			}
 			want[n] = true
 		}
@@ -102,9 +110,9 @@ func runGrid(args []string) {
 		opts.Allocators = sel
 	}
 
-	// As in `smrbench bench`: the critical-section histograms only record
-	// while the obs layer is on, and the committed baselines are measured
-	// with it on, so the overhead cancels out of every comparison.
+	// The critical-section histograms only record while the obs layer is
+	// on, and the committed baselines are measured with it on, so the
+	// overhead cancels out of every same-scheme comparison.
 	if !obs.On {
 		obs.Activate(obs.NewCollector(obs.DefaultRingSize))
 	}

@@ -17,15 +17,12 @@
 //	           -leak-rate kills a fraction of writers without Unregister and
 //	           -reaper runs the lease-based orphan reaper against the leaks
 //	ablation   design-choice sweeps (BackupPeriod, ForceThreshold, BatchSize)
-//	bench      benchmark-regression pipeline: fixed-seed fig1/fig5/table2/pool
-//	           runs written to BENCH_*.json; `bench -baseline <files>` re-runs and
-//	           exits nonzero on a throughput regression or §5 bound violation
-//	           (flags after `bench` are its own; see benchcmd.go)
 //	grid       declarative experiment grid from experiments.json: every point
-//	           run N times, mean/std aggregated into schema-2 BENCH_*.json plus
-//	           CSV and markdown; `grid -trajectory` prints a std-aware per-point
-//	           delta report vs the committed baselines and gates on §5 bounds,
-//	           coverage and (same-machine) regressions (see gridcmd.go)
+//	           run N times, mean/std aggregated into BENCH_*.json plus CSV and
+//	           markdown; `grid -trajectory` prints a std-aware per-point delta
+//	           report vs the committed baselines and gates on §5 bounds,
+//	           coverage and (same-machine) regressions (flags after `grid` are
+//	           its own; see gridcmd.go)
 //	chaos      fault-injection sweep: seeds × schedules × schemes × lists,
 //	           watchdog on; exits nonzero on any invariant violation. -leak
 //	           composes goroutine-death faults into every schedule and turns
@@ -63,14 +60,12 @@ var (
 func main() {
 	flag.Parse()
 	startObservability()
-	sub := flag.Arg(0) == "bench" || flag.Arg(0) == "grid"
+	sub := flag.Arg(0) == "grid"
 	if flag.NArg() < 1 || (flag.NArg() > 1 && !sub) {
-		fmt.Fprintln(os.Stderr, "usage: smrbench [flags] fig1|fig5|fig6|fig7|appendixB|table1|table2|ablation|chaos|bench|grid [subcommand flags]")
+		fmt.Fprintln(os.Stderr, "usage: smrbench [flags] fig1|fig5|fig6|fig7|appendixB|table1|table2|ablation|chaos|grid [grid flags]")
 		os.Exit(2)
 	}
 	switch flag.Arg(0) {
-	case "bench":
-		runBench(flag.Args()[1:])
 	case "grid":
 		runGrid(flag.Args()[1:])
 	case "fig1":

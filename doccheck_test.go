@@ -27,6 +27,8 @@ var docCheckDirs = []string{
 	"internal/brcu",
 	"internal/core",
 	"internal/hp",
+	"internal/reap",
+	"internal/shard",
 }
 
 func TestExportedDocs(t *testing.T) {

@@ -76,11 +76,6 @@ func (m *mapImpl) pool() *handlePool {
 		// works after Close, which is exactly when the drain runs.
 		Retire: func(ph *pooledHandle) { ph.g.Unregister() },
 		Reaped: func(ph *pooledHandle) bool { return ph.core != nil && ph.core.Reaped() },
-		Stamp: func(ph *pooledHandle) {
-			if ph.core != nil {
-				ph.core.StampLease()
-			}
-		},
 	})
 	m.hpool.Store(p)
 	if m.closed.Load() {

@@ -485,8 +485,8 @@ type TrajectoryPoint struct {
 // point only counts as moved when |cur-base| exceeds twice the larger
 // of the two sides' standard deviations, and never for less than
 // floor·base (relative floor, e.g. 0.05) — so run-to-run noise is
-// reported as "unchanged", not as movement. Schema-1 baselines carry no
-// std and fall back to the relative floor alone. Points present on only
+// reported as "unchanged", not as movement. A point without ops_stats
+// carries no std and falls back to the relative floor alone. Points present on only
 // one side come back as TrajNew / TrajMissing. Rows are sorted by
 // (workload, scheme).
 func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {

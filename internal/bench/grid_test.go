@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,54 +90,6 @@ func TestAggregateRuns(t *testing.T) {
 	}
 }
 
-// TestV1ReportCompat is the v1→v2 compatibility round-trip: a schema-1
-// file (no ops_stats, no repeats) reads back intact, compares cleanly
-// against a schema-2 run in both directions, and the trajectory diff
-// falls back to the relative floor for its noise band.
-func TestV1ReportCompat(t *testing.T) {
-	v1 := &BenchFile{
-		Experiment: "fig1", Schema: reportSchemaV1, Seed: DefaultBenchSeed,
-		DurationMS: 300, Environment: CurrentEnvironment(),
-		Points: []BenchPoint{
-			{Workload: "w", Scheme: "A", OpsPerSec: 1000, PeakUnreclaimed: 10, Bound: -1},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_fig1.json")
-	if err := WriteReport(path, v1); err != nil {
-		t.Fatalf("WriteReport: %v", err)
-	}
-	got, err := ReadReport(path)
-	if err != nil {
-		t.Fatalf("ReadReport: %v", err)
-	}
-	if got.Schema != reportSchemaV1 || got.Repeats != 0 || got.Points[0].Ops != nil {
-		t.Fatalf("v1 file gained v2 fields on round-trip: %+v", got)
-	}
-
-	v2, err := AggregateRuns([]*BenchFile{
-		fakeRun(BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 990, PeakUnreclaimed: 9, Bound: -1}),
-		fakeRun(BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 1010, PeakUnreclaimed: 11, Bound: -1}),
-	})
-	if err != nil {
-		t.Fatalf("AggregateRuns: %v", err)
-	}
-	if p, w := Compare(got, v2, 0.15); len(p) != 0 || len(w) != 0 {
-		t.Fatalf("v1 baseline vs v2 current: problems %v warnings %v", p, w)
-	}
-	if p, w := Compare(v2, got, 0.15); len(p) != 0 || len(w) != 0 {
-		t.Fatalf("v2 baseline vs v1 current: problems %v warnings %v", p, w)
-	}
-	rows := Trajectory(got, v2, 0.05)
-	if len(rows) != 1 || rows[0].Verdict != TrajUnchanged {
-		t.Fatalf("v1-baseline trajectory: %+v", rows)
-	}
-	// 1000 → 1010 is 1% < the 5% floor: without std on either side the
-	// floor alone must absorb it.
-	if want := 0.05 * 1000.0; math.Abs(rows[0].Noise-want) > 1e-9 {
-		t.Fatalf("v1 noise band %v, want floor %v", rows[0].Noise, want)
-	}
-}
-
 // trajPoint builds a schema-2 point with an explicit std.
 func trajPoint(workload, scheme string, ops, std float64) BenchPoint {
 	return BenchPoint{
@@ -172,6 +123,9 @@ func TestTrajectory(t *testing.T) {
 			trajPoint("w", "A", 1000, 0), trajPoint("w", "A", 1030, 0), TrajUnchanged},
 		{"drop just past the floor with tight stds regresses",
 			trajPoint("w", "A", 1000, 0), trajPoint("w", "A", 940, 0), TrajRegressed},
+		{"no ops_stats on either side falls back to the floor",
+			BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 1000, Bound: -1},
+			BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 1010, Bound: -1}, TrajUnchanged},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,11 @@
 package bench
 
 // Machine-readable benchmark reports: the BENCH_*.json schema written by
-// `smrbench bench`, and the baseline comparator behind its -baseline flag.
-// The committed BENCH_fig1/fig5/table2 files are the repo's performance
-// trajectory — every hot-path change must show its before/after here (see
-// DESIGN.md §11), and the CI bench-smoke job re-runs the workloads against
-// the committed files so they cannot silently rot.
+// `smrbench grid`, and the baseline comparator behind `grid -trajectory`.
+// The committed BENCH_*.json files are the repo's performance trajectory —
+// every hot-path change must show its before/after here (see DESIGN.md
+// §11), and the CI bench-smoke job re-runs the grid against the committed
+// files so they cannot silently rot.
 
 import (
 	"encoding/json"
@@ -16,19 +16,11 @@ import (
 )
 
 // ReportSchema versions the BENCH_*.json layout; Compare refuses files
-// from an unknown schema instead of misreading them. Schema 2 added the
-// grid runner's aggregation fields (per-point ops_stats, file-level
-// repeats/warmup); schema-1 files carry none of them and stay readable —
-// Compare and the trajectory diff fall back to single-run semantics for
-// them.
+// from any other schema instead of misreading them. Schema 2 is the grid
+// runner's layout (per-point ops_stats, file-level repeats/warmup); the
+// pre-grid single-run schema 1 is no longer read — every committed
+// baseline is schema 2.
 const ReportSchema = 2
-
-// reportSchemaV1 is the pre-grid single-run layout, still accepted on
-// read so committed history and external baselines keep working.
-const reportSchemaV1 = 1
-
-// schemaKnown reports whether s is a layout this code can interpret.
-func schemaKnown(s int) bool { return s == reportSchemaV1 || s == ReportSchema }
 
 // DefaultBenchSeed seeds the pipeline workloads unless -seed overrides it.
 // Fixed so that two runs of the same binary draw identical operation
@@ -84,16 +76,15 @@ type BenchPoint struct {
 	// to time.
 	P99Nanos  int64 `json:"p99_ns,omitempty"`
 	P999Nanos int64 `json:"p999_ns,omitempty"`
-	// Ops aggregates throughput across grid repeats (schema ≥ 2, grid
-	// runs only); nil in schema-1 files and single-run reports. When
-	// set, OpsPerSec equals Ops.Mean.
+	// Ops aggregates throughput across grid repeats; nil in a single
+	// pipeline run that has not been aggregated yet. When set, OpsPerSec
+	// equals Ops.Mean.
 	Ops *PointStats `json:"ops_stats,omitempty"`
 	// AllocsPerOp and GCCPUFrac are the GC-pressure columns: heap objects
 	// allocated per operation and the fraction of window CPU time spent in
 	// the garbage collector (see gcsample.go). Deliberately not omitempty —
-	// a measured zero (the arena fast path) must stay distinguishable from
-	// a schema-1 file that predates the columns only via the file schema,
-	// and the CI -require-gc gate asserts their presence by key.
+	// a measured zero (the arena fast path) must stay visible, and the CI
+	// -require-gc gate asserts their presence by key.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	GCCPUFrac   float64 `json:"gc_cpu_frac"`
 }
@@ -159,7 +150,8 @@ func ReadReport(path string) (*BenchFile, error) {
 // Compare checks current against baseline and returns one problem per
 // violation (empty means the gate passes):
 //
-//   - an unknown schema on either side, or an experiment mismatch;
+//   - a schema other than ReportSchema on either side, or an experiment
+//     mismatch;
 //   - a baseline point missing from current (coverage must not shrink);
 //   - current throughput below baseline·(1-tolerance) — skipped entirely
 //     when tolerance ≥ 1, the cross-machine mode CI uses, since absolute
@@ -168,22 +160,18 @@ func ReadReport(path string) (*BenchFile, error) {
 //     always checked, at every tolerance: the bound is the paper's
 //     robustness claim, not a performance preference.
 //
-// Schema-1 and schema-2 files mix freely: a v1 baseline gates a v2 grid
-// run and vice versa, so regenerating baselines is never forced by a
-// schema bump alone.
-//
 // warnings carries non-fatal findings: points present in current but
 // absent from baseline. A renamed workload shows up as a missing-point
 // problem AND a new-point warning — without the warning the rename's
 // new half would pass silently and the coverage loss would look like a
 // deleted point rather than a rename.
 func Compare(baseline, current *BenchFile, tolerance float64) (problems, warnings []string) {
-	if !schemaKnown(baseline.Schema) {
-		problems = append(problems, fmt.Sprintf("baseline schema %d, want %d or %d (regenerate the baseline)", baseline.Schema, reportSchemaV1, ReportSchema))
+	if baseline.Schema != ReportSchema {
+		problems = append(problems, fmt.Sprintf("baseline schema %d, want %d (regenerate the baseline)", baseline.Schema, ReportSchema))
 		return problems, nil
 	}
-	if !schemaKnown(current.Schema) {
-		problems = append(problems, fmt.Sprintf("current schema %d, want %d or %d", current.Schema, reportSchemaV1, ReportSchema))
+	if current.Schema != ReportSchema {
+		problems = append(problems, fmt.Sprintf("current schema %d, want %d", current.Schema, ReportSchema))
 		return problems, nil
 	}
 	if baseline.Experiment != current.Experiment {

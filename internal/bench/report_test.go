@@ -89,9 +89,9 @@ func TestCompare(t *testing.T) {
 		{"unknown schema fails", mutate(func(c *BenchFile) {
 			c.Schema = ReportSchema + 1
 		}), 0.15, "schema", ""},
-		{"schema-1 current accepted", mutate(func(c *BenchFile) {
-			c.Schema = reportSchemaV1
-		}), 0.15, "", ""},
+		{"schema-1 current rejected", mutate(func(c *BenchFile) {
+			c.Schema = 1
+		}), 0.15, "current schema 1, want 2", ""},
 		{"experiment mismatch fails", mutate(func(c *BenchFile) {
 			c.Experiment = "fig5"
 		}), 0.15, "experiment mismatch", ""},

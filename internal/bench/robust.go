@@ -101,8 +101,8 @@ func RunStalled(cfg StallConfig) StallResult {
 		// has seen the true peak handle and shield counts; nil means the
 		// scheme has no bound (reported as -1).
 		boundFn func() int64
-		// reaperStop stops the lease reaper after the leak-convergence
-		// wait; nil when no reaper runs.
+		// reaperStop stops the janitor (and its lease scan) after the
+		// leak-convergence wait; nil when no reaper runs.
 		reaperStop func()
 	)
 
@@ -166,9 +166,8 @@ func RunStalled(cfg StallConfig) StallResult {
 		register = func() churnHandle { return l.Register() }
 		if cfg.Config.Reaper.Enabled {
 			// Lease gate before any worker registers (plain-bool
-			// activation contract; see core.StartReaper).
-			rp := l.Domain().StartReaper(cfg.Config.CoreReaperConfig())
-			reaperStop = rp.Stop
+			// activation contract; see core.StartJanitor).
+			reaperStop = l.Domain().StartJanitor(cfg.Config.CoreJanitorConfig()).Stop
 		}
 		stall = func() func() {
 			h := l.Domain().Register()

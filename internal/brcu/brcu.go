@@ -62,7 +62,7 @@ const (
 	// dead (stale lease, no live critical section) — phase one of the
 	// two-phase reap. The owner cancels with a CAS back to Out at its
 	// next entry point; the reaper confirms by CASing to Reaping after
-	// the grace period. See internal/reap and DESIGN.md §9.
+	// the grace period. See internal/reap and DESIGN.md §7.2.
 	phaseQuarantined
 	// phaseReaping: the reaper is adopting the handle's deferred state.
 	// A waking owner spins until phaseReaped before resurrecting.
@@ -142,7 +142,7 @@ type Domain struct {
 	forceThreshold int
 	// effForce is the runtime signalling budget. It starts at the
 	// configured ForceThreshold and is only ever lowered (and later
-	// restored) by the watchdog, so the §5 bound computed from the
+	// restored) by the watchdog check, so the §5 bound computed from the
 	// configured value stays a valid upper bound throughout.
 	effForce atomic.Int32
 
@@ -154,9 +154,10 @@ type Domain struct {
 	// and post-mortem traces.
 	nextID atomic.Uint64
 
-	// Lease machinery (internal/reap, DESIGN.md §9). clock is the coarse
-	// activity clock the reaper publishes each tick; handles copy it into
-	// their lease word with one relaxed store at Enter/Exit/Poll/Defer.
+	// Lease machinery (internal/reap, DESIGN.md §7). clock is the coarse
+	// activity clock the janitor publishes each tick; a handle copies it
+	// into its lease word whenever it leaves the reapable Out state — at
+	// Enter and at BeginMut — and nowhere else (see Handle.lease).
 	// leaseOn gates those stores and follows the fault.On contract: set
 	// once by EnableLeases before any worker goroutine touches a handle,
 	// plain loads thereafter.
@@ -238,16 +239,16 @@ func (d *Domain) GarbageBoundObserved() int64 {
 
 // EnableLeases turns on lease stamping for this domain. It must be called
 // before any goroutine uses a handle (the fault.On activation contract);
-// core.StartReaper does so at construction time.
+// core.StartJanitor does so at construction time.
 func (d *Domain) EnableLeases() {
 	d.leaseOn = true
 	d.clock.Store(time.Now().UnixNano())
 }
 
 // PublishClock publishes now (UnixNano) as the domain's activity clock.
-// The reaper calls this once per tick; handles copy the value with one
-// relaxed store at their next activity point, so lease staleness is
-// measured in reaper ticks without any handle ever reading the wall clock.
+// The janitor calls this once per tick; handles copy the value at their
+// next stamp site, so lease staleness is measured in janitor ticks
+// without any handle ever reading the wall clock.
 func (d *Domain) PublishClock(now int64) { d.clock.Store(now) }
 
 // Handle is one thread's participation record (Algorithm 5 lines 8-13).
@@ -260,9 +261,13 @@ type Handle struct {
 	// owns its cache line.
 	status atomicx.Padded
 
-	// lease is the last observed domain clock (UnixNano). The owner's
-	// stores double as the release edge that publishes its batch
-	// mutations to the reaper; see StampLease and Lease.
+	// lease is the domain clock (UnixNano) the owner observed when it last
+	// left the Out state: stamped by Enter and BeginMut, and at
+	// registration. That is the only time the reaper needs — TryQuarantine
+	// refuses every other phase, so while the owner is inside a section or
+	// a mutation span the lease is never consulted, and once it is back in
+	// Out the stamp dates its last sign of life to within one section.
+	// Poll, Exit and EndMut therefore store nothing.
 	lease atomicx.PaddedInt64
 
 	d       *Domain
@@ -365,14 +370,6 @@ func (h *Handle) SetResurrect(fn func()) { h.onResurrect = fn }
 // word (the Reaping phase excludes the owner, and BeginMut makes every
 // batch mutation un-quarantinable), not from lease ordering.
 func (h *Handle) Lease() int64 { return h.lease.Load() }
-
-// StampLease refreshes the activity lease so the reaper keeps treating
-// the owner as alive. No-op while leases are off.
-func (h *Handle) StampLease() {
-	if h.d.leaseOn {
-		h.lease.Store(h.d.clock.Load())
-	}
-}
 
 // ID returns the handle's sequential id within its domain.
 func (h *Handle) ID() uint64 { return h.id }
@@ -505,12 +502,8 @@ func (h *Handle) BeginMut() bool {
 }
 
 // EndMut leaves the InMut phase. The reaper never touches InMut, so the
-// store cannot smash a reaper-owned word; the trailing lease stamp keeps
-// the lease fresh across the mutation it just published.
-func (h *Handle) EndMut() {
-	h.status.Store(pack(phaseOut, 0))
-	h.lease.Store(h.d.clock.Load())
-}
+// store cannot smash a reaper-owned word.
+func (h *Handle) EndMut() { h.status.Store(pack(phaseOut, 0)) }
 
 // resurrect re-registers a reaped handle whose owner turned out to be
 // alive. The reaper already adopted the old batch and retired list and
@@ -677,15 +670,14 @@ func (h *Handle) Enter() {
 // when a neutralization request is pending, in which case the caller must
 // roll back — discard everything derived since the last complete
 // checkpoint and either Exit or Enter again. Poll is the only operation on
-// the hot traversal path: a single atomic load.
+// the hot traversal path: a single atomic load, leases on or off (the
+// section's Enter already stamped the lease, and nothing reads it while
+// the handle is InCs).
 func (h *Handle) Poll() bool {
 	if fault.On {
 		fault.Fire(fault.SitePoll)
 	}
 	ph, e := unpack(h.status.Load())
-	if h.d.leaseOn {
-		h.lease.Store(h.d.clock.Load())
-	}
 	if obs.On {
 		// Sample the epoch lag every 64th poll: frequent enough to see
 		// a lagging traversal, cheap enough to leave the hot path alone.
@@ -763,7 +755,6 @@ func (h *Handle) exitLeased() {
 			return
 		}
 		if h.status.CompareAndSwap(st, pack(phaseOut, 0)) {
-			h.lease.Store(h.d.clock.Load())
 			return
 		}
 	}
@@ -885,9 +876,6 @@ func (h *Handle) ForceOut() {
 		}
 		// InCs, InRm, RbReq or InMut: abandon the section or mutation span.
 		if h.status.CompareAndSwap(st, pack(phaseOut, 0)) {
-			if h.d.leaseOn {
-				h.lease.Store(h.d.clock.Load())
-			}
 			return
 		}
 	}
@@ -1000,18 +988,14 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	}
 	if claimed {
 		h.EndMut()
-	} else if h.d.leaseOn {
-		// Masked region: the status word already protects the mutation;
-		// just keep the lease fresh.
-		h.lease.Store(h.d.clock.Load())
 	}
 }
 
 // flush moves the local batch to the global task set tagged with the
 // current global epoch (line 26). An empty batch is not enqueued: a
 // zero-task taggedBatch would keep pendingBatches nonzero after a drain,
-// which the watchdog would misread as a stalled epoch and answer with an
-// endless broadcast storm.
+// which the watchdog check would misread as a stalled epoch and answer
+// with an endless broadcast storm.
 func (h *Handle) flush() {
 	if len(h.batch) == 0 {
 		return
@@ -1237,8 +1221,6 @@ func (h *Handle) Barrier() {
 	}
 	if claimed {
 		h.EndMut()
-	} else if h.d.leaseOn {
-		h.lease.Store(h.d.clock.Load())
 	}
 }
 

@@ -324,7 +324,13 @@ func TestDeferReapRace(t *testing.T) {
 	}
 }
 
+// TestLeaseStampsFollowClock pins the stamp sites: the lease takes the
+// published clock exactly when the owner leaves the Out state — Enter,
+// and BeginMut under Defer, Barrier and Unregister — and at no other
+// point of a section's life (Poll, Refresh, Mask, Exit, EndMut).
 func TestLeaseStampsFollowClock(t *testing.T) {
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
 	d := leaseDomain(t)
 	h := d.Register()
 	defer h.Unregister()
@@ -332,9 +338,9 @@ func TestLeaseStampsFollowClock(t *testing.T) {
 	now := time.Now().UnixNano()
 	for i, touch := range []func(){
 		func() { h.Enter(); h.Exit() },
-		func() { h.Enter(); h.Poll(); h.Exit() },
-		func() { h.StampLease() },
+		func() { retireOne(t, pool, cache, h) },
 		func() { h.Barrier() },
+		func() { h.BeginMut(); h.EndMut() },
 	} {
 		now += int64(time.Second)
 		d.PublishClock(now)
@@ -342,6 +348,19 @@ func TestLeaseStampsFollowClock(t *testing.T) {
 		if got := h.Lease(); got != now {
 			t.Fatalf("touch %d: lease = %d, want published clock %d", i, got, now)
 		}
+	}
+
+	// Inside a section nothing stamps: the clock moves on, the lease
+	// stays at the value Enter copied.
+	h.Enter()
+	entered := h.Lease()
+	d.PublishClock(now + int64(time.Second))
+	h.Poll()
+	h.Refresh()
+	h.Mask(func() {})
+	h.Exit()
+	if got := h.Lease(); got != entered {
+		t.Fatalf("lease moved inside a critical section: %d, want Enter's stamp %d", got, entered)
 	}
 }
 

@@ -1,12 +1,16 @@
-// The BRCU watchdog: a per-domain monitor goroutine that detects the two
-// pathological states the paper's robustness argument rules out but a
-// production deployment must still survive when misconfigured — a stalled
-// global epoch (laggards that the configured ForceThreshold is too patient
-// to neutralize) and retired-but-unreclaimed growth approaching the §5
-// bound — and self-heals by escalating the *effective* ForceThreshold
-// toward 1 (more aggressive targeted signalling) and, as a last resort,
-// broadcasting neutralization to every live critical section and forcing
-// the epoch forward itself.
+// The BRCU watchdog check: detection of the two pathological states the
+// paper's robustness argument rules out but a production deployment must
+// still survive when misconfigured — a stalled global epoch (laggards
+// that the configured ForceThreshold is too patient to neutralize) and
+// retired-but-unreclaimed growth approaching the §5 bound — and the
+// self-healing ladder that answers them: escalate the *effective*
+// ForceThreshold toward 1 (more aggressive targeted signalling) and, as a
+// last resort, broadcast neutralization to every live critical section.
+//
+// The check has no goroutine of its own: the domain's janitor
+// (internal/core) calls Check once per tick as its epoch-health stage,
+// and answers a broadcast with its shared drain stage — the forced
+// advances that push the epoch past the victims it just neutralized.
 //
 // Escalations only ever lower the effective threshold below its configured
 // value, so the bound 2GN+GN²+H computed from the configuration remains a
@@ -15,22 +19,16 @@
 // Broadcasts) separately from ordinary Signals.
 package brcu
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
+import "github.com/smrgo/hpbrcu/internal/obs"
 
-	"github.com/smrgo/hpbrcu/internal/fault"
-	"github.com/smrgo/hpbrcu/internal/obs"
-)
-
-// Watchdog defaults. The interval is deliberately short relative to human
-// time but long relative to an epoch advance: a healthy domain advances
-// many times per tick, so a tick without progress while batches are queued
-// is already suspicious.
+// Watchdog budgets, counted in janitor ticks (5 ms with the reaper on,
+// 1 ms for a watchdog-only domain). A healthy domain advances many times
+// per tick, so a few ticks without progress while batches are queued is
+// already suspicious.
 const (
-	DefaultWatchdogInterval = time.Millisecond
-	DefaultWatchdogFraction = 0.75
+	// WatchdogFraction is the fraction of the §5 bound beyond which
+	// unreclaimed growth triggers an escalation.
+	WatchdogFraction = 0.75
 	// watchdogStallTicks is how many consecutive no-advance ticks (with
 	// batches queued) count as a stalled epoch.
 	watchdogStallTicks = 3
@@ -39,214 +37,121 @@ const (
 	watchdogCalmTicks = 8
 )
 
-// WatchdogConfig configures StartWatchdog.
-type WatchdogConfig struct {
-	// Interval between health checks (default 1ms).
-	Interval time.Duration
-	// Fraction of the §5 bound beyond which unreclaimed growth triggers
-	// an escalation (default 0.75).
-	Fraction float64
-	// Shields supplies H for the bound — the number of registered hazard
-	// shields (nil means 0). Called from the watchdog goroutine.
-	Shields func() int64
-	// Handle is the participation record the watchdog drains through on a
-	// broadcast. HP-BRCU passes a handle whose executor performs the inner
-	// HP-Retire of two-step retirement; nil registers a plain handle with
-	// the default free-directly executor.
-	Handle *Handle
-	// PostDrain runs after each forced drain (e.g. an HP reclaim pass
-	// that frees what the drain moved into the watchdog's retired batch).
-	// Called from the watchdog goroutine.
-	PostDrain func()
-	// ShardID labels this watchdog's domain shard for shard-targeted
-	// fault injection (fault.SiteShardStall) and diagnostics.
-	// Single-domain deployments leave it 0.
-	ShardID int
-}
-
-// Watchdog is a running monitor; see StartWatchdog.
+// Watchdog is the state one domain's health check carries from tick to
+// tick; see NewWatchdog. Owned by the goroutine that calls Check.
 type Watchdog struct {
-	d   *Domain
-	cfg WatchdogConfig
+	d *Domain
+	// shields supplies H for the bound — the number of registered hazard
+	// shields (nil means 0).
+	shields func() int64
 
-	h         *Handle
-	ownHandle bool
-
-	// ticks counts completed health checks; the shard health monitor
-	// reads it as the watchdog-liveness signal.
-	ticks atomic.Int64
-
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	lastEpoch     uint64
+	stalled, calm int
+	trace         *obs.Trace
 }
 
-// StartWatchdog launches the domain's monitor goroutine. Stop it with
-// Stop before tearing the domain down.
-func (d *Domain) StartWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultWatchdogInterval
+// NewWatchdog builds the domain's health check. shields supplies the H
+// term of the §5 bound (HP-BRCU passes the HP shield gauge; nil means 0).
+func (d *Domain) NewWatchdog(shields func() int64) *Watchdog {
+	w := &Watchdog{d: d, shields: shields, lastEpoch: d.epoch.Load()}
+	if obs.On {
+		w.trace = obs.NewTrace("watchdog")
 	}
-	if cfg.Fraction <= 0 {
-		cfg.Fraction = DefaultWatchdogFraction
-	}
-	w := &Watchdog{
-		d:    d,
-		cfg:  cfg,
-		h:    cfg.Handle,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if w.h == nil {
-		w.h = d.Register()
-		w.ownHandle = true
-	}
-	go w.run()
 	return w
 }
 
-// Stop terminates the monitor and waits for it to exit. A handle the
-// watchdog registered itself is unregistered; a caller-provided one is
-// left to its owner. Stop is idempotent and safe to call concurrently;
-// every caller returns only after the goroutine has exited.
-func (w *Watchdog) Stop() {
-	// Once.Do blocks concurrent callers until the first finishes, so every
-	// Stop returns only after the full teardown has happened exactly once.
-	w.stopOnce.Do(func() {
-		close(w.stop)
-		<-w.done
-		if w.ownHandle {
-			w.h.Unregister()
-		}
-	})
-}
-
-// Ticks returns the number of completed health checks. Safe to read
-// concurrently with the running goroutine; the shard health monitor uses
-// it as the watchdog-liveness probe.
-func (w *Watchdog) Ticks() int64 { return w.ticks.Load() }
+// StallStreak returns how many consecutive checks saw flushed batches
+// queued behind an epoch that did not move (0 on a healthy domain).
+func (w *Watchdog) StallStreak() int { return w.stalled }
 
 // bound is the §5 bound with the observed peak N and the caller-supplied H.
 func (w *Watchdog) bound() int64 {
 	b := w.d.GarbageBoundObserved()
-	if w.cfg.Shields != nil {
-		b += w.cfg.Shields()
+	if w.shields != nil {
+		b += w.shields()
 	}
 	return b
 }
 
-func (w *Watchdog) run() {
-	defer close(w.done)
+// Check runs one health check: stall and over-bound detection, one rung
+// of escalation when either fires, one step of de-escalation after a calm
+// streak. It reports whether it broadcast — every live critical section
+// was just neutralized, so the caller should force the epoch forward and
+// drain (the janitor's drain stage; tests call Handle.Barrier).
+func (w *Watchdog) Check() (broadcast bool) {
 	d := w.d
-	ticker := time.NewTicker(w.cfg.Interval)
-	defer ticker.Stop()
+	e := d.epoch.Load()
+	queued := d.pendingBatches()
+	over := float64(d.rec.Unreclaimed.Load()) > WatchdogFraction*float64(w.bound())
 
-	lastEpoch := d.epoch.Load()
-	stalled, calm := 0, 0
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-		}
-		// Shard-wedge injection: a fired stall skips this health check
-		// entirely — no tick published, no escalation, no sweep — so a
-		// Period-1 plan freezes the watchdog as dead as a wedged goroutine,
-		// deterministically and wall-clock independently. That is the full
-		// "dead janitors" failure the shard health monitor must detect.
-		// Dynamic gate: this goroutine outlives Activate/Deactivate.
-		if fault.FireShard(fault.SiteShardStall, w.cfg.ShardID) {
-			continue
-		}
-		w.ticks.Add(1)
-
-		e := d.epoch.Load()
-		queued := d.pendingBatches()
-		unreclaimed := d.rec.Unreclaimed.Load()
-		over := float64(unreclaimed) > w.cfg.Fraction*float64(w.bound())
-
-		if e != lastEpoch {
-			lastEpoch = e
-			stalled = 0
-		} else if queued > 0 {
-			// No advance this tick while flushed batches wait: the epoch
-			// is lagging behind the garbage.
-			stalled++
-		} else {
-			stalled = 0
-		}
-
-		if over || stalled >= watchdogStallTicks {
-			calm = 0
-			stalled = 0
-			w.escalate()
-			continue
-		}
-
-		// Quiet but dirty: no batches queued, yet the unreclaimed gauge is
-		// nonzero. A past broadcast may have parked nodes in this handle's
-		// own retired batch that a then-live shield protected; once those
-		// owners exit (or die and are reaped) nothing else will ever reclaim
-		// them, so sweep here. PostDrain is a bounded scan, and this state
-		// is rare in a healthy domain.
-		if queued == 0 && unreclaimed > 0 && w.cfg.PostDrain != nil {
-			w.cfg.PostDrain()
-		}
-
-		// Healthy tick: walk the effective threshold back up toward the
-		// configured value, one doubling per calm streak.
-		if eff := d.effForce.Load(); eff < int32(d.forceThreshold) {
-			calm++
-			if calm >= watchdogCalmTicks {
-				calm = 0
-				next := eff * 2
-				if next > int32(d.forceThreshold) || next < eff {
-					next = int32(d.forceThreshold)
-				}
-				d.effForce.Store(next)
-			}
-		} else {
-			calm = 0
-		}
+	if e != w.lastEpoch {
+		w.lastEpoch = e
+		w.stalled = 0
+	} else if queued > 0 {
+		// No advance this tick while flushed batches wait: the epoch is
+		// lagging behind the garbage.
+		w.stalled++
+	} else {
+		w.stalled = 0
 	}
+
+	if over || w.stalled >= watchdogStallTicks {
+		w.calm = 0
+		w.stalled = 0
+		return w.escalate()
+	}
+
+	// Healthy tick: walk the effective threshold back up toward the
+	// configured value, one doubling per calm streak.
+	if eff := d.effForce.Load(); eff < int32(d.forceThreshold) {
+		w.calm++
+		if w.calm >= watchdogCalmTicks {
+			w.calm = 0
+			next := eff * 2
+			if next > int32(d.forceThreshold) || next < eff {
+				next = int32(d.forceThreshold)
+			}
+			d.effForce.Store(next)
+		}
+	} else {
+		w.calm = 0
+	}
+	return false
 }
 
 // escalate takes the next rung of the ladder: halve the effective
 // ForceThreshold while it is above 1, then broadcast.
-func (w *Watchdog) escalate() {
+func (w *Watchdog) escalate() (broadcast bool) {
 	d := w.d
+	d.rec.WatchdogEscalations.Inc()
 	if eff := d.effForce.Load(); eff > 1 {
 		d.effForce.Store(eff / 2)
-		d.rec.WatchdogEscalations.Inc()
 		if obs.On {
-			w.h.trace.Rec(obs.EvWatchdogEscalate, int64(eff/2))
+			w.trace.Rec(obs.EvWatchdogEscalate, int64(eff/2))
 		}
-		return
+		return false
 	}
-	d.rec.WatchdogEscalations.Inc()
 	if obs.On {
-		w.h.trace.Rec(obs.EvWatchdogEscalate, 1)
+		w.trace.Rec(obs.EvWatchdogEscalate, 1)
 	}
 	w.broadcast()
+	return true
 }
 
 // broadcast is the last resort: neutralize every live critical section
 // (InCs and InRm alike — masked regions defer the request to their exit,
-// per Algorithm 6), then force the epoch forward and drain expired batches
-// through the watchdog's own handle. Two advances expire everything that
-// was queued before the broadcast.
+// per Algorithm 6). The caller then forces the epoch forward; two
+// advances expire everything that was queued before the broadcast.
 func (w *Watchdog) broadcast() {
 	d := w.d
 	victims := int64(0)
 	for _, other := range d.handles.Snapshot() {
-		if other == w.h {
-			continue
-		}
 		for {
 			st := other.status.Load()
 			ph, e := unpack(st)
 			if ph == phaseOut || ph >= phaseRbReq {
-				// Out, already neutralized, or owned by the lease reaper
+				// Out (the caller's own service handle included), already
+				// neutralized, or owned by the lease reaper
 				// (quarantined/reaping/reaped) — nothing to broadcast to.
 				break
 			}
@@ -258,13 +163,6 @@ func (w *Watchdog) broadcast() {
 		}
 	}
 	if obs.On {
-		w.h.trace.Rec(obs.EvBroadcast, victims)
-	}
-	for i := 0; i < 2; i++ {
-		w.h.pushCnt = d.forceThreshold // budget exhausted: signal any new laggard
-		w.h.flushAndAdvance()
-	}
-	if w.cfg.PostDrain != nil {
-		w.cfg.PostDrain()
+		w.trace.Rec(obs.EvBroadcast, victims)
 	}
 }

@@ -2,10 +2,18 @@ package brcu
 
 import (
 	"testing"
-	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 )
+
+// watchdogTick is one janitor tick as far as the watchdog is concerned:
+// the health check, and — when it broadcast — the forced drain round the
+// janitor's drain stage answers with, through the service handle h.
+func watchdogTick(w *Watchdog, h *Handle) {
+	if w.Check() {
+		h.Barrier()
+	}
+}
 
 // TestWatchdogRecoversStalledEpoch is the acceptance scenario for the
 // watchdog: a domain misconfigured with an absurdly patient ForceThreshold
@@ -41,34 +49,39 @@ func TestWatchdogRecoversStalledEpoch(t *testing.T) {
 		t.Fatal("setup: no flushed batches queued")
 	}
 
-	w := d.StartWatchdog(WatchdogConfig{Interval: 200 * time.Microsecond})
+	w := d.NewWatchdog(nil)
+	service := d.Register()
+	defer service.Unregister()
 
 	// Recovery: the stall detector escalates every 3 no-advance ticks,
-	// halving the effective threshold down to 1 and then broadcasting,
-	// which neutralizes the stalled reader and force-drains the queue.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Stats().Unreclaimed.Load() != 0 || d.Epoch() == e0 {
-		if time.Now().After(deadline) {
-			w.Stop()
+	// halving the effective threshold down to 1 (20 halvings) and then
+	// broadcasting, which neutralizes the stalled reader; the drain round
+	// that answers the broadcast forces the queue out.
+	for i := 0; d.Stats().Unreclaimed.Load() != 0 || d.Epoch() == e0; i++ {
+		if i == 3*21+3 {
 			t.Fatalf("watchdog never recovered: epoch %d (stuck at %d), unreclaimed %d, escalations %d, broadcasts %d",
 				d.Epoch(), e0, d.Stats().Unreclaimed.Load(),
 				d.Stats().WatchdogEscalations.Load(), d.Stats().Broadcasts.Load())
 		}
-		time.Sleep(time.Millisecond)
+		watchdogTick(w, service)
 	}
 
 	// De-escalation: once healthy, calm ticks walk the effective threshold
 	// back up to the configured value (and stay there — a lingering empty
 	// batch used to re-trigger the stall detector here forever).
-	for d.EffectiveForceThreshold() != patience {
-		if time.Now().After(deadline) {
-			w.Stop()
+	for i := 0; d.EffectiveForceThreshold() != patience; i++ {
+		if i == 8*21 {
 			t.Fatalf("effective threshold never restored: %d (broadcasts %d)",
 				d.EffectiveForceThreshold(), d.Stats().Broadcasts.Load())
 		}
-		time.Sleep(time.Millisecond)
+		watchdogTick(w, service)
 	}
-	w.Stop()
+	for i := 0; i < 16; i++ {
+		watchdogTick(w, service)
+	}
+	if eff := d.EffectiveForceThreshold(); eff != patience {
+		t.Fatalf("effective threshold left the configured value again: %d", eff)
+	}
 
 	if d.Stats().WatchdogEscalations.Load() == 0 {
 		t.Fatal("recovery without a recorded escalation")
@@ -93,15 +106,19 @@ func TestWatchdogIdleOnHealthyDomain(t *testing.T) {
 	writer := d.Register()
 	defer writer.Unregister()
 
-	w := d.StartWatchdog(WatchdogConfig{Interval: 200 * time.Microsecond})
+	w := d.NewWatchdog(nil)
 	for i := 0; i < 400; i++ {
 		retireOne(t, pool, cache, writer)
+		if i%16 == 0 {
+			watchdogTick(w, writer)
+		}
 	}
 	// Drain fully, then idle: an empty task set with a static epoch is the
 	// healthy steady state and must never look like a stall.
 	writer.Barrier()
-	time.Sleep(5 * time.Millisecond)
-	w.Stop()
+	for i := 0; i < 25; i++ {
+		watchdogTick(w, writer)
+	}
 
 	if n := d.Stats().WatchdogEscalations.Load(); n != 0 {
 		t.Fatalf("healthy domain saw %d escalations", n)

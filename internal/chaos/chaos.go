@@ -341,9 +341,9 @@ func Run(sc Scenario) Result {
 
 	fcfg := fault.Config{Seed: sc.Seed, Plans: sc.Schedule.Plans}
 	inj := fault.New(fcfg)
-	// Activate before the map exists so the watchdog goroutine (started
+	// Activate before the map exists so the janitor goroutine (started
 	// by the constructor) observes the gate via its creation edge; the
-	// matching Deactivate happens after StopWatchdog below. The trace
+	// matching Deactivate happens after the janitor stops below. The trace
 	// collector follows the same lifecycle: every handle the scenario
 	// registers gets a ring buffer, and the merged tail lands in
 	// Result.TraceTail. A collector installed by the live exporter
@@ -409,12 +409,17 @@ func Run(sc Scenario) Result {
 
 	// Faults off before the drain: the drain must observe the repaired,
 	// fault-free behaviour (and a DrainSkip plan would defeat it). The
-	// reaper stops before the gate closes — its drain path crosses
-	// injection sites, like the watchdog's. The trace collector stays
-	// active through the drain so the tail shows the final drain and
-	// reclaim events too.
-	hpbrcu.StopWatchdog(m)
-	hpbrcu.StopReaper(m)
+	// janitor stops before the gate closes — its drain path crosses
+	// injection sites — and Close is what stops it: a zero timeout halts
+	// the janitor, runs one round and returns, leaving the fixed-round
+	// drain below as the gate. That drain's handle registers first,
+	// because a closed map hands out inert stubs. The trace collector
+	// stays active through the drain so the tail shows the final drain
+	// and reclaim events too.
+	dh := m.Register()
+	if sc.Scheme == hpbrcu.HPBRCU && (cfg.Watchdog || reaperOn) {
+		hpbrcu.Close(m, 0) // the books check below reports what is left
+	}
 	fault.Deactivate()
 	res.Fired = inj.TotalFired()
 
@@ -422,7 +427,7 @@ func Run(sc Scenario) Result {
 	// handle may be parked inside a critical section, which a non-BRCU
 	// drain could wait on forever.
 	if viol.empty() {
-		drain(m)
+		drain(dh)
 		snap := m.Stats().Snapshot()
 		if sc.Scheme == hpbrcu.HPRCU || sc.Scheme == hpbrcu.HPBRCU {
 			// Without a reaper, a leaked handle's deferred batch is
@@ -459,9 +464,8 @@ func Run(sc Scenario) Result {
 // leading into a violation without flooding the failure report.
 const traceTailPerHandle = 16
 
-// drain flushes all deferred reclamation through a fresh handle.
-func drain(m hpbrcu.Map) {
-	h := m.Register()
+// drain flushes all deferred reclamation through h and releases it.
+func drain(h hpbrcu.MapHandle) {
 	for i := 0; i < 8; i++ {
 		h.Barrier()
 	}

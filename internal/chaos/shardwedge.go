@@ -1,9 +1,10 @@
 package chaos
 
 // Shard-wedge chaos (DESIGN.md §15): the phased scenario behind
-// `smrbench chaos -shardwedge`. One run wedges shard 0's janitors — the
-// lease reaper and the BRCU watchdog skip every pass via a Period-1
-// SiteShardStall plan — under live registered-handle load, and gates on
+// `smrbench chaos -shardwedge`. One run wedges shard 0's janitor — it
+// skips every tick via a Period-1 SiteShardStall plan, so neither its
+// lease scan nor its epoch-health check runs — under live
+// registered-handle load, and gates on
 // the fault-isolation contract from both directions:
 //
 //   - sharded (Shards >= 2): the health monitor must quarantine the
@@ -190,7 +191,6 @@ func keysOnShard(m hpbrcu.Map, s int, keyRange int64, count int) []int64 {
 func shardWedgeConfig(shards int) hpbrcu.Config {
 	cfg := chaosConfig()
 	cfg.Watchdog = true
-	cfg.WatchdogInterval = time.Millisecond
 	cfg.Reaper = hpbrcu.ReaperConfig{
 		Enabled:      true,
 		LeaseTimeout: 20 * time.Millisecond,
@@ -201,14 +201,13 @@ func shardWedgeConfig(shards int) hpbrcu.Config {
 		cfg.Shards = hpbrcu.ShardsConfig{
 			Count: shards,
 			Health: hpbrcu.ShardHealthConfig{
-				// 20ms probes over 1ms janitor ticks: one window spans
-				// several scheduler preemption quanta even on GOMAXPROCS=1,
-				// so a false strike needs a live janitor silent for 20ms and
-				// a verdict needs three such windows in a row — while a
-				// truly wedged janitor (skip-every-pass) is still detected
-				// in well under 100ms.
+				// The probe window over 1ms janitor ticks is the 20ms floor:
+				// it spans several scheduler preemption quanta even on
+				// GOMAXPROCS=1, so a false strike needs a live janitor silent
+				// for 20ms and a verdict needs three such windows in a row —
+				// while a truly wedged janitor (skip-every-tick) is still
+				// detected in well under 100ms.
 				Enabled:          true,
-				Interval:         20 * time.Millisecond,
 				StallThreshold:   3,
 				RecoverThreshold: 2,
 			},

@@ -20,9 +20,7 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/brcu"
@@ -63,10 +61,9 @@ type Config struct {
 	// PanicPolicy selects what the recover barrier does with panics that
 	// escape user code inside critical sections (default PanicRethrow).
 	PanicPolicy PanicPolicy
-	// ShardID labels this domain's shard in a sharded deployment: it is
-	// forwarded to the per-shard reaper and watchdog for shard-targeted
-	// fault injection and surfaces in diagnostics. Single-domain
-	// deployments leave it 0.
+	// ShardID labels this domain's shard in a sharded deployment: the
+	// shard's janitor fires shard-targeted fault injection under it and it
+	// surfaces in diagnostics. Single-domain deployments leave it 0.
 	ShardID int
 	// Allocator selects the node allocator's reclamation granularity:
 	// alloc.ModePool (default, per-slot freelist) or alloc.ModeArena
@@ -88,8 +85,12 @@ type Domain struct {
 	brcu *brcu.Domain
 
 	// members tracks the composed handles (both halves), so the lease
-	// reaper can snapshot, quarantine and bulk-remove them as units.
+	// scan can snapshot, quarantine and bulk-remove them as units.
 	members registry.Registry[Handle]
+
+	// jan is the domain's janitor; nil until StartJanitor (and always nil
+	// for RCU-backed domains).
+	jan *Janitor
 
 	// bp is the tiered-backpressure evaluator; nil until
 	// EnableBackpressure (and always nil for RCU-backed domains).
@@ -143,15 +144,6 @@ func (d *Domain) Backend() Backend { return d.backend }
 // ShardID reports the shard label this domain was configured with.
 func (d *Domain) ShardID() int { return d.shardID }
 
-// Epoch returns the BRCU global epoch (0 for RCU-backed domains). The
-// shard health monitor reads it as the epoch-progress probe.
-func (d *Domain) Epoch() uint64 {
-	if d.brcu == nil {
-		return 0
-	}
-	return d.brcu.Epoch()
-}
-
 // BindPool wires an arena-mode pool to this domain: the domain's RCU/BRCU
 // epoch becomes the segment grace source, and the pool's segment counters
 // mirror into the domain's stats (Snapshot.ArenaSegments*). Data-structure
@@ -170,7 +162,7 @@ func (d *Domain) BindPool(p alloc.Binding) {
 	p.SetRecorder(d.rec)
 }
 
-// RegisterService registers an exempt service handle: the lease reaper
+// RegisterService registers an exempt service handle: the lease scan
 // never quarantines it even when its lease goes stale, so long-lived and
 // mostly-idle maintenance goroutines (the shard health monitor's recovery
 // loop) can hold one across arbitrary quiet spans.
@@ -241,49 +233,6 @@ func (d *Domain) EnableBackpressure(cfg reap.BackpressureConfig) *reap.Backpress
 // Backpressure returns the installed evaluator (nil when disabled).
 func (d *Domain) Backpressure() *reap.Backpressure { return d.bp }
 
-// Watchdog is a running self-healing monitor on a BRCU-backed domain; see
-// StartWatchdog.
-type Watchdog struct {
-	w    *brcu.Watchdog
-	h    *Handle
-	once sync.Once
-}
-
-// StartWatchdog launches the BRCU watchdog (see internal/brcu) wired
-// through the two-step retirement of this domain: the H term of the bound
-// comes from the HP shield registry, forced drains move expired nodes into
-// the watchdog's own HP batch, and each drain is followed by an HP reclaim
-// pass. It returns nil for an RCU-backed domain.
-func (d *Domain) StartWatchdog(interval time.Duration, fraction float64) *Watchdog {
-	if d.brcu == nil {
-		return nil
-	}
-	h := d.register(true) // exempt: the watchdog's lease goes stale by design
-	w := d.brcu.StartWatchdog(brcu.WatchdogConfig{
-		Interval:  interval,
-		Fraction:  fraction,
-		Shields:   d.HP.Shields,
-		Handle:    h.brcu,
-		PostDrain: h.HP.Reclaim,
-		ShardID:   d.shardID,
-	})
-	return &Watchdog{w: w, h: h}
-}
-
-// Ticks returns the number of completed watchdog health checks; the shard
-// health monitor reads it as the watchdog-liveness probe.
-func (w *Watchdog) Ticks() int64 { return w.w.Ticks() }
-
-// Stop terminates the watchdog and releases its handle. Idempotent and
-// safe to call concurrently (Once.Do blocks losers until the winner has
-// finished the teardown).
-func (w *Watchdog) Stop() {
-	w.once.Do(func() {
-		w.w.Stop()
-		w.h.Unregister()
-	})
-}
-
 // Handle is one thread's participation record across both halves of the
 // scheme. Not safe for concurrent use.
 type Handle struct {
@@ -292,9 +241,9 @@ type Handle struct {
 	rcu  *ebr.Handle
 	brcu *brcu.Handle
 
-	// exempt marks service handles (watchdog, reaper) the lease reaper
-	// must never quarantine: they are long-lived and mostly idle, so
-	// their leases go stale by design.
+	// exempt marks service handles (the janitor's, the shard monitor's)
+	// the lease scan must never quarantine: they are long-lived and mostly
+	// idle, so their leases go stale by design.
 	exempt bool
 
 	// bpTick samples the backpressure-threshold refresh on the retire
@@ -377,17 +326,6 @@ func (h *Handle) NewShield() *hp.Shield { return h.HP.NewShield() }
 // which have no reaper.
 func (h *Handle) Reaped() bool { return h.brcu != nil && h.brcu.Reaped() }
 
-// StampLease refreshes the handle's activity lease so the reaper keeps
-// treating the owner as alive. The handle pool stamps it on checkout and
-// return, so the lease reflects pool activity — a checkout that never
-// returns goes stale and is the reaper's to clean up. No-op for
-// RCU-backed domains or while leases are off.
-func (h *Handle) StampLease() {
-	if h.brcu != nil {
-		h.brcu.StampLease()
-	}
-}
-
 // Retire schedules a node for two-step reclamation (Algorithm 4): first an
 // RCU grace period, then hazard-pointer scanning. It must be called either
 // outside critical sections or inside a Mask region (Defer is
@@ -403,7 +341,7 @@ func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 		// drain tier is an independent knob (DrainFraction > 1 disables
 		// inline drains without touching throttling or rejection). The
 		// periodic threshold refresh is sampled on this handle's own
-		// counter so domains without a reaper still track a growing
+		// counter so domains without a janitor still track a growing
 		// thread count, without a shared RMW per retire.
 		if bp := h.d.bp; bp != nil {
 			if h.bpTick++; h.bpTick&255 == 0 {
@@ -431,8 +369,6 @@ func (h *Handle) emergencyDrain() {
 	h.HP.Reclaim()
 	if claimed {
 		h.brcu.EndMut()
-	} else {
-		h.brcu.StampLease()
 	}
 }
 
@@ -460,8 +396,6 @@ func (h *Handle) Barrier() {
 		h.HP.Reclaim()
 		if claimed {
 			h.brcu.EndMut()
-		} else {
-			h.brcu.StampLease()
 		}
 		return
 	}

@@ -1,0 +1,345 @@
+package core
+
+// The janitor: the one background goroutine an HP-BRCU domain runs. The
+// paper's robustness argument (§4.1, §5) needs one background fact per
+// domain — is the epoch advancing, and who is in the way — so one ticker
+// drives fixed, ordered stages through one exempt service handle:
+//
+//	publish clock → lease scan → epoch health → drain → backpressure → report
+//
+// The lease scan (internal/reap) and the epoch-health check
+// (internal/brcu) keep their protocol code and lose their goroutines; both
+// hand the work they park in the domain-global paths to the single
+// progress-gated drain stage. See DESIGN.md §7.
+
+import (
+	"sync"
+	"time"
+
+	"github.com/smrgo/hpbrcu/internal/brcu"
+	"github.com/smrgo/hpbrcu/internal/fault"
+	"github.com/smrgo/hpbrcu/internal/hp"
+	"github.com/smrgo/hpbrcu/internal/obs"
+	"github.com/smrgo/hpbrcu/internal/reap"
+	"github.com/smrgo/hpbrcu/internal/stats"
+)
+
+// watchdogOnlyInterval is the janitor tick of a domain that runs the
+// epoch-health stage without the lease scan.
+const watchdogOnlyInterval = time.Millisecond
+
+// JanitorConfig configures StartJanitor. Zero durations select the
+// defaults.
+type JanitorConfig struct {
+	// Reaper turns the lease-scan stage (and lease stamping) on.
+	Reaper bool
+	// LeaseTimeout is how stale a handle's lease must be before the scan
+	// quarantines it (default reap.DefaultLeaseTimeout).
+	LeaseTimeout time.Duration
+	// Interval is the janitor tick (default reap.DefaultInterval with the
+	// reaper on, 1 ms otherwise).
+	Interval time.Duration
+	// Grace is the quarantine confirmation delay (default four ticks).
+	Grace time.Duration
+	// Watchdog turns the epoch-health stage on.
+	Watchdog bool
+}
+
+// Report is what a janitor publishes at the end of every tick — the one
+// background fact the rest of the system reads instead of re-deriving:
+// the shard health monitor (liveness from Ticks, the epoch-wedge verdict
+// from Advances and Unreclaimed) and the per-shard /metrics rows
+// (hpbrcu.ShardPressures: Ticks and StallStreak).
+type Report struct {
+	// Ticks counts completed ticks; a stalled tick (fault.SiteShardStall)
+	// publishes nothing and does not count.
+	Ticks int64
+	// Epoch is the BRCU global epoch and Advances the cumulative
+	// epoch-advance count.
+	Epoch    uint64
+	Advances int64
+	// Unreclaimed is the retired-not-yet-reclaimed gauge after the drain
+	// stage.
+	Unreclaimed int64
+	// StallStreak is how many consecutive ticks saw flushed batches queued
+	// behind an epoch that did not move (0 with the watchdog off).
+	StallStreak int
+	// Level is the backpressure rung after this tick's threshold refresh
+	// (LevelOK with backpressure off).
+	Level reap.Level
+}
+
+// Janitor is a running per-domain janitor; see StartJanitor.
+type Janitor struct {
+	rec      *stats.Reclamation
+	interval time.Duration
+	shardID  int
+
+	// The stages. reaper and wd are nil when their stage is off; drain is
+	// one forced flush-advance-reclaim round through the service handle;
+	// epoch reads the domain's epoch clock.
+	reaper *reap.Reaper
+	wd     *brcu.Watchdog
+	bp     *reap.Backpressure
+	drain  func()
+	epoch  func() uint64
+
+	// gate decides whether the drain stage runs a round this tick: armed
+	// by an adoption or a broadcast, open while the rounds make progress.
+	gate reap.DrainGate
+
+	trace *obs.Trace
+	// last* remember the counter levels already mirrored into the trace.
+	lastThrottles int64
+	lastRejects   int64
+
+	mu     sync.Mutex // guards report
+	report Report
+
+	d        *Domain // cleared of this janitor by Stop; nil in mock-target tests
+	h        *Handle // the service handle behind drain
+	stop     chan struct{}
+	done     chan struct{}
+	haltOnce sync.Once
+	stopOnce sync.Once
+}
+
+// StartJanitor launches the domain's janitor with the stages cfg asks
+// for. With the reaper stage on it first enables lease stamping, so it
+// must run before any worker goroutine registers (the lease gate is a
+// plain bool, fault.On contract). It returns nil for an RCU-backed domain
+// and when cfg asks for no stage. CloseDrain stops the janitor as part of
+// the shutdown; Stop does so on its own.
+func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
+	if d.brcu == nil || !(cfg.Reaper || cfg.Watchdog) {
+		return nil
+	}
+	if cfg.Interval <= 0 {
+		cfg.Interval = watchdogOnlyInterval
+		if cfg.Reaper {
+			cfg.Interval = reap.DefaultInterval
+		}
+	}
+	if cfg.Reaper {
+		d.brcu.EnableLeases()
+	}
+	h := d.register(true) // exempt: the janitor's own lease goes stale by design
+	j := &Janitor{
+		rec:      d.rec,
+		interval: cfg.Interval,
+		shardID:  d.shardID,
+		bp:       d.bp,
+		drain:    h.Barrier,
+		epoch:    d.brcu.Epoch,
+		d:        d,
+		h:        h,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	if cfg.Reaper {
+		if cfg.Grace <= 0 {
+			cfg.Grace = 4 * cfg.Interval
+		}
+		j.reaper = reap.New(reapTarget{d}, reap.Config{
+			LeaseTimeout: cfg.LeaseTimeout,
+			Grace:        cfg.Grace,
+			Rec:          d.rec,
+		})
+	}
+	if cfg.Watchdog {
+		j.wd = d.brcu.NewWatchdog(d.HP.Shields)
+	}
+	if obs.On {
+		j.trace = obs.NewTrace("janitor")
+	}
+	d.jan = j
+	go j.run()
+	return j
+}
+
+// Interval returns the janitor tick.
+func (j *Janitor) Interval() time.Duration { return j.interval }
+
+// Report returns the report of the last completed tick. Safe from any
+// goroutine.
+func (j *Janitor) Report() Report {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.report
+}
+
+func (j *Janitor) run() {
+	defer close(j.done)
+	ticker := time.NewTicker(j.interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-j.stop:
+			return
+		case <-ticker.C:
+		}
+		j.tick(time.Now().UnixNano())
+	}
+}
+
+// tick is one janitor pass at time now (UnixNano); factored out of run
+// with an explicit clock so tests can drive the stages deterministically.
+func (j *Janitor) tick(now int64) {
+	// The shard-wedge injection point: a fired stall skips the pass
+	// entirely — no clock published, no adoption, no health check, no
+	// report — so a Period-1 plan freezes the janitor as dead as a wedged
+	// goroutine, deterministically and wall-clock independently: leases
+	// age, adoption stops, and the shard monitor sees Ticks stand still.
+	// FireShard reads the injector through the atomic gate — this
+	// goroutine outlives Activate/Deactivate.
+	if fault.FireShard(fault.SiteShardStall, j.shardID) {
+		return
+	}
+
+	// Lease scan: publishes the clock first, so the stamps it compares
+	// against are never older than the tick that judges them.
+	parked := false
+	if j.reaper != nil {
+		parked = j.reaper.Tick(now) > 0
+	}
+	// Epoch health: a broadcast neutralized every live section; the
+	// forced advances that make it count are the drain stage's.
+	if j.wd != nil && j.wd.Check() {
+		parked = true
+	}
+
+	// Drain, while it makes progress.
+	if parked {
+		j.gate.Arm()
+	}
+	if j.gate.Allow(j.rec.Unreclaimed.Load()) {
+		j.drain()
+	}
+
+	if j.bp != nil {
+		j.bp.Refresh()
+		if obs.On {
+			// Workers cannot write shared traces (single-writer rings),
+			// so the janitor mirrors the counter deltas into its own.
+			if t := j.rec.BackpressureThrottles.Load(); t > j.lastThrottles {
+				j.trace.Rec(obs.EvThrottle, t-j.lastThrottles)
+				j.lastThrottles = t
+			}
+			if r := j.rec.BackpressureRejects.Load(); r > j.lastRejects {
+				j.trace.Rec(obs.EvReject, r-j.lastRejects)
+				j.lastRejects = r
+			}
+		}
+	}
+
+	j.publish()
+}
+
+// publish replaces the report with the domain's current state and counts
+// one tick.
+func (j *Janitor) publish() {
+	r := Report{
+		Epoch:       j.epoch(),
+		Advances:    j.rec.EpochAdvances.Load(),
+		Unreclaimed: j.rec.Unreclaimed.Load(),
+	}
+	if j.wd != nil {
+		r.StallStreak = j.wd.StallStreak()
+	}
+	if j.bp != nil {
+		r.Level = j.bp.Level()
+	}
+	j.mu.Lock()
+	r.Ticks = j.report.Ticks + 1
+	j.report = r
+	j.mu.Unlock()
+}
+
+// halt stops the goroutine and waits for it to exit; afterwards the
+// service handle and the tick state belong to the caller. Idempotent.
+func (j *Janitor) halt() {
+	j.haltOnce.Do(func() {
+		close(j.stop)
+		<-j.done
+	})
+}
+
+// Stop terminates the janitor, releases its service handle and detaches it
+// from the domain, so a later CloseDrain drains through a handle of its
+// own instead of the unregistered one. Idempotent and safe to call
+// concurrently (Once.Do blocks losers until the winner has finished the
+// teardown), but not concurrently with CloseDrain.
+func (j *Janitor) Stop() {
+	j.halt()
+	j.stopOnce.Do(func() {
+		j.h.Unregister()
+		j.d.jan = nil
+	})
+}
+
+// --- reap.Victim on *Handle -------------------------------------------
+
+// Lease returns the BRCU half's activity stamp; the HP half's retired
+// list is mutated only inside BeginMut spans and critical sections, which
+// stamp it, so one lease covers both halves.
+func (h *Handle) Lease() int64 { return h.brcu.Lease() }
+
+// Exempt reports whether the lease scan must skip this handle.
+func (h *Handle) Exempt() bool { return h.exempt }
+
+// TryQuarantine forwards phase one of the reap protocol.
+func (h *Handle) TryQuarantine() bool { return h.brcu.TryQuarantine() }
+
+// TryBeginReap forwards phase two of the reap protocol.
+func (h *Handle) TryBeginReap() bool { return h.brcu.TryBeginReap() }
+
+// Adopt moves both halves of the dead thread's state into the
+// domain-global paths: the BRCU defer batch into the global task set and
+// the HP retired list (plus shield protections) into the orphans. It
+// returns the number of adopted nodes.
+func (h *Handle) Adopt() int {
+	return h.brcu.AdoptBatch() + h.d.HP.Adopt(h.HP)
+}
+
+// FinishReap publishes the end of adoption.
+func (h *Handle) FinishReap() { h.brcu.FinishReap() }
+
+// CancelReap aborts a confirmed reap without adopting anything.
+func (h *Handle) CancelReap() { h.brcu.CancelReap() }
+
+// Empty reports whether a reap of this handle would adopt nothing: both
+// halves hold no deferred or retired node and no shield protects. Called
+// only while the Reaping phase excludes the owner.
+func (h *Handle) Empty() bool { return h.brcu.BatchEmpty() && h.HP.Empty() }
+
+// --- reap.Target over the domain --------------------------------------
+
+type reapTarget struct{ d *Domain }
+
+func (t reapTarget) PublishClock(now int64) { t.d.brcu.PublishClock(now) }
+
+func (t reapTarget) Victims() []reap.Victim {
+	snap := t.d.members.Snapshot()
+	vs := make([]reap.Victim, len(snap))
+	for i, h := range snap {
+		vs[i] = h
+	}
+	return vs
+}
+
+// Remove strips the victims from all three registries (members, BRCU,
+// HP). The lease scan calls it while every victim is still in the Reaping
+// phase — before FinishReap — so no owner can resurrect concurrently and
+// have its fresh registration removed out from under it.
+func (t reapTarget) Remove(vs []reap.Victim) {
+	set := make(map[*Handle]bool, len(vs))
+	bs := make([]*brcu.Handle, len(vs))
+	hs := make([]*hp.Handle, len(vs))
+	for i, v := range vs {
+		h := v.(*Handle)
+		set[h], bs[i], hs[i] = true, h.brcu, h.HP
+	}
+	t.d.members.RemoveWhere(func(h *Handle) bool { return set[h] })
+	t.d.brcu.RemoveAll(bs)
+	t.d.HP.RemoveAll(hs)
+}

@@ -160,8 +160,6 @@ func (h *Handle) BarrierCtx(ctx context.Context) error {
 		}
 		if claimed {
 			h.brcu.EndMut()
-		} else {
-			h.brcu.StampLease()
 		}
 	} else {
 		h.rcu.Barrier()
@@ -192,28 +190,45 @@ func (d *Domain) Closed() bool { return d.closed.Load() }
 // Unregister away from balancing.
 const closeDrainPause = 100 * time.Microsecond
 
-// CloseDrain forces drain rounds through a temporary exempt handle until
-// the books balance (Unreclaimed == 0) or the deadline passes, and
-// returns the remaining unreclaimed count. It does not stop the reaper
-// or watchdog — the caller runs them through the drain (they help: the
-// reaper adopts garbage abandoned by leaked or panicked workers) and
-// stops them afterwards. Nodes still held in live workers' local batches
-// or shields drain only once those workers Unregister, which is why the
-// loop keeps retrying until the deadline rather than giving up after a
-// fixed round count.
+// CloseDrain stops the janitor and forces drain rounds until the books
+// balance (Unreclaimed == 0) or the deadline passes, returning the
+// remaining unreclaimed count. The rounds go through the janitor's own
+// service handle, so they reach what its drain stage parked there (nodes
+// a then-live shield protected) as well as the global paths; between
+// rounds the janitor's tick keeps running on this goroutine at its usual
+// cadence, so garbage abandoned by leaked or panicked workers is still
+// adopted and freed. A domain without a janitor drains through a
+// temporary exempt handle. Nodes still held in live workers' local
+// batches or shields drain only once those workers Unregister, which is
+// why the loop keeps retrying until the deadline rather than giving up
+// after a fixed round count.
 func (d *Domain) CloseDrain(deadline time.Time) int64 {
-	h := d.register(true) // exempt: this handle outlives its lease on purpose
-	defer h.Unregister()
+	j := d.jan
+	var h *Handle
+	if j != nil {
+		j.halt() // its handle and tick state are ours from here on
+		defer j.Stop()
+		h = j.h
+	} else {
+		h = d.register(true) // exempt: this handle outlives its lease on purpose
+		defer h.Unregister()
+	}
 	if h.brcu != nil {
 		h.brcu.TraceEvent(obs.EvClose, d.rec.Unreclaimed.Load())
 	}
+	var nextTick time.Time
 	for {
+		now := time.Now()
+		if j != nil && !now.Before(nextTick) {
+			j.tick(now.UnixNano())
+			nextTick = now.Add(j.interval)
+		}
 		h.Barrier()
 		left := d.rec.Unreclaimed.Load()
-		if left == 0 {
-			return 0
-		}
-		if !time.Now().Before(deadline) {
+		if left == 0 || !now.Before(deadline) {
+			if j != nil {
+				j.publish() // the closing state, for readers of the report
+			}
 			return left
 		}
 		runtime.Gosched()

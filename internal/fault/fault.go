@@ -30,8 +30,8 @@
 //
 // On and the active injector may only change while no goroutine is inside
 // an injection point: Activate before the workers start, Deactivate after
-// they have joined (and after any BRCU watchdog has been stopped — the
-// watchdog's drain path crosses injection sites too). This mirrors the
+// they have joined (and after any janitor has been stopped — its drain
+// path crosses injection sites too). This mirrors the
 // atomicx.YieldPeriod contract and keeps the gate a plain, race-free load.
 package fault
 
@@ -46,7 +46,7 @@ import (
 // from a genuine bug escaping user code (an invariant violation).
 var ErrInjectedPanic = errors.New("fault: injected panic")
 
-// Site identifies one injection point. The inventory (DESIGN.md §7):
+// Site identifies one injection point. The inventory (DESIGN.md §6.1):
 type Site uint8
 
 const (
@@ -118,13 +118,13 @@ const (
 	// server's teardown path must still run its normal checkin/close
 	// sequence.
 	SiteNetDrop
-	// SiteShardStall stalls one shard's maintenance tick — the lease
-	// reaper's and the BRCU watchdog's periodic goroutines — simulating a
-	// wedged per-shard janitor. The site is shard-targeted: the plan's
+	// SiteShardStall stalls one shard's janitor tick (internal/core) —
+	// lease scan, epoch-health check, drain and report alike — simulating
+	// a wedged per-shard janitor. The site is shard-targeted: the plan's
 	// Shard field selects which shard's ticks fire, so a sharded domain
 	// can demonstrate fault isolation (the wedged shard is quarantined,
 	// the others keep reclaiming). Fired through FireShard from the
-	// maintenance goroutines, which are long-lived and therefore use the
+	// janitor goroutine, which is long-lived and therefore uses the
 	// dynamic (atomic) gate rather than the plain fault.On branch.
 	SiteShardStall
 
@@ -255,7 +255,7 @@ func FireDyn(s Site) bool {
 // FireShard is FireDyn for shard-targeted sites: the arrival only counts
 // (and can only fire) when the plan's Shard selector matches the calling
 // shard. Like FireDyn it reads the injector through the atomic pointer,
-// because its callers — per-shard reaper and watchdog goroutines — are
+// because its callers — the per-shard janitor goroutines — are
 // long-lived and cross injection points while schedules come and go.
 func FireShard(s Site, shard int) bool {
 	inj := activeDyn.Load()

@@ -138,10 +138,6 @@ type Config[T any] struct {
 	// already confirmed the borrower dead and reclaimed the resource's
 	// state. Optional; called from the sweep on checked-out entries.
 	Reaped func(T) bool
-	// Stamp refreshes the resource's activity lease; called on checkout
-	// and return so the lease words reflect pool activity. Optional.
-	Stamp func(T)
-
 	// Rec receives the pool counters (PoolCheckouts, PoolExhausted,
 	// PoolLeaksReclaimed). Optional.
 	Rec *stats.Reclamation
@@ -282,9 +278,6 @@ func (p *Pool[T]) checkedOut(e *Entry[T]) *Entry[T] {
 		}
 		e.pending = 0
 	}
-	if p.cfg.Stamp != nil {
-		p.cfg.Stamp(e.res)
-	}
 	if obs.On {
 		e.trace.Rec(obs.EvCheckout, int64(n))
 	}
@@ -382,9 +375,6 @@ func (p *Pool[T]) Release(e *Entry[T]) {
 	if p.closed.Load() {
 		p.retireOwned(e)
 		return
-	}
-	if p.cfg.Stamp != nil {
-		p.cfg.Stamp(e.res)
 	}
 	if obs.On {
 		e.trace.Rec(obs.EvReturn, 0)

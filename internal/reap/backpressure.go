@@ -53,7 +53,7 @@ func (l Level) String() string {
 
 // BackpressureConfig configures NewBackpressure. The fractions are rungs
 // of the base ceiling: Ceiling when set, else the domain's observed §5
-// bound (which grows with the observed thread count, so the reaper
+// bound (which grows with the observed thread count, so the janitor
 // refreshes the cached thresholds each tick).
 type BackpressureConfig struct {
 	// DrainFraction of the base triggers inline emergency drains
@@ -76,7 +76,7 @@ const unlimited = int64(1) << 62
 
 // Backpressure evaluates the ladder. Level and Admit are hot-path-safe:
 // they compare the unreclaimed gauge against cached atomic thresholds,
-// refreshed by the reaper tick and by every 256th call.
+// refreshed by the janitor tick and by every 256th call.
 type Backpressure struct {
 	cfg         BackpressureConfig
 	unreclaimed func() int64
@@ -123,8 +123,8 @@ func threshold(base int64, frac float64) int64 {
 }
 
 // Refresh recomputes the cached thresholds from the current base. The
-// reaper calls it once per tick; Level samples it every 256th call so a
-// domain without a reaper still tracks a growing thread count.
+// janitor calls it once per tick; Level samples it every 256th call so a
+// domain without a janitor still tracks a growing thread count.
 func (bp *Backpressure) Refresh() {
 	base := bp.cfg.Ceiling
 	if base <= 0 && bp.bound != nil {
@@ -162,13 +162,13 @@ func (bp *Backpressure) Level() Level {
 // emergency drain. It compares against the drain threshold alone — not
 // Level, whose tiers collapse into each other — so DrainFraction is an
 // independent knob: setting it above 1 disables inline drains without
-// touching throttling or rejection (useful when drains are the reaper's
+// touching throttling or rejection (useful when drains are the janitor's
 // job, and for tests that pin the reject tier with stuck garbage).
 //
 // ShouldDrain is two atomic loads and nothing else: it runs once per
 // retire on every thread, so it must not share an RMW (the old every-256th
 // self-refresh turned the call counter into a domain-wide contended word).
-// Threshold refreshes instead come from the reaper tick and from the
+// Threshold refreshes instead come from the janitor tick and from the
 // retire path's own per-handle sampling (internal/core), which touch no
 // shared state until they actually refresh.
 func (bp *Backpressure) ShouldDrain() bool {

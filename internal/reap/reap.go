@@ -1,5 +1,7 @@
-// Package reap implements the lease-based orphan reaper and the tiered
-// memory-backpressure ladder (DESIGN.md §9).
+// Package reap implements the lease-based orphan-reaping protocol and the
+// tiered memory-backpressure ladder (DESIGN.md §7.2, §9). The protocol has
+// no goroutine of its own: the domain's janitor (internal/core) calls
+// Reaper.Tick once per tick as its lease-scan stage.
 //
 // The reclamation schemes in this repository are robust against *stalled*
 // threads — a preempted reader cannot block reclamation — but a thread
@@ -8,9 +10,9 @@
 // clear, and the garbage they pin accumulates forever. The reaper closes
 // that hole with a lease protocol:
 //
-//   - the reaper publishes a coarse activity clock into the domain once
-//     per tick (Target.PublishClock); handle owners copy it into their
-//     lease word with one relaxed store at every activity point;
+//   - each tick publishes a coarse activity clock into the domain
+//     (Target.PublishClock); handle owners copy it into their lease word
+//     whenever they leave the reapable Out state (Enter, BeginMut);
 //   - a handle whose lease has not moved for LeaseTimeout while it holds
 //     no live critical section is *quarantined* (phase one: a CAS on the
 //     handle's status word that a live owner detects and cancels at its
@@ -43,18 +45,16 @@
 package reap
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/obs"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// Defaults. The lease timeout is deliberately long relative to the tick:
-// a lease is considered stale only after many missed publications, so a
-// briefly descheduled owner is never quarantined in the first place.
+// Defaults. The lease timeout is deliberately long relative to the
+// janitor tick: a lease is considered stale only after many missed
+// publications, so a briefly descheduled owner is never quarantined in
+// the first place.
 const (
 	DefaultLeaseTimeout = 250 * time.Millisecond
 	DefaultInterval     = 5 * time.Millisecond
@@ -66,8 +66,8 @@ const (
 type Victim interface {
 	// Lease returns the victim's last activity stamp (UnixNano).
 	Lease() int64
-	// Exempt reports whether the handle must never be reaped (service
-	// handles owned by the watchdog and the reaper itself).
+	// Exempt reports whether the handle must never be reaped (the
+	// janitor's and the shard monitor's service handles).
 	Exempt() bool
 	// TryQuarantine begins phase one; false means the victim is inside a
 	// live critical section, mid-mutation, or already mid-reap.
@@ -103,32 +103,19 @@ type Target interface {
 	// Called between TryBeginReap and FinishReap, while every victim is
 	// still in the Reaping phase and its owner therefore excluded.
 	Remove(vs []Victim)
-	// PostReap runs after a pass that reaped at least one victim — the
-	// hook where internal/core forces a flush-and-reclaim round so the
-	// adopted garbage actually drains.
-	PostReap()
 }
 
-// Config configures Start.
+// Config configures New.
 type Config struct {
 	// LeaseTimeout is how stale a lease must be before quarantine
 	// (default DefaultLeaseTimeout).
 	LeaseTimeout time.Duration
-	// Interval between reaper ticks (default DefaultInterval).
-	Interval time.Duration
-	// Grace is the quarantine confirmation delay (default 4×Interval).
+	// Grace is the quarantine confirmation delay (default
+	// 4×DefaultInterval; the janitor passes four of its own ticks).
 	Grace time.Duration
 	// Rec receives ReapedHandles/AdoptedNodes counts (nil allocates a
 	// private one).
 	Rec *stats.Reclamation
-	// BP, when non-nil, is refreshed once per tick so its cached
-	// thresholds track the observed thread count, and its throttle and
-	// reject counters are mirrored into the event trace.
-	BP *Backpressure
-	// ShardID labels this reaper's domain shard for shard-targeted fault
-	// injection (fault.SiteShardStall) and diagnostics. Single-domain
-	// deployments leave it 0.
-	ShardID int
 }
 
 // quarantine is one pending phase-one entry: when it started and the
@@ -143,114 +130,43 @@ type quarantine struct {
 	empty bool
 }
 
-// Reaper is a running per-domain reaper goroutine; see Start.
+// Reaper is one domain's lease-scan state: the pending quarantines it
+// carries from tick to tick. Owned by the goroutine that calls Tick.
 type Reaper struct {
 	tgt Target
 	cfg Config
 
 	quarantined map[Victim]quarantine
-	// cleanup is set after any adoption: adopted garbage can land in
-	// places no worker will ever drain again (the global task set, HP
-	// orphans, the drain handle's own retired batch — e.g. nodes a
-	// still-live shield protected at adoption time), so the reaper keeps
-	// running PostReap each tick — but only while the rounds make
-	// progress. cleanupLast is the Unreclaimed level after the previous
-	// round; a round that fails to lower it ends cleanup mode (with live
-	// workers retiring, the gauge may never touch zero, and an unbounded
-	// forced-advance loop would collapse their throughput — what the
-	// drains can't reach, the workers or the watchdog's quiet-but-dirty
-	// sweep will).
-	cleanup     bool
-	cleanupLast int64
 	trace       *obs.Trace
-	// last* remember the counter levels already mirrored into the trace.
-	lastThrottles int64
-	lastRejects   int64
-
-	// ticks counts completed reaper passes; the shard health monitor
-	// reads it as the reaper-liveness signal (a frozen counter across
-	// probe windows means the janitor goroutine is wedged or dead).
-	ticks atomic.Int64
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// Start launches the reaper goroutine. Stop it with Stop before tearing
-// the domain down. The caller must have enabled lease stamping on the
-// domain before any worker goroutine registers (internal/core does both
-// in StartReaper).
-func Start(tgt Target, cfg Config) *Reaper {
-	r := newReaper(tgt, cfg)
-	r.wg.Add(1)
-	go r.run()
-	return r
-}
-
-// newReaper applies defaults without launching the goroutine; tick-driven
-// tests use it directly.
-func newReaper(tgt Target, cfg Config) *Reaper {
+// New builds the lease scan over tgt, applying defaults. The caller must
+// have enabled lease stamping on the domain before any worker goroutine
+// registers (internal/core does both in StartJanitor).
+func New(tgt Target, cfg Config) *Reaper {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = DefaultLeaseTimeout
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
 	if cfg.Grace <= 0 {
-		cfg.Grace = 4 * cfg.Interval
+		cfg.Grace = 4 * DefaultInterval
 	}
 	if cfg.Rec == nil {
 		cfg.Rec = &stats.Reclamation{}
 	}
-	r := &Reaper{
-		tgt:         tgt,
-		cfg:         cfg,
-		quarantined: make(map[Victim]quarantine),
-		stop:        make(chan struct{}),
-	}
+	r := &Reaper{tgt: tgt, cfg: cfg, quarantined: make(map[Victim]quarantine)}
 	if obs.On {
 		r.trace = obs.NewTrace("reap")
 	}
 	return r
 }
 
-// Stop terminates the reaper and waits for it to exit. Idempotent and
-// safe to call concurrently; every caller returns only after the
-// goroutine has exited.
-func (r *Reaper) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.wg.Wait()
-}
-
-func (r *Reaper) run() {
-	defer r.wg.Done()
-	ticker := time.NewTicker(r.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-ticker.C:
-		}
-		// The shard-wedge injection point: a fired stall skips this pass
-		// entirely — no clock published, no adoption, no tick counted — so
-		// a Period-1 plan freezes the reaper as dead as a wedged goroutine,
-		// deterministically: leases age, adoption stops, and the shard's
-		// health verdict sees a dead janitor. FireShard reads the injector
-		// through the atomic gate — this goroutine outlives
-		// Activate/Deactivate.
-		if fault.FireShard(fault.SiteShardStall, r.cfg.ShardID) {
-			continue
-		}
-		r.tick(time.Now().UnixNano())
-	}
-}
-
-// tick is one reaper pass; factored out of run with an explicit clock so
-// tests can drive the protocol deterministically.
-func (r *Reaper) tick(now int64) {
-	defer r.ticks.Add(1)
+// Tick is one pass at time now (UnixNano): publish the clock, then scan
+// every lease — quarantine the stale, confirm the quarantines that
+// survived their grace period, adopt and deregister the confirmed. It
+// returns the number of handles reaped; a nonzero count means adopted
+// garbage now sits in the domain-global paths, which the caller must
+// drain (the janitor's drain stage).
+func (r *Reaper) Tick(now int64) (reaped int) {
 	r.tgt.PublishClock(now)
 	vs := r.tgt.Victims()
 
@@ -272,8 +188,9 @@ func (r *Reaper) tick(now int64) {
 			if q.empty {
 				// Parked: a previous confirm found nothing to adopt.
 				// Nothing can appear while the lease is frozen (growing
-				// the batch or retired list is an activity point), so
-				// skip without touching the victim at all.
+				// the batch or retired list, or setting a shield, takes
+				// a BeginMut or an Enter, and both stamp), so skip
+				// without touching the victim at all.
 				continue
 			}
 			if now-q.at < int64(r.cfg.Grace) {
@@ -337,52 +254,13 @@ func (r *Reaper) tick(now int64) {
 		for _, v := range reaping {
 			v.FinishReap()
 		}
-		r.tgt.PostReap()
-		r.cleanup = true
-		r.cleanupLast = int64(^uint64(0) >> 1) // MaxInt64: first round always runs
 		if obs.On {
 			r.trace.Rec(obs.EvReap, int64(len(reaping)))
 		}
-	} else if r.cleanup {
-		// Finish what the reap started: with every worker dead there is
-		// nobody else left to advance the epoch or reclaim what the
-		// adoption parked in the global paths. But only force rounds that
-		// make progress: with live workers continuously retiring, the
-		// gauge never touches zero, and forcing flush-and-advance every
-		// tick forever would keep neutralizing their critical sections.
-		u := r.cfg.Rec.Unreclaimed.Load()
-		switch {
-		case u <= 0 || u >= r.cleanupLast:
-			r.cleanup = false
-		default:
-			r.cleanupLast = u
-			r.tgt.PostReap()
-		}
 	}
-
-	if bp := r.cfg.BP; bp != nil {
-		bp.Refresh()
-		if obs.On {
-			// Workers cannot write shared traces (single-writer rings),
-			// so the reaper mirrors the counter deltas into its own.
-			if t := r.cfg.Rec.BackpressureThrottles.Load(); t > r.lastThrottles {
-				r.trace.Rec(obs.EvThrottle, t-r.lastThrottles)
-				r.lastThrottles = t
-			}
-			if j := r.cfg.Rec.BackpressureRejects.Load(); j > r.lastRejects {
-				r.trace.Rec(obs.EvReject, j-r.lastRejects)
-				r.lastRejects = j
-			}
-		}
-	}
+	return len(reaping)
 }
 
-// Quarantined reports how many victims are currently in phase one. Only
-// for tick-driven tests: once the reaper goroutine runs, the map belongs
-// to it alone.
+// Quarantined reports how many victims are currently in phase one
+// (parked empty victims included). Same ownership as Tick.
 func (r *Reaper) Quarantined() int { return len(r.quarantined) }
-
-// Ticks returns the number of completed reaper passes. Safe to read
-// concurrently with the running goroutine; the shard health monitor uses
-// it as the reaper-liveness probe.
-func (r *Reaper) Ticks() int64 { return r.ticks.Load() }

@@ -3,7 +3,6 @@ package reap
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
@@ -39,10 +38,9 @@ func (v *mockVictim) FinishReap() { v.finished++ }
 
 // mockTarget is a scripted domain.
 type mockTarget struct {
-	clock    int64
-	victims  []Victim
-	removed  []Victim
-	postReap int
+	clock   int64
+	victims []Victim
+	removed []Victim
 	// removeSawFinished records whether any victim had already published
 	// FinishReap when Remove ran — the ordering the UAF fix forbids.
 	removeSawFinished bool
@@ -58,14 +56,11 @@ func (t *mockTarget) Remove(vs []Victim) {
 	}
 	t.removed = append(t.removed, vs...)
 }
-func (t *mockTarget) PostReap() { t.postReap++ }
 
 // testReaper builds a tick-driven reaper: lease timeout 100, grace 50 (in
 // the test's abstract nanosecond clock).
 func testReaper(tgt Target, rec *stats.Reclamation) *Reaper {
-	return newReaper(tgt, Config{
-		LeaseTimeout: 100, Interval: time.Millisecond, Grace: 50, Rec: rec,
-	})
+	return New(tgt, Config{LeaseTimeout: 100, Grace: 50, Rec: rec})
 }
 
 func TestReapLifecycle(t *testing.T) {
@@ -75,22 +70,24 @@ func TestReapLifecycle(t *testing.T) {
 	rec := &stats.Reclamation{}
 	r := testReaper(tgt, rec)
 
-	r.tick(50) // lease age 40 < 100: healthy
+	r.Tick(50) // lease age 40 < 100: healthy
 	if r.Quarantined() != 0 {
 		t.Fatal("healthy victim quarantined")
 	}
-	r.tick(200) // age 190 > 100: quarantine
+	r.Tick(200) // age 190 > 100: quarantine
 	if r.Quarantined() != 1 {
 		t.Fatal("stale victim not quarantined")
 	}
 	if tgt.clock != 200 {
 		t.Fatalf("clock = %d, want published 200", tgt.clock)
 	}
-	r.tick(220) // grace 20 < 50: still pending
+	r.Tick(220) // grace 20 < 50: still pending
 	if v.adopted != 0 || r.Quarantined() != 1 {
 		t.Fatal("reaped before the grace period elapsed")
 	}
-	r.tick(300) // grace 100 > 50: reap
+	if n := r.Tick(300); n != 1 { // grace 100 > 50: reap
+		t.Fatalf("Tick reported %d reaped, want 1 (the caller's cue to drain)", n)
+	}
 	if v.adopted != 1 || v.finished != 1 {
 		t.Fatalf("adopted=%d finished=%d, want 1/1", v.adopted, v.finished)
 	}
@@ -99,9 +96,6 @@ func TestReapLifecycle(t *testing.T) {
 	}
 	if tgt.removeSawFinished {
 		t.Fatal("registry removal ran after FinishReap: a waking owner could resurrect and be stripped while live")
-	}
-	if tgt.postReap != 1 {
-		t.Fatalf("postReap = %d, want 1", tgt.postReap)
 	}
 	if got := rec.ReapedHandles.Load(); got != 1 {
 		t.Fatalf("ReapedHandles = %d, want 1", got)
@@ -117,14 +111,14 @@ func TestLeaseMovementAbortsReap(t *testing.T) {
 	tgt := &mockTarget{victims: []Victim{v}}
 	r := testReaper(tgt, nil)
 
-	r.tick(200)
+	r.Tick(200)
 	if r.Quarantined() != 1 {
 		t.Fatal("stale victim not quarantined")
 	}
 	// The owner stamps its lease (it was alive all along). The reaper must
 	// drop the quarantine entry instead of confirming with stale state.
 	v.lease.Store(201)
-	r.tick(300)
+	r.Tick(300)
 	if v.adopted != 0 {
 		t.Fatal("reaped a victim whose lease moved")
 	}
@@ -140,8 +134,8 @@ func TestOwnerWinsQuarantineCAS(t *testing.T) {
 	rec := &stats.Reclamation{}
 	r := testReaper(tgt, rec)
 
-	r.tick(200)
-	r.tick(300)
+	r.Tick(200)
+	r.Tick(300)
 	if v.adopted != 0 || v.finished != 0 {
 		t.Fatal("adoption ran although the owner won the quarantine CAS")
 	}
@@ -156,7 +150,7 @@ func TestExemptAndLiveVictimsSkipped(t *testing.T) {
 	tgt := &mockTarget{victims: []Victim{exempt, inCS}}
 	r := testReaper(tgt, nil)
 
-	r.tick(1 << 30) // both leases ancient
+	r.Tick(1 << 30) // both leases ancient
 	if r.Quarantined() != 0 {
 		t.Fatal("exempt or in-CS victim quarantined")
 	}
@@ -168,13 +162,13 @@ func TestDepartedVictimPurged(t *testing.T) {
 	tgt := &mockTarget{victims: []Victim{v}}
 	r := testReaper(tgt, nil)
 
-	r.tick(200)
+	r.Tick(200)
 	if r.Quarantined() != 1 {
 		t.Fatal("stale victim not quarantined")
 	}
 	// The victim unregisters between ticks: its entry must not linger.
 	tgt.victims = nil
-	r.tick(300)
+	r.Tick(300)
 	if r.Quarantined() != 0 {
 		t.Fatal("departed victim's quarantine entry not purged")
 	}
@@ -183,57 +177,50 @@ func TestDepartedVictimPurged(t *testing.T) {
 	}
 }
 
+// TestCleanupDrainsWhileMakingProgress: after an adoption arms the gate,
+// the janitor's drain rounds keep running as long as each one lowered the
+// unreclaimed gauge, and stop once the books balance.
 func TestCleanupDrainsWhileMakingProgress(t *testing.T) {
-	v := &mockVictim{adoptN: 3}
-	v.lease.Store(10)
-	tgt := &mockTarget{victims: []Victim{v}}
-	rec := &stats.Reclamation{}
-	r := testReaper(tgt, rec)
-
-	// Simulate garbage the adoption parks in the global paths: the gauge
-	// stays nonzero after the reap's own PostReap.
-	rec.Unreclaimed.Add(3)
-	r.tick(200)
-	r.tick(300) // reap: PostReap #1, cleanup mode armed
-	tgt.victims = nil
-	if tgt.postReap != 1 {
-		t.Fatalf("postReap = %d, want 1 after the reap", tgt.postReap)
+	var g DrainGate
+	if g.Allow(3) {
+		t.Fatal("a gate nobody armed allowed a round")
 	}
-	r.tick(400) // dirty: PostReap #2...
-	rec.Unreclaimed.Add(-1)
-	r.tick(500) // ...made progress (3→2): PostReap #3...
-	rec.Unreclaimed.Add(-2)
-	if tgt.postReap != 3 {
-		t.Fatalf("postReap = %d, want 3 while the drains make progress", tgt.postReap)
+	g.Arm() // the reap tick: garbage parked in the global paths
+	if !g.Allow(3) {
+		t.Fatal("the round after an adoption must always run")
 	}
-	r.tick(600) // books balanced: cleanup mode off, no PostReap
-	r.tick(700)
-	if tgt.postReap != 3 {
-		t.Fatalf("postReap = %d, want 3 after the books balanced", tgt.postReap)
+	if !g.Allow(2) { // progress (3→2)
+		t.Fatal("a round that made progress must be followed by another")
+	}
+	if g.Allow(0) { // books balanced
+		t.Fatal("a round ran with nothing left to reclaim")
+	}
+	if g.Allow(1) {
+		t.Fatal("the gate reopened by itself after the books balanced")
+	}
+	g.Arm()
+	if !g.Allow(5) {
+		t.Fatal("a new adoption must reopen the gate, whatever the earlier level")
 	}
 }
 
 // TestCleanupStopsWithoutProgress: with live workers continuously
-// retiring, the unreclaimed gauge may never reach zero — a cleanup round
-// that fails to lower it must end cleanup mode instead of forcing
+// retiring, the unreclaimed gauge may never reach zero — a round that
+// fails to lower it must close the gate instead of forcing
 // flush-and-advance (and neutralization) storms forever.
 func TestCleanupStopsWithoutProgress(t *testing.T) {
-	v := &mockVictim{adoptN: 3}
-	v.lease.Store(10)
-	tgt := &mockTarget{victims: []Victim{v}}
-	rec := &stats.Reclamation{}
-	r := testReaper(tgt, rec)
-
-	rec.Unreclaimed.Add(5) // live workers keep the gauge pinned
-	r.tick(200)
-	r.tick(300) // reap: PostReap #1
-	tgt.victims = nil
-	r.tick(400) // first cleanup round always runs: PostReap #2
-	for now := int64(500); now <= 1000; now += 100 {
-		r.tick(now) // no progress since: cleanup must stay off
+	var g DrainGate
+	g.Arm()
+	if !g.Allow(5) {
+		t.Fatal("the round after an adoption must always run")
 	}
-	if tgt.postReap != 2 {
-		t.Fatalf("postReap = %d, want 2 once the rounds stop making progress", tgt.postReap)
+	for i := 0; i < 6; i++ { // live workers keep the gauge pinned, or growing
+		if g.Allow(int64(5 + i)) {
+			t.Fatalf("round %d ran although the previous one made no progress", i)
+		}
+	}
+	if g.Allow(3) {
+		t.Fatal("a later drop reopened the gate; only new parked work may")
 	}
 }
 
@@ -248,8 +235,8 @@ func TestEmptyVictimParkedNotReaped(t *testing.T) {
 	rec := &stats.Reclamation{}
 	r := testReaper(tgt, rec)
 
-	r.tick(200) // quarantine
-	r.tick(300) // confirm → empty → cancel + park
+	r.Tick(200) // quarantine
+	r.Tick(300) // confirm → empty → cancel + park
 	if v.began != 1 || v.cancelled != 1 {
 		t.Fatalf("began=%d cancelled=%d, want 1/1", v.began, v.cancelled)
 	}
@@ -260,8 +247,8 @@ func TestEmptyVictimParkedNotReaped(t *testing.T) {
 		t.Fatal("cancelled empty reap was still counted")
 	}
 	// Parked: further ticks must not touch the victim again.
-	r.tick(400)
-	r.tick(500)
+	r.Tick(400)
+	r.Tick(500)
 	if v.began != 1 {
 		t.Fatalf("began = %d, want 1 (parked victim re-confirmed)", v.began)
 	}
@@ -273,28 +260,13 @@ func TestEmptyVictimParkedNotReaped(t *testing.T) {
 	// drops, and a later stale period (now with state to adopt) reaps.
 	v.lease.Store(550)
 	v.empty = false
-	r.tick(600) // lease moved: unparked
+	r.Tick(600) // lease moved: unparked
 	if r.Quarantined() != 0 {
 		t.Fatal("park entry survived a lease movement")
 	}
-	r.tick(700) // stale again: quarantine
-	r.tick(800) // confirm → adopt
+	r.Tick(700) // stale again: quarantine
+	r.Tick(800) // confirm → adopt
 	if v.adopted != 1 || v.finished != 1 {
 		t.Fatalf("adopted=%d finished=%d after the handle became non-empty, want 1/1", v.adopted, v.finished)
-	}
-}
-
-func TestStartStop(t *testing.T) {
-	v := &mockVictim{}
-	v.lease.Store(time.Now().UnixNano())
-	tgt := &mockTarget{victims: []Victim{v}}
-	r := Start(tgt, Config{LeaseTimeout: time.Hour, Interval: time.Millisecond})
-	time.Sleep(5 * time.Millisecond)
-	r.Stop()
-	if tgt.clock == 0 {
-		t.Fatal("running reaper never published the clock")
-	}
-	if v.adopted != 0 {
-		t.Fatal("reaper reaped a fresh-leased victim")
 	}
 }

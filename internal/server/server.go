@@ -569,10 +569,12 @@ func (s *Server) ServiceStats() map[string]any {
 	shards := make([]map[string]any, 0, 1)
 	for _, sp := range hpbrcu.ShardPressures(s.m) {
 		shards = append(shards, map[string]any{
-			"Shard":       sp.Shard,
-			"Pressure":    sp.Level.String(),
-			"Quarantined": sp.Quarantined,
-			"Unreclaimed": sp.Unreclaimed,
+			"Shard":        sp.Shard,
+			"Pressure":     sp.Level.String(),
+			"Quarantined":  sp.Quarantined,
+			"Unreclaimed":  sp.Unreclaimed,
+			"JanitorTicks": sp.JanitorTicks,
+			"StallStreak":  sp.StallStreak,
 		})
 	}
 	return map[string]any{

@@ -45,9 +45,8 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 	defer fault.Deactivate()
 
 	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 256, hpbrcu.Config{
-		BatchSize:        64,
-		Watchdog:         true,
-		WatchdogInterval: 5 * time.Millisecond,
+		BatchSize: 64,
+		Watchdog:  true,
 		Reaper: hpbrcu.ReaperConfig{
 			Enabled:      true,
 			LeaseTimeout: 40 * time.Millisecond,
@@ -57,18 +56,16 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 		Shards: hpbrcu.ShardsConfig{
 			Count: 4,
-			// Janitor ticks are 5ms here, not the chaos harness's 1ms:
-			// four shards mean eight ticker goroutines, and on a
-			// GOMAXPROCS=1 box serving live TCP load, 1ms tickers alone
-			// generate more timer wakeups than the request traffic —
-			// janitors then starve for whole probe windows and healthy
-			// shards flap into quarantine. 50ms probe windows over 5ms
-			// ticks require a janitor silent for 150ms straight before a
-			// verdict — far beyond scheduler jitter, yet still a fast
+			// Janitor ticks are 5ms here, not the chaos harness's 1ms: on
+			// a GOMAXPROCS=1 box serving live TCP load, four 1ms tickers
+			// alone generate more timer wakeups than the request traffic
+			// — janitors then starve for whole probe windows and healthy
+			// shards flap into quarantine. The probe window is ten ticks
+			// (50ms), so a verdict requires a janitor silent for 150ms
+			// straight — far beyond scheduler jitter, yet still a fast
 			// detection bound for a genuinely wedged shard.
 			Health: hpbrcu.ShardHealthConfig{
 				Enabled:          true,
-				Interval:         50 * time.Millisecond,
 				StallThreshold:   3,
 				RecoverThreshold: 2,
 			},

@@ -2,16 +2,17 @@
 // HP-BRCU deployment (DESIGN.md §15).
 //
 // A sharded map runs one complete, independent domain per shard — its own
-// epoch clock, handle registry, reaper, watchdog and backpressure books —
-// so a wedged shard can only hurt the keys it owns. What sharding alone
-// cannot do is *tell* anyone a shard is wedged: a dead reaper goroutine or
-// a stalled epoch quietly pins that shard's garbage while the facade keeps
-// routing fresh writes into it. The monitor closes that loop:
+// epoch clock, handle registry, janitor and backpressure books — so a
+// wedged shard can only hurt the keys it owns. What sharding alone cannot
+// do is *tell* anyone a shard is wedged: a dead janitor goroutine or a
+// stalled epoch quietly pins that shard's garbage while the facade keeps
+// routing fresh writes into it. The monitor closes that loop, on a
+// goroutine of its own because it must outlive a wedged janitor:
 //
-//   - every probe interval it reads three signals per shard — epoch-advance
-//     progress, janitor liveness (reaper and watchdog tick counters) and
-//     the books delta (the unreclaimed gauge's direction);
-//   - a shard whose janitors froze, or whose garbage grows while its epoch
+//   - every probe interval it reads each shard janitor's report
+//     (core.Report) — janitor liveness from the tick counter, and the
+//     books delta from the epoch-advance count and the unreclaimed gauge;
+//   - a shard whose janitor froze, or whose garbage grows while its epoch
 //     stands still, accumulates strikes — one streak per signal, so the
 //     quarantine verdict (StallThreshold consecutive strikes of the SAME
 //     signal) means that signal was frozen across the whole span, and
@@ -24,9 +25,9 @@
 //     deepen the wedge;
 //   - the monitor keeps a recovery loop running against the quarantined
 //     shard: each probe it forces a flush-advance-reclaim round through a
-//     service handle (the same escalation the watchdog's broadcast path
-//     uses), so a shard whose janitors merely stalled drains its backlog
-//     the moment they resume;
+//     service handle of its own (the janitor's drain stage, performed for
+//     a janitor that cannot), so a shard whose janitor merely stalled
+//     drains its backlog the moment it resumes;
 //   - RecoverThreshold consecutive healthy probes is the rejoin verdict:
 //     the shard atomically resumes taking writes.
 //
@@ -34,9 +35,9 @@
 // idle shard (no traffic, epoch parked, zero garbage) is healthy, and a
 // shard under steady load whose gauge plateaus below its bound is healthy
 // too — only the combination "garbage grows AND epoch frozen" or "janitor
-// tick counters frozen" strikes. That keeps false quarantines out of
-// quiet deployments while still catching the two real failure shapes: a
-// dead maintenance goroutine and a wedged epoch.
+// tick counter frozen" strikes. That keeps false quarantines out of quiet
+// deployments while still catching the two real failure shapes: a dead
+// janitor and a wedged epoch.
 package shard
 
 import (
@@ -44,35 +45,32 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/obs"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// Monitor defaults. The probe interval is long relative to the janitors'
-// own ticks (reaper 5ms, watchdog 1ms), so one probe window spans many
-// expected ticks and a frozen counter is a real signal, not jitter.
+// Monitor defaults. The probe interval is derived from the janitor tick
+// (IntervalFor): one probe window spans ten expected ticks and several
+// scheduler preemption quanta, so a frozen tick counter is a real signal,
+// not jitter.
 const (
-	DefaultInterval         = 10 * time.Millisecond
+	MinInterval             = 20 * time.Millisecond
 	DefaultStallThreshold   = 3
 	DefaultRecoverThreshold = 3
 )
 
-// Probe is the monitor's view of one shard: a bundle of read-only signal
-// closures plus the recovery hook. All closures must be safe to call from
-// the monitor goroutine; nil closures disable their signal.
+// IntervalFor returns the probe interval for shards whose janitors tick
+// every tick: ten ticks, at least MinInterval.
+func IntervalFor(tick time.Duration) time.Duration {
+	return max(10*tick, MinInterval)
+}
+
+// Probe is the monitor's view of one shard. All closures must be safe to
+// call from the monitor goroutine.
 type Probe struct {
-	// Epoch returns the shard's global epoch clock.
-	Epoch func() uint64
-	// Advances returns the shard's cumulative epoch-advance count.
-	Advances func() int64
-	// Unreclaimed returns the shard's retired-not-yet-reclaimed gauge.
-	Unreclaimed func() int64
-	// ReaperTicks returns the shard reaper's completed-pass counter (nil
-	// when the shard runs no reaper).
-	ReaperTicks func() int64
-	// WatchdogTicks returns the shard watchdog's completed-check counter
-	// (nil when the shard runs no watchdog).
-	WatchdogTicks func() int64
+	// Report returns the shard janitor's last published report.
+	Report func() core.Report
 	// Recover forces one escalated reclamation round on the shard —
 	// flush, force-advance, shield scan — through a service handle. The
 	// monitor calls it once per probe while the shard is quarantined.
@@ -90,7 +88,8 @@ type Probe struct {
 
 // Config configures StartMonitor. Zero values select the defaults above.
 type Config struct {
-	// Interval between health probes.
+	// Interval between health probes (default MinInterval; callers pass
+	// IntervalFor of the janitor tick).
 	Interval time.Duration
 	// StallThreshold is how many consecutive unhealthy probes quarantine
 	// a shard.
@@ -103,57 +102,22 @@ type Config struct {
 	Rec *stats.Reclamation
 }
 
-// Health is one shard's externally visible verdict.
-type Health struct {
-	// Shard is the shard id (index into the monitor's probe slice).
-	Shard int
-	// Quarantined reports whether the shard is currently shedding writes.
-	Quarantined bool
-	// Strikes is the worst per-signal consecutive-strike streak (each
-	// signal — reaper ticks, watchdog ticks, epoch wedge — resets its own
-	// streak the moment it moves again).
-	Strikes int
-	// Epoch and Unreclaimed are the signal values at the last probe.
-	Epoch       uint64
-	Unreclaimed int64
-}
-
 // shardState is the monitor's book-keeping for one shard. quarantined is
 // the only field read outside the monitor goroutine (by the facade's
-// routing check and Snapshot), hence atomic; the rest is goroutine-local.
+// routing check), hence atomic; the rest is goroutine-local.
 type shardState struct {
 	quarantined atomic.Bool
 
-	lastAdvances    int64
-	lastUnreclaimed int64
-	lastReaperTicks int64
-	lastWdTicks     int64
+	// last is the report the previous probe saw.
+	last core.Report
 	// Per-signal strike streaks. Kept separate so the quarantine verdict
 	// requires ONE signal frozen across the whole threshold span: with a
-	// shared counter, scheduler jitter that freezes the reaper in one
-	// window and the watchdog in the next would chain into a verdict even
-	// though every janitor ticked within any two-window span.
-	reaperStrikes int
-	wdStrikes     int
+	// shared counter, scheduler jitter that freezes the janitor in one
+	// window and stalls the epoch in the next would chain into a verdict
+	// even though each signal moved within any two-window span.
+	frozenStrikes int
 	wedgeStrikes  int
 	healthy       int
-
-	// lastEpoch/lastSeen mirror the most recent probe for Snapshot; they
-	// are written under mu.
-	lastEpoch uint64
-	lastSeen  int64
-}
-
-// maxStrikes is the worst single-signal streak — the quarantine metric.
-func (st *shardState) maxStrikes() int {
-	s := st.reaperStrikes
-	if st.wdStrikes > s {
-		s = st.wdStrikes
-	}
-	if st.wedgeStrikes > s {
-		s = st.wedgeStrikes
-	}
-	return s
 }
 
 // Monitor is a running shard health monitor; see StartMonitor.
@@ -161,10 +125,7 @@ type Monitor struct {
 	probes []Probe
 	cfg    Config
 	state  []*shardState
-
-	// mu guards the Snapshot-visible mirror fields of shardState.
-	mu    sync.Mutex
-	trace *obs.Trace
+	trace  *obs.Trace
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -184,7 +145,7 @@ func StartMonitor(probes []Probe, cfg Config) *Monitor {
 // tests call Tick directly.
 func NewMonitor(probes []Probe, cfg Config) *Monitor {
 	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
+		cfg.Interval = MinInterval
 	}
 	if cfg.StallThreshold <= 0 {
 		cfg.StallThreshold = DefaultStallThreshold
@@ -206,26 +167,10 @@ func NewMonitor(probes []Probe, cfg Config) *Monitor {
 	// Prime the deltas so the first real probe compares against the state
 	// at start, not against zero (a shard that did work before the monitor
 	// started would otherwise look spuriously healthy or sick).
-	for i := range probes {
-		m.prime(i)
+	for i, p := range probes {
+		m.state[i].last = p.Report()
 	}
 	return m
-}
-
-func (m *Monitor) prime(i int) {
-	p, st := &m.probes[i], m.state[i]
-	if p.Advances != nil {
-		st.lastAdvances = p.Advances()
-	}
-	if p.Unreclaimed != nil {
-		st.lastUnreclaimed = p.Unreclaimed()
-	}
-	if p.ReaperTicks != nil {
-		st.lastReaperTicks = p.ReaperTicks()
-	}
-	if p.WatchdogTicks != nil {
-		st.lastWdTicks = p.WatchdogTicks()
-	}
 }
 
 // Stop terminates the monitor and waits for it to exit. Idempotent and
@@ -239,23 +184,6 @@ func (m *Monitor) Stop() {
 // any goroutine; the facade's write paths call it per operation.
 func (m *Monitor) Quarantined(i int) bool {
 	return m.state[i].quarantined.Load()
-}
-
-// Snapshot returns every shard's current verdict.
-func (m *Monitor) Snapshot() []Health {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Health, len(m.state))
-	for i, st := range m.state {
-		out[i] = Health{
-			Shard:       i,
-			Quarantined: st.quarantined.Load(),
-			Strikes:     st.maxStrikes(),
-			Epoch:       st.lastEpoch,
-			Unreclaimed: st.lastSeen,
-		}
-	}
-	return out
 }
 
 func (m *Monitor) run() {
@@ -282,34 +210,18 @@ func (m *Monitor) Tick() {
 
 func (m *Monitor) probeShard(i int) {
 	p, st := &m.probes[i], m.state[i]
-
-	var advances, unreclaimed, rticks, wticks int64
-	var epoch uint64
-	if p.Epoch != nil {
-		epoch = p.Epoch()
-	}
-	if p.Advances != nil {
-		advances = p.Advances()
-	}
-	if p.Unreclaimed != nil {
-		unreclaimed = p.Unreclaimed()
-	}
-	if p.ReaperTicks != nil {
-		rticks = p.ReaperTicks()
-	}
-	if p.WatchdogTicks != nil {
-		wticks = p.WatchdogTicks()
-	}
+	r := p.Report()
 
 	// The two failure shapes. Janitor death: a tick counter that did not
-	// move across a whole probe window (the window spans many expected
+	// move across a whole probe window (the window spans ten expected
 	// ticks). Epoch wedge: the unreclaimed gauge grew while the epoch
 	// clock recorded no advance — garbage is arriving and nothing is
 	// expiring it. Each signal keeps its own consecutive-window streak,
 	// so the verdict means "this signal was frozen for the whole
 	// StallThreshold span", never an accumulation of unrelated jitter.
-	reaperFrozen := p.ReaperTicks != nil && rticks == st.lastReaperTicks
-	wdFrozen := p.WatchdogTicks != nil && wticks == st.lastWdTicks
+	// (A frozen janitor publishes nothing, so the wedge signal is blind
+	// while the liveness signal strikes; the two never double-count.)
+	frozen := r.Ticks == st.last.Ticks
 	// The epoch-wedge signal is harm-gated by WedgeFloor: below the
 	// floor the backlog is within normal batch accumulation and advances
 	// are not owed, so growth alone proves nothing.
@@ -317,13 +229,9 @@ func (m *Monitor) probeShard(i int) {
 	if p.WedgeFloor != nil {
 		floor = p.WedgeFloor()
 	}
-	epochWedged := p.Advances != nil && advances == st.lastAdvances &&
-		unreclaimed > st.lastUnreclaimed && unreclaimed >= floor
-
-	st.lastAdvances = advances
-	st.lastUnreclaimed = unreclaimed
-	st.lastReaperTicks = rticks
-	st.lastWdTicks = wticks
+	wedged := r.Advances == st.last.Advances &&
+		r.Unreclaimed > st.last.Unreclaimed && r.Unreclaimed >= floor
+	st.last = r
 
 	streak := func(hit bool, c *int) {
 		if hit {
@@ -332,18 +240,17 @@ func (m *Monitor) probeShard(i int) {
 			*c = 0
 		}
 	}
-	streak(reaperFrozen, &st.reaperStrikes)
-	streak(wdFrozen, &st.wdStrikes)
-	streak(epochWedged, &st.wedgeStrikes)
+	streak(frozen, &st.frozenStrikes)
+	streak(wedged, &st.wedgeStrikes)
 
-	if reaperFrozen || wdFrozen || epochWedged {
+	if frozen || wedged {
 		st.healthy = 0
 	} else {
 		st.healthy++
 	}
 
 	switch {
-	case !st.quarantined.Load() && st.maxStrikes() >= m.cfg.StallThreshold:
+	case !st.quarantined.Load() && max(st.frozenStrikes, st.wedgeStrikes) >= m.cfg.StallThreshold:
 		st.quarantined.Store(true)
 		st.healthy = 0
 		m.cfg.Rec.ShardQuarantines.Inc()
@@ -352,23 +259,18 @@ func (m *Monitor) probeShard(i int) {
 		}
 	case st.quarantined.Load():
 		// Recovery loop: force a reclamation round every probe so a shard
-		// whose janitors resume (or merely stalled) drains its backlog,
+		// whose janitor resumes (or merely stalled) drains its backlog,
 		// then rejoin after a full healthy streak.
 		if p.Recover != nil {
 			p.Recover()
 		}
 		if st.healthy >= m.cfg.RecoverThreshold {
 			st.quarantined.Store(false)
-			st.reaperStrikes, st.wdStrikes, st.wedgeStrikes = 0, 0, 0
+			st.frozenStrikes, st.wedgeStrikes = 0, 0
 			m.cfg.Rec.ShardRecoveries.Inc()
 			if m.trace != nil {
 				m.trace.Rec(obs.EvShardRecover, int64(i))
 			}
 		}
 	}
-
-	m.mu.Lock()
-	st.lastEpoch = epoch
-	st.lastSeen = unreclaimed
-	m.mu.Unlock()
 }

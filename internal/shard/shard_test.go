@@ -2,38 +2,32 @@ package shard
 
 import (
 	"testing"
+	"time"
 
+	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// fakeShard is a deterministic probe target the tests drive by hand.
+// fakeShard is a deterministic probe target the tests drive by hand: the
+// report its janitor last published, and a count of recovery rounds.
 type fakeShard struct {
-	epoch       uint64
-	advances    int64
-	unreclaimed int64
-	reaperTicks int64
-	wdTicks     int64
-	recovers    int
+	core.Report
+	recovers int
 }
 
 func (f *fakeShard) probe() Probe {
 	return Probe{
-		Epoch:         func() uint64 { return f.epoch },
-		Advances:      func() int64 { return f.advances },
-		Unreclaimed:   func() int64 { return f.unreclaimed },
-		ReaperTicks:   func() int64 { return f.reaperTicks },
-		WatchdogTicks: func() int64 { return f.wdTicks },
-		Recover:       func() { f.recovers++ },
+		Report:  func() core.Report { return f.Report },
+		Recover: func() { f.recovers++ },
 	}
 }
 
 // healthyStep advances every liveness signal, as a working shard would
 // between probes.
 func (f *fakeShard) healthyStep() {
-	f.epoch++
-	f.advances++
-	f.reaperTicks++
-	f.wdTicks++
+	f.Epoch++
+	f.Advances++
+	f.Ticks++
 }
 
 func newTestMonitor(t *testing.T, shards []*fakeShard) (*Monitor, *stats.Reclamation) {
@@ -75,8 +69,7 @@ func TestMonitorIdleShardNotQuarantined(t *testing.T) {
 	f := &fakeShard{}
 	m, _ := newTestMonitor(t, []*fakeShard{f})
 	for i := 0; i < 20; i++ {
-		f.reaperTicks++ // janitors alive, everything else frozen
-		f.wdTicks++
+		f.Ticks++ // janitor alive, everything else frozen
 		m.Tick()
 	}
 	if m.Quarantined(0) {
@@ -87,11 +80,10 @@ func TestMonitorIdleShardNotQuarantined(t *testing.T) {
 // A plateaued shard — steady unreclaimed level, epoch parked — is also
 // healthy: only *growth* without advance is a wedge.
 func TestMonitorPlateauNotQuarantined(t *testing.T) {
-	f := &fakeShard{unreclaimed: 500}
+	f := &fakeShard{Report: core.Report{Unreclaimed: 500}}
 	m, _ := newTestMonitor(t, []*fakeShard{f})
 	for i := 0; i < 20; i++ {
-		f.reaperTicks++
-		f.wdTicks++
+		f.Ticks++
 		m.Tick()
 	}
 	if m.Quarantined(0) {
@@ -102,13 +94,9 @@ func TestMonitorPlateauNotQuarantined(t *testing.T) {
 func TestMonitorDeadReaperQuarantinesAfterThreshold(t *testing.T) {
 	f := &fakeShard{}
 	m, rec := newTestMonitor(t, []*fakeShard{f})
-	// Everything moves except the reaper tick counter.
-	step := func() {
-		f.epoch++
-		f.advances++
-		f.wdTicks++
-		m.Tick()
-	}
+	// The janitor's tick counter stands still: its report is frozen with
+	// it, and that alone is the verdict.
+	step := func() { m.Tick() }
 	step()
 	step()
 	if m.Quarantined(0) {
@@ -116,7 +104,7 @@ func TestMonitorDeadReaperQuarantinesAfterThreshold(t *testing.T) {
 	}
 	step() // third strike
 	if !m.Quarantined(0) {
-		t.Fatal("dead reaper not quarantined after StallThreshold strikes")
+		t.Fatal("dead janitor not quarantined after StallThreshold strikes")
 	}
 	if got := rec.ShardQuarantines.Load(); got != 1 {
 		t.Errorf("ShardQuarantines = %d, want 1", got)
@@ -126,11 +114,10 @@ func TestMonitorDeadReaperQuarantinesAfterThreshold(t *testing.T) {
 func TestMonitorEpochWedgeQuarantines(t *testing.T) {
 	f := &fakeShard{}
 	m, _ := newTestMonitor(t, []*fakeShard{f})
-	// Janitors tick but the epoch is frozen while garbage grows.
+	// The janitor ticks but the epoch is frozen while garbage grows.
 	for i := 0; i < 3; i++ {
-		f.reaperTicks++
-		f.wdTicks++
-		f.unreclaimed += 100
+		f.Ticks++
+		f.Unreclaimed += 100
 		m.Tick()
 	}
 	if !m.Quarantined(0) {
@@ -138,14 +125,59 @@ func TestMonitorEpochWedgeQuarantines(t *testing.T) {
 	}
 }
 
+// TestMonitorWedgeFloorAndSeparateStreaks: growth below the wedge floor
+// is normal batch accumulation, and a frozen-janitor strike followed by
+// an epoch-wedge strike are two streaks of one, not one streak of two —
+// unrelated jitter on different signals never chains into a verdict.
+func TestMonitorWedgeFloorAndSeparateStreaks(t *testing.T) {
+	f := &fakeShard{}
+	p := f.probe()
+	p.WedgeFloor = func() int64 { return 1000 }
+	m := NewMonitor([]Probe{p}, Config{StallThreshold: 2})
+	for i := 0; i < 5; i++ {
+		f.Ticks++
+		f.Unreclaimed += 100 // 100..500: below the floor
+		m.Tick()
+	}
+	if m.Quarantined(0) {
+		t.Fatal("growth below the wedge floor was quarantined")
+	}
+	f.healthyStep()
+	f.Unreclaimed = 2000 // above the floor from here on
+	m.Tick()
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			// Frozen janitor for one window (nothing published).
+		} else {
+			f.Ticks++
+			f.Unreclaimed += 100 // wedge strike for one window
+		}
+		m.Tick()
+		if m.Quarantined(0) {
+			t.Fatalf("alternating single strikes chained into a verdict at probe %d", i)
+		}
+	}
+}
+
+// TestIntervalFor pins the probe window derived from the janitor tick:
+// ten ticks, floored at 20ms.
+func TestIntervalFor(t *testing.T) {
+	for tick, want := range map[time.Duration]time.Duration{
+		time.Millisecond:      20 * time.Millisecond,
+		5 * time.Millisecond:  50 * time.Millisecond,
+		20 * time.Millisecond: 200 * time.Millisecond,
+	} {
+		if got := IntervalFor(tick); got != want {
+			t.Errorf("IntervalFor(%v) = %v, want %v", tick, got, want)
+		}
+	}
+}
+
 func TestMonitorRecoveryRejoinsAndCountsRecovers(t *testing.T) {
 	f := &fakeShard{}
 	m, rec := newTestMonitor(t, []*fakeShard{f})
 	for i := 0; i < 3; i++ {
-		f.epoch++
-		f.advances++
-		f.wdTicks++ // reaper dead
-		m.Tick()
+		m.Tick() // janitor dead: nothing published
 	}
 	if !m.Quarantined(0) {
 		t.Fatal("setup: shard not quarantined")
@@ -158,10 +190,10 @@ func TestMonitorRecoveryRejoinsAndCountsRecovers(t *testing.T) {
 		t.Fatal("recovery hook not invoked while quarantined")
 	}
 	if !m.Quarantined(0) {
-		t.Fatal("rejoined while reaper still dead")
+		t.Fatal("rejoined while the janitor was still dead")
 	}
 
-	// The reaper comes back: after RecoverThreshold healthy probes the
+	// The janitor comes back: after RecoverThreshold healthy probes the
 	// shard rejoins.
 	for i := 0; i < 2; i++ {
 		f.healthyStep()
@@ -194,9 +226,5 @@ func TestMonitorIsolation(t *testing.T) {
 		if got := m.Quarantined(j); got != want {
 			t.Errorf("shard %d quarantined = %v, want %v", j, got, want)
 		}
-	}
-	snap := m.Snapshot()
-	if len(snap) != 4 || !snap[2].Quarantined || snap[0].Quarantined {
-		t.Errorf("snapshot mismatch: %+v", snap)
 	}
 }

@@ -45,10 +45,10 @@ const (
 type PanicError = core.PanicError
 
 // Close shuts a map down: it stops admitting operations (every later
-// operation reports ErrClosed), forces drain rounds until the books
-// balance (Stats().Unreclaimed == 0) or the timeout passes, and stops the
-// service goroutines (reaper, watchdog) the configuration started. The
-// reaper runs through the drain so garbage abandoned by leaked or
+// operation reports ErrClosed), stops the janitor goroutine the
+// configuration started, and forces drain rounds until the books balance
+// (Stats().Unreclaimed == 0) or the timeout passes. The janitor's tick
+// keeps running inside the drain, so garbage abandoned by leaked or
 // panicked workers is still adopted and freed.
 //
 // Close is idempotent and safe to call concurrently: one caller performs
@@ -60,7 +60,7 @@ type PanicError = core.PanicError
 // Handles survive Close: in-flight operations complete, later ones
 // report ErrClosed, and Unregister keeps working so workers can release
 // cleanly after shutdown. For maps without an HP-RCU/HP-BRCU domain
-// there are no service goroutines or drain books; Close just stops
+// there is no janitor and there are no drain books; Close just stops
 // admission.
 func Close(m Map, timeout time.Duration) error {
 	switch impl := m.(type) {
@@ -91,21 +91,7 @@ func (m *mapImpl) doClose(timeout time.Duration) error {
 		return nil
 	}
 	m.dom.MarkClosed()
-	left := m.dom.CloseDrain(deadline)
-	// Stop the services after the drain: the reaper helps it by adopting
-	// orphaned garbage, and stopping first would forfeit that. Their own
-	// handles unregister inside Stop, which can itself release nodes —
-	// hence the settling pass below.
-	if m.rp != nil {
-		m.rp.Stop()
-	}
-	if m.wd != nil {
-		m.wd.Stop()
-	}
-	if left != 0 || m.st().Unreclaimed.Load() != 0 {
-		left = m.dom.CloseDrain(deadline)
-	}
-	if left != 0 {
+	if left := m.dom.CloseDrain(deadline); left != 0 {
 		return fmt.Errorf("hpbrcu: close: %d nodes still unreclaimed after %s (a stalled or leaked worker may hold them)", left, timeout)
 	}
 	return nil

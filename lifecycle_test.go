@@ -160,9 +160,6 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	if err := hpbrcu.Close(m, time.Millisecond); err != nil {
 		t.Errorf("late Close: %v", err)
 	}
-	// The deprecated stoppers stay safe after Close.
-	hpbrcu.StopWatchdog(m)
-	hpbrcu.StopReaper(m)
 }
 
 func TestCloseNonDomainMap(t *testing.T) {

@@ -24,8 +24,7 @@ type mapImpl struct {
 	reg    func() MapHandle
 	st     func() *stats.Reclamation
 	dom    *core.Domain       // non-nil for HP-RCU/HP-BRCU maps
-	wd     *core.Watchdog     // non-nil when Config.Watchdog started one
-	rp     *core.Reaper       // non-nil when Config.Reaper started one
+	jan    *core.Janitor      // non-nil when Config.Reaper or Config.Watchdog started one
 	bp     *reap.Backpressure // non-nil when Config.Backpressure enabled
 	rec    bool               // Config.PanicPolicy == PanicRecover
 
@@ -82,11 +81,9 @@ func (h pressureHandle) TryInsert(key, val int64) (bool, error) {
 }
 
 // withDomain records the HP-(B)RCU domain for GarbageBound and starts the
-// robustness services the configuration asks for (HP-BRCU domains only).
-// Order matters: backpressure installs before the reaper (whose tick
-// refreshes the thresholds), and the reaper — which flips the domain's
-// lease gate — starts before the watchdog goroutine exists, honouring the
-// plain-bool activation contract.
+// janitor when the configuration asks for one of its stages (HP-BRCU
+// domains only). Backpressure installs first: the janitor's tick
+// refreshes its thresholds.
 func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	m.withPool(cfg)
 	m.dom = d
@@ -94,12 +91,7 @@ func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	if cfg.Backpressure.Enabled {
 		m.bp = d.EnableBackpressure(cfg.coreBackpressureConfig())
 	}
-	if cfg.Reaper.Enabled {
-		m.rp = d.StartReaper(cfg.CoreReaperConfig())
-	}
-	if cfg.Watchdog {
-		m.wd = d.StartWatchdog(cfg.WatchdogInterval, cfg.WatchdogFraction)
-	}
+	m.jan = d.StartJanitor(cfg.CoreJanitorConfig())
 	return m
 }
 
@@ -362,44 +354,4 @@ func GarbageBoundObserved(m Map) int64 {
 		return total
 	}
 	return -1
-}
-
-// StopWatchdog stops the self-healing watchdog started by
-// Config.Watchdog, waiting for its monitor goroutine to exit. It is a
-// no-op for maps without one; idempotent and safe alongside Close.
-//
-// Deprecated: Close stops the watchdog as part of the unified shutdown;
-// prefer it unless you need to stop the watchdog early while keeping the
-// map open.
-func StopWatchdog(m Map) {
-	switch impl := m.(type) {
-	case *mapImpl:
-		if impl.wd != nil {
-			impl.wd.Stop()
-		}
-	case *shardedMap:
-		for _, sh := range impl.shards {
-			StopWatchdog(sh)
-		}
-	}
-}
-
-// StopReaper stops the lease reaper started by Config.Reaper, waiting for
-// its goroutine to exit. It is a no-op for maps without one; idempotent
-// and safe alongside Close.
-//
-// Deprecated: Close stops the reaper as part of the unified shutdown
-// (after the drain, so it can keep adopting orphaned garbage); prefer it
-// unless you need to stop the reaper early while keeping the map open.
-func StopReaper(m Map) {
-	switch impl := m.(type) {
-	case *mapImpl:
-		if impl.rp != nil {
-			impl.rp.Stop()
-		}
-	case *shardedMap:
-		for _, sh := range impl.shards {
-			StopReaper(sh)
-		}
-	}
 }

@@ -135,6 +135,13 @@ type ShardPressure struct {
 	Quarantined bool
 	// Unreclaimed is the shard's retired-not-yet-reclaimed gauge.
 	Unreclaimed int64
+	// JanitorTicks and StallStreak come from the shard janitor's last
+	// published report (both 0 when the shard runs no janitor): the
+	// number of ticks it has completed — a count that stands still names
+	// a wedged janitor — and how many consecutive ticks its watchdog saw
+	// flushed batches queued behind an epoch that did not move.
+	JanitorTicks int64
+	StallStreak  int
 }
 
 // ShardPressures returns one pressure/health row per shard, in shard
@@ -144,24 +151,30 @@ type ShardPressure struct {
 func ShardPressures(m Map) []ShardPressure {
 	sm, ok := m.(*shardedMap)
 	if !ok {
-		return []ShardPressure{{
-			Shard:       0,
-			Level:       Pressure(m),
-			Unreclaimed: m.Stats().Unreclaimed.Load(),
-		}}
+		row := ShardPressure{Level: Pressure(m), Unreclaimed: m.Stats().Unreclaimed.Load()}
+		if impl, ok := m.(*mapImpl); ok {
+			row.readJanitor(impl)
+		}
+		return []ShardPressure{row}
 	}
 	out := make([]ShardPressure, len(sm.shards))
 	for i, sh := range sm.shards {
-		var p PressureLevel
-		if sh.bp != nil {
-			p = PressureLevel(sh.bp.Level())
-		}
 		out[i] = ShardPressure{
 			Shard:       i,
-			Level:       p,
+			Level:       Pressure(sh),
 			Quarantined: sm.quarantined(i),
 			Unreclaimed: sh.st().Unreclaimed.Load(),
 		}
+		out[i].readJanitor(sh)
 	}
 	return out
+}
+
+// readJanitor fills the janitor-report columns of the row from m's
+// janitor, when it runs one.
+func (p *ShardPressure) readJanitor(m *mapImpl) {
+	if m.jan != nil {
+		r := m.jan.Report()
+		p.JanitorTicks, p.StallStreak = r.Ticks, r.StallStreak
+	}
 }

@@ -2,12 +2,12 @@ package hpbrcu
 
 // Fault-isolated sharded maps (DESIGN.md §15). A sharded map runs Count
 // complete, independent scheme instances — per-shard epoch clock, handle
-// registry, reaper, watchdog, backpressure books and facade handle pool —
-// and pins every key to one shard by hash. The pinning invariant does all
+// registry, janitor, backpressure books and facade handle pool — and pins
+// every key to one shard by hash. The pinning invariant does all
 // the safety work: a node is allocated, read, retired and reclaimed
 // entirely within the shard that owns its key, so each shard's books
 // balance independently, the global §5 bound is the sum of the per-shard
-// bounds, and a wedged shard (dead reaper goroutine, stalled epoch) can
+// bounds, and a wedged shard (dead janitor goroutine, stalled epoch) can
 // only pin its own slice of garbage. The optional health monitor
 // (internal/shard) turns that isolation into routing: a shard judged
 // wedged is quarantined — its write traffic sheds with
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/shard"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
@@ -236,24 +235,34 @@ func newSharded(s Scheme, cfg Config, build func(Config) (Map, error)) (Map, err
 		m.shards[i] = impl
 	}
 
+	// The monitor needs BRCU-backed shards (every shard is built from the
+	// same Config, so shard 0 speaks for all of them).
 	if health.Enabled && m.shards[0].dom != nil {
 		probes := make([]shard.Probe, n)
 		m.monHs = make([]*core.Handle, n)
+		var tick time.Duration
 		for i, sh := range m.shards {
-			dom, st := sh.dom, sh.st()
+			dom := sh.dom
+			// The monitor's own recovery handle: handles are single-owner,
+			// and its job is to act when the shard's janitor cannot.
 			h := dom.RegisterService()
 			m.monHs[i] = h
-			p := shard.Probe{
-				Epoch:       dom.Epoch,
-				Advances:    st.EpochAdvances.Load,
-				Unreclaimed: st.Unreclaimed.Load,
-				Recover:     h.Barrier,
-			}
-			if sh.rp != nil {
-				p.ReaperTicks = sh.rp.Ticks
-			}
-			if sh.wd != nil {
-				p.WatchdogTicks = sh.wd.Ticks
+			p := shard.Probe{Recover: h.Barrier}
+			if sh.jan != nil {
+				p.Report, tick = sh.jan.Report, sh.jan.Interval()
+			} else {
+				// Neither Reaper nor Watchdog: no janitor to freeze, so only
+				// the epoch-wedge signal applies. The probe reads the books
+				// itself and counts its own reads as ticks.
+				st, reads := sh.st(), int64(0)
+				p.Report = func() core.Report {
+					reads++
+					return core.Report{
+						Ticks:       reads,
+						Advances:    st.EpochAdvances.Load(),
+						Unreclaimed: st.Unreclaimed.Load(),
+					}
+				}
 			}
 			// Harm-gate the epoch-wedge signal: the drain tier is where
 			// the backlog already demands service, so stuck-advances
@@ -270,42 +279,13 @@ func newSharded(s Scheme, cfg Config, build func(Config) (Map, error)) (Map, err
 			probes[i] = p
 		}
 		m.mon = shard.StartMonitor(probes, shard.Config{
-			Interval:         healthInterval(health, cfg),
+			Interval:         shard.IntervalFor(tick),
 			StallThreshold:   health.StallThreshold,
 			RecoverThreshold: health.RecoverThreshold,
 			Rec:              m.rec,
 		})
 	}
 	return m, nil
-}
-
-// healthInterval floors the probe interval at twice the slowest janitor
-// tick, so one probe window always spans several expected reaper and
-// watchdog passes — a frozen tick counter is then a verdict, not jitter.
-func healthInterval(h ShardHealthConfig, cfg Config) time.Duration {
-	iv := h.Interval
-	if iv <= 0 {
-		iv = shard.DefaultInterval
-	}
-	if cfg.Reaper.Enabled {
-		riv := cfg.Reaper.Interval
-		if riv <= 0 {
-			riv = reap.DefaultInterval
-		}
-		if iv < 2*riv {
-			iv = 2 * riv
-		}
-	}
-	if cfg.Watchdog {
-		wiv := cfg.WatchdogInterval
-		if wiv <= 0 {
-			wiv = time.Millisecond
-		}
-		if iv < 2*wiv {
-			iv = 2 * wiv
-		}
-	}
-	return iv
 }
 
 // --- lifecycle ---------------------------------------------------------

@@ -184,13 +184,12 @@ func TestShardedQuarantineRouting(t *testing.T) {
 
 	cfg := shardedCfg(shards)
 	cfg.Reaper.Interval = time.Millisecond
-	cfg.WatchdogInterval = time.Millisecond
 	cfg.Shards.Health = hpbrcu.ShardHealthConfig{
-		// 10ms probes over 1ms janitors: wide enough that a live janitor
-		// is never silent for a whole window even on a single-CPU, -race
-		// test box, while a wedged one is detected within ~30ms.
+		// 20ms probe windows over 1ms janitor ticks: wide enough that a
+		// live janitor is never silent for a whole window even on a
+		// single-CPU, -race test box, while a wedged one is detected
+		// within ~60ms.
 		Enabled:          true,
-		Interval:         10 * time.Millisecond,
 		StallThreshold:   2,
 		RecoverThreshold: 2,
 	}

@@ -148,27 +148,23 @@ type Config struct {
 	// ForceThreshold is BRCU's failed-advance budget before neutralizing
 	// laggards (default 2).
 	ForceThreshold int
-	// Watchdog enables the self-healing BRCU watchdog on HP-BRCU maps: a
-	// per-domain monitor that detects a stalled epoch or unreclaimed
-	// growth past WatchdogFraction of the §5 bound and escalates — first
-	// by lowering the effective ForceThreshold (more aggressive
-	// signalling), then by broadcasting neutralization. Interventions are
-	// counted in Stats.WatchdogEscalations and Stats.Broadcasts. Stop it
-	// with StopWatchdog before dropping the map. Ignored for every other
+	// Watchdog enables the self-healing epoch-health stage of the
+	// domain's janitor on HP-BRCU maps: each janitor tick it checks for a
+	// stalled epoch (three ticks without an advance while flushed batches
+	// wait) or unreclaimed growth past three quarters of the §5 bound, and
+	// escalates — first by lowering the effective ForceThreshold (more
+	// aggressive signalling), then by broadcasting neutralization.
+	// Interventions are counted in Stats.WatchdogEscalations and
+	// Stats.Broadcasts. Close stops the janitor. Ignored for every other
 	// scheme.
 	Watchdog bool
-	// WatchdogInterval is the health-check period (default 1ms).
-	WatchdogInterval time.Duration
-	// WatchdogFraction is the fraction of the §5 bound at which
-	// unreclaimed growth triggers an escalation (default 0.75).
-	WatchdogFraction float64
-	// Reaper enables the lease-based orphan reaper on HP-BRCU maps: a
-	// per-domain goroutine that detects handles abandoned by dead worker
-	// goroutines (stale activity lease, no live critical section),
+	// Reaper enables the lease-scan stage of the domain's janitor on
+	// HP-BRCU maps: each tick it looks for handles abandoned by dead
+	// worker goroutines (stale activity lease, no live critical section),
 	// quarantines them, and — after a grace period a live owner would use
 	// to object — adopts their deferred garbage and shields into the
-	// domain-global reclamation paths. Stop it with StopReaper before
-	// dropping the map. Ignored for every other scheme.
+	// domain-global reclamation paths. Close stops the janitor. Ignored
+	// for every other scheme.
 	Reaper ReaperConfig
 	// Backpressure enables tiered memory backpressure on HP-BRCU maps,
 	// keyed to the §5 garbage bound (or an absolute ceiling): inline
@@ -186,7 +182,7 @@ type Config struct {
 	// The zero value selects the defaults — the facade needs no opt-in.
 	Pool PoolConfig
 	// Shards splits the map into independent fault-isolated shards — one
-	// complete domain (epoch clock, handle registry, reaper, watchdog,
+	// complete domain (epoch clock, handle registry, janitor,
 	// backpressure books, handle pool) per shard, with keys hash-routed
 	// to their owning shard. See ShardsConfig and DESIGN.md §15. The zero
 	// value (and Count <= 1) keeps the single-domain layout.
@@ -206,12 +202,12 @@ type Config struct {
 
 // ShardsConfig configures map sharding (Config.Shards): Count independent
 // scheme instances, each with its own epoch clock, handle registry,
-// reaper, watchdog, backpressure accounting and facade handle pool. Keys
+// janitor, backpressure accounting and facade handle pool. Keys
 // are pinned to shards by hash, handles and pool checkouts are pinned to
 // the shard that created them, and every retire is routed to the owning
 // shard's defer batch — so each shard's books balance independently and
 // the global §5 bound is the sum of the per-shard bounds. A wedged shard
-// (dead reaper, stalled epoch) therefore pins only its own slice of
+// (dead janitor, stalled epoch) therefore pins only its own slice of
 // garbage; with Health enabled it is additionally quarantined so fresh
 // writes shed instead of piling onto the wedge.
 type ShardsConfig struct {
@@ -224,22 +220,20 @@ type ShardsConfig struct {
 }
 
 // ShardHealthConfig configures the shard health monitor
-// (ShardsConfig.Health): a single goroutine that probes every shard's
-// epoch-advance progress, janitor liveness (reaper/watchdog tick
-// counters) and books delta, quarantines a shard after StallThreshold
+// (ShardsConfig.Health): a single goroutine that reads every shard
+// janitor's report — janitor liveness (its tick counter), epoch-advance
+// progress and the books delta — once per probe window (ten janitor
+// ticks, at least 20ms), quarantines a shard after StallThreshold
 // consecutive unhealthy probes, runs an escalated recovery round against
 // it each probe, and rejoins it after RecoverThreshold consecutive
 // healthy probes. Quarantined shards shed writes (Insert/TryInsert/
 // Remove fail fast with ErrShardQuarantined, which IsLoadShed
-// recognizes) while reads pass through. Only effective on schemes with
-// an HP-BRCU domain; other schemes have no health signals to probe.
+// recognizes) while reads pass through. Only effective on HP-BRCU maps.
+// On shards that run no janitor (neither Reaper nor Watchdog) only the
+// epoch-wedge signal applies, read from the shard's books every 20ms.
 type ShardHealthConfig struct {
 	// Enabled turns the monitor on.
 	Enabled bool
-	// Interval between health probes (default 10ms, floored at twice the
-	// slowest janitor interval so a probe window always spans several
-	// expected ticks).
-	Interval time.Duration
 	// StallThreshold is how many consecutive unhealthy probes quarantine
 	// a shard (default 3).
 	StallThreshold int
@@ -267,8 +261,9 @@ type PoolConfig struct {
 	LeakTimeout time.Duration
 }
 
-// ReaperConfig configures the lease reaper (Config.Reaper). The zero
-// value disables it; zero durations select the defaults (250ms lease
+// ReaperConfig configures the lease scan (Config.Reaper) and, through
+// Interval, the janitor tick every other stage shares. The zero value
+// disables the scan; zero durations select the defaults (250ms lease
 // timeout, 5ms tick, 4-tick grace).
 type ReaperConfig struct {
 	// Enabled turns the reaper on.
@@ -276,7 +271,7 @@ type ReaperConfig struct {
 	// LeaseTimeout is how long a handle's activity lease may go unstamped
 	// before the handle is suspected dead.
 	LeaseTimeout time.Duration
-	// Interval is the reaper tick period.
+	// Interval is the janitor tick period.
 	Interval time.Duration
 	// Grace is the quarantine-to-reap confirmation delay.
 	Grace time.Duration
@@ -310,13 +305,15 @@ type BackpressureConfig struct {
 // or escalate.
 var ErrMemoryPressure = reap.ErrMemoryPressure
 
-// CoreReaperConfig lowers the public reaper options to the internal
-// config.
-func (c Config) CoreReaperConfig() core.ReaperConfig {
-	return core.ReaperConfig{
+// CoreJanitorConfig lowers the public reaper and watchdog options to the
+// internal janitor config.
+func (c Config) CoreJanitorConfig() core.JanitorConfig {
+	return core.JanitorConfig{
+		Reaper:       c.Reaper.Enabled,
 		LeaseTimeout: c.Reaper.LeaseTimeout,
 		Interval:     c.Reaper.Interval,
 		Grace:        c.Reaper.Grace,
+		Watchdog:     c.Watchdog,
 	}
 }
 

@@ -150,7 +150,7 @@ func leakChurn(t *testing.T, cfg hpbrcu.Config, leakers int) hpbrcu.Map {
 func TestSoakLeakWithReaperConverges(t *testing.T) {
 	const leakers = 4
 	m := leakChurn(t, leakSoakConfig(true), leakers)
-	defer hpbrcu.StopReaper(m)
+	defer hpbrcu.Close(m, 5*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
