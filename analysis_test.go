@@ -83,9 +83,9 @@ func TestMemoryBoundHolds(t *testing.T) {
 	stalled := l.Domain().Register()
 	stalled.Pin()
 
-	// Shield count H: each hmlist handle owns 6 shields, plus slack for
-	// the raw stalled handle.
-	bound := l.Domain().GarbageBoundFor(writers+1, (writers+1)*8)
+	// Shield count H: each list handle owns 9 shields, the raw stalled
+	// handle none.
+	bound := l.Domain().GarbageBoundFor(writers+1, writers*9)
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -145,26 +145,24 @@ func TestRobustnessStalledThread(t *testing.T) {
 	}
 }
 
-// TestLongRunningStarvation is the Figure 1 claim as an assertion, stated
-// so that it means the same thing at any core count. With scans far
-// longer than NBR's broadcast period:
+// TestLongRunningStarvation is the Figure 1 claim as an assertion. With
+// scans far longer than NBR's broadcast period, NBR's reader is
+// neutralized once per reclamation batch whether or not it lags, and every
+// neutralization restarts the scan from the entry point, while HP-BRCU's
+// reader is signalled only when it blocks the epoch and rolls back to its
+// last checkpoint — so NBR pays at least 100× the restarts per completed
+// scan that HP-BRCU pays rollbacks, and completes (almost) no scans.
 //
-//   - the mechanism, everywhere: NBR's reader is neutralized once per
-//     reclamation batch whether or not it lags, and every neutralization
-//     restarts the scan from the entry point, while HP-BRCU's reader is
-//     signalled only when it blocks the epoch and rolls back to its last
-//     checkpoint — so NBR pays at least 100× the restarts per completed
-//     scan that HP-BRCU pays rollbacks, and HP-BRCU's reader never
-//     starves;
-//   - the throughput collapse, only where the harness arms step-granular
-//     interleaving (atomicx.YieldPeriod, GOMAXPROCS=1): there NBR
-//     completes (almost) no scans. On real cores under cooperative polling
-//     NBR's starvation shows as wasted work, not as zero completed scans
-//     (EXPERIMENTS.md, "Long-running operations").
+// Both are claims about a controlled interleaving — reader and writer
+// steps alternating at step granularity — so they are asserted where the
+// harness controls it, on every host: the test pins itself to one P,
+// which is where RunLongScan arms atomicx.YieldPeriod. At the host's own
+// GOMAXPROCS the only thing no scheduler can take away is asserted: the
+// HP-BRCU reader completes scans. What real cores do to NBR under
+// cooperative polling (wasted work, not zero scans) is measured by
+// `smrbench fig6`, not asserted here (EXPERIMENTS.md, "Long-running
+// operations").
 func TestLongRunningStarvation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
 	run := func(s hpbrcu.Scheme) bench.LongScanResult {
 		return bench.RunLongScan(bench.LongScanConfig{
 			Structure: bench.LongScanStructureFor(s), Scheme: s,
@@ -172,11 +170,21 @@ func TestLongRunningStarvation(t *testing.T) {
 			KeyRange: 1 << 14, Duration: 250 * time.Millisecond,
 		})
 	}
+	// RunLongScan arms atomicx.YieldPeriod whenever it finds one P (the
+	// native leg too under GOMAXPROCS=1), so save it before any run.
+	defer func(saved int) { atomicx.YieldPeriod = saved }(atomicx.YieldPeriod)
+	native := run(hpbrcu.HPBRCU)
+	t.Logf("GOMAXPROCS=%d: HP-BRCU scans=%d rollbacks=%d",
+		runtime.GOMAXPROCS(0), native.ReadOps, native.Rollbacks)
+	if native.ReadOps == 0 {
+		t.Fatal("HP-BRCU reader starved — it must keep completing long scans")
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	nbr := run(hpbrcu.NBR)
 	ours := run(hpbrcu.HPBRCU)
-	interleaved := atomicx.YieldPeriod != 0
-	t.Logf("interleaving armed: %v; NBR scans=%d restarts=%d; HP-BRCU scans=%d rollbacks=%d",
-		interleaved, nbr.ReadOps, nbr.Rollbacks, ours.ReadOps, ours.Rollbacks)
+	t.Logf("one P, yield period %d: NBR scans=%d restarts=%d; HP-BRCU scans=%d rollbacks=%d",
+		atomicx.YieldPeriod, nbr.ReadOps, nbr.Rollbacks, ours.ReadOps, ours.Rollbacks)
 	if ours.ReadOps == 0 {
 		t.Fatal("HP-BRCU reader starved — it must keep completing long scans")
 	}
@@ -186,7 +194,7 @@ func TestLongRunningStarvation(t *testing.T) {
 		t.Fatalf("NBR paid %d restarts over %d scans vs HP-BRCU's %d rollbacks over %d — expected ≥ 100× per scan under restart-from-entry",
 			nbr.Rollbacks, nbr.ReadOps, ours.Rollbacks, ours.ReadOps)
 	}
-	if interleaved && nbr.ReadOps > ours.ReadOps/2 {
+	if nbr.ReadOps > ours.ReadOps/2 {
 		t.Fatalf("NBR completed %d scans vs HP-BRCU's %d — expected starvation under restart-from-entry",
 			nbr.ReadOps, ours.ReadOps)
 	}

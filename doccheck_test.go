@@ -26,7 +26,10 @@ var docCheckDirs = []string{
 	"internal/alloc",
 	"internal/brcu",
 	"internal/core",
+	"internal/ds/hlist",
+	"internal/ebr",
 	"internal/hp",
+	"internal/nbr",
 	"internal/reap",
 	"internal/shard",
 }

@@ -10,6 +10,9 @@ import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
 	"github.com/smrgo/hpbrcu/internal/ds/hmlist"
+	"github.com/smrgo/hpbrcu/internal/ebr"
+	"github.com/smrgo/hpbrcu/internal/hp"
+	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/obs"
 	"github.com/smrgo/hpbrcu/internal/stats"
 	"github.com/smrgo/hpbrcu/internal/vbr"
@@ -106,14 +109,17 @@ func RunStalled(cfg StallConfig) StallResult {
 		reaperStop func()
 	)
 
+	// Every scheme gets the configured allocator mode, not only the ones
+	// built from a core.Config.
+	mode := cfg.Config.CoreConfig().Allocator
 	switch cfg.Scheme {
 	case hpbrcu.NR:
-		l := hlist.NewNR()
+		l := hlist.NewNR(ebr.WithAllocator(mode))
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() { return func() {} }
 		rec = l.Stats()
 	case hpbrcu.RCU:
-		l := hlist.NewEBR()
+		l := hlist.NewEBR(ebr.WithAllocator(mode))
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -122,7 +128,7 @@ func RunStalled(cfg StallConfig) StallResult {
 		}
 		rec = l.Stats()
 	case hpbrcu.HP:
-		l := hmlist.NewHP()
+		l := hmlist.NewHP(hp.WithAllocator(mode))
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -132,12 +138,11 @@ func RunStalled(cfg StallConfig) StallResult {
 		}
 		rec = l.Stats()
 	case hpbrcu.NBR, hpbrcu.NBRLarge:
-		var l *hlist.NBR
+		newNBR := hlist.NewNBR
 		if cfg.Scheme == hpbrcu.NBRLarge {
-			l = hlist.NewNBRLarge()
-		} else {
-			l = hlist.NewNBR()
+			newNBR = hlist.NewNBRLarge
 		}
+		l := newNBR(nbr.WithAllocator(mode))
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -146,7 +151,7 @@ func RunStalled(cfg StallConfig) StallResult {
 		}
 		rec = l.Stats()
 	case hpbrcu.VBR:
-		l := vbr.New()
+		l := vbr.New(mode)
 		register = func() churnHandle { return l.Register() }
 		// VBR has no read-side protection to stall inside: a stalled
 		// reader holds nothing that blocks reclamation.

@@ -1,16 +1,19 @@
-// Package hashmap implements the paper's chaining hash table (§6): a fixed
+// Package hashmap names the paper's chaining hash table (§6): a fixed
 // array of buckets, each a sorted linked list — Harris-Michael lists for
 // the plain-HP variant, HHSList (Harris list with the optimistic get) for
-// every other scheme. All buckets share one node pool and one reclamation
-// domain, exactly like the evaluation's configuration where reclamation
-// thresholds are global, not per bucket.
+// every other scheme. A bucket is nothing but a head sentinel, so the map
+// is package hlist's list with n heads: all buckets share one node pool
+// and one reclamation domain, exactly like the evaluation's configuration
+// where reclamation thresholds are global, not per bucket, and a handle
+// switches bucket by storing one head slot — the same store under every
+// scheme. Only the VBR map, whose list is a different algorithm, lives
+// here.
 package hashmap
 
 import (
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
-	"github.com/smrgo/hpbrcu/internal/ds/hmlist"
 	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/hp"
@@ -29,42 +32,22 @@ func DefaultBucketsFor(keyRange int64) int {
 	return b
 }
 
-// bucketOf hashes a key to a bucket index (Fibonacci hashing).
-func bucketOf(key int64, n int) int {
-	h := uint64(key) * 0x9E3779B97F4A7C15
-	return int(h % uint64(n))
-}
-
-func newCores(n int, mode ...alloc.Mode) ([]*lnode.List, *alloc.Pool[lnode.Node]) {
-	pool := alloc.NewPool[lnode.Node](mode...)
-	cache := pool.NewCache()
-	cores := make([]*lnode.List, n)
-	for i := range cores {
-		cores[i] = lnode.NewShared(pool, cache)
-	}
-	return cores, pool
-}
-
-// --- EBR / NR ---------------------------------------------------------
-
-// EBR is the hash map over HHSList buckets under epoch-based RCU (or NR).
-type EBR struct {
-	dom     *ebr.Domain
-	pool    *alloc.Pool[lnode.Node]
-	buckets []*hlist.EBR
-}
+// The map and handle types are hlist's.
+type (
+	// EBR is the hash map over HHSList buckets under epoch-based RCU (or NR).
+	EBR = hlist.EBR
+	// HP is the hash map over Harris-Michael buckets under plain hazard
+	// pointers (HP cannot protect the optimistic HHSList, Table 1).
+	HP = hlist.HP
+	// Expedited is the hash map over HHSList buckets under HP-RCU or HP-BRCU.
+	Expedited = hlist.Expedited
+	// NBR is the hash map over HHSList buckets under neutralization-based
+	// reclamation.
+	NBR = hlist.NBR
+)
 
 // NewEBR creates an RCU-protected map with n buckets.
-func NewEBR(n int, opts ...ebr.Option) *EBR {
-	dom := ebr.NewDomain(nil, opts...)
-	cores, pool := newCores(n, dom.AllocMode())
-	dom.BindPool(pool)
-	m := &EBR{dom: dom, pool: pool, buckets: make([]*hlist.EBR, n)}
-	for i, c := range cores {
-		m.buckets[i] = hlist.NewEBRFrom(c, dom)
-	}
-	return m
-}
+func NewEBR(n int, opts ...ebr.Option) *EBR { return hlist.NewEBROf(hlist.HHS, n, opts...) }
 
 // NewNR creates the no-reclamation baseline map. Options (e.g.
 // ebr.WithAllocator) are applied on top of ebr.NoReclaim.
@@ -72,264 +55,31 @@ func NewNR(n int, opts ...ebr.Option) *EBR {
 	return NewEBR(n, append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
 }
 
-// Stats exposes reclamation statistics.
-func (m *EBR) Stats() *stats.Reclamation { return m.dom.Stats() }
-
-// EBRHandle is one thread's accessor.
-type EBRHandle struct {
-	m     *EBR
-	h     *ebr.Handle
-	cache *alloc.Cache[lnode.Node]
-}
-
-// Register creates a thread handle.
-func (m *EBR) Register() *EBRHandle {
-	return &EBRHandle{m: m, h: m.dom.Register(), cache: m.pool.NewCache()}
-}
-
-// Unregister releases the handle.
-func (h *EBRHandle) Unregister() { h.h.Unregister() }
-
-// Barrier drains reclamation (teardown/tests).
-func (h *EBRHandle) Barrier() { h.h.Barrier() }
-
-func (h *EBRHandle) bucket(key int64) hlist.EBRHandle {
-	b := h.m.buckets[bucketOf(key, len(h.m.buckets))]
-	return b.HandleFor(h.h, h.cache)
-}
-
-// Get returns the value mapped to key (optimistic bucket get).
-func (h *EBRHandle) Get(key int64) (int64, bool) {
-	bh := h.bucket(key)
-	return bh.GetOptimistic(key)
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *EBRHandle) Insert(key, val int64) bool {
-	bh := h.bucket(key)
-	return bh.Insert(key, val)
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *EBRHandle) Remove(key int64) (int64, bool) {
-	bh := h.bucket(key)
-	return bh.Remove(key)
-}
-
-// --- HP ----------------------------------------------------------------
-
-// HP is the hash map over Harris-Michael buckets under plain hazard
-// pointers (HP cannot protect the optimistic HHSList, Table 1).
-type HP struct {
-	dom     *hp.Domain
-	pool    *alloc.Pool[lnode.Node]
-	buckets []*hmlist.HP
-}
-
 // NewHP creates a hazard-pointer-protected map with n buckets.
-func NewHP(n int, opts ...hp.Option) *HP {
-	dom := hp.NewDomain(nil, opts...)
-	pool := alloc.NewPool[lnode.Node](dom.AllocMode())
-	dom.BindPool(pool)
-	cache := pool.NewCache()
-	m := &HP{dom: dom, pool: pool, buckets: make([]*hmlist.HP, n)}
-	for i := range m.buckets {
-		m.buckets[i] = hmlist.NewHPFrom(lnode.NewShared(pool, cache), dom)
-	}
-	return m
-}
-
-// Stats exposes reclamation statistics.
-func (m *HP) Stats() *stats.Reclamation { return m.dom.Stats() }
-
-// HPHandle is one thread's accessor; one set of shields serves all
-// buckets via rebinding.
-type HPHandle struct {
-	m  *HP
-	lh *hmlist.HPHandle
-}
-
-// Register creates a thread handle.
-func (m *HP) Register() *HPHandle {
-	return &HPHandle{m: m, lh: m.buckets[0].Register()}
-}
-
-// Unregister releases the handle.
-func (h *HPHandle) Unregister() { h.lh.Unregister() }
-
-// Barrier drains reclamation (teardown/tests).
-func (h *HPHandle) Barrier() { h.lh.Barrier() }
-
-func (h *HPHandle) rebind(key int64) *hmlist.HPHandle {
-	h.lh.Rebind(h.m.buckets[bucketOf(key, len(h.m.buckets))])
-	return h.lh
-}
-
-// Get returns the value mapped to key.
-func (h *HPHandle) Get(key int64) (int64, bool) { return h.rebind(key).Get(key) }
-
-// Insert maps key to val; it fails if key is already present.
-func (h *HPHandle) Insert(key, val int64) bool { return h.rebind(key).Insert(key, val) }
-
-// Remove unmaps key, returning the removed value.
-func (h *HPHandle) Remove(key int64) (int64, bool) { return h.rebind(key).Remove(key) }
-
-// --- HP-RCU / HP-BRCU ---------------------------------------------------
-
-// Expedited is the hash map over HHSList buckets under HP-RCU or HP-BRCU.
-type Expedited struct {
-	dom     *core.Domain
-	pool    *alloc.Pool[lnode.Node]
-	buckets []*hlist.Expedited
-}
-
-func newExpedited(backend core.Backend, n int, cfg core.Config) *Expedited {
-	dom := core.NewDomain(backend, cfg)
-	cores, pool := newCores(n, cfg.Allocator)
-	dom.BindPool(pool)
-	m := &Expedited{dom: dom, pool: pool, buckets: make([]*hlist.Expedited, n)}
-	for i, c := range cores {
-		m.buckets[i] = hlist.NewExpeditedFrom(c, dom)
-	}
-	return m
-}
+func NewHP(n int, opts ...hp.Option) *HP { return hlist.NewHPOf(n, opts...) }
 
 // NewHPRCU creates an HP-RCU-protected map with n buckets.
 func NewHPRCU(n int, cfg core.Config) *Expedited {
-	return newExpedited(core.BackendRCU, n, cfg)
+	return hlist.NewExpeditedOf(core.BackendRCU, hlist.HHS, n, cfg)
 }
 
 // NewHPBRCU creates an HP-BRCU-protected map with n buckets.
 func NewHPBRCU(n int, cfg core.Config) *Expedited {
-	return newExpedited(core.BackendBRCU, n, cfg)
-}
-
-// Stats exposes reclamation statistics.
-func (m *Expedited) Stats() *stats.Reclamation { return m.dom.Stats() }
-
-// Domain exposes the underlying HP-(B)RCU domain.
-func (m *Expedited) Domain() *core.Domain { return m.dom }
-
-// ExpeditedHandle is one thread's accessor; one set of shields serves all
-// buckets via rebinding.
-type ExpeditedHandle struct {
-	m  *Expedited
-	lh *hlist.ExpeditedHandle
-}
-
-// Register creates a thread handle.
-func (m *Expedited) Register() *ExpeditedHandle {
-	return &ExpeditedHandle{m: m, lh: m.buckets[0].Register()}
-}
-
-// Unregister releases the handle.
-func (h *ExpeditedHandle) Unregister() { h.lh.Unregister() }
-
-// Barrier drains reclamation (teardown/tests).
-func (h *ExpeditedHandle) Barrier() { h.lh.Barrier() }
-
-// Core exposes the composed HP-(B)RCU participation record of the shared
-// bucket handle, so the lifecycle layer (handle pool, reaper integration)
-// can reach the lease and reap state of the handle it wraps.
-func (h *ExpeditedHandle) Core() *core.Handle { return h.lh.Core() }
-
-func (h *ExpeditedHandle) rebind(key int64) *hlist.ExpeditedHandle {
-	h.lh.Rebind(h.m.buckets[bucketOf(key, len(h.m.buckets))])
-	return h.lh
-}
-
-// Get returns the value mapped to key (optimistic bucket get).
-func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
-	return h.rebind(key).GetOptimistic(key)
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *ExpeditedHandle) Insert(key, val int64) bool {
-	return h.rebind(key).Insert(key, val)
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *ExpeditedHandle) Remove(key int64) (int64, bool) {
-	return h.rebind(key).Remove(key)
-}
-
-// --- NBR ----------------------------------------------------------------
-
-// NBR is the hash map over HHSList buckets under neutralization-based
-// reclamation.
-type NBR struct {
-	dom     *nbr.Domain
-	pool    *alloc.Pool[lnode.Node]
-	buckets []*hlist.NBR
+	return hlist.NewExpeditedOf(core.BackendBRCU, hlist.HHS, n, cfg)
 }
 
 // NewNBR creates an NBR-protected map with n buckets.
-func NewNBR(n int, opts ...nbr.Option) *NBR {
-	dom := nbr.NewDomain(nil, opts...)
-	cores, pool := newCores(n, dom.AllocMode())
-	dom.BindPool(pool)
-	m := &NBR{dom: dom, pool: pool, buckets: make([]*hlist.NBR, n)}
-	for i, c := range cores {
-		m.buckets[i] = hlist.NewNBRFrom(c, dom)
-	}
-	return m
+func NewNBR(n int, opts ...nbr.Option) *NBR { return hlist.NewNBROf(hlist.HHS, n, opts...) }
+
+// NewNBRLarge creates the paper's NBR-Large configuration; the batch size
+// is applied on top of opts.
+func NewNBRLarge(n int, opts ...nbr.Option) *NBR {
+	return NewNBR(n, append(opts[:len(opts):len(opts)], nbr.WithBatchSize(nbr.LargeBatchSize))...)
 }
-
-// NewNBRLarge creates the paper's NBR-Large configuration.
-func NewNBRLarge(n int) *NBR {
-	return NewNBR(n, nbr.WithBatchSize(nbr.LargeBatchSize))
-}
-
-// Stats exposes reclamation statistics.
-func (m *NBR) Stats() *stats.Reclamation { return m.dom.Stats() }
-
-// NBRHandle is one thread's accessor.
-type NBRHandle struct {
-	m     *NBR
-	h     *nbr.Handle
-	cache *alloc.Cache[lnode.Node]
-}
-
-// Register creates a thread handle.
-func (m *NBR) Register() *NBRHandle {
-	return &NBRHandle{m: m, h: m.dom.Register(), cache: m.pool.NewCache()}
-}
-
-// Unregister releases the handle.
-func (h *NBRHandle) Unregister() { h.h.Unregister() }
-
-// Barrier drains reclamation (teardown/tests).
-func (h *NBRHandle) Barrier() { h.h.Barrier() }
-
-func (h *NBRHandle) bucket(key int64) hlist.NBRHandle {
-	b := h.m.buckets[bucketOf(key, len(h.m.buckets))]
-	return b.HandleFor(h.h, h.cache)
-}
-
-// Get returns the value mapped to key.
-func (h *NBRHandle) Get(key int64) (int64, bool) {
-	bh := h.bucket(key)
-	return bh.Get(key)
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *NBRHandle) Insert(key, val int64) bool {
-	bh := h.bucket(key)
-	return bh.Insert(key, val)
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *NBRHandle) Remove(key int64) (int64, bool) {
-	bh := h.bucket(key)
-	return bh.Remove(key)
-}
-
-// --- VBR ----------------------------------------------------------------
 
 // VBR is the hash map over VBR lists (version-based reclamation).
 type VBR struct {
 	rec     *stats.Reclamation
-	pool    *alloc.Pool[lnode.Node]
 	buckets []*vbr.List
 }
 
@@ -341,7 +91,7 @@ func NewVBR(n int, mode ...alloc.Mode) *VBR {
 	cache := pool.NewCache()
 	rec := &stats.Reclamation{}
 	pool.SetRecorder(rec)
-	m := &VBR{rec: rec, pool: pool, buckets: make([]*vbr.List, n)}
+	m := &VBR{rec: rec, buckets: make([]*vbr.List, n)}
 	for i := range m.buckets {
 		m.buckets[i] = vbr.NewShared(pool, cache, rec)
 	}
@@ -353,14 +103,13 @@ func (m *VBR) Stats() *stats.Reclamation { return m.rec }
 
 // VBRHandle is one thread's accessor.
 type VBRHandle struct {
-	m       *VBR
 	handles []*vbr.Handle
 }
 
 // Register creates a thread handle (one sub-handle per bucket is cheap:
 // VBR handles carry only an allocation cache).
 func (m *VBR) Register() *VBRHandle {
-	h := &VBRHandle{m: m, handles: make([]*vbr.Handle, len(m.buckets))}
+	h := &VBRHandle{handles: make([]*vbr.Handle, len(m.buckets))}
 	for i, b := range m.buckets {
 		h.handles[i] = b.Register()
 	}
@@ -374,7 +123,7 @@ func (h *VBRHandle) Unregister() {}
 func (h *VBRHandle) Barrier() {}
 
 func (h *VBRHandle) bucket(key int64) *vbr.Handle {
-	return h.handles[bucketOf(key, len(h.handles))]
+	return h.handles[hlist.BucketOf(key, len(h.handles))]
 }
 
 // Get returns the value mapped to key.

@@ -1,27 +1,32 @@
 package hlist
 
 import (
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
-	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// EBR is a Harris list protected by epoch-based RCU (or nothing in NR
-// mode).
+// EBR is a list or hash map protected by epoch-based RCU (or by nothing in
+// NR mode): every operation runs inside one critical section, so traversal
+// needs no per-node protection, but a stalled or long-running reader
+// blocks all reclamation (§2.2).
 type EBR struct {
-	List *lnode.List
-	dom  *ebr.Domain
+	set
+	dom *ebr.Domain
 }
 
-// NewEBR creates a list reclaimed by epoch-based RCU.
-func NewEBR(opts ...ebr.Option) *EBR {
+// NewEBROf creates a member of the family with the given number of head
+// sentinels (1 = a list, n = a hash map), reclaimed by epoch-based RCU;
+// ebr.NoReclaim among opts makes it the NR baseline.
+func NewEBROf(k Kind, heads int, opts ...ebr.Option) *EBR {
 	dom := ebr.NewDomain(nil, opts...)
-	l := &EBR{List: lnode.New(dom.AllocMode()), dom: dom}
-	dom.BindPool(l.List.Pool)
+	l := &EBR{set: newSet(k, heads, dom.AllocMode()), dom: dom}
+	dom.BindPool(l.pool)
 	return l
 }
+
+// NewEBR creates a Harris list reclaimed by epoch-based RCU.
+func NewEBR(opts ...ebr.Option) *EBR { return NewEBROf(Harris, 1, opts...) }
 
 // NewNR creates the no-reclamation baseline; options (e.g.
 // ebr.WithAllocator) are applied on top of ebr.NoReclaim.
@@ -29,39 +34,23 @@ func NewNR(opts ...ebr.Option) *EBR {
 	return NewEBR(append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
 }
 
-// NewEBRFrom wraps an existing list core and domain (hash-map buckets
-// share one pool and one domain across all buckets).
-func NewEBRFrom(core *lnode.List, dom *ebr.Domain) *EBR {
-	return &EBR{List: core, dom: dom}
-}
-
 // Domain exposes the underlying reclamation domain.
 func (l *EBR) Domain() *ebr.Domain { return l.dom }
-
-// HandleFor builds a handle around an existing per-thread context; the
-// hash map uses it to rebind one thread context across buckets.
-func (l *EBR) HandleFor(h *ebr.Handle, cache *alloc.Cache[lnode.Node]) EBRHandle {
-	return EBRHandle{l: l, h: h, cache: cache}
-}
 
 // Stats exposes reclamation statistics.
 func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 
-// LenSlow and KeysSlow delegate to the core (tests only).
-func (l *EBR) LenSlow() int      { return l.List.LenSlow() }
-func (l *EBR) KeysSlow() []int64 { return l.List.KeysSlow() }
-
 // EBRHandle is one thread's accessor.
 type EBRHandle struct {
-	l     *EBR
-	h     *ebr.Handle
-	cache *alloc.Cache[lnode.Node]
-	run   runBuf
+	ops
+	h *ebr.Handle
 }
 
 // Register creates a thread handle.
 func (l *EBR) Register() *EBRHandle {
-	return &EBRHandle{l: l, h: l.dom.Register(), cache: l.List.Pool.NewCache()}
+	h := &EBRHandle{h: l.dom.Register()}
+	h.init(&l.set, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -70,10 +59,12 @@ func (h *EBRHandle) Unregister() { h.h.Unregister() }
 // Barrier drains reclamation (teardown/tests).
 func (h *EBRHandle) Barrier() { h.h.Barrier() }
 
-// search is Harris's search: it returns an unmarked (prev, cur) bracketing
-// key, excising marked runs it encounters. Must run pinned.
-func (h *EBRHandle) search(key int64) (prev uint64, cur atomicx.Ref, found bool) {
-	l := h.l.List
+// find pins and runs Harris's search: it returns an unmarked (prev, cur)
+// bracketing key, excising the marked runs it meets. The pin is what makes
+// following links out of marked nodes safe, and what release drops.
+func (h *EBRHandle) find(key int64) (prev uint64, cur atomicx.Ref, found bool) {
+	h.h.Pin()
+	l := &h.l
 retry:
 	prev = l.Head
 	cur = l.Pool.At(prev).Next.Load() // head is never marked
@@ -83,19 +74,21 @@ retry:
 		if cur.IsNil() {
 			return prev, cur, false
 		}
-		next := l.At(cur).Next.Load()
+		curN := l.At(cur)
+		next := curN.Next.Load()
 		if next.Tag() != 0 {
 			// cur starts a marked run: excise [cur, end) in one CAS —
-			// Harris's optimistic deletion.
-			end := runEnd(l, cur, &h.run)
+			// Harris's optimistic deletion (one node under run bound 1,
+			// the helping write that keeps NBR off Harris-Michael).
+			end := h.runEnd(cur)
 			if !l.Pool.At(prev).Next.CompareAndSwap(cur, end) {
 				goto retry
 			}
-			retireRun(l, &h.run, func(slot uint64) { h.h.Defer(slot, l.Pool) })
+			h.retireRun()
 			cur = end
 			continue
 		}
-		if k := l.At(cur).Key.Load(); k >= key {
+		if k := curN.Key.Load(); k >= key {
 			return prev, cur, k == key
 		}
 		prev = cur.Slot()
@@ -103,90 +96,36 @@ retry:
 	}
 }
 
-// Get returns the value mapped to key using the full Harris search (helps
-// with excision).
+func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.l.Pool) }
+func (h *EBRHandle) release()           { h.h.Unpin() }
+
+// Get returns the value mapped to key: the helping search, or the
+// optimistic contains on an HHS list.
 func (h *EBRHandle) Get(key int64) (int64, bool) {
-	h.h.Pin()
-	defer h.h.Unpin()
-	_, cur, found := h.search(key)
-	if !found {
-		return 0, false
+	if h.hhs {
+		return h.GetOptimistic(key)
 	}
-	return h.l.List.At(cur).Val.Load(), true
+	return h.helpingGet(key)
 }
 
 // GetOptimistic is the HHSList wait-free-style contains: a pure read
 // traversal through marked nodes, no helping, mark checked at the end.
-func (h *EBRHandle) GetOptimistic(key int64) (int64, bool) {
+func (h *EBRHandle) GetOptimistic(key int64) (val int64, found bool) {
+	h.bind(key)
 	h.h.Pin()
-	defer h.h.Unpin()
-	l := h.l.List
+	l := &h.l
 	cur := l.Pool.At(l.Head).Next.Load().Untagged()
 	yc := 0
 	for !cur.IsNil() && l.At(cur).Key.Load() < key {
 		atomicx.StepYield(&yc)
 		cur = l.At(cur).Next.Load().Untagged()
 	}
-	if cur.IsNil() {
-		return 0, false
-	}
-	n := l.At(cur)
-	if n.Key.Load() != key || n.Next.Load().Tag() != 0 {
-		return 0, false
-	}
-	return n.Val.Load(), true
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *EBRHandle) Insert(key, val int64) bool {
-	h.h.Pin()
-	defer h.h.Unpin()
-	l := h.l.List
-	var newSlot uint64
-	var newRef atomicx.Ref
-	for {
-		prev, cur, found := h.search(key)
-		if found {
-			if newSlot != 0 {
-				l.Discard(h.cache, newSlot)
-			}
-			return false
-		}
-		if newSlot == 0 {
-			newSlot, newRef = l.NewNode(h.cache, key, val, cur)
-		} else {
-			l.Pool.At(newSlot).Next.Store(cur)
-		}
-		if l.Pool.At(prev).Next.CompareAndSwap(cur, newRef) {
-			return true
+	if !cur.IsNil() {
+		n := l.At(cur)
+		if n.Key.Load() == key && n.Next.Load().Tag() == 0 {
+			val, found = n.Val.Load(), true
 		}
 	}
-}
-
-// Remove unmaps key: it marks the node (logical deletion) and then makes a
-// best-effort attempt to excise it; searches clean up failures.
-func (h *EBRHandle) Remove(key int64) (int64, bool) {
-	h.h.Pin()
-	defer h.h.Unpin()
-	l := h.l.List
-	for {
-		prev, cur, found := h.search(key)
-		if !found {
-			return 0, false
-		}
-		curN := l.At(cur)
-		next := curN.Next.Load()
-		if next.Tag() != 0 {
-			continue
-		}
-		val := curN.Val.Load()
-		if !curN.Next.CompareAndSwap(next, next.WithTag(lnode.MarkBit)) {
-			continue
-		}
-		if l.Pool.At(prev).Next.CompareAndSwap(cur, next) {
-			l.Pool.Hdr(cur.Slot()).Retire()
-			h.h.Defer(cur.Slot(), l.Pool)
-		}
-		return val, true
-	}
+	h.h.Unpin()
+	return val, found
 }

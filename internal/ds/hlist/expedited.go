@@ -4,68 +4,63 @@ import (
 	"context"
 	"runtime"
 
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// Expedited is a Harris list protected by HP-RCU or HP-BRCU. This is the
-// combination plain HP cannot express (Figure 2): traversal follows links
-// out of marked — possibly retired — nodes, protected coarsely by the
-// critical section, with run excision in an abort-masked region.
+// Expedited is a list or hash map protected by HP-RCU or HP-BRCU
+// (Algorithm 8). This is the combination plain HP cannot express (Figure
+// 2): traversal follows links out of marked — possibly retired — nodes,
+// protected coarsely by the (bounded) critical section with periodic HP
+// checkpoints, and the physical deletion of marked nodes — the write that
+// defeats NBR on Harris-Michael — runs inside an abort-masked region.
 type Expedited struct {
-	List *lnode.List
-	dom  *core.Domain
+	set
+	dom *core.Domain
 }
 
-// NewHPRCU creates a list protected by HP-RCU (§3).
+// NewExpeditedOf creates a member of the family with the given number of
+// head sentinels under HP-RCU (§3) or HP-BRCU (§4).
+func NewExpeditedOf(backend core.Backend, k Kind, heads int, cfg core.Config) *Expedited {
+	l := &Expedited{set: newSet(k, heads, cfg.Allocator), dom: core.NewDomain(backend, cfg)}
+	l.dom.BindPool(l.pool)
+	return l
+}
+
+// NewHPRCU creates a Harris list protected by HP-RCU (§3).
 func NewHPRCU(cfg core.Config) *Expedited {
-	l := &Expedited{List: lnode.New(cfg.Allocator), dom: core.NewDomain(core.BackendRCU, cfg)}
-	l.dom.BindPool(l.List.Pool)
-	return l
+	return NewExpeditedOf(core.BackendRCU, Harris, 1, cfg)
 }
 
-// NewHPBRCU creates a list protected by HP-BRCU (§4).
+// NewHPBRCU creates a Harris list protected by HP-BRCU (§4).
 func NewHPBRCU(cfg core.Config) *Expedited {
-	l := &Expedited{List: lnode.New(cfg.Allocator), dom: core.NewDomain(core.BackendBRCU, cfg)}
-	l.dom.BindPool(l.List.Pool)
-	return l
+	return NewExpeditedOf(core.BackendBRCU, Harris, 1, cfg)
 }
-
-// NewExpeditedFrom wraps an existing list core and domain (shared buckets).
-func NewExpeditedFrom(lst *lnode.List, dom *core.Domain) *Expedited {
-	return &Expedited{List: lst, dom: dom}
-}
-
-// Rebind points the handle at another list sharing the same domain and
-// pool (bucket switching); the shields and caches are reused.
-func (h *ExpeditedHandle) Rebind(l *Expedited) { h.l = l }
 
 // Stats exposes reclamation statistics.
 func (l *Expedited) Stats() *stats.Reclamation { return l.dom.Stats() }
 
-// Domain exposes the underlying HP-(B)RCU domain.
+// Domain exposes the underlying HP-(B)RCU domain (for bound checks).
 func (l *Expedited) Domain() *core.Domain { return l.dom }
 
-// LenSlow and KeysSlow delegate to the core (tests only).
-func (l *Expedited) LenSlow() int      { return l.List.LenSlow() }
-func (l *Expedited) KeysSlow() []int64 { return l.List.KeysSlow() }
-
-// cursor is the search cursor: predecessor slot + current reference.
+// cursor is the search cursor (Algorithm 8's ListCursor): predecessor
+// slot + current reference.
 type cursor struct {
 	prev uint64
 	cur  atomicx.Ref
 }
 
+// protector checkpoints a cursor into two shields (Algorithm 8's
+// ListCursorProtector).
 type protector struct{ prevS, curS *hp.Shield }
 
 func newProtector(h *core.Handle) *protector {
 	return &protector{prevS: h.NewShield(), curS: h.NewShield()}
 }
 
+// Protect implements core.Protector.
 func (p *protector) Protect(c *cursor) {
 	p.prevS.ProtectSlot(c.prev)
 	p.curS.Protect(c.cur)
@@ -90,16 +85,14 @@ func (p *getProtector) ClearProtection() { p.curS.Clear() }
 
 // ExpeditedHandle is one thread's accessor.
 type ExpeditedHandle struct {
-	l     *Expedited
-	h     *core.Handle
-	cache *alloc.Cache[lnode.Node]
+	ops
+	h *core.Handle
 
 	prot, backup       *protector
 	getProt, getBackup *getProtector
 	maskPrevS          *hp.Shield
 	maskRunS           *hp.Shield
 	maskEndS           *hp.Shield
-	run                runBuf
 
 	// Handle-owned cursor storage for the Traverse engine, one buffer per
 	// cursor type, so traversals never heap-allocate their cursors.
@@ -109,20 +102,23 @@ type ExpeditedHandle struct {
 
 // Register creates a thread handle.
 func (l *Expedited) Register() *ExpeditedHandle {
-	h := l.dom.Register()
-	return &ExpeditedHandle{
-		l: l, h: h, cache: l.List.Pool.NewCache(),
-		prot:      newProtector(h),
-		backup:    newProtector(h),
-		getProt:   &getProtector{curS: h.NewShield()},
-		getBackup: &getProtector{curS: h.NewShield()},
-		maskPrevS: h.NewShield(),
-		maskRunS:  h.NewShield(),
-		maskEndS:  h.NewShield(),
+	d := l.dom.Register()
+	h := &ExpeditedHandle{
+		h:         d,
+		prot:      newProtector(d),
+		backup:    newProtector(d),
+		getProt:   &getProtector{curS: d.NewShield()},
+		getBackup: &getProtector{curS: d.NewShield()},
+		maskPrevS: d.NewShield(),
+		maskRunS:  d.NewShield(),
+		maskEndS:  d.NewShield(),
 	}
+	h.init(&l.set, h)
+	return h
 }
 
-// Unregister releases the handle.
+// Unregister releases the handle (and, through hp.Handle.Unregister, every
+// shield it owns).
 func (h *ExpeditedHandle) Unregister() { h.h.Unregister() }
 
 // Core exposes the composed HP-(B)RCU participation record, so the
@@ -133,17 +129,25 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-// search runs the expedited Harris search. Marked runs are excised inside
-// an abort-masked region; the excision operands — predecessor, run head,
-// and excision target — are protected by outliving shields beforehand so
-// the masked CAS can never act on recycled slots (the ABA guard the paper
-// notes in footnote 6).
+// BarrierCtx is Barrier with cooperative cancellation between rounds.
+func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.BarrierCtx(ctx) }
+
+// search runs the expedited Harris search (Algorithm 8's TrySearch).
+// Marked runs are excised inside an abort-masked region — physical
+// deletion is rollback-safe but not abort-rollback-safe, it retires — and
+// the excision operands (predecessor, run head, excision target) are
+// protected by outliving shields beforehand so the masked CAS can never
+// act on recycled slots (the ABA guard the paper notes in footnote 6). ok
+// is false when the operation must be retried (failed revalidation or
+// helping CAS, §4.3).
 func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
-	l := h.l.List
+	l := &h.l
 	t := core.Traversal[cursor, bool]{
 		Init: func() cursor {
 			return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
 		},
+		// Validate: resuming is safe while cur is not logically deleted
+		// (§3.3). A nil cur cannot be marked, so prev stands in for it.
 		Validate: func(c *cursor) bool {
 			if c.cur.IsNil() {
 				return l.Pool.At(c.prev).Next.Load().Tag() == 0
@@ -154,19 +158,20 @@ func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 			if c.cur.IsNil() {
 				return core.StepFinish, false
 			}
-			next := l.At(c.cur).Next.Load()
+			curN := l.At(c.cur)
+			next := curN.Next.Load()
 			if next.Tag() != 0 {
 				// Excise the marked run [cur, end). The run is captured
 				// into a buffer before the masked writes so retirement
 				// never re-reads a link after a retire.
-				end := runEnd(l, c.cur, &h.run)
+				end := h.runEnd(c.cur)
 				h.maskPrevS.ProtectSlot(c.prev)
 				h.maskRunS.Protect(c.cur)
 				h.maskEndS.Protect(end)
 				succ := false
 				ran, mustRollback := h.h.Mask(func() {
 					if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, end) {
-						retireRun(l, &h.run, func(slot uint64) { h.h.Retire(slot, l.Pool) })
+						h.retireRun()
 						succ = true
 					}
 				})
@@ -179,7 +184,7 @@ func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 				c.cur = end
 				return core.StepContinue, false
 			}
-			if k := l.At(c.cur).Key.Load(); k >= key {
+			if k := curN.Key.Load(); k >= key {
 				return core.StepFinish, k == key
 			}
 			c.prev = c.cur.Slot()
@@ -190,27 +195,39 @@ func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 	return core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
 }
 
-// Get returns the value mapped to key (full Harris search, helps excise).
-func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
+// find repeats search until a traversal finishes: the position it returns
+// is HP-protected by prot, so the caller's CASes run outside the critical
+// section exactly as with plain hazard pointers.
+func (h *ExpeditedHandle) find(key int64) (uint64, atomicx.Ref, bool) {
 	for attempt := 0; ; attempt++ {
-		c, found, ok := h.search(key)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched() // break single-CPU retry ping-pongs
-			}
-			continue
+		if c, found, ok := h.search(key); ok {
+			return c.prev, c.cur, found
 		}
-		if !found {
-			return 0, false
+		if attempt > 0 {
+			runtime.Gosched() // break single-CPU retry ping-pongs
 		}
-		return h.l.List.At(c.cur).Val.Load(), true
 	}
+}
+
+// retire is the two-step retirement; legal outside critical sections.
+func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.l.Pool) }
+
+// release is a no-op: prot holds the position until the next traversal.
+func (h *ExpeditedHandle) release() {}
+
+// Get returns the value mapped to key: the helping search, or the
+// optimistic contains on an HHS list.
+func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
+	if h.hhs {
+		return h.GetOptimistic(key)
+	}
+	return h.helpingGet(key)
 }
 
 // getTraversal builds the optimistic read traversal GetOptimistic and
 // GetCtx run (and the cancellation regression test instruments).
 func (h *ExpeditedHandle) getTraversal(key int64) core.Traversal[getCursor, bool] {
-	l := h.l.List
+	l := &h.l
 	return core.Traversal[getCursor, bool]{
 		Init: func() getCursor {
 			return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
@@ -238,7 +255,7 @@ func (h *ExpeditedHandle) getTraversal(key int64) core.Traversal[getCursor, bool
 // HP-BRCU it is only lock-free (rollbacks may retry it), matching the
 // paper's footnote 9.
 func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
-	l := h.l.List
+	h.bind(key)
 	t := h.getTraversal(key)
 	for attempt := 0; ; attempt++ {
 		c, found, ok := core.Traverse(h.h, &h.getBuf, h.getProt, h.getBackup, t)
@@ -251,7 +268,7 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 		if !found {
 			return 0, false
 		}
-		return l.At(c.cur).Val.Load(), true
+		return h.l.At(c.cur).Val.Load(), true
 	}
 }
 
@@ -260,7 +277,7 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 // returns the context's error. Validation failures still retry — only
 // cancellation breaks the loop.
 func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, error) {
-	l := h.l.List
+	h.bind(key)
 	t := h.getTraversal(key)
 	for attempt := 0; ; attempt++ {
 		c, found, ok, err := core.TraverseCtx(ctx, h.h, &h.getBuf, h.getProt, h.getBackup, t)
@@ -276,71 +293,6 @@ func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, e
 		if !found {
 			return 0, false, nil
 		}
-		return l.At(c.cur).Val.Load(), true, nil
-	}
-}
-
-// BarrierCtx is Barrier with cooperative cancellation between rounds.
-func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.BarrierCtx(ctx) }
-
-// Insert maps key to val; it fails if key is already present.
-func (h *ExpeditedHandle) Insert(key, val int64) bool {
-	l := h.l.List
-	var newSlot uint64
-	var newRef atomicx.Ref
-	for attempt := 0; ; attempt++ {
-		c, found, ok := h.search(key)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		if found {
-			if newSlot != 0 {
-				l.Discard(h.cache, newSlot)
-			}
-			return false
-		}
-		if newSlot == 0 {
-			newSlot, newRef = l.NewNode(h.cache, key, val, c.cur)
-		} else {
-			l.Pool.At(newSlot).Next.Store(c.cur)
-		}
-		if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, newRef) {
-			return true
-		}
-	}
-}
-
-// Remove unmaps key: logical deletion outside the critical section on the
-// HP-protected cursor, then best-effort physical excision.
-func (h *ExpeditedHandle) Remove(key int64) (int64, bool) {
-	l := h.l.List
-	for attempt := 0; ; attempt++ {
-		c, found, ok := h.search(key)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		if !found {
-			return 0, false
-		}
-		curN := l.At(c.cur)
-		next := curN.Next.Load()
-		if next.Tag() != 0 {
-			continue
-		}
-		val := curN.Val.Load()
-		if !curN.Next.CompareAndSwap(next, next.WithTag(lnode.MarkBit)) {
-			continue
-		}
-		if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, next) {
-			l.Pool.Hdr(c.cur.Slot()).Retire()
-			h.h.Retire(c.cur.Slot(), l.Pool)
-		}
-		return val, true
+		return h.l.At(c.cur).Val.Load(), true, nil
 	}
 }

@@ -1,259 +1,320 @@
 package hlist
 
 import (
-	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"github.com/smrgo/hpbrcu/internal/core"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
+	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
+// member is what every list type of the family offers a test.
+type member[H any] interface {
+	Register() H
+	Stats() *stats.Reclamation
+	KeysSlow() []int64
+}
+
+// variants builds the Harris list under every scheme its constructors
+// accept, fresh for each check.
+func variants() []listtest.Variant {
+	small := core.Config{BackupPeriod: 4} // small period: exercise phase switches
+	return []listtest.Variant{
+		listtest.Of("NR", true, false, NewNR()),
+		listtest.Of("EBR", true, true, NewEBR()),
+		listtest.Of("HP-RCU", true, true, NewHPRCU(small)),
+		listtest.Of("HP-BRCU", true, true, NewHPBRCU(small)),
+		listtest.Of("NBR", true, true, NewNBR()),
+		listtest.Of("NBR-small", true, true, NewNBR(nbr.WithBatchSize(4))), // aggressive broadcasts
+		listtest.Of("NBR-Large", true, true, NewNBRLarge()),
+	}
+}
+
+func TestSequentialSemantics(t *testing.T)       { listtest.Sequential(t, variants()) }
+func TestSequentialBulkAllVariants(t *testing.T) { listtest.Bulk(t, variants()) }
+func TestConcurrentMixed(t *testing.T)           { listtest.ConcurrentMixed(t, variants()) }
+func TestConcurrentDisjointKeys(t *testing.T)    { listtest.ConcurrentDisjoint(t, variants()) }
+func TestConcurrentContendedKey(t *testing.T)    { listtest.ConcurrentContended(t, variants()) }
+func TestReclamationBalance(t *testing.T)        { listtest.ReclamationBalance(t, variants()) }
+
+// handle adds the handle's shared half to the conformance surface, so the
+// two tests below can stage marked runs and inspect one excision.
 type handle interface {
-	Get(key int64) (int64, bool)
+	listtest.Handle
 	GetOptimistic(key int64) (int64, bool)
-	Insert(key, val int64) bool
-	Remove(key int64) (int64, bool)
-	Unregister()
-	Barrier()
+	shared() *ops
 }
 
-type variant struct {
+func (o *ops) shared() *ops { return o }
+
+// boundCase is one (scheme, run bound) pair of the two tests below, which
+// assert what the rest of the suite assumes: Harris-Michael is Harris
+// with run bound 1.
+type boundCase struct {
 	name     string
+	bound    int
 	register func() handle
-	stats    func() *stats.Reclamation
-	lenSlow  func() int
-	keysSlow func() []int64
+	stats    *stats.Reclamation
+	keys     func() []int64
 }
 
-func variants() []variant {
-	nr := NewNR()
-	ebrL := NewEBR()
-	hprcu := NewHPRCU(core.Config{BackupPeriod: 4})
-	hpbrcu := NewHPBRCU(core.Config{BackupPeriod: 4})
-	nbrL := NewNBR()
-	nbrSmall := NewNBR(nbr.WithBatchSize(4)) // aggressive broadcasts
-	return []variant{
-		{"NR", func() handle { return nr.Register() }, nr.Stats, nr.LenSlow, nr.KeysSlow},
-		{"EBR", func() handle { return ebrL.Register() }, ebrL.Stats, ebrL.LenSlow, ebrL.KeysSlow},
-		{"HP-RCU", func() handle { return hprcu.Register() }, hprcu.Stats, hprcu.LenSlow, hprcu.KeysSlow},
-		{"HP-BRCU", func() handle { return hpbrcu.Register() }, hpbrcu.Stats, hpbrcu.LenSlow, hpbrcu.KeysSlow},
-		{"NBR", func() handle { return nbrL.Register() }, nbrL.Stats, nbrL.LenSlow, nbrL.KeysSlow},
-		{"NBR-small", func() handle { return nbrSmall.Register() }, nbrSmall.Stats, nbrSmall.LenSlow, nbrSmall.KeysSlow},
+func newBoundCase[H handle](name string, bound int, l member[H]) boundCase {
+	return boundCase{name, bound, func() handle { return l.Register() }, l.Stats(), l.KeysSlow}
+}
+
+func boundCases() []boundCase {
+	return []boundCase{
+		newBoundCase("EBR/bound=1", 1, NewEBROf(HarrisMichael, 1)),
+		newBoundCase("EBR/bound=64", maxRun, NewEBROf(Harris, 1)),
+		newBoundCase("HP-BRCU/bound=1", 1, NewExpeditedOf(core.BackendBRCU, HarrisMichael, 1, core.Config{})),
+		newBoundCase("HP-BRCU/bound=64", maxRun, NewExpeditedOf(core.BackendBRCU, Harris, 1, core.Config{})),
 	}
 }
 
-func TestSequentialSemantics(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
-
-			for _, get := range []struct {
-				name string
-				f    func(int64) (int64, bool)
-			}{{"Get", h.Get}, {"GetOptimistic", h.GetOptimistic}} {
-				if _, ok := get.f(99); ok {
-					t.Fatalf("%s: empty list contains 99", get.name)
-				}
-			}
-			if !h.Insert(2, 20) || !h.Insert(1, 10) || !h.Insert(3, 30) {
-				t.Fatal("inserts failed")
-			}
-			if h.Insert(2, 21) {
-				t.Fatal("duplicate insert succeeded")
-			}
-			if got := fmt.Sprint(v.keysSlow()); got != "[1 2 3]" {
-				t.Fatalf("keys = %s", got)
-			}
-			if val, ok := h.Get(2); !ok || val != 20 {
-				t.Fatalf("Get(2) = %d,%v", val, ok)
-			}
-			if val, ok := h.GetOptimistic(2); !ok || val != 20 {
-				t.Fatalf("GetOptimistic(2) = %d,%v", val, ok)
-			}
-			if val, ok := h.Remove(2); !ok || val != 20 {
-				t.Fatalf("Remove(2) = %d,%v", val, ok)
-			}
-			if _, ok := h.GetOptimistic(2); ok {
-				t.Fatal("optimistic get found removed key")
-			}
-			if _, ok := h.Get(2); ok {
-				t.Fatal("get found removed key")
-			}
-			if v.lenSlow() != 2 {
-				t.Fatalf("len = %d want 2", v.lenSlow())
-			}
-		})
+// markOnly logically deletes key without unlinking it — a remover that
+// stalled between its two CASes — and reports whether key was live.
+// Single-threaded use only.
+func markOnly(o *ops, key int64) bool {
+	for r := o.l.Pool.At(o.l.Head).Next.Load().Untagged(); !r.IsNil(); {
+		n := o.l.At(r)
+		next := n.Next.Load()
+		if n.Key.Load() == key && next.Tag() == 0 {
+			return n.Next.CompareAndSwap(next, next.WithTag(lnode.MarkBit))
+		}
+		r = next.Untagged()
 	}
+	return false
 }
 
-// TestRunExcision builds a long marked run by removing a contiguous range
-// while suppressing physical deletion, then checks one search cleans it.
+// linked counts the nodes physically reachable from the head, marked or
+// not. Single-threaded use only.
+func linked(o *ops) (n int) {
+	for r := o.l.Pool.At(o.l.Head).Next.Load().Untagged(); !r.IsNil(); n++ {
+		r = o.l.At(r).Next.Load().Untagged()
+	}
+	return n
+}
+
+// TestRunExcision stages a marked run longer than maxRun and checks what
+// one excision covers under each bound — exactly one node under bound 1,
+// maxRun nodes and a still-marked (partial, legal) target under bound 64 —
+// and that one helping search then unlinks and retires the whole run.
 func TestRunExcision(t *testing.T) {
-	l := NewEBR()
-	h := l.Register()
-	defer h.Unregister()
-
-	const n = 100
-	for i := int64(0); i < n; i++ {
-		h.Insert(i, i)
-	}
-	// Remove a middle range; Remove's best-effort excision removes each
-	// node individually, but concurrent-style stress below also produces
-	// longer runs via the maxRun partial path, exercised separately.
-	for i := int64(10); i < 90; i++ {
-		if _, ok := h.Remove(i); !ok {
-			t.Fatalf("remove %d", i)
-		}
-	}
-	if got := l.LenSlow(); got != 20 {
-		t.Fatalf("len = %d want 20", got)
-	}
-	for i := int64(0); i < n; i++ {
-		_, ok := h.Get(i)
-		want := i < 10 || i >= 90
-		if ok != want {
-			t.Fatalf("Get(%d) = %v want %v", i, ok, want)
-		}
-	}
-}
-
-func TestSequentialBulkAllVariants(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
+	for _, c := range boundCases() {
+		t.Run(c.name, func(t *testing.T) {
+			h := c.register()
 			defer h.Unregister()
-			const n = 400
-			perm := rand.New(rand.NewSource(3)).Perm(n)
-			for _, k := range perm {
-				if !h.Insert(int64(k), int64(k)+1000) {
-					t.Fatalf("insert %d", k)
+			o := h.shared()
+			if o.bound != c.bound {
+				t.Fatalf("run bound = %d, want %d", o.bound, c.bound)
+			}
+			const n, lo, hi = 200, 10, 110 // marked run [lo, hi): 100 > maxRun
+			for k := int64(0); k < n; k++ {
+				h.Insert(k, k)
+			}
+			for k := int64(lo); k < hi; k++ {
+				if !markOnly(o, k) {
+					t.Fatalf("markOnly(%d) failed", k)
 				}
 			}
-			for i := 0; i < n; i += 3 {
-				if _, ok := h.Remove(int64(i)); !ok {
-					t.Fatalf("remove %d", i)
-				}
+			if got := linked(o); got != n {
+				t.Fatalf("linked = %d before any search, want %d", got, n)
 			}
-			for i := 0; i < n; i++ {
-				want := i%3 != 0
-				if _, ok := h.Get(int64(i)); ok != want {
-					t.Fatalf("Get(%d)=%v want %v", i, ok, want)
-				}
-				if _, ok := h.GetOptimistic(int64(i)); ok != want {
-					t.Fatalf("GetOptimistic(%d)=%v want %v", i, ok, want)
+
+			// One excision, as every search would stage it.
+			first := o.l.Pool.At(o.l.Head).Next.Load()
+			for o.l.At(first).Key.Load() != lo {
+				first = o.l.At(first).Next.Load().Untagged()
+			}
+			end := o.runEnd(first)
+			if want := min(c.bound, hi-lo); o.run.n != want {
+				t.Fatalf("one excision captured %d nodes, want %d", o.run.n, want)
+			}
+			if want := int64(lo + c.bound); o.l.At(end).Key.Load() != want {
+				t.Fatalf("excision target key = %d, want %d", o.l.At(end).Key.Load(), want)
+			}
+			if o.l.At(end).Next.Load().Tag() == 0 {
+				t.Fatal("excision target past a partial run must still be marked")
+			}
+
+			// The optimistic get reads through the run without helping...
+			if _, ok := h.GetOptimistic(lo + 1); ok {
+				t.Fatal("optimistic get found a marked key")
+			}
+			if v, ok := h.GetOptimistic(n - 1); !ok || v != n-1 {
+				t.Fatalf("GetOptimistic(tail) = %d,%v", v, ok)
+			}
+			if got := linked(o); got != n {
+				t.Fatalf("optimistic get unlinked nodes: linked = %d", got)
+			}
+			// ...and one helping search cleans all of it, whatever the bound.
+			retired := c.stats.Retired.Load()
+			if v, ok := h.Get(n - 1); !ok || v != n-1 {
+				t.Fatalf("Get(tail) = %d,%v", v, ok)
+			}
+			if got := linked(o); got != n-(hi-lo) {
+				t.Fatalf("linked = %d after the helping search, want %d", got, n-(hi-lo))
+			}
+			if got := c.stats.Retired.Load() - retired; got != hi-lo {
+				t.Fatalf("helping search retired %d nodes, want %d", got, hi-lo)
+			}
+			for k := int64(0); k < n; k++ {
+				if _, ok := h.Get(k); ok != (k < lo || k >= hi) {
+					t.Fatalf("Get(%d) = %v", k, ok)
 				}
 			}
 		})
 	}
 }
 
-func TestConcurrentMixed(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 8
-			const iters = 400
-			const keyRange = 64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < iters; i++ {
-						k := rng.Int63n(keyRange)
-						switch rng.Intn(4) {
-						case 0:
-							h.Insert(k, k)
-						case 1:
-							h.Remove(k)
-						case 2:
-							h.Get(k)
-						default:
-							h.GetOptimistic(k)
-						}
-					}
-				}(int64(w + 1))
-			}
-			wg.Wait()
+// modelOp is one step of the differential test: testing/quick draws the
+// sequence, the fields are reduced modulo small ranges when applied.
+type modelOp struct{ Kind, Key, Worker uint8 }
 
-			// Consistency: Get and GetOptimistic must agree when quiescent,
-			// and the slow key scan must be sorted and duplicate-free.
-			h := v.register()
-			defer h.Unregister()
-			keys := v.keysSlow()
-			for i := 1; i < len(keys); i++ {
-				if keys[i-1] >= keys[i] {
-					t.Fatalf("keys not strictly sorted: %v", keys)
-				}
-			}
-			present := map[int64]bool{}
-			for _, k := range keys {
-				present[k] = true
-			}
-			for k := int64(0); k < keyRange; k++ {
-				_, g1 := h.Get(k)
-				_, g2 := h.GetOptimistic(k)
-				if g1 != present[k] || g2 != present[k] {
-					t.Fatalf("key %d: scan=%v get=%v opt=%v", k, present[k], g1, g2)
-				}
-			}
-		})
-	}
-}
+const (
+	opInsert = iota
+	opRemove
+	opMarkOnly // logical delete only: what makes marked runs, so what makes the bound matter
+	opGet
+	opGetOptimistic
+)
 
-func TestReclamationBalance(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		l    interface {
-			Register() *ExpeditedHandle
-			Stats() *stats.Reclamation
+// opMix weights the kinds so the list stays populated and marked nodes
+// pile up between helping searches.
+var opMix = [...]uint8{opInsert, opInsert, opInsert, opMarkOnly, opMarkOnly, opMarkOnly,
+	opRemove, opGet, opGetOptimistic, opGetOptimistic}
+
+// longestMarkedRun scans the physical list. Single-threaded use only.
+func longestMarkedRun(o *ops) (longest int) {
+	run := 0
+	for r := o.l.Pool.At(o.l.Head).Next.Load().Untagged(); !r.IsNil(); {
+		next := o.l.At(r).Next.Load()
+		if next.Tag() != 0 {
+			run++
+			longest = max(longest, run)
+		} else {
+			run = 0
 		}
-	}{
-		{"HP-RCU", NewHPRCU(core.Config{})},
-		{"HP-BRCU", NewHPBRCU(core.Config{})},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			const workers = 4
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := mk.l.Register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < 1500; i++ {
-						k := rng.Int63n(48)
-						if rng.Intn(2) == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
-					}
-					h.Barrier()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-			h := mk.l.Register()
-			for i := 0; i < 8; i++ {
-				h.Barrier()
-			}
-			h.Unregister()
-			s := mk.l.Stats().Snapshot()
-			if s.Retired == 0 {
-				t.Fatal("no retires: vacuous")
-			}
-			if s.Unreclaimed != 0 {
-				t.Fatalf("unreclaimed=%d retired=%d reclaimed=%d", s.Unreclaimed, s.Retired, s.Reclaimed)
-			}
-		})
+		r = next.Untagged()
 	}
+	return longest
+}
+
+// TestModelDifferential replays random operation sequences through three
+// handles of every boundCase and through a mutex-guarded reference map,
+// all under one lock so every result is determined: each list must answer
+// exactly like the map, whatever its run bound or scheme, and end with the
+// map's keys. The sequences are long enough that marked runs longer than
+// one node form (asserted, or the bound would never have mattered).
+func TestModelDifferential(t *testing.T) {
+	const workers, keyRange = 3, 24
+	longestRun := 0
+	property := func(seq []modelOp) bool {
+		cases := boundCases()
+		handles := make([][workers]handle, len(cases))
+		for c := range cases {
+			for w := range handles[c] {
+				handles[c][w] = cases[c].register()
+			}
+		}
+		var (
+			mu    sync.Mutex
+			model = map[int64]int64{}
+			ok    = true
+		)
+		apply := func(i int, op modelOp) {
+			mu.Lock()
+			defer mu.Unlock()
+			kind, key, val := opMix[int(op.Kind)%len(opMix)], int64(op.Key%keyRange), int64(i)
+			want, present := model[key]
+			switch kind {
+			case opInsert:
+				if !present {
+					model[key] = val
+				}
+			case opRemove, opMarkOnly:
+				delete(model, key)
+			}
+			for c := range cases {
+				h := handles[c][op.Worker%workers]
+				got, found := want, false
+				switch kind {
+				case opInsert:
+					found = !h.Insert(key, val) // fails exactly when present
+				case opRemove:
+					got, found = h.Remove(key)
+				case opMarkOnly:
+					found = markOnly(h.shared(), key)
+					longestRun = max(longestRun, longestMarkedRun(h.shared()))
+				case opGet:
+					got, found = h.Get(key)
+				case opGetOptimistic:
+					got, found = h.GetOptimistic(key)
+				}
+				if found != present || (found && got != want) {
+					t.Errorf("%s: op %d %+v = %d,%v; model %d,%v", cases[c].name, i, op, got, found, want, present)
+					ok = false
+				}
+			}
+		}
+		// Each worker applies its own stride of the sequence, so handles
+		// interleave in scheduler order while the lock keeps each step
+		// atomic across the model and all lists.
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(seq); i += workers {
+					apply(i, seq[i])
+				}
+			}(w)
+		}
+		wg.Wait()
+		want := make([]int64, 0, len(model))
+		for k := range model {
+			want = append(want, k)
+		}
+		slices.Sort(want)
+		for c := range cases {
+			if got := cases[c].keys(); !slices.Equal(got, want) {
+				t.Errorf("%s: final keys %v, model %v", cases[c].name, got, want)
+				ok = false
+			}
+			for _, h := range handles[c] {
+				h.Unregister()
+			}
+		}
+		return ok
+	}
+	cfg := &quick.Config{
+		MaxCount: 40,
+		Rand:     rand.New(rand.NewSource(13)),
+		Values: func(args []reflect.Value, r *rand.Rand) {
+			seq := make([]modelOp, 100+r.Intn(300))
+			for i := range seq {
+				seq[i] = modelOp{uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256))}
+			}
+			args[0] = reflect.ValueOf(seq)
+		},
+	}
+	if testing.Short() {
+		cfg.MaxCount = 10
+	}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if longestRun < 3 {
+		t.Fatalf("longest marked run staged = %d nodes; the run bound never mattered", longestRun)
+	}
+	t.Logf("longest marked run staged: %d nodes", longestRun)
 }
 
 // TestOptimisticTraversalThroughMarkedNodes is the Figure-2 scenario made

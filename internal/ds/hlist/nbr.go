@@ -1,70 +1,62 @@
 package hlist
 
 import (
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
-	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// NBR is a Harris list protected by neutralization-based reclamation. The
-// list is access-aware here because every write — run excision, insertion,
-// marking — happens in a write phase on reserved nodes, and after a write
-// the traversal restarts from the entry point (§2.3). A neutralization at
-// any point in the read phase restarts the whole operation, which is what
-// starves long-running operations.
+// NBR is a Harris list or hash map protected by neutralization-based
+// reclamation. The list is access-aware here because every write — run
+// excision, insertion, marking — happens in a write phase on reserved
+// nodes, and after a write the traversal restarts from the entry point
+// (§2.3). A neutralization at any point in the read phase restarts the
+// whole operation, which is what starves long-running operations. The
+// restart after every helping write is also why NBR does not apply to the
+// Harris-Michael kind (Table 1): a traversal that unlinks as it goes
+// would never get past a marked prefix.
 //
-// Reservation slots: 0 = prev, 1 = cur/run head, 2 = run end / new node.
+// Reservation slots: 0 = prev, 1 = cur/run head, 2 = run end.
 type NBR struct {
-	List *lnode.List
-	dom  *nbr.Domain
+	set
+	dom *nbr.Domain
 }
 
-// NewNBR creates an NBR-protected list (batch 128).
-func NewNBR(opts ...nbr.Option) *NBR {
+// NewNBROf creates a member of the family with the given number of head
+// sentinels under NBR. Its Get is a pure read for every kind.
+func NewNBROf(k Kind, heads int, opts ...nbr.Option) *NBR {
 	dom := nbr.NewDomain(nil, opts...)
-	l := &NBR{List: lnode.New(dom.AllocMode()), dom: dom}
-	dom.BindPool(l.List.Pool)
+	l := &NBR{set: newSet(k, heads, dom.AllocMode()), dom: dom}
+	dom.BindPool(l.pool)
 	return l
 }
 
-// NewNBRLarge creates the paper's NBR-Large configuration (batch 8192).
-func NewNBRLarge() *NBR {
-	return NewNBR(nbr.WithBatchSize(nbr.LargeBatchSize))
-}
+// NewNBR creates an NBR-protected Harris list (batch 128).
+func NewNBR(opts ...nbr.Option) *NBR { return NewNBROf(Harris, 1, opts...) }
 
-// NewNBRFrom wraps an existing list core and domain (shared buckets).
-func NewNBRFrom(core *lnode.List, dom *nbr.Domain) *NBR {
-	return &NBR{List: core, dom: dom}
+// NewNBRLarge creates the paper's NBR-Large configuration (batch 8192);
+// the batch size is applied on top of opts.
+func NewNBRLarge(opts ...nbr.Option) *NBR {
+	return NewNBR(append(opts[:len(opts):len(opts)], nbr.WithBatchSize(nbr.LargeBatchSize))...)
 }
 
 // Domain exposes the underlying reclamation domain.
 func (l *NBR) Domain() *nbr.Domain { return l.dom }
 
-// HandleFor builds a handle around an existing per-thread context.
-func (l *NBR) HandleFor(h *nbr.Handle, cache *alloc.Cache[lnode.Node]) NBRHandle {
-	return NBRHandle{l: l, h: h, cache: cache}
-}
-
 // Stats exposes reclamation statistics.
 func (l *NBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 
-// LenSlow and KeysSlow delegate to the core (tests only).
-func (l *NBR) LenSlow() int      { return l.List.LenSlow() }
-func (l *NBR) KeysSlow() []int64 { return l.List.KeysSlow() }
-
 // NBRHandle is one thread's accessor.
 type NBRHandle struct {
-	l     *NBR
-	h     *nbr.Handle
-	cache *alloc.Cache[lnode.Node]
-	run   runBuf
+	ops
+	h *nbr.Handle
 }
 
 // Register creates a thread handle.
 func (l *NBR) Register() *NBRHandle {
-	return &NBRHandle{l: l, h: l.dom.Register(), cache: l.List.Pool.NewCache()}
+	h := &NBRHandle{h: l.dom.Register()}
+	h.init(&l.set, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -88,7 +80,7 @@ const (
 // resume only from entry points after a write). On srFound/srNotFound the
 // thread is in a write phase with prev (slot 0) and cur (slot 1) reserved.
 func (h *NBRHandle) searchOnce(key int64) (prev uint64, cur atomicx.Ref, res searchResult) {
-	l := h.l.List
+	l := &h.l
 	h.h.StartRead()
 	prev = l.Head
 	cur = l.Pool.At(prev).Next.Load()
@@ -108,11 +100,12 @@ func (h *NBRHandle) searchOnce(key int64) (prev uint64, cur atomicx.Ref, res sea
 			}
 			return prev, cur, srNotFound
 		}
-		next := l.At(cur).Next.Load()
+		curN := l.At(cur)
+		next := curN.Next.Load()
 		if next.Tag() != 0 {
 			// Marked run: reserve operands, excise in a write phase,
 			// then restart from the entry point.
-			end := runEnd(l, cur, &h.run)
+			end := h.runEnd(cur)
 			h.h.Reserve(0, prev)
 			h.h.Reserve(1, cur.Slot())
 			h.h.Reserve(2, end.Slot())
@@ -121,13 +114,12 @@ func (h *NBRHandle) searchOnce(key int64) (prev uint64, cur atomicx.Ref, res sea
 				return 0, atomicx.Nil, srRestart
 			}
 			if l.Pool.At(prev).Next.CompareAndSwap(cur, end) {
-				retireRun(l, &h.run, func(slot uint64) { h.h.Retire(slot, l.Pool) })
+				h.retireRun()
 			}
-			h.h.EndOp()
-			h.h.ClearReservations()
+			h.release()
 			return 0, atomicx.Nil, srRestart
 		}
-		if k := l.At(cur).Key.Load(); k >= key {
+		if k := curN.Key.Load(); k >= key {
 			h.h.Reserve(0, prev)
 			h.h.Reserve(1, cur.Slot())
 			if !h.h.EnterWrite() {
@@ -144,10 +136,29 @@ func (h *NBRHandle) searchOnce(key int64) (prev uint64, cur atomicx.Ref, res sea
 	}
 }
 
+// find repeats searchOnce until one read phase reaches key's position and
+// enters its write phase.
+func (h *NBRHandle) find(key int64) (uint64, atomicx.Ref, bool) {
+	for {
+		if prev, cur, res := h.searchOnce(key); res != srRestart {
+			return prev, cur, res == srFound
+		}
+	}
+}
+
+func (h *NBRHandle) retire(slot uint64) { h.h.Retire(slot, h.l.Pool) }
+
+// release ends the write phase and drops the reservations.
+func (h *NBRHandle) release() {
+	h.h.EndOp()
+	h.h.ClearReservations()
+}
+
 // Get returns the value mapped to key. The traversal is a pure read
 // phase; a broadcast anywhere during it restarts it from the entry point.
 func (h *NBRHandle) Get(key int64) (int64, bool) {
-	l := h.l.List
+	h.bind(key)
+	l := &h.l
 	for {
 		h.h.StartRead()
 		cur := l.Pool.At(l.Head).Next.Load().Untagged()
@@ -183,72 +194,3 @@ func (h *NBRHandle) Get(key int64) (int64, bool) {
 // GetOptimistic is identical to Get for NBR (its get is already a pure
 // read traversal); provided for interface parity with the other variants.
 func (h *NBRHandle) GetOptimistic(key int64) (int64, bool) { return h.Get(key) }
-
-// Insert maps key to val; it fails if key is already present.
-func (h *NBRHandle) Insert(key, val int64) bool {
-	l := h.l.List
-	var newSlot uint64
-	var newRef atomicx.Ref
-	for {
-		prev, cur, res := h.searchOnce(key)
-		switch res {
-		case srRestart:
-			continue
-		case srFound:
-			h.h.EndOp()
-			h.h.ClearReservations()
-			if newSlot != 0 {
-				l.Discard(h.cache, newSlot)
-			}
-			return false
-		}
-		// In write phase with prev/cur reserved.
-		if newSlot == 0 {
-			newSlot, newRef = l.NewNode(h.cache, key, val, cur)
-		} else {
-			l.Pool.At(newSlot).Next.Store(cur)
-		}
-		ok := l.Pool.At(prev).Next.CompareAndSwap(cur, newRef)
-		h.h.EndOp()
-		h.h.ClearReservations()
-		if ok {
-			return true
-		}
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *NBRHandle) Remove(key int64) (int64, bool) {
-	l := h.l.List
-	for {
-		prev, cur, res := h.searchOnce(key)
-		switch res {
-		case srRestart:
-			continue
-		case srNotFound:
-			h.h.EndOp()
-			h.h.ClearReservations()
-			return 0, false
-		}
-		curN := l.At(cur)
-		next := curN.Next.Load()
-		if next.Tag() != 0 {
-			h.h.EndOp()
-			h.h.ClearReservations()
-			continue
-		}
-		val := curN.Val.Load()
-		if !curN.Next.CompareAndSwap(next, next.WithTag(lnode.MarkBit)) {
-			h.h.EndOp()
-			h.h.ClearReservations()
-			continue
-		}
-		if l.Pool.At(prev).Next.CompareAndSwap(cur, next) {
-			l.Pool.Hdr(cur.Slot()).Retire()
-			h.h.Retire(cur.Slot(), l.Pool)
-		}
-		h.h.EndOp()
-		h.h.ClearReservations()
-		return val, true
-	}
-}

@@ -1,308 +1,33 @@
 package hmlist
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/stats"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
 )
 
-// handle is the per-thread accessor interface every variant satisfies.
-type handle interface {
-	Get(key int64) (int64, bool)
-	Insert(key, val int64) bool
-	Remove(key int64) (int64, bool)
-	Unregister()
-}
-
-// variant describes one scheme-backed list under test.
-type variant struct {
-	name     string
-	register func() handle
-	stats    func() *stats.Reclamation
-	LenSlow  func() int
-	KeysSlow func() []int64
-}
-
-func variants() []variant {
-	nr := NewNR()
-	ebrL := NewEBR()
-	hpL := NewHP()
-	hprcu := NewHPRCU(core.Config{BackupPeriod: 4}) // small period: exercise phase switches
-	hpbrcu := NewHPBRCU(core.Config{BackupPeriod: 4})
-	return []variant{
-		{"NR", func() handle { return nr.Register() }, nr.Stats, nr.LenSlow, nr.KeysSlow},
-		{"EBR", func() handle { return ebrL.Register() }, ebrL.Stats, ebrL.LenSlow, ebrL.KeysSlow},
-		{"HP", func() handle { return hpL.Register() }, hpL.Stats, hpL.LenSlow, hpL.KeysSlow},
-		{"HP-RCU", func() handle { return hprcu.Register() }, hprcu.Stats, hprcu.LenSlow, hprcu.KeysSlow},
-		{"HP-BRCU", func() handle { return hpbrcu.Register() }, hpbrcu.Stats, hpbrcu.LenSlow, hpbrcu.KeysSlow},
+// variants builds the Harris-Michael list under every scheme its
+// constructors accept, fresh for each check.
+func variants() []listtest.Variant {
+	small := core.Config{BackupPeriod: 4} // small period: exercise phase switches
+	return []listtest.Variant{
+		listtest.Of("NR", true, false, NewNR()),
+		listtest.Of("EBR", true, true, NewEBR()),
+		listtest.Of("HP", true, true, NewHP()),
+		listtest.Of("HP-RCU", true, true, NewHPRCU(small)),
+		listtest.Of("HP-BRCU", true, true, NewHPBRCU(small)),
 	}
 }
 
-func TestSequentialSemantics(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
-
-			if _, ok := h.Get(1); ok {
-				t.Fatal("empty list must not contain 1")
-			}
-			if !h.Insert(1, 10) {
-				t.Fatal("first insert must succeed")
-			}
-			if h.Insert(1, 11) {
-				t.Fatal("duplicate insert must fail")
-			}
-			if got, ok := h.Get(1); !ok || got != 10 {
-				t.Fatalf("Get(1) = %d,%v want 10,true", got, ok)
-			}
-			if !h.Insert(5, 50) || !h.Insert(3, 30) || !h.Insert(4, 40) || !h.Insert(2, 20) {
-				t.Fatal("inserts failed")
-			}
-			if got := v.KeysSlow(); fmt.Sprint(got) != "[1 2 3 4 5]" {
-				t.Fatalf("keys = %v, want sorted 1..5", got)
-			}
-			if val, ok := h.Remove(3); !ok || val != 30 {
-				t.Fatalf("Remove(3) = %d,%v want 30,true", val, ok)
-			}
-			if _, ok := h.Remove(3); ok {
-				t.Fatal("double remove must fail")
-			}
-			if _, ok := h.Get(3); ok {
-				t.Fatal("removed key still present")
-			}
-			if v.LenSlow() != 4 {
-				t.Fatalf("len = %d, want 4", v.LenSlow())
-			}
-			// Re-insert a removed key (slot reuse path).
-			if !h.Insert(3, 33) {
-				t.Fatal("re-insert after remove must succeed")
-			}
-			if got, _ := h.Get(3); got != 33 {
-				t.Fatalf("Get(3) = %d want 33", got)
-			}
-		})
-	}
-}
-
-func TestSequentialBulk(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
-			const n = 500
-			perm := rand.New(rand.NewSource(1)).Perm(n)
-			for _, k := range perm {
-				if !h.Insert(int64(k), int64(k)*2) {
-					t.Fatalf("insert %d failed", k)
-				}
-			}
-			if v.LenSlow() != n {
-				t.Fatalf("len = %d want %d", v.LenSlow(), n)
-			}
-			for i := 0; i < n; i++ {
-				if got, ok := h.Get(int64(i)); !ok || got != int64(i)*2 {
-					t.Fatalf("Get(%d) = %d,%v", i, got, ok)
-				}
-			}
-			// Remove evens.
-			for i := 0; i < n; i += 2 {
-				if _, ok := h.Remove(int64(i)); !ok {
-					t.Fatalf("remove %d failed", i)
-				}
-			}
-			for i := 0; i < n; i++ {
-				_, ok := h.Get(int64(i))
-				if want := i%2 == 1; ok != want {
-					t.Fatalf("Get(%d) present=%v want %v", i, ok, want)
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentDisjointKeys: each worker owns a key stripe; after the run
-// every worker's final state must be visible.
-func TestConcurrentDisjointKeys(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 8
-			const perWorker = 200
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(base int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					for i := int64(0); i < perWorker; i++ {
-						k := base*perWorker + i
-						if !h.Insert(k, k) {
-							t.Errorf("insert %d failed", k)
-							return
-						}
-					}
-					for i := int64(0); i < perWorker; i += 2 {
-						k := base*perWorker + i
-						if _, ok := h.Remove(k); !ok {
-							t.Errorf("remove %d failed", k)
-							return
-						}
-					}
-				}(int64(w))
-			}
-			wg.Wait()
-
-			h := v.register()
-			defer h.Unregister()
-			for w := int64(0); w < workers; w++ {
-				for i := int64(0); i < perWorker; i++ {
-					k := w*perWorker + i
-					_, ok := h.Get(k)
-					if want := i%2 == 1; ok != want {
-						t.Fatalf("key %d present=%v want %v", k, ok, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentContendedKey: all workers fight over the same keys;
-// counters of successful inserts/removes per key must balance with final
-// presence.
-func TestConcurrentContendedKey(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 8
-			const iters = 500
-			const keys = 4
-			var ins, rem [keys]int64
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					var myIns, myRem [keys]int64
-					for i := 0; i < iters; i++ {
-						k := rng.Int63n(keys)
-						if rng.Intn(2) == 0 {
-							if h.Insert(k, k) {
-								myIns[k]++
-							}
-						} else {
-							if _, ok := h.Remove(k); ok {
-								myRem[k]++
-							}
-						}
-					}
-					mu.Lock()
-					for i := 0; i < keys; i++ {
-						ins[i] += myIns[i]
-						rem[i] += myRem[i]
-					}
-					mu.Unlock()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-
-			h := v.register()
-			defer h.Unregister()
-			for k := int64(0); k < keys; k++ {
-				_, present := h.Get(k)
-				diff := ins[k] - rem[k]
-				if diff != 0 && diff != 1 {
-					t.Fatalf("key %d: inserts-removes = %d, impossible", k, diff)
-				}
-				if present != (diff == 1) {
-					t.Fatalf("key %d: present=%v but inserts-removes=%d", k, present, diff)
-				}
-			}
-		})
-	}
-}
-
-// TestReclamationBalance: after heavy churn and a barrier, retired ==
-// reclaimed for reclaiming schemes, and nothing for NR.
-func TestReclamationBalance(t *testing.T) {
-	type drainer interface{ Barrier() }
-	build := []struct {
-		name  string
-		fresh func() (func() handle, func() *stats.Reclamation)
-	}{
-		{"EBR", func() (func() handle, func() *stats.Reclamation) {
-			l := NewEBR()
-			return func() handle { return l.Register() }, l.Stats
-		}},
-		{"HP", func() (func() handle, func() *stats.Reclamation) {
-			l := NewHP()
-			return func() handle { return l.Register() }, l.Stats
-		}},
-		{"HP-RCU", func() (func() handle, func() *stats.Reclamation) {
-			l := NewHPRCU(core.Config{})
-			return func() handle { return l.Register() }, l.Stats
-		}},
-		{"HP-BRCU", func() (func() handle, func() *stats.Reclamation) {
-			l := NewHPBRCU(core.Config{})
-			return func() handle { return l.Register() }, l.Stats
-		}},
-	}
-	for _, b := range build {
-		t.Run(b.name, func(t *testing.T) {
-			register, st := b.fresh()
-			const workers = 4
-			const iters = 2000
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := register()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < iters; i++ {
-						k := rng.Int63n(64)
-						if rng.Intn(2) == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
-					}
-					if d, ok := h.(drainer); ok {
-						d.Barrier()
-					}
-					h.Unregister()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-
-			// Drain from a fresh handle.
-			h := register()
-			if d, ok := h.(drainer); ok {
-				for i := 0; i < 8; i++ {
-					d.Barrier()
-				}
-			}
-			h.Unregister()
-
-			s := st().Snapshot()
-			if s.Retired == 0 {
-				t.Fatal("churn produced no retires; test is vacuous")
-			}
-			if s.Unreclaimed != 0 {
-				t.Fatalf("unreclaimed = %d after drain (retired=%d reclaimed=%d)",
-					s.Unreclaimed, s.Retired, s.Reclaimed)
-			}
-		})
-	}
-}
+func TestSequentialSemantics(t *testing.T)    { listtest.Sequential(t, variants()) }
+func TestSequentialBulk(t *testing.T)         { listtest.Bulk(t, variants()) }
+func TestConcurrentMixed(t *testing.T)        { listtest.ConcurrentMixed(t, variants()) }
+func TestConcurrentDisjointKeys(t *testing.T) { listtest.ConcurrentDisjoint(t, variants()) }
+func TestConcurrentContendedKey(t *testing.T) { listtest.ConcurrentContended(t, variants()) }
+func TestReclamationBalance(t *testing.T)     { listtest.ReclamationBalance(t, variants()) }
 
 // TestExpeditedLongTraversal drives a traversal much longer than the
 // backup period so checkpoints and (for BRCU) epoch refreshes actually

@@ -1,0 +1,328 @@
+// Package listtest is the conformance table of the sorted-list family:
+// every check a list or hash map must pass under every scheme, written
+// once and run by the tests of hlist, hmlist and hashmap over the
+// (structure, scheme) pairs their constructors accept. It is test support
+// — only _test files import it — and lives in a package of its own only
+// because three packages' tests share it.
+package listtest
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/smrgo/hpbrcu/internal/stats"
+)
+
+// Handle is the per-thread accessor every variant offers.
+type Handle interface {
+	Get(key int64) (int64, bool)
+	Insert(key, val int64) bool
+	Remove(key int64) (int64, bool)
+	Unregister()
+	Barrier()
+}
+
+// Variant is one freshly built (structure, scheme) pair.
+type Variant struct {
+	Name     string
+	Register func() Handle
+	Stats    func() *stats.Reclamation
+	// Keys scans the live keys; single-threaded use only.
+	Keys func() []int64
+	// Sorted reports that Keys is globally ordered (one list, not a map).
+	Sorted bool
+	// Drains reports that barriers reclaim everything retired (false for
+	// the NR baseline, which leaks by design).
+	Drains bool
+}
+
+// Of adapts a list or map of the family to a Variant.
+func Of[H Handle](name string, sorted, drains bool, s interface {
+	Register() H
+	Stats() *stats.Reclamation
+	KeysSlow() []int64
+}) Variant {
+	return Variant{
+		Name:     name,
+		Register: func() Handle { return s.Register() },
+		Stats:    s.Stats, Keys: s.KeysSlow, Sorted: sorted, Drains: drains,
+	}
+}
+
+// each runs check as one subtest per variant.
+func each(t *testing.T, vs []Variant, check func(t *testing.T, v Variant)) {
+	for _, v := range vs {
+		t.Run(v.Name, func(t *testing.T) { check(t, v) })
+	}
+}
+
+// gets returns the variant's lookups by name: Get, and GetOptimistic where
+// the handle has one (plain HP cannot).
+func gets(h Handle) map[string]func(int64) (int64, bool) {
+	m := map[string]func(int64) (int64, bool){"Get": h.Get}
+	if o, ok := h.(interface {
+		GetOptimistic(key int64) (int64, bool)
+	}); ok {
+		m["GetOptimistic"] = o.GetOptimistic
+	}
+	return m
+}
+
+// liveKeys returns the scanned keys in ascending order, checking that a
+// single list's scan already is.
+func liveKeys(t *testing.T, v Variant) []int64 {
+	t.Helper()
+	keys := v.Keys()
+	if v.Sorted {
+		for i := 1; i < len(keys); i++ {
+			if keys[i-1] >= keys[i] {
+				t.Fatalf("keys not strictly sorted: %v", keys)
+			}
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Sequential checks single-threaded map semantics: misses on empty,
+// ordered inserts, duplicate and double-remove rejection, removal seen by
+// every lookup, and re-insertion of a removed key (slot reuse).
+func Sequential(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		h := v.Register()
+		defer h.Unregister()
+		look := gets(h)
+		expect := func(key, want int64, present bool) {
+			t.Helper()
+			for name, get := range look {
+				if val, ok := get(key); ok != present || (ok && val != want) {
+					t.Fatalf("%s(%d) = %d,%v want %d,%v", name, key, val, ok, want, present)
+				}
+			}
+		}
+		expect(99, 0, false)
+		for _, k := range []int64{2, 1, 5, 3, 4} {
+			if !h.Insert(k, k*10) {
+				t.Fatalf("insert %d failed", k)
+			}
+		}
+		if h.Insert(2, 21) {
+			t.Fatal("duplicate insert succeeded")
+		}
+		if got := liveKeys(t, v); !slices.Equal(got, []int64{1, 2, 3, 4, 5}) {
+			t.Fatalf("keys = %v, want 1..5", got)
+		}
+		expect(2, 20, true)
+		if val, ok := h.Remove(3); !ok || val != 30 {
+			t.Fatalf("Remove(3) = %d,%v want 30,true", val, ok)
+		}
+		if _, ok := h.Remove(3); ok {
+			t.Fatal("double remove succeeded")
+		}
+		expect(3, 0, false)
+		if n := len(v.Keys()); n != 4 {
+			t.Fatalf("len = %d, want 4", n)
+		}
+		if !h.Insert(3, 33) {
+			t.Fatal("re-insert after remove failed")
+		}
+		expect(3, 33, true)
+	})
+}
+
+// Bulk inserts a permutation, removes every third key and checks every
+// key's presence and value through every lookup.
+func Bulk(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		h := v.Register()
+		defer h.Unregister()
+		const n = 600
+		for _, k := range rand.New(rand.NewSource(3)).Perm(n) {
+			if !h.Insert(int64(k), int64(k)*3) {
+				t.Fatalf("insert %d failed", k)
+			}
+		}
+		if got := len(v.Keys()); got != n {
+			t.Fatalf("len = %d want %d", got, n)
+		}
+		if h.Insert(n/2, 1) {
+			t.Fatal("duplicate insert succeeded")
+		}
+		for i := int64(0); i < n; i += 3 {
+			if val, ok := h.Remove(i); !ok || val != i*3 {
+				t.Fatalf("Remove(%d) = %d,%v", i, val, ok)
+			}
+		}
+		for name, get := range gets(h) {
+			for i := int64(0); i < n; i++ {
+				val, ok := get(i)
+				if want := i%3 != 0; ok != want || (ok && val != i*3) {
+					t.Fatalf("%s(%d) = %d,%v want present=%v", name, i, val, ok, want)
+				}
+			}
+		}
+	})
+}
+
+// workers runs body on n goroutines, each with its own handle and seed.
+func workers(v Variant, n int, body func(h Handle, w int, rng *rand.Rand)) {
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := v.Register()
+			defer h.Unregister()
+			body(h, w, rand.New(rand.NewSource(int64(w+1))))
+		}(w)
+	}
+	wg.Wait()
+}
+
+// ConcurrentMixed hammers a small key range with every operation, then
+// checks the quiescent state: the scan is sorted and duplicate-free, and
+// every lookup agrees with it.
+func ConcurrentMixed(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		const keyRange = 64
+		workers(v, 8, func(h Handle, _ int, rng *rand.Rand) {
+			look := gets(h)
+			for i := 0; i < 500; i++ {
+				k := rng.Int63n(keyRange)
+				switch rng.Intn(4) {
+				case 0:
+					h.Insert(k, k)
+				case 1:
+					h.Remove(k)
+				case 2:
+					h.Get(k)
+				default:
+					for _, get := range look {
+						get(k)
+					}
+				}
+			}
+		})
+		h := v.Register()
+		defer h.Unregister()
+		keys := liveKeys(t, v)
+		if len(slices.Compact(slices.Clone(keys))) != len(keys) {
+			t.Fatalf("duplicate keys: %v", keys)
+		}
+		for k := int64(0); k < keyRange; k++ {
+			_, present := slices.BinarySearch(keys, k)
+			for name, get := range gets(h) {
+				if _, ok := get(k); ok != present {
+					t.Fatalf("key %d: scan=%v %s=%v", k, present, name, ok)
+				}
+			}
+		}
+	})
+}
+
+// ConcurrentDisjoint gives each worker its own key stripe; every worker's
+// final state must be visible afterwards.
+func ConcurrentDisjoint(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		const nWorkers, perWorker = 8, 200
+		workers(v, nWorkers, func(h Handle, w int, _ *rand.Rand) {
+			base := int64(w) * perWorker
+			for k := base; k < base+perWorker; k++ {
+				if !h.Insert(k, k) {
+					t.Errorf("insert %d failed", k)
+					return
+				}
+			}
+			for k := base; k < base+perWorker; k += 2 {
+				if _, ok := h.Remove(k); !ok {
+					t.Errorf("remove %d failed", k)
+					return
+				}
+			}
+		})
+		h := v.Register()
+		defer h.Unregister()
+		for k := int64(0); k < nWorkers*perWorker; k++ {
+			if _, ok := h.Get(k); ok != (k%2 == 1) {
+				t.Fatalf("key %d present=%v want %v", k, ok, k%2 == 1)
+			}
+		}
+	})
+}
+
+// ConcurrentContended makes all workers fight over four keys: successful
+// inserts minus successful removes per key must be 0 or 1 and match the
+// key's final presence.
+func ConcurrentContended(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		const keys = 4
+		var (
+			mu   sync.Mutex
+			diff [keys]int64
+		)
+		workers(v, 8, func(h Handle, _ int, rng *rand.Rand) {
+			var mine [keys]int64
+			for i := 0; i < 500; i++ {
+				k := rng.Int63n(keys)
+				if rng.Intn(2) == 0 {
+					if h.Insert(k, k) {
+						mine[k]++
+					}
+				} else if _, ok := h.Remove(k); ok {
+					mine[k]--
+				}
+			}
+			mu.Lock()
+			for k := range diff {
+				diff[k] += mine[k]
+			}
+			mu.Unlock()
+		})
+		h := v.Register()
+		defer h.Unregister()
+		for k := int64(0); k < keys; k++ {
+			_, present := h.Get(k)
+			if d := diff[k]; (d != 0 && d != 1) || present != (d == 1) {
+				t.Fatalf("key %d: present=%v but inserts-removes=%d", k, present, d)
+			}
+		}
+	})
+}
+
+// ReclamationBalance churns, drains and checks the books: everything
+// retired is reclaimed. It skips variants that leak by design.
+func ReclamationBalance(t *testing.T, vs []Variant) {
+	each(t, vs, func(t *testing.T, v Variant) {
+		if !v.Drains {
+			t.Skip("leaks by design")
+		}
+		workers(v, 4, func(h Handle, _ int, rng *rand.Rand) {
+			for i := 0; i < 2500; i++ {
+				k := rng.Int63n(96)
+				if rng.Intn(2) == 0 {
+					h.Insert(k, k)
+				} else {
+					h.Remove(k)
+				}
+			}
+			h.Barrier()
+		})
+		// A single barrier can leave a couple of nodes in the HP half of
+		// two-step retirement; drain from a fresh handle.
+		h := v.Register()
+		for i := 0; i < 8; i++ {
+			h.Barrier()
+		}
+		h.Unregister()
+		s := v.Stats().Snapshot()
+		if s.Retired == 0 {
+			t.Fatal("churn produced no retires; test is vacuous")
+		}
+		if s.Unreclaimed != 0 {
+			t.Fatalf("unreclaimed = %d after drain (retired=%d reclaimed=%d)",
+				s.Unreclaimed, s.Retired, s.Reclaimed)
+		}
+	})
+}

@@ -40,20 +40,22 @@ type List struct {
 // the pool's reclamation granularity (alloc.ModePool when omitted).
 func New(mode ...alloc.Mode) *List {
 	pool := alloc.NewPool[Node](mode...)
-	cache := pool.NewCache()
-	slot, n := pool.Alloc(cache)
-	n.Key.Store(MinKey)
-	n.Next.Store(atomicx.Nil)
-	return &List{Pool: pool, Head: slot}
+	return NewShared(pool, pool.NewCache())
 }
 
-// NewShared creates a list whose nodes live in an existing pool (hash-map
-// buckets share one pool per map).
+// NewShared creates a list whose nodes live in an existing pool.
 func NewShared(pool *alloc.Pool[Node], cache *alloc.Cache[Node]) *List {
+	return &List{Pool: pool, Head: NewHead(pool, cache)}
+}
+
+// NewHead allocates one head sentinel in pool and returns its slot. A
+// sentinel is never retired, so a List is fully described by (Pool, Head):
+// the hash map keeps one head slot per bucket and no List at all.
+func NewHead(pool *alloc.Pool[Node], cache *alloc.Cache[Node]) uint64 {
 	slot, n := pool.Alloc(cache)
 	n.Key.Store(MinKey)
 	n.Next.Store(atomicx.Nil)
-	return &List{Pool: pool, Head: slot}
+	return slot
 }
 
 // At resolves a reference to its node, ignoring tag bits.

@@ -106,16 +106,9 @@ retry:
 	return found, saw
 }
 
-// Get returns the value mapped to key (full find, helps unlink).
-func (h *EBRHandle) Get(key int64) (int64, bool) {
-	h.h.Pin()
-	defer h.h.Unpin()
-	found, _ := h.find(key, atomicx.Nil)
-	if !found {
-		return 0, false
-	}
-	return h.l.l.at(h.succs[0]).Val.Load(), true
-}
+// Get is GetOptimistic — the configuration the paper evaluates on every
+// scheme but plain HP; the helping find serves Insert and Remove.
+func (h *EBRHandle) Get(key int64) (int64, bool) { return h.GetOptimistic(key) }
 
 // GetOptimistic is the wait-free-style get: it skips marked nodes without
 // unlinking them.

@@ -285,14 +285,9 @@ func (h *ExpeditedHandle) find(key int64, target atomicx.Ref) (cursor, bool) {
 	}
 }
 
-// Get returns the value mapped to key.
-func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
-	c, found := h.find(key, atomicx.Nil)
-	if !found {
-		return 0, false
-	}
-	return h.l.l.at(c.succs[0]).Val.Load(), true
-}
+// Get is GetOptimistic — the configuration the paper evaluates; the
+// helping find serves Insert and Remove.
+func (h *ExpeditedHandle) Get(key int64) (int64, bool) { return h.GetOptimistic(key) }
 
 // GetOptimistic is the wait-free-style get on the Traverse engine: it
 // skips marked nodes without helping (lock-free under HP-BRCU).

@@ -17,8 +17,9 @@
 // cost the paper shows in Figure 7d); HP-RCU / HP-BRCU via the Traverse
 // engine with helping unlinks inside abort-masked regions; and for every
 // non-HP scheme a wait-free-style GetOptimistic that skips marked nodes
-// without helping (lock-free under HP-BRCU, footnote 9). NBR does not
-// apply (Table 1): helping unlinks occur mid-traversal.
+// without helping (lock-free under HP-BRCU, footnote 9), which is also
+// their Get. NBR does not apply (Table 1): helping unlinks occur
+// mid-traversal.
 package skiplist
 
 import (

@@ -124,6 +124,11 @@ func (d *Domain) BindPool(p alloc.Binding) {
 	}
 	p.SetRecorder(d.rec)
 }
+
+// Handle is one thread's participation record: its phase word, its
+// reservation slots and its private retire batch. Not safe for concurrent
+// use by multiple goroutines; only the status word and the reservations
+// are read by other threads (reclaimers).
 type Handle struct {
 	status atomic.Uint64
 	_      atomicx.PadAfter

@@ -179,21 +179,15 @@ type guardedHandle struct {
 	poisoned bool  // a contained panic left inner unrestorable
 }
 
-// unwrapBase peels the package's own wrappers off a handle so interface
+// unwrapBase peels the package's own wrapper off a handle so interface
 // assertions (ContextHandle's methods, TryInserter) reach the structure
 // handle underneath — interface embedding hides methods the embedded
 // interface does not declare.
 func unwrapBase(h MapHandle) MapHandle {
-	for {
-		switch w := h.(type) {
-		case optimisticAsGet:
-			h = w.optimisticHandle
-		case pressureHandle:
-			h = w.MapHandle
-		default:
-			return h
-		}
+	if w, ok := h.(pressureHandle); ok {
+		return w.MapHandle
 	}
+	return h
 }
 
 // admit gates mutating and reading operations: closed maps and poisoned

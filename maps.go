@@ -1,13 +1,13 @@
 package hpbrcu
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hashmap"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
-	"github.com/smrgo/hpbrcu/internal/ds/hmlist"
 	"github.com/smrgo/hpbrcu/internal/ds/nmtree"
 	"github.com/smrgo/hpbrcu/internal/ds/skiplist"
 	"github.com/smrgo/hpbrcu/internal/ebr"
@@ -95,83 +95,124 @@ func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	return m
 }
 
-// optimisticHandle swaps Get for the wait-free-style optimistic get
-// (HHSList semantics).
-type optimisticHandle interface {
-	MapHandle
-	GetOptimistic(key int64) (int64, bool)
-}
-
-type optimisticAsGet struct{ optimisticHandle }
-
-func (h optimisticAsGet) Get(key int64) (int64, bool) { return h.GetOptimistic(key) }
-
-func (c Config) ebrOpts() []ebr.Option {
-	return []ebr.Option{ebr.WithBatchSize(c.BatchSize), ebr.WithAllocator(c.Allocator.mode())}
+func (c Config) ebrOpts(s Scheme) []ebr.Option {
+	opts := []ebr.Option{ebr.WithBatchSize(c.BatchSize), ebr.WithAllocator(c.Allocator.mode())}
+	if s == NR {
+		opts = append(opts, ebr.NoReclaim())
+	}
+	return opts
 }
 
 func (c Config) hpOpts() []hp.Option {
 	return []hp.Option{hp.WithScanThreshold(c.BatchSize), hp.WithAllocator(c.Allocator.mode())}
 }
 
-func (c Config) nbrOpts(large bool) []nbr.Option {
-	if large {
-		return []nbr.Option{nbr.WithBatchSize(nbr.LargeBatchSize), nbr.WithAllocator(c.Allocator.mode())}
+func (c Config) nbrOpts(s Scheme) []nbr.Option {
+	batch := c.BatchSize
+	if s == NBRLarge {
+		batch = nbr.LargeBatchSize
 	}
-	return []nbr.Option{nbr.WithBatchSize(c.BatchSize), nbr.WithAllocator(c.Allocator.mode())}
+	return []nbr.Option{nbr.WithBatchSize(batch), nbr.WithAllocator(c.Allocator.mode())}
+}
+
+// backend maps HPRCU/HPBRCU to the core backend behind them.
+func (s Scheme) backend() core.Backend {
+	if s == HPRCU {
+		return core.BackendRCU
+	}
+	return core.BackendBRCU
+}
+
+// structure is what every data-structure variant offers the adapter: a
+// typed Register and its books.
+type structure[H MapHandle] interface {
+	Register() H
+	Stats() *stats.Reclamation
+}
+
+// plain adapts a variant without an HP-(B)RCU domain to Map.
+func plain[H MapHandle](s Scheme, cfg Config, l structure[H]) (Map, error) {
+	m := &mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}
+	return m.withPool(cfg), nil
+}
+
+// expedited adapts an HP-RCU/HP-BRCU variant to Map.
+func expedited[H MapHandle](s Scheme, cfg Config, l interface {
+	structure[H]
+	Domain() *core.Domain
+}) (Map, error) {
+	m := &mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}
+	return m.withDomain(l.Domain(), cfg), nil
+}
+
+// listStructure indexes listFamily.
+type listStructure int
+
+const (
+	hList listStructure = iota
+	hhsList
+	hmList
+	hashMap
+)
+
+// listFamily is the applicability table (Table 1) of the sorted-list
+// family: each public structure is one hlist kind plus the schemes that
+// apply to it. The structures differ in nothing else — HashMap is the same
+// list with `buckets` head sentinels.
+var listFamily = [...]struct {
+	name    string
+	kind    hlist.Kind // under every scheme that takes one (not HP, not VBR)
+	schemes []Scheme
+}{
+	hList:   {"HList", hlist.Harris, []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
+	hhsList: {"HHSList", hlist.HHS, []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
+	hmList:  {"HMList", hlist.HarrisMichael, []Scheme{NR, RCU, HP, HPRCU, HPBRCU}},
+	hashMap: {"HashMap", hlist.HHS, []Scheme{NR, RCU, HP, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
+}
+
+// newListFamily builds structure st with the given number of head
+// sentinels under scheme s: one row of listFamily, one constructor per
+// scheme.
+func newListFamily(st listStructure, s Scheme, heads int, cfg Config) (Map, error) {
+	row := &listFamily[st]
+	if !slices.Contains(row.schemes, s) {
+		return nil, &ErrUnsupported{Structure: row.name, Scheme: s}
+	}
+	switch s {
+	case NR, RCU:
+		return plain(s, cfg, hlist.NewEBROf(row.kind, heads, cfg.ebrOpts(s)...))
+	case HP: // Harris-Michael whatever the row says: Figure 2
+		return plain(s, cfg, hlist.NewHPOf(heads, cfg.hpOpts()...))
+	case NBR, NBRLarge:
+		return plain(s, cfg, hlist.NewNBROf(row.kind, heads, cfg.nbrOpts(s)...))
+	case VBR: // its own list algorithm (internal/vbr), optimistic Get for every kind
+		if st == hashMap {
+			return plain(s, cfg, hashmap.NewVBR(heads, cfg.Allocator.mode()))
+		}
+		return plain(s, cfg, vbr.New(cfg.Allocator.mode()))
+	default: // HPRCU, HPBRCU
+		return expedited(s, cfg, hlist.NewExpeditedOf(s.backend(), row.kind, heads, cfg.CoreConfig()))
+	}
 }
 
 // NewHList creates Harris's linked list [Harris 2001] (optimistic
 // traversal; gets help with run excision). Supported schemes: NR, RCU,
 // NBR(-Large), HP-RCU, HP-BRCU. Plain HP does not apply (Figure 2).
 func NewHList(s Scheme, cfg Config) (Map, error) {
-	return newHarrisList(s, cfg, false)
+	if cfg.Shards.Count > 1 {
+		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHList(s, c) })
+	}
+	return newListFamily(hList, s, 1, cfg)
 }
 
 // NewHHSList creates the paper's HHSList: Harris's list whose get is the
 // Herlihy-Shavit wait-free-style contains (no helping). Same scheme
 // support as NewHList.
 func NewHHSList(s Scheme, cfg Config) (Map, error) {
-	return newHarrisList(s, cfg, true)
-}
-
-func newHarrisList(s Scheme, cfg Config, optimisticGet bool) (Map, error) {
 	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) {
-			return newHarrisList(s, c, optimisticGet)
-		})
+		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHHSList(s, c) })
 	}
-	wrap := func(reg func() optimisticHandle) func() MapHandle {
-		if optimisticGet {
-			return func() MapHandle { return optimisticAsGet{reg()} }
-		}
-		return func() MapHandle { return reg() }
-	}
-	switch s {
-	case NR:
-		l := hlist.NewNR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withPool(cfg), nil
-	case RCU:
-		l := hlist.NewEBR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withPool(cfg), nil
-	case NBR, NBRLarge:
-		l := hlist.NewNBR(cfg.nbrOpts(s == NBRLarge)...)
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withPool(cfg), nil
-	case HPRCU:
-		l := hlist.NewHPRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withDomain(l.Domain(), cfg), nil
-	case HPBRCU:
-		l := hlist.NewHPBRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withDomain(l.Domain(), cfg), nil
-	case VBR:
-		l := vbr.New(cfg.Allocator.mode())
-		return (&mapImpl{scheme: s, reg: wrap(func() optimisticHandle { return l.Register() }), st: l.Stats}).withPool(cfg), nil
-	}
-	name := "HList"
-	if optimisticGet {
-		name = "HHSList"
-	}
-	return nil, &ErrUnsupported{Structure: name, Scheme: s}
+	return newListFamily(hhsList, s, 1, cfg)
 }
 
 // NewHMList creates the Harris-Michael linked list [Michael 2002]
@@ -181,24 +222,7 @@ func NewHMList(s Scheme, cfg Config) (Map, error) {
 	if cfg.Shards.Count > 1 {
 		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHMList(s, c) })
 	}
-	switch s {
-	case NR:
-		l := hmlist.NewNR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
-	case RCU:
-		l := hmlist.NewEBR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
-	case HP:
-		l := hmlist.NewHP(cfg.hpOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
-	case HPRCU:
-		l := hmlist.NewHPRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
-	case HPBRCU:
-		l := hmlist.NewHPBRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
-	}
-	return nil, &ErrUnsupported{Structure: "HMList", Scheme: s}
+	return newListFamily(hmList, s, 1, cfg)
 }
 
 // NewHashMap creates the paper's chaining hash table (§6): buckets are
@@ -214,30 +238,7 @@ func NewHashMap(s Scheme, buckets int, cfg Config) (Map, error) {
 		per := (buckets + n - 1) / n
 		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHashMap(s, per, c) })
 	}
-	switch s {
-	case NR:
-		m := hashmap.NewNR(buckets, cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withPool(cfg), nil
-	case RCU:
-		m := hashmap.NewEBR(buckets, cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withPool(cfg), nil
-	case HP:
-		m := hashmap.NewHP(buckets, cfg.hpOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withPool(cfg), nil
-	case NBR, NBRLarge:
-		m := hashmap.NewNBR(buckets, cfg.nbrOpts(s == NBRLarge)...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withPool(cfg), nil
-	case HPRCU:
-		m := hashmap.NewHPRCU(buckets, cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withDomain(m.Domain(), cfg), nil
-	case HPBRCU:
-		m := hashmap.NewHPBRCU(buckets, cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withDomain(m.Domain(), cfg), nil
-	case VBR:
-		m := hashmap.NewVBR(buckets, cfg.Allocator.mode())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return m.Register() }, st: m.Stats}).withPool(cfg), nil
-	}
-	return nil, &ErrUnsupported{Structure: "HashMap", Scheme: s}
+	return newListFamily(hashMap, s, buckets, cfg)
 }
 
 // DefaultBuckets sizes a hash map for a key range at the paper's chain
@@ -252,21 +253,14 @@ func NewSkipList(s Scheme, cfg Config) (Map, error) {
 		return newSharded(s, cfg, func(c Config) (Map, error) { return NewSkipList(s, c) })
 	}
 	switch s {
-	case NR:
-		l := skiplist.NewNR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return optimisticAsGet{l.Register()} }, st: l.Stats}).withPool(cfg), nil
-	case RCU:
-		l := skiplist.NewEBR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return optimisticAsGet{l.Register()} }, st: l.Stats}).withPool(cfg), nil
+	case NR, RCU:
+		return plain(s, cfg, skiplist.NewEBR(cfg.ebrOpts(s)...))
 	case HP:
-		l := skiplist.NewHP(cfg.hpOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
+		return plain(s, cfg, skiplist.NewHP(cfg.hpOpts()...))
 	case HPRCU:
-		l := skiplist.NewHPRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return optimisticAsGet{l.Register()} }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
+		return expedited(s, cfg, skiplist.NewHPRCU(cfg.CoreConfig()))
 	case HPBRCU:
-		l := skiplist.NewHPBRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return optimisticAsGet{l.Register()} }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
+		return expedited(s, cfg, skiplist.NewHPBRCU(cfg.CoreConfig()))
 	}
 	return nil, &ErrUnsupported{Structure: "SkipList", Scheme: s}
 }
@@ -279,21 +273,14 @@ func NewNMTree(s Scheme, cfg Config) (Map, error) {
 		return newSharded(s, cfg, func(c Config) (Map, error) { return NewNMTree(s, c) })
 	}
 	switch s {
-	case NR:
-		l := nmtree.NewNR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
-	case RCU:
-		l := nmtree.NewEBR(cfg.ebrOpts()...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
+	case NR, RCU:
+		return plain(s, cfg, nmtree.NewEBR(cfg.ebrOpts(s)...))
 	case NBR, NBRLarge:
-		l := nmtree.NewNBR(cfg.nbrOpts(s == NBRLarge)...)
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withPool(cfg), nil
+		return plain(s, cfg, nmtree.NewNBR(cfg.nbrOpts(s)...))
 	case HPRCU:
-		l := nmtree.NewHPRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
+		return expedited(s, cfg, nmtree.NewHPRCU(cfg.CoreConfig()))
 	case HPBRCU:
-		l := nmtree.NewHPBRCU(cfg.CoreConfig())
-		return (&mapImpl{scheme: s, reg: func() MapHandle { return l.Register() }, st: l.Stats}).withDomain(l.Domain(), cfg), nil
+		return expedited(s, cfg, nmtree.NewHPBRCU(cfg.CoreConfig()))
 	}
 	return nil, &ErrUnsupported{Structure: "NMTree", Scheme: s}
 }

@@ -1,12 +1,12 @@
 package hpbrcu
 
 // Promotion audit: the decorator stack Register builds — pressureHandle
-// (backpressure), optimisticAsGet (HHSList get swap), guardedHandle
-// (lifecycle guard) — must keep promoting the optional handle interfaces
-// (TryInserter, ContextHandle) and the optimistic get no matter how the
-// wrappers compose. Interface embedding hides undeclared methods, so each
-// wrap is a place promotion can silently break; these assertions and the
-// per-decorator tests pin it.
+// (backpressure), guardedHandle (lifecycle guard) — must keep promoting
+// the optional handle interfaces (TryInserter, ContextHandle) and the
+// optimistic get no matter how the wrappers compose. Interface embedding
+// hides undeclared methods, so each wrap is a place promotion can silently
+// break; these assertions and the per-decorator tests pin it. The HHSList
+// get swap is not a wrap: the structure picks its Get at construction.
 
 import (
 	"context"
@@ -110,14 +110,14 @@ func TestPromotionThroughOptimisticWrap(t *testing.T) {
 	}
 	defer Close(m, 5*time.Second)
 	g := m.Register().(*guardedHandle)
-	if _, ok := g.inner.(optimisticAsGet); !ok {
-		t.Fatalf("HHSList wrapped the handle in %T, want optimisticAsGet", g.inner)
+	if g.inner != g.base {
+		t.Fatalf("HHSList wrapped the structure handle in %T; its Get is chosen at construction, not by a wrap", g.inner)
 	}
 	if _, ok := g.base.(optimisticGetter); !ok {
-		t.Fatalf("unwrapBase failed to peel optimisticAsGet: base is %T", g.base)
+		t.Fatalf("structure handle %T does not expose GetOptimistic", g.base)
 	}
 	if _, ok := g.base.(ctxGetter); !ok {
-		t.Fatalf("optimistic wrap hid the structure GetCtx: base is %T", g.base)
+		t.Fatalf("structure handle %T does not expose GetCtx", g.base)
 	}
 	exerciseHandle(t, g, 33)
 	// The optimistic swap must still be in effect through the guard.
