@@ -27,6 +27,8 @@ var docCheckDirs = []string{
 	"internal/brcu",
 	"internal/core",
 	"internal/ds/hlist",
+	"internal/ds/nmtree",
+	"internal/ds/skiplist",
 	"internal/ebr",
 	"internal/hp",
 	"internal/nbr",

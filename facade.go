@@ -2,17 +2,16 @@ package hpbrcu
 
 // Handle-free facade: the error-returning operation methods of the Map
 // interface. Each operation checks a registered handle out of a
-// lock-free tiered pool (internal/pool), runs through the full decorator
-// stack — backpressure gate, lifecycle guard, panic containment — and
-// returns the handle on every path, including panics and context
-// cancellation. The §5 garbage bound thereby scales with the pool size,
-// not the goroutine count; see DESIGN.md §12 for the safety argument.
+// lock-free tiered pool (internal/pool), runs through its lifecycle guard
+// — backpressure gate, panic containment — and returns the handle on
+// every path, including panics and context cancellation. The §5 garbage
+// bound thereby scales with the pool size, not the goroutine count; see
+// DESIGN.md §12 for the safety argument.
 
 import (
 	"context"
 	"time"
 
-	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/pool"
 )
@@ -26,24 +25,11 @@ import (
 // — the failure mode the pool exists to prevent.
 var ErrHandleExhausted = pool.ErrExhausted
 
-// coreHandled is implemented by the expedited structure handles, whose
-// composed HP-(B)RCU participation record carries the lease and reap
-// state the pool's leak sweep consults.
-type coreHandled interface {
-	Core() *core.Handle
-}
-
-// pooledHandle is one pooled checkout resource: the fully decorated
-// handle plus its participation record (nil for schemes without an
-// HP-(B)RCU domain, where the reaper integration degrades to no-ops).
-type pooledHandle struct {
-	g    *guardedHandle
-	core *core.Handle
-}
-
 // handlePool aliases the instantiated pool so mapImpl can hold an
-// atomic.Pointer to it.
-type handlePool = pool.Pool[*pooledHandle]
+// atomic.Pointer to it. The pooled resource is the guarded handle itself;
+// on schemes without an HP-(B)RCU domain its core is nil and the reaper
+// integration degrades to no-ops.
+type handlePool = pool.Pool[*guardedHandle]
 
 // pool returns the map's handle pool, creating it on first use. Lazy
 // creation keeps registered-handle-only users at zero cost and lets the
@@ -57,25 +43,18 @@ func (m *mapImpl) pool() *handlePool {
 	if p := m.hpool.Load(); p != nil {
 		return p
 	}
-	p := pool.New(pool.Config[*pooledHandle]{
+	p := pool.New(pool.Config[*guardedHandle]{
 		Size:           m.poolCfg.Size,
 		AcquireTimeout: m.poolCfg.AcquireTimeout,
 		LeakTimeout:    m.poolCfg.LeakTimeout,
 		Rec:            m.st(),
-		New: func() *pooledHandle {
-			g := m.Register().(*guardedHandle)
-			ph := &pooledHandle{g: g}
-			if ch, ok := g.base.(coreHandled); ok {
-				ph.core = ch.Core()
-			}
-			return ph
-		},
+		New:            func() *guardedHandle { return m.Register().(*guardedHandle) },
 		// Retire owns the disposal of a handle the pool (or the borrower)
 		// holds outright. The guard's Unregister already refuses poisoned
 		// handles — their garbage is the lease reaper's to adopt — and
 		// works after Close, which is exactly when the drain runs.
-		Retire: func(ph *pooledHandle) { ph.g.Unregister() },
-		Reaped: func(ph *pooledHandle) bool { return ph.core != nil && ph.core.Reaped() },
+		Retire: (*guardedHandle).Unregister,
+		Reaped: func(g *guardedHandle) bool { return g.core != nil && g.core.Reaped() },
 	})
 	m.hpool.Store(p)
 	if m.closed.Load() {
@@ -88,7 +67,7 @@ func (m *mapImpl) pool() *handlePool {
 
 // checkout acquires a pooled handle, translating pool errors into the
 // package's lifecycle vocabulary. ctx may be nil.
-func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*pooledHandle], error) {
+func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*guardedHandle], error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -96,15 +75,12 @@ func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*pooledHandle], err
 	if err == nil {
 		return e, nil
 	}
-	if err == pool.ErrClosed {
-		return nil, ErrClosed
-	}
 	// An acquire that lost its bounded wait while Close was already in
 	// flight must report the truthful cause: the wait ended because the
 	// pool was draining, not because capacity ran out — callers treat
 	// ErrHandleExhausted as "retry later", which a closed map will never
 	// honour. Context errors stay the caller's own.
-	if err == pool.ErrExhausted && m.closed.Load() {
+	if err == pool.ErrClosed || err == pool.ErrExhausted && m.closed.Load() {
 		return nil, ErrClosed
 	}
 	return nil, err
@@ -118,11 +94,11 @@ func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*pooledHandle], err
 // panics are rare, capacity is re-mintable, and a poisoned handle must
 // not be reused at all. The SitePoolLeak fault hook simulates a borrower
 // dying with the checkout, which is the leak sweep's job to survive.
-func (m *mapImpl) checkin(e *pool.Entry[*pooledHandle], completed bool) {
+func (m *mapImpl) checkin(e *pool.Entry[*guardedHandle], completed bool) {
 	if fault.On && fault.Fire(fault.SitePoolLeak) {
 		return
 	}
-	g := e.Res().g
+	g := e.Res()
 	if !completed || g.poisoned {
 		m.pool().Discard(e)
 		return
@@ -141,11 +117,10 @@ func (m *mapImpl) Get(key int64) (v int64, ok bool, err error) {
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	g := e.Res().g
+	g := e.Res()
 	v, ok = g.Get(key)
-	err = g.err
 	completed = true
-	return v, ok, err
+	return v, ok, g.err
 }
 
 // GetCtx implements the handle-free Map.GetCtx: ctx bounds both the
@@ -158,7 +133,7 @@ func (m *mapImpl) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err 
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	v, ok, err = e.Res().g.GetCtx(ctx, key)
+	v, ok, err = e.Res().GetCtx(ctx, key)
 	completed = true
 	return v, ok, err
 }
@@ -171,11 +146,10 @@ func (m *mapImpl) Insert(key, val int64) (ok bool, err error) {
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	g := e.Res().g
+	g := e.Res()
 	ok = g.Insert(key, val)
-	err = g.err
 	completed = true
-	return ok, err
+	return ok, g.err
 }
 
 // TryInsert implements the handle-free Map.TryInsert: Insert through the
@@ -190,7 +164,7 @@ func (m *mapImpl) TryInsert(key, val int64) (ok bool, err error) {
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	ok, err = e.Res().g.TryInsert(key, val)
+	ok, err = e.Res().TryInsert(key, val)
 	completed = true
 	return ok, err
 }
@@ -203,11 +177,10 @@ func (m *mapImpl) Remove(key int64) (v int64, ok bool, err error) {
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	g := e.Res().g
+	g := e.Res()
 	v, ok = g.Remove(key)
-	err = g.err
 	completed = true
-	return v, ok, err
+	return v, ok, g.err
 }
 
 // Barrier implements the handle-free Map.Barrier.
@@ -218,9 +191,8 @@ func (m *mapImpl) Barrier() (err error) {
 	}
 	completed := false
 	defer func() { m.checkin(e, completed) }()
-	g := e.Res().g
+	g := e.Res()
 	g.Barrier()
-	err = g.err
 	completed = true
-	return err
+	return g.err
 }

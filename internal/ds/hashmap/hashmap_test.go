@@ -37,3 +37,6 @@ func TestConcurrentContendedKey(t *testing.T) { listtest.ConcurrentContended(t, 
 // TestReclamationAcrossBuckets: one domain and one pool serve all buckets,
 // so the books must balance map-wide.
 func TestReclamationAcrossBuckets(t *testing.T) { listtest.ReclamationBalance(t, variants(8)) }
+
+// TestChurn: 1 024 keys over 256 buckets, about two live keys a chain.
+func TestChurn(t *testing.T) { listtest.Churn(t, variants(256)) }

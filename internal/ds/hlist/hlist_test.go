@@ -43,6 +43,7 @@ func TestConcurrentMixed(t *testing.T)           { listtest.ConcurrentMixed(t, v
 func TestConcurrentDisjointKeys(t *testing.T)    { listtest.ConcurrentDisjoint(t, variants()) }
 func TestConcurrentContendedKey(t *testing.T)    { listtest.ConcurrentContended(t, variants()) }
 func TestReclamationBalance(t *testing.T)        { listtest.ReclamationBalance(t, variants()) }
+func TestChurn(t *testing.T)                     { listtest.Churn(t, variants()) }
 
 // handle adds the handle's shared half to the conformance surface, so the
 // two tests below can stage marked runs and inspect one excision.

@@ -28,6 +28,7 @@ func TestConcurrentMixed(t *testing.T)        { listtest.ConcurrentMixed(t, vari
 func TestConcurrentDisjointKeys(t *testing.T) { listtest.ConcurrentDisjoint(t, variants()) }
 func TestConcurrentContendedKey(t *testing.T) { listtest.ConcurrentContended(t, variants()) }
 func TestReclamationBalance(t *testing.T)     { listtest.ReclamationBalance(t, variants()) }
+func TestChurn(t *testing.T)                  { listtest.Churn(t, variants()) }
 
 // TestExpeditedLongTraversal drives a traversal much longer than the
 // backup period so checkpoints and (for BRCU) epoch refreshes actually

@@ -1,17 +1,21 @@
-// Package listtest is the conformance table of the sorted-list family:
-// every check a list or hash map must pass under every scheme, written
-// once and run by the tests of hlist, hmlist and hashmap over the
-// (structure, scheme) pairs their constructors accept. It is test support
-// — only _test files import it — and lives in a package of its own only
-// because three packages' tests share it.
+// Package listtest is the conformance table of the ordered maps: every
+// check a list, hash map, skip list or tree must pass under every scheme,
+// written once and run by the tests of hlist, hmlist, hashmap, skiplist
+// and nmtree over the (structure, scheme) pairs their constructors accept.
+// It is test support — only _test files import it — and lives in a package
+// of its own only because five packages' tests share it.
 package listtest
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
@@ -36,19 +40,27 @@ type Variant struct {
 	// Drains reports that barriers reclaim everything retired (false for
 	// the NR baseline, which leaks by design).
 	Drains bool
+	// Check verifies the structure's own quiescent invariants (the skip
+	// list's towers); nil where Keys says it all. Single-threaded use only.
+	Check func() error
 }
 
-// Of adapts a list or map of the family to a Variant.
+// Of adapts a structure to a Variant; its CheckSlow, if it has one, becomes
+// the variant's Check.
 func Of[H Handle](name string, sorted, drains bool, s interface {
 	Register() H
 	Stats() *stats.Reclamation
 	KeysSlow() []int64
 }) Variant {
-	return Variant{
+	v := Variant{
 		Name:     name,
 		Register: func() Handle { return s.Register() },
 		Stats:    s.Stats, Keys: s.KeysSlow, Sorted: sorted, Drains: drains,
 	}
+	if c, ok := any(s).(interface{ CheckSlow() error }); ok {
+		v.Check = c.CheckSlow
+	}
+	return v
 }
 
 // each runs check as one subtest per variant.
@@ -70,10 +82,16 @@ func gets(h Handle) map[string]func(int64) (int64, bool) {
 	return m
 }
 
-// liveKeys returns the scanned keys in ascending order, checking that a
-// single list's scan already is.
+// liveKeys returns the scanned keys in ascending order, checking the
+// structure's own invariants and that a single list's scan already is
+// sorted. Every check below calls it after its last write.
 func liveKeys(t *testing.T, v Variant) []int64 {
 	t.Helper()
+	if v.Check != nil {
+		if err := v.Check(); err != nil {
+			t.Fatalf("structure check: %v", err)
+		}
+	}
 	keys := v.Keys()
 	if v.Sorted {
 		for i := 1; i < len(keys); i++ {
@@ -129,6 +147,9 @@ func Sequential(t *testing.T, vs []Variant) {
 			t.Fatal("re-insert after remove failed")
 		}
 		expect(3, 33, true)
+		if n := len(liveKeys(t, v)); n != 5 {
+			t.Fatalf("len = %d, want 5", n)
+		}
 	})
 }
 
@@ -144,7 +165,7 @@ func Bulk(t *testing.T, vs []Variant) {
 				t.Fatalf("insert %d failed", k)
 			}
 		}
-		if got := len(v.Keys()); got != n {
+		if got := len(liveKeys(t, v)); got != n {
 			t.Fatalf("len = %d want %d", got, n)
 		}
 		if h.Insert(n/2, 1) {
@@ -154,6 +175,9 @@ func Bulk(t *testing.T, vs []Variant) {
 			if val, ok := h.Remove(i); !ok || val != i*3 {
 				t.Fatalf("Remove(%d) = %d,%v", i, val, ok)
 			}
+		}
+		if got := len(liveKeys(t, v)); got != n-n/3 {
+			t.Fatalf("len = %d want %d", got, n-n/3)
 		}
 		for name, get := range gets(h) {
 			for i := int64(0); i < n; i++ {
@@ -244,6 +268,9 @@ func ConcurrentDisjoint(t *testing.T, vs []Variant) {
 		})
 		h := v.Register()
 		defer h.Unregister()
+		if got := len(liveKeys(t, v)); got != nWorkers*perWorker/2 {
+			t.Fatalf("len = %d want %d", got, nWorkers*perWorker/2)
+		}
 		for k := int64(0); k < nWorkers*perWorker; k++ {
 			if _, ok := h.Get(k); ok != (k%2 == 1) {
 				t.Fatalf("key %d present=%v want %v", k, ok, k%2 == 1)
@@ -282,6 +309,7 @@ func ConcurrentContended(t *testing.T, vs []Variant) {
 		})
 		h := v.Register()
 		defer h.Unregister()
+		liveKeys(t, v)
 		for k := int64(0); k < keys; k++ {
 			_, present := h.Get(k)
 			if d := diff[k]; (d != 0 && d != 1) || present != (d == 1) {
@@ -309,20 +337,112 @@ func ReclamationBalance(t *testing.T, vs []Variant) {
 			}
 			h.Barrier()
 		})
-		// A single barrier can leave a couple of nodes in the HP half of
-		// two-step retirement; drain from a fresh handle.
-		h := v.Register()
-		for i := 0; i < 8; i++ {
-			h.Barrier()
+		drained(t, v)
+	})
+}
+
+// drained runs the 8-barrier drain from a fresh handle — a single barrier
+// can leave a couple of nodes in the HP half of two-step retirement — and
+// checks the books: something was retired, and all of it was reclaimed.
+func drained(t *testing.T, v Variant) {
+	t.Helper()
+	h := v.Register()
+	for i := 0; i < 8; i++ {
+		h.Barrier()
+	}
+	h.Unregister()
+	s := v.Stats().Snapshot()
+	if s.Retired == 0 {
+		t.Fatal("churn produced no retires; test is vacuous")
+	}
+	if s.Unreclaimed != 0 {
+		t.Fatalf("unreclaimed = %d after drain (retired=%d reclaimed=%d)",
+			s.Unreclaimed, s.Retired, s.Reclaimed)
+	}
+}
+
+// Churn parameters: two workers on two cores, long enough that a node
+// retired while still linked gets its slot recycled under a live link —
+// the wedge the eight-worker, few-thousand-operation checks above are too
+// short to reach (at 1 024 keys it took ~5 M operations).
+const (
+	churnKeys  = 1024
+	churnOps   = 8 << 20
+	churnTime  = 6 * time.Second
+	churnStall = 2 * time.Second
+)
+
+// Churn runs 50/50 Insert/Remove from two registered handles until
+// churnOps operations or churnTime, failing with every goroutine's stack
+// when no operation completes for churnStall (a livelocked structure never
+// returns, so a plain wait would hang the test instead of failing it).
+// Afterwards the structure must pass its quiescent check and, where the
+// scheme drains, balance its books.
+func Churn(t *testing.T, vs []Variant) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs two cores: the interleavings it looks for do not occur on one")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	each(t, vs, func(t *testing.T, v Variant) {
+		var ops atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := uint64(1); w <= 2; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				h := v.Register()
+				defer h.Unregister()
+				rng := atomicx.NewRand(seed)
+				for !stop.Load() {
+					const batch = 64 // keeps the shared counter off the operations' path
+					for i := 0; i < batch; i++ {
+						r := rng.Next()
+						if k := int64((r >> 1) % churnKeys); r&1 == 0 {
+							h.Insert(k, k)
+						} else {
+							h.Remove(k)
+						}
+					}
+					if ops.Add(batch) >= churnOps {
+						stop.Store(true)
+					}
+				}
+				h.Barrier()
+			}(w)
 		}
-		h.Unregister()
-		s := v.Stats().Snapshot()
-		if s.Retired == 0 {
-			t.Fatal("churn produced no retires; test is vacuous")
+		exited := make(chan struct{})
+		go func() { wg.Wait(); close(exited) }()
+
+		start := time.Now()
+		seen, moved := int64(0), start
+	watch:
+		for {
+			select {
+			case <-exited:
+				break watch
+			case now := <-time.After(50 * time.Millisecond):
+				if n := ops.Load(); n != seen {
+					seen, moved = n, now
+				} else if now.Sub(moved) > churnStall {
+					buf := make([]byte, 1<<20)
+					buf = buf[:runtime.Stack(buf, true)]
+					t.Fatalf("no operation completed for %v after %d operations in %v: livelock\n%s",
+						churnStall, seen, moved.Sub(start).Round(time.Millisecond), buf)
+				}
+				if now.Sub(start) > churnTime {
+					stop.Store(true)
+				}
+			}
 		}
-		if s.Unreclaimed != 0 {
-			t.Fatalf("unreclaimed = %d after drain (retired=%d reclaimed=%d)",
-				s.Unreclaimed, s.Retired, s.Reclaimed)
+		keys := liveKeys(t, v)
+		if len(slices.Compact(slices.Clone(keys))) != len(keys) {
+			t.Fatalf("duplicate keys: %v", keys)
+		}
+		if v.Drains {
+			drained(t, v)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package nmtree
 
 import (
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -10,15 +9,15 @@ import (
 // EBR is a Natarajan-Mittal tree protected by epoch-based RCU (or nothing
 // in NR mode).
 type EBR struct {
-	t   *tree
+	tree
 	dom *ebr.Domain
 }
 
 // NewEBR creates a tree reclaimed by epoch-based RCU.
 func NewEBR(opts ...ebr.Option) *EBR {
 	dom := ebr.NewDomain(nil, opts...)
-	e := &EBR{t: newTree(dom.AllocMode()), dom: dom}
-	dom.BindPool(e.t.pool)
+	e := &EBR{tree: newTree(dom.AllocMode()), dom: dom}
+	dom.BindPool(e.pool)
 	return e
 }
 
@@ -31,20 +30,17 @@ func NewNR(opts ...ebr.Option) *EBR {
 // Stats exposes reclamation statistics.
 func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 
-// LenSlow and KeysSlow are single-threaded structural checks.
-func (l *EBR) LenSlow() int      { return l.t.lenSlow() }
-func (l *EBR) KeysSlow() []int64 { return l.t.keysSlow() }
-
 // EBRHandle is one thread's accessor.
 type EBRHandle struct {
-	l     *EBR
-	h     *ebr.Handle
-	cache *alloc.Cache[node]
+	ops
+	h *ebr.Handle
 }
 
 // Register creates a thread handle.
 func (l *EBR) Register() *EBRHandle {
-	return &EBRHandle{l: l, h: l.dom.Register(), cache: l.t.pool.NewCache()}
+	h := &EBRHandle{h: l.dom.Register()}
+	h.init(&l.tree, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -53,11 +49,11 @@ func (h *EBRHandle) Unregister() { h.h.Unregister() }
 // Barrier drains reclamation (teardown/tests).
 func (h *EBRHandle) Barrier() { h.h.Barrier() }
 
-func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.l.t.pool) }
-
-// seek runs the NM seek to a leaf. Must run pinned.
+// seek pins and runs the NM seek to a leaf; the pin is the protection,
+// and what release drops.
 func (h *EBRHandle) seek(key int64) seekRecord {
-	t := h.l.t
+	h.h.Pin()
+	t := h.t
 	c := t.seekInit()
 	yc := 0
 	for !t.seekStep(key, &c) {
@@ -66,85 +62,5 @@ func (h *EBRHandle) seek(key int64) seekRecord {
 	return c.sr
 }
 
-// Get returns the value mapped to key.
-func (h *EBRHandle) Get(key int64) (int64, bool) {
-	h.h.Pin()
-	defer h.h.Unpin()
-	sr := h.seek(key)
-	leaf := h.l.t.pool.At(sr.leaf)
-	if leaf.Key.Load() != key {
-		return 0, false
-	}
-	return leaf.Val.Load(), true
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *EBRHandle) Insert(key, val int64) bool {
-	h.h.Pin()
-	defer h.h.Unpin()
-	t := h.l.t
-	for {
-		sr := h.seek(key)
-		if t.pool.At(sr.leaf).Key.Load() == key {
-			return false
-		}
-		internal := t.newLeafAndInternal(h.cache, key, val, sr.leaf)
-		childE := t.childEdge(t.pool.At(sr.parent), key)
-		if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), internal) {
-			return true
-		}
-		t.discardInsert(h.cache, internal, sr.leaf)
-		// Help an obstructing deletion if the failed edge is ours.
-		cv := childE.Load()
-		if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-			t.cleanup(key, sr, h.retire)
-		}
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *EBRHandle) Remove(key int64) (int64, bool) {
-	h.h.Pin()
-	defer h.h.Unpin()
-	t := h.l.t
-	injected := false
-	var doomed uint64
-	var val int64
-	for {
-		sr := h.seek(key)
-		if !injected {
-			leaf := t.pool.At(sr.leaf)
-			if leaf.Key.Load() != key {
-				return 0, false
-			}
-			val = leaf.Val.Load()
-			childE := t.childEdge(t.pool.At(sr.parent), key)
-			if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), atomicx.MakeRef(sr.leaf, flagBit)) {
-				injected = true
-				doomed = sr.leaf
-				if t.cleanup(key, sr, h.retire) {
-					return val, true
-				}
-				continue
-			}
-			cv := childE.Load()
-			if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-				t.cleanup(key, sr, h.retire) // help, then retry
-			}
-			continue
-		}
-		// Cleanup mode: our leaf is flagged; splice until it is gone.
-		if sr.leaf != doomed {
-			return val, true // someone else finished the splice
-		}
-		// An unflagged edge means a recycled slot (impossible while this
-		// pinned operation runs, but kept for uniformity with the other
-		// variants): the original splice already completed.
-		if cv := t.childEdge(t.pool.At(sr.parent), key).Load(); cv.Slot() != sr.leaf || cv.Tag()&flagBit == 0 {
-			return val, true
-		}
-		if t.cleanup(key, sr, h.retire) {
-			return val, true
-		}
-	}
-}
+func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.t.pool) }
+func (h *EBRHandle) release()           { h.h.Unpin() }

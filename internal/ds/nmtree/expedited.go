@@ -3,8 +3,6 @@ package nmtree
 import (
 	"runtime"
 
-	"github.com/smrgo/hpbrcu/internal/alloc"
-	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -23,33 +21,27 @@ import (
 // proves the parent was not yet spliced out — the tree's analogue of the
 // lists' logical-deletion check.
 type Expedited struct {
-	t   *tree
+	tree
 	dom *core.Domain
 }
 
-// NewHPRCU creates a tree protected by HP-RCU (§3).
-func NewHPRCU(cfg core.Config) *Expedited {
-	e := &Expedited{t: newTree(cfg.Allocator), dom: core.NewDomain(core.BackendRCU, cfg)}
-	e.dom.BindPool(e.t.pool)
+func newExpedited(backend core.Backend, cfg core.Config) *Expedited {
+	e := &Expedited{tree: newTree(cfg.Allocator), dom: core.NewDomain(backend, cfg)}
+	e.dom.BindPool(e.pool)
 	return e
 }
 
+// NewHPRCU creates a tree protected by HP-RCU (§3).
+func NewHPRCU(cfg core.Config) *Expedited { return newExpedited(core.BackendRCU, cfg) }
+
 // NewHPBRCU creates a tree protected by HP-BRCU (§4).
-func NewHPBRCU(cfg core.Config) *Expedited {
-	e := &Expedited{t: newTree(cfg.Allocator), dom: core.NewDomain(core.BackendBRCU, cfg)}
-	e.dom.BindPool(e.t.pool)
-	return e
-}
+func NewHPBRCU(cfg core.Config) *Expedited { return newExpedited(core.BackendBRCU, cfg) }
 
 // Stats exposes reclamation statistics.
 func (l *Expedited) Stats() *stats.Reclamation { return l.dom.Stats() }
 
 // Domain exposes the underlying HP-(B)RCU domain.
 func (l *Expedited) Domain() *core.Domain { return l.dom }
-
-// LenSlow and KeysSlow are single-threaded structural checks.
-func (l *Expedited) LenSlow() int      { return l.t.lenSlow() }
-func (l *Expedited) KeysSlow() []int64 { return l.t.keysSlow() }
 
 // treeProtector checkpoints a seek cursor into four shields.
 type treeProtector struct {
@@ -82,9 +74,8 @@ func (p *treeProtector) ClearProtection() {
 
 // ExpeditedHandle is one thread's accessor.
 type ExpeditedHandle struct {
-	l     *Expedited
-	h     *core.Handle
-	cache *alloc.Cache[node]
+	ops
+	h *core.Handle
 
 	prot, backup *treeProtector
 
@@ -95,12 +86,10 @@ type ExpeditedHandle struct {
 
 // Register creates a thread handle.
 func (l *Expedited) Register() *ExpeditedHandle {
-	h := l.dom.Register()
-	return &ExpeditedHandle{
-		l: l, h: h, cache: l.t.pool.NewCache(),
-		prot:   newTreeProtector(h),
-		backup: newTreeProtector(h),
-	}
+	d := l.dom.Register()
+	h := &ExpeditedHandle{h: d, prot: newTreeProtector(d), backup: newTreeProtector(d)}
+	h.init(&l.tree, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -114,12 +103,10 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.l.t.pool) }
-
-// seek runs the descent under the Traverse engine and returns the
-// protected seek record.
+// seek runs the descent under the Traverse engine and returns the seek
+// record, protected by prot until the next seek.
 func (h *ExpeditedHandle) seek(key int64) seekRecord {
-	t := h.l.t
+	t := h.t
 	tr := core.Traversal[seekCursor, struct{}]{
 		Init: func() seekCursor { return t.seekInit() },
 		Validate: func(c *seekCursor) bool {
@@ -152,77 +139,8 @@ func (h *ExpeditedHandle) seek(key int64) seekRecord {
 	}
 }
 
-// Get returns the value mapped to key.
-func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
-	sr := h.seek(key)
-	leaf := h.l.t.pool.At(sr.leaf)
-	if leaf.Key.Load() != key {
-		return 0, false
-	}
-	return leaf.Val.Load(), true
-}
+// retire is the two-step retirement; legal outside critical sections.
+func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.t.pool) }
 
-// Insert maps key to val; it fails if key is already present.
-func (h *ExpeditedHandle) Insert(key, val int64) bool {
-	t := h.l.t
-	for {
-		sr := h.seek(key)
-		if t.pool.At(sr.leaf).Key.Load() == key {
-			return false
-		}
-		internal := t.newLeafAndInternal(h.cache, key, val, sr.leaf)
-		childE := t.childEdge(t.pool.At(sr.parent), key)
-		if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), internal) {
-			return true
-		}
-		t.discardInsert(h.cache, internal, sr.leaf)
-		cv := childE.Load()
-		if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-			t.cleanup(key, sr, h.retire) // help the obstructing delete
-		}
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *ExpeditedHandle) Remove(key int64) (int64, bool) {
-	t := h.l.t
-	injected := false
-	var doomed uint64
-	var val int64
-	for {
-		sr := h.seek(key)
-		if !injected {
-			leaf := t.pool.At(sr.leaf)
-			if leaf.Key.Load() != key {
-				return 0, false
-			}
-			val = leaf.Val.Load()
-			childE := t.childEdge(t.pool.At(sr.parent), key)
-			if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), atomicx.MakeRef(sr.leaf, flagBit)) {
-				injected = true
-				doomed = sr.leaf
-				if t.cleanup(key, sr, h.retire) {
-					return val, true
-				}
-				continue
-			}
-			cv := childE.Load()
-			if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-				t.cleanup(key, sr, h.retire)
-			}
-			continue
-		}
-		if sr.leaf != doomed {
-			return val, true
-		}
-		// Our injection froze the edge parent→leaf as flagged until the
-		// splice. If the slot is back at this position unflagged, it is a
-		// recycled incarnation: the original splice already happened.
-		if cv := t.childEdge(t.pool.At(sr.parent), key).Load(); cv.Slot() != sr.leaf || cv.Tag()&flagBit == 0 {
-			return val, true
-		}
-		if t.cleanup(key, sr, h.retire) {
-			return val, true
-		}
-	}
-}
+// release is a no-op: prot holds the record until the next traversal.
+func (h *ExpeditedHandle) release() {}

@@ -1,7 +1,6 @@
 package nmtree
 
 import (
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -15,15 +14,15 @@ import (
 //
 // Reservation slots: 0 = ancestor, 1 = successor, 2 = parent, 3 = leaf.
 type NBR struct {
-	t   *tree
+	tree
 	dom *nbr.Domain
 }
 
 // NewNBR creates an NBR-protected tree.
 func NewNBR(opts ...nbr.Option) *NBR {
 	dom := nbr.NewDomain(nil, opts...)
-	e := &NBR{t: newTree(dom.AllocMode()), dom: dom}
-	dom.BindPool(e.t.pool)
+	e := &NBR{tree: newTree(dom.AllocMode()), dom: dom}
+	dom.BindPool(e.pool)
 	return e
 }
 
@@ -35,20 +34,17 @@ func NewNBRLarge() *NBR {
 // Stats exposes reclamation statistics.
 func (l *NBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 
-// LenSlow and KeysSlow are single-threaded structural checks.
-func (l *NBR) LenSlow() int      { return l.t.lenSlow() }
-func (l *NBR) KeysSlow() []int64 { return l.t.keysSlow() }
-
 // NBRHandle is one thread's accessor.
 type NBRHandle struct {
-	l     *NBR
-	h     *nbr.Handle
-	cache *alloc.Cache[node]
+	ops
+	h *nbr.Handle
 }
 
 // Register creates a thread handle.
 func (l *NBR) Register() *NBRHandle {
-	return &NBRHandle{l: l, h: l.dom.Register(), cache: l.t.pool.NewCache()}
+	h := &NBRHandle{h: l.dom.Register()}
+	h.init(&l.tree, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -57,13 +53,10 @@ func (h *NBRHandle) Unregister() { h.h.Unregister() }
 // Barrier drains reclamation (teardown/tests).
 func (h *NBRHandle) Barrier() { h.h.Barrier() }
 
-func (h *NBRHandle) retire(slot uint64) { h.h.Retire(slot, h.l.t.pool) }
-
-// seekWrite runs one read-phase seek, reserves the seek record, and
-// transitions to a write phase. ok is false when the thread was
-// neutralized (restart the operation).
-func (h *NBRHandle) seekWrite(key int64) (seekRecord, bool) {
-	t := h.l.t
+// descend runs one read-phase seek from the root. ok is false when the
+// thread was neutralized on the way (restart from the root).
+func (h *NBRHandle) descend(key int64) (sr seekRecord, ok bool) {
+	t := h.t
 	h.h.StartRead()
 	c := t.seekInit()
 	yc := 0
@@ -71,130 +64,52 @@ func (h *NBRHandle) seekWrite(key int64) (seekRecord, bool) {
 		atomicx.StepYield(&yc)
 		if !h.h.Poll() {
 			h.h.RecordRestart()
-			return seekRecord{}, false
+			return c.sr, false
 		}
-	}
-	h.h.Reserve(0, c.sr.ancestor)
-	h.h.Reserve(1, c.sr.successor)
-	h.h.Reserve(2, c.sr.parent)
-	h.h.Reserve(3, c.sr.leaf)
-	if !h.h.EnterWrite() {
-		h.h.RecordRestart()
-		return seekRecord{}, false
 	}
 	return c.sr, true
 }
 
-// Get returns the value mapped to key (pure read phase).
+// seek repeats the read-phase descent until one reaches a leaf, reserves
+// its seek record and enters the write phase.
+func (h *NBRHandle) seek(key int64) seekRecord {
+	for {
+		sr, ok := h.descend(key)
+		if !ok {
+			continue
+		}
+		h.h.Reserve(0, sr.ancestor)
+		h.h.Reserve(1, sr.successor)
+		h.h.Reserve(2, sr.parent)
+		h.h.Reserve(3, sr.leaf)
+		if h.h.EnterWrite() {
+			return sr
+		}
+		h.h.RecordRestart()
+	}
+}
+
+func (h *NBRHandle) retire(slot uint64) { h.h.Retire(slot, h.t.pool) }
+
+// release ends the write phase and drops the reservations.
+func (h *NBRHandle) release() {
+	h.h.EndOp()
+	h.h.ClearReservations()
+}
+
+// Get returns the value mapped to key in a pure read phase: nothing is
+// reserved, and a neutralization before the commit discards the result.
 func (h *NBRHandle) Get(key int64) (int64, bool) {
-	t := h.l.t
 	for {
-		h.h.StartRead()
-		c := t.seekInit()
-		aborted := false
-		yc := 0
-		for !t.seekStep(key, &c) {
-			atomicx.StepYield(&yc)
-			if !h.h.Poll() {
-				aborted = true
-				break
-			}
-		}
-		if aborted {
-			h.h.RecordRestart()
-			continue
-		}
-		leaf := t.pool.At(c.sr.leaf)
-		val := leaf.Val.Load()
-		found := leaf.Key.Load() == key
-		if !h.h.EndRead() {
-			h.h.RecordRestart()
-			continue
-		}
-		return val, found
-	}
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *NBRHandle) Insert(key, val int64) bool {
-	t := h.l.t
-	for {
-		sr, ok := h.seekWrite(key)
+		sr, ok := h.descend(key)
 		if !ok {
 			continue
 		}
-		if t.pool.At(sr.leaf).Key.Load() == key {
-			h.h.EndOp()
-			h.h.ClearReservations()
-			return false
+		leaf := h.t.pool.At(sr.leaf)
+		val, found := leaf.Val.Load(), leaf.Key.Load() == key
+		if h.h.EndRead() {
+			return val, found
 		}
-		internal := t.newLeafAndInternal(h.cache, key, val, sr.leaf)
-		childE := t.childEdge(t.pool.At(sr.parent), key)
-		casOK := childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), internal)
-		if !casOK {
-			t.discardInsert(h.cache, internal, sr.leaf)
-			cv := childE.Load()
-			if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-				t.cleanup(key, sr, h.retire) // help
-			}
-		}
-		h.h.EndOp()
-		h.h.ClearReservations()
-		if casOK {
-			return true
-		}
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *NBRHandle) Remove(key int64) (int64, bool) {
-	t := h.l.t
-	injected := false
-	var doomed uint64
-	var val int64
-	for {
-		sr, ok := h.seekWrite(key)
-		if !ok {
-			continue
-		}
-		if !injected {
-			leaf := t.pool.At(sr.leaf)
-			if leaf.Key.Load() != key {
-				h.h.EndOp()
-				h.h.ClearReservations()
-				return 0, false
-			}
-			val = leaf.Val.Load()
-			childE := t.childEdge(t.pool.At(sr.parent), key)
-			if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), atomicx.MakeRef(sr.leaf, flagBit)) {
-				injected = true
-				doomed = sr.leaf
-				done := t.cleanup(key, sr, h.retire)
-				h.h.EndOp()
-				h.h.ClearReservations()
-				if done {
-					return val, true
-				}
-				continue
-			}
-			cv := childE.Load()
-			if cv.Slot() == sr.leaf && cv.Tag() != 0 {
-				t.cleanup(key, sr, h.retire)
-			}
-			h.h.EndOp()
-			h.h.ClearReservations()
-			continue
-		}
-		if sr.leaf != doomed {
-			h.h.EndOp()
-			h.h.ClearReservations()
-			return val, true
-		}
-		done := t.cleanup(key, sr, h.retire)
-		h.h.EndOp()
-		h.h.ClearReservations()
-		if done {
-			return val, true
-		}
+		h.h.RecordRestart()
 	}
 }

@@ -10,11 +10,24 @@
 // (this edge's parent is being spliced out). Both ride in the atomicx.Ref
 // tag bits, so one CAS covers address and state, as in the original.
 //
-// Variants: EBR/NR, NBR (the tree is access-aware: seeks are pure reads,
-// all writes happen after reservation), and HP-RCU/HP-BRCU via the
-// Traverse engine. Plain HP does not apply (Table 1): a seek may traverse
-// edges out of flagged/tagged nodes that a concurrent cleanup has already
-// retired, with no per-node validation possible.
+// Node, allocation, cleanup, one Insert, one Remove and the Get every
+// scheme but NBR shares live in this file, over the per-scheme seek that
+// is the only code that differs (§4.3 puts the scheme behind Traverse, not
+// behind insert and remove):
+//
+//   - ebr.go:       EBR/NR — one pinned descent.
+//   - nbr.go:       NBR — the read-phase descent, reservation of the seek
+//     record, the write phase; and a pure-read Get (the tree is
+//     access-aware: seeks are pure reads, every write follows reservation).
+//   - expedited.go: HP-RCU/HP-BRCU — the descent as a Traverse, the seek
+//     record checkpointed into four shields.
+//
+// Each seek is monomorphic: no interface or type-parameter call happens
+// inside a per-node loop. The shared write path reaches the scheme through
+// the positioner interface, a handful of indirect calls per operation.
+// Plain HP does not apply (Table 1): a seek may traverse edges out of
+// flagged/tagged nodes that a concurrent cleanup has already retired, with
+// no per-node validation possible.
 //
 // When a cleanup splices out a chain (ancestor's successor ≠ parent, the
 // rare helping pile-up), the winner retires the chain's endpoints —
@@ -55,15 +68,16 @@ type node struct {
 	Right atomicx.AtomicRef
 }
 
-// tree is the scheme-independent core.
+// tree is the scheme-independent half of a tree: the node pool and the
+// two immortal sentinels.
 type tree struct {
 	pool  *alloc.Pool[node]
-	root  uint64 // R: immortal
-	sroot uint64 // S = R.left: immortal
+	root  uint64 // R
+	sroot uint64 // S = R.left
 }
 
-func newTree(mode ...alloc.Mode) *tree {
-	pool := alloc.NewPool[node](mode...)
+func newTree(mode alloc.Mode) tree {
+	pool := alloc.NewPool[node](mode)
 	cache := pool.NewCache()
 	mk := func(key int64) (uint64, *node) {
 		s, n := pool.Alloc(cache)
@@ -81,7 +95,7 @@ func newTree(mode ...alloc.Mode) *tree {
 	rSlot, r := mk(inf2)
 	r.Left.Store(atomicx.MakeRef(sSlot, 0))
 	r.Right.Store(atomicx.MakeRef(l2b, 0))
-	return &tree{pool: pool, root: rSlot, sroot: sSlot}
+	return tree{pool: pool, root: rSlot, sroot: sSlot}
 }
 
 func (t *tree) at(r atomicx.Ref) *node { return t.pool.At(r.Slot()) }
@@ -100,11 +114,6 @@ func (t *tree) siblingEdge(n *node, key int64) *atomicx.AtomicRef {
 		return &n.Right
 	}
 	return &n.Left
-}
-
-// isLeafSlot reports whether the node at slot is a leaf.
-func (t *tree) isLeafSlot(slot uint64) bool {
-	return t.pool.At(slot).Left.Load().IsNil()
 }
 
 // seekRecord is the result of a traversal (the NM seek record): the last
@@ -198,10 +207,127 @@ func (t *tree) discardInsert(cache *alloc.Cache[node], internal atomicx.Ref, lea
 	t.pool.FreeLocal(cache, internal.Slot())
 }
 
-// cleanup splices out the parent and the flagged leaf recorded in sr
-// (the NM cleanup). retire is called with each unlinked slot this thread
-// owns. It reports whether the splice succeeded.
-func (t *tree) cleanup(key int64, sr seekRecord, retire func(slot uint64)) bool {
+// positioner is the per-scheme half of an operation. seek descends to
+// key's leaf and returns the seek record with the caller entitled to read
+// and CAS through all four of its nodes: pinned (EBR), in a write phase
+// with the four reserved (NBR), or with the four shielded (HP-RCU,
+// HP-BRCU). It retries internally until it has such a record. retire hands
+// an unlinked node to the scheme; release drops whatever seek acquired and
+// must follow every seek, before the next one.
+//
+// release is called inline, not deferred; see hlist's positioner for why
+// nothing between seek and release may panic recoverably.
+type positioner interface {
+	seek(key int64) seekRecord
+	retire(slot uint64)
+	release()
+}
+
+// ops is the scheme-independent half of a handle: the one Insert, Remove
+// and seek-based Get of the package. Scheme handles embed it and set pos
+// to themselves.
+type ops struct {
+	t     *tree
+	cache *alloc.Cache[node]
+	pos   positioner
+}
+
+func (o *ops) init(t *tree, pos positioner) {
+	o.t = t
+	o.cache = t.pool.NewCache()
+	o.pos = pos
+}
+
+// Get returns the value mapped to key, by way of the scheme's seek.
+func (o *ops) Get(key int64) (int64, bool) {
+	sr := o.pos.seek(key)
+	leaf := o.t.pool.At(sr.leaf)
+	val, found := leaf.Val.Load(), leaf.Key.Load() == key
+	o.pos.release()
+	return val, found
+}
+
+// Insert maps key to val; it fails if key is already present. The new
+// leaf and its internal node are published by one CAS on the edge the
+// scheme's seek found.
+func (o *ops) Insert(key, val int64) bool {
+	t := o.t
+	for {
+		sr := o.pos.seek(key)
+		if t.pool.At(sr.leaf).Key.Load() == key {
+			o.pos.release()
+			return false
+		}
+		internal := t.newLeafAndInternal(o.cache, key, val, sr.leaf)
+		childE := t.childEdge(t.pool.At(sr.parent), key)
+		ok := childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), internal)
+		if !ok {
+			t.discardInsert(o.cache, internal, sr.leaf)
+			o.help(key, sr, childE)
+		}
+		o.pos.release()
+		if ok {
+			return true
+		}
+	}
+}
+
+// Remove unmaps key, returning the removed value: it flags the edge to
+// key's leaf (injection, the logical deletion) and then splices until the
+// leaf is gone (cleanup mode), by its own hand or a helper's.
+func (o *ops) Remove(key int64) (int64, bool) {
+	t := o.t
+	var doomed uint64 // the leaf this operation flagged; 0 before injection
+	var val int64
+	for {
+		sr := o.pos.seek(key)
+		childE := t.childEdge(t.pool.At(sr.parent), key)
+		var done bool
+		if doomed == 0 {
+			leaf := t.pool.At(sr.leaf)
+			if leaf.Key.Load() != key {
+				o.pos.release()
+				return 0, false
+			}
+			val = leaf.Val.Load()
+			if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), atomicx.MakeRef(sr.leaf, flagBit)) {
+				doomed = sr.leaf
+				done = o.cleanup(key, sr)
+			} else {
+				o.help(key, sr, childE) // then retry the injection
+			}
+		} else if cv := childE.Load(); sr.leaf != doomed || cv.Slot() != doomed || cv.Tag()&flagBit == 0 {
+			// The leaf is gone: a helper finished the splice. The injection
+			// froze the edge parent→leaf as flagged until then, so the same
+			// slot back at this position unflagged is a recycled incarnation
+			// (key re-inserted) — every scheme drops its hold on the record
+			// between attempts, so that can happen, and without this test a
+			// remover that lost the splice would run cleanup on the new leaf
+			// for as long as the key stays.
+			done = true
+		} else {
+			done = o.cleanup(key, sr)
+		}
+		o.pos.release()
+		if done {
+			return val, true
+		}
+	}
+}
+
+// help completes the deletion that made a CAS on childE fail, if the edge
+// still leads to the leaf the record names.
+func (o *ops) help(key int64, sr seekRecord, childE *atomicx.AtomicRef) {
+	if cv := childE.Load(); cv.Slot() == sr.leaf && cv.Tag() != 0 {
+		o.cleanup(key, sr)
+	}
+}
+
+// cleanup splices out the parent and the flagged leaf recorded in sr (the
+// NM cleanup), retiring each unlinked slot this thread owns. It reports
+// whether the splice succeeded.
+func (o *ops) cleanup(key int64, sr seekRecord) bool {
+	t := o.t
 	parentN := t.pool.At(sr.parent)
 	childE := t.childEdge(parentN, key)
 	sibE := t.siblingEdge(parentN, key)
@@ -240,29 +366,15 @@ func (t *tree) cleanup(key int64, sr seekRecord, retire func(slot uint64)) bool 
 	// doomed leaf. TryRetire resolves ownership when splices overlap.
 	for _, s := range [...]uint64{sr.successor, sr.parent, doomed} {
 		if t.pool.Hdr(s).TryRetire() {
-			retire(s)
+			o.pos.retire(s)
 		}
 	}
 	return true
 }
 
-// getSlow / lenSlow: single-threaded structural checks for tests.
-func (t *tree) lenSlow() int {
-	var walk func(r atomicx.Ref) int
-	walk = func(r atomicx.Ref) int {
-		n := t.at(r)
-		if n.Left.Load().IsNil() {
-			if k := n.Key.Load(); k < inf1 {
-				return 1
-			}
-			return 0
-		}
-		return walk(n.Left.Load().Untagged()) + walk(n.Right.Load().Untagged())
-	}
-	return walk(atomicx.MakeRef(t.root, 0))
-}
-
-func (t *tree) keysSlow() []int64 {
+// KeysSlow returns the live keys in order; single-threaded use only
+// (tests, checks).
+func (t *tree) KeysSlow() []int64 {
 	var out []int64
 	var walk func(r atomicx.Ref)
 	walk = func(r atomicx.Ref) {

@@ -1,267 +1,173 @@
 package nmtree
 
 import (
-	"math/rand"
-	"sort"
-	"sync"
 	"testing"
+	"time"
 
 	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/stats"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
+	"github.com/smrgo/hpbrcu/internal/ebr"
+	"github.com/smrgo/hpbrcu/internal/nbr"
 )
 
-type handle interface {
-	Get(key int64) (int64, bool)
-	Insert(key, val int64) bool
-	Remove(key int64) (int64, bool)
-	Unregister()
-	Barrier()
-}
-
-type variant struct {
-	name     string
-	register func() handle
-	stats    func() *stats.Reclamation
-	lenSlow  func() int
-	keysSlow func() []int64
-}
-
-func variants() []variant {
-	nr := NewNR()
-	ebrT := NewEBR()
-	hprcu := NewHPRCU(core.Config{})
-	hpbrcu := NewHPBRCU(core.Config{})
-	nbrT := NewNBR()
-	return []variant{
-		{"NR", func() handle { return nr.Register() }, nr.Stats, nr.LenSlow, nr.KeysSlow},
-		{"EBR", func() handle { return ebrT.Register() }, ebrT.Stats, ebrT.LenSlow, ebrT.KeysSlow},
-		{"HP-RCU", func() handle { return hprcu.Register() }, hprcu.Stats, hprcu.LenSlow, hprcu.KeysSlow},
-		{"HP-BRCU", func() handle { return hpbrcu.Register() }, hpbrcu.Stats, hpbrcu.LenSlow, hpbrcu.KeysSlow},
-		{"NBR", func() handle { return nbrT.Register() }, nbrT.Stats, nbrT.LenSlow, nbrT.KeysSlow},
+// variants builds the tree under every scheme its constructors accept,
+// fresh for each check.
+func variants() []listtest.Variant {
+	return []listtest.Variant{
+		listtest.Of("NR", true, false, NewNR()),
+		listtest.Of("EBR", true, true, NewEBR()),
+		listtest.Of("HP-RCU", true, true, NewHPRCU(core.Config{})),
+		listtest.Of("HP-BRCU", true, true, NewHPBRCU(core.Config{})),
+		listtest.Of("NBR", true, true, NewNBR()),
 	}
 }
 
-func TestSequentialSemantics(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
+func TestSequentialSemantics(t *testing.T) { listtest.Sequential(t, variants()) }
+func TestSequentialBulk(t *testing.T)      { listtest.Bulk(t, variants()) }
+func TestConcurrentMixed(t *testing.T)     { listtest.ConcurrentMixed(t, variants()) }
+func TestConcurrentDisjoint(t *testing.T)  { listtest.ConcurrentDisjoint(t, variants()) }
+func TestConcurrentContended(t *testing.T) { listtest.ConcurrentContended(t, variants()) }
+func TestChurn(t *testing.T)               { listtest.Churn(t, variants()) }
 
-			if _, ok := h.Get(10); ok {
-				t.Fatal("empty tree contains 10")
-			}
-			if !h.Insert(10, 100) {
-				t.Fatal("insert 10")
-			}
-			if h.Insert(10, 101) {
-				t.Fatal("duplicate insert succeeded")
-			}
-			if got, ok := h.Get(10); !ok || got != 100 {
-				t.Fatalf("Get(10) = %d,%v", got, ok)
-			}
-			for _, k := range []int64{5, 15, 3, 7, 12, 20} {
-				if !h.Insert(k, k*10) {
-					t.Fatalf("insert %d", k)
-				}
-			}
-			if got := v.keysSlow(); !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-				t.Fatalf("keys not sorted: %v", got)
-			}
-			if v.lenSlow() != 7 {
-				t.Fatalf("len = %d want 7", v.lenSlow())
-			}
-			if val, ok := h.Remove(10); !ok || val != 100 {
-				t.Fatalf("Remove(10) = %d,%v", val, ok)
-			}
-			if _, ok := h.Remove(10); ok {
-				t.Fatal("double remove succeeded")
-			}
-			if _, ok := h.Get(10); ok {
-				t.Fatal("removed key still present")
-			}
-			if v.lenSlow() != 6 {
-				t.Fatalf("len = %d want 6", v.lenSlow())
-			}
-			if !h.Insert(10, 110) {
-				t.Fatal("re-insert failed")
-			}
-			if got, _ := h.Get(10); got != 110 {
-				t.Fatalf("Get(10) = %d want 110", got)
-			}
-		})
-	}
-}
-
-func TestSequentialBulk(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
-			const n = 800
-			perm := rand.New(rand.NewSource(7)).Perm(n)
-			for _, k := range perm {
-				if !h.Insert(int64(k), int64(k)) {
-					t.Fatalf("insert %d", k)
-				}
-			}
-			if v.lenSlow() != n {
-				t.Fatalf("len = %d want %d", v.lenSlow(), n)
-			}
-			for i := 0; i < n; i += 2 {
-				if _, ok := h.Remove(int64(i)); !ok {
-					t.Fatalf("remove %d", i)
-				}
-			}
-			for i := 0; i < n; i++ {
-				_, ok := h.Get(int64(i))
-				if want := i%2 == 1; ok != want {
-					t.Fatalf("Get(%d)=%v want %v", i, ok, want)
-				}
-			}
-		})
-	}
-}
-
-func TestConcurrentDisjoint(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 8
-			const perWorker = 150
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(base int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					for i := int64(0); i < perWorker; i++ {
-						k := base*perWorker + i
-						if !h.Insert(k, k) {
-							t.Errorf("insert %d", k)
-							return
-						}
-					}
-					for i := int64(0); i < perWorker; i += 2 {
-						k := base*perWorker + i
-						if _, ok := h.Remove(k); !ok {
-							t.Errorf("remove %d", k)
-							return
-						}
-					}
-				}(int64(w))
-			}
-			wg.Wait()
-			h := v.register()
-			defer h.Unregister()
-			for w := int64(0); w < workers; w++ {
-				for i := int64(0); i < perWorker; i++ {
-					k := w*perWorker + i
-					_, ok := h.Get(k)
-					if want := i%2 == 1; ok != want {
-						t.Fatalf("key %d present=%v want %v", k, ok, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestConcurrentContended(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 8
-			const iters = 400
-			const keys = 8
-			var ins, rem [keys]int64
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					var mi, mr [keys]int64
-					for i := 0; i < iters; i++ {
-						k := rng.Int63n(keys)
-						if rng.Intn(2) == 0 {
-							if h.Insert(k, k) {
-								mi[k]++
-							}
-						} else if _, ok := h.Remove(k); ok {
-							mr[k]++
-						}
-					}
-					mu.Lock()
-					for i := range ins {
-						ins[i] += mi[i]
-						rem[i] += mr[i]
-					}
-					mu.Unlock()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-
-			h := v.register()
-			defer h.Unregister()
-			for k := int64(0); k < keys; k++ {
-				_, present := h.Get(k)
-				diff := ins[k] - rem[k]
-				if diff != 0 && diff != 1 {
-					t.Fatalf("key %d: inserts-removes=%d", k, diff)
-				}
-				if present != (diff == 1) {
-					t.Fatalf("key %d: present=%v diff=%d", k, present, diff)
-				}
-			}
-		})
-	}
-}
-
+// TestReclamationBalanceMostlyDrains: a chain splice leaks the chain's
+// interior (package comment) — without retiring it, so everything that is
+// retired must still drain.
 func TestReclamationBalanceMostlyDrains(t *testing.T) {
-	// Chains can leak interior nodes (package comment); require that the
-	// vast majority of retired nodes drain and that retired>0.
-	for _, mk := range []struct {
-		name string
-		l    *Expedited
-	}{
-		{"HP-RCU", NewHPRCU(core.Config{})},
-		{"HP-BRCU", NewHPBRCU(core.Config{})},
+	listtest.ReclamationBalance(t, variants())
+}
+
+// stagedPos runs test code around a remover's seeks.
+type stagedPos struct {
+	positioner
+	seeks  int
+	before func(n int)                // before the nth seek
+	after  func(n int, sr seekRecord) // after it, while its record is held
+}
+
+func (p *stagedPos) seek(key int64) seekRecord {
+	p.seeks++
+	p.before(p.seeks)
+	sr := p.positioner.seek(key)
+	p.after(p.seeks, sr)
+	return sr
+}
+
+// leafSlot returns the slot of the leaf a seek for key ends on;
+// single-threaded use only.
+func leafSlot(t *tree, key int64) uint64 {
+	c := t.seekInit()
+	for !t.seekStep(key, &c) {
+	}
+	return c.sr.leaf
+}
+
+// stagedHandle adds the handle's shared half to the conformance surface,
+// so the test below can wrap its positioner.
+type stagedHandle interface {
+	listtest.Handle
+	shared() *ops
+}
+
+func (o *ops) shared() *ops { return o }
+
+type stagedCase struct {
+	name     string
+	register func() stagedHandle
+	recycles bool // nothing keeps the remover's record alive between its attempts
+}
+
+func newStagedCase[H stagedHandle](name string, recycles bool, l interface{ Register() H }) stagedCase {
+	return stagedCase{name, func() stagedHandle { return l.Register() }, recycles}
+}
+
+// TestRemoveLosesSpliceToHelper stages the one way a remover meets its
+// own leaf's slot again: it flags the leaf, loses the splice to a helper,
+// and before its next seek the leaf is reclaimed and its slot comes back
+// as the leaf of the same key, re-inserted. The remover must see that the
+// edge is no longer flagged and return; it must neither spin (the NBR
+// tree, before the removes were merged, re-ran cleanup on the new leaf for
+// as long as the key stayed) nor delete the new incarnation. Where shields
+// keep the record alive across the remover's attempts (HP-RCU, HP-BRCU)
+// the slot cannot come back, and the remover returns on the slot mismatch.
+func TestRemoveLosesSpliceToHelper(t *testing.T) {
+	for _, c := range []stagedCase{
+		newStagedCase("EBR", true, NewEBR(ebr.WithBatchSize(1))),
+		newStagedCase("NBR", true, NewNBR(nbr.WithBatchSize(1))),
+		newStagedCase("HP-RCU", false, NewHPRCU(core.Config{})),
+		newStagedCase("HP-BRCU", false, NewHPBRCU(core.Config{})),
 	} {
-		t.Run(mk.name, func(t *testing.T) {
-			const workers = 4
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := mk.l.Register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < 2000; i++ {
-						k := rng.Int63n(64)
-						if rng.Intn(2) == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
+		t.Run(c.name, func(t *testing.T) {
+			remover, helper := c.register(), c.register()
+			defer remover.Unregister()
+			defer helper.Unregister()
+			// The filler keys use up the helper's first allocation batch (64
+			// slots, two an insert) but for the three inserts below, so that
+			// its next allocation — the new leaf of 20 — is the slot freed
+			// last: the old leaf. 30, 20 after 10 then builds
+			// G(30){P(20){10, 20}, 30}: removing 30 splices G out and leaves
+			// the edge G→P tagged, which is what makes a cleanup through a
+			// record taken before it fail.
+			for k := int64(100); k < 129; k++ {
+				helper.Insert(k, k)
+			}
+			for _, k := range []int64{10, 30, 20} {
+				helper.Insert(k, k)
+			}
+			tr := remover.shared().t
+			var doomed uint64
+			recycled := false
+			remover.shared().pos = &stagedPos{
+				positioner: remover.shared().pos,
+				after: func(n int, sr seekRecord) {
+					if n == 1 { // the remover now holds a record through G
+						doomed = sr.leaf
+						helper.Remove(30)
 					}
-					h.Barrier()
-				}(int64(w + 1))
+				},
+				before: func(n int) {
+					if n != 2 { // the remover flagged its leaf and lost the splice
+						return
+					}
+					if _, ok := helper.Remove(20); ok {
+						t.Error("the helper's Remove(20) removed a key that was already logically deleted")
+					}
+					// The old leaf and its parent are the two slots freed last;
+					// which of them the new leaf gets depends on the order the
+					// scheme freed them in, and a second round reverses it.
+					for round := 0; round < 4 && !recycled; round++ {
+						if round > 0 {
+							helper.Remove(20)
+						}
+						for i := 0; i < 8; i++ {
+							helper.Barrier()
+						}
+						helper.Insert(20, 200)
+						recycled = leafSlot(tr, 20) == doomed
+					}
+				},
 			}
-			wg.Wait()
-			h := mk.l.Register()
-			for i := 0; i < 8; i++ {
-				h.Barrier()
+			type result struct {
+				val int64
+				ok  bool
 			}
-			h.Unregister()
-			s := mk.l.Stats().Snapshot()
-			if s.Retired == 0 {
-				t.Fatal("no retires")
+			done := make(chan result, 1) // one send, so the remover never blocks on a test that gave up
+			go func() {
+				val, ok := remover.Remove(20)
+				done <- result{val, ok}
+			}()
+			select {
+			case r := <-done:
+				if !r.ok || r.val != 20 {
+					t.Fatalf("Remove(20) = %d,%v want 20,true", r.val, r.ok)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Remove(20) spins on the recycled leaf")
 			}
-			if s.Unreclaimed != 0 {
-				t.Fatalf("unreclaimed=%d retired=%d", s.Unreclaimed, s.Retired)
+			if recycled != c.recycles {
+				t.Fatalf("doomed slot recycled = %v, want %v", recycled, c.recycles)
+			}
+			if val, ok := helper.Get(20); !ok || val != 200 {
+				t.Fatalf("Get(20) = %d,%v want the re-inserted 200,true", val, ok)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package skiplist
 import (
 	"runtime"
 
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/hp"
@@ -16,7 +15,7 @@ import (
 // per window shift — the advantage the paper credits for HP-BRCU's lead
 // in Figure 7d. Helping unlinks run inside abort-masked regions.
 type Expedited struct {
-	l   *list
+	list
 	dom *core.Domain
 }
 
@@ -28,37 +27,26 @@ type Expedited struct {
 // (cheap) descent instead.
 const defaultSkipBackupPeriod = 4096
 
-func skipCfg(cfg core.Config) core.Config {
+func newExpedited(backend core.Backend, cfg core.Config) *Expedited {
 	if cfg.BackupPeriod == 0 {
 		cfg.BackupPeriod = defaultSkipBackupPeriod
 	}
-	return cfg
+	s := &Expedited{list: newList(cfg.Allocator), dom: core.NewDomain(backend, cfg)}
+	s.dom.BindPool(s.pool)
+	return s
 }
 
 // NewHPRCU creates a skip list protected by HP-RCU (§3).
-func NewHPRCU(cfg core.Config) *Expedited {
-	s := &Expedited{l: newList(cfg.Allocator), dom: core.NewDomain(core.BackendRCU, skipCfg(cfg))}
-	s.dom.BindPool(s.l.pool)
-	return s
-}
+func NewHPRCU(cfg core.Config) *Expedited { return newExpedited(core.BackendRCU, cfg) }
 
 // NewHPBRCU creates a skip list protected by HP-BRCU (§4).
-func NewHPBRCU(cfg core.Config) *Expedited {
-	s := &Expedited{l: newList(cfg.Allocator), dom: core.NewDomain(core.BackendBRCU, skipCfg(cfg))}
-	s.dom.BindPool(s.l.pool)
-	return s
-}
+func NewHPBRCU(cfg core.Config) *Expedited { return newExpedited(core.BackendBRCU, cfg) }
 
 // Stats exposes reclamation statistics.
 func (s *Expedited) Stats() *stats.Reclamation { return s.dom.Stats() }
 
 // Domain exposes the underlying HP-(B)RCU domain.
 func (s *Expedited) Domain() *core.Domain { return s.dom }
-
-// LenSlow / KeysSlow / CheckSlow: single-threaded checks.
-func (s *Expedited) LenSlow() int      { return s.l.lenSlow() }
-func (s *Expedited) KeysSlow() []int64 { return s.l.keysSlow() }
-func (s *Expedited) CheckSlow() bool   { return s.l.checkTowersSlow() }
 
 // cursor is the traversal cursor: the current level window plus the
 // preds/succs recorded at the levels already completed.
@@ -68,9 +56,6 @@ type cursor struct {
 	cur   atomicx.Ref
 	preds [MaxHeight]uint64
 	succs [MaxHeight]atomicx.Ref
-	// target/saw implement the deleter's clean-pass check.
-	target atomicx.Ref
-	saw    bool
 }
 
 // protector checkpoints a cursor: the live window plus every recorded
@@ -133,15 +118,12 @@ func (p *getProtector) ClearProtection() {
 
 // ExpeditedHandle is one thread's accessor.
 type ExpeditedHandle struct {
-	l     *Expedited
-	h     *core.Handle
-	cache *alloc.Cache[node]
-	rng   *atomicx.Rand
+	ops
+	h *core.Handle
 
 	prot, backup                 *protector
 	getProt, getBackup           *getProtector
 	maskPredS, maskCurS, maskNxS *hp.Shield
-	nodeS                        *hp.Shield
 
 	// Handle-owned cursor storage for the Traverse engine, one buffer per
 	// cursor type, so traversals never heap-allocate their (large) cursors.
@@ -151,17 +133,17 @@ type ExpeditedHandle struct {
 
 // Register creates a thread handle.
 func (s *Expedited) Register() *ExpeditedHandle {
-	h := s.dom.Register()
-	return &ExpeditedHandle{
-		l: s, h: h, cache: s.l.pool.NewCache(),
-		rng:       atomicx.NewRand(nextSeed()),
-		prot:      newProtector(h),
-		backup:    newProtector(h),
-		getProt:   &getProtector{predS: h.NewShield(), curS: h.NewShield()},
-		getBackup: &getProtector{predS: h.NewShield(), curS: h.NewShield()},
-		maskPredS: h.NewShield(), maskCurS: h.NewShield(), maskNxS: h.NewShield(),
-		nodeS: h.NewShield(),
+	d := s.dom.Register()
+	h := &ExpeditedHandle{
+		h:         d,
+		prot:      newProtector(d),
+		backup:    newProtector(d),
+		getProt:   &getProtector{predS: d.NewShield(), curS: d.NewShield()},
+		getBackup: &getProtector{predS: d.NewShield(), curS: d.NewShield()},
+		maskPredS: d.NewShield(), maskCurS: d.NewShield(), maskNxS: d.NewShield(),
 	}
+	h.init(&s.list, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -182,102 +164,87 @@ func (l *list) notRetired(slot uint64) bool {
 	return l.pool.At(slot).Next[0].Load().Tag() == 0
 }
 
-// search runs the expedited find. ok=false means the operation must be
-// retried from scratch (failed revalidation or a lost helping CAS).
-// On success preds/succs in the returned cursor are protected by prot.
-func (h *ExpeditedHandle) search(key int64, target atomicx.Ref) (cursor, bool, bool) {
-	l := h.l.l
-	t := core.Traversal[cursor, bool]{
+// resumable is both traversals' Validate: a checkpointed window can be
+// resumed from while neither of its nodes was retired.
+func (l *list) resumable(pred uint64, cur atomicx.Ref) bool {
+	return l.notRetired(pred) && (cur.IsNil() || l.notRetired(cur.Slot()))
+}
+
+// search runs the expedited find once. ok=false means it must be retried
+// from scratch (failed revalidation or a lost helping CAS). On success
+// preds/succs in the returned cursor are protected by prot.
+func (h *ExpeditedHandle) search(key int64, past bool) (cursor, bool) {
+	l := h.l
+	t := core.Traversal[cursor, struct{}]{
 		Init: func() cursor {
-			c := cursor{
-				level:  MaxHeight - 1,
-				pred:   l.head,
-				cur:    l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
-				target: target,
+			return cursor{
+				level: MaxHeight - 1,
+				pred:  l.head,
+				cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
 			}
-			if !c.cur.IsNil() && c.cur == target {
-				c.saw = true
-			}
-			return c
 		},
-		Validate: func(c *cursor) bool {
-			if !l.notRetired(c.pred) {
-				return false
-			}
-			return c.cur.IsNil() || l.notRetired(c.cur.Slot())
-		},
-		Step: func(c *cursor) (core.StepKind, bool) {
-			// A marked node must be unlinked before the key comparison:
-			// a logically deleted node with key >= the search key would
-			// otherwise be recorded as a successor (and the deleter's
-			// clean pass would keep seeing it forever).
-			if c.cur.IsNil() || l.at(c.cur).Next[c.level].Load().Tag() == 0 && l.at(c.cur).Key.Load() >= key {
-				// Level finished: record and descend (or finish).
-				c.preds[c.level] = c.pred
-				c.succs[c.level] = c.cur
-				if c.level == 0 {
-					found := false
-					if !c.cur.IsNil() {
-						n := l.at(c.cur)
-						found = n.Key.Load() == key && n.Next[0].Load().Tag() == 0
-					}
-					return core.StepFinish, found
-				}
-				c.level--
-				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-				if !c.cur.IsNil() && c.cur == c.target {
-					c.saw = true
-				}
-				return core.StepContinue, false
+		Validate: func(c *cursor) bool { return l.resumable(c.pred, c.cur) },
+		Step: func(c *cursor) (core.StepKind, struct{}) {
+			if c.cur.IsNil() {
+				return c.descend(l), struct{}{}
 			}
 			n := l.at(c.cur)
 			next := n.Next[c.level].Load()
 			if next.Tag() != 0 {
-				// cur is marked at this level: unlink inside a masked
-				// region with the operands shielded (no retirement here —
-				// the clean-pass owner retires).
+				// cur is marked at this level — checked before the key, or
+				// a deleted node would be recorded as a successor: unlink
+				// it inside a masked region with the operands shielded (no
+				// retirement here — the node's owner retires).
 				nu := next.Untagged()
 				h.maskPredS.ProtectSlot(c.pred)
 				h.maskCurS.Protect(c.cur)
 				h.maskNxS.Protect(nu)
 				succ := false
-				level := c.level
-				pred, cur := c.pred, c.cur
 				ran, mustRollback := h.h.Mask(func() {
-					succ = l.pool.At(pred).Next[level].CompareAndSwap(cur, nu)
+					succ = l.pool.At(c.pred).Next[c.level].CompareAndSwap(c.cur, nu)
 				})
 				if mustRollback {
-					return core.StepAbort, false
+					return core.StepAbort, struct{}{}
 				}
 				if !ran || !succ {
-					return core.StepFail, false
+					return core.StepFail, struct{}{}
 				}
 				c.cur = nu
-				if !c.cur.IsNil() && c.cur == c.target {
-					c.saw = true
-				}
-				return core.StepContinue, false
+				return core.StepContinue, struct{}{}
+			}
+			if k := n.Key.Load(); k > key || k == key && !past {
+				return c.descend(l), struct{}{}
 			}
 			c.pred = c.cur.Slot()
 			c.cur = next.Untagged()
-			if !c.cur.IsNil() && c.cur == c.target {
-				c.saw = true
-			}
-			return core.StepContinue, false
+			return core.StepContinue, struct{}{}
 		},
 	}
-	c, found, ok := core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
-	return c, found, ok
+	c, _, ok := core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
+	return c, ok
+}
+
+// descend records the finished level and moves the window one level down,
+// or finishes the traversal at level 0.
+func (c *cursor) descend(l *list) core.StepKind {
+	c.preds[c.level] = c.pred
+	c.succs[c.level] = c.cur
+	if c.level == 0 {
+		return core.StepFinish
+	}
+	c.level--
+	c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
+	return core.StepContinue
 }
 
 // find retries search until it succeeds, yielding between attempts so
 // that on a single CPU two operations whose retries invalidate each other
 // cannot ping-pong indefinitely.
-func (h *ExpeditedHandle) find(key int64, target atomicx.Ref) (cursor, bool) {
+func (h *ExpeditedHandle) find(key int64, past bool) {
 	for attempt := 0; ; attempt++ {
-		c, found, ok := h.search(key, target)
-		if ok {
-			return c, found
+		if c, ok := h.search(key, past); ok {
+			h.preds, h.succs = c.preds, c.succs
+			return
 		}
 		if attempt > 0 {
 			runtime.Gosched()
@@ -285,14 +252,18 @@ func (h *ExpeditedHandle) find(key int64, target atomicx.Ref) (cursor, bool) {
 	}
 }
 
-// Get is GetOptimistic — the configuration the paper evaluates; the
-// helping find serves Insert and Remove.
-func (h *ExpeditedHandle) Get(key int64) (int64, bool) { return h.GetOptimistic(key) }
+// retire is the two-step retirement; legal outside critical sections.
+func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.l.pool) }
 
-// GetOptimistic is the wait-free-style get on the Traverse engine: it
-// skips marked nodes without helping (lock-free under HP-BRCU).
-func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
-	l := h.l.l
+// release is a no-op: prot holds the position until the next traversal.
+func (h *ExpeditedHandle) release() {}
+
+// Get is the wait-free-style get on the Traverse engine — the
+// configuration the paper evaluates: it skips marked nodes without helping
+// (lock-free under HP-BRCU, footnote 9). The helping find serves Insert
+// and Remove.
+func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
+	l := h.l
 	t := core.Traversal[getCursor, bool]{
 		Init: func() getCursor {
 			return getCursor{
@@ -301,12 +272,7 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 				cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
 			}
 		},
-		Validate: func(c *getCursor) bool {
-			if !l.notRetired(c.pred) {
-				return false
-			}
-			return c.cur.IsNil() || l.notRetired(c.cur.Slot())
-		},
+		Validate: func(c *getCursor) bool { return l.resumable(c.pred, c.cur) },
 		Step: func(c *getCursor) (core.StepKind, bool) {
 			if c.cur.IsNil() || l.at(c.cur).Key.Load() >= key {
 				if c.level == 0 {
@@ -345,76 +311,4 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 		}
 		return l.at(c.cur).Val.Load(), true
 	}
-}
-
-// Insert maps key to val; it fails if key is already present.
-func (h *ExpeditedHandle) Insert(key, val int64) bool {
-	l := h.l.l
-	for {
-		c, found := h.find(key, atomicx.Nil)
-		if found {
-			return false
-		}
-		height := randomHeight(h.rng)
-		slot, ref := l.newNode(h.cache, key, val, height, &c.succs)
-		h.nodeS.ProtectSlot(slot)
-		if !l.pool.At(c.preds[0]).Next[0].CompareAndSwap(c.succs[0], ref) {
-			l.discard(h.cache, slot)
-			continue
-		}
-		n := l.pool.At(slot)
-		for level := 1; level < height; level++ {
-			for {
-				if l.pool.At(c.preds[level]).Next[level].CompareAndSwap(c.succs[level], ref) {
-					break
-				}
-				c, _ = h.find(key, atomicx.Nil)
-				if c.succs[0] != ref {
-					h.nodeS.Clear()
-					return true
-				}
-				old := n.Next[level].Load()
-				if old.Tag() != 0 {
-					h.nodeS.Clear()
-					return true
-				}
-				if old != c.succs[level] && !n.Next[level].CompareAndSwap(old, c.succs[level]) {
-					h.nodeS.Clear()
-					return true
-				}
-			}
-		}
-		h.nodeS.Clear()
-		return true
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *ExpeditedHandle) Remove(key int64) (int64, bool) {
-	l := h.l.l
-	c, found := h.find(key, atomicx.Nil)
-	if !found {
-		return 0, false
-	}
-	ref := c.succs[0] // protected by prot
-	val := l.at(ref).Val.Load()
-	if !l.markTower(ref) {
-		return 0, false
-	}
-	// We own the node now: scan until two consecutive clean passes (extra
-	// margin against in-flight inserts re-linking the node), then retire
-	// (two-step). Yield between passes: the unlink progress may depend on
-	// other threads getting scheduled.
-	for clean := 0; clean < 2; {
-		cc, _ := h.find(key, ref)
-		if cc.saw {
-			clean = 0
-			runtime.Gosched()
-		} else {
-			clean++
-		}
-	}
-	l.pool.Hdr(ref.Slot()).Retire()
-	h.h.Retire(ref.Slot(), l.pool)
-	return val, true
 }

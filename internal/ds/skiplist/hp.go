@@ -1,9 +1,6 @@
 package skiplist
 
 import (
-	"runtime"
-
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -15,55 +12,40 @@ import (
 // pointer protection cost the paper shows degrading HP/HP++/PEBR in
 // Figure 7d. Its get necessarily helps (no wait-free get under HP).
 type HP struct {
-	l   *list
+	list
 	dom *hp.Domain
 }
 
 // NewHP creates a hazard-pointer-protected skip list.
 func NewHP(opts ...hp.Option) *HP {
 	dom := hp.NewDomain(nil, opts...)
-	s := &HP{l: newList(dom.AllocMode()), dom: dom}
-	dom.BindPool(s.l.pool)
+	s := &HP{list: newList(dom.AllocMode()), dom: dom}
+	dom.BindPool(s.pool)
 	return s
 }
 
 // Stats exposes reclamation statistics.
 func (s *HP) Stats() *stats.Reclamation { return s.dom.Stats() }
 
-// LenSlow / KeysSlow / CheckSlow: single-threaded checks.
-func (s *HP) LenSlow() int      { return s.l.lenSlow() }
-func (s *HP) KeysSlow() []int64 { return s.l.keysSlow() }
-func (s *HP) CheckSlow() bool   { return s.l.checkTowersSlow() }
-
-// HPHandle is one thread's accessor: three shields per level plus one for
-// the freshly inserted node.
+// HPHandle is one thread's accessor: three shields per level.
 type HPHandle struct {
-	l     *HP
-	h     *hp.Handle
-	cache *alloc.Cache[node]
-	rng   *atomicx.Rand
+	ops
+	h *hp.Handle
 
 	predS, curS, nextS [MaxHeight]*hp.Shield
-	nodeS              *hp.Shield
-
-	preds [MaxHeight]uint64
-	succs [MaxHeight]atomicx.Ref
 }
 
 // Register creates a thread handle.
 func (s *HP) Register() *HPHandle {
-	h := s.dom.Register()
-	hh := &HPHandle{
-		l: s, h: h, cache: s.l.pool.NewCache(),
-		rng:   atomicx.NewRand(nextSeed()),
-		nodeS: h.NewShield(),
-	}
+	d := s.dom.Register()
+	h := &HPHandle{h: d}
 	for i := 0; i < MaxHeight; i++ {
-		hh.predS[i] = h.NewShield()
-		hh.curS[i] = h.NewShield()
-		hh.nextS[i] = h.NewShield()
+		h.predS[i] = d.NewShield()
+		h.curS[i] = d.NewShield()
+		h.nextS[i] = d.NewShield()
 	}
-	return hh
+	h.init(&s.list, h)
+	return h
 }
 
 // Unregister releases the handle.
@@ -74,11 +56,10 @@ func (h *HPHandle) Barrier() { h.h.Reclaim() }
 
 // find positions preds/succs around key with validated per-level
 // protection. On return preds[l] is protected by predS[l] (or is the
-// immortal head) and succs[l] by curS[l].
-func (h *HPHandle) find(key int64, target atomicx.Ref) (found, saw bool) {
-	l := h.l.l
+// immortal head) and succs[l] by curS[l], until the next find.
+func (h *HPHandle) find(key int64, past bool) {
+	l := h.l
 retry:
-	saw = false
 	pred := l.head
 	yc := 0
 	for level := MaxHeight - 1; level >= 0; level-- {
@@ -94,9 +75,6 @@ retry:
 			if cur.IsNil() {
 				break
 			}
-			if cur == target {
-				saw = true
-			}
 			n := l.at(cur)
 			next := n.Next[level].Load()
 			if next.Tag() != 0 {
@@ -110,106 +88,37 @@ retry:
 				}
 				continue
 			}
-			if n.Key.Load() < key {
-				// Shift the window: protect the successor validated from
-				// the (protected) cur, then rotate the level's shields.
-				nextv := hp.ProtectFrom(h.nextS[level], &n.Next[level])
-				if nextv.Tag() != 0 {
-					continue // cur got marked; redo this iteration
-				}
-				pred = cur.Slot()
-				h.predS[level], h.curS[level], h.nextS[level] =
-					h.curS[level], h.nextS[level], h.predS[level]
-				cur = nextv
-				continue
+			if k := n.Key.Load(); k > key || k == key && !past {
+				break
 			}
-			break
+			// Shift the window: protect the successor validated from
+			// the (protected) cur, then rotate the level's shields.
+			nextv := hp.ProtectFrom(h.nextS[level], &n.Next[level])
+			if nextv.Tag() != 0 {
+				continue // cur got marked; redo this iteration
+			}
+			pred = cur.Slot()
+			h.predS[level], h.curS[level], h.nextS[level] =
+				h.curS[level], h.nextS[level], h.predS[level]
+			cur = nextv
 		}
 		h.preds[level] = pred
 		h.succs[level] = cur
 	}
-	found = !h.succs[0].IsNil() && l.at(h.succs[0]).Key.Load() == key
-	return found, saw
 }
 
-// Get returns the value mapped to key.
+func (h *HPHandle) retire(slot uint64) { h.h.Retire(slot, h.l.pool) }
+
+// release is a no-op: the shields hold the position until the next find
+// overwrites them.
+func (h *HPHandle) release() {}
+
+// Get returns the value mapped to key. Plain HP cannot skip marked nodes
+// without validation, so there is no cheaper read path than the helping
+// find (Table 1's ▲).
 func (h *HPHandle) Get(key int64) (int64, bool) {
-	found, _ := h.find(key, atomicx.Nil)
-	if !found {
+	if !h.locate(key) {
 		return 0, false
 	}
-	return h.l.l.at(h.succs[0]).Val.Load(), true
-}
-
-// GetOptimistic is Get: plain HP cannot skip marked nodes without
-// validation, so there is no cheaper read path (Table 1's ▲).
-func (h *HPHandle) GetOptimistic(key int64) (int64, bool) { return h.Get(key) }
-
-// Insert maps key to val; it fails if key is already present.
-func (h *HPHandle) Insert(key, val int64) bool {
-	l := h.l.l
-	for {
-		found, _ := h.find(key, atomicx.Nil)
-		if found {
-			return false
-		}
-		height := randomHeight(h.rng)
-		slot, ref := l.newNode(h.cache, key, val, height, &h.succs)
-		h.nodeS.ProtectSlot(slot) // keep the node alive while linking
-		if !l.pool.At(h.preds[0]).Next[0].CompareAndSwap(h.succs[0], ref) {
-			l.discard(h.cache, slot)
-			continue
-		}
-		n := l.pool.At(slot)
-		for level := 1; level < height; level++ {
-			for {
-				if l.pool.At(h.preds[level]).Next[level].CompareAndSwap(h.succs[level], ref) {
-					break
-				}
-				h.find(key, atomicx.Nil)
-				if h.succs[0] != ref {
-					return true
-				}
-				old := n.Next[level].Load()
-				if old.Tag() != 0 {
-					return true
-				}
-				if old != h.succs[level] && !n.Next[level].CompareAndSwap(old, h.succs[level]) {
-					return true
-				}
-			}
-		}
-		return true
-	}
-}
-
-// Remove unmaps key, returning the removed value.
-func (h *HPHandle) Remove(key int64) (int64, bool) {
-	l := h.l.l
-	found, _ := h.find(key, atomicx.Nil)
-	if !found {
-		return 0, false
-	}
-	ref := h.succs[0] // protected by curS[0]
-	h.nodeS.Protect(ref)
-	val := l.at(ref).Val.Load()
-	if !l.markTower(ref) {
-		return 0, false
-	}
-	// Physically remove: scan until two consecutive clean passes see the
-	// node nowhere (margin against in-flight inserts re-linking it);
-	// yield between dirty passes so the competing unlinkers can run.
-	for clean := 0; clean < 2; {
-		_, saw := h.find(key, ref)
-		if saw {
-			clean = 0
-			runtime.Gosched()
-		} else {
-			clean++
-		}
-	}
-	l.pool.Hdr(ref.Slot()).Retire()
-	h.nodeS.Clear()
-	h.h.Retire(ref.Slot(), l.pool)
-	return val, true
+	return h.l.at(h.succs[0]).Val.Load(), true // still shielded: release is a no-op
 }

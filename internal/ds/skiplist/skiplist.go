@@ -1,28 +1,57 @@
 // Package skiplist implements the Herlihy-Shavit lock-free skip list
 // (The Art of Multiprocessor Programming, ch. 14), one of the paper's
-// evaluation structures (Figure 7d). Each node carries one tower of
-// next references; the mark (logical deletion) is tag bit 0 of each level's
-// next reference, set top-down with level 0 last — a node is logically
-// deleted exactly when its level-0 next is marked.
+// evaluation structures (Figure 7d), once: node, allocation, the tower
+// marking, one Insert and one Remove live here, over the per-scheme find
+// that is the only code that differs (§4.3 puts the scheme behind
+// Traverse, not behind insert and remove):
 //
-// Reclamation protocol (all schemes): unlink CASes during traversal help
-// remove marked nodes but never retire them. The deleter that wins the
-// level-0 mark owns the node; it repeatedly runs the physical-removal scan
-// until one *clean pass* encounters the node at no level, which proves no
-// link to it remains or can be created (a later insert's link CAS would
-// have to expect a link that the clean pass already removed), and then
-// retires it.
+//   - ebr.go:       EBR/NR — one pinned descent, and the optimistic get.
+//   - hp.go:        plain HP — per-level protect-and-validate (three
+//     shields a level, the multi-shield cost of Figure 7d); its get helps.
+//   - expedited.go: HP-RCU/HP-BRCU — the Traverse search with masked
+//     helping unlinks, and the optimistic-get traversal.
 //
-// Variants: EBR/NR; HP (per-level validated protection, the multi-shield
-// cost the paper shows in Figure 7d); HP-RCU / HP-BRCU via the Traverse
-// engine with helping unlinks inside abort-masked regions; and for every
-// non-HP scheme a wait-free-style GetOptimistic that skips marked nodes
-// without helping (lock-free under HP-BRCU, footnote 9), which is also
-// their Get. NBR does not apply (Table 1): helping unlinks occur
-// mid-traversal.
+// Each find is monomorphic: no interface or type-parameter call happens
+// inside a per-node loop. The shared write path reaches the scheme through
+// the positioner interface, a handful of indirect calls per operation. NBR
+// does not apply (Table 1): helping unlinks occur mid-traversal.
+//
+// Each node carries one tower of next references; the mark (logical
+// deletion) is tag bit 0 of each level's next reference, set top-down with
+// level 0 last — a node is logically deleted exactly when its level-0 next
+// is marked.
+//
+// Retirement protocol (all schemes). Unlink CASes during a find help
+// remove marked nodes but never retire them. A node is retired by exactly
+// one owner, after one find past its key that started when nothing could
+// create a link to it any more. Three things make that find a proof:
+//
+//   - Only the node's own inserter ever makes it reachable at a level
+//     where it was not. Every other CAS that stores a reference to it — a
+//     helping unlink of its predecessor, an insert in front of it — expects
+//     a reachable link to it and replaces that link. So once the inserter
+//     is out, a level at which the node is unreachable stays that way.
+//   - The inserter is out before the find starts. The inserter and the
+//     deleter that won the level-0 mark meet on the node's Link word:
+//     whichever of them finishes last (linking → linked by the inserter,
+//     linking → orphaned by the deleter) owns the unlinking find and the
+//     retirement. The inserter re-points Next[level] at the successor its
+//     latest find saw before every link CAS, and stops at the first level
+//     it finds marked.
+//   - The find cannot stop short of the node. A find of key K stops each
+//     level at the first unmarked node with key ≥ K, which may be a newer
+//     node with the same key linked in front of the deleted one; the
+//     unlinking find therefore runs past keys equal to K. At every level
+//     it ends on a link pred → succ, read while pred was reachable, with
+//     pred.key ≤ K < succ.key: the marked node was not between them, so it
+//     was unreachable at that level at that moment, and by the first point
+//     for good.
+//
+// DESIGN.md §3.2 gives the argument in full.
 package skiplist
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
@@ -39,24 +68,35 @@ const markBit = 1
 // minKey is the head sentinel's key.
 const minKey = -1 << 63
 
+// Link states: who may still create a link to the node, and who retires it.
+const (
+	linking  uint32 = iota // the inserter is still linking the tower
+	linked                 // the inserter is out; the deleter unlinks and retires
+	orphaned               // deleted while linking; the inserter unlinks and retires
+)
+
 // node is one skip-list element.
 type node struct {
 	Key atomic.Int64
 	Val atomic.Int64
 	// Top is the highest valid level index (0-based, immutable per
 	// incarnation — rewritten on reuse before publication).
-	Top  atomic.Int32
+	Top atomic.Int32
+	// Link is the retirement hand-off between the node's inserter and its
+	// deleter (package comment). It shares Top's word, so it costs no space.
+	Link atomic.Uint32
 	Next [MaxHeight]atomicx.AtomicRef
 }
 
-// list is the scheme-independent core.
+// list is the scheme-independent half of a skip list: the node pool and
+// the full-height immortal head sentinel.
 type list struct {
 	pool *alloc.Pool[node]
-	head uint64 // full-height immortal sentinel
+	head uint64
 }
 
-func newList(mode ...alloc.Mode) *list {
-	pool := alloc.NewPool[node](mode...)
+func newList(mode alloc.Mode) list {
+	pool := alloc.NewPool[node](mode)
 	cache := pool.NewCache()
 	slot, n := pool.Alloc(cache)
 	n.Key.Store(minKey)
@@ -64,7 +104,7 @@ func newList(mode ...alloc.Mode) *list {
 	for i := range n.Next {
 		n.Next[i].Store(atomicx.Nil)
 	}
-	return &list{pool: pool, head: slot}
+	return list{pool: pool, head: slot}
 }
 
 func (l *list) at(r atomicx.Ref) *node { return l.pool.At(r.Slot()) }
@@ -85,6 +125,7 @@ func (l *list) newNode(c *alloc.Cache[node], key, val int64, height int, succs *
 	n.Key.Store(key)
 	n.Val.Store(val)
 	n.Top.Store(int32(height - 1))
+	n.Link.Store(linking)
 	for i := 0; i < MaxHeight; i++ {
 		if i < height {
 			n.Next[i].Store(succs[i].Untagged())
@@ -102,7 +143,7 @@ func (l *list) discard(c *alloc.Cache[node], slot uint64) {
 }
 
 // markTower marks every level top-down, level 0 last. It reports whether
-// this caller won the level-0 mark (and thus owns retirement).
+// this caller won the level-0 mark (the logical deletion).
 func (l *list) markTower(ref atomicx.Ref) bool {
 	n := l.at(ref)
 	top := int(n.Top.Load())
@@ -126,22 +167,136 @@ func (l *list) markTower(ref atomicx.Ref) bool {
 	}
 }
 
-// LenSlow counts unmarked level-0 nodes; single-threaded use only.
-func (l *list) lenSlow() int {
-	n := 0
-	r := l.pool.At(l.head).Next[0].Load().Untagged()
-	for !r.IsNil() {
-		nd := l.at(r)
-		nx := nd.Next[0].Load()
-		if nx.Tag() == 0 {
-			n++
-		}
-		r = nx.Untagged()
-	}
-	return n
+// positioner is the per-scheme half of a write. find fills ops.preds and
+// ops.succs around key at every level — succs[level] is the first unmarked
+// node with key ≥ key (with past set: key > key), preds[level] its
+// predecessor — unlinking the marked nodes it meets, and leaves the caller
+// entitled to CAS through every one of them: pinned (EBR) or with all of
+// them shielded (HP, HP-RCU, HP-BRCU). It retries internally until it has
+// such a position. retire hands an unlinked node to the scheme; release
+// drops whatever find acquired and must follow every find, before the
+// next one.
+//
+// release is called inline, not deferred; see hlist's positioner for why
+// nothing between find and release may panic recoverably.
+type positioner interface {
+	find(key int64, past bool)
+	retire(slot uint64)
+	release()
 }
 
-func (l *list) keysSlow() []int64 {
+// ops is the scheme-independent half of a handle: the position the latest
+// find produced, and the one Insert and one Remove of the package. Scheme
+// handles embed it and set pos to themselves.
+type ops struct {
+	l     *list
+	cache *alloc.Cache[node]
+	rng   *atomicx.Rand
+	pos   positioner
+
+	preds [MaxHeight]uint64
+	succs [MaxHeight]atomicx.Ref
+}
+
+func (o *ops) init(l *list, pos positioner) {
+	o.l = l
+	o.cache = l.pool.NewCache()
+	o.rng = atomicx.NewRand(nextSeed())
+	o.pos = pos
+}
+
+// locate runs the scheme's find and reports whether key is present; the
+// caller releases.
+func (o *ops) locate(key int64) bool {
+	o.pos.find(key, false)
+	s := o.succs[0]
+	return !s.IsNil() && o.l.at(s).Key.Load() == key
+}
+
+// Insert maps key to val; it fails if key is already present. The level-0
+// CAS publishes the node; the upper levels are linked afterwards, bottom
+// up, for as long as the node is not being deleted.
+func (o *ops) Insert(key, val int64) bool {
+	l := o.l
+	for {
+		if o.locate(key) {
+			o.pos.release()
+			return false
+		}
+		height := randomHeight(o.rng)
+		slot, ref := l.newNode(o.cache, key, val, height, &o.succs)
+		if !l.pool.At(o.preds[0]).Next[0].CompareAndSwap(o.succs[0], ref) {
+			o.pos.release()
+			l.discard(o.cache, slot)
+			continue
+		}
+		// While Link reads linking the node cannot be retired, so it needs
+		// no protection of its own across the re-finds below.
+		n := l.pool.At(slot)
+	tower:
+		for level := 1; level < height; level++ {
+			for {
+				// Publish at this level the successor the latest find saw,
+				// not the one preset by an earlier find: that one may have
+				// been unlinked and retired since, and nothing that unlinks
+				// it can see a link the node does not expose yet.
+				old := n.Next[level].Load()
+				if old.Tag() != 0 || old != o.succs[level] && !n.Next[level].CompareAndSwap(old, o.succs[level]) {
+					break tower // marked: being deleted, stop linking
+				}
+				if l.pool.At(o.preds[level]).Next[level].CompareAndSwap(o.succs[level], ref) {
+					break
+				}
+				o.pos.release()
+				o.pos.find(key, false)
+			}
+		}
+		o.pos.release()
+		// The last access of an inserter that is not the node's owner.
+		if !n.Link.CompareAndSwap(linking, linked) {
+			o.unlinkAndRetire(key, slot)
+		}
+		return true
+	}
+}
+
+// Remove unmaps key, returning the removed value: it marks the tower
+// (logical deletion) and, unless the node's inserter is still linking and
+// inherits the job, unlinks and retires it.
+func (o *ops) Remove(key int64) (int64, bool) {
+	if !o.locate(key) {
+		o.pos.release()
+		return 0, false
+	}
+	ref := o.succs[0]
+	n := o.l.at(ref)
+	val := n.Val.Load()
+	won := o.l.markTower(ref)
+	mine := won && !n.Link.CompareAndSwap(linking, orphaned)
+	o.pos.release()
+	if !won {
+		return 0, false // a concurrent deleter won the logical deletion
+	}
+	if mine {
+		o.unlinkAndRetire(key, ref.Slot())
+	}
+	return val, true
+}
+
+// unlinkAndRetire is the owner's half of the retirement protocol (package
+// comment): one find past key, started after the tower is fully marked and
+// the inserter is out, leaves the node unreachable at every level for
+// good.
+func (o *ops) unlinkAndRetire(key int64, slot uint64) {
+	o.pos.find(key, true)
+	o.pos.release()
+	o.l.pool.Hdr(slot).Retire()
+	o.pos.retire(slot)
+}
+
+// KeysSlow returns the live keys in level-0 order; single-threaded use
+// only (tests, checks).
+func (l *list) KeysSlow() []int64 {
 	var out []int64
 	r := l.pool.At(l.head).Next[0].Load().Untagged()
 	for !r.IsNil() {
@@ -155,26 +310,33 @@ func (l *list) keysSlow() []int64 {
 	return out
 }
 
-// checkTowersSlow verifies that every level-l link connects nodes whose
-// towers reach level l and that each level is sorted; single-threaded.
-func (l *list) checkTowersSlow() bool {
+// CheckSlow verifies the quiescent structure: every level-j link points at
+// a live, unmarked node whose tower reaches j, and each level's keys
+// strictly ascend. A link to a retired or recycled slot — a node retired
+// while still linked — fails the first or the last of these.
+// Single-threaded use only.
+func (l *list) CheckSlow() error {
 	for level := 0; level < MaxHeight; level++ {
 		prev := int64(minKey)
-		r := l.pool.At(l.head).Next[level].Load().Untagged()
+		r := l.pool.At(l.head).Next[level].Load()
 		for !r.IsNil() {
 			nd := l.at(r)
-			if int(nd.Top.Load()) < level {
-				return false
-			}
 			k := nd.Key.Load()
-			if k <= prev {
-				return false
+			switch {
+			case r.Tag() != 0:
+				return fmt.Errorf("level %d: marked link left behind before key %d", level, k)
+			case l.pool.Hdr(r.Slot()).State() != alloc.StateLive:
+				return fmt.Errorf("level %d: link to slot %d (key %d) in allocator state %d", level, r.Slot(), k, l.pool.Hdr(r.Slot()).State())
+			case int(nd.Top.Load()) < level:
+				return fmt.Errorf("level %d: link to key %d whose tower tops out at %d", level, k, nd.Top.Load())
+			case k <= prev:
+				return fmt.Errorf("level %d: key %d follows %d", level, k, prev)
 			}
 			prev = k
-			r = nd.Next[level].Load().Untagged()
+			r = nd.Next[level].Load()
 		}
 	}
-	return true
+	return nil
 }
 
 // seedCounter dispenses distinct PRNG seeds to handles.

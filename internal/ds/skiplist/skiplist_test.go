@@ -1,296 +1,46 @@
 package skiplist
 
 import (
-	"math/rand"
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/stats"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
 )
 
-type handle interface {
-	Get(key int64) (int64, bool)
-	GetOptimistic(key int64) (int64, bool)
-	Insert(key, val int64) bool
-	Remove(key int64) (int64, bool)
-	Unregister()
-	Barrier()
-}
-
-type variant struct {
-	name      string
-	register  func() handle
-	stats     func() *stats.Reclamation
-	lenSlow   func() int
-	keysSlow  func() []int64
-	checkSlow func() bool
-}
-
-func variants() []variant {
-	nr := NewNR()
-	ebrS := NewEBR()
-	hpS := NewHP()
-	hprcu := NewHPRCU(core.Config{BackupPeriod: 8})
-	hpbrcu := NewHPBRCU(core.Config{BackupPeriod: 8})
-	return []variant{
-		{"NR", func() handle { return nr.Register() }, nr.Stats, nr.LenSlow, nr.KeysSlow, nr.CheckSlow},
-		{"EBR", func() handle { return ebrS.Register() }, ebrS.Stats, ebrS.LenSlow, ebrS.KeysSlow, ebrS.CheckSlow},
-		{"HP", func() handle { return hpS.Register() }, hpS.Stats, hpS.LenSlow, hpS.KeysSlow, hpS.CheckSlow},
-		{"HP-RCU", func() handle { return hprcu.Register() }, hprcu.Stats, hprcu.LenSlow, hprcu.KeysSlow, hprcu.CheckSlow},
-		{"HP-BRCU", func() handle { return hpbrcu.Register() }, hpbrcu.Stats, hpbrcu.LenSlow, hpbrcu.KeysSlow, hpbrcu.CheckSlow},
+// variants builds the skip list under every scheme its constructors
+// accept, fresh for each check. Every check ends on CheckSlow (the tower
+// invariants), through listtest.Of.
+func variants() []listtest.Variant {
+	small := core.Config{BackupPeriod: 8} // small period: exercise mid-descent checkpoints
+	return []listtest.Variant{
+		listtest.Of("NR", true, false, NewNR()),
+		listtest.Of("EBR", true, true, NewEBR()),
+		listtest.Of("HP", true, true, NewHP()),
+		listtest.Of("HP-RCU", true, true, NewHPRCU(small)),
+		listtest.Of("HP-BRCU", true, true, NewHPBRCU(small)),
 	}
 }
 
-func TestSequentialSemantics(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
+func TestSequentialSemantics(t *testing.T) { listtest.Sequential(t, variants()) }
+func TestSequentialBulk(t *testing.T)      { listtest.Bulk(t, variants()) }
+func TestConcurrentMixed(t *testing.T)     { listtest.ConcurrentMixed(t, variants()) }
+func TestConcurrentDisjoint(t *testing.T)  { listtest.ConcurrentDisjoint(t, variants()) }
+func TestConcurrentContended(t *testing.T) { listtest.ConcurrentContended(t, variants()) }
+func TestReclamationBalance(t *testing.T)  { listtest.ReclamationBalance(t, variants()) }
 
-			if _, ok := h.Get(1); ok {
-				t.Fatal("empty list contains 1")
-			}
-			keys := []int64{5, 1, 9, 3, 7, 2, 8}
-			for _, k := range keys {
-				if !h.Insert(k, k*10) {
-					t.Fatalf("insert %d", k)
-				}
-			}
-			if h.Insert(5, 55) {
-				t.Fatal("duplicate insert succeeded")
-			}
-			for _, k := range keys {
-				if got, ok := h.Get(k); !ok || got != k*10 {
-					t.Fatalf("Get(%d)=%d,%v", k, got, ok)
-				}
-				if got, ok := h.GetOptimistic(k); !ok || got != k*10 {
-					t.Fatalf("GetOptimistic(%d)=%d,%v", k, got, ok)
-				}
-			}
-			got := v.keysSlow()
-			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-				t.Fatalf("keys not sorted: %v", got)
-			}
-			if !v.checkSlow() {
-				t.Fatal("tower invariant violated")
-			}
-			if val, ok := h.Remove(5); !ok || val != 50 {
-				t.Fatalf("Remove(5)=%d,%v", val, ok)
-			}
-			if _, ok := h.Remove(5); ok {
-				t.Fatal("double remove succeeded")
-			}
-			if _, ok := h.Get(5); ok {
-				t.Fatal("removed key present")
-			}
-			if v.lenSlow() != len(keys)-1 {
-				t.Fatalf("len=%d", v.lenSlow())
-			}
-			if !h.Insert(5, 51) {
-				t.Fatal("re-insert failed")
-			}
-			if got, _ := h.Get(5); got != 51 {
-				t.Fatalf("Get(5)=%d", got)
-			}
-		})
-	}
-}
-
-func TestSequentialBulk(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			h := v.register()
-			defer h.Unregister()
-			const n = 1000
-			perm := rand.New(rand.NewSource(11)).Perm(n)
-			for _, k := range perm {
-				if !h.Insert(int64(k), int64(k)) {
-					t.Fatalf("insert %d", k)
-				}
-			}
-			if !v.checkSlow() {
-				t.Fatal("tower invariant violated after inserts")
-			}
-			for i := 0; i < n; i += 2 {
-				if _, ok := h.Remove(int64(i)); !ok {
-					t.Fatalf("remove %d", i)
-				}
-			}
-			if !v.checkSlow() {
-				t.Fatal("tower invariant violated after removes")
-			}
-			for i := 0; i < n; i++ {
-				want := i%2 == 1
-				if _, ok := h.Get(int64(i)); ok != want {
-					t.Fatalf("Get(%d)=%v", i, ok)
-				}
-				if _, ok := h.GetOptimistic(int64(i)); ok != want {
-					t.Fatalf("GetOptimistic(%d)=%v", i, ok)
-				}
-			}
-		})
-	}
-}
-
-func TestConcurrentDisjoint(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 6
-			const perWorker = 120
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(base int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					for i := int64(0); i < perWorker; i++ {
-						k := base*perWorker + i
-						if !h.Insert(k, k) {
-							t.Errorf("insert %d", k)
-							return
-						}
-					}
-					for i := int64(0); i < perWorker; i += 2 {
-						k := base*perWorker + i
-						if _, ok := h.Remove(k); !ok {
-							t.Errorf("remove %d", k)
-							return
-						}
-					}
-				}(int64(w))
-			}
-			wg.Wait()
-			if !v.checkSlow() {
-				t.Fatal("tower invariant violated")
-			}
-			h := v.register()
-			defer h.Unregister()
-			for w := int64(0); w < workers; w++ {
-				for i := int64(0); i < perWorker; i++ {
-					k := w*perWorker + i
-					_, ok := h.Get(k)
-					if want := i%2 == 1; ok != want {
-						t.Fatalf("key %d present=%v want %v", k, ok, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestConcurrentContended(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			const workers = 6
-			const iters = 300
-			const keys = 8
-			var ins, rem [keys]int64
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := v.register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					var mi, mr [keys]int64
-					for i := 0; i < iters; i++ {
-						k := rng.Int63n(keys)
-						switch rng.Intn(3) {
-						case 0:
-							if h.Insert(k, k) {
-								mi[k]++
-							}
-						case 1:
-							if _, ok := h.Remove(k); ok {
-								mr[k]++
-							}
-						default:
-							h.GetOptimistic(k)
-						}
-					}
-					mu.Lock()
-					for i := range ins {
-						ins[i] += mi[i]
-						rem[i] += mr[i]
-					}
-					mu.Unlock()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-
-			h := v.register()
-			defer h.Unregister()
-			for k := int64(0); k < keys; k++ {
-				_, present := h.Get(k)
-				diff := ins[k] - rem[k]
-				if diff != 0 && diff != 1 {
-					t.Fatalf("key %d: diff=%d", k, diff)
-				}
-				if present != (diff == 1) {
-					t.Fatalf("key %d: present=%v diff=%d", k, present, diff)
-				}
-			}
-			if !v.checkSlow() {
-				t.Fatal("tower invariant violated")
-			}
-		})
-	}
-}
-
-func TestReclamationBalance(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		l    *Expedited
-	}{
-		{"HP-RCU", NewHPRCU(core.Config{})},
-		{"HP-BRCU", NewHPBRCU(core.Config{})},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			const workers = 4
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					h := mk.l.Register()
-					defer h.Unregister()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < 1500; i++ {
-						k := rng.Int63n(64)
-						if rng.Intn(2) == 0 {
-							h.Insert(k, k)
-						} else {
-							h.Remove(k)
-						}
-					}
-					h.Barrier()
-				}(int64(w + 1))
-			}
-			wg.Wait()
-			h := mk.l.Register()
-			for i := 0; i < 8; i++ {
-				h.Barrier()
-			}
-			h.Unregister()
-			s := mk.l.Stats().Snapshot()
-			if s.Retired == 0 {
-				t.Fatal("no retires")
-			}
-			if s.Unreclaimed != 0 {
-				t.Fatalf("unreclaimed=%d retired=%d", s.Unreclaimed, s.Retired)
-			}
-		})
-	}
+// TestChurn is the check that found the retirement protocol unsound: at
+// the parent of the commit that added it, the RCU and HP skip lists
+// livelock within ~3 s (package comment, DESIGN.md §3.2).
+func TestChurn(t *testing.T) {
+	vs := variants()
+	// The production posture skips mid-descent checkpoints.
+	vs = append(vs, listtest.Of("HP-BRCU-default", true, true, NewHPBRCU(core.Config{})))
+	listtest.Churn(t, vs)
 }
 
 func TestRandomHeightDistribution(t *testing.T) {
-	rng := newTestRand()
+	rng := atomicx.NewRand(12345)
 	counts := make([]int, MaxHeight+1)
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -308,5 +58,3 @@ func TestRandomHeightDistribution(t *testing.T) {
 		t.Fatalf("height-2 fraction off: %d/%d", counts[2], n)
 	}
 }
-
-func newTestRand() *atomicx.Rand { return atomicx.NewRand(12345) }

@@ -167,27 +167,24 @@ func TakeHandleErr(h MapHandle) error {
 // guardedHandle is the lifecycle guard Register wraps every handle in:
 // it rejects operations after Close (latching ErrClosed), converts
 // contained panics into latched errors under PanicRecover, refuses to
-// reuse or unregister a poisoned handle, and surfaces the context-aware
-// operations of the underlying structure. Like the handle it wraps it is
-// owned by one goroutine; only the closed flag is cross-thread.
+// reuse or unregister a poisoned handle, passes TryInsert through the
+// map's backpressure gate, and surfaces the context-aware operations of
+// the underlying structure. Like the handle it wraps it is owned by one
+// goroutine; only the closed flag is cross-thread.
 type guardedHandle struct {
 	m     *mapImpl
-	inner MapHandle // nil for a post-Close registration stub
-	base  MapHandle // inner with package wrappers peeled, for assertions
+	inner MapHandle // the structure handle; nil for a post-Close registration stub
+
+	// The structure handle's optional capabilities, resolved once by
+	// Register. ctx is inner where the structure has context-aware
+	// operations of its own (nil: a context check around the plain ones);
+	// core is its HP-(B)RCU participation record (nil on other schemes),
+	// whose lease and reap state the pool's leak sweep consults.
+	ctx  ContextHandle
+	core *core.Handle
 
 	err      error // latched lifecycle error (owner-read, see HandleErr)
 	poisoned bool  // a contained panic left inner unrestorable
-}
-
-// unwrapBase peels the package's own wrapper off a handle so interface
-// assertions (ContextHandle's methods, TryInserter) reach the structure
-// handle underneath — interface embedding hides methods the embedded
-// interface does not declare.
-func unwrapBase(h MapHandle) MapHandle {
-	if w, ok := h.(pressureHandle); ok {
-		return w.MapHandle
-	}
-	return h
 }
 
 // admit gates mutating and reading operations: closed maps and poisoned
@@ -208,11 +205,13 @@ func (g *guardedHandle) admit() bool {
 	return true
 }
 
-// convert recovers a *PanicError raised by the containment layer under
-// PanicRecover and latches it; any other panic value passes through.
-// Callers register it only when the map's policy is PanicRecover, so the
-// common path stays defer-free.
-func (g *guardedHandle) convert() {
+// latch recovers a *PanicError raised by the containment layer under
+// PanicRecover and latches it — also into *errp, for the operations that
+// have an error result; any other panic value passes through. It must be
+// the deferred call itself. Callers defer it only when the map's policy is
+// PanicRecover, so the common path stays defer-free; the operation's other
+// named results are still zero when a panic unwinds through it.
+func (g *guardedHandle) latch(errp *error) {
 	r := recover()
 	if r == nil {
 		return
@@ -225,6 +224,9 @@ func (g *guardedHandle) convert() {
 		g.poisoned = true
 	}
 	g.err = pe
+	if errp != nil {
+		*errp = pe
+	}
 }
 
 func (g *guardedHandle) Get(key int64) (v int64, ok bool) {
@@ -232,7 +234,7 @@ func (g *guardedHandle) Get(key int64) (v int64, ok bool) {
 		return 0, false
 	}
 	if g.m.rec {
-		defer g.convert()
+		defer g.latch(nil)
 	}
 	return g.inner.Get(key)
 }
@@ -242,7 +244,7 @@ func (g *guardedHandle) Insert(key, val int64) (ok bool) {
 		return false
 	}
 	if g.m.rec {
-		defer g.convert()
+		defer g.latch(nil)
 	}
 	return g.inner.Insert(key, val)
 }
@@ -252,7 +254,7 @@ func (g *guardedHandle) Remove(key int64) (v int64, ok bool) {
 		return 0, false
 	}
 	if g.m.rec {
-		defer g.convert()
+		defer g.latch(nil)
 	}
 	return g.inner.Remove(key)
 }
@@ -265,7 +267,7 @@ func (g *guardedHandle) Barrier() {
 		return
 	}
 	if g.m.rec {
-		defer g.convert()
+		defer g.latch(nil)
 	}
 	g.inner.Barrier()
 }
@@ -282,29 +284,19 @@ func (g *guardedHandle) Unregister() {
 }
 
 // TryInsert implements TryInserter for every guarded handle: through the
-// backpressure gate when the map has one, as a plain Insert otherwise.
-// Contained panics surface directly in the error result.
+// backpressure admission ladder when the map has one, as a plain Insert
+// otherwise. Contained panics surface directly in the error result.
 func (g *guardedHandle) TryInsert(key, val int64) (ok bool, err error) {
 	if !g.admit() {
 		return false, g.err
 	}
 	if g.m.rec {
-		defer func() {
-			if r := recover(); r != nil {
-				pe, isPE := r.(*PanicError)
-				if !isPE {
-					panic(r)
-				}
-				if pe.Poisoned {
-					g.poisoned = true
-				}
-				g.err = pe
-				ok, err = false, pe
-			}
-		}()
+		defer g.latch(&err)
 	}
-	if ti, isTI := g.inner.(TryInserter); isTI {
-		return ti.TryInsert(key, val)
+	if g.m.bp != nil {
+		if err := g.m.bp.Admit(); err != nil {
+			return false, err
+		}
 	}
 	return g.inner.Insert(key, val), nil
 }
@@ -315,24 +307,10 @@ func (g *guardedHandle) GetCtx(ctx context.Context, key int64) (v int64, ok bool
 		return 0, false, g.err
 	}
 	if g.m.rec {
-		defer func() {
-			if r := recover(); r != nil {
-				pe, isPE := r.(*PanicError)
-				if !isPE {
-					panic(r)
-				}
-				if pe.Poisoned {
-					g.poisoned = true
-				}
-				g.err = pe
-				v, ok, err = 0, false, pe
-			}
-		}()
+		defer g.latch(&err)
 	}
-	if cg, isCG := g.base.(interface {
-		GetCtx(context.Context, int64) (int64, bool, error)
-	}); isCG {
-		return cg.GetCtx(ctx, key)
+	if g.ctx != nil {
+		return g.ctx.GetCtx(ctx, key)
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
@@ -351,24 +329,10 @@ func (g *guardedHandle) BarrierCtx(ctx context.Context) (err error) {
 		return ErrClosed
 	}
 	if g.m.rec {
-		defer func() {
-			if r := recover(); r != nil {
-				pe, isPE := r.(*PanicError)
-				if !isPE {
-					panic(r)
-				}
-				if pe.Poisoned {
-					g.poisoned = true
-				}
-				g.err = pe
-				err = pe
-			}
-		}()
+		defer g.latch(&err)
 	}
-	if cb, isCB := g.base.(interface {
-		BarrierCtx(context.Context) error
-	}); isCB {
-		return cb.BarrierCtx(ctx)
+	if g.ctx != nil {
+		return g.ctx.BarrierCtx(ctx)
 	}
 	if err := ctx.Err(); err != nil {
 		return err

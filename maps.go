@@ -56,29 +56,18 @@ func (m *mapImpl) Register() MapHandle {
 		// a handle (rather than nil) keeps worker loops panic-free.
 		return &guardedHandle{m: m, err: ErrClosed}
 	}
+	// The guard is the only wrapper: the structure handle's optional
+	// capabilities are resolved here, once, not asserted per operation.
 	h := m.reg()
-	if m.bp != nil {
-		h = pressureHandle{MapHandle: h, bp: m.bp}
+	g := &guardedHandle{m: m, inner: h}
+	g.ctx, _ = h.(ContextHandle)
+	if c, ok := h.(interface{ Core() *core.Handle }); ok {
+		g.core = c.Core()
 	}
-	return &guardedHandle{m: m, inner: h, base: unwrapBase(h)}
+	return g
 }
 func (m *mapImpl) Stats() *Stats  { return m.st() }
 func (m *mapImpl) Scheme() Scheme { return m.scheme }
-
-// pressureHandle decorates a map handle with the backpressure admission
-// gate, surfacing TryInserter.
-type pressureHandle struct {
-	MapHandle
-	bp *reap.Backpressure
-}
-
-// TryInsert implements TryInserter: pass the ladder, then insert.
-func (h pressureHandle) TryInsert(key, val int64) (bool, error) {
-	if err := h.bp.Admit(); err != nil {
-		return false, err
-	}
-	return h.Insert(key, val), nil
-}
 
 // withDomain records the HP-(B)RCU domain for GarbageBound and starts the
 // janitor when the configuration asks for one of its stages (HP-BRCU
@@ -145,53 +134,94 @@ func expedited[H MapHandle](s Scheme, cfg Config, l interface {
 	return m.withDomain(l.Domain(), cfg), nil
 }
 
-// listStructure indexes listFamily.
-type listStructure int
+// structureID indexes structures.
+type structureID int
 
 const (
-	hList listStructure = iota
+	hList structureID = iota
 	hhsList
 	hmList
 	hashMap
+	skipList
+	nmTree
 )
 
-// listFamily is the applicability table (Table 1) of the sorted-list
-// family: each public structure is one hlist kind plus the schemes that
-// apply to it. The structures differ in nothing else — HashMap is the same
-// list with `buckets` head sentinels.
-var listFamily = [...]struct {
+// structures is the applicability table (Table 1): each public structure
+// is a name, the schemes that apply to it, and one build function. The
+// four list rows are one hlist kind each and differ in nothing else —
+// HashMap is the same list with `heads` head sentinels.
+var structures = [...]struct {
 	name    string
-	kind    hlist.Kind // under every scheme that takes one (not HP, not VBR)
 	schemes []Scheme
+	build   func(s Scheme, heads int, cfg Config) (Map, error)
 }{
-	hList:   {"HList", hlist.Harris, []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
-	hhsList: {"HHSList", hlist.HHS, []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
-	hmList:  {"HMList", hlist.HarrisMichael, []Scheme{NR, RCU, HP, HPRCU, HPBRCU}},
-	hashMap: {"HashMap", hlist.HHS, []Scheme{NR, RCU, HP, NBR, NBRLarge, HPRCU, HPBRCU, VBR}},
+	hList:    {"HList", []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}, listOf(hlist.Harris)},
+	hhsList:  {"HHSList", []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU, VBR}, listOf(hlist.HHS)},
+	hmList:   {"HMList", []Scheme{NR, RCU, HP, HPRCU, HPBRCU}, listOf(hlist.HarrisMichael)},
+	hashMap:  {"HashMap", []Scheme{NR, RCU, HP, NBR, NBRLarge, HPRCU, HPBRCU, VBR}, listOf(hlist.HHS)},
+	skipList: {"SkipList", []Scheme{NR, RCU, HP, HPRCU, HPBRCU}, buildSkipList},
+	nmTree:   {"NMTree", []Scheme{NR, RCU, NBR, NBRLarge, HPRCU, HPBRCU}, buildNMTree},
 }
 
-// newListFamily builds structure st with the given number of head
-// sentinels under scheme s: one row of listFamily, one constructor per
-// scheme.
-func newListFamily(st listStructure, s Scheme, heads int, cfg Config) (Map, error) {
-	row := &listFamily[st]
+// newStructure builds structure st under scheme s, if Table 1 has that
+// cell — once, or once per shard (sharded.go). heads is the number of head
+// sentinels (the hash map's buckets).
+func newStructure(st structureID, s Scheme, heads int, cfg Config) (Map, error) {
+	row := &structures[st]
 	if !slices.Contains(row.schemes, s) {
 		return nil, &ErrUnsupported{Structure: row.name, Scheme: s}
 	}
+	if cfg.Shards.Count > 1 {
+		return newSharded(s, cfg, func(c Config) (Map, error) { return row.build(s, heads, c) })
+	}
+	return row.build(s, heads, cfg)
+}
+
+// listOf builds the member of the sorted-list family of kind k: one
+// constructor per scheme.
+func listOf(k hlist.Kind) func(Scheme, int, Config) (Map, error) {
+	return func(s Scheme, heads int, cfg Config) (Map, error) {
+		switch s {
+		case NR, RCU:
+			return plain(s, cfg, hlist.NewEBROf(k, heads, cfg.ebrOpts(s)...))
+		case HP: // Harris-Michael whatever the row says: Figure 2
+			return plain(s, cfg, hlist.NewHPOf(heads, cfg.hpOpts()...))
+		case NBR, NBRLarge:
+			return plain(s, cfg, hlist.NewNBROf(k, heads, cfg.nbrOpts(s)...))
+		case VBR: // its own list algorithm (internal/vbr), optimistic Get for every kind
+			if heads > 1 {
+				return plain(s, cfg, hashmap.NewVBR(heads, cfg.Allocator.mode()))
+			}
+			return plain(s, cfg, vbr.New(cfg.Allocator.mode()))
+		default: // HPRCU, HPBRCU
+			return expedited(s, cfg, hlist.NewExpeditedOf(s.backend(), k, heads, cfg.CoreConfig()))
+		}
+	}
+}
+
+func buildSkipList(s Scheme, _ int, cfg Config) (Map, error) {
 	switch s {
 	case NR, RCU:
-		return plain(s, cfg, hlist.NewEBROf(row.kind, heads, cfg.ebrOpts(s)...))
-	case HP: // Harris-Michael whatever the row says: Figure 2
-		return plain(s, cfg, hlist.NewHPOf(heads, cfg.hpOpts()...))
+		return plain(s, cfg, skiplist.NewEBR(cfg.ebrOpts(s)...))
+	case HP:
+		return plain(s, cfg, skiplist.NewHP(cfg.hpOpts()...))
+	case HPRCU:
+		return expedited(s, cfg, skiplist.NewHPRCU(cfg.CoreConfig()))
+	default:
+		return expedited(s, cfg, skiplist.NewHPBRCU(cfg.CoreConfig()))
+	}
+}
+
+func buildNMTree(s Scheme, _ int, cfg Config) (Map, error) {
+	switch s {
+	case NR, RCU:
+		return plain(s, cfg, nmtree.NewEBR(cfg.ebrOpts(s)...))
 	case NBR, NBRLarge:
-		return plain(s, cfg, hlist.NewNBROf(row.kind, heads, cfg.nbrOpts(s)...))
-	case VBR: // its own list algorithm (internal/vbr), optimistic Get for every kind
-		if st == hashMap {
-			return plain(s, cfg, hashmap.NewVBR(heads, cfg.Allocator.mode()))
-		}
-		return plain(s, cfg, vbr.New(cfg.Allocator.mode()))
-	default: // HPRCU, HPBRCU
-		return expedited(s, cfg, hlist.NewExpeditedOf(s.backend(), row.kind, heads, cfg.CoreConfig()))
+		return plain(s, cfg, nmtree.NewNBR(cfg.nbrOpts(s)...))
+	case HPRCU:
+		return expedited(s, cfg, nmtree.NewHPRCU(cfg.CoreConfig()))
+	default:
+		return expedited(s, cfg, nmtree.NewHPBRCU(cfg.CoreConfig()))
 	}
 }
 
@@ -199,30 +229,21 @@ func newListFamily(st listStructure, s Scheme, heads int, cfg Config) (Map, erro
 // traversal; gets help with run excision). Supported schemes: NR, RCU,
 // NBR(-Large), HP-RCU, HP-BRCU. Plain HP does not apply (Figure 2).
 func NewHList(s Scheme, cfg Config) (Map, error) {
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHList(s, c) })
-	}
-	return newListFamily(hList, s, 1, cfg)
+	return newStructure(hList, s, 1, cfg)
 }
 
 // NewHHSList creates the paper's HHSList: Harris's list whose get is the
 // Herlihy-Shavit wait-free-style contains (no helping). Same scheme
 // support as NewHList.
 func NewHHSList(s Scheme, cfg Config) (Map, error) {
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHHSList(s, c) })
-	}
-	return newListFamily(hhsList, s, 1, cfg)
+	return newStructure(hhsList, s, 1, cfg)
 }
 
 // NewHMList creates the Harris-Michael linked list [Michael 2002]
 // (helping during traversal). Supported schemes: NR, RCU, HP, HP-RCU,
 // HP-BRCU. NBR does not apply (Table 1): the traversal performs writes.
 func NewHMList(s Scheme, cfg Config) (Map, error) {
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHMList(s, c) })
-	}
-	return newListFamily(hmList, s, 1, cfg)
+	return newStructure(hmList, s, 1, cfg)
 }
 
 // NewHashMap creates the paper's chaining hash table (§6): buckets are
@@ -235,10 +256,9 @@ func NewHashMap(s Scheme, buckets int, cfg Config) (Map, error) {
 	if n := cfg.Shards.Count; n > 1 {
 		// Each shard gets its proportional slice of the bucket budget, so
 		// a sharded map's total chain length matches the unsharded layout.
-		per := (buckets + n - 1) / n
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewHashMap(s, per, c) })
+		buckets = (buckets + n - 1) / n
 	}
-	return newListFamily(hashMap, s, buckets, cfg)
+	return newStructure(hashMap, s, buckets, cfg)
 }
 
 // DefaultBuckets sizes a hash map for a key range at the paper's chain
@@ -249,40 +269,14 @@ func DefaultBuckets(keyRange int64) int { return hashmap.DefaultBucketsFor(keyRa
 // schemes: NR, RCU, HP (helping get only), HP-RCU, HP-BRCU (wait-free-
 // style get for all non-HP schemes). NBR does not apply (Table 1).
 func NewSkipList(s Scheme, cfg Config) (Map, error) {
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewSkipList(s, c) })
-	}
-	switch s {
-	case NR, RCU:
-		return plain(s, cfg, skiplist.NewEBR(cfg.ebrOpts(s)...))
-	case HP:
-		return plain(s, cfg, skiplist.NewHP(cfg.hpOpts()...))
-	case HPRCU:
-		return expedited(s, cfg, skiplist.NewHPRCU(cfg.CoreConfig()))
-	case HPBRCU:
-		return expedited(s, cfg, skiplist.NewHPBRCU(cfg.CoreConfig()))
-	}
-	return nil, &ErrUnsupported{Structure: "SkipList", Scheme: s}
+	return newStructure(skipList, s, 1, cfg)
 }
 
 // NewNMTree creates the Natarajan-Mittal lock-free external BST.
 // Supported schemes: NR, RCU, NBR(-Large), HP-RCU, HP-BRCU. Plain HP does
 // not apply (Table 1).
 func NewNMTree(s Scheme, cfg Config) (Map, error) {
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return NewNMTree(s, c) })
-	}
-	switch s {
-	case NR, RCU:
-		return plain(s, cfg, nmtree.NewEBR(cfg.ebrOpts(s)...))
-	case NBR, NBRLarge:
-		return plain(s, cfg, nmtree.NewNBR(cfg.nbrOpts(s)...))
-	case HPRCU:
-		return expedited(s, cfg, nmtree.NewHPRCU(cfg.CoreConfig()))
-	case HPBRCU:
-		return expedited(s, cfg, nmtree.NewHPBRCU(cfg.CoreConfig()))
-	}
-	return nil, &ErrUnsupported{Structure: "NMTree", Scheme: s}
+	return newStructure(nmTree, s, 1, cfg)
 }
 
 // GarbageBound returns the §5 robustness bound 2GN+GN²+H for an HP-BRCU

@@ -1,12 +1,13 @@
 package hpbrcu
 
-// Promotion audit: the decorator stack Register builds — pressureHandle
-// (backpressure), guardedHandle (lifecycle guard) — must keep promoting
-// the optional handle interfaces (TryInserter, ContextHandle) and the
-// optimistic get no matter how the wrappers compose. Interface embedding
-// hides undeclared methods, so each wrap is a place promotion can silently
-// break; these assertions and the per-decorator tests pin it. The HHSList
-// get swap is not a wrap: the structure picks its Get at construction.
+// Promotion audit: Register hands out one guard around the structure
+// handle and nothing in between, and the guard must carry the optional
+// handle interfaces (TryInserter, ContextHandle) itself while still
+// reaching what the structure offers underneath — its own GetCtx and
+// BarrierCtx, its participation record, the backpressure gate — however
+// the map is configured. The capabilities are resolved once, at Register;
+// these tests pin that resolution per configuration (their names date from
+// when each configuration added a wrapper of its own).
 
 import (
 	"context"
@@ -14,23 +15,17 @@ import (
 	"time"
 )
 
-// Compile-time pins: the guard is the outermost wrap every caller sees,
-// so it must carry both optional interfaces itself; the pressure wrap is
-// where TryInsert originates; the map implementation must satisfy the
-// full Map interface including the handle-free facade.
+// Compile-time pins: the guard is the handle every caller sees, so it
+// must carry both optional interfaces itself; the map implementation must
+// satisfy the full Map interface including the handle-free facade.
 var (
 	_ TryInserter   = (*guardedHandle)(nil)
 	_ ContextHandle = (*guardedHandle)(nil)
-	_ TryInserter   = pressureHandle{}
 	_ Map           = (*mapImpl)(nil)
 )
 
-// ctxGetter and optimisticGetter mirror the structure-handle methods
-// unwrapBase must keep reachable underneath the package wrappers.
-type ctxGetter interface {
-	GetCtx(ctx context.Context, key int64) (int64, bool, error)
-}
-
+// optimisticGetter is the structure-handle method the HHSList's Get must
+// be, through the guard.
 type optimisticGetter interface {
 	GetOptimistic(key int64) (int64, bool)
 }
@@ -64,22 +59,34 @@ func exerciseHandle(t *testing.T, h MapHandle, key int64) {
 	}
 }
 
+// registerGuard registers a handle and checks what Register resolved on
+// it: an HP-BRCU list handle is context-aware and has a participation
+// record, and it is the guard's inner handle itself, not a wrapper.
+func registerGuard(t *testing.T, m Map) *guardedHandle {
+	t.Helper()
+	h := m.Register()
+	g, ok := h.(*guardedHandle)
+	if !ok {
+		t.Fatalf("Register returned %T, want *guardedHandle", h)
+	}
+	if g.ctx == nil || g.ctx != g.inner {
+		t.Fatalf("guard did not resolve the structure's GetCtx/BarrierCtx on %T", g.inner)
+	}
+	if g.core == nil {
+		t.Fatalf("guard did not resolve the participation record of %T", g.inner)
+	}
+	return g
+}
+
 func TestPromotionPlainGuard(t *testing.T) {
 	m, err := NewHList(HPBRCU, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer Close(m, 5*time.Second)
-	h := m.Register()
-	g, ok := h.(*guardedHandle)
-	if !ok {
-		t.Fatalf("Register returned %T, want *guardedHandle", h)
-	}
-	if _, ok := g.base.(ctxGetter); !ok {
-		t.Fatalf("guard base %T does not expose the structure GetCtx", g.base)
-	}
-	exerciseHandle(t, h, 11)
-	h.Unregister()
+	g := registerGuard(t, m)
+	exerciseHandle(t, g, 11)
+	g.Unregister()
 }
 
 func TestPromotionThroughPressureWrap(t *testing.T) {
@@ -90,14 +97,9 @@ func TestPromotionThroughPressureWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Close(m, 5*time.Second)
-	g := m.Register().(*guardedHandle)
-	if _, ok := g.inner.(pressureHandle); !ok {
-		t.Fatalf("backpressure map wrapped the handle in %T, want pressureHandle", g.inner)
-	}
-	// The pressure wrap embeds the MapHandle interface, which hides GetCtx;
-	// unwrapBase must have peeled it so the guard still finds the method.
-	if _, ok := g.base.(ctxGetter); !ok {
-		t.Fatalf("unwrapBase failed to peel pressureHandle: base is %T", g.base)
+	g := registerGuard(t, m)
+	if g.m.bp == nil {
+		t.Fatal("backpressure map has no admission gate for TryInsert to ask")
 	}
 	exerciseHandle(t, g, 22)
 	g.Unregister()
@@ -109,18 +111,13 @@ func TestPromotionThroughOptimisticWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Close(m, 5*time.Second)
-	g := m.Register().(*guardedHandle)
-	if g.inner != g.base {
-		t.Fatalf("HHSList wrapped the structure handle in %T; its Get is chosen at construction, not by a wrap", g.inner)
-	}
-	if _, ok := g.base.(optimisticGetter); !ok {
-		t.Fatalf("structure handle %T does not expose GetOptimistic", g.base)
-	}
-	if _, ok := g.base.(ctxGetter); !ok {
-		t.Fatalf("structure handle %T does not expose GetCtx", g.base)
+	g := registerGuard(t, m)
+	if _, ok := g.inner.(optimisticGetter); !ok {
+		t.Fatalf("structure handle %T does not expose GetOptimistic", g.inner)
 	}
 	exerciseHandle(t, g, 33)
-	// The optimistic swap must still be in effect through the guard.
+	// The HHSList picked the optimistic get at construction; it must be
+	// what the guard's Get reaches.
 	if v, ok := g.Get(33); !ok || v != 66 {
 		t.Fatalf("optimistic Get(33) = %d, %v; want 66, true", v, ok)
 	}
@@ -135,15 +132,9 @@ func TestPromotionThroughBothWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Close(m, 5*time.Second)
-	g := m.Register().(*guardedHandle)
-	if _, ok := g.inner.(pressureHandle); !ok {
-		t.Fatalf("outermost inner wrap is %T, want pressureHandle", g.inner)
-	}
-	if _, ok := g.base.(optimisticGetter); !ok {
-		t.Fatalf("unwrapBase failed to peel both wraps: base is %T", g.base)
-	}
-	if _, ok := g.base.(ctxGetter); !ok {
-		t.Fatalf("composed wraps hid the structure GetCtx: base is %T", g.base)
+	g := registerGuard(t, m)
+	if _, ok := g.inner.(optimisticGetter); !ok || g.m.bp == nil {
+		t.Fatalf("structure handle %T: optimistic get %v, backpressure gate %v", g.inner, ok, g.m.bp != nil)
 	}
 	exerciseHandle(t, g, 44)
 	g.Unregister()
