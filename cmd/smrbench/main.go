@@ -352,7 +352,6 @@ func runTable2() {
 				Enabled:      true,
 				LeaseTimeout: 25 * time.Millisecond,
 				Interval:     2 * time.Millisecond,
-				Grace:        5 * time.Millisecond,
 			}
 		}
 		res := bench.RunStalled(bench.StallConfig{

@@ -35,7 +35,6 @@ func facadeSoakConfig(poolSize int) Config {
 			Enabled:      true,
 			LeaseTimeout: 15 * time.Millisecond,
 			Interval:     2 * time.Millisecond,
-			Grace:        4 * time.Millisecond,
 		},
 	}
 }

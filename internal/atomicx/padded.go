@@ -17,9 +17,3 @@ type Padded struct {
 	atomic.Uint64
 	_ [CacheLineSize - 8]byte
 }
-
-// PaddedInt64 is a cache-line-padded atomic.Int64; see Padded.
-type PaddedInt64 struct {
-	atomic.Int64
-	_ [CacheLineSize - 8]byte
-}

@@ -12,7 +12,9 @@
 // across a goroutine's stack is unsound under the garbage collector, so
 // this implementation substitutes *cooperative neutralization*:
 //
-//   - a thread's state lives in one packed status word {phase, epoch};
+//   - a thread's state lives in one packed status word {phase, payload}:
+//     the announced epoch, or in Out the owner's operation count
+//     (Handle.ops), which dates its last activity for the lease scan;
 //   - the reclaimer "sends a signal" by CASing the victim's status from
 //     InCs(e) to RbReq(e) — this is the delivery linearization point;
 //   - the victim observes RbReq at its next poll point (every traversal
@@ -35,7 +37,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
@@ -58,26 +59,22 @@ const (
 	// phaseRbReq: neutralized; the thread must roll back at its next poll
 	// (or masked-region exit).
 	phaseRbReq
-	// phaseQuarantined: the lease reaper suspects the owner goroutine is
-	// dead (stale lease, no live critical section) — phase one of the
-	// two-phase reap. The owner cancels with a CAS back to Out at its
-	// next entry point; the reaper confirms by CASing to Reaping after
-	// the grace period. See internal/reap and DESIGN.md §7.2.
-	phaseQuarantined
-	// phaseReaping: the reaper is adopting the handle's deferred state.
-	// A waking owner spins until phaseReaped before resurrecting.
+	// phaseInMut: the owner is mutating reaper-adoptable state (the defer
+	// batch, the HP retired list) outside any critical section. TryReap
+	// refuses the phase, so an owner descheduled mid-mutation can never be
+	// reaped while its batch is in flight; and, being ≥ phaseRbReq, it never
+	// blocks an epoch advance (the owner holds no critical section). See
+	// BeginMut.
+	phaseInMut
+	// phaseReaping: the lease reaper claimed the handle (TryReap) and is
+	// adopting its deferred state. A waking owner spins until the reaper
+	// publishes phaseReaped or hands the word back (CancelReap). The owner
+	// never writes over this phase or the next. See DESIGN.md §7.2.
 	phaseReaping
 	// phaseReaped: the handle was reaped — removed from the registry,
 	// its batch and shields adopted. A waking owner re-registers
 	// (resurrects) before continuing.
 	phaseReaped
-	// phaseInMut: the owner is mutating reaper-adoptable state (the defer
-	// batch, the HP retired list) outside any critical section. The phase
-	// is un-quarantinable — TryQuarantine refuses it — so an owner
-	// descheduled mid-mutation can never be reaped while its batch is in
-	// flight; and, being ≥ phaseRbReq, it never blocks an epoch advance
-	// (the owner holds no critical section). See BeginMut.
-	phaseInMut
 )
 
 const phaseBits = 3
@@ -154,14 +151,12 @@ type Domain struct {
 	// and post-mortem traces.
 	nextID atomic.Uint64
 
-	// Lease machinery (internal/reap, DESIGN.md §7). clock is the coarse
-	// activity clock the janitor publishes each tick; a handle copies it
-	// into its lease word whenever it leaves the reapable Out state — at
-	// Enter and at BeginMut — and nowhere else (see Handle.lease).
-	// leaseOn gates those stores and follows the fault.On contract: set
-	// once by EnableLeases before any worker goroutine touches a handle,
-	// plain loads thereafter.
-	clock   atomicx.PaddedInt64
+	// leaseOn selects the reap-aware owner paths (internal/reap, DESIGN.md
+	// §7): every owner transition on the status word becomes a CAS that
+	// respects the reaper's phases, and every return to Out carries the
+	// owner's operation count (Handle.ops). It follows the fault.On
+	// contract: set once by EnableLeases before any worker goroutine
+	// touches a handle, plain loads thereafter.
 	leaseOn bool
 
 	tasksMu sync.Mutex
@@ -237,38 +232,31 @@ func (d *Domain) GarbageBoundObserved() int64 {
 	return d.GarbageBoundFor(d.HandlesPeak())
 }
 
-// EnableLeases turns on lease stamping for this domain. It must be called
-// before any goroutine uses a handle (the fault.On activation contract);
-// core.StartJanitor does so at construction time.
-func (d *Domain) EnableLeases() {
-	d.leaseOn = true
-	d.clock.Store(time.Now().UnixNano())
-}
-
-// PublishClock publishes now (UnixNano) as the domain's activity clock.
-// The janitor calls this once per tick; handles copy the value at their
-// next stamp site, so lease staleness is measured in janitor ticks
-// without any handle ever reading the wall clock.
-func (d *Domain) PublishClock(now int64) { d.clock.Store(now) }
+// EnableLeases makes this domain's handles reapable: their owners take the
+// reap-aware paths and date the status word (see Handle.ops). It must be
+// called before any goroutine uses a handle (the fault.On activation
+// contract); core.StartJanitor does so at construction time.
+func (d *Domain) EnableLeases() { d.leaseOn = true }
 
 // Handle is one thread's participation record (Algorithm 5 lines 8-13).
 // Not safe for concurrent use by multiple goroutines; the status word is
 // read and CASed by reclaimers.
 type Handle struct {
-	// status is the packed {phase, epoch} word — the single most
+	// status is the packed {phase, payload} word — the single most
 	// contended word in the scheme (stored by the owner at every
 	// Enter/Exit, read and CASed by every advancing reclaimer), so it
-	// owns its cache line.
+	// owns its cache line. It is also the only word the owner and the
+	// lease reaper share.
 	status atomicx.Padded
 
-	// lease is the domain clock (UnixNano) the owner observed when it last
-	// left the Out state: stamped by Enter and BeginMut, and at
-	// registration. That is the only time the reaper needs — TryQuarantine
-	// refuses every other phase, so while the owner is inside a section or
-	// a mutation span the lease is never consulted, and once it is back in
-	// Out the stamp dates its last sign of life to within one section.
-	// Poll, Exit and EndMut therefore store nothing.
-	lease atomicx.PaddedInt64
+	// ops counts the owner's claims on the status word (Enter, BeginMut)
+	// and resurrections, with leases on; every owner return to Out writes
+	// pack(phaseOut, ops), so no Out word ever recurs. That is what lets
+	// the lease scan read liveness off the status word alone: an Out word
+	// it sees twice, a timeout apart, belongs to an owner that claimed
+	// nothing in between, and a CAS from that exact word (TryReap) succeeds
+	// only if that is still so. Owner-goroutine-only.
+	ops uint64
 
 	d       *Domain
 	id      uint64
@@ -348,9 +336,6 @@ func (d *Domain) Register() *Handle {
 	if obs.On {
 		h.trace = obs.NewTrace("brcu")
 	}
-	// A fresh handle starts with a live lease even if it never performs
-	// an operation before the reaper's first look at it.
-	h.lease.Store(time.Now().UnixNano())
 	d.handles.Add(h)
 	d.population.Add(1)
 	return h
@@ -365,12 +350,6 @@ func (h *Handle) SetExecutor(exec func(alloc.Retired)) { h.exec = exec }
 // the domain membership there). Owner-goroutine-only, set at registration.
 func (h *Handle) SetResurrect(fn func()) { h.onResurrect = fn }
 
-// Lease returns the handle's last activity stamp (UnixNano). The lease
-// is purely a liveness signal: adoption safety comes from the status
-// word (the Reaping phase excludes the owner, and BeginMut makes every
-// batch mutation un-quarantinable), not from lease ordering.
-func (h *Handle) Lease() int64 { return h.lease.Load() }
-
 // ID returns the handle's sequential id within its domain.
 func (h *Handle) ID() uint64 { return h.id }
 
@@ -384,76 +363,72 @@ func phaseName(ph uint64) string {
 		return "InRm"
 	case phaseRbReq:
 		return "RbReq"
-	case phaseQuarantined:
-		return "Quarantined"
+	case phaseInMut:
+		return "InMut"
 	case phaseReaping:
 		return "Reaping"
 	case phaseReaped:
 		return "Reaped"
-	case phaseInMut:
-		return "InMut"
 	}
 	return "phase?"
 }
 
 // Describe formats the handle's identity and live status — id,
-// resurrection generation, phase, announced epoch — so misuse panics and
-// the panic-containment layer produce actionable post-mortems.
+// resurrection generation, phase, and the word's payload: the announced
+// epoch, or in Out the operation count — so misuse panics and the
+// panic-containment layer produce actionable post-mortems.
 func (h *Handle) Describe() string {
 	ph, e := unpack(h.status.Load())
-	return fmt.Sprintf("handle#%d gen=%d phase=%s epoch=%d", h.id, h.gen, phaseName(ph), e)
+	payload := "epoch"
+	if ph == phaseOut {
+		payload = "ops"
+	}
+	return fmt.Sprintf("handle#%d gen=%d phase=%s %s=%d", h.id, h.gen, phaseName(ph), payload, e)
 }
 
 // Gen returns the handle's resurrection generation. It changes only
-// inside Enter (via ensureLive), on the owner goroutine; the Traverse
+// inside Enter (via settle), on the owner goroutine; the Traverse
 // engine compares it across Enters to detect a reap-and-resurrect, whose
 // shield clearing invalidates checkpointed cursors.
 func (h *Handle) Gen() uint64 { return h.gen }
 
-// settle resolves the reaper-transient phases: it cancels a pending
-// quarantine (the owner-wins CAS of the two-phase protocol) and waits out
-// an in-flight adoption. It returns the resulting phase; phaseReaped
-// means the handle has been reaped and its state adopted.
+// settle resolves the reaper's phases on the owner's behalf: it waits out
+// an in-flight adoption and resurrects a reaped handle, and returns a
+// status word whose phase is the owner's to move.
 func (h *Handle) settle() uint64 {
 	for {
 		st := h.status.Load()
-		ph, _ := unpack(st)
-		switch ph {
-		case phaseQuarantined:
-			if h.status.CompareAndSwap(st, pack(phaseOut, 0)) {
-				return phaseOut
-			}
-			// Lost to the reaper's Quarantined→Reaping CAS; re-read.
+		switch ph, _ := unpack(st); ph {
 		case phaseReaping:
 			// The reap is short and bounded (slice moves and registry
 			// copy-on-writes under domain mutexes, no waiting on other
-			// owners); wait for FinishReap.
+			// owners); wait for FinishReap or CancelReap.
 			runtime.Gosched()
+		case phaseReaped:
+			h.resurrect()
 		default:
-			return ph
+			return st
 		}
 	}
 }
 
+// outWord is the word every leased return to Out writes; see Handle.ops.
+func (h *Handle) outWord() uint64 { return pack(phaseOut, h.ops) }
+
 // enterLeased is Enter with the reap protocol live: resolve any reaper
-// phase (cancelling a quarantine, resurrecting after a reap), then CAS
-// into the critical section. The transition must be a CAS, not a blind
-// store — an owner descheduled between resolving the phase and the store
-// could be quarantined and reaped in the gap, and a blind InCs store
+// phase, then CAS into the critical section. The transition must be a CAS,
+// not a blind store — an owner descheduled between resolving the phase and
+// the store could be claimed and reaped in the gap, and a blind InCs store
 // would overwrite the Reaped word and run a critical section on a handle
-// the reaper has already stripped from the registries.
+// the reaper has already stripped from the registries. The CAS is also
+// what defeats a reaper holding the word this one replaces: its claim
+// compares against a word that no longer stands.
 func (h *Handle) enterLeased() {
-	h.lease.Store(h.d.clock.Load())
+	h.ops++
 	for {
-		if h.settle() == phaseReaped {
-			h.resurrect()
-		}
-		st := h.status.Load()
-		if ph, _ := unpack(st); ph >= phaseQuarantined {
-			continue // the reaper moved again; settle once more
-		}
 		// st is Out or a stale RbReq from the previous section; both are
 		// superseded by the new section.
+		st := h.settle()
 		if h.status.CompareAndSwap(st, pack(phaseInCs, h.d.epoch.Load())) {
 			return
 		}
@@ -463,10 +438,10 @@ func (h *Handle) enterLeased() {
 // BeginMut claims the un-reapable InMut phase around an owner-side
 // mutation of reaper-adoptable state (the defer batch; in internal/core
 // also the HP retired list) performed outside critical sections. It first
-// resolves any reaper phase — cancelling a pending quarantine,
-// resurrecting a reaped handle — so after it returns a reap can only have
-// happened entirely before the mutation, never concurrently with it: the
-// status word, not the lease clock, is what makes adoption race-free.
+// resolves any reaper phase — resurrecting a reaped handle — so after it
+// returns a reap can only have happened entirely before the mutation,
+// never concurrently with it: the status word is what makes adoption
+// race-free.
 //
 // It reports whether the phase was claimed; false means the handle is
 // already un-reapable (leases off, inside a masked region, or an
@@ -482,28 +457,21 @@ func (h *Handle) BeginMut() bool {
 	if ph == phaseInCs {
 		panic("brcu: BeginMut inside an unmasked critical section (" + h.Describe() + ")")
 	}
-	// End the lease staleness up front so the reaper stops re-arming
-	// quarantines while we spin below.
-	h.lease.Store(h.d.clock.Load())
+	h.ops++
 	for {
-		if h.settle() == phaseReaped {
-			h.resurrect()
-		}
-		st := h.status.Load()
-		if ph, _ := unpack(st); ph >= phaseQuarantined {
-			continue // the reaper moved again; settle once more
-		}
 		// st is Out (or a stale RbReq with no section to roll back —
 		// superseded, exactly as Exit would have).
+		st := h.settle()
 		if h.status.CompareAndSwap(st, pack(phaseInMut, 0)) {
 			return true
 		}
 	}
 }
 
-// EndMut leaves the InMut phase. The reaper never touches InMut, so the
-// store cannot smash a reaper-owned word.
-func (h *Handle) EndMut() { h.status.Store(pack(phaseOut, 0)) }
+// EndMut leaves the InMut phase, by a CAS from the only word it may
+// replace: the reaper never claims InMut, and an EndMut without its
+// BeginMut cannot smash a word the reaper owns.
+func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWord()) }
 
 // resurrect re-registers a reaped handle whose owner turned out to be
 // alive. The reaper already adopted the old batch and retired list and
@@ -520,36 +488,29 @@ func (h *Handle) resurrect() {
 	if h.onResurrect != nil {
 		h.onResurrect()
 	}
-	h.status.Store(pack(phaseOut, 0))
+	// A fresh count: the word the reaper claimed must not stand again.
+	h.ops++
+	h.status.Store(h.outWord())
 }
 
-// TryQuarantine begins a reap: CAS Out/RbReq → Quarantined. It fails when
-// the handle is inside a live critical section (a stalled-but-registered
-// section is neutralization's and the watchdog's job, not the reaper's)
-// or already mid-reap. Re-quarantining an already-quarantined handle
-// succeeds, so a reaper that lost track (restart, missed tick) re-arms
-// the grace period instead of wedging the handle in Quarantined forever.
-func (h *Handle) TryQuarantine() bool {
-	for {
-		st := h.status.Load()
-		switch ph, _ := unpack(st); ph {
-		case phaseQuarantined:
-			return true
-		case phaseOut, phaseRbReq:
-			if h.status.CompareAndSwap(st, pack(phaseQuarantined, 0)) {
-				return true
-			}
-		default:
-			return false
-		}
+// Word returns the status word for the lease scan to compare across looks
+// and to claim from (TryReap). Any goroutine.
+func (h *Handle) Word() uint64 { return h.status.Load() }
+
+// TryReap claims the handle for the reaper: one CAS from word — an Out or
+// RbReq word the lease scan saw stand for the whole lease timeout — to
+// Reaping. The compare against the exact stale word is the proof that the
+// owner has not moved since the scan's first look: no Out word recurs
+// (Handle.ops), and every owner transition out of Out or RbReq is itself
+// a CAS on this word, so exactly one side wins. Every other phase is
+// refused: a stalled-but-registered critical section is neutralization's
+// and the watchdog's job, a mutation span is never adoptable, and a reap
+// already under way has its own reaper.
+func (h *Handle) TryReap(word uint64) bool {
+	if ph, _ := unpack(word); ph != phaseOut && ph != phaseRbReq {
+		return false
 	}
-}
-
-// TryBeginReap confirms a quarantined handle dead: CAS Quarantined →
-// Reaping. Failure means the owner woke up and cancelled the quarantine.
-// Only the reaper calls this, after the grace period.
-func (h *Handle) TryBeginReap() bool {
-	return h.status.CompareAndSwap(pack(phaseQuarantined, 0), pack(phaseReaping, 0))
+	return h.status.CompareAndSwap(word, pack(phaseReaping, 0))
 }
 
 // FinishReap publishes the end of a reap: Reaping → Reaped. An owner
@@ -572,16 +533,18 @@ func (h *Handle) Reaped() bool {
 	return ph == phaseReaped
 }
 
-// CancelReap aborts a confirmed reap without adopting: Reaping → Out.
-// The handle stays registered and its owner, if merely slow, continues
-// with its state intact — no resurrection, no generation bump. The
-// reaper uses it for victims with nothing to adopt, so an idle-but-alive
-// handle is never churned through reap/resurrect cycles. Reaper-only,
-// between TryBeginReap and what would have been FinishReap.
-func (h *Handle) CancelReap() { h.status.Store(pack(phaseOut, 0)) }
+// CancelReap aborts a claimed reap without adopting: Reaping → word, the
+// exact word TryReap claimed from. The handle stays registered and its
+// owner, if merely slow, continues with its state intact — no
+// resurrection, no generation bump. The reaper uses it for victims with
+// nothing to adopt, so an idle-but-alive handle is never churned through
+// reap/resurrect cycles; restoring the word unchanged keeps it standing
+// still for the scan, which parks the victim until it moves. Reaper-only,
+// between TryReap and what would have been FinishReap.
+func (h *Handle) CancelReap(word uint64) { h.status.Store(word) }
 
 // BatchEmpty reports whether the handle's local defer batch is empty.
-// Reaper-only, between TryBeginReap and FinishReap/CancelReap — the
+// Reaper-only, between TryReap and FinishReap/CancelReap — the
 // Reaping phase excludes the owner, which is what makes reading the
 // plain slice safe.
 func (h *Handle) BatchEmpty() bool { return len(h.batch) == 0 }
@@ -591,7 +554,7 @@ func (h *Handle) BatchEmpty() bool { return len(h.batch) == 0 }
 // it. The tag is conservative: the batch executes only after a further
 // epoch advance, strictly later than the owner's own flush would have
 // allowed, so the §5 safety argument is unchanged. Reaper-only, between
-// TryBeginReap and FinishReap; returns the number of adopted tasks.
+// TryReap and FinishReap; returns the number of adopted tasks.
 func (h *Handle) AdoptBatch() int {
 	n := len(h.batch)
 	if n == 0 {
@@ -670,9 +633,7 @@ func (h *Handle) Enter() {
 // when a neutralization request is pending, in which case the caller must
 // roll back — discard everything derived since the last complete
 // checkpoint and either Exit or Enter again. Poll is the only operation on
-// the hot traversal path: a single atomic load, leases on or off (the
-// section's Enter already stamped the lease, and nothing reads it while
-// the handle is InCs).
+// the hot traversal path: a single atomic load, leases on or off.
 func (h *Handle) Poll() bool {
 	if fault.On {
 		fault.Fire(fault.SitePoll)
@@ -686,7 +647,7 @@ func (h *Handle) Poll() bool {
 		}
 	}
 	// The reaper phases (≥ RbReq) also demand a rollback: the next Enter
-	// runs ensureLive, which cancels a quarantine or resurrects.
+	// settles them, resurrecting if the handle was reaped.
 	return ph < phaseRbReq
 }
 
@@ -720,7 +681,7 @@ func (h *Handle) Refresh() bool {
 	ph, _ := unpack(st)
 	if ph != phaseInCs {
 		// RbReq or a reaper phase: the caller must roll back (and Enter,
-		// which resolves the reaper phases via ensureLive).
+		// which settles the reaper phases).
 		return false
 	}
 	e := h.d.epoch.Load()
@@ -745,16 +706,17 @@ func (h *Handle) Exit() {
 }
 
 // exitLeased is Exit with the reap protocol live: a blind store could
-// smash a Quarantined/Reaping/Reaped word the reaper owns, so leave those
-// phases alone (the next Enter resolves them through ensureLive) and CAS
-// everything else to Out.
+// smash a Reaping/Reaped word the reaper owns (it may claim a neutralized
+// section whose RbReq stood for the whole lease timeout), so leave those
+// phases alone — the next Enter settles them — and CAS everything else to
+// Out.
 func (h *Handle) exitLeased() {
 	for {
 		st := h.status.Load()
-		if ph, _ := unpack(st); ph >= phaseQuarantined {
+		if ph, _ := unpack(st); ph >= phaseReaping {
 			return
 		}
-		if h.status.CompareAndSwap(st, pack(phaseOut, 0)) {
+		if h.status.CompareAndSwap(st, h.outWord()) {
 			return
 		}
 	}
@@ -805,8 +767,8 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
 	ph, e := unpack(st)
 	if ph != phaseInCs {
 		if ph >= phaseRbReq {
-			// Neutralized (or quarantined by the reaper): roll back
-			// before any masked write; Enter resolves the phase.
+			// Neutralized (or claimed by the reaper): roll back before
+			// any masked write; Enter settles the phase.
 			return false, true
 		}
 		panic("brcu: Mask outside a critical section (" + h.Describe() + ")")
@@ -857,25 +819,17 @@ func (h *Handle) runMasked(body func(), e uint64) {
 // ForceOut drives the handle out of whatever phase a panic left it in,
 // restoring the Out state the next operation expects. Owner-side only —
 // it is the recover barrier's stand-in for the Exit (or Enter-and-settle)
-// the unwound control flow never performed. Reaper-transient phases are
-// resolved exactly as Enter would: a quarantine is cancelled, an
-// in-flight adoption waited out, a reaped handle resurrected.
+// the unwound control flow never performed. The reaper's phases are
+// settled exactly as Enter would: an in-flight adoption waited out, a
+// reaped handle resurrected.
 func (h *Handle) ForceOut() {
 	for {
-		if h.settle() == phaseReaped {
-			h.resurrect()
-			return
-		}
-		st := h.status.Load()
-		ph, _ := unpack(st)
-		if ph >= phaseQuarantined {
-			continue // the reaper moved again; settle once more
-		}
-		if ph == phaseOut {
+		st := h.settle()
+		if ph, _ := unpack(st); ph == phaseOut {
 			return
 		}
 		// InCs, InRm, RbReq or InMut: abandon the section or mutation span.
-		if h.status.CompareAndSwap(st, pack(phaseOut, 0)) {
+		if h.status.CompareAndSwap(st, h.outWord()) {
 			return
 		}
 	}
@@ -967,9 +921,9 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	if ph, _ := unpack(h.status.Load()); ph == phaseInCs {
 		panic("brcu: Defer inside an unmasked critical section (rollback-unsafe, §4.1; " + h.Describe() + ")")
 	}
-	// Hold the un-reapable InMut phase across the batch mutation: a
-	// quarantine can then only land before or after it, never while the
-	// append/flush is in flight. No-op inside a masked region or an
+	// Hold the un-reapable InMut phase across the batch mutation: a reap
+	// can then only land before or after it, never while the append/flush
+	// is in flight. No-op inside a masked region or an
 	// enclosing BeginMut, where the reaper already cannot touch us.
 	claimed := h.BeginMut()
 	r := alloc.Retired{Slot: slot, Pool: pool}

@@ -3,10 +3,13 @@ package brcu
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 )
+
+// The tests that predate the one-word claim keep their names, so the
+// suite's history lines up; where a name says Quarantine, read the
+// reaper's claim (TryReap).
 
 // leaseDomain builds a domain with leases on and a large batch so deferred
 // tasks stay local (the interesting state for adoption).
@@ -15,6 +18,17 @@ func leaseDomain(t *testing.T) *Domain {
 	d := NewDomain(nil, WithMaxLocalTasks(1024), WithForceThreshold(1000000))
 	d.EnableLeases()
 	return d
+}
+
+// claim is the reaper's whole first step: read the word, CAS from it.
+func claim(h *Handle) (word uint64, ok bool) {
+	word = h.Word()
+	return word, h.TryReap(word)
+}
+
+func phaseOf(h *Handle) uint64 {
+	ph, _ := unpack(h.status.Load())
+	return ph
 }
 
 func TestQuarantineReapAdoptsBatch(t *testing.T) {
@@ -29,15 +43,13 @@ func TestQuarantineReapAdoptsBatch(t *testing.T) {
 		t.Fatalf("victim batch = %d, want 5 local tasks", len(victim.batch))
 	}
 
-	// Two-phase reap: quarantine, confirm, adopt, publish.
-	if !victim.TryQuarantine() {
-		t.Fatal("TryQuarantine failed on an out-of-CS handle")
+	// The reap: claim, adopt, remove, publish.
+	word, ok := claim(victim)
+	if !ok {
+		t.Fatal("TryReap failed on an out-of-CS handle")
 	}
-	if !victim.TryQuarantine() {
-		t.Fatal("re-quarantine of a quarantined handle must succeed (re-arm)")
-	}
-	if !victim.TryBeginReap() {
-		t.Fatal("TryBeginReap failed on a quarantined handle")
+	if victim.TryReap(word) || victim.TryReap(victim.Word()) {
+		t.Fatal("a handle mid-reap was claimed a second time")
 	}
 	if n := victim.AdoptBatch(); n != 5 {
 		t.Fatalf("AdoptBatch = %d, want 5", n)
@@ -48,8 +60,8 @@ func TestQuarantineReapAdoptsBatch(t *testing.T) {
 	if got := d.pendingBatches(); got != 1 {
 		t.Fatalf("pendingBatches = %d, want 1 adopted batch", got)
 	}
-	victim.FinishReap()
 	d.RemoveAll([]*Handle{victim})
+	victim.FinishReap()
 	if d.handles.Len() != 0 {
 		t.Fatalf("registry has %d handles after RemoveAll", d.handles.Len())
 	}
@@ -64,25 +76,26 @@ func TestQuarantineReapAdoptsBatch(t *testing.T) {
 	}
 }
 
+// TestOwnerCancelsQuarantine: the reaper's claim compares against the word
+// it read; an owner that has entered a section since — or entered and left
+// again — has replaced that word, so the claim fails and the owner is
+// untouched.
 func TestOwnerCancelsQuarantine(t *testing.T) {
 	d := leaseDomain(t)
 	h := d.Register()
-	defer func() {
-		h.Exit()
-		h.Unregister()
-	}()
+	defer h.Unregister()
 
-	if !h.TryQuarantine() {
-		t.Fatal("TryQuarantine failed")
+	stale := h.Word() // the scan's look
+	h.Enter()         // the owner wakes up
+	if h.TryReap(stale) {
+		t.Fatal("TryReap from a stale word succeeded inside the owner's section")
 	}
-	// The owner wakes up: Enter resolves the quarantine via the owner-wins
-	// CAS, so the reaper's confirmation must fail.
-	h.Enter()
-	if h.TryBeginReap() {
-		t.Fatal("TryBeginReap succeeded after the owner cancelled the quarantine")
+	h.Exit()
+	if h.TryReap(stale) {
+		t.Fatal("TryReap from a stale word succeeded after the owner's round trip: an Out word recurred")
 	}
 	if h.Gen() != 0 {
-		t.Fatal("cancelling a quarantine must not count as a resurrection")
+		t.Fatal("a defeated claim must not count as a resurrection")
 	}
 }
 
@@ -90,8 +103,8 @@ func TestQuarantineRefusedInsideCS(t *testing.T) {
 	d := leaseDomain(t)
 	h := d.Register()
 	h.Enter()
-	if h.TryQuarantine() {
-		t.Fatal("TryQuarantine succeeded inside a live critical section")
+	if _, ok := claim(h); ok {
+		t.Fatal("TryReap succeeded inside a live critical section")
 	}
 	h.Exit()
 	h.Unregister()
@@ -100,19 +113,29 @@ func TestQuarantineRefusedInsideCS(t *testing.T) {
 func TestExitPreservesReaperPhases(t *testing.T) {
 	d := leaseDomain(t)
 	h := d.Register()
-	if !h.TryQuarantine() {
-		t.Fatal("TryQuarantine failed")
+	h.Enter()
+	h.SelfNeutralize()
+	// The neutralized section stood long enough to be claimed. A racing
+	// Exit (a slow owner finishing a section the reaper already gave up
+	// on) must not smash the reaper-owned word, mid-reap or after it.
+	if _, ok := claim(h); !ok {
+		t.Fatal("TryReap failed on a neutralized section")
 	}
-	// A racing Exit (e.g. a slow owner finishing a section the reaper
-	// already gave up on) must not smash the reaper-owned word.
 	h.Exit()
-	if ph, _ := unpack(h.status.Load()); ph != phaseQuarantined {
-		t.Fatalf("Exit overwrote quarantine: phase = %d", ph)
+	if ph := phaseOf(h); ph != phaseReaping {
+		t.Fatalf("Exit overwrote the claim: phase = %s", phaseName(ph))
+	}
+	h.AdoptBatch()
+	d.RemoveAll([]*Handle{h})
+	h.FinishReap()
+	h.Exit()
+	if ph := phaseOf(h); ph != phaseReaped {
+		t.Fatalf("Exit overwrote the reap: phase = %s", phaseName(ph))
 	}
 	// The owner's next Enter still resolves it.
 	h.Enter()
-	if ph, _ := unpack(h.status.Load()); ph != phaseInCs {
-		t.Fatalf("Enter did not resolve quarantine: phase = %d", ph)
+	if ph := phaseOf(h); ph != phaseInCs {
+		t.Fatalf("Enter did not resolve the reap: phase = %s", phaseName(ph))
 	}
 	h.Exit()
 	h.Unregister()
@@ -128,12 +151,13 @@ func TestResurrectionAfterReap(t *testing.T) {
 	hooked := false
 	h.SetResurrect(func() { hooked = true })
 
-	if !h.TryQuarantine() || !h.TryBeginReap() {
+	word, ok := claim(h)
+	if !ok {
 		t.Fatal("reap protocol refused an idle handle")
 	}
 	h.AdoptBatch()
-	h.FinishReap()
 	d.RemoveAll([]*Handle{h})
+	h.FinishReap()
 
 	// The owner was merely slow, not dead: its next Enter resurrects.
 	h.Enter()
@@ -150,6 +174,9 @@ func TestResurrectionAfterReap(t *testing.T) {
 		t.Fatal("resurrected handle inherited a batch the reaper adopted")
 	}
 	h.Exit()
+	if h.Word() == word || h.TryReap(word) {
+		t.Fatal("the word the reaper claimed stands again after the resurrection")
+	}
 	h.Unregister()
 	if d.handles.Len() != 0 {
 		t.Fatal("unregister after resurrection left the handle registered")
@@ -159,7 +186,7 @@ func TestResurrectionAfterReap(t *testing.T) {
 func TestUnregisterAfterReapBalancesBooks(t *testing.T) {
 	d := leaseDomain(t)
 	h := d.Register()
-	if !h.TryQuarantine() || !h.TryBeginReap() {
+	if _, ok := claim(h); !ok {
 		t.Fatal("reap protocol refused an idle handle")
 	}
 	h.AdoptBatch()
@@ -189,22 +216,21 @@ func TestBeginMutBlocksQuarantine(t *testing.T) {
 	if !h.BeginMut() {
 		t.Fatal("BeginMut failed to claim on an idle handle")
 	}
-	// Mid-mutation the handle must be un-quarantinable: a reaper arriving
-	// while the batch is being appended/flushed could otherwise adopt the
-	// very slice the owner is writing.
-	if h.TryQuarantine() {
-		t.Fatal("TryQuarantine succeeded during BeginMut")
+	// Mid-mutation the handle must be un-reapable: a reaper arriving while
+	// the batch is being appended/flushed could otherwise adopt the very
+	// slice the owner is writing.
+	if _, ok := claim(h); ok {
+		t.Fatal("TryReap succeeded during BeginMut")
 	}
 	if h.BeginMut() {
 		t.Fatal("nested BeginMut claimed twice")
 	}
 	h.EndMut()
-	if !h.TryQuarantine() {
-		t.Fatal("TryQuarantine failed after EndMut")
+	word, ok := claim(h)
+	if !ok {
+		t.Fatal("TryReap failed after EndMut")
 	}
-	// Leave the handle clean for the deferred Unregister.
-	h.Enter()
-	h.Exit()
+	h.CancelReap(word) // leave the handle clean for the deferred Unregister
 }
 
 func TestBeginMutResolvesQuarantine(t *testing.T) {
@@ -212,36 +238,41 @@ func TestBeginMutResolvesQuarantine(t *testing.T) {
 	h := d.Register()
 	defer h.Unregister()
 
-	if !h.TryQuarantine() {
-		t.Fatal("TryQuarantine failed")
-	}
-	// The owner's next batch mutation cancels the quarantine on its way
-	// into InMut, exactly like Enter would.
+	stale := h.Word() // the scan's look
+	// The owner's next batch mutation replaces the word on its way into
+	// InMut, exactly like Enter would, and the span counts as activity:
+	// the word from before it is gone for good.
 	if !h.BeginMut() {
-		t.Fatal("BeginMut failed on a quarantined handle")
+		t.Fatal("BeginMut failed on an idle handle")
 	}
-	if h.TryBeginReap() {
-		t.Fatal("TryBeginReap succeeded after BeginMut cancelled the quarantine")
+	if h.TryReap(stale) {
+		t.Fatal("TryReap from the pre-mutation word succeeded during BeginMut")
 	}
 	h.EndMut()
+	if h.TryReap(stale) {
+		t.Fatal("TryReap from the pre-mutation word succeeded after EndMut: an Out word recurred")
+	}
 	if h.Gen() != 0 {
-		t.Fatal("cancelling a quarantine via BeginMut must not count as a resurrection")
+		t.Fatal("a defeated claim must not count as a resurrection")
 	}
 }
 
 func TestCancelReapLeavesOwnerUntouched(t *testing.T) {
 	d := leaseDomain(t)
 	h := d.Register()
+	h.Enter()
+	h.Exit()
 
-	if !h.TryQuarantine() || !h.TryBeginReap() {
+	word, ok := claim(h)
+	if !ok {
 		t.Fatal("reap protocol refused an idle handle")
 	}
 	if !h.BatchEmpty() {
 		t.Fatal("fresh handle reports a non-empty batch")
 	}
-	h.CancelReap()
-	if ph, _ := unpack(h.status.Load()); ph != phaseOut {
-		t.Fatalf("phase = %d after CancelReap, want Out", ph)
+	h.CancelReap(word)
+	if got := h.Word(); got != word {
+		t.Fatalf("word = %#x after CancelReap, want the claimed word %#x back (a parked victim must stay parked)", got, word)
 	}
 	// No resurrection happened: same generation, same registration.
 	h.Enter()
@@ -272,7 +303,7 @@ func TestDeferReapRace(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the reaper: quarantine → confirm → adopt → remove → publish
+	go func() { // the reaper: claim → adopt → remove → publish
 		defer wg.Done()
 		for {
 			select {
@@ -280,9 +311,9 @@ func TestDeferReapRace(t *testing.T) {
 				return
 			default:
 			}
-			if h.TryQuarantine() && h.TryBeginReap() {
+			if word, ok := claim(h); ok {
 				if h.BatchEmpty() {
-					h.CancelReap()
+					h.CancelReap(word)
 					continue
 				}
 				h.AdoptBatch()
@@ -324,44 +355,67 @@ func TestDeferReapRace(t *testing.T) {
 	}
 }
 
-// TestLeaseStampsFollowClock pins the stamp sites: the lease takes the
-// published clock exactly when the owner leaves the Out state — Enter,
-// and BeginMut under Defer, Barrier and Unregister — and at no other
-// point of a section's life (Poll, Refresh, Mask, Exit, EndMut).
-func TestLeaseStampsFollowClock(t *testing.T) {
+// TestWordMovesWithActivity is what makes the status word a lease: every
+// owner operation that could leave something to adopt — a section, a
+// Defer, a Barrier, a bare mutation span — ends on an Out word no look has
+// ever seen, so a scan comparing two looks sees the activity and a claim
+// from any earlier look fails. Inside a section nothing writes an Out
+// word at all.
+//
+// The rule is for Out words only. RbReq(e) can recur: the rollback-and-
+// retry touch below, taken twice at a standing epoch with a
+// SelfNeutralize each time (fault injection, RequestCancel), shows the
+// same RbReq(e) with a whole Enter in between. A sampling scan that
+// catches both a timeout apart claims a live owner, which costs it one
+// spurious reap-and-resurrect — the path TestResurrectionAfterReap
+// certifies safe (DESIGN.md §7.2).
+func TestWordMovesWithActivity(t *testing.T) {
 	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
 	d := leaseDomain(t)
 	h := d.Register()
 	defer h.Unregister()
 
-	now := time.Now().UnixNano()
-	for i, touch := range []func(){
-		func() { h.Enter(); h.Exit() },
-		func() { retireOne(t, pool, cache, h) },
-		func() { h.Barrier() },
-		func() { h.BeginMut(); h.EndMut() },
-	} {
-		now += int64(time.Second)
-		d.PublishClock(now)
-		touch()
-		if got := h.Lease(); got != now {
-			t.Fatalf("touch %d: lease = %d, want published clock %d", i, got, now)
+	looks := []uint64{h.Word()}
+	for round := 0; round < 3; round++ {
+		for i, touch := range []func(){
+			func() { h.Enter(); h.Exit() },
+			func() { h.Enter(); h.SelfNeutralize(); h.Enter(); h.Exit() }, // rollback and retry
+			func() { h.Enter(); h.ForceOut() },                            // contained panic
+			func() { retireOne(t, pool, cache, h) },
+			func() { h.Barrier() },
+			func() { h.BeginMut(); h.EndMut() },
+		} {
+			touch()
+			w := h.Word()
+			if ph, _ := unpack(w); ph != phaseOut {
+				t.Fatalf("round %d touch %d: ended in %s, want Out", round, i, phaseName(ph))
+			}
+			for _, seen := range looks {
+				if w == seen {
+					t.Fatalf("round %d touch %d: Out word %#x recurred", round, i, w)
+				}
+				if h.TryReap(seen) {
+					t.Fatalf("round %d touch %d: claim from an earlier look %#x succeeded", round, i, seen)
+				}
+			}
+			looks = append(looks, w)
 		}
 	}
 
-	// Inside a section nothing stamps: the clock moves on, the lease
-	// stays at the value Enter copied.
+	// Inside a section the word only ever shows section phases.
 	h.Enter()
-	entered := h.Lease()
-	d.PublishClock(now + int64(time.Second))
-	h.Poll()
-	h.Refresh()
-	h.Mask(func() {})
-	h.Exit()
-	if got := h.Lease(); got != entered {
-		t.Fatalf("lease moved inside a critical section: %d, want Enter's stamp %d", got, entered)
+	for i, step := range []func(){
+		func() { h.Poll() },
+		func() { h.Refresh() },
+		func() { h.Mask(func() {}) },
+	} {
+		step()
+		if ph := phaseOf(h); ph != phaseInCs {
+			t.Fatalf("step %d moved the section to %s", i, phaseName(ph))
+		}
 	}
+	h.Exit()
 }
 
 func TestPollReportsReaperPhases(t *testing.T) {
@@ -371,21 +425,29 @@ func TestPollReportsReaperPhases(t *testing.T) {
 	if !h.Poll() {
 		t.Fatal("Poll failed in a healthy critical section")
 	}
-	h.Exit()
-	if !h.TryQuarantine() {
-		t.Fatal("TryQuarantine failed")
+	h.SelfNeutralize()
+	if _, ok := claim(h); !ok {
+		t.Fatal("TryReap failed on a neutralized section")
 	}
-	// A traversal that somehow observes a reaper phase must roll back to
-	// Enter, which resolves it.
-	if h.Poll() {
-		t.Fatal("Poll passed while quarantined")
+	// A traversal that observes a reaper phase — mid-reap or after it —
+	// must roll back to Enter, which resolves it.
+	mustRollBack := func(when string) {
+		t.Helper()
+		if h.Poll() {
+			t.Fatalf("Poll passed %s", when)
+		}
+		if _, mustRollback := h.Mask(func() {}); !mustRollback {
+			t.Fatalf("Mask must demand rollback %s", when)
+		}
+		if h.Refresh() {
+			t.Fatalf("Refresh succeeded %s", when)
+		}
 	}
-	if _, mustRollback := h.Mask(func() {}); !mustRollback {
-		t.Fatal("Mask must demand rollback while quarantined")
-	}
-	if h.Refresh() {
-		t.Fatal("Refresh succeeded while quarantined")
-	}
+	mustRollBack("while being reaped")
+	h.AdoptBatch()
+	d.RemoveAll([]*Handle{h})
+	h.FinishReap()
+	mustRollBack("after the reap")
 	h.Enter()
 	h.Exit()
 	h.Unregister()

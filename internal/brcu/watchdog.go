@@ -151,8 +151,8 @@ func (w *Watchdog) broadcast() {
 			ph, e := unpack(st)
 			if ph == phaseOut || ph >= phaseRbReq {
 				// Out (the caller's own service handle included), already
-				// neutralized, or owned by the lease reaper
-				// (quarantined/reaping/reaped) — nothing to broadcast to.
+				// neutralized, in a mutation span, or owned by the lease
+				// reaper — no live section to broadcast to.
 				break
 			}
 			if other.status.CompareAndSwap(st, pack(phaseRbReq, e)) {

@@ -195,7 +195,6 @@ func shardWedgeConfig(shards int) hpbrcu.Config {
 		Enabled:      true,
 		LeaseTimeout: 20 * time.Millisecond,
 		Interval:     time.Millisecond,
-		Grace:        5 * time.Millisecond,
 	}
 	if shards > 1 {
 		cfg.Shards = hpbrcu.ShardsConfig{

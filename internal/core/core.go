@@ -85,7 +85,7 @@ type Domain struct {
 	brcu *brcu.Domain
 
 	// members tracks the composed handles (both halves), so the lease
-	// scan can snapshot, quarantine and bulk-remove them as units.
+	// scan can snapshot, claim and bulk-remove them as units.
 	members registry.Registry[Handle]
 
 	// jan is the domain's janitor; nil until StartJanitor (and always nil
@@ -163,7 +163,7 @@ func (d *Domain) BindPool(p alloc.Binding) {
 }
 
 // RegisterService registers an exempt service handle: the lease scan
-// never quarantines it even when its lease goes stale, so long-lived and
+// never claims it however long its status word stands, so long-lived and
 // mostly-idle maintenance goroutines (the shard health monitor's recovery
 // loop) can hold one across arbitrary quiet spans.
 func (d *Domain) RegisterService() *Handle { return d.register(true) }
@@ -242,8 +242,8 @@ type Handle struct {
 	brcu *brcu.Handle
 
 	// exempt marks service handles (the janitor's, the shard monitor's)
-	// the lease scan must never quarantine: they are long-lived and mostly
-	// idle, so their leases go stale by design.
+	// the lease scan must never claim: they are long-lived and mostly
+	// idle, so their status words stand still by design.
 	exempt bool
 
 	// bpTick samples the backpressure-threshold refresh on the retire
@@ -361,7 +361,7 @@ func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 // an HP shield scan over the result.
 func (h *Handle) emergencyDrain() {
 	// Both steps mutate reaper-adoptable state (the BRCU batch, the HP
-	// retired list); hold the un-quarantinable InMut phase across them.
+	// retired list); hold the un-reapable InMut phase across them.
 	// Inside a masked region BeginMut no-ops — the InRm word already
 	// excludes the reaper.
 	claimed := h.brcu.BeginMut()

@@ -5,7 +5,7 @@ package core
 // domain — is the epoch advancing, and who is in the way — so one ticker
 // drives fixed, ordered stages through one exempt service handle:
 //
-//	publish clock → lease scan → epoch health → drain → backpressure → report
+//	lease scan → epoch health → drain → backpressure → report
 //
 // The lease scan (internal/reap) and the epoch-health check
 // (internal/brcu) keep their protocol code and lose their goroutines; both
@@ -31,16 +31,15 @@ const watchdogOnlyInterval = time.Millisecond
 // JanitorConfig configures StartJanitor. Zero durations select the
 // defaults.
 type JanitorConfig struct {
-	// Reaper turns the lease-scan stage (and lease stamping) on.
+	// Reaper turns the lease-scan stage (and the reap-aware handle paths)
+	// on.
 	Reaper bool
-	// LeaseTimeout is how stale a handle's lease must be before the scan
-	// quarantines it (default reap.DefaultLeaseTimeout).
+	// LeaseTimeout is how long a handle's status word must stand still
+	// before the scan claims it (default reap.DefaultLeaseTimeout).
 	LeaseTimeout time.Duration
 	// Interval is the janitor tick (default reap.DefaultInterval with the
 	// reaper on, 1 ms otherwise).
 	Interval time.Duration
-	// Grace is the quarantine confirmation delay (default four ticks).
-	Grace time.Duration
 	// Watchdog turns the epoch-health stage on.
 	Watchdog bool
 }
@@ -67,6 +66,10 @@ type Report struct {
 	// Level is the backpressure rung after this tick's threshold refresh
 	// (LevelOK with backpressure off).
 	Level reap.Level
+	// Parked is how many handles the lease scan holds parked: their word
+	// stood for the lease timeout, but they hold nothing to adopt, so they
+	// were left registered and are not counted in ReapedHandles.
+	Parked int
 }
 
 // Janitor is a running per-domain janitor; see StartJanitor.
@@ -105,9 +108,9 @@ type Janitor struct {
 }
 
 // StartJanitor launches the domain's janitor with the stages cfg asks
-// for. With the reaper stage on it first enables lease stamping, so it
-// must run before any worker goroutine registers (the lease gate is a
-// plain bool, fault.On contract). It returns nil for an RCU-backed domain
+// for. With the reaper stage on it first enables leases, so it must run
+// before any worker goroutine registers (the lease gate is a plain bool,
+// fault.On contract). It returns nil for an RCU-backed domain
 // and when cfg asks for no stage. CloseDrain stops the janitor as part of
 // the shutdown; Stop does so on its own.
 func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
@@ -123,7 +126,7 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 	if cfg.Reaper {
 		d.brcu.EnableLeases()
 	}
-	h := d.register(true) // exempt: the janitor's own lease goes stale by design
+	h := d.register(true) // exempt: the janitor's own handle idles by design
 	j := &Janitor{
 		rec:      d.rec,
 		interval: cfg.Interval,
@@ -137,14 +140,7 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 		done:     make(chan struct{}),
 	}
 	if cfg.Reaper {
-		if cfg.Grace <= 0 {
-			cfg.Grace = 4 * cfg.Interval
-		}
-		j.reaper = reap.New(reapTarget{d}, reap.Config{
-			LeaseTimeout: cfg.LeaseTimeout,
-			Grace:        cfg.Grace,
-			Rec:          d.rec,
-		})
+		j.reaper = reap.New(reapTarget{d}, reap.Config{LeaseTimeout: cfg.LeaseTimeout, Rec: d.rec})
 	}
 	if cfg.Watchdog {
 		j.wd = d.brcu.NewWatchdog(d.HP.Shields)
@@ -186,18 +182,17 @@ func (j *Janitor) run() {
 // with an explicit clock so tests can drive the stages deterministically.
 func (j *Janitor) tick(now int64) {
 	// The shard-wedge injection point: a fired stall skips the pass
-	// entirely — no clock published, no adoption, no health check, no
+	// entirely — no look at any handle, no adoption, no health check, no
 	// report — so a Period-1 plan freezes the janitor as dead as a wedged
-	// goroutine, deterministically and wall-clock independently: leases
-	// age, adoption stops, and the shard monitor sees Ticks stand still.
+	// goroutine, deterministically and wall-clock independently: adoption
+	// stops, and the shard monitor sees Ticks stand still.
 	// FireShard reads the injector through the atomic gate — this
 	// goroutine outlives Activate/Deactivate.
 	if fault.FireShard(fault.SiteShardStall, j.shardID) {
 		return
 	}
 
-	// Lease scan: publishes the clock first, so the stamps it compares
-	// against are never older than the tick that judges them.
+	// Lease scan: look, claim, adopt, remove, finish.
 	parked := false
 	if j.reaper != nil {
 		parked = j.reaper.Tick(now) > 0
@@ -214,6 +209,8 @@ func (j *Janitor) tick(now int64) {
 	}
 	if j.gate.Allow(j.rec.Unreclaimed.Load()) {
 		j.drain()
+	} else if j.h != nil {
+		j.h.HP.Sweep() // what needs no forced advance is never left for Close
 	}
 
 	if j.bp != nil {
@@ -249,6 +246,9 @@ func (j *Janitor) publish() {
 	if j.bp != nil {
 		r.Level = j.bp.Level()
 	}
+	if j.reaper != nil {
+		r.Parked = j.reaper.Parked()
+	}
 	j.mu.Lock()
 	r.Ticks = j.report.Ticks + 1
 	j.report = r
@@ -279,19 +279,16 @@ func (j *Janitor) Stop() {
 
 // --- reap.Victim on *Handle -------------------------------------------
 
-// Lease returns the BRCU half's activity stamp; the HP half's retired
-// list is mutated only inside BeginMut spans and critical sections, which
-// stamp it, so one lease covers both halves.
-func (h *Handle) Lease() int64 { return h.brcu.Lease() }
+// Word returns the BRCU half's status word; the HP half's retired list is
+// mutated only inside BeginMut spans and critical sections, which move
+// that word, so one word dates both halves.
+func (h *Handle) Word() uint64 { return h.brcu.Word() }
 
 // Exempt reports whether the lease scan must skip this handle.
 func (h *Handle) Exempt() bool { return h.exempt }
 
-// TryQuarantine forwards phase one of the reap protocol.
-func (h *Handle) TryQuarantine() bool { return h.brcu.TryQuarantine() }
-
-// TryBeginReap forwards phase two of the reap protocol.
-func (h *Handle) TryBeginReap() bool { return h.brcu.TryBeginReap() }
+// TryReap forwards the reaper's one-CAS claim.
+func (h *Handle) TryReap(word uint64) bool { return h.brcu.TryReap(word) }
 
 // Adopt moves both halves of the dead thread's state into the
 // domain-global paths: the BRCU defer batch into the global task set and
@@ -304,8 +301,8 @@ func (h *Handle) Adopt() int {
 // FinishReap publishes the end of adoption.
 func (h *Handle) FinishReap() { h.brcu.FinishReap() }
 
-// CancelReap aborts a confirmed reap without adopting anything.
-func (h *Handle) CancelReap() { h.brcu.CancelReap() }
+// CancelReap hands a claim back without adopting anything.
+func (h *Handle) CancelReap(word uint64) { h.brcu.CancelReap(word) }
 
 // Empty reports whether a reap of this handle would adopt nothing: both
 // halves hold no deferred or retired node and no shield protects. Called
@@ -315,8 +312,6 @@ func (h *Handle) Empty() bool { return h.brcu.BatchEmpty() && h.HP.Empty() }
 // --- reap.Target over the domain --------------------------------------
 
 type reapTarget struct{ d *Domain }
-
-func (t reapTarget) PublishClock(now int64) { t.d.brcu.PublishClock(now) }
 
 func (t reapTarget) Victims() []reap.Victim {
 	snap := t.d.members.Snapshot()

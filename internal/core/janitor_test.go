@@ -18,7 +18,6 @@ func fastReaper(d *Domain) *Janitor {
 		Reaper:       true,
 		LeaseTimeout: 10 * time.Millisecond,
 		Interval:     time.Millisecond,
-		Grace:        2 * time.Millisecond,
 	})
 }
 
@@ -115,6 +114,45 @@ func TestReaperResurrection(t *testing.T) {
 	})
 }
 
+// TestJanitorSweepsWhatTheLastWorkerLeft: the drain stage forces rounds
+// only on an adoption or a broadcast, and closes its gate when a round
+// makes no progress — so nodes a live shield protected through the last
+// reclaim pass anyone ran are parked, on the leaving worker's way out, in
+// the HP orphans, where no forced round is owed for them and no surviving
+// worker will ever look. The janitor's per-tick HP sweep must free them
+// once the shield clears, instead of leaving them for Close. (Extracted
+// from a chaos flake: leaked=2 reaped=2 unreclaimed=2 holding for 10s on
+// everything+leak; the same sweep covers the nodes a forced round parks
+// in the service handle's own retired list.)
+func TestJanitorSweepsWhatTheLastWorkerLeft(t *testing.T) {
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
+	d := NewDomain(BackendBRCU, Config{MaxLocalTasks: 1024, ScanThreshold: 1024, ForceThreshold: 2})
+	j := d.StartJanitor(JanitorConfig{Reaper: true, LeaseTimeout: time.Hour, Interval: time.Millisecond})
+	defer j.Stop()
+
+	reader, writer := d.Register(), d.Register()
+	slot, _ := pool.Alloc(cache)
+	s := reader.NewShield()
+	s.ProtectSlot(slot)
+	pool.Hdr(slot).Retire()
+	writer.Retire(slot, pool)
+	writer.Barrier() // through the grace period, into the HP half: protected, so kept
+	writer.Unregister()
+	rec := d.Stats()
+	if got := rec.Unreclaimed.Load(); got != 1 {
+		t.Fatalf("unreclaimed = %d with the node under a live shield, want 1", got)
+	}
+	reader.Unregister() // clears the shield; the reader itself holds nothing
+
+	waitFor(t, "the janitor to free the orphan", func() bool {
+		return rec.Unreclaimed.Load() == 0
+	})
+	if got := rec.ReapedHandles.Load(); got != 0 {
+		t.Fatalf("ReapedHandles = %d: the orphan was reached through a reap, not the sweep", got)
+	}
+}
+
 // TestEmergencyDrainBoundsGarbage: with backpressure on, the retire path
 // drains inline once unreclaimed garbage crosses the drain tier, so the
 // peak stays at the ceiling even though the batch would hold far more.
@@ -165,28 +203,26 @@ func (l *stageLog) add(format string, args ...any) {
 	l.events = append(l.events, fmt.Sprintf(format, args...))
 }
 
-// mockVictim is a handle whose lease is permanently stale and whose reap
-// always confirms.
+// mockVictim is a handle whose word never moves and whose claim always
+// succeeds; empty makes it hold nothing to adopt.
 type mockVictim struct {
 	log   *stageLog
-	lease int64
+	empty bool
 }
 
-func (v *mockVictim) Lease() int64        { v.log.add("lease"); return v.lease }
-func (v *mockVictim) Exempt() bool        { return false }
-func (v *mockVictim) TryQuarantine() bool { v.log.add("quarantine"); return true }
-func (v *mockVictim) TryBeginReap() bool  { v.log.add("confirm"); return true }
-func (v *mockVictim) Empty() bool         { return false }
-func (v *mockVictim) CancelReap()         { v.log.add("cancel") }
-func (v *mockVictim) Adopt() int          { v.log.add("adopt"); return 3 }
-func (v *mockVictim) FinishReap()         { v.log.add("finish") }
+func (v *mockVictim) Word() uint64             { v.log.add("look"); return 10 }
+func (v *mockVictim) Exempt() bool             { return false }
+func (v *mockVictim) TryReap(word uint64) bool { v.log.add("claim"); return true }
+func (v *mockVictim) Empty() bool              { return v.empty }
+func (v *mockVictim) CancelReap(word uint64)   { v.log.add("cancel") }
+func (v *mockVictim) Adopt() int               { v.log.add("adopt"); return 3 }
+func (v *mockVictim) FinishReap()              { v.log.add("finish") }
 
 type mockTarget struct {
 	log     *stageLog
 	victims []reap.Victim
 }
 
-func (t *mockTarget) PublishClock(now int64) { t.log.add("clock=%d", now) }
 func (t *mockTarget) Victims() []reap.Victim { return t.victims }
 func (t *mockTarget) Remove(vs []reap.Victim) {
 	t.log.add("remove")
@@ -194,42 +230,42 @@ func (t *mockTarget) Remove(vs []reap.Victim) {
 }
 
 // mockJanitor builds a tick-driven janitor over a scripted target: lease
-// timeout 100 and grace 50 in the test's abstract nanosecond clock, a
-// drain that only logs.
+// timeout 100 in the test's abstract nanosecond clock, a drain that only
+// logs.
 func mockJanitor(log *stageLog, tgt reap.Target, rec *stats.Reclamation) *Janitor {
 	return &Janitor{
 		rec:    rec,
-		reaper: reap.New(tgt, reap.Config{LeaseTimeout: 100, Grace: 50, Rec: rec}),
+		reaper: reap.New(tgt, reap.Config{LeaseTimeout: 100, Rec: rec}),
 		drain:  func() { log.add("drain") },
 		epoch:  func() uint64 { return 7 },
 	}
 }
 
-// TestJanitorStageOrder pins the order inside one tick: the clock is
-// published before any lease is read, and a confirmed reap adopts, then
-// leaves the registries, then publishes FinishReap (the PR-3 UAF
+// TestJanitorStageOrder pins the order inside one tick: look → claim →
+// adopt → remove → finish → drain. A claimed victim is adopted, then
+// leaves the registries, then has FinishReap published (the PR-3 UAF
 // ordering: a resurrecting owner re-registers only after FinishReap, so
 // the removal can never strip a live registration) — and only then does
 // the drain stage run.
 func TestJanitorStageOrder(t *testing.T) {
 	log := &stageLog{}
 	rec := &stats.Reclamation{}
-	tgt := &mockTarget{log: log, victims: []reap.Victim{&mockVictim{log: log, lease: 10}}}
+	tgt := &mockTarget{log: log, victims: []reap.Victim{&mockVictim{log: log}}}
 	j := mockJanitor(log, tgt, rec)
 	rec.Unreclaimed.Add(3) // what the adoption parks in the global paths
 
-	j.tick(200) // lease age 190 > 100: quarantine
-	want := []string{"clock=200", "lease", "quarantine"}
+	j.tick(200) // first look: nothing else
+	want := []string{"look"}
 	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
-		t.Fatalf("quarantine tick ran %v, want %v", log.events, want)
+		t.Fatalf("first tick ran %v, want %v", log.events, want)
 	}
 	if r := j.Report(); r.Ticks != 1 || r.Epoch != 7 || r.Unreclaimed != 3 {
 		t.Fatalf("report after one tick = %+v, want Ticks=1 Epoch=7 Unreclaimed=3", r)
 	}
 
 	log.events = nil
-	j.tick(300) // grace 100 > 50: confirm and reap
-	want = []string{"clock=300", "lease", "confirm", "adopt", "remove", "finish", "drain"}
+	j.tick(300) // the word stood for 100: claim and reap
+	want = []string{"look", "claim", "adopt", "remove", "finish", "drain"}
 	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
 		t.Fatalf("reap tick ran %v, want %v", log.events, want)
 	}
@@ -241,11 +277,36 @@ func TestJanitorStageOrder(t *testing.T) {
 	}
 }
 
-// reapOnce drives a mock janitor through one quarantine and one reap, so
-// its drain stage is armed and has run its first round.
+// TestJanitorReportsParked: a claimed victim with nothing to adopt is
+// handed back and parked, not reaped — no ReapedHandles count, no drain —
+// and the report says so, which is how a convergence check tells "every
+// dead handle is reaped or holds nothing" from "the reaper missed one".
+func TestJanitorReportsParked(t *testing.T) {
+	log := &stageLog{}
+	rec := &stats.Reclamation{}
+	tgt := &mockTarget{log: log, victims: []reap.Victim{&mockVictim{log: log, empty: true}}}
+	j := mockJanitor(log, tgt, rec)
+
+	j.tick(200)
+	if got := j.Report().Parked; got != 0 {
+		t.Fatalf("Parked = %d after the first look, want 0", got)
+	}
+	j.tick(300)
+	j.tick(400)
+	want := []string{"look", "look", "claim", "cancel", "look"}
+	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
+		t.Fatalf("ticks ran %v, want %v", log.events, want)
+	}
+	if r := j.Report(); r.Parked != 1 || rec.ReapedHandles.Load() != 0 {
+		t.Fatalf("Parked=%d ReapedHandles=%d, want 1 and 0", r.Parked, rec.ReapedHandles.Load())
+	}
+}
+
+// reapOnce drives a mock janitor through one look and one reap, so its
+// drain stage is armed and has run its first round.
 func reapOnce(t *testing.T, log *stageLog, rec *stats.Reclamation) *Janitor {
 	t.Helper()
-	tgt := &mockTarget{log: log, victims: []reap.Victim{&mockVictim{log: log, lease: 10}}}
+	tgt := &mockTarget{log: log, victims: []reap.Victim{&mockVictim{log: log}}}
 	j := mockJanitor(log, tgt, rec)
 	j.tick(200)
 	j.tick(300)
@@ -334,7 +395,8 @@ func TestJanitorTicksUnderShardStall(t *testing.T) {
 }
 
 // TestJanitorStartStop: the running goroutine ticks on its own, never
-// touches a fresh-leased handle, and Stop releases the service handle.
+// touches a handle inside its lease timeout, and Stop releases the service
+// handle.
 func TestJanitorStartStop(t *testing.T) {
 	d := NewDomain(BackendBRCU, Config{})
 	j := d.StartJanitor(JanitorConfig{Reaper: true, Watchdog: true, LeaseTimeout: time.Hour, Interval: time.Millisecond})
@@ -351,7 +413,7 @@ func TestJanitorStartStop(t *testing.T) {
 		t.Fatalf("janitor ticked after Stop: %d → %d", ticks, got)
 	}
 	if got := d.Stats().ReapedHandles.Load(); got != 0 {
-		t.Fatalf("janitor reaped %d fresh-leased handles", got)
+		t.Fatalf("janitor reaped %d handles inside their lease timeout", got)
 	}
 	h.Unregister()
 	if got := len(d.members.Snapshot()); got != 0 {

@@ -1,8 +1,6 @@
 package core_test
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,13 +9,13 @@ import (
 )
 
 // TestLongTraversalNeverReaped is the lease argument as a test: Poll
-// stores nothing, so during one long critical section the lease goes
-// stale — far past LeaseTimeout, under a 1 ms janitor that looks at it
-// every tick — and the handle is still never reaped, because the lease
-// scan only ever acts on a handle that is outside every section, and the
-// Enter that began this one stamped it. 10⁶ traversal steps, in sections
-// each longer than the timeout, from the only reapable handle in the
-// domain (so a reap could only be its own).
+// stores nothing, so one long operation shows the scan no new Out word
+// for far longer than LeaseTimeout — under a 1 ms janitor that looks
+// every tick — and the handle is still never reaped, because the scan
+// only ever claims a word that is outside every section, and the Enter
+// that began this one replaced the last such word. 10⁶ traversal steps,
+// in operations each longer than the timeout, from the only reapable
+// handle in the domain (so a reap could only be its own).
 func TestLongTraversalNeverReaped(t *testing.T) {
 	const (
 		nodes        = 1 << 18
@@ -28,7 +26,6 @@ func TestLongTraversalNeverReaped(t *testing.T) {
 		Reaper:       true,
 		LeaseTimeout: leaseTimeout,
 		Interval:     time.Millisecond,
-		Grace:        2 * time.Millisecond,
 	})
 	defer j.Stop()
 
@@ -42,35 +39,24 @@ func TestLongTraversalNeverReaped(t *testing.T) {
 	rec := l.Stats()
 	gen, reaped := h.Core().Gen(), rec.ReapedHandles.Load()
 
-	var stop, staleInSection atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // witness that the lease really went stale mid-traversal
-		defer wg.Done()
-		for !stop.Load() {
-			if time.Now().UnixNano()-h.Core().Lease() > int64(leaseTimeout) {
-				staleInSection.Store(true)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
+	// The witness that the window really opened: one traversal, entered
+	// once, that outlasted the lease timeout.
 	t0 := time.Now()
+	var longest time.Duration
 	steps := 0
 	for steps < 1_000_000 || time.Since(t0) <= 2*leaseTimeout {
+		op := time.Now()
 		if v, ok := h.GetOptimistic(nodes - 1); !ok || v != nodes-1 {
 			t.Fatalf("GetOptimistic(last) = (%d, %v)", v, ok)
 		}
+		longest = max(longest, time.Since(op))
 		steps += nodes
 	}
-	elapsed := time.Since(t0)
-	stop.Store(true)
-	wg.Wait()
 
-	t.Logf("%d steps in %v; janitor ticks=%d stale lease seen mid-run: %v",
-		steps, elapsed, j.Report().Ticks, staleInSection.Load())
-	if !staleInSection.Load() {
-		t.Skip("traversals finished inside the lease timeout on this host; the stale-lease window never opened")
+	t.Logf("%d steps in %v; janitor ticks=%d longest traversal %v",
+		steps, time.Since(t0), j.Report().Ticks, longest)
+	if longest <= leaseTimeout {
+		t.Skip("every traversal finished inside the lease timeout on this host; the window never opened")
 	}
 	if got := rec.ReapedHandles.Load() - reaped; got != 0 {
 		t.Fatalf("ReapedHandles grew by %d: a handle inside a long traversal was reaped", got)

@@ -47,8 +47,8 @@ type PanicError struct {
 	// containment time; empty for RCU-backed handles.
 	Handle string
 	// Poisoned reports that restoring the handle failed: the handle must
-	// not be reused — its lease goes stale and the reaper, when running,
-	// adopts its garbage.
+	// not be reused — its status word stops moving and the reaper, when
+	// running, adopts its garbage.
 	Poisoned bool
 }
 
@@ -210,7 +210,7 @@ func (d *Domain) CloseDrain(deadline time.Time) int64 {
 		defer j.Stop()
 		h = j.h
 	} else {
-		h = d.register(true) // exempt: this handle outlives its lease on purpose
+		h = d.register(true) // exempt: this handle idles past any lease timeout on purpose
 		defer h.Unregister()
 	}
 	if h.brcu != nil {

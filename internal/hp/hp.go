@@ -392,5 +392,21 @@ func (h *Handle) Reclaim() {
 	}
 }
 
+// Sweep runs a Reclaim pass if one has something to reach: nodes this
+// handle still holds, or orphans. A domain's janitor calls it every tick
+// its forced drain does not run. Both places park nodes that only a pass of
+// this handle can free once the workers are gone — nodes a then-live
+// shield kept on the last pass, nodes the last workers handed to the
+// domain on their way out — and a pass costs nobody else anything: a
+// shield scan, no epoch advance, no neutralization.
+func (h *Handle) Sweep() {
+	h.d.orphanMu.Lock()
+	orphans := len(h.d.orphans)
+	h.d.orphanMu.Unlock()
+	if orphans > 0 || len(h.retired) > 0 {
+		h.Reclaim()
+	}
+}
+
 // PendingRetired reports the number of nodes this handle is still holding.
 func (h *Handle) PendingRetired() int { return len(h.retired) }

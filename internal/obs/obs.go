@@ -79,17 +79,15 @@ const (
 	// EvSlabGrow: the allocator materialized or carved fresh slots
 	// instead of reusing freed ones; Arg is the number of slots carved.
 	EvSlabGrow
-	// EvLeaseExpire: the reaper observed a handle whose activity lease
-	// went stale; Arg is the lease age in nanoseconds.
+	// EvLeaseExpire: the reaper observed a handle whose status word has
+	// stood still for the lease timeout and is about to try claiming it;
+	// Arg is how long the word stood, in nanoseconds.
 	EvLeaseExpire
-	// EvQuarantine: the reaper quarantined a lease-expired handle (phase
-	// one of the two-phase reap); Arg is 0.
-	EvQuarantine
 	// EvAdopt: the reaper adopted a dead handle's deferred batch and
 	// retired list into the domain-global paths; Arg is the node count.
 	EvAdopt
-	// EvReap: the reaper confirmed a quarantined handle dead and removed
-	// it; Arg is the number of handles reaped this pass.
+	// EvReap: the reaper removed the handles it claimed and adopted; Arg
+	// is the number of handles reaped this pass.
 	EvReap
 	// EvThrottle: allocations were delayed by the backpressure throttle;
 	// Arg is the number of throttled admissions since the last tick.
@@ -155,7 +153,7 @@ const (
 var eventNames = [numEventKinds]string{
 	"epoch-advance", "forced-advance", "signal", "rollback", "mask-defer",
 	"watchdog-escalate", "broadcast", "drain", "reclaim", "slab-grow",
-	"lease-expire", "quarantine", "adopt", "reap", "throttle", "reject",
+	"lease-expire", "adopt", "reap", "throttle", "reject",
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",
 	"shard-quarantine", "shard-recover",

@@ -51,7 +51,6 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 			Enabled:      true,
 			LeaseTimeout: 40 * time.Millisecond,
 			Interval:     5 * time.Millisecond,
-			Grace:        10 * time.Millisecond,
 		},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 		Shards: hpbrcu.ShardsConfig{

@@ -55,7 +55,6 @@ func TestServerChaosSoak(t *testing.T) {
 			Enabled:      true,
 			LeaseTimeout: 15 * time.Millisecond,
 			Interval:     2 * time.Millisecond,
-			Grace:        4 * time.Millisecond,
 		},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 	})

@@ -141,7 +141,6 @@ func TestCloseReachesTheJanitorsOwnGarbage(t *testing.T) {
 			Enabled:      true,
 			LeaseTimeout: 10 * time.Millisecond,
 			Interval:     time.Millisecond,
-			Grace:        2 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -29,7 +29,6 @@ func lifecycleConfig() hpbrcu.Config {
 			Enabled:      true,
 			LeaseTimeout: 50 * time.Millisecond,
 			Interval:     2 * time.Millisecond,
-			Grace:        5 * time.Millisecond,
 		},
 	}
 }

@@ -135,13 +135,17 @@ type ShardPressure struct {
 	Quarantined bool
 	// Unreclaimed is the shard's retired-not-yet-reclaimed gauge.
 	Unreclaimed int64
-	// JanitorTicks and StallStreak come from the shard janitor's last
-	// published report (both 0 when the shard runs no janitor): the
-	// number of ticks it has completed — a count that stands still names
-	// a wedged janitor — and how many consecutive ticks its watchdog saw
-	// flushed batches queued behind an epoch that did not move.
-	JanitorTicks int64
-	StallStreak  int
+	// JanitorTicks, StallStreak and ParkedHandles come from the shard
+	// janitor's last published report (all 0 when the shard runs no
+	// janitor): the number of ticks it has completed — a count that
+	// stands still names a wedged janitor — how many consecutive ticks
+	// its watchdog saw flushed batches queued behind an epoch that did
+	// not move, and how many handles the lease scan found standing still
+	// past the lease timeout with nothing to adopt, which it leaves
+	// registered instead of reaping (they are not in ReapedHandles).
+	JanitorTicks  int64
+	StallStreak   int
+	ParkedHandles int
 }
 
 // ShardPressures returns one pressure/health row per shard, in shard
@@ -175,6 +179,6 @@ func ShardPressures(m Map) []ShardPressure {
 func (p *ShardPressure) readJanitor(m *mapImpl) {
 	if m.jan != nil {
 		r := m.jan.Report()
-		p.JanitorTicks, p.StallStreak = r.Ticks, r.StallStreak
+		p.JanitorTicks, p.StallStreak, p.ParkedHandles = r.Ticks, r.StallStreak, r.Parked
 	}
 }

@@ -162,11 +162,11 @@ type Config struct {
 	Watchdog bool
 	// Reaper enables the lease-scan stage of the domain's janitor on
 	// HP-BRCU maps: each tick it looks for handles abandoned by dead
-	// worker goroutines (stale activity lease, no live critical section),
-	// quarantines them, and — after a grace period a live owner would use
-	// to object — adopts their deferred garbage and shields into the
-	// domain-global reclamation paths. Close stops the janitor. Ignored
-	// for every other scheme.
+	// worker goroutines (a status word that has not moved for
+	// LeaseTimeout, no live critical section), claims each with one CAS
+	// that fails if the owner has moved since, and adopts their deferred
+	// garbage and shields into the domain-global reclamation paths. Close
+	// stops the janitor. Ignored for every other scheme.
 	Reaper ReaperConfig
 	// Backpressure enables tiered memory backpressure on HP-BRCU maps,
 	// keyed to the §5 garbage bound (or an absolute ceiling): inline
@@ -266,17 +266,15 @@ type PoolConfig struct {
 // ReaperConfig configures the lease scan (Config.Reaper) and, through
 // Interval, the janitor tick every other stage shares. The zero value
 // disables the scan; zero durations select the defaults (250ms lease
-// timeout, 5ms tick, 4-tick grace).
+// timeout, 5ms tick).
 type ReaperConfig struct {
 	// Enabled turns the reaper on.
 	Enabled bool
-	// LeaseTimeout is how long a handle's activity lease may go unstamped
-	// before the handle is suspected dead.
+	// LeaseTimeout is how long a handle's status word may stand still
+	// outside a critical section before the handle is presumed dead.
 	LeaseTimeout time.Duration
 	// Interval is the janitor tick period.
 	Interval time.Duration
-	// Grace is the quarantine-to-reap confirmation delay.
-	Grace time.Duration
 }
 
 // BackpressureConfig configures the backpressure tiers (see
@@ -314,7 +312,6 @@ func (c Config) CoreJanitorConfig() core.JanitorConfig {
 		Reaper:       c.Reaper.Enabled,
 		LeaseTimeout: c.Reaper.LeaseTimeout,
 		Interval:     c.Reaper.Interval,
-		Grace:        c.Reaper.Grace,
 		Watchdog:     c.Watchdog,
 	}
 }

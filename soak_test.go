@@ -100,7 +100,6 @@ func leakSoakConfig(reaper bool) hpbrcu.Config {
 			Enabled:      true,
 			LeaseTimeout: 15 * time.Millisecond,
 			Interval:     2 * time.Millisecond,
-			Grace:        4 * time.Millisecond,
 		}
 	}
 	return cfg
