@@ -290,7 +290,7 @@ type Handle struct {
 	scanEpoch  uint64
 	scanForced bool
 
-	// Cooperative cancellation (core.TraverseCtx). The owner arms a fresh
+	// Cooperative cancellation (core.Walk). The owner arms a fresh
 	// token per cancellable operation; a watcher goroutine requests
 	// cancellation by presenting the token it saw armed. Tokens make a
 	// late watcher from a finished operation harmless: its RequestCancel
@@ -302,7 +302,7 @@ type Handle struct {
 
 	// gen counts resurrections (owner-goroutine-only): a reaped handle
 	// whose owner turns out to be alive re-registers and bumps gen, so
-	// the Traverse engine knows its checkpointed protections were cleared
+	// core.Walk knows its checkpointed protections were cleared
 	// by the reaper and restarts from scratch.
 	gen uint64
 	// onResurrect re-registers composed per-scheme state (the HP half,
@@ -387,9 +387,9 @@ func (h *Handle) Describe() string {
 }
 
 // Gen returns the handle's resurrection generation. It changes only
-// inside Enter (via settle), on the owner goroutine; the Traverse
-// engine compares it across Enters to detect a reap-and-resurrect, whose
-// shield clearing invalidates checkpointed cursors.
+// inside Enter (via settle), on the owner goroutine; core.Walk compares
+// it across Enters to detect a reap-and-resurrect, whose shield clearing
+// invalidates checkpointed cursors.
 func (h *Handle) Gen() uint64 { return h.gen }
 
 // settle resolves the reaper's phases on the owner's behalf: it waits out
@@ -475,8 +475,8 @@ func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWo
 
 // resurrect re-registers a reaped handle whose owner turned out to be
 // alive. The reaper already adopted the old batch and retired list and
-// cleared the shields, so the handle restarts empty; bumping gen tells the
-// Traverse engine to discard checkpoints the pre-reap shields protected.
+// cleared the shields, so the handle restarts empty; bumping gen tells
+// core.Walk to discard checkpoints the pre-reap shields protected.
 func (h *Handle) resurrect() {
 	h.batch = nil
 	h.pushCnt = 0
@@ -632,23 +632,32 @@ func (h *Handle) Enter() {
 // Poll is the cooperative stand-in for signal delivery: it reports false
 // when a neutralization request is pending, in which case the caller must
 // roll back — discard everything derived since the last complete
-// checkpoint and either Exit or Enter again. Poll is the only operation on
-// the hot traversal path: a single atomic load, leases on or off.
+// checkpoint and either Exit or Enter again. It is a single atomic load,
+// leases on or off, obs and fault injection on or off, and it inlines into
+// the per-node loop (inline_test.go at the repository root holds it to
+// that). The reaper phases (≥ RbReq) also demand a rollback: the next
+// Enter settles them, resurrecting if the handle was reaped.
 func (h *Handle) Poll() bool {
+	return h.status.Load()&(1<<phaseBits-1) < phaseRbReq
+}
+
+// PollHooks is what an instrumented process hangs on a traversal step's
+// poll besides the load: the SitePoll stall and the sampled epoch-lag
+// histogram. Only core's step hooks call it, behind their once-per-attempt
+// instrumented gate, so Poll itself stays one load.
+func (h *Handle) PollHooks() {
 	if fault.On {
 		fault.Fire(fault.SitePoll)
 	}
-	ph, e := unpack(h.status.Load())
 	if obs.On {
-		// Sample the epoch lag every 64th poll: frequent enough to see
-		// a lagging traversal, cheap enough to leave the hot path alone.
-		if h.pollN++; h.pollN&63 == 0 && ph != phaseOut {
-			h.d.rec.PollLag.Record(int64(h.d.epoch.Load()) - int64(e))
+		// Sample the epoch lag every 64th step: frequent enough to see a
+		// lagging traversal, cheap enough to leave the obs-on run alone.
+		if h.pollN++; h.pollN&63 == 0 {
+			if ph, e := unpack(h.status.Load()); ph != phaseOut {
+				h.d.rec.PollLag.Record(int64(h.d.epoch.Load()) - int64(e))
+			}
 		}
 	}
-	// The reaper phases (≥ RbReq) also demand a rollback: the next Enter
-	// settles them, resurrecting if the handle was reaped.
-	return ph < phaseRbReq
 }
 
 // SelfNeutralize marks this handle as neutralized, exactly as if a
@@ -797,7 +806,7 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
 
 // runMasked runs the masked body behind a recover barrier. A panic that
 // escapes it (user code, or SitePanic standing in for one) unwinds the
-// region before continuing to the outer barrier in core.Traverse: restore
+// region before continuing to the outer barrier (core.Walk's Guard): restore
 // InRm→InCs so the abort path sees the section in its normal state — a
 // lost CAS means a neutralization landed mid-region and the standing
 // RbReq is already what the abort path expects.
@@ -835,7 +844,7 @@ func (h *Handle) ForceOut() {
 	}
 }
 
-// --- Cooperative cancellation (core.TraverseCtx) -----------------------
+// --- Cooperative cancellation (core.Walk) ------------------------------
 
 // ArmCancel installs a fresh cancellation token for the operation about
 // to run and returns it. Owner-side; pair with DisarmCancel.

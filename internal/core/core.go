@@ -10,7 +10,7 @@
 //   - Two-step retirement (Algorithm 4): Retire(p) defers the inner
 //     HP-Retire(p) through the RCU, so a pointer acquired inside a critical
 //     section is safe to dereference and to protect without validation.
-//   - The Traverse engine (Algorithm 7): an expedited traversal that
+//   - The expedited traversal (Algorithm 7; Walk in traverse.go): it
 //     follows most links under coarse-grained RCU protection, periodically
 //     checkpointing the cursor into HP shields. HP-RCU alternates explicit
 //     bounded RCU phases (Algorithm 3); HP-BRCU stays in one critical

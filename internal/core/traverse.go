@@ -4,13 +4,361 @@ import (
 	"context"
 
 	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
-// This file implements the Traverse API (Algorithm 7): the expedited
-// traversal engine with double-buffered checkpointing that both HP-RCU and
-// HP-BRCU expose to data structures.
+// This file implements the expedited traversal (Algorithm 7 for HP-BRCU,
+// Algorithm 3 for HP-RCU) as Walk: the §4.3 double buffer, rollback and
+// resume, written once for both backends and called from a per-node loop
+// the data structure owns, so the node visit compiles into that loop as it
+// does under EBR or NBR. Traverse adapts a step callback to the same Walk
+// for descents too short for the indirect call to matter.
+
+// Protector publishes HP protection for every node of a cursor (the
+// paper's Protector trait). Implementations write each cursor pointer into
+// a dedicated shield; they must tolerate repeated calls.
+type Protector[C any] interface {
+	Protect(c *C)
+}
+
+// CursorBuf is handle-owned cursor storage for a Walk: the cursor slot plus
+// the two checkpoint buffers of the double-buffering scheme (§4.3). They
+// are not locals of the traversal because a cursor whose address is passed
+// through the Protector interface escapes to the heap — at roughly two
+// heap allocations per operation, cursors were ~99% of the allocator
+// traffic the GC-pressure columns measure. Handles embed one CursorBuf per
+// cursor type instead, so a traversal performs zero allocations.
+//
+// A CursorBuf is owned by the handle's goroutine and must not be shared:
+// two concurrent traversals through one buffer would tear each other's
+// checkpoints. Reusing it across consecutive operations on the same
+// handle is the intended pattern — a Walk writes the cursor slot (and the
+// checkpoints it commits) before reading them.
+type CursorBuf[C any] struct {
+	cur  C
+	ckpt [2]C
+}
+
+// Walk is one expedited traversal's state, between the loop that visits
+// nodes — which the data structure owns — and the double-buffered
+// checkpoints, which live only here. The owner declares a zero Walk, calls
+// Bind and Start, defers Guard, and loops `for w.Enter(init, valid)` over
+// critical-section attempts; inside, its per-node loop keeps the cursor in
+// locals, breaks out when Poll fails, stores the cursor and calls
+// Checkpoint when Due, and leaves through Finish at its destination or Fail
+// on a lost helping CAS (Traverse below is the whole shape). A step then
+// costs the protocol's own work: Poll's one load, the visit, Due's
+// countdown.
+//
+// prot and backup are the double buffer (§4.3): at every instant one of
+// them holds a complete protected cursor, because Checkpoint and Finish
+// protect into the buffer that is *not* the complete one, and only a poll
+// that succeeds after that protection was published makes it the complete
+// one. HP-BRCU therefore resumes after a neutralization that lands in the
+// middle of checkpointing; HP-RCU is never neutralized and uses prot alone.
+// A Walk lives on its owner's stack and allocates nothing.
+type Walk[C any] struct {
+	h     *Handle
+	b     *brcu.Handle // nil under HP-RCU
+	buf   *CursorBuf[C]
+	prots [2]Protector[C] // {backup, prot}; prots[compIdx%2] holds the complete checkpoint
+
+	ctx  context.Context // nil: not cancellable
+	stop func() bool     // stops the cancellation watcher (HP-BRCU)
+	tok  uint64          // cancellation token (HP-BRCU)
+	err  error
+
+	gen     uint64 // reap generation the checkpoints were taken under
+	compIdx int
+	haveCkp bool // does buf.ckpt[compIdx%2] hold a complete checkpoint?
+	entered bool
+	hooks   bool
+	left    int // steps until the next periodic checkpoint
+	yc      int
+}
+
+// Bind points a zero Walk at a handle, its cursor storage and its
+// protectors; a non-nil ctx makes it cancellable (see Start). It only
+// stores, so that it inlines and the stores land in the owner's frame:
+// through a pointer the compiler cannot see to be a stack address every
+// pointer field would cost a write barrier, and returned as a struct value
+// the walk would be copied into place — either was a tenth of a two-hop Get.
+func (w *Walk[C]) Bind(ctx context.Context, h *Handle, buf *CursorBuf[C], prot, backup Protector[C]) {
+	w.h, w.b, w.buf, w.ctx = h, h.brcu, buf, ctx
+	w.prots[0], w.prots[1] = backup, prot
+}
+
+// Start opens the walk: it refuses a poisoned handle and arms
+// cancellation. When the walk's context is done its own critical section
+// is self-neutralized — the paper's signal repurposed as a request timeout
+// — and the next Enter ends the walk with the context's error, the cursor
+// rolled back to its last complete checkpoint and nothing committed.
+// (HP-RCU has no neutralization and notices at checkpoints, at most
+// BackupPeriod steps late.) A context already done ends the walk before it
+// touches any shared state.
+func (w *Walk[C]) Start() {
+	if w.ctx != nil {
+		if w.err = w.ctx.Err(); w.err != nil {
+			return
+		}
+	}
+	w.h.checkUsable()
+	if w.b != nil {
+		w.gen = w.b.Gen()
+		if w.ctx != nil {
+			b, tok := w.b, w.b.ArmCancel()
+			w.tok = tok
+			w.stop = context.AfterFunc(w.ctx, func() { b.RequestCancel(tok) })
+		}
+	}
+}
+
+// Guard is the walk's recover barrier; the function that owns the loop
+// defers it right after Start. A panic that escaped user code (init, valid,
+// a masked body, the loop itself) drives the handle through the normal
+// abort path and is re-raised per the panic policy: contain never returns.
+func (w *Walk[C]) Guard() {
+	if w.stop != nil {
+		w.stop()
+		w.b.DisarmCancel()
+	}
+	if r := recover(); r != nil {
+		w.h.contain(r, "traversal", func() {
+			clearProtection(w.prots[0])
+			clearProtection(w.prots[1])
+		})
+	}
+}
+
+// Cursor is the walk's cursor slot: Enter leaves the cursor to continue
+// from in it, and Checkpoint and Finish protect what the owner stored
+// there.
+func (w *Walk[C]) Cursor() *C { return &w.buf.cur }
+
+// Err is nil unless the walk ended because its context was done.
+func (w *Walk[C]) Err() error { return w.err }
+
+// Enter opens the next critical-section attempt and reports whether there
+// is one: false means the walk is over — cancelled (Err says so), or
+// holding a checkpoint that no longer validates, in which case the
+// operation restarts from scratch. Every Enter after the first follows a
+// rollback and is accounted as one.
+//
+// init builds the entry cursor inside the critical section (it may run
+// many times); valid checks that a checkpointed cursor can still be
+// resumed from — typically that its source node is not logically deleted
+// (§3.3). They are arguments here and to Checkpoint, not fields: a func
+// stored in the walk would escape, and every operation would allocate its
+// closures.
+func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
+	if w.err != nil || w.b == nil && w.entered {
+		return false
+	}
+	c := &w.buf.cur
+	w.left, w.yc = w.h.d.backupPeriod, 0
+	// Decided once per attempt, so the loop tests a local: arming a fault
+	// plan or obs mid-traversal is picked up by the next attempt.
+	w.hooks = atomicx.YieldPeriod != 0 || fault.On || obs.On
+	if w.b == nil {
+		w.entered = true
+		w.h.rcu.Pin()
+		*c = init()
+		w.prots[1].Protect(c) // within the critical section: no validation needed (R2)
+		return true
+	}
+	for {
+		if w.entered {
+			w.b.RecordRollback()
+		}
+		w.entered = true
+		if w.b.CancelPending(w.tok) {
+			// Our watcher self-neutralized the section (or we are about
+			// to start one the caller no longer wants). Exit clears the
+			// stale RbReq; the cursor stays rolled back at the last
+			// complete checkpoint, still protected by its buffer.
+			w.b.Exit()
+			w.cancel()
+			return false
+		}
+		// Re-enter with a fresh epoch (the paper's siglongjmp target,
+		// Algorithm 7 line 15).
+		w.b.Enter()
+		if g := w.b.Gen(); g != w.gen {
+			// The lease reaper reaped this handle between attempts and
+			// Enter resurrected it: the shields backing both checkpoint
+			// buffers were cleared, so the checkpoints are no longer
+			// protected. Restart from scratch.
+			w.gen, w.haveCkp = g, false
+		}
+		if w.haveCkp {
+			// Resume from the last complete checkpoint. It was inherited
+			// from an earlier section, so it must be revalidated (line 17,
+			// §3.3); failure aborts the whole operation. A cursor created
+			// in THIS section (below) needs no validation (R2), and
+			// validating it would be worse than wasteful: if the entry
+			// point's first node is logically deleted, rejecting the fresh
+			// cursor would keep every traversal from ever reaching (and
+			// helping unlink) it, livelocking the structure.
+			*c = w.buf.ckpt[w.compIdx%2]
+			if !valid(c) {
+				w.b.Exit()
+				return false
+			}
+			return true
+		}
+		// First critical section: build and protect the initial cursor
+		// (lines 11-12). The poll after protecting makes the checkpoint
+		// complete: if it succeeds, the protection was published while
+		// the section was live, so reclaimers must honour it.
+		*c = init()
+		w.prots[0].Protect(c)
+		if w.b.Poll() {
+			w.buf.ckpt[0] = *c
+			w.compIdx, w.haveCkp = 0, true
+			return true
+		}
+	}
+}
+
+// Instrumented reports whether this attempt's steps must run StepHooks (a
+// yield period, a fault plan or the obs layer is active); the loop keeps it
+// in a local and branches on that.
+func (w *Walk[C]) Instrumented() bool { return w.hooks }
+
+// StepHooks is everything a step carries that is not the protocol: the
+// single-CPU yield harness, the fault sites that force a rollback or a
+// panic at an arbitrary step (the poll or the recover barrier then takes
+// it from there), and the BRCU half's own poll hooks.
+func (w *Walk[C]) StepHooks() {
+	atomicx.StepYield(&w.yc)
+	if fault.On {
+		if w.b != nil && fault.Fire(fault.SiteStepRollback) {
+			w.b.SelfNeutralize()
+		}
+		if fault.Fire(fault.SitePanic) {
+			// Stands in for a panic in the owner's step, before any mutation.
+			panic(fault.ErrInjectedPanic)
+		}
+	}
+	if w.b != nil {
+		w.b.PollHooks()
+	}
+}
+
+// Poll is the step's neutralization check — one load of the status word —
+// and always true under HP-RCU. False means roll back: leave the loop for
+// Enter.
+func (w *Walk[C]) Poll() bool { return w.b == nil || w.b.Poll() }
+
+// Due counts one completed step and reports whether a periodic checkpoint
+// falls on it, in which case the owner stores its cursor and calls
+// Checkpoint.
+func (w *Walk[C]) Due() bool {
+	w.left--
+	return w.left == 0
+}
+
+// Checkpoint makes the cursor the new complete checkpoint and catches up
+// with the global epoch, so the traversal stops blocking reclamation. It
+// reports false when the attempt is over (neutralized at the checkpoint,
+// or cancelled): leave the loop for Enter.
+//
+// A checkpoint is only useful if the cursor would pass revalidation on
+// resume (e.g. it is not sitting on a logically deleted node); otherwise
+// it is postponed by a full period. Without this gate a deterministic
+// traversal can livelock: every retry re-checkpoints the same doomed cursor
+// and fails validation again.
+func (w *Walk[C]) Checkpoint(valid func(*C) bool) bool {
+	w.left = w.h.d.backupPeriod
+	c := &w.buf.cur
+	if w.b != nil {
+		return !valid(c) || w.commit() && w.b.Refresh()
+	}
+	// End of this RCU phase (Algorithm 3's Steps boundary): checkpoint the
+	// cursor, re-enter a fresh critical section, and revalidate the source
+	// (§3.3, R1).
+	if w.ctx != nil && w.ctx.Err() != nil {
+		w.h.rcu.Unpin()
+		w.cancel()
+		return false
+	}
+	if !valid(c) {
+		return true
+	}
+	w.prots[1].Protect(c)
+	w.h.rcu.Repin()
+	if !valid(c) {
+		w.h.rcu.Unpin()
+		return false
+	}
+	return true
+}
+
+// commit checkpoints into the *other* buffer (lines 21-24): protect, then
+// poll. Only a successful poll publishes the new complete index, so a
+// rollback mid-checkpoint leaves the previous buffer intact.
+func (w *Walk[C]) commit() bool {
+	c := &w.buf.cur
+	next := (w.compIdx + 1) % 2
+	w.prots[next].Protect(c)
+	if !w.b.Poll() {
+		return false
+	}
+	w.buf.ckpt[next] = *c
+	w.compIdx++
+	return true
+}
+
+// Finish ends the walk at its destination: the cursor is checkpointed one
+// last time and the critical section left, with the protection (also) in
+// prot. False means the final checkpoint was neutralized: leave the loop
+// for Enter.
+func (w *Walk[C]) Finish() bool {
+	c := &w.buf.cur
+	if w.b == nil {
+		w.prots[1].Protect(c)
+		w.h.rcu.Unpin()
+		return true
+	}
+	if !w.commit() {
+		return false
+	}
+	w.b.Exit()
+	if w.compIdx%2 == 0 {
+		// The finishing buffer is backup. c is protected by it, so copying
+		// the protection outside the critical section is safe (the nodes
+		// cannot be reclaimed while that protector holds them).
+		w.prots[1].Protect(c)
+	}
+	return true
+}
+
+// Fail abandons the walk from inside an attempt: the operation cannot
+// proceed from this cursor (a helping CAS was lost, Algorithm 8 line 29)
+// and the owner retries from scratch.
+func (w *Walk[C]) Fail() {
+	if w.b != nil {
+		w.b.Exit()
+	} else {
+		w.h.rcu.Unpin()
+	}
+}
+
+// cancel accounts a walk abandoned because its context was done.
+func (w *Walk[C]) cancel() {
+	w.h.d.rec.CancelledOps.Inc()
+	if w.b != nil {
+		w.b.TraceEvent(obs.EvCancel, 0)
+	}
+	if w.err = w.ctx.Err(); w.err == nil {
+		// The watcher fired on a context whose Err momentarily reads nil
+		// only in pathological custom implementations; report the
+		// conventional value.
+		w.err = context.Canceled
+	}
+}
 
 // StepKind is the outcome of one traversal step (Algorithm 7's StepResult).
 type StepKind int
@@ -30,32 +378,6 @@ const (
 	StepAbort
 )
 
-// Protector publishes HP protection for every node of a cursor (the
-// paper's Protector trait). Implementations write each cursor pointer into
-// a dedicated shield; they must tolerate repeated calls.
-type Protector[C any] interface {
-	Protect(c *C)
-}
-
-// CursorBuf is caller-provided cursor storage for Traverse: the working
-// cursor plus the two checkpoint buffers of the double-buffering scheme
-// (§4.3). Traverse used to keep these as locals, but a cursor whose
-// address is passed through the Protector interface escapes to the heap —
-// at roughly two heap allocations per operation, cursors were ~99% of the
-// allocator traffic the GC-pressure columns measure. Handles embed one
-// CursorBuf per cursor type instead, so a traversal performs zero
-// allocations.
-//
-// A CursorBuf is owned by the handle's goroutine and must not be shared:
-// two concurrent traversals through one buffer would tear each other's
-// checkpoints. Reusing it across consecutive operations on the same
-// handle is the intended pattern — Traverse fully re-initializes the
-// working cursor (and the checkpoints it commits) before reading them.
-type CursorBuf[C any] struct {
-	cur  C
-	ckpt [2]C
-}
-
 // Traversal bundles the data-structure callbacks for Traverse (the
 // paper's init/step closures and the Validatable trait).
 type Traversal[C, R any] struct {
@@ -73,317 +395,43 @@ type Traversal[C, R any] struct {
 	Step func(c *C) (StepKind, R)
 }
 
-// Traverse performs an expedited traversal and returns the final cursor —
-// protected in prot — together with the step's Finish result.
-//
-// ok is false when the operation must be retried from scratch: either a
-// resumed cursor failed validation, or a step reported StepFail. Both are
-// rare in practice (§4.3).
-//
-// prot and backup are the double buffer (§4.3): at every moment at least
-// one of them holds a complete protected cursor, so HP-BRCU can resume
-// after a neutralization that lands in the middle of checkpointing. On a
-// successful return the final cursor's protection is (also) in prot. buf
-// is the handle-owned cursor storage (see CursorBuf).
+// Traverse runs t over a Walk with the step as a callback, and returns the
+// final cursor — protected in prot — with the step's Finish result. ok is
+// false when the operation must be retried from scratch: a resumed cursor
+// failed validation, or a step reported StepFail. Both are rare (§4.3).
 func Traverse[C, R any](h *Handle, buf *CursorBuf[C], prot, backup Protector[C], t Traversal[C, R]) (cursor C, result R, ok bool) {
-	h.checkUsable()
-	defer func() {
-		if r := recover(); r != nil {
-			// A panic escaped user code (Init/Validate/Step or a masked
-			// body): drive the handle through the normal abort path and
-			// re-raise per the panic policy. contain never returns.
-			h.contain(r, "Traverse", func() {
-				clearProtection(prot)
-				clearProtection(backup)
-			})
-		}
-	}()
-	if h.brcu != nil {
-		c, r, ok, _ := traverseBRCU(h, buf, prot, backup, t, 0)
-		return c, r, ok
-	}
-	c, r, ok, _ := traverseRCU(nil, h, buf, prot, backup, t)
-	return c, r, ok
-}
-
-// TraverseCtx is Traverse with cooperative cancellation: when ctx is
-// done, the operation's own critical section is self-neutralized — the
-// paper's signal mechanism repurposed as a request-timeout primitive —
-// and TraverseCtx returns the context's error with the cursor rolled
-// back (the shields still hold the last complete validated checkpoint,
-// but no result is produced and no shared state was committed by the
-// abandoned attempt). An already-done context returns immediately
-// without touching any shared state. Under HP-RCU there is no
-// neutralization, so cancellation is observed only at phase boundaries
-// (at most BackupPeriod steps late).
-func TraverseCtx[C, R any](ctx context.Context, h *Handle, buf *CursorBuf[C], prot, backup Protector[C], t Traversal[C, R]) (cursor C, result R, ok bool, err error) {
-	var (
-		zeroC C
-		zeroR R
-	)
-	if err := ctx.Err(); err != nil {
-		return zeroC, zeroR, false, err
-	}
-	h.checkUsable()
-	defer func() {
-		if r := recover(); r != nil {
-			h.contain(r, "TraverseCtx", func() {
-				clearProtection(prot)
-				clearProtection(backup)
-			})
-		}
-	}()
-	var cancelled bool
-	if h.brcu != nil {
-		tok := h.brcu.ArmCancel()
-		stop := context.AfterFunc(ctx, func() { h.brcu.RequestCancel(tok) })
-		// Deferred (not inline) so a contained panic also stops the
-		// watcher and disarms; this defer runs before the contain one.
-		defer func() {
-			stop()
-			h.brcu.DisarmCancel()
-		}()
-		cursor, result, ok, cancelled = traverseBRCU(h, buf, prot, backup, t, tok)
-	} else {
-		cursor, result, ok, cancelled = traverseRCU(ctx, h, buf, prot, backup, t)
-	}
-	if cancelled {
-		h.d.rec.CancelledOps.Inc()
-		if h.brcu != nil {
-			h.brcu.TraceEvent(obs.EvCancel, 0)
-		}
-		err := ctx.Err()
-		if err == nil {
-			// The watcher fired on a context whose Err momentarily reads
-			// nil only in pathological custom implementations; report the
-			// conventional value.
-			err = context.Canceled
-		}
-		return zeroC, zeroR, false, err
-	}
-	return cursor, result, ok, nil
-}
-
-// traverseBRCU is Algorithm 7: one (conceptual) critical section per
-// rollback, double-buffered checkpoints, per-step polling. A nonzero tok
-// is a cancellation token (TraverseCtx): the cancel request is checked
-// at the rollback boundary — after RequestCancel's self-neutralization
-// forced the section out, before the next Enter — so a cancelled
-// traversal is abandoned in exactly the state a neutralized one resumes
-// from. The fourth result reports cancellation. The working cursor and
-// the checkpoint double buffer live in buf (handle-owned storage), so the
-// traversal itself allocates nothing.
-func traverseBRCU[C, R any](h *Handle, buf *CursorBuf[C], prot, backup Protector[C], t Traversal[C, R], tok uint64) (C, R, bool, bool) {
-	var (
-		prots   = [2]Protector[C]{backup, prot}
-		compIdx = 0
-		haveCkp = false // does buf.ckpt[compIdx%2] hold a complete checkpoint?
-		zeroC   C
-		zeroR   R
-		period  = h.d.backupPeriod
-		gen     = h.brcu.Gen()
-	)
-	c := &buf.cur
-
-	for {
-		if h.brcu.CancelPending(tok) {
-			// Our watcher self-neutralized the section (or we are about
-			// to start one the caller no longer wants). Exit clears the
-			// stale RbReq; the cursor stays rolled back at the last
-			// complete checkpoint, still protected by its buffer.
-			h.brcu.Exit()
-			return zeroC, zeroR, false, true
-		}
-		h.brcu.Enter()
-
-		if g := h.brcu.Gen(); g != gen {
-			// The lease reaper reaped this handle between attempts and
-			// Enter resurrected it: the shields backing both checkpoint
-			// buffers were cleared, so the checkpoints are no longer
-			// protected. Restart from scratch.
-			gen = g
-			haveCkp = false
-		}
-
-		fresh := false
-		if !haveCkp {
-			// First critical section: build and protect the initial
-			// cursor (Algorithm 7 lines 11-12). The poll after
-			// protecting makes the checkpoint complete: if it
-			// succeeds, the protection was published while the
-			// section was live, so reclaimers must honour it.
-			*c = t.Init()
-			prots[0].Protect(c)
-			if !h.brcu.Poll() {
-				h.brcu.RecordRollback()
-				continue
+	var w Walk[C]
+	w.Bind(nil, h, buf, prot, backup)
+	w.Start()
+	defer w.Guard()
+	c := w.Cursor()
+	for w.Enter(t.Init, t.Validate) {
+		hooks := w.Instrumented()
+	steps:
+		for {
+			if hooks {
+				w.StepHooks()
 			}
-			buf.ckpt[0] = *c
-			compIdx = 0
-			haveCkp = true
-			fresh = true
-		}
-
-		// Resume from the last complete checkpoint. A cursor created in
-		// THIS critical section needs no validation (R2: pointers
-		// acquired inside the section are safe); validating it would be
-		// worse than wasteful — if the entry point's first node is
-		// logically deleted, rejecting the fresh cursor would prevent
-		// every traversal from ever reaching (and helping unlink) it,
-		// livelocking the structure. A checkpoint inherited from an
-		// earlier section must be revalidated (line 17, §3.3);
-		// validation failure aborts the whole operation.
-		if !fresh {
-			*c = buf.ckpt[compIdx%2]
-			if !t.Validate(c) {
-				h.brcu.Exit()
-				return zeroC, zeroR, false, false
-			}
-		}
-
-		rolledBack := false
-		yc := 0
-		for i := 1; ; i++ {
-			atomicx.StepYield(&yc)
-			if fault.On {
-				if fault.Fire(fault.SiteStepRollback) {
-					// Forced rollback at an arbitrary traversal step:
-					// plant the request ourselves; the poll below
-					// observes it.
-					h.brcu.SelfNeutralize()
-				}
-				if fault.Fire(fault.SitePanic) {
-					// A panic standing in for one in t.Step's user code,
-					// before any mutation: the recover barrier in
-					// Traverse contains it.
-					panic(fault.ErrInjectedPanic)
-				}
-			}
-			if !h.brcu.Poll() {
-				rolledBack = true
+			if !w.Poll() {
 				break
 			}
 			kind, r := t.Step(c)
-			if kind == StepAbort {
-				rolledBack = true
+			switch kind {
+			case StepFail:
+				w.Fail()
+				return cursor, result, false
+			case StepAbort:
+				break steps
+			case StepFinish:
+				if w.Finish() {
+					return *c, r, true
+				}
+				break steps
+			}
+			if w.Due() && !w.Checkpoint(t.Validate) {
 				break
 			}
-			if kind == StepFail {
-				h.brcu.Exit()
-				return zeroC, zeroR, false, false
-			}
-			if kind == StepFinish || i%period == 0 {
-				// A periodic checkpoint is only useful if the cursor
-				// would pass revalidation on resume (e.g. it is not
-				// sitting on a logically deleted node); otherwise
-				// postpone it to a later step. Without this gate a
-				// deterministic traversal can livelock: every retry
-				// re-checkpoints the same doomed cursor and fails
-				// validation again.
-				if kind != StepFinish && !t.Validate(c) {
-					continue
-				}
-				// Checkpoint into the *other* buffer (lines 21-24):
-				// protect, then poll. Only a successful poll
-				// publishes the new complete index, so a rollback
-				// mid-checkpoint leaves the previous buffer intact.
-				next := (compIdx + 1) % 2
-				prots[next].Protect(c)
-				if !h.brcu.Poll() {
-					rolledBack = true
-					break
-				}
-				buf.ckpt[next] = *c
-				compIdx++
-				if kind == StepFinish {
-					h.brcu.Exit()
-					// Make sure the final protection lives in prot: c
-					// is protected by prots[compIdx%2], so copying the
-					// protection outside the critical section is safe
-					// (the nodes cannot be reclaimed while that
-					// protector holds them). Skip the copy when the
-					// finishing buffer already is prot.
-					if prots[compIdx%2] != Protector[C](prot) {
-						prot.Protect(c)
-					}
-					return *c, r, true, false
-				}
-				// Catch up with the global epoch so this traversal
-				// stops blocking reclamation; failure means we were
-				// neutralized at the checkpoint boundary.
-				if !h.brcu.Refresh() {
-					rolledBack = true
-					break
-				}
-			}
-		}
-
-		_ = rolledBack
-		h.brcu.RecordRollback()
-		// Re-enter with a fresh epoch and resume from the last complete
-		// checkpoint (the paper's siglongjmp target, line 15).
-	}
-}
-
-// traverseRCU is the RCU-expedited traversal of §3 (Algorithm 3 lifted to
-// the Traverse shape): explicit alternation between bounded RCU phases and
-// HP checkpoints. There are no aborts, so a single protector suffices; the
-// backup buffer is unused. A non-nil ctx is checked at phase boundaries
-// (RCU has no neutralization to deliver cancellation mid-phase); the
-// fourth result reports cancellation. As in traverseBRCU, the working
-// cursor lives in buf so the traversal allocates nothing.
-func traverseRCU[C, R any](ctx context.Context, h *Handle, buf *CursorBuf[C], prot, backup Protector[C], t Traversal[C, R]) (C, R, bool, bool) {
-	var (
-		zeroC  C
-		zeroR  R
-		period = h.d.backupPeriod
-	)
-	_ = backup
-
-	c := &buf.cur
-	h.rcu.Pin()
-	*c = t.Init()
-	prot.Protect(c) // within the critical section: no validation needed (R2)
-
-	yc := 0
-	for i := 1; ; i++ {
-		atomicx.StepYield(&yc)
-		if fault.On && fault.Fire(fault.SitePanic) {
-			// A panic standing in for one in t.Step's user code; the
-			// recover barrier in Traverse contains it.
-			panic(fault.ErrInjectedPanic)
-		}
-		kind, r := t.Step(c)
-		if kind == StepFail {
-			h.rcu.Unpin()
-			return zeroC, zeroR, false, false
-		}
-		if kind == StepFinish {
-			prot.Protect(c)
-			h.rcu.Unpin()
-			return *c, r, true, false
-		}
-		if i%period == 0 {
-			if ctx != nil && ctx.Err() != nil {
-				h.rcu.Unpin()
-				return zeroC, zeroR, false, true
-			}
-			// End of this RCU phase (Algorithm 3's Steps boundary):
-			// checkpoint the cursor, re-enter a fresh critical
-			// section, and revalidate the source (§3.3, R1). If the
-			// cursor would not validate (e.g. it sits on a logically
-			// deleted node), postpone the phase switch — checkpointing
-			// it could only force a full restart, and in a quiescent
-			// run it would deterministically livelock.
-			if !t.Validate(c) {
-				continue
-			}
-			prot.Protect(c)
-			h.rcu.Repin()
-			if !t.Validate(c) {
-				h.rcu.Unpin()
-				return zeroC, zeroR, false, false
-			}
 		}
 	}
+	return cursor, result, false
 }

@@ -1,0 +1,236 @@
+package core
+
+// Tests of the Walk API from a loop of the test's own, shaped like
+// hlist's: what the instrumented gate carries, and where the countdown
+// puts checkpoints.
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"github.com/smrgo/hpbrcu/internal/alloc"
+	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/fault"
+)
+
+// chainWalk is one handle's walker over a chain: it owns the per-node
+// loop and reaches the protocol only through Walk.
+type chainWalk struct {
+	h            *Handle
+	pool         *alloc.Pool[node]
+	head         uint64
+	buf          CursorBuf[chainCursor]
+	prot, backup Protector[chainCursor]
+
+	valid   func(c *chainCursor) bool // nil: always resumable
+	onStep  func(w *Walk[chainCursor], pos int64)
+	visited int
+}
+
+// walk runs to the tail and returns its key; ok is false when the walk
+// ended early (a checkpoint that no longer validates).
+func (cw *chainWalk) walk() (last int64, ok bool) {
+	init := func() chainCursor { return chainCursor{cur: atomicx.MakeRef(cw.head, 0)} }
+	valid := func(c *chainCursor) bool { return cw.valid == nil || cw.valid(c) }
+	var w Walk[chainCursor]
+	w.Bind(nil, cw.h, &cw.buf, cw.prot, cw.backup)
+	w.Start()
+	defer w.Guard()
+	for w.Enter(init, valid) {
+		c := *w.Cursor()
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
+			}
+			if !w.Poll() {
+				break
+			}
+			cw.visited++
+			if cw.onStep != nil {
+				cw.onStep(&w, c.pos)
+			}
+			nd := cw.pool.At(c.cur.Slot())
+			nx := nd.next.Load()
+			if nx.IsNil() {
+				*w.Cursor() = c
+				if w.Finish() {
+					return nd.key, true
+				}
+				break
+			}
+			c.cur, c.pos = nx, c.pos+1
+			if w.Due() {
+				*w.Cursor() = c
+				if !w.Checkpoint(valid) {
+					break
+				}
+			}
+		}
+	}
+	return 0, false
+}
+
+func newChainWalk(t *testing.T, backend Backend, n, period int) (*chainWalk, *Domain) {
+	t.Helper()
+	pool := alloc.NewPool[node]()
+	head, _ := chain(pool, pool.NewCache(), n)
+	d := NewDomain(backend, Config{BackupPeriod: period})
+	h := d.Register()
+	t.Cleanup(h.Unregister)
+	return &chainWalk{
+		h: h, pool: pool, head: head,
+		prot:   &testProtector{s: h.NewShield()},
+		backup: &testProtector{s: h.NewShield()},
+	}, d
+}
+
+// TestWalkFaultSitesFire arms the three sites the step hooks carry at
+// Period 1 and walks a 1 000-node chain: all of them must fire from the
+// instrumented path, the forced rollbacks must resume to the right answer,
+// a contained panic must leave the handle usable, and a plan armed in the
+// middle of an attempt must be picked up by the next one.
+func TestWalkFaultSitesFire(t *testing.T) {
+	const n, period = 1000, 16
+	cw, d := newChainWalk(t, BackendBRCU, n, period)
+
+	var plans [fault.NumSites]fault.Plan
+	plans[fault.SitePoll] = fault.Plan{Period: 1}
+	// The cooldown exceeds the checkpoint distance, so every attempt
+	// completes a checkpoint between two forced rollbacks.
+	plans[fault.SiteStepRollback] = fault.Plan{Period: 1, Cooldown: 3 * period}
+	inj := fault.New(fault.Config{Seed: 1, Plans: plans})
+	fault.Activate(inj)
+	defer fault.Deactivate()
+
+	if last, ok := cw.walk(); !ok || last != n-1 {
+		t.Fatalf("walk under forced rollbacks = (%d,%v), want (%d,true)", last, ok, n-1)
+	}
+	if inj.Fired(fault.SitePoll) == 0 || inj.Fired(fault.SiteStepRollback) == 0 {
+		t.Fatalf("fired: poll=%d step-rollback=%d, want both > 0",
+			inj.Fired(fault.SitePoll), inj.Fired(fault.SiteStepRollback))
+	}
+	rb := d.Stats().Rollbacks.Load()
+	if rb < int64(inj.Fired(fault.SiteStepRollback)) {
+		t.Fatalf("rollbacks = %d, fewer than the %d forced", rb, inj.Fired(fault.SiteStepRollback))
+	}
+	// Resume, not restart: a rollback re-walks at most the steps since the
+	// last complete checkpoint (plus the iteration whose poll failed,
+	// which visits nothing).
+	if max := n + int(rb)*period; cw.visited > max {
+		t.Fatalf("visited %d nodes over %d rollbacks, want <= %d", cw.visited, rb, max)
+	}
+
+	// A panic at a step is contained through the abort path.
+	plans[fault.SitePanic] = fault.Plan{Period: 1}
+	inj = fault.New(fault.Config{Seed: 1, Plans: plans})
+	fault.Activate(inj)
+	func() {
+		defer func() {
+			if r := recover(); !errors.Is(r.(error), fault.ErrInjectedPanic) {
+				t.Fatalf("recovered %v, want the injected panic re-raised", r)
+			}
+		}()
+		cw.walk()
+		t.Fatal("walk returned with SitePanic armed at Period 1")
+	}()
+	if inj.Fired(fault.SitePanic) == 0 {
+		t.Fatal("SitePanic did not fire")
+	}
+	if got := d.Stats().PanicsRecovered.Load(); got != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", got)
+	}
+	if cw.h.Poisoned() {
+		t.Fatal("contained panic poisoned the handle")
+	}
+	fault.Deactivate()
+	if last, ok := cw.walk(); !ok || last != n-1 {
+		t.Fatalf("walk after contained panic = (%d,%v), want (%d,true)", last, ok, n-1)
+	}
+
+	// Armed mid-attempt: the running attempt keeps its uninstrumented
+	// loop, the next one runs the hooks.
+	plans[fault.SitePanic] = fault.Plan{}
+	plans[fault.SiteStepRollback] = fault.Plan{}
+	inj = fault.New(fault.Config{Seed: 1, Plans: plans})
+	var sawOff, sawOn bool
+	cw.onStep = func(w *Walk[chainCursor], pos int64) {
+		switch {
+		case !fault.On && pos == 100:
+			if w.Instrumented() {
+				t.Error("attempt instrumented with nothing armed")
+			}
+			fault.Activate(inj)
+			sawOff = inj.Arrivals(fault.SitePoll) == 0
+		case fault.On && pos == 120 && !sawOn:
+			if w.Instrumented() || inj.Arrivals(fault.SitePoll) != 0 {
+				t.Error("running attempt picked the plan up mid-loop")
+			}
+			sawOn = true
+			cw.h.brcu.SelfNeutralize() // end this attempt
+		}
+	}
+	if last, ok := cw.walk(); !ok || last != n-1 {
+		t.Fatalf("walk across Activate = (%d,%v), want (%d,true)", last, ok, n-1)
+	}
+	if !sawOff || !sawOn || inj.Arrivals(fault.SitePoll) == 0 {
+		t.Fatalf("mid-traversal Activate: off=%v on=%v poll arrivals=%d, want the next attempt to reach the hooks",
+			sawOff, sawOn, inj.Arrivals(fault.SitePoll))
+	}
+}
+
+// posProtector records the position of every cursor it is asked to
+// protect, in one log shared by both buffers.
+type posProtector struct {
+	testProtector
+	log *[]int64
+}
+
+func (p *posProtector) Protect(c *chainCursor) {
+	*p.log = append(*p.log, c.pos)
+	p.testProtector.Protect(c)
+}
+
+// TestWalkCheckpointCadence pins where the countdown protects: after every
+// BackupPeriod-th step, exactly where i%period == 0 did — and a checkpoint
+// whose cursor does not validate is postponed by a whole period, not to
+// the next step.
+func TestWalkCheckpointCadence(t *testing.T) {
+	const n, period = 100, 16
+	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
+		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
+		t.Run(name, func(t *testing.T) {
+			cw, _ := newChainWalk(t, backend, n, period)
+			var log []int64
+			cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
+			cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+
+			// The walk protects the entry cursor, every period-th
+			// position, and the destination; HP-BRCU protects the
+			// destination once more when it finished in backup.
+			checkpoints := func(log []int64) []int64 {
+				for len(log) > 1 && log[len(log)-1] == n-1 && log[len(log)-2] == n-1 {
+					log = log[:len(log)-1]
+				}
+				return log
+			}
+
+			if last, ok := cw.walk(); !ok || last != n-1 {
+				t.Fatalf("walk = (%d,%v)", last, ok)
+			}
+			if got, want := checkpoints(log), []int64{0, 16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("protected positions %v, want %v", got, want)
+			}
+
+			log = nil
+			cw.valid = func(c *chainCursor) bool { return c.pos != 32 && c.pos != 48 }
+			if last, ok := cw.walk(); !ok || last != n-1 {
+				t.Fatalf("walk with postponed checkpoints = (%d,%v)", last, ok)
+			}
+			if got, want := checkpoints(log), []int64{0, 16, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("protected positions with 32 and 48 unresumable %v, want %v", got, want)
+			}
+		})
+	}
+}

@@ -53,33 +53,44 @@ func TestTraverseCtxCancelMidTraversalRollsBack(t *testing.T) {
 		}
 	}
 
-	// Instrument the optimistic read traversal: walk ~50 nodes in, then
-	// cancel and hold position (keep returning StepContinue without
-	// advancing) until the self-neutralization lands at a checkpoint and
-	// aborts the traversal. The hold guarantees the cancel arrives
+	// The optimistic read's walk with a loop of the test's own: step ~50
+	// nodes in, then cancel and hold position (keep polling and
+	// checkpointing without advancing) until the self-neutralization
+	// lands and ends the walk. The hold guarantees the cancel arrives
 	// mid-traversal, not between operations.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	trav := h.getTraversal(n - 1)
-	origStep := trav.Step
+	lst := &h.l
+	init := func() getCursor { return getCursor{cur: lst.Pool.At(lst.Head).Next.Load().Untagged()} }
+	valid := func(c *getCursor) bool { return c.cur.IsNil() || lst.At(c.cur).Next.Load().Tag() == 0 }
+	var w core.Walk[getCursor]
+	w.Bind(ctx, h.h, &h.getBuf, h.getProt, h.getBackup)
+	w.Start()
 	steps := 0
-	trav.Step = func(c *getCursor) (core.StepKind, bool) {
-		steps++
-		if steps == 50 {
-			cancel()
+	func() {
+		defer w.Guard()
+		for w.Enter(init, valid) {
+			cur := w.Cursor().cur
+			for w.Poll() {
+				steps++
+				if steps == 50 {
+					cancel()
+				}
+				if steps < 50 {
+					cur = lst.At(cur).Next.Load().Untagged()
+				}
+				if w.Due() {
+					w.Cursor().cur = cur
+					if !w.Checkpoint(valid) {
+						break
+					}
+				}
+			}
 		}
-		if steps >= 50 {
-			return core.StepContinue, false
-		}
-		return origStep(c)
-	}
-
-	_, _, ok, err := core.TraverseCtx(ctx, h.h, &h.getBuf, h.getProt, h.getBackup, trav)
-	if ok {
-		t.Fatal("cancelled traversal reported ok")
-	}
+	}()
+	err := w.Err()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("TraverseCtx err = %v, want context.Canceled", err)
+		t.Fatalf("walk err = %v, want context.Canceled", err)
 	}
 	if steps < 50 {
 		t.Fatalf("traversal aborted after %d steps, before the cancel point", steps)

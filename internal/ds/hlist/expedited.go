@@ -6,6 +6,7 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
+	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
@@ -94,8 +95,8 @@ type ExpeditedHandle struct {
 	maskRunS           *hp.Shield
 	maskEndS           *hp.Shield
 
-	// Handle-owned cursor storage for the Traverse engine, one buffer per
-	// cursor type, so traversals never heap-allocate their cursors.
+	// Handle-owned cursor storage for core.Walk, one buffer per cursor
+	// type, so traversals never heap-allocate their cursors.
 	searchBuf core.CursorBuf[cursor]
 	getBuf    core.CursorBuf[getCursor]
 }
@@ -132,67 +133,103 @@ func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 // BarrierCtx is Barrier with cooperative cancellation between rounds.
 func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.BarrierCtx(ctx) }
 
-// search runs the expedited Harris search (Algorithm 8's TrySearch).
-// Marked runs are excised inside an abort-masked region — physical
-// deletion is rollback-safe but not abort-rollback-safe, it retires — and
-// the excision operands (predecessor, run head, excision target) are
-// protected by outliving shields beforehand so the masked CAS can never
-// act on recycled slots (the ABA guard the paper notes in footnote 6). ok
-// is false when the operation must be retried (failed revalidation or
-// helping CAS, §4.3).
-func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
+// search runs the expedited Harris search (Algorithm 8's TrySearch) once:
+// Harris's loop, as in ebr.go, stepping under a core.Walk. ok is false when
+// the operation must be retried (failed revalidation or a lost helping CAS,
+// §4.3); otherwise the position is HP-protected by prot. The position is
+// kept in locals, not in the named results: the deferred Guard pins results
+// to memory, and the walk's cursor slot is written only when it is
+// checkpointed.
+func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
 	l := &h.l
-	t := core.Traversal[cursor, bool]{
-		Init: func() cursor {
-			return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
-		},
-		// Validate: resuming is safe while cur is not logically deleted
-		// (§3.3). A nil cur cannot be marked, so prev stands in for it.
-		Validate: func(c *cursor) bool {
-			if c.cur.IsNil() {
-				return l.Pool.At(c.prev).Next.Load().Tag() == 0
-			}
-			return l.At(c.cur).Next.Load().Tag() == 0
-		},
-		Step: func(c *cursor) (core.StepKind, bool) {
-			if c.cur.IsNil() {
-				return core.StepFinish, false
-			}
-			curN := l.At(c.cur)
-			next := curN.Next.Load()
-			if next.Tag() != 0 {
-				// Excise the marked run [cur, end). The run is captured
-				// into a buffer before the masked writes so retirement
-				// never re-reads a link after a retire.
-				end := h.runEnd(c.cur)
-				h.maskPrevS.ProtectSlot(c.prev)
-				h.maskRunS.Protect(c.cur)
-				h.maskEndS.Protect(end)
-				succ := false
-				ran, mustRollback := h.h.Mask(func() {
-					if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, end) {
-						h.retireRun()
-						succ = true
-					}
-				})
-				if mustRollback {
-					return core.StepAbort, false
-				}
-				if !ran || !succ {
-					return core.StepFail, false
-				}
-				c.cur = end
-				return core.StepContinue, false
-			}
-			if k := curN.Key.Load(); k >= key {
-				return core.StepFinish, k == key
-			}
-			c.prev = c.cur.Slot()
-			c.cur = next
-			return core.StepContinue, false
-		},
+	init := func() cursor {
+		return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
 	}
-	return core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
+	// Resuming is safe while cur is not logically deleted (§3.3). A nil cur
+	// cannot be marked, so prev stands in for it.
+	valid := func(c *cursor) bool {
+		if c.cur.IsNil() {
+			return l.Pool.At(c.prev).Next.Load().Tag() == 0
+		}
+		return l.At(c.cur).Next.Load().Tag() == 0
+	}
+	var w core.Walk[cursor]
+	w.Bind(nil, h.h, &h.searchBuf, h.prot, h.backup)
+	w.Start()
+	defer w.Guard()
+	c := w.Cursor()
+	for w.Enter(init, valid) {
+		prev, cur := c.prev, c.cur
+		found, done := false, false
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
+			}
+			if !w.Poll() {
+				break
+			}
+			if cur.IsNil() {
+				done = true
+			} else {
+				curN := l.At(cur)
+				next := curN.Next.Load()
+				if next.Tag() != 0 {
+					end, ok, mustRollback := h.excise(prev, cur)
+					if mustRollback {
+						break
+					}
+					if !ok {
+						w.Fail()
+						return 0, atomicx.Nil, false, false
+					}
+					cur = end
+				} else if k := curN.Key.Load(); k >= key {
+					found, done = k == key, true
+				} else {
+					prev, cur = cur.Slot(), next
+				}
+			}
+			if done {
+				*c = cursor{prev: prev, cur: cur}
+				if w.Finish() {
+					return prev, cur, found, true
+				}
+				break
+			}
+			if w.Due() {
+				*c = cursor{prev: prev, cur: cur}
+				if !w.Checkpoint(valid) {
+					break
+				}
+			}
+		}
+	}
+	return 0, atomicx.Nil, false, false
+}
+
+// excise unlinks the marked run [cur, end) from prev inside an abort-masked
+// region — physical deletion is rollback-safe but not abort-rollback-safe,
+// it retires. The run is captured into a buffer before the masked writes
+// so retirement never re-reads a link after a retire, and the excision
+// operands (predecessor, run head, excision target) are protected by
+// outliving shields beforehand so the masked CAS can never act on recycled
+// slots (the ABA guard the paper notes in footnote 6). ok reports whether
+// the CAS won; mustRollback, checked first, that the section was
+// neutralized before or during the region.
+func (h *ExpeditedHandle) excise(prev uint64, cur atomicx.Ref) (end atomicx.Ref, ok, mustRollback bool) {
+	l := &h.l
+	end = h.runEnd(cur)
+	h.maskPrevS.ProtectSlot(prev)
+	h.maskRunS.Protect(cur)
+	h.maskEndS.Protect(end)
+	_, mustRollback = h.h.Mask(func() {
+		if l.Pool.At(prev).Next.CompareAndSwap(cur, end) {
+			h.retireRun()
+			ok = true
+		}
+	})
+	return end, ok, mustRollback
 }
 
 // find repeats search until a traversal finishes: the position it returns
@@ -200,8 +237,8 @@ func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 // section exactly as with plain hazard pointers.
 func (h *ExpeditedHandle) find(key int64) (uint64, atomicx.Ref, bool) {
 	for attempt := 0; ; attempt++ {
-		if c, found, ok := h.search(key); ok {
-			return c.prev, c.cur, found
+		if prev, cur, found, ok := h.search(key); ok {
+			return prev, cur, found
 		}
 		if attempt > 0 {
 			runtime.Gosched() // break single-CPU retry ping-pongs
@@ -224,75 +261,84 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	return h.helpingGet(key)
 }
 
-// getTraversal builds the optimistic read traversal GetOptimistic and
-// GetCtx run (and the cancellation regression test instruments).
-func (h *ExpeditedHandle) getTraversal(key int64) core.Traversal[getCursor, bool] {
-	l := &h.l
-	return core.Traversal[getCursor, bool]{
-		Init: func() getCursor {
-			return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
-		},
-		Validate: func(c *getCursor) bool {
-			return c.cur.IsNil() || l.At(c.cur).Next.Load().Tag() == 0
-		},
-		Step: func(c *getCursor) (core.StepKind, bool) {
-			if c.cur.IsNil() {
-				return core.StepFinish, false
-			}
-			n := l.At(c.cur)
-			if n.Key.Load() >= key {
-				found := n.Key.Load() == key && n.Next.Load().Tag() == 0
-				return core.StepFinish, found
-			}
-			c.cur = n.Next.Load().Untagged()
-			return core.StepContinue, false
-		},
-	}
-}
-
-// GetOptimistic is the HHSList wait-free-style contains lifted onto the
-// Traverse engine: a pure read traversal through marked nodes. Under
-// HP-BRCU it is only lock-free (rollbacks may retry it), matching the
-// paper's footnote 9.
+// GetOptimistic is the HHSList wait-free-style contains under a core.Walk:
+// a pure read traversal through marked nodes. Under HP-BRCU it is only
+// lock-free (rollbacks may retry it), matching the paper's footnote 9.
 func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
-	h.bind(key)
-	t := h.getTraversal(key)
-	for attempt := 0; ; attempt++ {
-		c, found, ok := core.Traverse(h.h, &h.getBuf, h.getProt, h.getBackup, t)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue // checkpointed on a node that got marked; rare
-		}
-		if !found {
-			return 0, false
-		}
-		return h.l.At(c.cur).Val.Load(), true
-	}
+	val, found, _ := h.get(nil, key)
+	return val, found
 }
 
 // GetCtx is GetOptimistic with cooperative cancellation: ctx.Done()
 // self-neutralizes the traversal at its next poll point and GetCtx
-// returns the context's error. Validation failures still retry — only
-// cancellation breaks the loop.
+// returns the context's error.
 func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, error) {
+	return h.get(ctx, key)
+}
+
+// get repeats contains until a traversal finishes or ctx (nil: never) is
+// done: validation failures retry, only cancellation breaks the loop.
+func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, error) {
 	h.bind(key)
-	t := h.getTraversal(key)
 	for attempt := 0; ; attempt++ {
-		c, found, ok, err := core.TraverseCtx(ctx, h.h, &h.getBuf, h.getProt, h.getBackup, t)
-		if err != nil {
-			return 0, false, err
+		val, found, ok, err := h.contains(ctx, key)
+		if ok || err != nil {
+			return val, found, err
 		}
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue
+		if attempt > 0 {
+			runtime.Gosched() // checkpointed on a node that got marked; rare
 		}
-		if !found {
-			return 0, false, nil
-		}
-		return h.l.At(c.cur).Val.Load(), true, nil
 	}
+}
+
+// contains runs the optimistic read once: ok is false when it must be
+// retried from scratch or, with err set, was cancelled.
+func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool, bool, error) {
+	l := &h.l
+	init := func() getCursor {
+		return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
+	}
+	valid := func(c *getCursor) bool {
+		return c.cur.IsNil() || l.At(c.cur).Next.Load().Tag() == 0
+	}
+	var w core.Walk[getCursor]
+	w.Bind(ctx, h.h, &h.getBuf, h.getProt, h.getBackup)
+	w.Start()
+	defer w.Guard()
+	c := w.Cursor()
+	for w.Enter(init, valid) {
+		cur := c.cur // in a local, as in search
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
+			}
+			if !w.Poll() {
+				break
+			}
+			var n *lnode.Node
+			if !cur.IsNil() {
+				if n = l.At(cur); n.Key.Load() < key {
+					cur = n.Next.Load().Untagged()
+					if w.Due() {
+						c.cur = cur
+						if !w.Checkpoint(valid) {
+							break
+						}
+					}
+					continue
+				}
+			}
+			found := n != nil && n.Key.Load() == key && n.Next.Load().Tag() == 0
+			c.cur = cur
+			if !w.Finish() {
+				break
+			}
+			if !found {
+				return 0, false, true, nil
+			}
+			return n.Val.Load(), true, true, nil // prot holds cur
+		}
+	}
+	return 0, false, false, w.Err()
 }

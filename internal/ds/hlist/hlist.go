@@ -9,19 +9,24 @@
 // more than one head sentinel.
 //
 // What differs between reclamation schemes is how a traversal is protected
-// (§4.3 puts the scheme behind Traverse, not behind insert and remove), so
-// that, and only that, is written per scheme:
+// (§4.3 puts the scheme behind the traversal, not behind insert and
+// remove), so that, and only that, is written per scheme:
 //
 //   - ebr.go:       EBR/NR — one pinned Harris search.
 //   - nbr.go:       NBR — read-phase searchOnce, reservations, write phase.
 //   - hp.go:        plain HP — protect-and-validate find (run bound 1 only:
 //     Figure 2 is why HP cannot follow links out of a marked run).
-//   - expedited.go: HP-RCU/HP-BRCU — the Traverse search with masked run
-//     excision, and the optimistic-get traversal.
+//   - expedited.go: HP-RCU/HP-BRCU — Harris's search and the optimistic
+//     get, each a loop of its own over a core.Walk, which keeps the
+//     checkpoints and the rollbacks; runs are excised in a masked region.
 //
-// Each search is monomorphic: no interface or type-parameter call happens
-// inside a per-node loop. The shared write path reaches the scheme through
-// the positioner interface, a handful of indirect calls per operation.
+// Each search is monomorphic: no interface, func-value or type-parameter
+// call happens inside a per-node loop — under core.Walk too, whose
+// per-step calls (Poll, Due) inline and whose out-of-line ones sit on the
+// checkpoint, rollback and finish branches (inline_test.go at the
+// repository root holds the expedited loops to that). The shared write
+// path reaches the scheme through the positioner interface, a handful of
+// indirect calls per operation.
 //
 // Marked runs are excised at most maxRun nodes at a time so every
 // traversal step stays bounded (§5 requires bounded critical-section

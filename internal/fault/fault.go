@@ -50,9 +50,9 @@ var ErrInjectedPanic = errors.New("fault: injected panic")
 type Site uint8
 
 const (
-	// SitePoll stalls inside brcu.Handle.Poll — a neutralization poll
-	// point; the stall widens the window in which an already-neutralized
-	// thread keeps running.
+	// SitePoll stalls at a traversal step's neutralization poll (core's
+	// step hooks, just before brcu.Handle.Poll's load); the stall widens
+	// the window in which an already-neutralized thread keeps running.
 	SitePoll Site = iota
 	// SiteShield stalls in hp.Shield.Protect/ProtectSlot immediately
 	// before the protection is published — the classic HP race window
@@ -68,9 +68,9 @@ const (
 	// location, deterministically forcing the "signal landed mid-region"
 	// branch of Algorithm 6.
 	SiteMaskAbort
-	// SiteStepRollback self-neutralizes the thread at a traversal step in
-	// core.Traverse, forcing a rollback to the last complete checkpoint at
-	// an arbitrary point of the walk.
+	// SiteStepRollback self-neutralizes the thread at a traversal step
+	// (core's step hooks), forcing a rollback to the last complete
+	// checkpoint at an arbitrary point of the walk.
 	SiteStepRollback
 	// SiteAdvanceStorm exhausts the signalling budget in
 	// brcu.flushAndAdvance, so the advance neutralizes every laggard
@@ -94,7 +94,7 @@ const (
 	// chaos harness between operations, not from library hot paths.
 	SiteLeak
 	// SitePanic panics with ErrInjectedPanic from inside a critical
-	// section — at a traversal step in core.Traverse and just inside an
+	// section — at a traversal step (core's step hooks) and just inside an
 	// abort-masked region in brcu.Handle.Mask, in both cases before any
 	// shared-memory mutation — exercising the recover barrier's abort
 	// path. The caller panics; this package only decides.
