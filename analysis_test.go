@@ -163,7 +163,7 @@ func TestRobustnessStalledThread(t *testing.T) {
 // `smrbench fig6`, not asserted here (EXPERIMENTS.md, "Long-running
 // operations").
 func TestLongRunningStarvation(t *testing.T) {
-	run := func(s hpbrcu.Scheme) bench.LongScanResult {
+	run := func(s hpbrcu.Scheme) bench.Measurement {
 		return bench.RunLongScan(bench.LongScanConfig{
 			Structure: bench.LongScanStructureFor(s), Scheme: s,
 			Readers: 1, Writers: 2,
@@ -175,8 +175,8 @@ func TestLongRunningStarvation(t *testing.T) {
 	defer func(saved int) { atomicx.YieldPeriod = saved }(atomicx.YieldPeriod)
 	native := run(hpbrcu.HPBRCU)
 	t.Logf("GOMAXPROCS=%d: HP-BRCU scans=%d rollbacks=%d",
-		runtime.GOMAXPROCS(0), native.ReadOps, native.Rollbacks)
-	if native.ReadOps == 0 {
+		runtime.GOMAXPROCS(0), native.Ops, native.Rollbacks)
+	if native.Ops == 0 {
 		t.Fatal("HP-BRCU reader starved — it must keep completing long scans")
 	}
 
@@ -184,19 +184,19 @@ func TestLongRunningStarvation(t *testing.T) {
 	nbr := run(hpbrcu.NBR)
 	ours := run(hpbrcu.HPBRCU)
 	t.Logf("one P, yield period %d: NBR scans=%d restarts=%d; HP-BRCU scans=%d rollbacks=%d",
-		atomicx.YieldPeriod, nbr.ReadOps, nbr.Rollbacks, ours.ReadOps, ours.Rollbacks)
-	if ours.ReadOps == 0 {
+		atomicx.YieldPeriod, nbr.Ops, nbr.Rollbacks, ours.Ops, ours.Rollbacks)
+	if ours.Ops == 0 {
 		t.Fatal("HP-BRCU reader starved — it must keep completing long scans")
 	}
 	// restarts/scan ≥ 100 × rollbacks/scan, cross-multiplied (a scheme that
 	// completed no scan at all counts as one).
-	if nbr.Rollbacks*ours.ReadOps < 100*ours.Rollbacks*max(nbr.ReadOps, 1) {
+	if nbr.Rollbacks*ours.Ops < 100*ours.Rollbacks*max(nbr.Ops, 1) {
 		t.Fatalf("NBR paid %d restarts over %d scans vs HP-BRCU's %d rollbacks over %d — expected ≥ 100× per scan under restart-from-entry",
-			nbr.Rollbacks, nbr.ReadOps, ours.Rollbacks, ours.ReadOps)
+			nbr.Rollbacks, nbr.Ops, ours.Rollbacks, ours.Ops)
 	}
-	if nbr.ReadOps > ours.ReadOps/2 {
+	if nbr.Ops > ours.Ops/2 {
 		t.Fatalf("NBR completed %d scans vs HP-BRCU's %d — expected starvation under restart-from-entry",
-			nbr.ReadOps, ours.ReadOps)
+			nbr.Ops, ours.Ops)
 	}
 }
 

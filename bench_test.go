@@ -1,147 +1,16 @@
 package hpbrcu_test
 
-// One testing.B benchmark per table/figure family of the paper, plus the
-// ablations DESIGN.md calls out. These are op-cost views of the same
-// workloads cmd/smrbench drives in wall-clock mode; peak retired-but-
-// unreclaimed blocks are attached as a custom metric so `go test -bench`
-// output carries both of the paper's axes.
-//
-// The matrices are kept small so `go test -bench=. -benchmem` finishes in
-// minutes; cmd/smrbench is the tool for full sweeps.
+// The paper's figures are measured by cmd/smrbench over internal/bench's
+// registry, in wall-clock mode, and nowhere else. What stays here is the
+// one testing.B view the registry has no counterpart for: the per-node
+// cost of a long read with nothing else running.
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/bench"
 )
-
-// benchSchemes is the scheme set used across figures (NBR-Large joins
-// where the paper highlights it).
-var benchSchemes = []hpbrcu.Scheme{
-	hpbrcu.NR, hpbrcu.RCU, hpbrcu.HP, hpbrcu.NBR, hpbrcu.VBR, hpbrcu.HPRCU, hpbrcu.HPBRCU,
-}
-
-// runMixedB drives b.N operations of a mix over a prefilled map on
-// GOMAXPROCS goroutines.
-func runMixedB(b *testing.B, st bench.Structure, s hpbrcu.Scheme, keyRange int64, mix bench.Mix, cfg hpbrcu.Config) {
-	m, ok := bench.NewMap(st, s, keyRange, cfg)
-	if !ok {
-		b.Skipf("%s does not support %s", st, s)
-	}
-	bench.Prefill(m, st, keyRange, 0.5, 7)
-	m.Stats().Unreclaimed.ResetPeak()
-
-	var seq atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		h := m.Register()
-		defer h.Unregister()
-		x := seq.Add(1) * 0x9E3779B97F4A7C15
-		for pb.Next() {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			k := int64(x % uint64(keyRange))
-			p := int(x>>32) % 100
-			if p < 0 {
-				p = -p
-			}
-			switch {
-			case p < mix.ReadPct:
-				h.Get(k)
-			case p < mix.ReadPct+mix.InsPct:
-				h.Insert(k, k)
-			default:
-				h.Remove(k)
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(m.Stats().Unreclaimed.Peak()), "peak-unreclaimed")
-}
-
-// --- Figure 1 / Figure 6: long-running read operations ------------------
-
-func benchmarkLongScan(b *testing.B, keyRange int64) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			st := bench.LongScanStructureFor(s)
-			m, ok := bench.NewMap(st, s, keyRange, hpbrcu.Config{})
-			if !ok {
-				b.Skip("unsupported")
-			}
-			h := m.Register()
-			for k := keyRange - 2; k >= 0; k -= 2 {
-				h.Insert(k, k)
-			}
-			h.Unregister()
-			m.Stats().Unreclaimed.ResetPeak()
-
-			// Background head-churning writers — except for the
-			// restart-from-entry schemes (NBR, NBR-Large, VBR): under
-			// reclamation churn their long scans starve outright (the
-			// Figure 1/6 finding), and a b.N loop over an operation that
-			// never completes cannot terminate. Their under-churn
-			// behaviour is measured as throughput-over-time by
-			// `cmd/smrbench fig6`, which tolerates zero completions;
-			// here they get the bare scan cost.
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			writers := 2
-			if s == hpbrcu.NBR || s == hpbrcu.NBRLarge || s == hpbrcu.VBR {
-				writers = 0
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(k int64) {
-					defer wg.Done()
-					wh := m.Register()
-					defer wh.Unregister()
-					for i := 0; !stop.Load(); i++ {
-						wh.Insert(k, k)
-						wh.Remove(k)
-						runtime.Gosched()
-						if i%2048 == 2047 {
-							time.Sleep(100 * time.Microsecond)
-						}
-					}
-				}(int64(-1 - w))
-			}
-
-			rh := m.Register()
-			var rng uint64 = 0xfeed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ { // one iteration = one long scan
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				rh.Get(int64(rng % uint64(keyRange)))
-			}
-			b.StopTimer()
-			rh.Unregister()
-			stop.Store(true)
-			wg.Wait()
-			b.ReportMetric(float64(m.Stats().Unreclaimed.Peak()), "peak-unreclaimed")
-		})
-	}
-}
-
-// BenchmarkFig1LongRunning is Figure 1: each op is one long read under
-// heavy reclamation pressure (key range 2^12).
-func BenchmarkFig1LongRunning(b *testing.B) { benchmarkLongScan(b, 1<<12) }
-
-// BenchmarkFig6KeyRange extends Figure 1 to a larger range — 2^13 is the
-// largest at which the restart-from-entry schemes still complete scans at
-// all (beyond it NBR/VBR starve outright, Figure 6's collapse, and a b.N
-// loop over a never-completing operation cannot terminate; the full sweep
-// is `cmd/smrbench fig6`).
-func BenchmarkFig6KeyRange(b *testing.B) { benchmarkLongScan(b, 1<<13) }
 
 // BenchmarkStep is the per-node cost of a long read, scheme by scheme, with
 // nothing else running: one iteration is Get(4096) on the list the frozen
@@ -170,163 +39,6 @@ func BenchmarkStep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
-		})
-	}
-}
-
-// --- Figure 5: read-only throughput -------------------------------------
-
-func BenchmarkFig5ReadOnlyHHSList(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.HHSList, s, 1000, bench.ReadOnly, hpbrcu.Config{})
-		})
-	}
-}
-
-func BenchmarkFig5ReadOnlyHashMap(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.HashMap, s, 10000, bench.ReadOnly, hpbrcu.Config{})
-		})
-	}
-}
-
-// --- Figure 7: write-heavy and mixed workloads ---------------------------
-
-func BenchmarkFig7HListWriteOnly(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.HList, s, 1000, bench.WriteOnly, hpbrcu.Config{})
-		})
-	}
-}
-
-func BenchmarkFig7HashMapWriteOnly(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.HashMap, s, 10000, bench.WriteOnly, hpbrcu.Config{})
-		})
-	}
-}
-
-func BenchmarkFig7NMTreeReadWrite(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.NMTree, s, 10000, bench.ReadWrite, hpbrcu.Config{})
-		})
-	}
-}
-
-func BenchmarkFig7SkipListReadWrite(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.SkipList, s, 10000, bench.ReadWrite, hpbrcu.Config{})
-		})
-	}
-}
-
-// --- Appendix B: representative grid points ------------------------------
-
-// BenchmarkAppendixB covers one representative point per structure × mix;
-// the full grid is `cmd/smrbench appendixB`.
-func BenchmarkAppendixB(b *testing.B) {
-	for _, st := range bench.Structures {
-		for _, mix := range bench.Mixes {
-			st, mix := st, mix
-			b.Run(string(st)+"/"+mix.Name+"/HP-BRCU", func(b *testing.B) {
-				kr := int64(1000)
-				if st == bench.HashMap || st == bench.SkipList || st == bench.NMTree {
-					kr = 10000
-				}
-				runMixedB(b, st, hpbrcu.HPBRCU, kr, mix, hpbrcu.Config{})
-			})
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §5) --------------------------------------------
-
-// BenchmarkAblationBackupPeriod sweeps the checkpoint distance.
-func BenchmarkAblationBackupPeriod(b *testing.B) {
-	for _, bp := range []int{4, 16, 64, 256} {
-		bp := bp
-		b.Run(map[int]string{4: "p4", 16: "p16", 64: "p64", 256: "p256"}[bp], func(b *testing.B) {
-			runMixedB(b, bench.HHSList, hpbrcu.HPBRCU, 1000, bench.ReadWrite, hpbrcu.Config{BackupPeriod: bp})
-		})
-	}
-}
-
-// BenchmarkAblationForceThreshold sweeps BRCU's failure budget.
-func BenchmarkAblationForceThreshold(b *testing.B) {
-	for _, ft := range []int{1, 2, 8, 32} {
-		ft := ft
-		b.Run(map[int]string{1: "f1", 2: "f2", 8: "f8", 32: "f32"}[ft], func(b *testing.B) {
-			runMixedB(b, bench.HHSList, hpbrcu.HPBRCU, 1000, bench.WriteOnly, hpbrcu.Config{ForceThreshold: ft})
-		})
-	}
-}
-
-// BenchmarkAblationBatchSize sweeps the reclamation batch for NBR vs
-// HP-BRCU (the paper's NBR vs NBR-Large discussion).
-func BenchmarkAblationBatchSize(b *testing.B) {
-	for _, batch := range []int{32, 128, 1024, 8192} {
-		for _, s := range []hpbrcu.Scheme{hpbrcu.NBR, hpbrcu.HPBRCU} {
-			batch, s := batch, s
-			b.Run(s.String()+"/"+map[int]string{32: "b32", 128: "b128", 1024: "b1024", 8192: "b8192"}[batch], func(b *testing.B) {
-				runMixedB(b, bench.HHSList, s, 1000, bench.WriteOnly, hpbrcu.Config{BatchSize: batch})
-			})
-		}
-	}
-}
-
-// BenchmarkAblationTwoStep compares two-step retirement (HP-BRCU) against
-// its components on the same structure: EBR-only and HP-only retirement.
-func BenchmarkAblationTwoStep(b *testing.B) {
-	for _, s := range []hpbrcu.Scheme{hpbrcu.RCU, hpbrcu.HP, hpbrcu.HPBRCU} {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			runMixedB(b, bench.HMList, s, 1000, bench.ReadWrite, hpbrcu.Config{})
-		})
-	}
-}
-
-// BenchmarkTable2Stalled measures write throughput with a stalled reader
-// (Table 2's robustness criterion: peak-unreclaimed is the number to
-// watch; NR/RCU/HP-RCU grow without bound, the robust schemes plateau).
-func BenchmarkTable2Stalled(b *testing.B) {
-	for _, s := range benchSchemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			st := bench.LongScanStructureFor(s)
-			m, ok := bench.NewMap(st, s, 256, hpbrcu.Config{})
-			if !ok {
-				b.Skip("unsupported")
-			}
-			// There is no public "stall inside a critical section" hook on
-			// the Map API; approximate with a reader that holds no ops —
-			// the scheme-level stall experiment is `smrbench table2` and
-			// TestRobustnessStalledThread.
-			h := m.Register()
-			defer h.Unregister()
-			var x uint64 = 1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				k := int64(x % 256)
-				h.Insert(k, k)
-				h.Remove(k)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(m.Stats().Unreclaimed.Peak()), "peak-unreclaimed")
 		})
 	}
 }

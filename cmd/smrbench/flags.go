@@ -52,20 +52,6 @@ func parseExps(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseShardCounts parses the -shards list: shard counts in [1, 64]
-// (the same window the grid validator enforces), comma-separated.
-func parseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, t := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(t))
-		if err != nil || n < 1 || n > 64 {
-			return nil, fmt.Errorf("bad shard count %q (want 1..64)", t)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // parseLeakRate parses the -leak-rate fraction: a float in [0, 1]. NaN
 // sneaks past plain range comparisons (every comparison is false), so it
 // is rejected explicitly.
@@ -78,22 +64,6 @@ func parseLeakRate(s string) (float64, error) {
 		return 0, fmt.Errorf("leak rate %v outside [0, 1] (the fraction of writers that leak)", s)
 	}
 	return f, nil
-}
-
-// parseAllocs parses the -alloc selector: "pool", "arena", or "both"
-// (case-insensitive). It returns the allocator sweep in pool-first order
-// so the baseline-named pool points are always emitted.
-func parseAllocs(s string) ([]hpbrcu.Allocator, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "pool":
-		return []hpbrcu.Allocator{hpbrcu.AllocatorPool}, nil
-	case "arena":
-		return []hpbrcu.Allocator{hpbrcu.AllocatorArena}, nil
-	case "both":
-		return []hpbrcu.Allocator{hpbrcu.AllocatorPool, hpbrcu.AllocatorArena}, nil
-	default:
-		return nil, fmt.Errorf("bad -alloc %q (want pool, arena or both)", s)
-	}
 }
 
 // parseSchemes parses the -schemes filter case-insensitively, preserving

@@ -36,34 +36,6 @@ func TestParseThreadCounts(t *testing.T) {
 	}
 }
 
-func TestParseShardCounts(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    []int
-		wantErr bool
-	}{
-		{"1", []int{1}, false},
-		{"1,2,4,8", []int{1, 2, 4, 8}, false},
-		{" 2 , 64 ", []int{2, 64}, false},
-		{"0", nil, true},
-		{"65", nil, true},
-		{"-4", nil, true},
-		{"four", nil, true},
-		{"", nil, true},
-		{"1,,4", nil, true},
-	}
-	for _, tc := range tests {
-		got, err := parseShardCounts(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("parseShardCounts(%q) err = %v, wantErr %v", tc.in, err, tc.wantErr)
-			continue
-		}
-		if err == nil && !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseShardCounts(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestParseExps(t *testing.T) {
 	tests := []struct {
 		in      string
@@ -173,16 +145,13 @@ func TestParseSchemesCoversAll(t *testing.T) {
 // TestExperimentHintDerivedFromRegistry pins the stale-message bugfix:
 // the hint behind `grid -experiments` (its flag help and its
 // unknown-experiment error) is derived from the bench registry, so every
-// registered experiment — including pool, which a hardcoded predecessor
-// of the hint omitted — appears in it.
+// registered experiment appears in it (a hardcoded predecessor went
+// stale).
 func TestExperimentHintDerivedFromRegistry(t *testing.T) {
 	hint := experimentHint()
 	for _, name := range bench.ExperimentNames() {
 		if !strings.Contains(hint, name) {
 			t.Errorf("experiment hint %q omits registered experiment %q", hint, name)
 		}
-	}
-	if !strings.Contains(hint, "pool") {
-		t.Errorf("experiment hint %q omits pool (the regression that motivated deriving it)", hint)
 	}
 }

@@ -1,25 +1,22 @@
 package main
 
-// The `smrbench grid` subcommand: the declarative experiment-grid
-// runner. It executes the grid committed in experiments.json — every
-// experiment point measured -repeats times after warmup runs — and
-// aggregates each point's throughput into a report
-// (mean/std/min/max), emitting BENCH_*.json plus CSV and a markdown
-// table suitable for pasting into EXPERIMENTS.md:
+// The `smrbench grid` subcommand: run → validate → report, over the
+// registry entries experiments.json names.
 //
-//	smrbench grid                      # run experiments.json, write BENCH_*.json + GRID.csv/GRID.md
-//	smrbench grid -repeats 3 -out /tmp # more repeats, elsewhere
+//	smrbench grid                      # run experiments.json, write BENCH_<name>.json + GRID.md
+//	smrbench grid -repeats 5 -out /tmp # more repeats, elsewhere
 //	smrbench grid -trajectory          # compare vs committed baselines instead of overwriting
 //
-// -trajectory mode diffs the fresh grid against the committed
-// baselines (BENCH_<experiment>.json in -baseline-dir) and prints a
-// per-point delta report: improved / regressed / unchanged, with each
-// point's own ±2σ noise band (std-aware, so run-to-run jitter is never
-// reported as movement). The gate exits nonzero on any §5 memory-bound
-// violation or shrunk point coverage at every tolerance, and
-// additionally on regressed points when -tolerance < 1 (same-machine
-// mode); tolerance ≥ 1 keeps the cross-machine semantics CI uses. See
-// DESIGN.md §13.
+// Every file is validated before it is written or diffed (bench.Validate:
+// dead columns, negative samples, §5 bounds), and a baseline is only
+// written from a run on at least two cores. -trajectory diffs the fresh
+// run against BENCH_<name>.json in -baseline-dir and prints a per-point
+// delta report: improved / regressed / unchanged, with each point's own
+// ±2σ noise band (std-aware, so run-to-run jitter is never reported as
+// movement). The gate exits nonzero on any validation problem or shrunk
+// point coverage at every tolerance; with -tolerance < 1 (same-machine
+// mode) also on regressed points, and on a baseline measured in a
+// different environment. See DESIGN.md §13.
 
 import (
 	"flag"
@@ -30,187 +27,125 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/bench"
-	"github.com/smrgo/hpbrcu/internal/obs"
+)
+
+var (
+	gridConfig  = flag.String("config", "experiments.json", "grid: the list of experiments to run and their run counts")
+	gridOut     = flag.String("out", ".", "grid: directory to write BENCH_<experiment>.json and GRID.md into")
+	gridExps    = flag.String("experiments", "", "grid: comma-separated filter, run only these entries of -config (registered: "+experimentHint()+")")
+	gridTraj    = flag.Bool("trajectory", false, "grid: diff against committed baselines instead of overwriting them")
+	gridBaseDir = flag.String("baseline-dir", ".", "grid: directory holding the baseline BENCH_*.json for -trajectory")
+	gridTol     = flag.Float64("tolerance", 0.15, "grid: trajectory noise floor and throughput gate; >=1 = cross-machine mode (regressions informational; validation and coverage still gate)")
 )
 
 // experimentHint lists the registered experiment names for flag help and
-// error messages, derived from the bench registry so it cannot go stale
-// (a hardcoded predecessor said "want fig1, fig5 or table2" long after
-// the pool experiment landed).
+// error messages, derived from the bench registry so it cannot go stale.
 func experimentHint() string {
 	return strings.Join(bench.ExperimentNames(), ", ")
 }
 
-func runGrid(args []string) {
-	fs := flag.NewFlagSet("grid", flag.ExitOnError)
-	config := fs.String("config", "experiments.json", "grid declaration to execute")
-	repeats := fs.Int("repeats", 0, "measured runs per point (0 = the spec's, default 3)")
-	warmup := fs.Int("warmup", -1, "discarded warmup runs per experiment (-1 = the spec's, default 1)")
-	dur := fs.Duration("duration", 0, "measurement time per point (0 = the spec's)")
-	seed := fs.Uint64("seed", 0, "workload seed (0 = the spec's)")
-	outDir := fs.String("out", ".", "directory to write BENCH_<experiment>.json, GRID.csv and GRID.md into")
-	schemeList := fs.String("schemes", "", "comma-separated scheme filter on top of the spec's")
-	expList := fs.String("experiments", "", "comma-separated experiment filter: run only these entries of the spec (registered: "+experimentHint()+")")
-	trajectory := fs.Bool("trajectory", false, "diff against committed baselines instead of overwriting them")
-	baseDir := fs.String("baseline-dir", ".", "directory holding the baseline BENCH_*.json for -trajectory")
-	tolerance := fs.Float64("tolerance", 0.15, "trajectory noise floor and throughput gate; >=1 = cross-machine mode (regressions informational, bounds and coverage still gate)")
-	allocSel := fs.String("alloc", "", "allocator sweep override: pool, arena or both (empty = the spec's)")
-	requireGC := fs.Bool("require-gc", false, "fail unless every emitted point carries non-negative GC-pressure columns (and some point measured real allocation)")
-	fs.Parse(args)
+// gridFail prints the problems that stop a grid run and exits.
+func gridFail(experiment string, problems []string) {
+	fmt.Printf("grid %s: FAIL\n", experiment)
+	for _, p := range problems {
+		fmt.Printf("  %s\n", p)
+	}
+	os.Exit(1)
+}
 
-	spec, err := bench.LoadGrid(*config)
+func runGrid() {
+	spec, err := bench.LoadGrid(*gridConfig)
 	if err != nil {
 		fatalArg(fmt.Errorf("grid: %w", err))
 	}
-	if *expList != "" {
-		want := make(map[string]bool)
-		for _, n := range strings.Split(*expList, ",") {
+	names := spec.Experiments
+	if *gridExps != "" {
+		names = nil
+		for _, n := range strings.Split(*gridExps, ",") {
 			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
+			listed := false
+			for _, have := range spec.Experiments {
+				listed = listed || have == n
 			}
-			found := false
-			for _, e := range spec.Experiments {
-				if e.Name == n {
-					found = true
-					break
-				}
+			if !listed {
+				fatalArg(fmt.Errorf("grid: -experiments: %q is not in %s (registered experiments: %s)", n, *gridConfig, experimentHint()))
 			}
-			if !found {
-				fatalArg(fmt.Errorf("grid: -experiments: %q is not in %s (registered experiments: %s)", n, *config, experimentHint()))
-			}
-			want[n] = true
+			names = append(names, n)
 		}
-		var kept []bench.GridExperiment
-		for _, e := range spec.Experiments {
-			if want[e.Name] {
-				kept = append(kept, e)
-			}
-		}
-		spec.Experiments = kept
 	}
-	opts := bench.GridOptions{
-		Repeats: *repeats, Warmup: *warmup, Duration: *dur, Seed: *seed,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", a...)
-		},
-	}
-	if *schemeList != "" {
-		sel, err := parseSchemes(*schemeList)
-		if err != nil {
-			fatalArg(err)
-		}
-		opts.Schemes = sel
-	}
-	if *allocSel != "" {
-		sel, err := parseAllocs(*allocSel)
-		if err != nil {
-			fatalArg(err)
-		}
-		opts.Allocators = sel
-	}
-
-	// The critical-section histograms only record while the obs layer is
-	// on, and the committed baselines are measured with it on, so the
-	// overhead cancels out of every same-scheme comparison.
-	if !obs.On {
-		obs.Activate(obs.NewCollector(obs.DefaultRingSize))
-	}
+	opts := runOptions(spec)
+	opts.Logf = func(format string, a ...any) { fmt.Fprintf(os.Stderr, "grid: "+format+"\n", a...) }
+	sw := sweep()
 
 	t0 := time.Now()
-	files, err := bench.RunGrid(spec, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "grid: %d experiments in %v\n", len(files), time.Since(t0).Truncate(time.Millisecond))
-
-	// -require-gc is the CI guard for the GC-pressure columns: every point
-	// must carry them (non-negative — a negative value means the sampler's
-	// window arithmetic broke), and at least one point across the run must
-	// have measured real allocation, so a silently dead runtime/metrics
-	// sampler cannot pass as "all zeros".
-	if *requireGC {
-		sawAlloc := false
-		for _, f := range files {
-			for _, p := range f.Points {
-				if p.AllocsPerOp < 0 || p.GCCPUFrac < 0 {
-					fmt.Fprintf(os.Stderr, "grid: -require-gc: %s %s/%s has negative GC columns (allocs/op=%g, gc_cpu_frac=%g)\n",
-						f.Experiment, p.Workload, p.Scheme, p.AllocsPerOp, p.GCCPUFrac)
-					os.Exit(1)
-				}
-				if p.AllocsPerOp > 0 {
-					sawAlloc = true
-				}
-			}
+	var files []*bench.BenchFile
+	titles := make(map[string]string)
+	for _, n := range names {
+		e, _ := bench.Lookup(n) // LoadGrid validated the names
+		titles[n] = e.Title
+		f := e.Run(sw, opts)
+		f.Table(e.Title).Render(os.Stdout, format())
+		fmt.Println()
+		problems := bench.Validate(f)
+		if !*gridTraj {
+			problems = append(problems, bench.BaselineProblems(f)...)
 		}
-		if !sawAlloc {
-			fmt.Fprintln(os.Stderr, "grid: -require-gc: no point measured any allocation — the GC sampler looks dead")
-			os.Exit(1)
+		if len(problems) > 0 {
+			gridFail(n, problems)
 		}
-		fmt.Fprintln(os.Stderr, "grid: -require-gc: GC-pressure columns present on every point")
+		files = append(files, f)
 	}
+	fmt.Fprintf(os.Stderr, "grid: %d experiments in %v, all valid\n", len(files), time.Since(t0).Truncate(time.Millisecond))
 
-	if !*trajectory {
+	if !*gridTraj {
+		md, err := os.Create(filepath.Join(*gridOut, "GRID.md"))
+		if err != nil {
+			gridFail("GRID.md", []string{err.Error()})
+		}
 		for _, f := range files {
-			path := filepath.Join(*outDir, "BENCH_"+f.Experiment+".json")
+			path := filepath.Join(*gridOut, "BENCH_"+f.Experiment+".json")
 			if err := bench.WriteReport(path, f); err != nil {
-				fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-				os.Exit(1)
+				gridFail(f.Experiment, []string{err.Error()})
 			}
 			fmt.Printf("grid %s: wrote %s (%d points × %d repeats)\n", f.Experiment, path, len(f.Points), f.Repeats)
+			f.Table(titles[f.Experiment]).Render(md, bench.Markdown)
+			fmt.Fprintln(md)
 		}
-		csvPath := filepath.Join(*outDir, "GRID.csv")
-		if err := os.WriteFile(csvPath, []byte(bench.GridCSV(files)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			os.Exit(1)
+		if err := md.Close(); err != nil {
+			gridFail("GRID.md", []string{err.Error()})
 		}
-		mdPath := filepath.Join(*outDir, "GRID.md")
-		if err := os.WriteFile(mdPath, []byte(bench.GridMarkdown(files)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("grid: wrote %s and %s\n", csvPath, mdPath)
+		fmt.Printf("grid: wrote %s\n", md.Name())
 		return
 	}
 
 	// Trajectory mode: never overwrites; every experiment in the grid
 	// must have a committed baseline to diff against.
-	floor := *tolerance
+	floor := *gridTol
 	if floor >= 1 {
 		floor = 0.05
 	}
 	failed := false
 	for _, f := range files {
-		path := filepath.Join(*baseDir, "BENCH_"+f.Experiment+".json")
-		base, err := bench.ReadReport(path)
+		base, err := bench.ReadReport(filepath.Join(*gridBaseDir, "BENCH_"+f.Experiment+".json"))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			os.Exit(1)
+			gridFail(f.Experiment, []string{err.Error()})
 		}
-		problems, warnings := bench.Compare(base, f, *tolerance)
+		problems, warnings := bench.Compare(base, f, *gridTol)
 		rows := bench.Trajectory(base, f, floor)
-		var improved, regressed, unchanged int
+		count := map[bench.TrajectoryVerdict]int{}
 		for _, r := range rows {
-			switch r.Verdict {
-			case bench.TrajImproved:
-				improved++
-			case bench.TrajRegressed:
-				regressed++
-			case bench.TrajUnchanged:
-				unchanged++
-			}
+			count[r.Verdict]++
 		}
-		fmt.Println(bench.TrajectoryMarkdown(f.Experiment, rows))
+		bench.TrajectoryTable(f.Experiment, rows).Render(os.Stdout, format())
 		for _, w := range warnings {
 			fmt.Printf("  warning: %s\n", w)
 		}
-		if *tolerance < 1 && regressed > 0 {
+		if regressed := count[bench.TrajRegressed]; *gridTol < 1 && regressed > 0 {
 			problems = append(problems, fmt.Sprintf("%s: %d point(s) regressed beyond their noise band", f.Experiment, regressed))
 		}
 		if len(problems) == 0 {
 			fmt.Printf("grid %s: OK (%d improved, %d unchanged, %d regressed; bounds hold, coverage intact)\n\n",
-				f.Experiment, improved, unchanged, regressed)
+				f.Experiment, count[bench.TrajImproved], count[bench.TrajUnchanged], count[bench.TrajRegressed])
 			continue
 		}
 		failed = true

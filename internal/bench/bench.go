@@ -1,7 +1,11 @@
 // Package bench is the workload harness that regenerates the paper's
-// evaluation (§6): mixed get/insert/remove workloads over every data
-// structure and scheme (Figures 5 and 7 and the appendix grids), and the
-// long-running-operation workload (Figures 1 and 6).
+// evaluation (§6). Three workloads — mixed get/insert/remove (RunMixed),
+// long-running reads against head churn (RunLongScan) and the stalled
+// thread (RunStalled) — and one registry (experiments.go) that declares
+// every figure and table once as the list of points it measures. One run
+// loop executes a declaration, one validator judges the result, one
+// renderer prints it; `smrbench <name>` and `smrbench grid` are views of
+// that. See DESIGN.md §13.
 //
 // Throughput is reported in operations per second and memory as the peak
 // number of retired-yet-unreclaimed blocks, exactly the paper's two
@@ -23,6 +27,7 @@ import (
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/obs"
+	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 // labelWorker tags the calling goroutine for pprof profiles so CPU
@@ -116,37 +121,63 @@ type MixedConfig struct {
 	Seed      uint64
 }
 
-// Result is one measurement.
-type Result struct {
-	Ops             int64
-	Elapsed         time.Duration
+// Measurement is what one run of one point yields — the harness's one
+// result type. Ops is the workload's headline count: every operation of a
+// mixed run, the readers' completed scans of a long-scan run (the writers'
+// churn is WriteOps), the writers' operations of a stall run.
+type Measurement struct {
+	Ops      int64
+	WriteOps int64 // long scan only: the head-churning writers' operations
+	Elapsed  time.Duration
+
 	PeakUnreclaimed int64
-	Unreclaimed     int64
+	Unreclaimed     int64 // still unreclaimed when the run ended
 	Retired         int64
 	Signals         int64
 	Rollbacks       int64
-	// CSP99 is the 99th-percentile critical-section length in nanoseconds.
-	// Populated only while the obs layer is active (the histograms record
-	// behind obs.On); 0 for schemes without instrumented sections.
-	CSP99 int64
+	// Bound is the §5 garbage bound 2GN+GN²+H evaluated from the domain's
+	// observed peaks after a stall run; -1 where the scheme has no bound
+	// or the workload does not evaluate it.
+	Bound int64
+	// Reaped counts handles the lease reaper recovered (stall runs with
+	// leaking writers only).
+	Reaped int64
 	// AllocsPerOp and GCCPUFrac are the GC-pressure columns: heap objects
-	// allocated per completed operation and the fraction of the window's
-	// CPU time spent in the collector, both sampled process-wide over the
-	// measured window (prefill excluded). See gcsample.go.
+	// allocated per operation and the fraction of the window's CPU time
+	// spent in the collector, both process-wide over the measured window
+	// (prefill excluded). See gcsample.go.
 	AllocsPerOp float64
 	GCCPUFrac   float64
 }
 
-// Throughput returns operations per second.
-func (r Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
+// Throughput returns Ops per second.
+func (m Measurement) Throughput() float64 {
+	if m.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
+	return float64(m.Ops) / m.Elapsed.Seconds()
 }
 
-// MTput returns millions of operations per second (the paper's axis).
-func (r Result) MTput() float64 { return r.Throughput() / 1e6 }
+// measured assembles a Measurement from a run's books: the domain's
+// counters, the headline count ops (plus a long scan's writeOps) over
+// elapsed, and the GC window, whose per-op column divides by every
+// operation the window contained.
+func measured(s stats.Snapshot, ops, writeOps int64, elapsed time.Duration, gc0, gc1 gcSample) Measurement {
+	m := Measurement{
+		Ops:             ops,
+		WriteOps:        writeOps,
+		Elapsed:         elapsed,
+		PeakUnreclaimed: s.PeakUnreclaimed,
+		Unreclaimed:     s.Unreclaimed,
+		Retired:         s.Retired,
+		Signals:         s.Signals,
+		Rollbacks:       s.Rollbacks,
+		Bound:           -1,
+		Reaped:          s.ReapedHandles,
+	}
+	m.AllocsPerOp, m.GCCPUFrac = gcPressure(gc0, gc1, ops+writeOps)
+	return m
+}
 
 // enableInterleaving turns on step-granularity yielding on single-CPU
 // hosts so that neutralization-based behaviour (the Figure 1/6 starvation
@@ -204,12 +235,12 @@ func gcd(a, b int64) int64 {
 // RunMixed executes one mixed-workload measurement: prefill, then Threads
 // goroutines each drawing uniform keys and operations from the mix for
 // Duration.
-func RunMixed(cfg MixedConfig) Result {
+func RunMixed(cfg MixedConfig) Measurement {
 	if cfg.Prefill == 0 {
 		cfg.Prefill = 0.5
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = 42
+		cfg.Seed = DefaultBenchSeed
 	}
 	enableInterleaving()
 	m, ok := NewMap(cfg.Structure, cfg.Scheme, cfg.KeyRange, cfg.Config)
@@ -266,19 +297,7 @@ func RunMixed(cfg MixedConfig) Result {
 	elapsed := time.Since(t0)
 	gc1 := readGCSample()
 
-	s := m.Stats().Snapshot()
-	r := Result{
-		Ops:             total.Load(),
-		Elapsed:         elapsed,
-		PeakUnreclaimed: s.PeakUnreclaimed,
-		Unreclaimed:     s.Unreclaimed,
-		Retired:         s.Retired,
-		Signals:         s.Signals,
-		Rollbacks:       s.Rollbacks,
-		CSP99:           s.CSNanos.P99,
-	}
-	r.AllocsPerOp, r.GCCPUFrac = gcPressure(gc0, gc1, r.Ops)
-	return r
+	return measured(m.Stats().Snapshot(), total.Load(), 0, elapsed, gc0, gc1)
 }
 
 // mixedWorkerSeed derives worker id's rng seed from the run seed. Shared

@@ -1,17 +1,16 @@
 package bench
 
-// The declarative experiment-grid runner behind `smrbench grid`: a
-// committed experiments.json describes the grid (which experiments,
-// how many measured repeats after how many warmup runs, per-experiment
-// sweep overrides), this engine executes every point N times and
-// aggregates the repeats into schema-2 BenchFiles (mean/std/min/max
-// throughput per point), and the Trajectory diff classifies each point
-// against a committed baseline as improved / regressed / unchanged with
-// the point's own measured noise (±2σ) deciding what counts as
-// movement. CSV and markdown emitters turn one grid run into the table
-// EXPERIMENTS.md quotes. See DESIGN.md §13.
+// The one run loop, and the grid that is a list of its runs: Run executes
+// an experiment's declared points — Warmup discarded passes, then Repeats
+// measured ones — and aggregates each point's repeats into a BenchFile.
+// `smrbench <name>` prints that file as a table; `smrbench grid` runs the
+// entries experiments.json names, validates each file, and either writes
+// BENCH_<name>.json or diffs against the committed one (Trajectory:
+// improved / regressed / unchanged, with the point's own measured noise,
+// ±2σ, deciding what counts as movement). See DESIGN.md §13.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,78 +18,59 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	hpbrcu "github.com/smrgo/hpbrcu"
 )
 
-// GridSchema versions the experiments.json layout.
-const GridSchema = 1
+// GridSchema versions the experiments.json layout. Schema 2 names
+// experiments and fixes the run counts; the sweeps schema 1 could
+// override live in the registry (experiments.go) alone.
+const GridSchema = 2
 
-// GridSpec is the committed experiments.json: the declarative
-// description of the repo's benchmark grid.
+// GridSpec is the committed experiments.json: which registry entries the
+// grid baselines, and how each point is run. Every field is required —
+// there is no default to fall back to but the command line.
 type GridSpec struct {
 	Schema int `json:"schema"`
-	// Repeats is the number of measured runs aggregated per point
-	// (default 3); Warmup runs are executed first and discarded
-	// (default 1). Both can be overridden per experiment and again by
-	// GridOptions (the CLI flags).
-	Repeats int `json:"repeats,omitempty"`
-	Warmup  int `json:"warmup,omitempty"`
-	// DurationMS is the default measurement time per point in
-	// milliseconds (default 300).
-	DurationMS int64 `json:"duration_ms,omitempty"`
-	// Seed is the workload seed (DefaultBenchSeed when zero).
-	Seed        uint64           `json:"seed,omitempty"`
-	Experiments []GridExperiment `json:"experiments"`
+	// Repeats measured passes per point after Warmup discarded ones.
+	Repeats int `json:"repeats"`
+	Warmup  int `json:"warmup"`
+	// DurationMS is the measurement time per point and pass.
+	DurationMS int64 `json:"duration_ms"`
+	// Seed is the workload seed.
+	Seed uint64 `json:"seed"`
+	// Experiments are registry names; each is written to (and gated
+	// against) BENCH_<name>.json.
+	Experiments []string `json:"experiments"`
 }
 
-// GridExperiment is one experiment entry of the grid, naming a pipeline
-// (an ExperimentNames entry) plus optional sweep overrides. Zero-valued
-// knobs keep the pipeline's committed defaults, so the minimal entry
-// {"name": "fig1"} reproduces the baseline sweep.
-type GridExperiment struct {
-	Name string `json:"name"`
-	// Repeats / Warmup override the spec-level counts for this
-	// experiment only (0 = inherit).
-	Repeats int `json:"repeats,omitempty"`
-	Warmup  int `json:"warmup,omitempty"` // -1 = explicitly none
-	// Schemes restricts the scheme sweep by display name (hpbrcu.Scheme
-	// strings, case-insensitive); empty runs all schemes.
-	Schemes []string `json:"schemes,omitempty"`
-	// KeyRangeExps overrides fig1's key-range exponents (each in [1,30],
-	// the same validity window as smrbench's -ranges flag).
-	KeyRangeExps []int `json:"key_range_exps,omitempty"`
-	// Threads overrides fig5's pinned thread count.
-	Threads int `json:"threads,omitempty"`
-	// PoolSizes overrides the pool experiment's ceiling sweep.
-	PoolSizes []int `json:"pool_sizes,omitempty"`
-	// Writers and KeyRange override table2's writer count and key range.
-	Writers  int   `json:"writers,omitempty"`
-	KeyRange int64 `json:"key_range,omitempty"`
-	// Rates overrides the server experiment's offered-load sweep
-	// (requests/second per point); Conns its generator connections.
-	Rates []int `json:"rates,omitempty"`
-	Conns int   `json:"conns,omitempty"`
-	// Shards is the shard-count sweep of the fig1 and server
-	// experiments (each in [1,64]; default [1]). Counts above 1 run
-	// HP-BRCU only and get "/shards=N"-suffixed workload names, so a
-	// sweep containing 1 keeps every baseline point name intact.
-	Shards []int `json:"shards,omitempty"`
-	// Allocs is the allocator sweep of the fig1 and fig5 experiments
-	// ("pool", "arena"; default ["pool"]). Arena points get
-	// "/alloc=arena"-suffixed workload names so a sweep containing
-	// "pool" keeps every baseline point name intact. See DESIGN.md §16.
-	Allocs []string `json:"allocs,omitempty"`
-}
-
-// ParseGrid parses and validates an experiments.json document.
+// ParseGrid parses and validates an experiments.json document. Unknown
+// keys are errors: a schema-1 sweep override silently ignored would leave
+// its author believing it took effect.
 func ParseGrid(data []byte) (*GridSpec, error) {
 	var s GridSpec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	if err := s.validate(); err != nil {
-		return nil, err
+	if s.Schema != GridSchema {
+		return nil, fmt.Errorf("grid: schema %d, want %d", s.Schema, GridSchema)
+	}
+	if len(s.Experiments) == 0 {
+		return nil, fmt.Errorf("grid: no experiments declared")
+	}
+	if s.Repeats < 1 || s.Warmup < 0 || s.DurationMS < 1 || s.Seed == 0 {
+		return nil, fmt.Errorf("grid: need repeats >= 1, warmup >= 0, duration_ms >= 1 and a nonzero seed (got %d, %d, %d, %d)",
+			s.Repeats, s.Warmup, s.DurationMS, s.Seed)
+	}
+	seen := make(map[string]bool)
+	for _, name := range s.Experiments {
+		if _, ok := Lookup(name); !ok {
+			return nil, fmt.Errorf("grid: unknown experiment %q (want %s)", name, strings.Join(ExperimentNames(), ", "))
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("grid: duplicate experiment %q", name)
+		}
+		seen[name] = true
 	}
 	return &s, nil
 }
@@ -108,331 +88,94 @@ func LoadGrid(path string) (*GridSpec, error) {
 	return s, nil
 }
 
-func (s *GridSpec) validate() error {
-	if s.Schema != GridSchema {
-		return fmt.Errorf("grid: schema %d, want %d", s.Schema, GridSchema)
-	}
-	if len(s.Experiments) == 0 {
-		return fmt.Errorf("grid: no experiments declared")
-	}
-	if s.Repeats < 0 || s.Warmup < 0 {
-		return fmt.Errorf("grid: negative repeats/warmup")
-	}
-	if s.DurationMS < 0 {
-		return fmt.Errorf("grid: negative duration_ms")
-	}
-	seen := make(map[string]bool)
-	for i := range s.Experiments {
-		e := &s.Experiments[i]
-		if _, ok := RunnerFor(e.Name); !ok {
-			return fmt.Errorf("grid: experiments[%d]: unknown experiment %q (want %s)",
-				i, e.Name, strings.Join(ExperimentNames(), ", "))
-		}
-		if seen[e.Name] {
-			return fmt.Errorf("grid: duplicate experiment %q (one entry per experiment; sweeps go inside it)", e.Name)
-		}
-		seen[e.Name] = true
-		if e.Repeats < 0 || e.Warmup < -1 {
-			return fmt.Errorf("grid: %s: negative repeats/warmup", e.Name)
-		}
-		for _, x := range e.KeyRangeExps {
-			if x < 1 || x > 30 {
-				return fmt.Errorf("grid: %s: key-range exponent %d out of [1,30]", e.Name, x)
-			}
-		}
-		for _, p := range e.PoolSizes {
-			if p < 1 {
-				return fmt.Errorf("grid: %s: pool size %d < 1", e.Name, p)
-			}
-		}
-		if e.Threads < 0 || e.Writers < 0 || e.KeyRange < 0 || e.Conns < 0 {
-			return fmt.Errorf("grid: %s: negative threads/writers/key_range/conns", e.Name)
-		}
-		for _, r := range e.Rates {
-			if r < 1 {
-				return fmt.Errorf("grid: %s: rate %d < 1", e.Name, r)
-			}
-		}
-		for _, n := range e.Shards {
-			if n < 1 || n > 64 {
-				return fmt.Errorf("grid: %s: shard count %d out of [1,64]", e.Name, n)
-			}
-		}
-		if _, err := ParseAllocNames(e.Allocs); err != nil {
-			return fmt.Errorf("grid: %s: %w", e.Name, err)
-		}
-		if _, err := parseSchemeNames(e.Schemes); err != nil {
-			return fmt.Errorf("grid: %s: %w", e.Name, err)
-		}
-	}
-	return nil
-}
-
-// ParseAllocNames resolves allocator names ("pool"/"arena",
-// case-insensitive) to hpbrcu.Allocator values; nil input means the
-// default pool-only sweep and returns nil. Shared with smrbench's
-// -alloc flag so the CLI and experiments.json accept the same spelling.
-func ParseAllocNames(names []string) ([]hpbrcu.Allocator, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make([]hpbrcu.Allocator, 0, len(names))
-	for _, n := range names {
-		switch strings.ToLower(n) {
-		case "pool":
-			out = append(out, hpbrcu.AllocatorPool)
-		case "arena":
-			out = append(out, hpbrcu.AllocatorArena)
-		default:
-			return nil, fmt.Errorf("unknown allocator %q (want pool or arena)", n)
-		}
-	}
-	return out, nil
-}
-
-// parseSchemeNames resolves scheme display names (case-insensitive)
-// against hpbrcu.Schemes; nil input means "all" and returns nil.
-func parseSchemeNames(names []string) ([]hpbrcu.Scheme, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make([]hpbrcu.Scheme, 0, len(names))
-	for _, n := range names {
-		found := false
-		for _, s := range hpbrcu.Schemes {
-			if strings.EqualFold(n, s.String()) {
-				out = append(out, s)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown scheme %q", n)
-		}
-	}
-	return out, nil
-}
-
-// GridOptions are the CLI-level overrides RunGrid applies on top of the
-// spec; zero values defer to the spec (Warmup uses -1 as "no override"
-// because 0 warmup runs is a meaningful choice).
-type GridOptions struct {
-	Repeats  int
-	Warmup   int // -1 = inherit the spec's
+// RunOptions is how the run loop measures each point.
+type RunOptions struct {
+	Repeats  int // measured passes per point (>= 1)
+	Warmup   int // discarded passes before them
 	Duration time.Duration
 	Seed     uint64
-	// Schemes filters every experiment's scheme sweep on top of any
-	// per-experiment restriction.
-	Schemes []hpbrcu.Scheme
-	// Allocators, when non-empty, replaces every experiment's allocator
-	// sweep (the `smrbench grid -alloc` flag).
-	Allocators []hpbrcu.Allocator
-	// Logf, when set, receives one progress line per pipeline run.
+	// Logf, when set, receives one progress line per pass.
 	Logf func(format string, args ...any)
 }
 
-// effective resolves the per-experiment repeat/warmup/duration/seed
-// after spec defaults, experiment overrides and CLI overrides.
-func (s *GridSpec) effective(e *GridExperiment, opts GridOptions) (repeats, warmup int, dur time.Duration, seed uint64) {
-	repeats = 3
-	if s.Repeats > 0 {
-		repeats = s.Repeats
+// RunOptions returns the spec's run counts.
+func (s *GridSpec) RunOptions() RunOptions {
+	return RunOptions{
+		Repeats: s.Repeats, Warmup: s.Warmup,
+		Duration: time.Duration(s.DurationMS) * time.Millisecond, Seed: s.Seed,
 	}
-	if e.Repeats > 0 {
-		repeats = e.Repeats
-	}
-	if opts.Repeats > 0 {
-		repeats = opts.Repeats
-	}
-	warmup = 1
-	if s.Warmup > 0 {
-		warmup = s.Warmup
-	}
-	switch {
-	case e.Warmup > 0:
-		warmup = e.Warmup
-	case e.Warmup == -1:
-		warmup = 0
-	}
-	if opts.Warmup >= 0 {
-		warmup = opts.Warmup
-	}
-	dur = 300 * time.Millisecond
-	if s.DurationMS > 0 {
-		dur = time.Duration(s.DurationMS) * time.Millisecond
-	}
-	if opts.Duration > 0 {
-		dur = opts.Duration
-	}
-	seed = uint64(DefaultBenchSeed)
-	if s.Seed != 0 {
-		seed = s.Seed
-	}
-	if opts.Seed != 0 {
-		seed = opts.Seed
-	}
-	return repeats, warmup, dur, seed
 }
 
-// RunGrid executes the whole declarative grid: per experiment, Warmup
-// discarded runs then Repeats measured runs of the pipeline, aggregated
-// by AggregateRuns into one schema-2 BenchFile. Files come back in the
-// spec's experiment order.
-func RunGrid(spec *GridSpec, opts GridOptions) ([]*BenchFile, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
+// Run is the run loop: it measures every point of e under sw once per
+// pass — a pass visits all points before any is repeated, so a repeat
+// never reuses an instance and slow drift spreads over all points instead
+// of biasing the last — and aggregates the measured passes.
+func (e *Experiment) Run(sw Sweep, o RunOptions) *BenchFile {
+	if o.Repeats < 1 {
+		o.Repeats = 1 // a point needs one measured pass to have a mean
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	var files []*BenchFile
-	for i := range spec.Experiments {
-		e := &spec.Experiments[i]
-		runner, _ := RunnerFor(e.Name)
-		repeats, warmup, dur, seed := spec.effective(e, opts)
-		schemes, err := parseSchemeNames(e.Schemes)
-		if err != nil {
-			return nil, err // unreachable after validate; kept for safety
-		}
-		schemes = intersectSchemes(schemes, opts.Schemes)
-		allocs, err := ParseAllocNames(e.Allocs)
-		if err != nil {
-			return nil, err // unreachable after validate; kept for safety
-		}
-		if len(opts.Allocators) > 0 {
-			allocs = opts.Allocators
-		}
-		cfg := PipelineConfig{
-			Seed: seed, Duration: dur, Schemes: schemes,
-			KeyRangeExps: e.KeyRangeExps, Threads: e.Threads,
-			PoolSizes: e.PoolSizes, Writers: e.Writers, KeyRange: e.KeyRange,
-			Rates: e.Rates, Conns: e.Conns, Shards: e.Shards,
-			Allocators: allocs,
-		}
-		for w := 0; w < warmup; w++ {
-			t0 := time.Now()
-			runner(cfg)
-			logf("grid: %s: warmup %d/%d in %v", e.Name, w+1, warmup, time.Since(t0).Truncate(time.Millisecond))
-		}
-		runs := make([]*BenchFile, 0, repeats)
-		for r := 0; r < repeats; r++ {
-			t0 := time.Now()
-			runs = append(runs, runner(cfg))
-			logf("grid: %s: repeat %d/%d in %v", e.Name, r+1, repeats, time.Since(t0).Truncate(time.Millisecond))
-		}
-		agg, err := AggregateRuns(runs)
-		if err != nil {
-			return nil, fmt.Errorf("grid: %s: %w", e.Name, err)
-		}
-		agg.Warmup = warmup
-		files = append(files, agg)
-	}
-	return files, nil
-}
-
-// intersectSchemes returns the schemes in base also present in filter;
-// a nil side means "no restriction".
-func intersectSchemes(base, filter []hpbrcu.Scheme) []hpbrcu.Scheme {
-	if filter == nil {
-		return base
-	}
-	if base == nil {
-		return filter
-	}
-	var out []hpbrcu.Scheme
-	for _, b := range base {
-		for _, f := range filter {
-			if b == f {
-				out = append(out, b)
-				break
+	cols, points := e.plan(sw)
+	samples := make([][]Measurement, len(points))
+	for pass := 0; pass < o.Warmup+o.Repeats; pass++ {
+		t0 := time.Now()
+		for i, p := range points {
+			m := p.Run(o.Duration, o.Seed)
+			if pass >= o.Warmup {
+				samples[i] = append(samples[i], m)
 			}
 		}
-	}
-	return out
-}
-
-// AggregateRuns merges repeated runs of one experiment into a single
-// schema-2 BenchFile. Per (workload, scheme) point:
-//
-//   - OpsPerSec becomes the mean across repeats, with the full
-//     mean/std/min/max aggregate in Ops (std is the population standard
-//     deviation — the repeats are the whole population of this grid
-//     run, not a sample of a larger one);
-//   - PeakUnreclaimed and P99CSNanos take the maximum (the §5 gate and
-//     the tail are worst-case claims, so aggregation must not average a
-//     violation away);
-//   - Bound takes the minimum non-negative bound across repeats, so the
-//     max-peak/min-bound pairing is the most conservative combination
-//     any single run could have produced — a violation in one repeat
-//     can never be masked by a friendlier repeat's bound.
-//
-// The header (experiment, seed, duration, environment) is taken from
-// the first run; all runs must agree on experiment and schema.
-func AggregateRuns(runs []*BenchFile) (*BenchFile, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("no runs to aggregate")
-	}
-	first := runs[0]
-	type key struct{ workload, scheme string }
-	var order []key
-	samples := make(map[key][]BenchPoint)
-	for _, r := range runs {
-		if r.Experiment != first.Experiment {
-			return nil, fmt.Errorf("aggregating mixed experiments %q and %q", first.Experiment, r.Experiment)
-		}
-		if r.Schema != first.Schema {
-			return nil, fmt.Errorf("aggregating mixed schemas %d and %d", first.Schema, r.Schema)
-		}
-		for _, p := range r.Points {
-			k := key{p.Workload, p.Scheme}
-			if _, seen := samples[k]; !seen {
-				order = append(order, k)
+		if o.Logf != nil {
+			kind, n, of := "warmup", pass+1, o.Warmup
+			if pass >= o.Warmup {
+				kind, n, of = "repeat", pass-o.Warmup+1, o.Repeats
 			}
-			samples[k] = append(samples[k], p)
+			o.Logf("%s: %s %d/%d (%d points) in %v", e.Name, kind, n, of, len(points), time.Since(t0).Truncate(time.Millisecond))
 		}
 	}
-	out := &BenchFile{
-		Experiment:  first.Experiment,
+	f := &BenchFile{
+		Experiment:  e.Name,
 		Schema:      ReportSchema,
-		Seed:        first.Seed,
-		DurationMS:  first.DurationMS,
-		Repeats:     len(runs),
-		Environment: first.Environment,
+		Seed:        o.Seed,
+		DurationMS:  o.Duration.Milliseconds(),
+		Repeats:     o.Repeats,
+		Warmup:      o.Warmup,
+		Environment: CurrentEnvironment(),
 	}
-	for _, k := range order {
-		pts := samples[k]
-		ops := make([]float64, len(pts))
-		agg := BenchPoint{Workload: k.workload, Scheme: k.scheme, Bound: -1}
-		for i, p := range pts {
-			ops[i] = p.OpsPerSec
-			// The GC-pressure columns average across repeats: they are
-			// central-tendency metrics, not worst-case claims like the
-			// peak/bound pair below.
-			agg.AllocsPerOp += p.AllocsPerOp / float64(len(pts))
-			agg.GCCPUFrac += p.GCCPUFrac / float64(len(pts))
-			if p.PeakUnreclaimed > agg.PeakUnreclaimed {
-				agg.PeakUnreclaimed = p.PeakUnreclaimed
-			}
-			if p.P99CSNanos > agg.P99CSNanos {
-				agg.P99CSNanos = p.P99CSNanos
-			}
-			if p.P99Nanos > agg.P99Nanos {
-				agg.P99Nanos = p.P99Nanos
-			}
-			if p.P999Nanos > agg.P999Nanos {
-				agg.P999Nanos = p.P999Nanos
-			}
-			if p.Bound >= 0 && (agg.Bound < 0 || p.Bound < agg.Bound) {
-				agg.Bound = p.Bound
+	for _, c := range cols {
+		f.Columns = append(f.Columns, c.Name)
+	}
+	for i, p := range points {
+		f.Points = append(f.Points, aggregate(p.Workload, p.Scheme.String(), cols, samples[i]))
+	}
+	sortPoints(f.Points)
+	return f
+}
+
+// aggregate folds one point's measured passes: throughput into its
+// mean/std/min/max, each declared column by the column's own rule.
+func aggregate(workload, scheme string, cols []Column, ms []Measurement) BenchPoint {
+	ops := make([]float64, len(ms))
+	for i, m := range ms {
+		ops[i] = m.Throughput()
+	}
+	p := BenchPoint{Workload: workload, Scheme: scheme, Ops: summarize(ops)}
+	p.OpsPerSec = p.Ops.Mean
+	for _, c := range cols {
+		var vs []float64
+		for _, m := range ms {
+			if v, ok := c.of(m); ok {
+				vs = append(vs, v)
 			}
 		}
-		st := summarize(ops)
-		agg.OpsPerSec = st.Mean
-		agg.Ops = &st
-		out.Points = append(out.Points, agg)
+		if len(vs) == 0 {
+			continue
+		}
+		if p.Values == nil {
+			p.Values = make(map[string]float64, len(cols))
+		}
+		p.Values[c.Name] = c.agg(summarize(vs))
 	}
-	return out, nil
+	return p
 }
 
 // summarize computes the mean/population-std/min/max of xs (len ≥ 1).
@@ -485,10 +228,9 @@ type TrajectoryPoint struct {
 // point only counts as moved when |cur-base| exceeds twice the larger
 // of the two sides' standard deviations, and never for less than
 // floor·base (relative floor, e.g. 0.05) — so run-to-run noise is
-// reported as "unchanged", not as movement. A point without ops_stats
-// carries no std and falls back to the relative floor alone. Points present on only
-// one side come back as TrajNew / TrajMissing. Rows are sorted by
-// (workload, scheme).
+// reported as "unchanged", not as movement. Points present on only one
+// side come back as TrajNew / TrajMissing. Rows are sorted by (workload,
+// scheme).
 func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
 	if floor <= 0 {
 		floor = 0.05
@@ -515,13 +257,7 @@ func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
 		if b.OpsPerSec > 0 {
 			tp.DeltaPct = (c.OpsPerSec - b.OpsPerSec) / b.OpsPerSec * 100
 		}
-		noise := floor * b.OpsPerSec
-		if c.Ops != nil && 2*c.Ops.Std > noise {
-			noise = 2 * c.Ops.Std
-		}
-		if b.Ops != nil && 2*b.Ops.Std > noise {
-			noise = 2 * b.Ops.Std
-		}
+		noise := math.Max(floor*b.OpsPerSec, 2*math.Max(c.Ops.Std, b.Ops.Std))
 		tp.Noise = noise
 		delta := c.OpsPerSec - b.OpsPerSec
 		switch {
@@ -549,90 +285,4 @@ func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
 		return out[i].Scheme < out[j].Scheme
 	})
 	return out
-}
-
-// sortedPoints returns f's points in the stable (workload, scheme)
-// order WriteReport also uses, so every emitter agrees on row order.
-func sortedPoints(f *BenchFile) []BenchPoint {
-	pts := make([]BenchPoint, len(f.Points))
-	copy(pts, f.Points)
-	sort.SliceStable(pts, func(i, j int) bool {
-		if pts[i].Workload != pts[j].Workload {
-			return pts[i].Workload < pts[j].Workload
-		}
-		return pts[i].Scheme < pts[j].Scheme
-	})
-	return pts
-}
-
-// GridCSV renders aggregated grid files as one flat CSV (header row +
-// one row per point across all experiments).
-func GridCSV(files []*BenchFile) string {
-	var b strings.Builder
-	b.WriteString("experiment,workload,scheme,ops_per_sec_mean,ops_per_sec_std,ops_per_sec_min,ops_per_sec_max,peak_unreclaimed,p99_cs_ns,bound,p99_ns,p999_ns,allocs_per_op,gc_cpu_frac,repeats\n")
-	for _, f := range files {
-		for _, p := range sortedPoints(f) {
-			st := p.Ops
-			if st == nil {
-				st = &PointStats{Mean: p.OpsPerSec, Min: p.OpsPerSec, Max: p.OpsPerSec}
-			}
-			fmt.Fprintf(&b, "%s,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d,%d,%.4f,%.4f,%d\n",
-				f.Experiment, p.Workload, p.Scheme,
-				st.Mean, st.Std, st.Min, st.Max,
-				p.PeakUnreclaimed, p.P99CSNanos, p.Bound, p.P99Nanos, p.P999Nanos,
-				p.AllocsPerOp, p.GCCPUFrac, f.Repeats)
-		}
-	}
-	return b.String()
-}
-
-// GridMarkdown renders aggregated grid files as one markdown table per
-// experiment — the format EXPERIMENTS.md's grid section quotes
-// verbatim.
-func GridMarkdown(files []*BenchFile) string {
-	var b strings.Builder
-	for i, f := range files {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		fmt.Fprintf(&b, "### %s (repeats=%d, warmup=%d, %d ms/point, seed %d)\n\n",
-			f.Experiment, f.Repeats, f.Warmup, f.DurationMS, f.Seed)
-		b.WriteString("| workload | scheme | ops/s (mean) | ±std | min | max | peak | p99 CS ns | bound | p99 ns | p999 ns | allocs/op | GC CPU % |\n")
-		b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-		for _, p := range sortedPoints(f) {
-			st := p.Ops
-			if st == nil {
-				st = &PointStats{Mean: p.OpsPerSec, Min: p.OpsPerSec, Max: p.OpsPerSec}
-			}
-			bound := "—"
-			if p.Bound >= 0 {
-				bound = fmt.Sprintf("%d", p.Bound)
-			}
-			lat := func(n int64) string {
-				if n <= 0 {
-					return "—"
-				}
-				return fmt.Sprintf("%d", n)
-			}
-			fmt.Fprintf(&b, "| %s | %s | %.0f | %.0f | %.0f | %.0f | %d | %d | %s | %s | %s | %.3f | %.2f |\n",
-				p.Workload, p.Scheme, st.Mean, st.Std, st.Min, st.Max,
-				p.PeakUnreclaimed, p.P99CSNanos, bound, lat(p.P99Nanos), lat(p.P999Nanos),
-				p.AllocsPerOp, p.GCCPUFrac*100)
-		}
-	}
-	return b.String()
-}
-
-// TrajectoryMarkdown renders a per-experiment trajectory diff as a
-// markdown table (experiment name in the heading, one row per point).
-func TrajectoryMarkdown(experiment string, rows []TrajectoryPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### trajectory: %s\n\n", experiment)
-	b.WriteString("| workload | scheme | baseline ops/s | current ops/s | Δ% | noise band | verdict |\n")
-	b.WriteString("|---|---|---:|---:|---:|---:|---|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "| %s | %s | %.0f | %.0f | %+.1f%% | ±%.0f | %s |\n",
-			r.Workload, r.Scheme, r.BaseOps, r.CurOps, r.DeltaPct, r.Noise, r.Verdict)
-	}
-	return b.String()
 }

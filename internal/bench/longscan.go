@@ -31,26 +31,12 @@ type LongScanConfig struct {
 	Seed     uint64
 }
 
-// LongScanResult extends Result with reader-only throughput (the paper's
-// Figure 1/6 y-axis counts read operations).
-type LongScanResult struct {
-	Result
-	ReadOps  int64
-	WriteOps int64
-}
-
-// ReadThroughput returns completed read operations per second.
-func (r LongScanResult) ReadThroughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.ReadOps) / r.Elapsed.Seconds()
-}
-
-// RunLongScan executes the long-running-operation workload.
-func RunLongScan(cfg LongScanConfig) LongScanResult {
+// RunLongScan executes the long-running-operation workload. The result's
+// Ops (and Throughput) count completed reads — the paper's Figure 1/6
+// y-axis — and WriteOps the writers' churn.
+func RunLongScan(cfg LongScanConfig) Measurement {
 	if cfg.Seed == 0 {
-		cfg.Seed = 7
+		cfg.Seed = DefaultBenchSeed
 	}
 	enableInterleaving()
 	m, ok := NewMap(cfg.Structure, cfg.Scheme, cfg.KeyRange, cfg.Config)
@@ -130,23 +116,7 @@ func RunLongScan(cfg LongScanConfig) LongScanResult {
 	elapsed := time.Since(t0)
 	gc1 := readGCSample()
 
-	s := hpbrcu.AggregateSnapshot(m)
-	r := LongScanResult{
-		Result: Result{
-			Ops:             readOps.Load() + writeOps.Load(),
-			Elapsed:         elapsed,
-			PeakUnreclaimed: s.PeakUnreclaimed,
-			Unreclaimed:     s.Unreclaimed,
-			Retired:         s.Retired,
-			Signals:         s.Signals,
-			Rollbacks:       s.Rollbacks,
-			CSP99:           s.CSNanos.P99,
-		},
-		ReadOps:  readOps.Load(),
-		WriteOps: writeOps.Load(),
-	}
-	r.AllocsPerOp, r.GCCPUFrac = gcPressure(gc0, gc1, r.Ops)
-	return r
+	return measured(hpbrcu.AggregateSnapshot(m), readOps.Load(), writeOps.Load(), elapsed, gc0, gc1)
 }
 
 // LongScanStructureFor returns the list flavour the paper uses per scheme

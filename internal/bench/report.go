@@ -1,11 +1,11 @@
 package bench
 
-// Machine-readable benchmark reports: the BENCH_*.json schema written by
-// `smrbench grid`, and the baseline comparator behind `grid -trajectory`.
-// The committed BENCH_*.json files are the repo's performance trajectory —
-// every hot-path change must show its before/after here (see DESIGN.md
-// §11), and the CI bench-smoke job re-runs the grid against the committed
-// files so they cannot silently rot.
+// Machine-readable reports: the BENCH_<name>.json schema the run loop
+// produces, the validate step that judges a fresh run before anything is
+// written or diffed, and the baseline comparator behind
+// `smrbench grid -trajectory`. The committed BENCH_*.json files are the
+// repo's cross-scheme trajectory; TestBaselinesDescribeThisProgram keeps
+// them point-for-point in step with the registry.
 
 import (
 	"encoding/json"
@@ -16,20 +16,20 @@ import (
 )
 
 // ReportSchema versions the BENCH_*.json layout; Compare refuses files
-// from any other schema instead of misreading them. Schema 2 is the grid
-// runner's layout (per-point ops_stats, file-level repeats/warmup); the
-// pre-grid single-run schema 1 is no longer read — every committed
-// baseline is schema 2.
-const ReportSchema = 2
+// from any other schema instead of misreading them. Schema 3 carries only
+// the columns each experiment declares (under "values", named by the
+// file's "columns") — schema 2's fixed columns, with their -1 bounds and
+// constant zeros, are no longer read.
+const ReportSchema = 3
 
-// DefaultBenchSeed seeds the pipeline workloads unless -seed overrides it.
-// Fixed so that two runs of the same binary draw identical operation
-// schedules (see ScheduleFingerprint) and differences are the code's.
+// DefaultBenchSeed seeds every workload unless -seed overrides it. Fixed
+// so that two runs of the same binary draw identical operation schedules
+// (see ScheduleFingerprint) and differences are the code's.
 const DefaultBenchSeed = 42
 
 // Environment records where a report was measured. Throughput is only
-// comparable within one environment; the CI comparator widens its
-// tolerance past 1 to skip throughput checks entirely across machines.
+// comparable within one environment: the comparator refuses a throughput
+// gate across two, and a baseline must come from at least two cores.
 type Environment struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -47,51 +47,24 @@ func CurrentEnvironment() Environment {
 	}
 }
 
-// BenchPoint is one (workload, scheme) measurement.
+// BenchPoint is one (workload, scheme) point, aggregated over the run's
+// repeats.
 type BenchPoint struct {
-	// Workload names the point within its experiment (e.g. "keys=2^10").
 	Workload string `json:"workload"`
-	// Scheme is the reclamation scheme's display name (hpbrcu.Scheme).
-	Scheme string `json:"scheme"`
-	// OpsPerSec is the experiment's headline throughput: reads/s for the
-	// long-scan workloads, total ops/s for mixed ones, writer ops/s for
-	// the stall experiment.
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// PeakUnreclaimed is the paper's memory metric: the peak number of
-	// retired-but-unreclaimed nodes over the run.
-	PeakUnreclaimed int64 `json:"peak_unreclaimed"`
-	// P99CSNanos is the 99th-percentile critical-section length from the
-	// internal/stats histograms (0 for schemes without instrumented
-	// critical sections).
-	P99CSNanos int64 `json:"p99_cs_ns"`
-	// Bound is the §5 garbage bound 2GN+GN²+H evaluated from observed
-	// peaks, or -1 when the scheme is unbounded or the experiment does
-	// not evaluate it. Compare fails any point with
-	// PeakUnreclaimed > Bound ≥ 0 regardless of tolerance.
-	Bound int64 `json:"bound"`
-	// P99Nanos / P999Nanos are end-to-end request-latency tails in
-	// nanoseconds, measured open-loop from each request's scheduled
-	// arrival time. Only the server experiment populates them (0 =
-	// not measured): the in-process pipelines have no request boundary
-	// to time.
-	P99Nanos  int64 `json:"p99_ns,omitempty"`
-	P999Nanos int64 `json:"p999_ns,omitempty"`
-	// Ops aggregates throughput across grid repeats; nil in a single
-	// pipeline run that has not been aggregated yet. When set, OpsPerSec
-	// equals Ops.Mean.
-	Ops *PointStats `json:"ops_stats,omitempty"`
-	// AllocsPerOp and GCCPUFrac are the GC-pressure columns: heap objects
-	// allocated per operation and the fraction of window CPU time spent in
-	// the garbage collector (see gcsample.go). Deliberately not omitempty —
-	// a measured zero (the arena fast path) must stay visible, and the CI
-	// -require-gc gate asserts their presence by key.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	GCCPUFrac   float64 `json:"gc_cpu_frac"`
+	Scheme   string `json:"scheme"`
+	// OpsPerSec is the headline throughput — the mean of Ops.
+	OpsPerSec float64    `json:"ops_per_sec"`
+	Ops       PointStats `json:"ops_stats"`
+	// Values holds the experiment's declared columns by name. A column a
+	// point has no value for (the bound of an unbounded scheme) is absent,
+	// not a sentinel.
+	Values map[string]float64 `json:"values,omitempty"`
 }
 
-// PointStats is the per-point throughput aggregate the grid runner
-// computes over its repeats. Std is the population standard deviation —
-// the trajectory diff treats ±2·Std as the point's noise band.
+// PointStats is a mean/spread aggregate over a point's repeats. Std is
+// the population standard deviation — the repeats are the whole population
+// of the run, not a sample of a larger one; the trajectory diff treats
+// ±2·Std as the point's noise band.
 type PointStats struct {
 	Mean float64 `json:"mean"`
 	Std  float64 `json:"std"`
@@ -99,35 +72,36 @@ type PointStats struct {
 	Max  float64 `json:"max"`
 }
 
-// BenchFile is one experiment's report — the unit BENCH_*.json stores.
+// BenchFile is one experiment's report — the unit BENCH_<name>.json
+// stores and every table is rendered from.
 type BenchFile struct {
-	Experiment string `json:"experiment"` // an ExperimentNames entry
+	Experiment string `json:"experiment"`
 	Schema     int    `json:"schema"`
 	Seed       uint64 `json:"seed"`
 	DurationMS int64  `json:"duration_ms"`
-	// Repeats and Warmup record the grid aggregation that produced the
-	// file: Repeats measured runs per point (0 or 1 = single-run file)
-	// after Warmup discarded runs.
-	Repeats     int          `json:"repeats,omitempty"`
-	Warmup      int          `json:"warmup,omitempty"`
-	Environment Environment  `json:"environment"`
-	Points      []BenchPoint `json:"points"`
+	// Repeats measured runs per point after Warmup discarded ones.
+	Repeats     int         `json:"repeats"`
+	Warmup      int         `json:"warmup"`
+	Environment Environment `json:"environment"`
+	// Columns names the declared columns, in table order.
+	Columns []string     `json:"columns"`
+	Points  []BenchPoint `json:"points"`
 }
 
-// WriteReport writes the report as indented JSON with a stable point
-// order, so regenerated files diff cleanly.
-func WriteReport(path string, f *BenchFile) error {
-	pts := make([]BenchPoint, len(f.Points))
-	copy(pts, f.Points)
+// sortPoints puts points in the stable (workload, scheme) order every
+// rendering of a file uses, so regenerated files diff cleanly.
+func sortPoints(pts []BenchPoint) {
 	sort.SliceStable(pts, func(i, j int) bool {
 		if pts[i].Workload != pts[j].Workload {
 			return pts[i].Workload < pts[j].Workload
 		}
 		return pts[i].Scheme < pts[j].Scheme
 	})
-	out := *f
-	out.Points = pts
-	data, err := json.MarshalIndent(&out, "", "  ")
+}
+
+// WriteReport writes the report as indented JSON.
+func WriteReport(path string, f *BenchFile) error {
+	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -147,36 +121,93 @@ func ReadReport(path string) (*BenchFile, error) {
 	return &f, nil
 }
 
-// Compare checks current against baseline and returns one problem per
-// violation (empty means the gate passes):
+// Validate is the step between running an experiment and reporting it:
+// it returns one problem per reason the run cannot be what it claims to
+// be (empty means valid).
 //
+//   - a declared column that is zero (or absent) on every point: the
+//     column cannot show anything on this workload, or its sampler is dead;
+//   - a negative value: a sampler's window arithmetic broke;
+//   - a point whose peak_unreclaimed exceeds its §5 bound — the paper's
+//     robustness claim, checked at every tolerance.
+func Validate(f *BenchFile) []string {
+	if len(f.Points) == 0 {
+		return []string{fmt.Sprintf("%s: no points measured", f.Experiment)}
+	}
+	var problems []string
+	for _, col := range f.Columns {
+		live := false
+		for _, p := range f.Points {
+			if p.Values[col] != 0 {
+				live = true
+				break
+			}
+		}
+		if !live {
+			problems = append(problems, fmt.Sprintf("%s: declared column %q is zero on every point", f.Experiment, col))
+		}
+	}
+	for _, p := range f.Points {
+		for col, v := range p.Values {
+			if v < 0 {
+				problems = append(problems, fmt.Sprintf("%s: %s/%s has negative %s (%g)", f.Experiment, p.Workload, p.Scheme, col, v))
+			}
+		}
+		peak := p.Values[colPeak.Name]
+		if bound, ok := p.Values[colBound.Name]; ok && peak > bound {
+			problems = append(problems, fmt.Sprintf("%s: %s/%s violates the §5 memory bound: peak %.0f > bound %.0f",
+				f.Experiment, p.Workload, p.Scheme, peak, bound))
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// BaselineProblems reports why f may not be committed as a baseline: a
+// stale schema, or a run on fewer than two cores — where the harness arms
+// its step-granular yields and every scheme is time-sliced against its
+// own writers, which is not the program the baselines describe.
+func BaselineProblems(f *BenchFile) []string {
+	var problems []string
+	if f.Schema != ReportSchema {
+		problems = append(problems, fmt.Sprintf("%s: schema %d, want %d", f.Experiment, f.Schema, ReportSchema))
+	}
+	if f.Environment.GOMAXPROCS < 2 {
+		problems = append(problems, fmt.Sprintf("%s: measured at GOMAXPROCS=%d; a baseline needs at least 2", f.Experiment, f.Environment.GOMAXPROCS))
+	}
+	return problems
+}
+
+// Compare checks a fresh run against its baseline and returns one problem
+// per violation (empty means the gate passes):
+//
+//   - everything Validate finds in current;
 //   - a schema other than ReportSchema on either side, or an experiment
 //     mismatch;
 //   - a baseline point missing from current (coverage must not shrink);
-//   - current throughput below baseline·(1-tolerance) — skipped entirely
-//     when tolerance ≥ 1, the cross-machine mode CI uses, since absolute
-//     ops/s are meaningless between hosts;
-//   - any current point whose PeakUnreclaimed exceeds its §5 bound —
-//     always checked, at every tolerance: the bound is the paper's
-//     robustness claim, not a performance preference.
+//   - with tolerance < 1, the same-machine mode: an environment that
+//     differs from the baseline's (absolute ops/s mean nothing between
+//     hosts), or throughput below baseline·(1-tolerance). tolerance ≥ 1 is
+//     the cross-machine mode CI uses and skips both.
 //
 // warnings carries non-fatal findings: points present in current but
 // absent from baseline. A renamed workload shows up as a missing-point
-// problem AND a new-point warning — without the warning the rename's
-// new half would pass silently and the coverage loss would look like a
+// problem AND a new-point warning — without the warning the rename's new
+// half would pass silently and the coverage loss would look like a
 // deleted point rather than a rename.
 func Compare(baseline, current *BenchFile, tolerance float64) (problems, warnings []string) {
-	if baseline.Schema != ReportSchema {
-		problems = append(problems, fmt.Sprintf("baseline schema %d, want %d (regenerate the baseline)", baseline.Schema, ReportSchema))
-		return problems, nil
+	switch {
+	case baseline.Schema != ReportSchema:
+		return []string{fmt.Sprintf("baseline schema %d, want %d (regenerate the baseline)", baseline.Schema, ReportSchema)}, nil
+	case current.Schema != ReportSchema:
+		return []string{fmt.Sprintf("current schema %d, want %d", current.Schema, ReportSchema)}, nil
+	case baseline.Experiment != current.Experiment:
+		return []string{fmt.Sprintf("experiment mismatch: baseline %q vs current %q", baseline.Experiment, current.Experiment)}, nil
 	}
-	if current.Schema != ReportSchema {
-		problems = append(problems, fmt.Sprintf("current schema %d, want %d", current.Schema, ReportSchema))
-		return problems, nil
-	}
-	if baseline.Experiment != current.Experiment {
-		problems = append(problems, fmt.Sprintf("experiment mismatch: baseline %q vs current %q", baseline.Experiment, current.Experiment))
-		return problems, nil
+	problems = Validate(current)
+	if tolerance < 1 && baseline.Environment != current.Environment {
+		problems = append(problems, fmt.Sprintf("%s: baseline environment %+v differs from this one %+v; throughput is not comparable (use -tolerance >= 1 across machines)",
+			current.Experiment, baseline.Environment, current.Environment))
 	}
 
 	type key struct{ workload, scheme string }
@@ -193,22 +224,15 @@ func Compare(baseline, current *BenchFile, tolerance float64) (problems, warning
 				baseline.Experiment, b.Workload, b.Scheme))
 			continue
 		}
-		if tolerance < 1 && b.OpsPerSec > 0 {
-			floor := b.OpsPerSec * (1 - tolerance)
-			if cur.OpsPerSec < floor {
-				problems = append(problems, fmt.Sprintf("%s: %s/%s throughput regressed %.0f → %.0f ops/s (>%.0f%% drop)",
-					baseline.Experiment, b.Workload, b.Scheme, b.OpsPerSec, cur.OpsPerSec, tolerance*100))
-			}
+		if tolerance < 1 && cur.OpsPerSec < b.OpsPerSec*(1-tolerance) {
+			problems = append(problems, fmt.Sprintf("%s: %s/%s throughput regressed %.0f → %.0f ops/s (>%.0f%% drop)",
+				baseline.Experiment, b.Workload, b.Scheme, b.OpsPerSec, cur.OpsPerSec, tolerance*100))
 		}
 	}
 	for _, p := range current.Points {
 		if !baseIdx[key{p.Workload, p.Scheme}] {
 			warnings = append(warnings, fmt.Sprintf("%s: point %s/%s is new (not in baseline) — a rename, or coverage the baseline predates; regenerate the baseline to adopt it",
 				current.Experiment, p.Workload, p.Scheme))
-		}
-		if p.Bound >= 0 && p.PeakUnreclaimed > p.Bound {
-			problems = append(problems, fmt.Sprintf("%s: %s/%s violates the §5 memory bound: peak %d > bound %d",
-				current.Experiment, p.Workload, p.Scheme, p.PeakUnreclaimed, p.Bound))
 		}
 	}
 	return problems, warnings

@@ -10,17 +10,26 @@ import (
 	hpbrcu "github.com/smrgo/hpbrcu"
 )
 
+// sampleFile is a hand-made table2-shaped report: three points, one of
+// them bounded. Its environment is fixed (not the host's) so the tests
+// mean the same under GOMAXPROCS=1.
 func sampleFile() *BenchFile {
+	pt := func(workload, scheme string, ops float64, values map[string]float64) BenchPoint {
+		return BenchPoint{Workload: workload, Scheme: scheme, OpsPerSec: ops,
+			Ops: PointStats{Mean: ops, Min: ops, Max: ops}, Values: values}
+	}
 	return &BenchFile{
 		Experiment:  "fig1",
 		Schema:      ReportSchema,
 		Seed:        DefaultBenchSeed,
 		DurationMS:  300,
-		Environment: CurrentEnvironment(),
+		Repeats:     1,
+		Environment: Environment{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2},
+		Columns:     []string{"peak_unreclaimed", "bound"},
 		Points: []BenchPoint{
-			{Workload: "keys=2^08", Scheme: "HP-BRCU", OpsPerSec: 1000, PeakUnreclaimed: 40, P99CSNanos: 1200, Bound: -1},
-			{Workload: "keys=2^08", Scheme: "NR", OpsPerSec: 1500, PeakUnreclaimed: 0, Bound: -1},
-			{Workload: "keys=2^09", Scheme: "HP-BRCU", OpsPerSec: 800, PeakUnreclaimed: 55, P99CSNanos: 2400, Bound: 100},
+			pt("keys=2^08", "HP-BRCU", 1000, map[string]float64{"peak_unreclaimed": 40}),
+			pt("keys=2^08", "NR", 1500, map[string]float64{"peak_unreclaimed": 9000}),
+			pt("keys=2^09", "HP-BRCU", 800, map[string]float64{"peak_unreclaimed": 55, "bound": 100}),
 		},
 	}
 }
@@ -72,26 +81,36 @@ func TestCompare(t *testing.T) {
 			c.Points = c.Points[:2]
 		}), 0.15, "missing from current run", ""},
 		{"extra point passes with a new-point warning", mutate(func(c *BenchFile) {
-			c.Points = append(c.Points, BenchPoint{Workload: "keys=2^10", Scheme: "NR", OpsPerSec: 1, Bound: -1})
+			c.Points = append(c.Points, BenchPoint{Workload: "keys=2^10", Scheme: "NR", OpsPerSec: 1})
 		}), 0.15, "", "keys=2^10/NR is new"},
 		{"renamed workload fails coverage AND warns", mutate(func(c *BenchFile) {
 			c.Points[1].Workload = "keys=2^08-renamed" // old NR point gone, new name appears
 		}), 0.15, "missing from current run", "keys=2^08-renamed/NR is new"},
 		{"bound violation fails at any tolerance", mutate(func(c *BenchFile) {
-			c.Points[2].PeakUnreclaimed = 101 // bound is 100
+			c.Points[2].Values["peak_unreclaimed"] = 101 // bound is 100
 		}), 2, "violates the §5 memory bound", ""},
 		{"peak equal to bound passes", mutate(func(c *BenchFile) {
-			c.Points[2].PeakUnreclaimed = 100
+			c.Points[2].Values["peak_unreclaimed"] = 100
 		}), 0.15, "", ""},
 		{"unbounded scheme never bound-fails", mutate(func(c *BenchFile) {
-			c.Points[0].PeakUnreclaimed = 1 << 40 // Bound -1
+			c.Points[0].Values["peak_unreclaimed"] = 1 << 40 // no bound cell
 		}), 0.15, "", ""},
 		{"unknown schema fails", mutate(func(c *BenchFile) {
 			c.Schema = ReportSchema + 1
 		}), 0.15, "schema", ""},
 		{"schema-1 current rejected", mutate(func(c *BenchFile) {
 			c.Schema = 1
-		}), 0.15, "current schema 1, want 2", ""},
+		}), 0.15, "current schema 1, want 3", ""},
+		{"another environment fails the same-machine gate", mutate(func(c *BenchFile) {
+			c.Environment.GOMAXPROCS = 8
+		}), 0.15, "throughput is not comparable", ""},
+		{"another environment passes the cross-machine gate", mutate(func(c *BenchFile) {
+			c.Environment.GOMAXPROCS = 8
+		}), 2, "", ""},
+		{"an invalid current run fails whatever the baseline says", mutate(func(c *BenchFile) {
+			c.Points[2].Values["bound"] = 0
+			c.Points[2].Values["peak_unreclaimed"] = 0
+		}), 2, `declared column "bound" is zero on every point`, ""},
 		{"experiment mismatch fails", mutate(func(c *BenchFile) {
 			c.Experiment = "fig5"
 		}), 0.15, "experiment mismatch", ""},
@@ -166,18 +185,17 @@ func TestScheduleFingerprintDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineSmoke runs a miniature BenchTable2 end to end: the report
-// is well-formed, every requested scheme produced its point, and the
-// HP-BRCU point carries a §5 bound its own peak respects — so a freshly
-// generated file always passes its own bound gate.
+// TestPipelineSmoke runs a miniature table2 end to end through the run
+// loop: the report is well-formed, every requested scheme produced its
+// point, and the HP-BRCU point carries a §5 bound its own peak respects —
+// so a freshly generated file always passes its own gate.
 func TestPipelineSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload smoke")
 	}
-	f := BenchTable2(PipelineConfig{
-		Duration: 10 * time.Millisecond,
-		Schemes:  []hpbrcu.Scheme{hpbrcu.NR, hpbrcu.HPBRCU},
-	})
+	e, _ := Lookup("table2")
+	f := e.Run(Sweep{Schemes: []hpbrcu.Scheme{hpbrcu.NR, hpbrcu.HPBRCU}},
+		RunOptions{Repeats: 1, Duration: 10 * time.Millisecond, Seed: DefaultBenchSeed})
 	if f.Experiment != "table2" || f.Schema != ReportSchema || f.Seed != DefaultBenchSeed {
 		t.Fatalf("malformed header: %+v", f)
 	}
@@ -193,14 +211,65 @@ func TestPipelineSmoke(t *testing.T) {
 	if hpb == nil {
 		t.Fatal("no HP-BRCU point")
 	}
-	if hpb.Bound < 0 {
+	bound, ok := hpb.Values["bound"]
+	if !ok || bound <= 0 {
 		t.Fatal("HP-BRCU point carries no §5 bound")
 	}
 	problems, warnings := Compare(f, f, 0.15)
 	if len(problems) != 0 || len(warnings) != 0 {
 		t.Fatalf("self-comparison failed: %v (warnings %v)", problems, warnings)
 	}
-	if hpb.PeakUnreclaimed > hpb.Bound {
-		t.Fatalf("fresh run violates its own bound: peak %d > %d", hpb.PeakUnreclaimed, hpb.Bound)
+	if peak := hpb.Values["peak_unreclaimed"]; peak > bound {
+		t.Fatalf("fresh run violates its own bound: peak %v > %v", peak, bound)
+	}
+}
+
+// TestValidate is the table of the validate step: what a fresh run may
+// not look like, whatever it is later compared against.
+func TestValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		break_ func(*BenchFile)
+		want   string // "" = valid
+	}{
+		{"the sample is valid", func(*BenchFile) {}, ""},
+		{"no points", func(f *BenchFile) { f.Points = nil }, "no points measured"},
+		{"a declared column zero everywhere is dead", func(f *BenchFile) {
+			for _, p := range f.Points {
+				p.Values["peak_unreclaimed"] = 0
+			}
+		}, `declared column "peak_unreclaimed" is zero on every point`},
+		{"a declared column absent everywhere is dead", func(f *BenchFile) {
+			delete(f.Points[2].Values, "bound")
+		}, `declared column "bound" is zero on every point`},
+		{"a negative sample", func(f *BenchFile) {
+			f.Columns = append(f.Columns, "gc_cpu_frac")
+			f.Points[0].Values["gc_cpu_frac"] = -0.25
+		}, "negative gc_cpu_frac"},
+		{"peak over bound", func(f *BenchFile) { f.Points[2].Values["peak_unreclaimed"] = 101 }, "violates the §5 memory bound"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := sampleFile()
+			tc.break_(f)
+			problems := Validate(f)
+			if tc.want == "" {
+				if len(problems) != 0 {
+					t.Fatalf("want valid, got %v", problems)
+				}
+				return
+			}
+			if !strings.Contains(strings.Join(problems, "\n"), tc.want) {
+				t.Fatalf("want a problem containing %q, got %v", tc.want, problems)
+			}
+		})
+	}
+	one := sampleFile()
+	one.Environment.GOMAXPROCS = 1
+	if p := BaselineProblems(one); len(p) != 1 || !strings.Contains(p[0], "GOMAXPROCS=1") {
+		t.Fatalf("a one-core run must not become a baseline: %v", p)
+	}
+	if p := BaselineProblems(sampleFile()); len(p) != 0 {
+		t.Fatalf("the sample is a fine baseline: %v", p)
 	}
 }

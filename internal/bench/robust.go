@@ -18,47 +18,6 @@ import (
 	"github.com/smrgo/hpbrcu/internal/vbr"
 )
 
-// StallResult is one row of the Table 2 robustness experiment: writers
-// churn a list for Duration while one thread is stalled inside whatever
-// the scheme's read-side protection is (a critical section, a read phase,
-// or a held shield).
-type StallResult struct {
-	Scheme          hpbrcu.Scheme
-	PeakUnreclaimed int64
-	Retired         int64
-	Bound           int64 // §5 bound for HP-BRCU, -1 when unbounded/N.A.
-	Signals         int64
-	// Reaped and Unreclaimed report the lease reaper's work when LeakRate
-	// made some writers die without unregistering (HP-BRCU with
-	// Config.Reaper.Enabled only; 0 otherwise).
-	Reaped      int64
-	Unreclaimed int64
-	// WriterOps counts completed writer operations (the stall experiment's
-	// throughput axis in BENCH_table2.json).
-	WriterOps int64
-	// Seed is the workload seed the writers actually drew from
-	// (StallConfig.Seed after zero-defaulting) — the value report
-	// headers may honestly stamp as the run's seed.
-	Seed uint64
-	// CSP99 is the 99th-percentile critical-section length in nanoseconds
-	// (recorded only while the obs layer is active).
-	CSP99 int64
-	// Elapsed is the measured churn window (writer start to writer stop).
-	Elapsed time.Duration
-	// AllocsPerOp and GCCPUFrac are the GC-pressure columns over the churn
-	// window (see gcsample.go); ops here are writer operations.
-	AllocsPerOp float64
-	GCCPUFrac   float64
-}
-
-// WriterThroughput returns completed writer operations per second.
-func (r StallResult) WriterThroughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.WriterOps) / r.Elapsed.Seconds()
-}
-
 // StallConfig configures the stalled-thread robustness experiment.
 type StallConfig struct {
 	Scheme   hpbrcu.Scheme
@@ -67,9 +26,7 @@ type StallConfig struct {
 	Duration time.Duration
 	Config   hpbrcu.Config
 	// Seed seeds the writers' key/leak schedules (DefaultBenchSeed when
-	// zero). Before it existed, BenchTable2 stamped its config seed into
-	// the report header while the writers drew from fixed per-worker
-	// seeds — the header claimed a determinism knob the run ignored.
+	// zero).
 	Seed uint64
 	// LeakRate is the fraction of writers ([0,1]) that leak: they stop
 	// without Unregister or Barrier, abandoning their handles mid-churn —
@@ -77,10 +34,15 @@ type StallConfig struct {
 	LeakRate float64
 }
 
-// RunStalled runs the experiment: the stalled thread enters the scheme's
-// read-side protection before the writers start and leaves only after
-// they stop — the worst case the paper's robustness criterion targets.
-func RunStalled(cfg StallConfig) StallResult {
+// RunStalled runs one row of the Table 2 robustness experiment: writers
+// churn a list for Duration while one thread is stalled inside whatever
+// the scheme's read-side protection is (a critical section, a read phase,
+// or a held shield). The stalled thread enters before the writers start
+// and leaves only after they stop — the worst case the paper's robustness
+// criterion targets. Ops counts the writers' operations; Bound is the §5
+// bound for HP-BRCU; Reaped and Unreclaimed report the lease reaper's work
+// when LeakRate made some writers die without unregistering.
+func RunStalled(cfg StallConfig) Measurement {
 	if cfg.Writers == 0 {
 		cfg.Writers = 2
 	}
@@ -249,25 +211,10 @@ func RunStalled(cfg StallConfig) StallResult {
 		reaperStop()
 	}
 
-	bound := int64(-1)
+	r := measured(rec.Snapshot(), writerOps.Load(), 0, elapsed, gc0, gc1)
 	if boundFn != nil {
-		bound = boundFn()
+		r.Bound = boundFn()
 	}
-	s := rec.Snapshot()
-	r := StallResult{
-		Scheme:          cfg.Scheme,
-		PeakUnreclaimed: s.PeakUnreclaimed,
-		Retired:         s.Retired,
-		Bound:           bound,
-		Signals:         s.Signals,
-		Reaped:          s.ReapedHandles,
-		Unreclaimed:     s.Unreclaimed,
-		WriterOps:       writerOps.Load(),
-		Seed:            cfg.Seed,
-		CSP99:           s.CSNanos.P99,
-		Elapsed:         elapsed,
-	}
-	r.AllocsPerOp, r.GCCPUFrac = gcPressure(gc0, gc1, r.WriterOps)
 	return r
 }
 

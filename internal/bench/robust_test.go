@@ -63,13 +63,11 @@ func TestRunStalledRobustnessTable(t *testing.T) {
 	}
 }
 
-// TestStallSeedThreading pins the seed plumbing BenchTable2 relies on:
-// before StallConfig.Seed existed the report header stamped a seed the
-// stall writers never drew from, claiming a determinism the run did not
-// have.
+// TestStallSeedThreading pins the seed plumbing table2 relies on: the
+// stall writers draw from streams derived from the run seed (the seed the
+// report header stamps), distinct per seed and per writer, and disjoint
+// from the mixed workload's streams at equal seeds.
 func TestStallSeedThreading(t *testing.T) {
-	// The per-writer streams derive from the run seed and diverge across
-	// seeds and writers (and from the mixed workload's streams).
 	if stallWorkerSeed(1, 0) == stallWorkerSeed(2, 0) {
 		t.Fatal("different run seeds produced the same writer stream")
 	}
@@ -79,15 +77,10 @@ func TestStallSeedThreading(t *testing.T) {
 	if stallWorkerSeed(DefaultBenchSeed, 0) == mixedWorkerSeed(DefaultBenchSeed, 0) {
 		t.Fatal("stall and mixed workloads share a stream at equal seeds")
 	}
-
-	// RunStalled reports the seed it actually applied, zero-defaulted —
-	// the value report headers may stamp.
-	res := RunStalled(StallConfig{Scheme: hpbrcu.NR, Duration: time.Millisecond, Seed: 123})
-	if res.Seed != 123 {
-		t.Fatalf("RunStalled applied seed %d, want 123", res.Seed)
-	}
-	res = RunStalled(StallConfig{Scheme: hpbrcu.NR, Duration: time.Millisecond})
-	if res.Seed != DefaultBenchSeed {
-		t.Fatalf("zero seed applied as %d, want DefaultBenchSeed %d", res.Seed, DefaultBenchSeed)
+	// The run loop stamps the seed it hands every point into the header.
+	e, _ := Lookup("table2")
+	f := e.Run(Sweep{Schemes: []hpbrcu.Scheme{hpbrcu.NR}}, RunOptions{Repeats: 1, Duration: time.Millisecond, Seed: 123})
+	if f.Seed != 123 {
+		t.Fatalf("header seed %d, want 123", f.Seed)
 	}
 }

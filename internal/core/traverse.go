@@ -252,6 +252,15 @@ func (w *Walk[C]) StepHooks() {
 // Enter.
 func (w *Walk[C]) Poll() bool { return w.b == nil || w.b.Poll() }
 
+// Poll is Walk.Poll for a handle outside any walk. Nothing calls it; it is
+// here for what the compiler exports. A package that instantiates Walk
+// without importing brcu (hlist) can inline brcu.(*Handle).Poll into its
+// per-node loop only if this package's export data carries that body, and
+// it does only through an exported, non-generic, inlinable function that
+// inlined it. Without one the step's single load is a call again;
+// TestStepInlines guards it.
+func (h *Handle) Poll() bool { return h.brcu == nil || h.brcu.Poll() }
+
 // Due counts one completed step and reports whether a periodic checkpoint
 // falls on it, in which case the owner stores its cursor and calls
 // Checkpoint.
