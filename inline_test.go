@@ -6,8 +6,10 @@ package hpbrcu
 // inlining the pieces. The test builds internal/brcu and internal/ds/hlist
 // with -gcflags=-m and fails unless brcu's Poll is inlinable and, inside
 // the per-node loops of hlist's two expedited traversals, every call is
-// either inlined or one of the named out-of-line calls on a cold branch.
-// A func-valued step, a closure call or a Poll that outgrew the inliner's
+// either inlined or one of the named out-of-line calls on a cold branch,
+// with the node visit inlined all the way down to alloc's At, which has
+// two paths to keep under the inliner's budget (DESIGN.md §11.1).
+// A func-valued step, a closure call, or a Poll or an At that outgrew the
 // budget would otherwise come back as an indirect or real call per node
 // without any test noticing.
 
@@ -66,7 +68,7 @@ func TestStepInlines(t *testing.T) {
 			t.Errorf("%s: no per-node loop inside a `for w.Enter(...)` in %s", file, name)
 			continue
 		}
-		polls := false
+		polls, resolves := false, false
 		ast.Inspect(loop, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -81,17 +83,28 @@ func TestStepInlines(t *testing.T) {
 				t.Errorf("%s:%s: %s(...) in %s's per-node loop is a real call (not inlined, not a named cold call)", file, at, callee, name)
 			case callee == "w.Poll":
 				polls = strings.Contains(strings.Join(inlined[at], "\n"), "brcu.(*Handle).Poll")
+			case callee == "l.At":
+				if !poolAt.MatchString(strings.Join(inlined[at], "\n")) {
+					t.Errorf("%s:%s: l.At(...) in %s's per-node loop does not inline down to alloc.(*Pool).At: resolving a slot is a call per node", file, at, name)
+				}
+				resolves = true
 			}
 			return true
 		})
 		if !polls {
 			t.Errorf("%s: %s's per-node loop does not inline w.Poll down to brcu.(*Handle).Poll", file, name)
 		}
+		if !resolves {
+			t.Errorf("%s: %s's per-node loop resolves no node through l.At: the At assertion checks nothing", file, name)
+		}
 	}
 	if t.Failed() {
 		t.Logf("compiler diagnostics for %s:\n%s", file, grepLines(out, file))
 	}
 }
+
+// poolAt matches the compiler's name for an instantiation of alloc's At.
+var poolAt = regexp.MustCompile(`(?m)^alloc\.\(\*Pool\[.*\]\)\.At$`)
 
 // stepLoop returns the per-node loop of the named method: the `for` nested
 // directly in the body of its `for w.Enter(...)` loop.

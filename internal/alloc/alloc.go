@@ -19,6 +19,23 @@
 // Nodes are addressed by slot index (see atomicx.Ref) rather than by raw
 // pointer so links can carry Harris/Natarajan-Mittal tag bits without
 // violating Go's pointer rules.
+//
+// # Resolving a slot
+//
+// Slot s (1-based; 0 is the nil reference) is entry (s-1)&slabMask of slab
+// (s-1)>>slabBits. Slabs hold 8 192 entries, are materialized before the
+// first of their slots is carved and never move, so At and Hdr need no
+// lock: they load the slab's pointer from the table and index it. A
+// traversal gets each slot from the previous node's link, so that table
+// load — its address computed from the slot — would sit on the
+// pointer-chasing chain of every step of every scheme, a cost raw pointers
+// do not have. At and Hdr therefore test for slab 0 first and read
+// slabs[0], whose address does not depend on the slot: behind a branch
+// that predicts perfectly for a structure of up to 8 192 nodes, the table
+// load leaves the chain and a slot resolves with the arithmetic of a
+// pointer dereference. Slots past slab 0 still pay the dependent load
+// (BenchmarkAt; DESIGN.md §11.1 has the numbers and why neither larger
+// slabs nor a last-slab cache are the answer).
 package alloc
 
 import (
@@ -107,7 +124,17 @@ type slab[T any] struct {
 // addressing and freelist reuse. At/Hdr are safe to call concurrently with
 // Alloc and Free; slot 0 is reserved as the nil reference.
 type Pool[T any] struct {
-	slabs [maxSlabs]atomic.Pointer[slab[T]]
+	// slabs[i] is written once, nil to its slab, under growMu, before the
+	// first slot of slab i is handed to anyone; it is read without
+	// synchronization of its own. That is race-free because a slot only
+	// ever reaches another goroutine through a synchronizing operation — an
+	// atomic link or shield, the freelist's mutex, a channel — so the write
+	// happens before every read that a valid slot can cause. (An
+	// atomic.Pointer here compiles to the same load but, as a generic
+	// method call, costs At and Hdr a third of the inliner's budget: with
+	// it, the first-slab case pushed vbr's per-node version check out of
+	// line and VBR's long reads fell 10–30 %.)
+	slabs [maxSlabs]*slab[T]
 
 	growMu   sync.Mutex
 	nextSlot uint64 // next never-used slot; guarded by growMu
@@ -176,22 +203,31 @@ func (p *Pool[T]) NewCache() *Cache[T] {
 }
 
 // At resolves a slot index to its node. It panics on the nil slot, which
-// always indicates a missing IsNil check in a traversal.
+// always indicates a missing IsNil check in a traversal. Slab 0 comes
+// first and through a constant index (see the package comment); the nil
+// slot's idx wraps, so its check is off that path. The body must stay
+// inlinable into the per-node loops (TestStepInlines).
 func (p *Pool[T]) At(slot uint64) *T {
+	idx := slot - 1
+	if idx < slabSize {
+		return &p.slabs[0].entries[idx].val
+	}
 	if slot == 0 {
 		panic("alloc: dereference of nil slot")
 	}
-	idx := slot - 1
-	return &p.slabs[idx>>slabBits].Load().entries[idx&slabMask].val
+	return &p.slabs[idx>>slabBits].entries[idx&slabMask].val
 }
 
-// Hdr resolves a slot index to its allocator header.
+// Hdr resolves a slot index to its allocator header, the way At does.
 func (p *Pool[T]) Hdr(slot uint64) *Header {
+	idx := slot - 1
+	if idx < slabSize {
+		return &p.slabs[0].entries[idx].hdr
+	}
 	if slot == 0 {
 		panic("alloc: header of nil slot")
 	}
-	idx := slot - 1
-	return &p.slabs[idx>>slabBits].Load().entries[idx&slabMask].hdr
+	return &p.slabs[idx>>slabBits].entries[idx&slabMask].hdr
 }
 
 // SetGrowGate installs the growth admission check; see the field comment.
@@ -288,8 +324,8 @@ func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
 			p.growMu.Unlock()
 			panic("alloc: pool exhausted (maxSlabs reached)")
 		}
-		if p.slabs[si].Load() == nil {
-			p.slabs[si].Store(new(slab[T]))
+		if p.slabs[si] == nil {
+			p.slabs[si] = new(slab[T])
 		}
 		c.slots = append(c.slots, slot)
 	}

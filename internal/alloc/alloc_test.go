@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -173,4 +175,117 @@ func TestSlabGrowth(t *testing.T) {
 			t.Fatalf("slot %d: key %d want %d", s, p.At(s).key, k)
 		}
 	}
+}
+
+// tableAt is the slot resolution with no first-slab case: the reference
+// At and Hdr must agree with for every slot.
+func tableAt(p *Pool[testNode], slot uint64) *entry[testNode] {
+	idx := slot - 1
+	return &p.slabs[idx>>slabBits].entries[idx&slabMask]
+}
+
+// TestAtMatchesTable checks At and Hdr against the table on both sides of
+// the slab-0 boundary and beyond, before the later slabs exist and after —
+// growth must not move a node — and that the nil slot, whose index wraps
+// past the first-slab test, still dies with the allocator's message.
+func TestAtMatchesTable(t *testing.T) {
+	p := NewPool[testNode]()
+	c := p.NewCache()
+	check := func(when string, slots ...uint64) {
+		t.Helper()
+		for _, s := range slots {
+			if e := tableAt(p, s); p.At(s) != &e.val || p.Hdr(s) != &e.hdr {
+				t.Fatalf("%s: slot %d: At=%p Hdr=%p, table says %p %p", when, s, p.At(s), p.Hdr(s), &e.val, &e.hdr)
+			}
+		}
+	}
+	grow := func(upTo uint64) {
+		for s := uint64(0); s < upTo; {
+			var n *testNode
+			s, n = p.Alloc(c)
+			n.key = int64(s)
+		}
+	}
+
+	grow(slabSize) // slots 1 … 8192: slab 0 exactly
+	if p.slabs[1] != nil {
+		t.Fatal("slab 1 materialized before slot 8193 was carved")
+	}
+	first := []uint64{1, slabSize - 1, slabSize}
+	check("one slab", first...)
+	before := [3]*testNode{p.At(1), p.At(slabSize - 1), p.At(slabSize)}
+
+	grow(2*slabSize + 100)
+	check("three slabs", append(first, slabSize+1, 2*slabSize, 2*slabSize+1, 2*slabSize+100)...)
+	if after := [3]*testNode{p.At(1), p.At(slabSize - 1), p.At(slabSize)}; after != before {
+		t.Fatalf("growth moved slab 0's nodes: %v -> %v", before, after)
+	}
+	if e, l := p.At(slabSize), p.At(slabSize+1); e != &p.slabs[0].entries[slabMask].val || l != &p.slabs[1].entries[0].val {
+		t.Fatal("slot 8192 is not the last entry of slab 0, or 8193 not the first of slab 1")
+	}
+
+	for name, f := range map[string]func(){"At": func() { p.At(0) }, "Hdr": func() { p.Hdr(0) }} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "nil slot") {
+					t.Fatalf("%s(0) panicked with %q, want the nil-slot message", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestAtWhileGrowing resolves slots from two goroutines while a third
+// grows the pool across the slab-0 boundary: a published slot resolves to
+// the node its allocator initialized, whichever side of the boundary it is
+// on and whether or not its slab existed a moment ago. Run under -race.
+func TestAtWhileGrowing(t *testing.T) {
+	p := NewPool[testNode]()
+	const top = 2*slabSize + slabSize/2
+	var published atomic.Uint64 // every slot <= published is initialized
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); ; i++ {
+				hi := published.Load()
+				if hi == 0 {
+					continue
+				}
+				// The newest slots, where slabs appear, and every third
+				// time one side of the boundary.
+				s := hi - i%min(hi, 64)
+				if i%3 == 0 && hi > slabSize {
+					s = slabSize + i%2
+				}
+				if e := tableAt(p, s); p.At(s) != &e.val || p.Hdr(s) != &e.hdr {
+					t.Errorf("slot %d resolves off the table", s)
+					return
+				}
+				if k := p.At(s).key; k != int64(s) || p.Hdr(s).State() != StateLive {
+					t.Errorf("slot %d: key %d state %d", s, k, p.Hdr(s).State())
+					return
+				}
+				if hi >= top {
+					return
+				}
+			}
+		}()
+	}
+	c := p.NewCache()
+	// A cache hands a carved batch out from its end, so slots initialize
+	// out of order; publish the contiguous prefix.
+	var ready [top + 2*cacheBatch]bool
+	for next := uint64(1); next <= top; {
+		s, n := p.Alloc(c)
+		n.key = int64(s)
+		ready[s] = true
+		for ready[next] {
+			next++
+		}
+		published.Store(next - 1)
+	}
+	wg.Wait()
 }

@@ -143,7 +143,7 @@ type Binding interface {
 // which orders after the segMu push below.
 func (p *Pool[T]) segAccount(slot uint64) {
 	idx := slot - 1
-	m := &p.slabs[idx>>slabBits].Load().segs[(idx>>segBits)&(segsPerSlab-1)]
+	m := &p.slabs[idx>>slabBits].segs[(idx>>segBits)&(segsPerSlab-1)]
 	if m.freed.Add(1) != segSize {
 		return
 	}
@@ -225,8 +225,8 @@ func (p *Pool[T]) refillArena(c *Cache[T], gated bool) error {
 			p.growMu.Unlock()
 			panic("alloc: pool exhausted (maxSlabs reached)")
 		}
-		if p.slabs[si].Load() == nil {
-			p.slabs[si].Store(new(slab[T]))
+		if p.slabs[si] == nil {
+			p.slabs[si] = new(slab[T])
 		}
 		c.slots = append(c.slots, slot)
 	}

@@ -157,9 +157,9 @@ func TestArenaFreeLocalOverflow(t *testing.T) {
 		t.Fatalf("magazine holds %d slots, want %d (overflow must not cache)", len(c.slots), segSize)
 	}
 	var accounted uint32
-	for si := 0; p.slabs[si].Load() != nil; si++ {
-		for g := range p.slabs[si].Load().segs {
-			accounted += p.slabs[si].Load().segs[g].freed.Load()
+	for si := 0; p.slabs[si] != nil; si++ {
+		for g := range p.slabs[si].segs {
+			accounted += p.slabs[si].segs[g].freed.Load()
 		}
 	}
 	recycledSlots := uint32(p.arena.SegsRecycled.Load()) * segSize

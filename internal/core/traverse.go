@@ -58,6 +58,8 @@ type CursorBuf[C any] struct {
 // that succeeds after that protection was published makes it the complete
 // one. HP-BRCU therefore resumes after a neutralization that lands in the
 // middle of checkpointing; HP-RCU is never neutralized and uses prot alone.
+// There is no checkpoint of the entry cursor: before the first periodic one
+// completes, a neutralized walk starts over from init (Enter).
 // A Walk lives on its owner's stack and allocates nothing.
 type Walk[C any] struct {
 	h     *Handle
@@ -164,62 +166,56 @@ func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
 	if w.b == nil {
 		w.entered = true
 		w.h.rcu.Pin()
-		*c = init()
-		w.prots[1].Protect(c) // within the critical section: no validation needed (R2)
+		*c = init() // the section protects it until the first checkpoint
 		return true
 	}
-	for {
-		if w.entered {
-			w.b.RecordRollback()
-		}
-		w.entered = true
-		if w.b.CancelPending(w.tok) {
-			// Our watcher self-neutralized the section (or we are about
-			// to start one the caller no longer wants). Exit clears the
-			// stale RbReq; the cursor stays rolled back at the last
-			// complete checkpoint, still protected by its buffer.
+	if w.entered {
+		w.b.RecordRollback()
+	}
+	w.entered = true
+	if w.b.CancelPending(w.tok) {
+		// Our watcher self-neutralized the section (or we are about
+		// to start one the caller no longer wants). Exit clears the
+		// stale RbReq; the cursor stays rolled back at the last
+		// complete checkpoint, still protected by its buffer.
+		w.b.Exit()
+		w.cancel()
+		return false
+	}
+	// Re-enter with a fresh epoch (the paper's siglongjmp target,
+	// Algorithm 7 line 15).
+	w.b.Enter()
+	if g := w.b.Gen(); g != w.gen {
+		// The lease reaper reaped this handle between attempts and
+		// Enter resurrected it: the shields backing both checkpoint
+		// buffers were cleared, so the checkpoints are no longer
+		// protected. Restart from scratch.
+		w.gen, w.haveCkp = g, false
+	}
+	if w.haveCkp {
+		// Resume from the last complete checkpoint. It was inherited
+		// from an earlier section, so it must be revalidated (line 17,
+		// §3.3); failure aborts the whole operation. A cursor created
+		// in THIS section (below) needs no validation (R2), and
+		// validating it would be worse than wasteful: if the entry
+		// point's first node is logically deleted, rejecting the fresh
+		// cursor would keep every traversal from ever reaching (and
+		// helping unlink) it, livelocking the structure.
+		*c = w.buf.ckpt[w.compIdx%2]
+		if !valid(c) {
 			w.b.Exit()
-			w.cancel()
 			return false
 		}
-		// Re-enter with a fresh epoch (the paper's siglongjmp target,
-		// Algorithm 7 line 15).
-		w.b.Enter()
-		if g := w.b.Gen(); g != w.gen {
-			// The lease reaper reaped this handle between attempts and
-			// Enter resurrected it: the shields backing both checkpoint
-			// buffers were cleared, so the checkpoints are no longer
-			// protected. Restart from scratch.
-			w.gen, w.haveCkp = g, false
-		}
-		if w.haveCkp {
-			// Resume from the last complete checkpoint. It was inherited
-			// from an earlier section, so it must be revalidated (line 17,
-			// §3.3); failure aborts the whole operation. A cursor created
-			// in THIS section (below) needs no validation (R2), and
-			// validating it would be worse than wasteful: if the entry
-			// point's first node is logically deleted, rejecting the fresh
-			// cursor would keep every traversal from ever reaching (and
-			// helping unlink) it, livelocking the structure.
-			*c = w.buf.ckpt[w.compIdx%2]
-			if !valid(c) {
-				w.b.Exit()
-				return false
-			}
-			return true
-		}
-		// First critical section: build and protect the initial cursor
-		// (lines 11-12). The poll after protecting makes the checkpoint
-		// complete: if it succeeds, the protection was published while
-		// the section was live, so reclaimers must honour it.
-		*c = init()
-		w.prots[0].Protect(c)
-		if w.b.Poll() {
-			w.buf.ckpt[0] = *c
-			w.compIdx, w.haveCkp = 0, true
-			return true
-		}
+		return true
 	}
+	// First critical section, or one that follows a rollback from before
+	// any checkpoint completed: build the entry cursor (lines 11-12) and
+	// nothing else. Protecting, polling and copying it would buy a
+	// checkpoint that resumes to exactly where init starts; until commit
+	// completes the first one, the section itself protects the cursor and
+	// a rollback re-runs init.
+	*c = init()
+	return true
 }
 
 // Instrumented reports whether this attempt's steps must run StepHooks (a
@@ -317,6 +313,7 @@ func (w *Walk[C]) commit() bool {
 	}
 	w.buf.ckpt[next] = *c
 	w.compIdx++
+	w.haveCkp = true
 	return true
 }
 

@@ -26,13 +26,21 @@ type chainWalk struct {
 	valid   func(c *chainCursor) bool // nil: always resumable
 	onStep  func(w *Walk[chainCursor], pos int64)
 	visited int
+	inits   int // calls of init
+	valids  int // calls of valid, from Enter's resume and from Checkpoint
 }
 
 // walk runs to the tail and returns its key; ok is false when the walk
 // ended early (a checkpoint that no longer validates).
 func (cw *chainWalk) walk() (last int64, ok bool) {
-	init := func() chainCursor { return chainCursor{cur: atomicx.MakeRef(cw.head, 0)} }
-	valid := func(c *chainCursor) bool { return cw.valid == nil || cw.valid(c) }
+	init := func() chainCursor {
+		cw.inits++
+		return chainCursor{cur: atomicx.MakeRef(cw.head, 0)}
+	}
+	valid := func(c *chainCursor) bool {
+		cw.valids++
+		return cw.valid == nil || cw.valid(c)
+	}
 	var w Walk[chainCursor]
 	w.Bind(nil, cw.h, &cw.buf, cw.prot, cw.backup)
 	w.Start()
@@ -206,9 +214,10 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
 			cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
 
-			// The walk protects the entry cursor, every period-th
-			// position, and the destination; HP-BRCU protects the
-			// destination once more when it finished in backup.
+			// The walk protects every period-th position and the
+			// destination — not the entry cursor, which a rollback
+			// rebuilds; HP-BRCU protects the destination once more when
+			// it finished in backup.
 			checkpoints := func(log []int64) []int64 {
 				for len(log) > 1 && log[len(log)-1] == n-1 && log[len(log)-2] == n-1 {
 					log = log[:len(log)-1]
@@ -219,7 +228,7 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			if last, ok := cw.walk(); !ok || last != n-1 {
 				t.Fatalf("walk = (%d,%v)", last, ok)
 			}
-			if got, want := checkpoints(log), []int64{0, 16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
+			if got, want := checkpoints(log), []int64{16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("protected positions %v, want %v", got, want)
 			}
 
@@ -228,9 +237,59 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			if last, ok := cw.walk(); !ok || last != n-1 {
 				t.Fatalf("walk with postponed checkpoints = (%d,%v)", last, ok)
 			}
-			if got, want := checkpoints(log), []int64{0, 16, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
+			if got, want := checkpoints(log), []int64{16, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("protected positions with 32 and 48 unresumable %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestWalkFirstCheckpointIsLazy pins the two halves of Enter's transition:
+// a rollback before the first complete checkpoint starts over — init runs
+// again, valid is not consulted, nothing was protected — and a rollback
+// after it resumes from the checkpoint, revalidated once, without init.
+func TestWalkFirstCheckpointIsLazy(t *testing.T) {
+	const n, period = 100, 16
+	cw, d := newChainWalk(t, BackendBRCU, n, period)
+	var log []int64
+	cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
+	cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+
+	type books struct{ inits, valids, protects int }
+	var at books // at the forced rollback
+	stage := 0
+	cw.onStep = func(w *Walk[chainCursor], pos int64) {
+		now := books{cw.inits, cw.valids, len(log)}
+		switch stage {
+		case 0: // first attempt, short of the checkpoint at 16
+			if pos == 5 {
+				at, stage = now, 1
+				cw.h.brcu.SelfNeutralize()
+			}
+		case 1: // the next poll failed: first step of the second attempt
+			if want := (books{at.inits + 1, at.valids, 0}); pos != 0 || now != want {
+				t.Errorf("after a rollback before the first checkpoint: pos %d, %+v; want a restart at 0 with %+v", pos, now, want)
+			}
+			stage = 2
+		case 2: // past the checkpoint at 16
+			if pos == 20 {
+				at, stage = now, 3
+				cw.h.brcu.SelfNeutralize()
+			}
+		case 3: // first step of the third attempt
+			if want := (books{at.inits, at.valids + 1, at.protects}); pos != 16 || now != want {
+				t.Errorf("after a rollback past the first checkpoint: pos %d, %+v; want a resume at 16 with %+v", pos, now, want)
+			}
+			stage = 4
+		}
+	}
+	if last, ok := cw.walk(); !ok || last != n-1 {
+		t.Fatalf("walk = (%d,%v), want (%d,true)", last, ok, n-1)
+	}
+	if stage != 4 {
+		t.Fatalf("walk ended in stage %d: a forced rollback did not happen", stage)
+	}
+	if rb := d.Stats().Rollbacks.Load(); rb != 2 {
+		t.Fatalf("rollbacks = %d, want the 2 forced", rb)
 	}
 }

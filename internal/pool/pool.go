@@ -24,13 +24,13 @@
 //
 // # Ownership
 //
-// Each entry carries a three-state word — idle, out, retired — and every
-// ownership transfer is a CAS on it. An entry may transiently be
-// referenced by several tiers at once (the channel, the fast tier, the
-// table scan); the CAS arbitrates, so duplicate references are harmless
-// and losers simply move on. The CAS also publishes the owner's plain
-// writes (the per-entry checkout tally, the resource's own state) to the
-// next owner.
+// Each entry carries one word — idle, out or retired, under a count of its
+// checkouts that the idle→out CAS bumps — and every ownership transfer is
+// a CAS on it. An entry may transiently be referenced by several tiers at
+// once (the channel, the fast tier, the table scan); the CAS arbitrates,
+// so duplicate references are harmless and losers simply move on. The CAS
+// also publishes the owner's plain writes (the per-entry checkout tally,
+// the resource's own state) to the next owner.
 //
 // # Leaked checkouts
 //
@@ -68,13 +68,17 @@ var ErrExhausted = errors.New("hpbrcu: handle pool exhausted (every pooled handl
 // ErrClosed is returned by Acquire after Close has begun.
 var ErrClosed = errors.New("hpbrcu: handle pool is closed")
 
-// Entry states. Transfers are CASes: idle→out (checkout), out→idle
-// (return), idle→retired (Close drain), out→retired (leak sweep,
-// post-Close return, discard).
+// Entry states, the low two bits of the entry's word; the bits above count
+// its checkouts. Transfers are CASes on the whole word: idle→out bumps the
+// count (checkout), out→idle (return) and out→retired (leak sweep,
+// post-Close return, discard; the Close drain claims idle entries first)
+// keep it.
 const (
-	stateIdle uint32 = iota
+	stateIdle uint64 = iota
 	stateOut
 	stateRetired
+	stateMask = 3
+	seqShift  = 2
 )
 
 // checkoutFlush is how many checkouts an entry accumulates before
@@ -86,11 +90,12 @@ const checkoutFlush = 64
 // the tiers arbitrate over. While checked out it belongs exclusively to
 // the borrowing goroutine.
 type Entry[T any] struct {
-	state atomic.Uint32
-	// seq counts checkouts; the leak sweep compares it across sweeps to
-	// detect a checkout that never returned (same seq, still out).
-	seq atomic.Uint64
-	res T
+	// state is seq<<seqShift | state. seq counts checkouts; the leak sweep
+	// compares it across sweeps to detect a checkout that never returned
+	// (same seq, still out), and its CAS from the word it judged can only
+	// retire that very checkout.
+	state atomic.Uint64
+	res   T
 
 	// pending is the unflushed checkout tally. Owner-plain: written only
 	// by the current owner, published to the next by the state CAS.
@@ -109,8 +114,18 @@ type Entry[T any] struct {
 // out by the caller.
 func (e *Entry[T]) Res() T { return e.res }
 
+// claim is the idle→out CAS; it counts the checkout in the same word.
 func (e *Entry[T]) claim() bool {
-	return e.state.CompareAndSwap(stateIdle, stateOut)
+	w := e.state.Load()
+	return w&stateMask == stateIdle && e.state.CompareAndSwap(w, (w+1<<seqShift)|stateOut)
+}
+
+// leave is the owner's out→to CAS. It fails only when the leak sweep
+// retired the checkout first: nobody else writes the word of an entry
+// that is out.
+func (e *Entry[T]) leave(to uint64) bool {
+	w := e.state.Load()
+	return w&stateMask == stateOut && e.state.CompareAndSwap(w, w&^stateMask|to)
 }
 
 // Config parameterizes a Pool.
@@ -245,7 +260,7 @@ func (p *Pool[T]) tryMint() *Entry[T] {
 		}
 	}
 	e := &Entry[T]{res: p.cfg.New()}
-	e.state.Store(stateOut)
+	e.state.Store(1<<seqShift | stateOut)
 	p.mu.Lock()
 	if obs.On {
 		e.trace = obs.NewTrace("pool-entry")
@@ -271,7 +286,6 @@ func (p *Pool[T]) scavenge() *Entry[T] {
 }
 
 func (p *Pool[T]) checkedOut(e *Entry[T]) *Entry[T] {
-	n := e.seq.Add(1)
 	if e.pending++; e.pending >= checkoutFlush {
 		if p.cfg.Rec != nil {
 			p.cfg.Rec.PoolCheckouts.Add(int64(e.pending))
@@ -279,7 +293,7 @@ func (p *Pool[T]) checkedOut(e *Entry[T]) *Entry[T] {
 		e.pending = 0
 	}
 	if obs.On {
-		e.trace.Rec(obs.EvCheckout, int64(n))
+		e.trace.Rec(obs.EvCheckout, int64(e.state.Load()>>seqShift))
 	}
 	return e
 }
@@ -379,7 +393,7 @@ func (p *Pool[T]) Release(e *Entry[T]) {
 	if obs.On {
 		e.trace.Rec(obs.EvReturn, 0)
 	}
-	if !e.state.CompareAndSwap(stateOut, stateIdle) {
+	if !e.leave(stateIdle) {
 		// The leak sweep declared this checkout dead and already released
 		// the capacity; we turned out to be alive, so the resource is ours
 		// to dispose of.
@@ -415,7 +429,7 @@ func (p *Pool[T]) Discard(e *Entry[T]) {
 // sweep, in which case capacity is already released and only the
 // resource disposal remains ours.
 func (p *Pool[T]) retireOwned(e *Entry[T]) {
-	if e.state.CompareAndSwap(stateOut, stateRetired) {
+	if e.leave(stateRetired) {
 		p.created.Add(-1)
 	}
 	p.flushPending(e)
@@ -456,7 +470,8 @@ func (p *Pool[T]) sweep(now int64) bool {
 	// CAS. (Cold path — the minSweepGap rate limit bounds the allocs.)
 	kept := make([]*Entry[T], 0, len(p.all))
 	for _, e := range p.all {
-		st := e.state.Load()
+		w := e.state.Load()
+		st, seq := w&stateMask, w>>seqShift
 		if st == stateRetired {
 			continue // compact retired entries out of the table
 		}
@@ -464,11 +479,10 @@ func (p *Pool[T]) sweep(now int64) bool {
 		if st != stateOut {
 			continue
 		}
-		seq := e.seq.Load()
 		reaped := p.cfg.Reaped != nil && p.cfg.Reaped(e.res)
 		timedOut := e.markSeq == seq && e.markAt != 0 && now-e.markAt >= int64(p.cfg.LeakTimeout)
 		if reaped || timedOut {
-			if e.state.CompareAndSwap(stateOut, stateRetired) {
+			if e.state.CompareAndSwap(w, w&^stateMask|stateRetired) {
 				p.created.Add(-1)
 				released = true
 				kept = kept[:len(kept)-1]

@@ -81,6 +81,11 @@ func TestAcquireReleaseReuses(t *testing.T) {
 	if got, live := f.minted.Load(), p.Live(); got != 1 || live != 1 {
 		t.Fatalf("minted %d resources (live %d) for a reuse pattern, want 1", got, live)
 	}
+	// The claim CAS is what counts a checkout: one mint and 64 claims, and
+	// the releases left the count alone.
+	if w := e.state.Load(); w != 65<<seqShift|stateIdle {
+		t.Fatalf("entry word = seq %d state %d, want seq 65 idle", w>>seqShift, w&stateMask)
+	}
 }
 
 func TestCeilingAndExhaustion(t *testing.T) {
@@ -214,6 +219,9 @@ func TestLateReturnAfterSweepRetires(t *testing.T) {
 	}
 	if got := p.Live(); got != 1 {
 		t.Fatalf("Live = %d after late return, want 1", got)
+	}
+	if w := e.state.Load(); w != 1<<seqShift|stateRetired {
+		t.Fatalf("swept entry's word = seq %d state %d, want its one checkout, retired", w>>seqShift, w&stateMask)
 	}
 	p.Release(e2)
 }

@@ -1,9 +1,16 @@
 // Package stats provides the counters and high-watermark gauges used to
 // report the paper's memory metric: the peak number of retired yet
 // unreclaimed blocks (Figures 1b, 6b, 7 right column, and the appendix
-// grids). Counters are deliberately simple atomics — every update site in
-// this repository is already amortized over a retire batch, so sharding
-// would only obscure the numbers.
+// grids). Counters are deliberately simple atomics, one shared word each.
+// Some update sites are amortized over a batch (hp's scan adds its freed
+// count once, the pool flushes checkouts by 64); the per-node ones are not:
+// core.Retire, hp.Retire, brcu.Defer and ebr.Defer bump Retired and
+// Unreclaimed, the BRCU and EBR reclaimers bump Reclaimed and Unreclaimed
+// per freed node, and the allocator bumps Allocated/Freed/Live per call —
+// one contended RMW each as soon as two goroutines write. That is the
+// write path's two-goroutine cliff; ROADMAP item 10(a) holds the two
+// measured attempts at making these books handle-local and why they have
+// not landed.
 package stats
 
 import "sync/atomic"
