@@ -18,7 +18,6 @@ var (
 	chaosPool        = flag.Bool("poolleak", false, "chaos: drive the handle-free facade and compose checkout-leak faults into every schedule; HP-BRCU runs the orphan reaper and gates on the pool leak sweep reclaiming every leaked checkout")
 	chaosWedge       = flag.Bool("shardwedge", false, "chaos: run the shard-wedge isolation sweep instead of the schedule corpus — wedge shard 0's janitors under load, gate on quarantine + healthy-shard progress + recovery on a sharded map, and on global reap-service loss on the unsharded control")
 	chaosWedgeShards = flag.Int("wedgeshards", 4, "chaos: shard count for the sharded half of -shardwedge")
-	chaosArena       = flag.Bool("arenaleak", false, "chaos: run the arena-mode leak sweep instead of the schedule corpus — HP-BRCU in arena allocator mode under goroutine-death faults, gated both ways: with the reaper on every leaked handle's garbage converges through segment accounting, with it off the leaked garbage is demonstrably stuck")
 )
 
 // runChaos sweeps the fault-injection schedule corpus over the expedited
@@ -32,10 +31,6 @@ func runChaos() {
 	}
 	if *chaosWedge {
 		runShardWedgeSweep()
-		return
-	}
-	if *chaosArena {
-		runArenaLeakSweep()
 		return
 	}
 
@@ -161,98 +156,6 @@ func runChaos() {
 		os.Exit(1)
 	}
 	fmt.Println("all runs survived: zero invariant violations")
-}
-
-// runArenaLeakSweep is the -arenaleak mode: HP-BRCU maps in arena
-// allocator mode under goroutine-death faults, swept both ways. With the
-// reaper on, chaos.Run's convergence invariant already gates — every
-// leaked handle must be reaped and its adopted garbage drained through
-// segment accounting (unreclaimed must reach zero even though whole
-// epoch-tagged segments sit in limbo mid-run). With the reaper off, the
-// sweep itself gates on the asymmetry: if any worker leaked, some
-// garbage must be demonstrably stuck after the drain — if the books
-// balanced anyway, the leak the reaper exists for did not manifest and
-// the reaper-on half proved nothing. Both halves also require the runs
-// to have actually carved arena segments, so a plumbing regression that
-// silently falls back to pool mode cannot pass.
-func runArenaLeakSweep() {
-	schedules := chaos.WithArenaLeak(chaos.Schedules)
-	fmt.Printf("Arena-leak sweep: %d seeds × %d schedules × {reaper, no reaper}, HP-BRCU, arena allocator, watchdog on\n",
-		*chaosSeeds, len(schedules))
-
-	header := row{"reaper", "structure", "schedule", "runs", "survived",
-		"faults fired", "leaked", "reaped", "stuck", "segs grown", "segs recycled"}
-	var rows []row
-	var failures []string
-	for _, reaper := range []bool{true, false} {
-		mode := "on"
-		if !reaper {
-			mode = "off"
-		}
-		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
-			for _, sched := range schedules {
-				var fired, leaked, reaped, stuck, grown, recycled uint64
-				survived := 0
-				for seed := 1; seed <= *chaosSeeds; seed++ {
-					res := chaos.Run(chaos.Scenario{
-						Structure: st, Scheme: hpbrcu.HPBRCU, Seed: uint64(seed),
-						Schedule: sched, Watchdog: true,
-						Reaper:    reaper,
-						Allocator: hpbrcu.AllocatorArena,
-					})
-					fired += res.Fired
-					leaked += res.Leaked
-					reaped += uint64(res.Stats.ReapedHandles)
-					stuck += uint64(res.Stats.Unreclaimed)
-					grown += uint64(res.Stats.ArenaSegmentsGrown)
-					recycled += uint64(res.Stats.ArenaSegmentsRecycled)
-					if res.Survived() {
-						survived++
-					} else {
-						for _, v := range res.Violations {
-							failures = append(failures, fmt.Sprintf("reaper=%s/%s/%s seed %d: %s",
-								mode, st, sched.Name, seed, v))
-						}
-						if len(res.TraceTail) > 0 {
-							failures = append(failures, "  trace tail:")
-							for _, l := range res.TraceTail {
-								failures = append(failures, "    "+l)
-							}
-						}
-					}
-				}
-				if grown == 0 {
-					failures = append(failures, fmt.Sprintf("reaper=%s/%s/%s: no run carved an arena segment — the sweep is not exercising arena mode",
-						mode, st, sched.Name))
-				}
-				if !reaper && leaked > 0 && stuck == 0 {
-					failures = append(failures, fmt.Sprintf("reaper=off/%s/%s: %d handles leaked but the books balanced without a reaper — the leak the reaper exists for did not manifest",
-						st, sched.Name, leaked))
-				}
-				rows = append(rows, row{
-					mode, string(st), sched.Name,
-					strconv.Itoa(*chaosSeeds),
-					fmt.Sprintf("%d/%d", survived, *chaosSeeds),
-					strconv.FormatUint(fired, 10),
-					strconv.FormatUint(leaked, 10),
-					strconv.FormatUint(reaped, 10),
-					strconv.FormatUint(stuck, 10),
-					strconv.FormatUint(grown, 10),
-					strconv.FormatUint(recycled, 10),
-				})
-			}
-		}
-	}
-	emit(header, rows)
-
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d invariant violation(s):\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("all runs survived: arena segment reclamation held both ways")
 }
 
 // runShardWedgeSweep is the -shardwedge mode: for each seed, one sharded

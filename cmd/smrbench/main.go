@@ -10,8 +10,7 @@
 //	fig1       long-running reads vs operation length (Figure 1 teaser)
 //	fig5       read-only throughput (Figure 5: HHSList, HashMap)
 //	fig6       long-running reads vs key range (Figure 6 / appendix B.3)
-//	fig7       write-heavy/mixed throughput + memory (Figure 7); its
-//	           write-only panels sweep the allocator (pool, arena)
+//	fig7       write-heavy/mixed throughput + memory (Figure 7)
 //	table2     robustness criteria incl. stalled-thread measurement (Table 2);
 //	           -leak-rate kills a fraction of writers without Unregister and
 //	           -reaper runs the lease-based orphan reaper against the leaks

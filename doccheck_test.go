@@ -9,11 +9,14 @@ package hpbrcu
 // sees exactly what godoc sees.
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -43,6 +46,37 @@ func TestExportedDocs(t *testing.T) {
 				t.Errorf("%s: exported %s has no doc comment", dir, miss)
 			}
 		})
+	}
+}
+
+// TestOneAllocator keeps the allocator's second mode deleted: outside the
+// frozen benchmark/ module, the only Go file that may say "arena" is
+// internal/alloc/alloc.go, within the 20 lines of the shim that module
+// still compiles — so the mode cannot grow back through a forgotten
+// constructor parameter, option or counter.
+func TestOneAllocator(t *testing.T) {
+	arena := regexp.MustCompile(`(?i)arena`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (path == "benchmark" || d.Name()[0] == '.'):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || path == "doccheck_test.go":
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if hits := arena.FindAllIndex(src, -1); hits == nil {
+			return err
+		} else if filepath.ToSlash(path) != "internal/alloc/alloc.go" {
+			t.Errorf("%s mentions the deleted allocator mode; only internal/alloc/alloc.go's shim for benchmark/ may", path)
+		} else if n := bytes.Count(src[hits[0][0]:hits[len(hits)-1][1]], []byte("\n")); n >= 20 {
+			t.Errorf("%s mentions the mode over %d lines; the shim is at most 20", path, n+1)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,15 +3,14 @@ package hpbrcu
 // TestStepInlines is the per-node-loop gate: an HP-BRCU traversal step is
 // meant to cost what the protocol costs — one load of the status word, the
 // node visit, a countdown — and that only holds while the compiler keeps
-// inlining the pieces. The test builds internal/brcu and internal/ds/hlist
-// with -gcflags=-m and fails unless brcu's Poll is inlinable and, inside
-// the per-node loops of hlist's two expedited traversals, every call is
-// either inlined or one of the named out-of-line calls on a cold branch,
+// inlining the pieces. The test builds the packages of stepLoops with
+// -gcflags=-m and fails unless, inside each listed per-node loop, every
+// call is either inlined or one of the entry's named out-of-line calls,
 // with the node visit inlined all the way down to alloc's At, which has
 // two paths to keep under the inliner's budget (DESIGN.md §11.1).
-// A func-valued step, a closure call, or a Poll or an At that outgrew the
-// budget would otherwise come back as an indirect or real call per node
-// without any test noticing.
+// A func-valued step, a closure call, or a Poll, an At or a ver that
+// outgrew the budget would otherwise come back as an indirect or real call
+// per node without any test noticing.
 
 import (
 	"bytes"
@@ -21,25 +20,58 @@ import (
 	"go/token"
 	"go/types"
 	"os/exec"
+	"path"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// coldCalls are the calls a per-node loop may leave out of line: each sits
-// behind a branch taken once per checkpoint, rollback, marked run or
-// finished traversal, or behind the local instrumented flag.
-var coldCalls = map[string]bool{
-	"w.StepHooks": true, "w.Checkpoint": true, "w.Finish": true, "w.Fail": true,
-	"h.excise": true,
-}
+// stepLoops are the guarded loops; a method's per-node loop is its
+// innermost `for`.
+var stepLoops = []struct {
+	file    string
+	methods []string
+	// inlinable is a function the build must report as "can inline".
+	inlinable string
+	// outOfLine are the calls the loops may leave out of line (and the
+	// conversions, which the parser cannot tell from calls).
+	outOfLine []string
+	// must maps a callee to what has to be inlined at each of its call
+	// sites, as a regexp; every loop has to call each of them.
+	must map[string]string
+}{{
+	file: "internal/ds/hlist/expedited.go", methods: []string{"search", "contains"},
+	inlinable: `internal/brcu/brcu\.go:\d+:\d+: can inline \(\*Handle\)\.Poll`,
+	// Each sits behind a branch taken once per checkpoint, rollback, marked
+	// run or finished traversal, or behind the local instrumented flag.
+	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.excise"},
+	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
+}, {
+	// VBR's per-node version check is the small caller that an At or Hdr
+	// grown past ~45 of the inliner's 80 pushes out of line (−10…−30 % on
+	// long reads, and no functional test notices).
+	file: "internal/vbr/vbr.go", methods: []string{"search", "Get"},
+	inlinable: `internal/vbr/vbr\.go:\d+:\d+: can inline \(\*List\)\.ver`,
+	// StepYield is the one-P harness's hook, a call per node under every
+	// baseline; retireFree runs once per marked node.
+	outOfLine: []string{"atomicx.StepYield", "h.retireFree", "word"},
+	must:      map[string]string{"l.ver": `alloc\.\(\*Pool\[.*\]\)\.Hdr`, "l.pool.At": poolAt},
+}}
+
+// poolAt matches the compiler's name for an instantiation of alloc's At.
+const poolAt = `alloc\.\(\*Pool\[.*\]\)\.At`
 
 func TestStepInlines(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("SKIPPED: no go tool on PATH to build with -gcflags=-m")
 	}
-	cmd := exec.Command(goTool, "build", "-gcflags=-m", "./internal/brcu", "./internal/ds/hlist")
+	args := []string{"build", "-gcflags=-m", "./internal/brcu"}
+	for _, e := range stepLoops {
+		args = append(args, "./"+path.Dir(e.file))
+	}
+	cmd := exec.Command(goTool, args...)
 	var diag bytes.Buffer
 	cmd.Stderr = &diag
 	if err := cmd.Run(); err != nil {
@@ -47,98 +79,72 @@ func TestStepInlines(t *testing.T) {
 	}
 	out := diag.String()
 
-	if !regexp.MustCompile(`(?m)^internal/brcu/brcu\.go:\d+:\d+: can inline \(\*Handle\)\.Poll$`).MatchString(out) {
-		t.Error("brcu.(*Handle).Poll is not inlinable: the step's poll is a call again")
-	}
-
-	const file = "internal/ds/hlist/expedited.go"
-	inlined := map[string][]string{} // "line:col" of a call's "(" -> callees inlined there
-	for _, m := range regexp.MustCompile(`(?m)^`+regexp.QuoteMeta(file)+`:(\d+:\d+): inlining call to (.*)$`).FindAllStringSubmatch(out, -1) {
-		inlined[m[1]] = append(inlined[m[1]], m[2])
-	}
-
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, file, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"search", "contains"} {
-		loop := stepLoop(f, name)
-		if loop == nil {
-			t.Errorf("%s: no per-node loop inside a `for w.Enter(...)` in %s", file, name)
-			continue
+	for _, e := range stepLoops {
+		file := e.file
+		if !regexp.MustCompile(`(?m)^` + e.inlinable + `$`).MatchString(out) {
+			t.Errorf("the build does not report %q: the step makes that call per node again", e.inlinable)
 		}
-		polls, resolves := false, false
-		ast.Inspect(loop, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		inlined := map[string]string{} // "line:col" of a call's "(" -> callees inlined there, one a line
+		for _, m := range regexp.MustCompile(`(?m)^`+regexp.QuoteMeta(file)+`:(\d+:\d+): inlining call to (.*)$`).FindAllStringSubmatch(out, -1) {
+			inlined[m[1]] += m[2] + "\n"
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range e.methods {
+			loop := stepLoop(f, name)
+			if loop == nil {
+				t.Errorf("%s: no loop in %s", file, name)
+				continue
 			}
-			callee := types.ExprString(call.Fun)
-			pos := fset.Position(call.Lparen)
-			at := fmt.Sprintf("%d:%d", pos.Line, pos.Column)
-			switch {
-			case coldCalls[callee]:
-			case len(inlined[at]) == 0:
-				t.Errorf("%s:%s: %s(...) in %s's per-node loop is a real call (not inlined, not a named cold call)", file, at, callee, name)
-			case callee == "w.Poll":
-				polls = strings.Contains(strings.Join(inlined[at], "\n"), "brcu.(*Handle).Poll")
-			case callee == "l.At":
-				if !poolAt.MatchString(strings.Join(inlined[at], "\n")) {
-					t.Errorf("%s:%s: l.At(...) in %s's per-node loop does not inline down to alloc.(*Pool).At: resolving a slot is a call per node", file, at, name)
+			seen := map[string]bool{}
+			ast.Inspect(loop, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-				resolves = true
+				callee := types.ExprString(call.Fun)
+				pos := fset.Position(call.Lparen)
+				at := fmt.Sprintf("%d:%d", pos.Line, pos.Column)
+				switch want, must := e.must[callee]; {
+				case slices.Contains(e.outOfLine, callee):
+				case inlined[at] == "":
+					t.Errorf("%s:%s: %s(...) in %s's per-node loop is a real call (not inlined, not a named out-of-line call)", file, at, callee, name)
+				case must:
+					if !regexp.MustCompile(`(?m)^` + want + `$`).MatchString(inlined[at]) {
+						t.Errorf("%s:%s: %s(...) in %s's per-node loop does not inline down to %s: a call per node", file, at, callee, name, want)
+					}
+					seen[callee] = true
+				}
+				return true
+			})
+			for callee := range e.must {
+				if !seen[callee] {
+					t.Errorf("%s: %s's per-node loop never calls %s: the assertion on it checks nothing", file, name, callee)
+				}
 			}
-			return true
-		})
-		if !polls {
-			t.Errorf("%s: %s's per-node loop does not inline w.Poll down to brcu.(*Handle).Poll", file, name)
 		}
-		if !resolves {
-			t.Errorf("%s: %s's per-node loop resolves no node through l.At: the At assertion checks nothing", file, name)
+		if t.Failed() {
+			lines := regexp.MustCompile(`(?m)^.*`+regexp.QuoteMeta(file)+`.*$`).FindAllString(out, -1)
+			t.Logf("compiler diagnostics for %s:\n%s", file, strings.Join(lines, "\n"))
 		}
-	}
-	if t.Failed() {
-		t.Logf("compiler diagnostics for %s:\n%s", file, grepLines(out, file))
 	}
 }
 
-// poolAt matches the compiler's name for an instantiation of alloc's At.
-var poolAt = regexp.MustCompile(`(?m)^alloc\.\(\*Pool\[.*\]\)\.At$`)
-
-// stepLoop returns the per-node loop of the named method: the `for` nested
-// directly in the body of its `for w.Enter(...)` loop.
+// stepLoop returns the per-node loop of the named method: the innermost of
+// its one nest of `for` statements, which is the last one a walk visits.
 func stepLoop(f *ast.File, method string) (loop *ast.ForStmt) {
 	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != method || fn.Recv == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			attempts, ok := n.(*ast.ForStmt)
-			if !ok || loop != nil {
-				return loop == nil
-			}
-			if cond, ok := attempts.Cond.(*ast.CallExpr); !ok || types.ExprString(cond.Fun) != "w.Enter" {
-				return true
-			}
-			for _, s := range attempts.Body.List {
-				if inner, ok := s.(*ast.ForStmt); ok {
-					loop = inner
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == method && fn.Recv != nil {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if s, ok := n.(*ast.ForStmt); ok {
+					loop = s
 				}
-			}
-			return false
-		})
+				return true
+			})
+		}
 	}
 	return loop
-}
-
-func grepLines(s, substr string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, substr) {
-			b.WriteString(line + "\n")
-		}
-	}
-	return b.String()
 }

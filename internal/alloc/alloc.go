@@ -115,9 +115,6 @@ type entry[T any] struct {
 
 type slab[T any] struct {
 	entries [slabSize]entry[T]
-	// segs is the per-segment accounting of arena mode (segment s of this
-	// slab covers entries [s*segSize, (s+1)*segSize)); unused in pool mode.
-	segs [segsPerSlab]segMeta
 }
 
 // Pool is a grow-only slab allocator for nodes of type T with slot-indexed
@@ -154,23 +151,32 @@ type Pool[T any] struct {
 	// backpressure layer installs reap.Backpressure.Admit here. Set via
 	// SetGrowGate before workers start; read without synchronization.
 	growGate func() error
-
-	// mode is fixed at construction: ModePool (per-slot freelist) or
-	// ModeArena (segment-granularity recycling; see arena.go).
-	mode Mode
-	// arena holds the segment lists and counters of ModeArena.
-	arena arenaState
 }
 
-// NewPool returns an empty pool. The optional mode argument selects the
-// reclamation granularity (ModePool when omitted); it is fixed for the
-// pool's lifetime — pool and arena slots never mix.
-func NewPool[T any](mode ...Mode) *Pool[T] {
-	p := &Pool[T]{nextSlot: 1} // reserve slot 0 as nil
-	if len(mode) > 0 {
-		p.mode = mode[0]
+// Mode, its two values and NewPool's ignored argument are a shim kept only
+// because the frozen benchmark/ module compiles them (its ledger names the
+// rows alloc.alloc_free_ns.pool and .arena after String). There is one
+// allocator and both values build it; nothing else may mention the mode.
+// Delete with benchmark/'s import (ROADMAP "Parked").
+type Mode int
+
+// ModePool and ModeArena both name the one allocator (see Mode).
+const (
+	ModePool Mode = iota
+	ModeArena
+)
+
+// String returns "pool" or "arena", the frozen ledger's row suffixes.
+func (m Mode) String() string {
+	if m == ModeArena {
+		return "arena"
 	}
-	return p
+	return "pool"
+}
+
+// NewPool returns an empty pool.
+func NewPool[T any](_ ...Mode) *Pool[T] {
+	return &Pool[T]{nextSlot: 1} // reserve slot 0 as nil
 }
 
 // cacheBatch is how many slots move between a Cache and the shared
@@ -187,15 +193,9 @@ type Cache[T any] struct {
 	trace *obs.Trace
 }
 
-// NewCache returns a thread-local allocation cache for the pool. In arena
-// mode the cache is the magazine: it is sized to hold a whole segment, so
-// one refill loads segSize slots with a single lock acquisition.
+// NewCache returns a thread-local allocation cache for the pool.
 func (p *Pool[T]) NewCache() *Cache[T] {
-	capacity := 2 * cacheBatch
-	if p.mode == ModeArena {
-		capacity = segSize
-	}
-	c := &Cache[T]{pool: p, slots: make([]uint64, 0, capacity)}
+	c := &Cache[T]{pool: p, slots: make([]uint64, 0, 2*cacheBatch)}
 	if obs.On {
 		c.trace = obs.NewTrace("alloc")
 	}
@@ -282,12 +282,8 @@ func (p *Pool[T]) take(c *Cache[T]) (slot uint64, node *T) {
 // refill moves slots into the cache from the shared freelist, growing a
 // fresh slab when the freelist is empty. With gated set, the grow gate is
 // consulted before fresh slots are carved (never before freelist reuse);
-// its error is returned with the cache left empty. In arena mode the
-// refill is segment-granular (see refillArena).
+// its error is returned with the cache left empty.
 func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
-	if p.mode == ModeArena {
-		return p.refillArena(c, gated)
-	}
 	batch := cacheBatch
 	if fault.On && fault.Fire(fault.SiteAllocExhaust) {
 		// Pool exhaustion: refill a single slot, maximizing freelist
@@ -341,10 +337,8 @@ func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
 }
 
 // FreeSlot reclaims the slot: the node must be Retired. The node is
-// poisoned (state Free, version bumped) and becomes available for reuse.
-// In pool mode the slot joins the shared freelist; in arena mode the free
-// is charged to the slot's segment (no lock, no list — see segAccount).
-// FreeSlot implements Freer.
+// poisoned (state Free, version bumped) and joins the shared freelist for
+// reuse. FreeSlot implements Freer.
 func (p *Pool[T]) FreeSlot(slot uint64) {
 	h := p.Hdr(slot)
 	h.version.Add(1)
@@ -359,23 +353,14 @@ func (p *Pool[T]) FreeSlot(slot uint64) {
 		fault.Fire(fault.SiteFreeStall)
 	}
 
-	if p.mode == ModeArena {
-		p.segAccount(slot)
-		return
-	}
 	p.freeMu.Lock()
 	p.freeList = append(p.freeList, slot)
 	p.freeMu.Unlock()
 }
 
 // FreeLocal reclaims the slot into the thread-local cache, avoiding the
-// shared freelist lock on the hot path. Overflow drains to the pool — in
-// arena mode by charging the slot to its segment instead of caching it,
-// so a full magazine never spills into a second segment's worth of slots.
-// Magazine-cached slots are deliberately not charged to their segments:
-// they are re-handed out directly, so their segments stay incomplete,
-// which is what keeps a slot from being both cached and part of a
-// recycled segment.
+// shared freelist lock on the hot path. A full cache drains one batch to
+// the pool first.
 func (p *Pool[T]) FreeLocal(c *Cache[T], slot uint64) {
 	h := p.Hdr(slot)
 	h.version.Add(1)
@@ -388,14 +373,6 @@ func (p *Pool[T]) FreeLocal(c *Cache[T], slot uint64) {
 		fault.Fire(fault.SiteFreeStall)
 	}
 
-	if p.mode == ModeArena {
-		if len(c.slots) >= segSize {
-			p.segAccount(slot)
-			return
-		}
-		c.slots = append(c.slots, slot)
-		return
-	}
 	if len(c.slots) >= cap(c.slots) {
 		p.freeMu.Lock()
 		p.freeList = append(p.freeList, c.slots[:cacheBatch]...)

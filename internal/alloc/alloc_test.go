@@ -116,6 +116,9 @@ func TestAllocFreeLocal(t *testing.T) {
 	}
 }
 
+// TestAllocConcurrent races the two free paths: every fourth free goes
+// through FreeSlot (the shared freelist, which other workers refill from),
+// the rest through FreeLocal; no node may change owner while it is live.
 func TestAllocConcurrent(t *testing.T) {
 	p := NewPool[testNode]()
 	const workers = 8
@@ -128,6 +131,15 @@ func TestAllocConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := p.NewCache()
 			var mine []uint64
+			frees := 0
+			free := func(s uint64) {
+				p.Hdr(s).Retire()
+				if frees++; frees%4 == 0 {
+					p.FreeSlot(s)
+				} else {
+					p.FreeLocal(c, s)
+				}
+			}
 			for i := 0; i < perWorker; i++ {
 				s, n := p.Alloc(c)
 				n.key = id
@@ -140,13 +152,11 @@ func TestAllocConcurrent(t *testing.T) {
 						t.Errorf("node %d stolen: key=%d want %d", victim, p.At(victim).key, id)
 						return
 					}
-					p.Hdr(victim).Retire()
-					p.FreeLocal(c, victim)
+					free(victim)
 				}
 			}
 			for _, s := range mine {
-				p.Hdr(s).Retire()
-				p.FreeLocal(c, s)
+				free(s)
 			}
 		}(int64(w))
 	}

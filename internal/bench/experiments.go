@@ -132,12 +132,7 @@ type mixedPanel struct {
 	st       Structure
 	keyRange int64
 	mix      Mix
-	// allocs is the allocator sweep of the panel (nil: pool only). Arena
-	// points carry an "/alloc=arena" workload suffix.
-	allocs []hpbrcu.Allocator
 }
-
-var bothAllocators = []hpbrcu.Allocator{hpbrcu.AllocatorPool, hpbrcu.AllocatorArena}
 
 // The paper's 100K key ranges are scaled to 10K (and its 1K kept) so a
 // point prefills in milliseconds on a small host.
@@ -146,13 +141,9 @@ var (
 		{st: HHSList, keyRange: 1000, mix: ReadOnly},
 		{st: HashMap, keyRange: 10000, mix: ReadOnly},
 	}
-	// The write-only panels carry the allocator sweep: they are the
-	// figure's allocator-bound workloads, so they are where arena and
-	// pool can differ (ROADMAP item 10b). Read-dominated points barely
-	// touch the allocator and are measured in pool mode only.
 	fig7Panels = []mixedPanel{
-		{st: HList, keyRange: 1000, mix: WriteOnly, allocs: bothAllocators},
-		{st: HashMap, keyRange: 10000, mix: WriteOnly, allocs: bothAllocators},
+		{st: HList, keyRange: 1000, mix: WriteOnly},
+		{st: HashMap, keyRange: 10000, mix: WriteOnly},
 		{st: NMTree, keyRange: 10000, mix: ReadWrite},
 		{st: SkipList, keyRange: 10000, mix: ReadWrite},
 	}
@@ -179,17 +170,10 @@ func appendixBPanels() []mixedPanel {
 	return panels
 }
 
-func allocSuffix(a hpbrcu.Allocator) string {
-	if a == hpbrcu.AllocatorPool {
-		return ""
-	}
-	return "/alloc=" + a.String()
-}
-
 // mixedPoint is the one way a mixed-workload point is named and run.
 func mixedPoint(prefix string, st Structure, s hpbrcu.Scheme, threads int, keyRange int64, mix Mix, cfg hpbrcu.Config) Point {
 	return Point{
-		Workload: fmt.Sprintf("%s%s/%s/keys=%d/threads=%d%s", prefix, st, mix.Name, keyRange, threads, allocSuffix(cfg.Allocator)),
+		Workload: fmt.Sprintf("%s%s/%s/keys=%d/threads=%d", prefix, st, mix.Name, keyRange, threads),
 		Scheme:   s,
 		Run: func(d time.Duration, seed uint64) Measurement {
 			return RunMixed(MixedConfig{
@@ -203,16 +187,10 @@ func mixedPoint(prefix string, st Structure, s hpbrcu.Scheme, threads int, keyRa
 func mixedPoints(panels []mixedPanel, sw Sweep) []Point {
 	var pts []Point
 	for _, panel := range panels {
-		allocs := panel.allocs
-		if allocs == nil {
-			allocs = bothAllocators[:1]
-		}
-		for _, al := range allocs {
-			for _, t := range sw.threads() {
-				for _, s := range sw.schemes() {
-					if Supported(panel.st, s) {
-						pts = append(pts, mixedPoint("", panel.st, s, t, panel.keyRange, panel.mix, hpbrcu.Config{Allocator: al}))
-					}
+		for _, t := range sw.threads() {
+			for _, s := range sw.schemes() {
+				if Supported(panel.st, s) {
+					pts = append(pts, mixedPoint("", panel.st, s, t, panel.keyRange, panel.mix, hpbrcu.Config{}))
 				}
 			}
 		}
@@ -322,7 +300,7 @@ var Experiments = []*Experiment{
 		plan: mixedPlan(fig5Panels)},
 	{Name: "fig6", Title: "Figure 6 / B.3: long-running reads vs key range (2 readers, 2 writers; ops = completed reads)",
 		plan: longScanPlan(8, 9, 10, 11, 12, 13, 14, 15)},
-	{Name: "fig7", Title: "Figure 7: write-heavy and mixed throughput and memory — (a) HList, (b) HashMap write-only, pool vs arena; (c) NMTree, (d) SkipList read-write",
+	{Name: "fig7", Title: "Figure 7: write-heavy and mixed throughput and memory — (a) HList, (b) HashMap write-only; (c) NMTree, (d) SkipList read-write",
 		plan: mixedPlan(fig7Panels, colPeak, colAllocs, colGC)},
 	{Name: "table2", Title: "Table 2: robustness — one thread stalled inside the scheme's read-side protection while writers churn (ops = writer operations)",
 		plan: table2Plan},

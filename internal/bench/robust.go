@@ -10,9 +10,6 @@ import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
 	"github.com/smrgo/hpbrcu/internal/ds/hmlist"
-	"github.com/smrgo/hpbrcu/internal/ebr"
-	"github.com/smrgo/hpbrcu/internal/hp"
-	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/obs"
 	"github.com/smrgo/hpbrcu/internal/stats"
 	"github.com/smrgo/hpbrcu/internal/vbr"
@@ -71,17 +68,14 @@ func RunStalled(cfg StallConfig) Measurement {
 		reaperStop func()
 	)
 
-	// Every scheme gets the configured allocator mode, not only the ones
-	// built from a core.Config.
-	mode := cfg.Config.CoreConfig().Allocator
 	switch cfg.Scheme {
 	case hpbrcu.NR:
-		l := hlist.NewNR(ebr.WithAllocator(mode))
+		l := hlist.NewNR()
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() { return func() {} }
 		rec = l.Stats()
 	case hpbrcu.RCU:
-		l := hlist.NewEBR(ebr.WithAllocator(mode))
+		l := hlist.NewEBR()
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -90,7 +84,7 @@ func RunStalled(cfg StallConfig) Measurement {
 		}
 		rec = l.Stats()
 	case hpbrcu.HP:
-		l := hmlist.NewHP(hp.WithAllocator(mode))
+		l := hmlist.NewHP()
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -104,7 +98,7 @@ func RunStalled(cfg StallConfig) Measurement {
 		if cfg.Scheme == hpbrcu.NBRLarge {
 			newNBR = hlist.NewNBRLarge
 		}
-		l := newNBR(nbr.WithAllocator(mode))
+		l := newNBR()
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
@@ -113,7 +107,7 @@ func RunStalled(cfg StallConfig) Measurement {
 		}
 		rec = l.Stats()
 	case hpbrcu.VBR:
-		l := vbr.New(mode)
+		l := vbr.New()
 		register = func() churnHandle { return l.Register() }
 		// VBR has no read-side protection to stall inside: a stalled
 		// reader holds nothing that blocks reclamation.

@@ -115,24 +115,6 @@ func WithLeak(scheds []Schedule) []Schedule {
 	return out
 }
 
-// WithArenaLeak returns a copy of scheds with the same goroutine-death
-// plan as WithLeak but "+arenaleak" appended to the name: the sweep
-// driver pairs these schedules with Scenario.Allocator = AllocatorArena,
-// so a killed worker abandons its registered handle AND its arena
-// magazine. The reaper path must then adopt the handle's deferred batch
-// and drain it through segment accounting (the leaked magazine's cached
-// slots stay unreachable — permanently partial segments — but they were
-// never charged to any segment, so the books still balance both ways).
-func WithArenaLeak(scheds []Schedule) []Schedule {
-	out := make([]Schedule, len(scheds))
-	for i, s := range scheds {
-		out[i] = s
-		out[i].Name = s.Name + "+arenaleak"
-		out[i].Plans[fault.SiteLeak] = Plan{Period: 1500}
-	}
-	return out
-}
-
 // WithPanic returns a copy of scheds with an injected-panic plan composed
 // into each schedule (and "+panic" appended to its name): roughly every
 // 600th arrival at the panic site throws fault.ErrInjectedPanic out of
@@ -218,12 +200,6 @@ type Scenario struct {
 	// Config overrides the map configuration. The zero value selects
 	// hostile chaos defaults (small batches, short checkpoint distance).
 	Config hpbrcu.Config
-	// Allocator overrides the map's allocator mode on top of whatever
-	// Config resolved to — including the hostile defaults a zero Config
-	// selects, which is why it is a separate field rather than part of
-	// Config (a Config carrying only an allocator would defeat the
-	// zero-value default resolution).
-	Allocator hpbrcu.Allocator
 }
 
 // Result is the outcome of one chaos run.
@@ -296,9 +272,6 @@ func Run(sc Scenario) Result {
 	cfg := sc.Config
 	if cfg == (hpbrcu.Config{}) {
 		cfg = chaosConfig()
-	}
-	if sc.Allocator != hpbrcu.AllocatorPool {
-		cfg.Allocator = sc.Allocator
 	}
 	if sc.Facade && cfg.Pool == (hpbrcu.PoolConfig{}) {
 		// A deliberately small pool with test-speed timeouts so exhaustion

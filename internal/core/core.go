@@ -65,11 +65,6 @@ type Config struct {
 	// shard's janitor fires shard-targeted fault injection under it and it
 	// surfaces in diagnostics. Single-domain deployments leave it 0.
 	ShardID int
-	// Allocator selects the node allocator's reclamation granularity:
-	// alloc.ModePool (default, per-slot freelist) or alloc.ModeArena
-	// (segment-granularity recycling). Data-structure constructors build
-	// their pools in this mode and bind them via Domain.BindPool.
-	Allocator alloc.Mode
 }
 
 // Domain owns one HP-(B)RCU instance: an HP domain plus an RCU or BRCU
@@ -143,24 +138,6 @@ func (d *Domain) Backend() Backend { return d.backend }
 
 // ShardID reports the shard label this domain was configured with.
 func (d *Domain) ShardID() int { return d.shardID }
-
-// BindPool wires an arena-mode pool to this domain: the domain's RCU/BRCU
-// epoch becomes the segment grace source, and the pool's segment counters
-// mirror into the domain's stats (Snapshot.ArenaSegments*). Data-structure
-// constructors call it right after building their pools; it is a no-op for
-// pool-mode pools.
-func (d *Domain) BindPool(p alloc.Binding) {
-	if p.Mode() != alloc.ModeArena {
-		return
-	}
-	switch {
-	case d.brcu != nil:
-		p.SetGraceSource(d.brcu.Epoch)
-	case d.rcu != nil:
-		p.SetGraceSource(d.rcu.Epoch)
-	}
-	p.SetRecorder(d.rec)
-}
 
 // RegisterService registers an exempt service handle: the lease scan
 // never claims it however long its status word stands, so long-lived and

@@ -49,11 +49,8 @@ type (
 // NewEBR creates an RCU-protected map with n buckets.
 func NewEBR(n int, opts ...ebr.Option) *EBR { return hlist.NewEBROf(hlist.HHS, n, opts...) }
 
-// NewNR creates the no-reclamation baseline map. Options (e.g.
-// ebr.WithAllocator) are applied on top of ebr.NoReclaim.
-func NewNR(n int, opts ...ebr.Option) *EBR {
-	return NewEBR(n, append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
-}
+// NewNR creates the no-reclamation baseline map.
+func NewNR(n int) *EBR { return NewEBR(n, ebr.NoReclaim()) }
 
 // NewHP creates a hazard-pointer-protected map with n buckets.
 func NewHP(n int, opts ...hp.Option) *HP { return hlist.NewHPOf(n, opts...) }
@@ -83,14 +80,11 @@ type VBR struct {
 	buckets []*vbr.List
 }
 
-// NewVBR creates a VBR-protected map with n buckets. The optional mode
-// selects the pool's reclamation granularity; VBR installs no segment
-// grace source (its version checks already reject stale references).
-func NewVBR(n int, mode ...alloc.Mode) *VBR {
-	pool := alloc.NewPool[lnode.Node](mode...)
+// NewVBR creates a VBR-protected map with n buckets.
+func NewVBR(n int) *VBR {
+	pool := alloc.NewPool[lnode.Node]()
 	cache := pool.NewCache()
 	rec := &stats.Reclamation{}
-	pool.SetRecorder(rec)
 	m := &VBR{rec: rec, buckets: make([]*vbr.List, n)}
 	for i := range m.buckets {
 		m.buckets[i] = vbr.NewShared(pool, cache, rec)
@@ -101,19 +95,18 @@ func NewVBR(n int, mode ...alloc.Mode) *VBR {
 // Stats exposes reclamation statistics.
 func (m *VBR) Stats() *stats.Reclamation { return m.rec }
 
-// VBRHandle is one thread's accessor.
+// VBRHandle is one thread's accessor: a single vbr.Handle, and so a single
+// allocation cache, re-bound to key's bucket by each operation — the
+// analogue of hlist's bind.
 type VBRHandle struct {
-	handles []*vbr.Handle
+	buckets []*vbr.List
+	h       *vbr.Handle
 }
 
-// Register creates a thread handle (one sub-handle per bucket is cheap:
-// VBR handles carry only an allocation cache).
+// Register creates a thread handle; its cost does not depend on the
+// bucket count.
 func (m *VBR) Register() *VBRHandle {
-	h := &VBRHandle{handles: make([]*vbr.Handle, len(m.buckets))}
-	for i, b := range m.buckets {
-		h.handles[i] = b.Register()
-	}
-	return h
+	return &VBRHandle{buckets: m.buckets, h: m.buckets[0].Register()}
 }
 
 // Unregister releases the handle.
@@ -123,7 +116,8 @@ func (h *VBRHandle) Unregister() {}
 func (h *VBRHandle) Barrier() {}
 
 func (h *VBRHandle) bucket(key int64) *vbr.Handle {
-	return h.handles[hlist.BucketOf(key, len(h.handles))]
+	h.h.Rebind(h.buckets[hlist.BucketOf(key, len(h.buckets))])
+	return h.h
 }
 
 // Get returns the value mapped to key.

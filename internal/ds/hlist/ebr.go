@@ -19,20 +19,14 @@ type EBR struct {
 // sentinels (1 = a list, n = a hash map), reclaimed by epoch-based RCU;
 // ebr.NoReclaim among opts makes it the NR baseline.
 func NewEBROf(k Kind, heads int, opts ...ebr.Option) *EBR {
-	dom := ebr.NewDomain(nil, opts...)
-	l := &EBR{set: newSet(k, heads, dom.AllocMode()), dom: dom}
-	dom.BindPool(l.pool)
-	return l
+	return &EBR{set: newSet(k, heads), dom: ebr.NewDomain(nil, opts...)}
 }
 
 // NewEBR creates a Harris list reclaimed by epoch-based RCU.
 func NewEBR(opts ...ebr.Option) *EBR { return NewEBROf(Harris, 1, opts...) }
 
-// NewNR creates the no-reclamation baseline; options (e.g.
-// ebr.WithAllocator) are applied on top of ebr.NoReclaim.
-func NewNR(opts ...ebr.Option) *EBR {
-	return NewEBR(append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
-}
+// NewNR creates the no-reclamation baseline.
+func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
 
 // Domain exposes the underlying reclamation domain.
 func (l *EBR) Domain() *ebr.Domain { return l.dom }

@@ -25,9 +25,7 @@ type Expedited struct {
 // NewExpeditedOf creates a member of the family with the given number of
 // head sentinels under HP-RCU (§3) or HP-BRCU (§4).
 func NewExpeditedOf(backend core.Backend, k Kind, heads int, cfg core.Config) *Expedited {
-	l := &Expedited{set: newSet(k, heads, cfg.Allocator), dom: core.NewDomain(backend, cfg)}
-	l.dom.BindPool(l.pool)
-	return l
+	return &Expedited{set: newSet(k, heads), dom: core.NewDomain(backend, cfg)}
 }
 
 // NewHPRCU creates a Harris list protected by HP-RCU (§3).

@@ -80,11 +80,11 @@ type set struct {
 	kind  Kind
 }
 
-func newSet(k Kind, heads int, mode alloc.Mode) set {
+func newSet(k Kind, heads int) set {
 	if heads < 1 {
 		heads = 1
 	}
-	pool := alloc.NewPool[lnode.Node](mode)
+	pool := alloc.NewPool[lnode.Node]()
 	cache := pool.NewCache()
 	s := set{pool: pool, heads: make([]uint64, heads), kind: k}
 	for i := range s.heads {

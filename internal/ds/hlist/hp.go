@@ -22,10 +22,7 @@ type HP struct {
 // NewHPOf creates a hazard-pointer-protected Harris-Michael list with the
 // given number of head sentinels (1 = a list, n = a hash map).
 func NewHPOf(heads int, opts ...hp.Option) *HP {
-	dom := hp.NewDomain(nil, opts...)
-	l := &HP{set: newSet(HarrisMichael, heads, dom.AllocMode()), dom: dom}
-	dom.BindPool(l.pool)
-	return l
+	return &HP{set: newSet(HarrisMichael, heads), dom: hp.NewDomain(nil, opts...)}
 }
 
 // Domain exposes the underlying reclamation domain.

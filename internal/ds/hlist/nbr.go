@@ -25,10 +25,7 @@ type NBR struct {
 // NewNBROf creates a member of the family with the given number of head
 // sentinels under NBR. Its Get is a pure read for every kind.
 func NewNBROf(k Kind, heads int, opts ...nbr.Option) *NBR {
-	dom := nbr.NewDomain(nil, opts...)
-	l := &NBR{set: newSet(k, heads, dom.AllocMode()), dom: dom}
-	dom.BindPool(l.pool)
-	return l
+	return &NBR{set: newSet(k, heads), dom: nbr.NewDomain(nil, opts...)}
 }
 
 // NewNBR creates an NBR-protected Harris list (batch 128).

@@ -27,11 +27,8 @@ type (
 // NewEBR creates a list reclaimed by epoch-based RCU.
 func NewEBR(opts ...ebr.Option) *EBR { return hlist.NewEBROf(hlist.HarrisMichael, 1, opts...) }
 
-// NewNR creates the no-reclamation baseline: retired nodes leak. Options
-// (e.g. ebr.WithAllocator) are applied on top of ebr.NoReclaim.
-func NewNR(opts ...ebr.Option) *EBR {
-	return NewEBR(append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
-}
+// NewNR creates the no-reclamation baseline: retired nodes leak.
+func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
 
 // NewHP creates a hazard-pointer-protected list.
 func NewHP(opts ...hp.Option) *HP { return hlist.NewHPOf(1, opts...) }

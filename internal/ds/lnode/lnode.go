@@ -36,10 +36,9 @@ type List struct {
 	Head uint64 // slot of the sentinel; never retired
 }
 
-// New creates an empty list with its own pool. The optional mode selects
-// the pool's reclamation granularity (alloc.ModePool when omitted).
-func New(mode ...alloc.Mode) *List {
-	pool := alloc.NewPool[Node](mode...)
+// New creates an empty list with its own pool.
+func New() *List {
+	pool := alloc.NewPool[Node]()
 	return NewShared(pool, pool.NewCache())
 }
 

@@ -15,17 +15,11 @@ type EBR struct {
 
 // NewEBR creates a tree reclaimed by epoch-based RCU.
 func NewEBR(opts ...ebr.Option) *EBR {
-	dom := ebr.NewDomain(nil, opts...)
-	e := &EBR{tree: newTree(dom.AllocMode()), dom: dom}
-	dom.BindPool(e.pool)
-	return e
+	return &EBR{tree: newTree(), dom: ebr.NewDomain(nil, opts...)}
 }
 
-// NewNR creates the no-reclamation baseline. Options (e.g.
-// ebr.WithAllocator) are applied on top of ebr.NoReclaim.
-func NewNR(opts ...ebr.Option) *EBR {
-	return NewEBR(append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
-}
+// NewNR creates the no-reclamation baseline.
+func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
 
 // Stats exposes reclamation statistics.
 func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }

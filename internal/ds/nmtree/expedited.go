@@ -26,9 +26,7 @@ type Expedited struct {
 }
 
 func newExpedited(backend core.Backend, cfg core.Config) *Expedited {
-	e := &Expedited{tree: newTree(cfg.Allocator), dom: core.NewDomain(backend, cfg)}
-	e.dom.BindPool(e.pool)
-	return e
+	return &Expedited{tree: newTree(), dom: core.NewDomain(backend, cfg)}
 }
 
 // NewHPRCU creates a tree protected by HP-RCU (§3).

@@ -20,10 +20,7 @@ type NBR struct {
 
 // NewNBR creates an NBR-protected tree.
 func NewNBR(opts ...nbr.Option) *NBR {
-	dom := nbr.NewDomain(nil, opts...)
-	e := &NBR{tree: newTree(dom.AllocMode()), dom: dom}
-	dom.BindPool(e.pool)
-	return e
+	return &NBR{tree: newTree(), dom: nbr.NewDomain(nil, opts...)}
 }
 
 // NewNBRLarge creates the paper's NBR-Large configuration (batch 8192).

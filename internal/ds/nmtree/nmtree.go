@@ -76,8 +76,8 @@ type tree struct {
 	sroot uint64 // S = R.left
 }
 
-func newTree(mode alloc.Mode) tree {
-	pool := alloc.NewPool[node](mode)
+func newTree() tree {
+	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
 	mk := func(key int64) (uint64, *node) {
 		s, n := pool.Alloc(cache)

@@ -14,17 +14,11 @@ type EBR struct {
 
 // NewEBR creates a skip list reclaimed by epoch-based RCU.
 func NewEBR(opts ...ebr.Option) *EBR {
-	dom := ebr.NewDomain(nil, opts...)
-	s := &EBR{list: newList(dom.AllocMode()), dom: dom}
-	dom.BindPool(s.pool)
-	return s
+	return &EBR{list: newList(), dom: ebr.NewDomain(nil, opts...)}
 }
 
-// NewNR creates the no-reclamation baseline. Options (e.g.
-// ebr.WithAllocator) are applied on top of ebr.NoReclaim.
-func NewNR(opts ...ebr.Option) *EBR {
-	return NewEBR(append([]ebr.Option{ebr.NoReclaim()}, opts...)...)
-}
+// NewNR creates the no-reclamation baseline.
+func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
 
 // Stats exposes reclamation statistics.
 func (s *EBR) Stats() *stats.Reclamation { return s.dom.Stats() }

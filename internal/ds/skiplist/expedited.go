@@ -31,9 +31,7 @@ func newExpedited(backend core.Backend, cfg core.Config) *Expedited {
 	if cfg.BackupPeriod == 0 {
 		cfg.BackupPeriod = defaultSkipBackupPeriod
 	}
-	s := &Expedited{list: newList(cfg.Allocator), dom: core.NewDomain(backend, cfg)}
-	s.dom.BindPool(s.pool)
-	return s
+	return &Expedited{list: newList(), dom: core.NewDomain(backend, cfg)}
 }
 
 // NewHPRCU creates a skip list protected by HP-RCU (§3).

@@ -18,10 +18,7 @@ type HP struct {
 
 // NewHP creates a hazard-pointer-protected skip list.
 func NewHP(opts ...hp.Option) *HP {
-	dom := hp.NewDomain(nil, opts...)
-	s := &HP{list: newList(dom.AllocMode()), dom: dom}
-	dom.BindPool(s.pool)
-	return s
+	return &HP{list: newList(), dom: hp.NewDomain(nil, opts...)}
 }
 
 // Stats exposes reclamation statistics.

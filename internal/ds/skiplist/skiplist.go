@@ -95,8 +95,8 @@ type list struct {
 	head uint64
 }
 
-func newList(mode alloc.Mode) list {
-	pool := alloc.NewPool[node](mode)
+func newList() list {
+	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
 	slot, n := pool.Alloc(cache)
 	n.Key.Store(minKey)

@@ -46,7 +46,6 @@ type Domain struct {
 	rec       *stats.Reclamation
 	batchSize int
 	noReclaim bool // NR mode: count, never free
-	allocMode alloc.Mode
 
 	tasksMu sync.Mutex
 	tasks   []taggedBatch
@@ -70,13 +69,6 @@ func NoReclaim() Option {
 	return func(d *Domain) { d.noReclaim = true }
 }
 
-// WithAllocator selects the reclamation granularity data structures use
-// for pools bound to this domain (alloc.ModePool by default). Constructors
-// read it back with AllocMode and wire arena pools via BindPool.
-func WithAllocator(m alloc.Mode) Option {
-	return func(d *Domain) { d.allocMode = m }
-}
-
 // NewDomain creates a domain reporting into rec (nil allocates a private
 // one).
 func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
@@ -95,20 +87,6 @@ func (d *Domain) Stats() *stats.Reclamation { return d.rec }
 
 // Epoch returns the current global epoch.
 func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
-
-// AllocMode reports the allocator mode configured with WithAllocator.
-func (d *Domain) AllocMode() alloc.Mode { return d.allocMode }
-
-// BindPool wires an arena-mode pool to this domain: the global epoch
-// becomes the segment grace source, and the pool's segment counters mirror
-// into the domain's stats. It is a no-op for pool-mode pools.
-func (d *Domain) BindPool(p alloc.Binding) {
-	if p.Mode() != alloc.ModeArena {
-		return
-	}
-	p.SetGraceSource(d.Epoch)
-	p.SetRecorder(d.rec)
-}
 
 // Handle is one thread's participation record; not safe for concurrent use
 // by multiple goroutines.

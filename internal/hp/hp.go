@@ -34,7 +34,6 @@ const DefaultScanThreshold = 128
 type Domain struct {
 	scanThreshold int
 	rec           *stats.Reclamation
-	allocMode     alloc.Mode
 
 	handles registry.Registry[Handle]
 
@@ -60,13 +59,6 @@ func WithScanThreshold(n int) Option {
 	}
 }
 
-// WithAllocator selects the reclamation granularity data structures use
-// for pools bound to this domain (alloc.ModePool by default). Constructors
-// read it back with AllocMode and wire arena pools via BindPool.
-func WithAllocator(m alloc.Mode) Option {
-	return func(d *Domain) { d.allocMode = m }
-}
-
 // NewDomain creates a hazard-pointer domain reporting into rec. A nil rec
 // allocates a private one.
 func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
@@ -82,20 +74,6 @@ func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
 
 // Stats returns the domain's reclamation statistics.
 func (d *Domain) Stats() *stats.Reclamation { return d.rec }
-
-// AllocMode reports the allocator mode configured with WithAllocator.
-func (d *Domain) AllocMode() alloc.Mode { return d.allocMode }
-
-// BindPool mirrors an arena-mode pool's segment counters into the domain's
-// stats. No grace source is installed: HP frees a node only after a shield
-// scan proves it unprotected, so completed segments recycle immediately on
-// that per-node guarantee. No-op for pool-mode pools.
-func (d *Domain) BindPool(p alloc.Binding) {
-	if p.Mode() != alloc.ModeArena {
-		return
-	}
-	p.SetRecorder(d.rec)
-}
 
 // Shields returns the number of currently registered shields.
 func (d *Domain) Shields() int64 { return d.shields.Load() }

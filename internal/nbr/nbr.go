@@ -58,7 +58,6 @@ type Domain struct {
 	handles   registry.Registry[Handle]
 	rec       *stats.Reclamation
 	batchSize int
-	allocMode alloc.Mode
 
 	// broadcastSeq counts neutralization broadcasts; retired records are
 	// stamped with it so a record is freeable once a broadcast happened
@@ -88,13 +87,6 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithAllocator selects the reclamation granularity data structures use
-// for pools bound to this domain (alloc.ModePool by default). Constructors
-// read it back with AllocMode and wire arena pools via BindPool.
-func WithAllocator(m alloc.Mode) Option {
-	return func(d *Domain) { d.allocMode = m }
-}
-
 // NewDomain creates an NBR domain reporting into rec (nil allocates one).
 func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
 	if rec == nil {
@@ -109,21 +101,6 @@ func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
 
 // Stats returns the domain's reclamation statistics.
 func (d *Domain) Stats() *stats.Reclamation { return d.rec }
-
-// AllocMode reports the allocator mode configured with WithAllocator.
-func (d *Domain) AllocMode() alloc.Mode { return d.allocMode }
-
-// BindPool mirrors an arena-mode pool's segment counters into the domain's
-// stats. No grace source is installed: NBR frees a record only after a
-// neutralization broadcast newer than its retirement, so completed
-// segments recycle immediately on that per-node guarantee. No-op for
-// pool-mode pools.
-func (d *Domain) BindPool(p alloc.Binding) {
-	if p.Mode() != alloc.ModeArena {
-		return
-	}
-	p.SetRecorder(d.rec)
-}
 
 // Handle is one thread's participation record: its phase word, its
 // reservation slots and its private retire batch. Not safe for concurrent

@@ -139,13 +139,6 @@ const (
 	// EvShardRecover: a quarantined shard passed the rejoin criterion and
 	// resumed taking traffic; Arg is the shard id.
 	EvShardRecover
-	// EvSegGrow: an arena-mode pool carved a fresh segment from its slabs
-	// (recycling could not satisfy the refill); Arg is the segment size in
-	// slots. Recorded on the refilling cache's trace.
-	EvSegGrow
-	// EvSegReclaim: an arena-mode pool recycled a whole completed segment
-	// into a magazine; Arg is the segment size in slots.
-	EvSegReclaim
 
 	numEventKinds
 )
@@ -157,7 +150,6 @@ var eventNames = [numEventKinds]string{
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",
 	"shard-quarantine", "shard-recover",
-	"seg-grow", "seg-reclaim",
 }
 
 // String returns the event kind's name.

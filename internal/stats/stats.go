@@ -181,19 +181,6 @@ type Reclamation struct {
 	// monitor's rejoin criterion and resumed taking traffic.
 	ShardRecoveries Counter
 
-	// Arena-mode allocator counters, mirrored from the bound pool (see
-	// alloc.Pool.SetRecorder). All zero in pool mode.
-
-	// ArenaSegmentsGrown counts segments carved fresh from slabs because
-	// recycling could not satisfy a magazine refill.
-	ArenaSegmentsGrown Counter
-	// ArenaSegmentsRecycled counts whole segments recycled into magazines
-	// after completing and clearing their grace tag.
-	ArenaSegmentsRecycled Counter
-	// ArenaSegmentsLimbo tracks segments that are fully freed but parked
-	// until the grace edge passes their epoch tag, and the peak thereof.
-	ArenaSegmentsLimbo Gauge
-
 	// The histograms below record only while the observability layer
 	// (internal/obs) is enabled; see the Histogram doc comment.
 
@@ -245,11 +232,6 @@ type Snapshot struct {
 	ShardQuarantines int64
 	ShardRecoveries  int64
 
-	ArenaSegmentsGrown     int64
-	ArenaSegmentsRecycled  int64
-	ArenaSegmentsLimbo     int64
-	ArenaSegmentsLimboPeak int64
-
 	// Histogram digests; all-zero unless the observability layer was
 	// enabled during the run. Summaries are scalar-only, so Snapshot
 	// remains comparable.
@@ -291,11 +273,6 @@ func (r *Reclamation) Snapshot() Snapshot {
 		ShardQuarantines: r.ShardQuarantines.Load(),
 		ShardRecoveries:  r.ShardRecoveries.Load(),
 
-		ArenaSegmentsGrown:     r.ArenaSegmentsGrown.Load(),
-		ArenaSegmentsRecycled:  r.ArenaSegmentsRecycled.Load(),
-		ArenaSegmentsLimbo:     r.ArenaSegmentsLimbo.Load(),
-		ArenaSegmentsLimboPeak: r.ArenaSegmentsLimbo.Peak(),
-
 		PollLag:         r.PollLag.Summary(),
 		CSNanos:         r.CSNanos.Summary(),
 		GraceNanos:      r.GraceNanos.Summary(),
@@ -330,9 +307,6 @@ func (r *Reclamation) Reset() {
 	r.DrainNanos.Reset()
 	r.ShardQuarantines.Reset()
 	r.ShardRecoveries.Reset()
-	r.ArenaSegmentsGrown.Reset()
-	r.ArenaSegmentsRecycled.Reset()
-	r.ArenaSegmentsLimbo.Reset()
 	r.PollLag.Reset()
 	r.CSNanos.Reset()
 	r.GraceNanos.Reset()

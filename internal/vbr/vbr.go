@@ -78,15 +78,10 @@ type List struct {
 	reuses atomic.Uint64
 }
 
-// New creates an empty VBR list. The optional mode selects the pool's
-// reclamation granularity (alloc.ModePool when omitted); VBR installs no
-// segment grace source — its version checks already reject every stale
-// reference, so completed segments recycle immediately.
-func New(mode ...alloc.Mode) *List {
-	pool := alloc.NewPool[lnode.Node](mode...)
-	rec := &stats.Reclamation{}
-	pool.SetRecorder(rec)
-	return NewShared(pool, pool.NewCache(), rec)
+// New creates an empty VBR list.
+func New() *List {
+	pool := alloc.NewPool[lnode.Node]()
+	return NewShared(pool, pool.NewCache(), &stats.Reclamation{})
 }
 
 // NewShared creates a list over an existing pool (hash-map buckets share
@@ -115,6 +110,12 @@ type Handle struct {
 func (l *List) Register() *Handle {
 	return &Handle{l: l, cache: l.pool.NewCache()}
 }
+
+// Rebind points the handle at another list over the same pool (a hash
+// map's buckets). A handle is single-threaded, so its one allocation cache
+// serves every bucket; a cache per (handle, bucket) would carve a batch of
+// fresh slots for each bucket touched and scatter the nodes across slabs.
+func (h *Handle) Rebind(l *List) { h.l = l }
 
 // Unregister releases the handle.
 func (h *Handle) Unregister() {}

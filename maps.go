@@ -85,7 +85,7 @@ func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 }
 
 func (c Config) ebrOpts(s Scheme) []ebr.Option {
-	opts := []ebr.Option{ebr.WithBatchSize(c.BatchSize), ebr.WithAllocator(c.Allocator.mode())}
+	opts := []ebr.Option{ebr.WithBatchSize(c.BatchSize)}
 	if s == NR {
 		opts = append(opts, ebr.NoReclaim())
 	}
@@ -93,7 +93,7 @@ func (c Config) ebrOpts(s Scheme) []ebr.Option {
 }
 
 func (c Config) hpOpts() []hp.Option {
-	return []hp.Option{hp.WithScanThreshold(c.BatchSize), hp.WithAllocator(c.Allocator.mode())}
+	return []hp.Option{hp.WithScanThreshold(c.BatchSize)}
 }
 
 func (c Config) nbrOpts(s Scheme) []nbr.Option {
@@ -101,7 +101,7 @@ func (c Config) nbrOpts(s Scheme) []nbr.Option {
 	if s == NBRLarge {
 		batch = nbr.LargeBatchSize
 	}
-	return []nbr.Option{nbr.WithBatchSize(batch), nbr.WithAllocator(c.Allocator.mode())}
+	return []nbr.Option{nbr.WithBatchSize(batch)}
 }
 
 // backend maps HPRCU/HPBRCU to the core backend behind them.
@@ -190,9 +190,9 @@ func listOf(k hlist.Kind) func(Scheme, int, Config) (Map, error) {
 			return plain(s, cfg, hlist.NewNBROf(k, heads, cfg.nbrOpts(s)...))
 		case VBR: // its own list algorithm (internal/vbr), optimistic Get for every kind
 			if heads > 1 {
-				return plain(s, cfg, hashmap.NewVBR(heads, cfg.Allocator.mode()))
+				return plain(s, cfg, hashmap.NewVBR(heads))
 			}
-			return plain(s, cfg, vbr.New(cfg.Allocator.mode()))
+			return plain(s, cfg, vbr.New())
 		default: // HPRCU, HPBRCU
 			return expedited(s, cfg, hlist.NewExpeditedOf(s.backend(), k, heads, cfg.CoreConfig()))
 		}

@@ -393,10 +393,6 @@ func AggregateSnapshot(m Map) StatsSnapshot {
 		agg.DrainNanos += s.DrainNanos
 		agg.ShardQuarantines += s.ShardQuarantines
 		agg.ShardRecoveries += s.ShardRecoveries
-		agg.ArenaSegmentsGrown += s.ArenaSegmentsGrown
-		agg.ArenaSegmentsRecycled += s.ArenaSegmentsRecycled
-		agg.ArenaSegmentsLimbo += s.ArenaSegmentsLimbo
-		agg.ArenaSegmentsLimboPeak += s.ArenaSegmentsLimboPeak
 		agg.PollLag = mergeHist(agg.PollLag, s.PollLag)
 		agg.CSNanos = mergeHist(agg.CSNanos, s.CSNanos)
 		agg.GraceNanos = mergeHist(agg.GraceNanos, s.GraceNanos)

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -108,38 +107,6 @@ func (s Scheme) Robust() bool {
 	return false
 }
 
-// Allocator selects the node allocator's reclamation granularity
-// (Config.Allocator).
-type Allocator int
-
-const (
-	// AllocatorPool is the default: freed nodes return to a shared
-	// per-slot freelist (batched through per-thread caches).
-	AllocatorPool Allocator = iota
-	// AllocatorArena reclaims at segment granularity: frees only bump a
-	// per-segment counter, and whole 512-slot segments are recycled once
-	// every slot is freed and — for epoch-backed schemes — the segment's
-	// epoch tag falls behind the grace edge. Cuts allocator lock traffic
-	// and GC pressure on reclamation-heavy workloads; see DESIGN.md §16.
-	AllocatorArena
-)
-
-// String returns the allocator's command-line spelling ("pool"/"arena").
-func (a Allocator) String() string {
-	if a == AllocatorArena {
-		return "arena"
-	}
-	return "pool"
-}
-
-// mode lowers the public enum to the internal allocator mode.
-func (a Allocator) mode() alloc.Mode {
-	if a == AllocatorArena {
-		return alloc.ModeArena
-	}
-	return alloc.ModePool
-}
-
 // Config tunes a scheme instance. The zero value selects the paper's
 // evaluation parameters.
 type Config struct {
@@ -191,13 +158,6 @@ type Config struct {
 	// to their owning shard. See ShardsConfig and DESIGN.md §15. The zero
 	// value (and Count <= 1) keeps the single-domain layout.
 	Shards ShardsConfig
-	// Allocator selects the node allocator's reclamation granularity:
-	// AllocatorPool (the default, per-slot freelist reuse) or
-	// AllocatorArena (epoch-tagged segments recycled wholesale once every
-	// slot is freed; see DESIGN.md §16 and the README "Memory arenas"
-	// section). Applies to every scheme; sharded maps build each shard's
-	// pool in this mode.
-	Allocator Allocator
 
 	// shardID labels the single domain this Config builds inside a
 	// sharded map; set only by the sharded constructor.
@@ -337,7 +297,6 @@ func (c Config) CoreConfig() core.Config {
 		ScanThreshold:  c.BatchSize,
 		PanicPolicy:    c.PanicPolicy,
 		ShardID:        c.shardID,
-		Allocator:      c.Allocator.mode(),
 	}
 }
 
