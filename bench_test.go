@@ -1,9 +1,10 @@
 package hpbrcu_test
 
 // The paper's figures are measured by cmd/smrbench over internal/bench's
-// registry, in wall-clock mode, and nowhere else. What stays here is the
-// one testing.B view the registry has no counterpart for: the per-node
-// cost of a long read with nothing else running.
+// registry, in wall-clock mode, and nowhere else. What stays here are the
+// testing.B views the registry has no counterpart for: the per-node cost
+// of a long read, and the per-operation cost of the two O(log n) descents,
+// each with nothing else running.
 
 import (
 	"fmt"
@@ -47,6 +48,63 @@ func BenchmarkStep(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size.steps), "ns/step")
 			})
+		}
+	}
+}
+
+// BenchmarkDescent is the per-operation cost of the two structures whose
+// operations are one short descent — the skip list (Figure 7d) and the NM
+// tree (7c) — scheme by scheme, from one goroutine, on a 10 000-key range
+// kept half full: get is a Get of a uniform key, insrem an Insert or a
+// Remove of one, half and half. No benchmark/ workload reaches either
+// structure; this and `smrbench fig7` are their perf coverage.
+func BenchmarkDescent(b *testing.B) {
+	const keyRange = 10000
+	for _, st := range []struct {
+		st      bench.Structure
+		schemes []hpbrcu.Scheme
+	}{
+		{bench.SkipList, []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU, hpbrcu.RCU, hpbrcu.HP}},
+		{bench.NMTree, []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU, hpbrcu.RCU, hpbrcu.NBR}},
+	} {
+		for _, s := range st.schemes {
+			for _, op := range []string{"get", "insrem"} {
+				b.Run(fmt.Sprintf("%s/%s/%s", st.st, s, op), func(b *testing.B) {
+					m, ok := bench.NewMap(st.st, s, keyRange, hpbrcu.Config{})
+					if !ok {
+						b.Skip("unsupported")
+					}
+					h := m.Register()
+					defer h.Unregister()
+					rng := uint64(0x9E3779B97F4A7C15)
+					next := func() uint64 {
+						rng ^= rng << 13
+						rng ^= rng >> 7
+						rng ^= rng << 17
+						return rng
+					}
+					for n := 0; n < keyRange/2; {
+						if k := int64(next() % keyRange); h.Insert(k, k) {
+							n++
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						r := next()
+						k := int64(r % keyRange)
+						switch {
+						case op == "get":
+							if v, ok := h.Get(k); ok && v != k {
+								b.Fatalf("Get(%d) = %d", k, v)
+							}
+						case r>>63 == 0:
+							h.Insert(k, k)
+						default:
+							h.Remove(k)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -87,6 +87,9 @@ func runChaos() {
 	var rows []row
 	var failures []string
 	for _, scheme := range sel {
+		// The two lists only: the skip list's and the tree's descents run the
+		// same corpus in tier-1 (internal/chaos's two grids), which is their
+		// gate — doubling this list would double CI's chaos job.
 		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
 			for _, sched := range schedules {
 				var fired, escalations, broadcasts, leaked, reaped, panics uint64

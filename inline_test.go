@@ -28,7 +28,7 @@ import (
 )
 
 // stepLoops are the guarded loops; a method's per-node loop is its
-// innermost `for`.
+// innermost `for`, or its body when it has none: a visit the loops call.
 var stepLoops = []struct {
 	file    string
 	methods []string
@@ -42,11 +42,28 @@ var stepLoops = []struct {
 	must map[string]string
 }{{
 	file: "internal/ds/hlist/expedited.go", methods: []string{"search", "contains"},
-	inlinable: `internal/brcu/brcu\.go:\d+:\d+: can inline \(\*Handle\)\.Poll`,
+	inlinable: canInlinePoll,
 	// Each sits behind a branch taken once per checkpoint, rollback, marked
 	// run or finished traversal, or behind the local instrumented flag.
 	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.excise"},
 	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
+}, {
+	// The two O(log n) descents are the same loop. The skip list's cold
+	// calls are hlist's, with the one-node unlink for the run excision.
+	file: "internal/ds/skiplist/expedited.go", methods: []string{"search", "contains"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.unlink"},
+	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.at": poolAt},
+}, {
+	// seekStep is the visit every scheme's tree loop calls (next entry).
+	file: "internal/ds/nmtree/expedited.go", methods: []string{"descend"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "t.seekStep"},
+	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`},
+}, {
+	file: "internal/ds/nmtree/nmtree.go", methods: []string{"seekStep"},
+	inlinable: `internal/ds/nmtree/nmtree\.go:\d+:\d+: can inline \(\*tree\)\.childEdge`,
+	must:      map[string]string{"t.pool.At": poolAt},
 }, {
 	// VBR's per-node version check is the small caller that an At or Hdr
 	// grown past ~45 of the inliner's 80 pushes out of line (−10…−30 % on
@@ -59,8 +76,12 @@ var stepLoops = []struct {
 	must:      map[string]string{"l.ver": `alloc\.\(\*Pool\[.*\]\)\.Hdr`, "l.pool.At": poolAt},
 }}
 
-// poolAt matches the compiler's name for an instantiation of alloc's At.
-const poolAt = `alloc\.\(\*Pool\[.*\]\)\.At`
+// poolAt matches the compiler's name for an instantiation of alloc's At,
+// canInlinePoll its verdict on brcu's Poll, which every expedited loop needs.
+const (
+	poolAt        = `alloc\.\(\*Pool\[.*\]\)\.At`
+	canInlinePoll = `internal/brcu/brcu\.go:\d+:\d+: can inline \(\*Handle\)\.Poll`
+)
 
 func TestStepInlines(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -69,7 +90,9 @@ func TestStepInlines(t *testing.T) {
 	}
 	args := []string{"build", "-gcflags=-m", "./internal/brcu"}
 	for _, e := range stepLoops {
-		args = append(args, "./"+path.Dir(e.file))
+		if pkg := "./" + path.Dir(e.file); !slices.Contains(args, pkg) {
+			args = append(args, pkg)
+		}
 	}
 	cmd := exec.Command(goTool, args...)
 	var diag bytes.Buffer
@@ -134,10 +157,12 @@ func TestStepInlines(t *testing.T) {
 }
 
 // stepLoop returns the per-node loop of the named method: the innermost of
-// its one nest of `for` statements, which is the last one a walk visits.
-func stepLoop(f *ast.File, method string) (loop *ast.ForStmt) {
+// its one nest of `for` statements, which is the last one a walk visits, or
+// the body of a method without one.
+func stepLoop(f *ast.File, method string) (loop ast.Node) {
 	for _, d := range f.Decls {
 		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == method && fn.Recv != nil {
+			loop = fn.Body
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if s, ok := n.(*ast.ForStmt); ok {
 					loop = s

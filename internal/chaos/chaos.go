@@ -459,7 +459,8 @@ func drain(h hpbrcu.MapHandle) {
 
 // containedPanic consumes the lifecycle error an operation may have
 // latched on the handle. A containment of the injected panic is expected
-// chaos — SitePanic fires strictly before any mutation, so the operation
+// chaos — SitePanic fires in a traversal, and an operation that has taken
+// effect finishes instead of latching one (DESIGN.md §10), so the operation
 // did not apply and the worker's model must not advance. Anything else
 // (a poisoned handle, a foreign panic value, ErrClosed mid-run) is a
 // violation. It reports (skip the model check, stop the worker).

@@ -8,16 +8,24 @@ import (
 	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
+// gridStructures are the structures the two tier-1 grids run: the two
+// lists of the `smrbench chaos` sweep, and the two descents — rollbacks,
+// mask aborts and advance storms inside a multi-level walk, the recover
+// barrier clearing a skip-list handle's 84 shields — which that sweep
+// leaves to this package.
+var gridStructures = []bench.Structure{bench.HList, bench.HMList, bench.SkipList, bench.NMTree}
+
 // TestRunSurvivesAcceptanceGrid is a scaled-down version of the
-// `smrbench chaos` acceptance sweep: HP-RCU and HP-BRCU on hlist and
-// hmlist must survive every schedule with zero invariant violations.
+// `smrbench chaos` acceptance sweep: HP-RCU and HP-BRCU on every structure
+// of gridStructures must survive every schedule with zero invariant
+// violations.
 func TestRunSurvivesAcceptanceGrid(t *testing.T) {
 	seeds := []uint64{1, 2}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, scheme := range []hpbrcu.Scheme{hpbrcu.HPRCU, hpbrcu.HPBRCU} {
-		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
+		for _, st := range gridStructures {
 			var fired uint64
 			for _, sched := range Schedules {
 				for _, seed := range seeds {
@@ -44,9 +52,10 @@ func TestRunSurvivesAcceptanceGrid(t *testing.T) {
 
 // TestRunSurvivesPanicSchedules: with injected panics composed into the
 // corpus, every run must still survive — the containment layer converts
-// each throw into a latched handle error, the operation does not apply,
-// and the recovery accounting matches the injection count one-for-one
-// (Run asserts it).
+// each throw into a latched handle error, an operation that latches one
+// did not apply (the skip list and the tree finish an operation whose later
+// traversal panicked rather than report it failed), and the recovery accounting
+// matches the injection count one-for-one (Run asserts it).
 func TestRunSurvivesPanicSchedules(t *testing.T) {
 	seeds := []uint64{1, 2}
 	scheds := WithPanic(Schedules)
@@ -55,7 +64,7 @@ func TestRunSurvivesPanicSchedules(t *testing.T) {
 		scheds = scheds[:2]
 	}
 	for _, scheme := range []hpbrcu.Scheme{hpbrcu.HPRCU, hpbrcu.HPBRCU} {
-		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
+		for _, st := range gridStructures {
 			var recovered int64
 			for _, sched := range scheds {
 				for _, seed := range seeds {

@@ -90,109 +90,9 @@ type chainCursor struct {
 	pos int64
 }
 
-// TestTraverseEngine walks a chain with both backends, checking cursor
-// delivery, checkpoint cadence, and Fail propagation.
-func TestTraverseEngine(t *testing.T) {
-	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
-		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
-		t.Run(name, func(t *testing.T) {
-			pool := alloc.NewPool[node]()
-			cache := pool.NewCache()
-			const n = 1000
-			head, slots := chain(pool, cache, n)
-
-			d := NewDomain(backend, Config{BackupPeriod: 16})
-			h := d.Register()
-			defer h.Unregister()
-
-			prot := &testProtector{s: h.NewShield()}
-			backup := &testProtector{s: h.NewShield()}
-
-			validations := 0
-			steps := 0
-			tr := Traversal[chainCursor, int64]{
-				Init: func() chainCursor {
-					return chainCursor{cur: atomicx.MakeRef(head, 0)}
-				},
-				Validate: func(c *chainCursor) bool { validations++; return true },
-				Step: func(c *chainCursor) (StepKind, int64) {
-					steps++
-					nd := pool.At(c.cur.Slot())
-					nx := nd.next.Load()
-					if nx.IsNil() {
-						return StepFinish, nd.key
-					}
-					c.cur = nx
-					c.pos++
-					return StepContinue, 0
-				},
-			}
-			var buf CursorBuf[chainCursor]
-			c, last, ok := Traverse(h, &buf, prot, backup, tr)
-			if !ok {
-				t.Fatal("traverse failed")
-			}
-			if last != n-1 {
-				t.Fatalf("final key = %d, want %d", last, n-1)
-			}
-			if c.cur.Slot() != slots[n-1] {
-				t.Fatal("cursor does not point at the tail")
-			}
-			if prot.s.Get() != slots[n-1] {
-				t.Fatal("final cursor not protected in prot")
-			}
-			if steps < n-1 {
-				t.Fatalf("steps = %d, want >= %d", steps, n-1)
-			}
-
-			// Fail propagation.
-			trFail := tr
-			trFail.Step = func(c *chainCursor) (StepKind, int64) { return StepFail, 0 }
-			if _, _, ok := Traverse(h, &buf, prot, backup, trFail); ok {
-				t.Fatal("StepFail must make Traverse return not-ok")
-			}
-		})
-	}
-}
-
 type testProtector struct{ s *hp.Shield }
 
 func (p *testProtector) Protect(c *chainCursor) { p.s.ProtectSlot(c.cur.Slot()) }
-
-// TestTraverseValidateGate checks the checkpoint-postponement logic: a
-// cursor that never validates must still finish (checkpoints are skipped,
-// not fatal) under the RCU backend.
-func TestTraverseValidateGate(t *testing.T) {
-	pool := alloc.NewPool[node]()
-	cache := pool.NewCache()
-	const n = 300
-	head, _ := chain(pool, cache, n)
-
-	d := NewDomain(BackendRCU, Config{BackupPeriod: 4})
-	h := d.Register()
-	defer h.Unregister()
-	prot := &testProtector{s: h.NewShield()}
-	backup := &testProtector{s: h.NewShield()}
-
-	tr := Traversal[chainCursor, int64]{
-		Init:     func() chainCursor { return chainCursor{cur: atomicx.MakeRef(head, 0)} },
-		Validate: func(c *chainCursor) bool { return false }, // never checkpointable
-		Step: func(c *chainCursor) (StepKind, int64) {
-			nd := pool.At(c.cur.Slot())
-			nx := nd.next.Load()
-			if nx.IsNil() {
-				return StepFinish, nd.key
-			}
-			c.cur = nx
-			return StepContinue, 0
-		},
-	}
-	var buf CursorBuf[chainCursor]
-	_, last, ok := Traverse(h, &buf, prot, backup, tr)
-	if !ok || last != n-1 {
-		t.Fatalf("got (%d,%v), want (%d,true)", last, ok, n-1)
-	}
-}
 
 // TestMaskPassthroughRCU: under the RCU backend Mask simply runs the body.
 func TestMaskPassthroughRCU(t *testing.T) {

@@ -13,8 +13,9 @@ import (
 // Algorithm 3 for HP-RCU) as Walk: the §4.3 double buffer, rollback and
 // resume, written once for both backends and called from a per-node loop
 // the data structure owns, so the node visit compiles into that loop as it
-// does under EBR or NBR. Traverse adapts a step callback to the same Walk
-// for descents too short for the indirect call to matter.
+// does under EBR or NBR. The paper's Traverse is a Walk plus the owner's
+// loop; internal/ds/hlist/expedited.go has the shape (search, contains),
+// and the skip list's and the tree's descents are the same loop.
 
 // Protector publishes HP protection for every node of a cursor (the
 // paper's Protector trait). Implementations write each cursor pointer into
@@ -48,7 +49,7 @@ type CursorBuf[C any] struct {
 // critical-section attempts; inside, its per-node loop keeps the cursor in
 // locals, breaks out when Poll fails, stores the cursor and calls
 // Checkpoint when Due, and leaves through Finish at its destination or Fail
-// on a lost helping CAS (Traverse below is the whole shape). A step then
+// on a lost helping CAS (hlist's search is the whole shape). A step then
 // costs the protocol's own work: Poll's one load, the visit, Due's
 // countdown.
 //
@@ -364,80 +365,4 @@ func (w *Walk[C]) cancel() {
 		// conventional value.
 		w.err = context.Canceled
 	}
-}
-
-// StepKind is the outcome of one traversal step (Algorithm 7's StepResult).
-type StepKind int
-
-const (
-	// StepContinue: the cursor advanced; keep going.
-	StepContinue StepKind = iota
-	// StepFinish: the destination was reached; the cursor is final.
-	StepFinish
-	// StepFail: the operation cannot proceed from this cursor (e.g. a
-	// helping CAS failed, Algorithm 8 line 29). Traverse returns not-ok
-	// and the client retries from scratch.
-	StepFail
-	// StepAbort: a Mask region reported that a rollback is required
-	// (HP-BRCU only). Traverse rolls back to the last complete
-	// checkpoint.
-	StepAbort
-)
-
-// Traversal bundles the data-structure callbacks for Traverse (the
-// paper's init/step closures and the Validatable trait).
-type Traversal[C, R any] struct {
-	// Init creates the initial cursor from the structure's entry point.
-	// It runs inside a critical section and may run many times
-	// (abort-rollback-safe).
-	Init func() C
-	// Validate checks that the checkpointed cursor can still be resumed
-	// from — typically that its source node is not logically deleted
-	// (§3.3). It runs at the start of every resumed critical section.
-	Validate func(c *C) bool
-	// Step advances the cursor by one bounded unit of work. It runs
-	// inside a critical section; shared-memory writes must go through
-	// Handle.Mask and report StepAbort when the mask demands rollback.
-	Step func(c *C) (StepKind, R)
-}
-
-// Traverse runs t over a Walk with the step as a callback, and returns the
-// final cursor — protected in prot — with the step's Finish result. ok is
-// false when the operation must be retried from scratch: a resumed cursor
-// failed validation, or a step reported StepFail. Both are rare (§4.3).
-func Traverse[C, R any](h *Handle, buf *CursorBuf[C], prot, backup Protector[C], t Traversal[C, R]) (cursor C, result R, ok bool) {
-	var w Walk[C]
-	w.Bind(nil, h, buf, prot, backup)
-	w.Start()
-	defer w.Guard()
-	c := w.Cursor()
-	for w.Enter(t.Init, t.Validate) {
-		hooks := w.Instrumented()
-	steps:
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			kind, r := t.Step(c)
-			switch kind {
-			case StepFail:
-				w.Fail()
-				return cursor, result, false
-			case StepAbort:
-				break steps
-			case StepFinish:
-				if w.Finish() {
-					return *c, r, true
-				}
-				break steps
-			}
-			if w.Due() && !w.Checkpoint(t.Validate) {
-				break
-			}
-		}
-	}
-	return cursor, result, false
 }

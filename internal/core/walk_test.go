@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
@@ -19,12 +20,13 @@ import (
 type chainWalk struct {
 	h            *Handle
 	pool         *alloc.Pool[node]
-	head         uint64
+	head, tail   uint64
 	buf          CursorBuf[chainCursor]
 	prot, backup Protector[chainCursor]
 
 	valid   func(c *chainCursor) bool // nil: always resumable
 	onStep  func(w *Walk[chainCursor], pos int64)
+	failAt  int64 // the owner gives the walk up (Fail) at this position; 0: never
 	visited int
 	inits   int // calls of init
 	valids  int // calls of valid, from Enter's resume and from Checkpoint
@@ -59,6 +61,10 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 			if cw.onStep != nil {
 				cw.onStep(&w, c.pos)
 			}
+			if cw.failAt > 0 && c.pos == cw.failAt {
+				w.Fail()
+				return 0, false
+			}
 			nd := cw.pool.At(c.cur.Slot())
 			nx := nd.next.Load()
 			if nx.IsNil() {
@@ -83,12 +89,12 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 func newChainWalk(t *testing.T, backend Backend, n, period int) (*chainWalk, *Domain) {
 	t.Helper()
 	pool := alloc.NewPool[node]()
-	head, _ := chain(pool, pool.NewCache(), n)
+	head, slots := chain(pool, pool.NewCache(), n)
 	d := NewDomain(backend, Config{BackupPeriod: period})
 	h := d.Register()
 	t.Cleanup(h.Unregister)
 	return &chainWalk{
-		h: h, pool: pool, head: head,
+		h: h, pool: pool, head: head, tail: slots[n-1],
 		prot:   &testProtector{s: h.NewShield()},
 		backup: &testProtector{s: h.NewShield()},
 	}, d
@@ -203,7 +209,10 @@ func (p *posProtector) Protect(c *chainCursor) {
 // TestWalkCheckpointCadence pins where the countdown protects: after every
 // BackupPeriod-th step, exactly where i%period == 0 did — and a checkpoint
 // whose cursor does not validate is postponed by a whole period, not to
-// the next step.
+// the next step, so a cursor that never validates still arrives. It also
+// pins the walk's two ways out: Finish delivers the final cursor in the
+// cursor slot, protected in prot; Fail leaves the section with the walk
+// not ok.
 func TestWalkCheckpointCadence(t *testing.T) {
 	const n, period = 100, 16
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
@@ -211,7 +220,8 @@ func TestWalkCheckpointCadence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cw, _ := newChainWalk(t, backend, n, period)
 			var log []int64
-			cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
+			prot := &posProtector{testProtector{cw.h.NewShield()}, &log}
+			cw.prot = prot
 			cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
 
 			// The walk protects every period-th position and the
@@ -231,6 +241,12 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			if got, want := checkpoints(log), []int64{16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("protected positions %v, want %v", got, want)
 			}
+			if c := cw.buf.cur; c.cur.Slot() != cw.tail || c.pos != n-1 {
+				t.Fatalf("final cursor %+v, want the tail (slot %d) at position %d", c, cw.tail, n-1)
+			}
+			if got := prot.s.Get(); got != cw.tail {
+				t.Fatalf("prot shields slot %d after Finish, want the tail (slot %d)", got, cw.tail)
+			}
 
 			log = nil
 			cw.valid = func(c *chainCursor) bool { return c.pos != 32 && c.pos != 48 }
@@ -239,6 +255,26 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			}
 			if got, want := checkpoints(log), []int64{16, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("protected positions with 32 and 48 unresumable %v, want %v", got, want)
+			}
+
+			log = nil
+			cw.valid = func(*chainCursor) bool { return false }
+			if last, ok := cw.walk(); !ok || last != n-1 {
+				t.Fatalf("walk whose cursor never validates = (%d,%v): postponed checkpoints must not be fatal", last, ok)
+			}
+			if got, want := checkpoints(log), []int64{n - 1}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("protected positions with nothing resumable %v, want %v", got, want)
+			}
+
+			cw.valid, cw.failAt = nil, 40
+			if last, ok := cw.walk(); ok {
+				t.Fatalf("walk given up at %d = (%d,true), want not ok", cw.failAt, last)
+			}
+			if b := cw.h.brcu; b != nil && !strings.Contains(b.Describe(), "phase=Out") {
+				t.Fatalf("Fail left the handle in a critical section: %s", b.Describe())
+			}
+			if r := cw.h.rcu; r != nil && r.Pinned() {
+				t.Fatal("Fail left the handle pinned")
 			}
 		})
 	}

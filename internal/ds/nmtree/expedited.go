@@ -77,8 +77,8 @@ type ExpeditedHandle struct {
 
 	prot, backup *treeProtector
 
-	// Handle-owned cursor storage for the Traverse engine, so descents
-	// never heap-allocate their cursors.
+	// Handle-owned cursor storage for core.Walk, so descents never
+	// heap-allocate their cursors.
 	seekBuf core.CursorBuf[seekCursor]
 }
 
@@ -101,40 +101,62 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-// seek runs the descent under the Traverse engine and returns the seek
-// record, protected by prot until the next seek.
+// seek repeats descend until a descent reaches a leaf, and returns the
+// seek record, protected by prot until the next seek.
 func (h *ExpeditedHandle) seek(key int64) seekRecord {
-	t := h.t
-	tr := core.Traversal[seekCursor, struct{}]{
-		Init: func() seekCursor { return t.seekInit() },
-		Validate: func(c *seekCursor) bool {
-			if c.sr.parent == t.root {
-				return true // initial cursor: resuming from the root
-			}
-			// The parent is certainly not retired if its key-side edge is
-			// still the clean edge we descended: any splice of parent is
-			// preceded by marking that edge (flag or tag), and marks are
-			// never removed from a field value.
-			e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
-			return e == c.leafEdge && e.Tag() == 0
-		},
-		Step: func(c *seekCursor) (core.StepKind, struct{}) {
-			if t.seekStep(key, c) {
-				return core.StepFinish, struct{}{}
-			}
-			return core.StepContinue, struct{}{}
-		},
-	}
 	for attempt := 0; ; attempt++ {
-		c, _, ok := core.Traverse(h.h, &h.seekBuf, h.prot, h.backup, tr)
-		if ok {
-			return c.sr
+		if sr, ok := h.descend(key); ok {
+			return sr
 		}
-		// Rollback invalidated a mid-path checkpoint: restart the seek.
 		if attempt > 0 {
-			runtime.Gosched()
+			runtime.Gosched() // a rollback invalidated a mid-path checkpoint; rare
 		}
 	}
+}
+
+// descend runs the NM seek once: ebr.go's loop over seekStep, stepping
+// under a core.Walk with the cursor in a local (see hlist's search). ok is
+// false when it must be retried from the root.
+func (h *ExpeditedHandle) descend(key int64) (seekRecord, bool) {
+	t := h.t
+	valid := func(c *seekCursor) bool {
+		if c.sr.parent == t.root {
+			return true // initial cursor: resuming from the root
+		}
+		// Still clean and unchanged: parent was not spliced out (Expedited).
+		e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
+		return e == c.leafEdge && e.Tag() == 0
+	}
+	var w core.Walk[seekCursor]
+	w.Bind(nil, h.h, &h.seekBuf, h.prot, h.backup)
+	w.Start()
+	defer w.Guard()
+	for w.Enter(t.seekInit, valid) {
+		c := *w.Cursor()
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
+			}
+			if !w.Poll() {
+				break
+			}
+			if t.seekStep(key, &c) {
+				*w.Cursor() = c
+				if w.Finish() {
+					return c.sr, true
+				}
+				break
+			}
+			if w.Due() {
+				*w.Cursor() = c
+				if !w.Checkpoint(valid) {
+					break
+				}
+			}
+		}
+	}
+	return seekRecord{}, false
 }
 
 // retire is the two-step retirement; legal outside critical sections.

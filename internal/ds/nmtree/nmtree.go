@@ -19,8 +19,8 @@
 //   - nbr.go:       NBR — the read-phase descent, reservation of the seek
 //     record, the write phase; and a pure-read Get (the tree is
 //     access-aware: seeks are pure reads, every write follows reservation).
-//   - expedited.go: HP-RCU/HP-BRCU — the descent as a Traverse, the seek
-//     record checkpointed into four shields.
+//   - expedited.go: HP-RCU/HP-BRCU — the same descent stepping under a
+//     core.Walk, the seek record checkpointed into four shields.
 //
 // Each seek is monomorphic: no interface or type-parameter call happens
 // inside a per-node loop. The shared write path reaches the scheme through
@@ -44,6 +44,7 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/core"
 )
 
 // Edge state bits (atomicx.Ref tag bits).
@@ -279,8 +280,9 @@ func (o *ops) Remove(key int64) (int64, bool) {
 	t := o.t
 	var doomed uint64 // the leaf this operation flagged; 0 before injection
 	var val int64
+	retries := 0 // of a seek a panic was contained in: none before injection
 	for {
-		sr := o.pos.seek(key)
+		sr := o.seek(key, retries)
 		childE := t.childEdge(t.pool.At(sr.parent), key)
 		var done bool
 		if doomed == 0 {
@@ -291,7 +293,7 @@ func (o *ops) Remove(key int64) (int64, bool) {
 			}
 			val = leaf.Val.Load()
 			if childE.CompareAndSwap(atomicx.MakeRef(sr.leaf, 0), atomicx.MakeRef(sr.leaf, flagBit)) {
-				doomed = sr.leaf
+				doomed, retries = sr.leaf, 8 // the skip list's committedFindRetries
 				done = o.cleanup(key, sr)
 			} else {
 				o.help(key, sr, childE) // then retry the injection
@@ -313,6 +315,23 @@ func (o *ops) Remove(key int64) (int64, bool) {
 			return val, true
 		}
 	}
+}
+
+// seek is the scheme's seek. Once Remove has flagged its leaf the key will
+// go, whoever splices it, and the caller is owed the value: from then on
+// (retries > 0) a panic contained inside the seek is absorbed and the seek
+// retried, as by the skip list's findCommitted. Only the result hangs on it
+// here — the flagged leaf is retired by whichever operation splices it.
+func (o *ops) seek(key int64, retries int) (sr seekRecord) {
+	defer func() {
+		if r := recover(); r != nil {
+			if pe, ok := r.(*core.PanicError); retries == 0 || !ok || pe.Poisoned {
+				panic(r)
+			}
+			sr = o.seek(key, retries-1)
+		}
+	}()
+	return o.pos.seek(key)
 }
 
 // help completes the deletion that made a CAS on childE fail, if the edge

@@ -11,26 +11,17 @@ import (
 
 // Expedited is a skip list protected by HP-RCU or HP-BRCU: the whole
 // multi-level descent runs inside (bounded) critical sections, and the
-// full preds/succs record is protected *once* per checkpoint instead of
-// per window shift — the advantage the paper credits for HP-BRCU's lead
-// in Figure 7d. Helping unlinks run inside abort-masked regions.
+// full preds/succs record is protected *once*, by the final checkpoint — a
+// descent is shorter than the default checkpoint period at every size the
+// paper measures — instead of per window shift: the advantage the paper
+// credits for HP-BRCU's lead in Figure 7d. Helping unlinks run inside
+// abort-masked regions.
 type Expedited struct {
 	list
 	dom *core.Domain
 }
 
-// defaultSkipBackupPeriod exceeds any realistic operation length: skip
-// list operations are short (O(log n) steps), so the paper's design
-// protects the preds/succs record once, at the end of the critical
-// section (§6's explanation of Figure 7d); a mid-descent checkpoint
-// would write 2·MaxHeight+2 shields for nothing. Rollbacks restart the
-// (cheap) descent instead.
-const defaultSkipBackupPeriod = 4096
-
 func newExpedited(backend core.Backend, cfg core.Config) *Expedited {
-	if cfg.BackupPeriod == 0 {
-		cfg.BackupPeriod = defaultSkipBackupPeriod
-	}
 	return &Expedited{list: newList(), dom: core.NewDomain(backend, cfg)}
 }
 
@@ -46,29 +37,34 @@ func (s *Expedited) Stats() *stats.Reclamation { return s.dom.Stats() }
 // Domain exposes the underlying HP-(B)RCU domain.
 func (s *Expedited) Domain() *core.Domain { return s.dom }
 
-// cursor is the traversal cursor: the current level window plus the
-// preds/succs recorded at the levels already completed.
+// cursor is a descent's window: the level being walked and the link
+// pred → cur on it. It is all a resume needs; the levels a find has
+// already finished are recorded once, in ops.preds and ops.succs.
 type cursor struct {
 	level int
 	pred  uint64
 	cur   atomicx.Ref
-	preds [MaxHeight]uint64
-	succs [MaxHeight]atomicx.Ref
 }
 
-// protector checkpoints a cursor: the live window plus every recorded
-// level, 2·MaxHeight+2 shields in total, written once per checkpoint.
+// protector checkpoints a cursor: two shields for the window and, for a
+// find, a (pred, succ) pair per level above it, filled from the handle's
+// position record, which a resume at level L rewrites at L and below only
+// (DESIGN.md §11.2) — 2·MaxHeight stores by a finished find's one
+// checkpoint. A get records nothing: its protectors are built without a
+// record, have no level shields and cover the window alone.
 type protector struct {
 	predS, curS *hp.Shield
-	predsS      [MaxHeight]*hp.Shield
-	succsS      [MaxHeight]*hp.Shield
+	pos         *ops
+	levelS      [][2]*hp.Shield
 }
 
-func newProtector(h *core.Handle) *protector {
-	p := &protector{predS: h.NewShield(), curS: h.NewShield()}
-	for i := 0; i < MaxHeight; i++ {
-		p.predsS[i] = h.NewShield()
-		p.succsS[i] = h.NewShield()
+func newProtector(h *core.Handle, pos *ops) *protector {
+	p := &protector{predS: h.NewShield(), curS: h.NewShield(), pos: pos}
+	if pos != nil {
+		p.levelS = make([][2]*hp.Shield, MaxHeight)
+		for i := range p.levelS {
+			p.levelS[i] = [2]*hp.Shield{h.NewShield(), h.NewShield()}
+		}
 	}
 	return p
 }
@@ -77,9 +73,9 @@ func newProtector(h *core.Handle) *protector {
 func (p *protector) Protect(c *cursor) {
 	p.predS.ProtectSlot(c.pred)
 	p.curS.Protect(c.cur)
-	for i := MaxHeight - 1; i > c.level; i-- {
-		p.predsS[i].ProtectSlot(c.preds[i])
-		p.succsS[i].Protect(c.succs[i])
+	for i := len(p.levelS) - 1; i > c.level; i-- {
+		p.levelS[i][0].ProtectSlot(p.pos.preds[i])
+		p.levelS[i][1].Protect(p.pos.succs[i])
 	}
 }
 
@@ -88,30 +84,10 @@ func (p *protector) Protect(c *cursor) {
 func (p *protector) ClearProtection() {
 	p.predS.Clear()
 	p.curS.Clear()
-	for i := 0; i < MaxHeight; i++ {
-		p.predsS[i].Clear()
-		p.succsS[i].Clear()
+	for _, s := range p.levelS {
+		s[0].Clear()
+		s[1].Clear()
 	}
-}
-
-// getCursor is the read-only optimistic traversal cursor.
-type getCursor struct {
-	level int
-	pred  uint64
-	cur   atomicx.Ref
-}
-
-type getProtector struct{ predS, curS *hp.Shield }
-
-func (p *getProtector) Protect(c *getCursor) {
-	p.predS.ProtectSlot(c.pred)
-	p.curS.Protect(c.cur)
-}
-
-// ClearProtection releases both shields (core.ProtectionClearer).
-func (p *getProtector) ClearProtection() {
-	p.predS.Clear()
-	p.curS.Clear()
 }
 
 // ExpeditedHandle is one thread's accessor.
@@ -119,14 +95,13 @@ type ExpeditedHandle struct {
 	ops
 	h *core.Handle
 
-	prot, backup                 *protector
-	getProt, getBackup           *getProtector
+	prot, backup                 *protector // find: the window and the record
+	getProt, getBackup           *protector // get: the window
 	maskPredS, maskCurS, maskNxS *hp.Shield
 
-	// Handle-owned cursor storage for the Traverse engine, one buffer per
-	// cursor type, so traversals never heap-allocate their (large) cursors.
-	searchBuf core.CursorBuf[cursor]
-	getBuf    core.CursorBuf[getCursor]
+	// Handle-owned cursor storage for core.Walk, so descents never
+	// heap-allocate their cursors; finds and gets take turns in it.
+	buf core.CursorBuf[cursor]
 }
 
 // Register creates a thread handle.
@@ -134,12 +109,11 @@ func (s *Expedited) Register() *ExpeditedHandle {
 	d := s.dom.Register()
 	h := &ExpeditedHandle{
 		h:         d,
-		prot:      newProtector(d),
-		backup:    newProtector(d),
-		getProt:   &getProtector{predS: d.NewShield(), curS: d.NewShield()},
-		getBackup: &getProtector{predS: d.NewShield(), curS: d.NewShield()},
+		getProt:   newProtector(d, nil),
+		getBackup: newProtector(d, nil),
 		maskPredS: d.NewShield(), maskCurS: d.NewShield(), maskNxS: d.NewShield(),
 	}
+	h.prot, h.backup = newProtector(d, &h.ops), newProtector(d, &h.ops)
 	h.init(&s.list, h)
 	return h
 }
@@ -155,95 +129,109 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-// notRetired certifies that a node was not yet retired at the read: a node
-// is retired only after its level-0 next is marked (markTower), and marks
-// are never cleared.
-func (l *list) notRetired(slot uint64) bool {
-	return l.pool.At(slot).Next[0].Load().Tag() == 0
+// entry is both descents' init: the head's window at the top level.
+func (l *list) entry() cursor {
+	return cursor{
+		level: MaxHeight - 1,
+		pred:  l.head,
+		cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
+	}
 }
 
-// resumable is both traversals' Validate: a checkpointed window can be
-// resumed from while neither of its nodes was retired.
-func (l *list) resumable(pred uint64, cur atomicx.Ref) bool {
-	return l.notRetired(pred) && (cur.IsNil() || l.notRetired(cur.Slot()))
+// resumable is both descents' valid: a checkpointed window can be resumed
+// from while neither of its nodes was retired, which a node is only after
+// its level-0 next is marked (markTower); marks are never cleared.
+func (l *list) resumable(c *cursor) bool {
+	return l.pool.At(c.pred).Next[0].Load().Tag() == 0 &&
+		(c.cur.IsNil() || l.at(c.cur).Next[0].Load().Tag() == 0)
 }
 
-// search runs the expedited find once. ok=false means it must be retried
-// from scratch (failed revalidation or a lost helping CAS). On success
-// preds/succs in the returned cursor are protected by prot.
-func (h *ExpeditedHandle) search(key int64, past bool) (cursor, bool) {
+// search runs the expedited find once: the descent of ebr.go's find,
+// stepping under a core.Walk, each finished level recorded in ops.preds
+// and ops.succs as it is left. false means it must be retried from scratch
+// (failed revalidation or a lost helping CAS); on success the record is
+// protected by prot. The window is kept in a local (see hlist's search).
+func (h *ExpeditedHandle) search(key int64, past bool) bool {
 	l := h.l
-	t := core.Traversal[cursor, struct{}]{
-		Init: func() cursor {
-			return cursor{
-				level: MaxHeight - 1,
-				pred:  l.head,
-				cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
+	var w core.Walk[cursor]
+	w.Bind(nil, h.h, &h.buf, h.prot, h.backup)
+	w.Start()
+	defer w.Guard()
+	for w.Enter(l.entry, l.resumable) {
+		c := *w.Cursor()
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
 			}
-		},
-		Validate: func(c *cursor) bool { return l.resumable(c.pred, c.cur) },
-		Step: func(c *cursor) (core.StepKind, struct{}) {
-			if c.cur.IsNil() {
-				return c.descend(l), struct{}{}
+			if !w.Poll() {
+				break
 			}
-			n := l.at(c.cur)
-			next := n.Next[c.level].Load()
-			if next.Tag() != 0 {
-				// cur is marked at this level — checked before the key, or
-				// a deleted node would be recorded as a successor: unlink
-				// it inside a masked region with the operands shielded (no
-				// retirement here — the node's owner retires).
-				nu := next.Untagged()
-				h.maskPredS.ProtectSlot(c.pred)
-				h.maskCurS.Protect(c.cur)
-				h.maskNxS.Protect(nu)
-				succ := false
-				ran, mustRollback := h.h.Mask(func() {
-					succ = l.pool.At(c.pred).Next[c.level].CompareAndSwap(c.cur, nu)
-				})
-				if mustRollback {
-					return core.StepAbort, struct{}{}
+			down := c.cur.IsNil()
+			if !down {
+				n := l.at(c.cur)
+				next := n.Next[c.level].Load()
+				if next.Tag() != 0 {
+					// cur is marked at this level — checked before the key, or
+					// a deleted node would be recorded as a successor.
+					ok, mustRollback := h.unlink(c, next.Untagged())
+					if mustRollback {
+						break
+					}
+					if !ok {
+						w.Fail()
+						return false
+					}
+					c.cur = next.Untagged()
+				} else if k := n.Key.Load(); k > key || k == key && !past {
+					down = true
+				} else {
+					c.pred, c.cur = c.cur.Slot(), next.Untagged()
 				}
-				if !ran || !succ {
-					return core.StepFail, struct{}{}
+			}
+			if down {
+				h.preds[c.level], h.succs[c.level] = c.pred, c.cur
+				if c.level == 0 {
+					*w.Cursor() = c
+					if w.Finish() {
+						return true
+					}
+					break
 				}
-				c.cur = nu
-				return core.StepContinue, struct{}{}
+				c.level--
+				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
 			}
-			if k := n.Key.Load(); k > key || k == key && !past {
-				return c.descend(l), struct{}{}
+			if w.Due() {
+				*w.Cursor() = c
+				if !w.Checkpoint(l.resumable) {
+					break
+				}
 			}
-			c.pred = c.cur.Slot()
-			c.cur = next.Untagged()
-			return core.StepContinue, struct{}{}
-		},
+		}
 	}
-	c, _, ok := core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
-	return c, ok
+	return false
 }
 
-// descend records the finished level and moves the window one level down,
-// or finishes the traversal at level 0.
-func (c *cursor) descend(l *list) core.StepKind {
-	c.preds[c.level] = c.pred
-	c.succs[c.level] = c.cur
-	if c.level == 0 {
-		return core.StepFinish
-	}
-	c.level--
-	c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-	return core.StepContinue
+// unlink swings the window's link past its marked cur inside an
+// abort-masked region, with the operands shielded (no retirement here —
+// the node's owner retires). ok reports whether the CAS won; mustRollback,
+// checked first, that the section was neutralized before or during the
+// region.
+func (h *ExpeditedHandle) unlink(c cursor, next atomicx.Ref) (ok, mustRollback bool) {
+	h.maskPredS.ProtectSlot(c.pred)
+	h.maskCurS.Protect(c.cur)
+	h.maskNxS.Protect(next)
+	_, mustRollback = h.h.Mask(func() {
+		ok = h.l.pool.At(c.pred).Next[c.level].CompareAndSwap(c.cur, next)
+	})
+	return ok, mustRollback
 }
 
 // find retries search until it succeeds, yielding between attempts so
 // that on a single CPU two operations whose retries invalidate each other
 // cannot ping-pong indefinitely.
 func (h *ExpeditedHandle) find(key int64, past bool) {
-	for attempt := 0; ; attempt++ {
-		if c, ok := h.search(key, past); ok {
-			h.preds, h.succs = c.preds, c.succs
-			return
-		}
+	for attempt := 0; !h.search(key, past); attempt++ {
 		if attempt > 0 {
 			runtime.Gosched()
 		}
@@ -256,57 +244,69 @@ func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.l.pool) }
 // release is a no-op: prot holds the position until the next traversal.
 func (h *ExpeditedHandle) release() {}
 
-// Get is the wait-free-style get on the Traverse engine — the
-// configuration the paper evaluates: it skips marked nodes without helping
-// (lock-free under HP-BRCU, footnote 9). The helping find serves Insert
-// and Remove.
+// Get is the wait-free-style get — the configuration the paper evaluates:
+// it skips marked nodes without helping (lock-free under HP-BRCU, footnote
+// 9). The helping find serves Insert and Remove.
 func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
+	for attempt := 0; ; attempt++ {
+		if val, found, ok := h.contains(key); ok {
+			return val, found
+		}
+		if attempt > 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// contains runs the optimistic read once: ebr.go's Get descent under a
+// core.Walk. ok is false when it must be retried from scratch.
+func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 	l := h.l
-	t := core.Traversal[getCursor, bool]{
-		Init: func() getCursor {
-			return getCursor{
-				level: MaxHeight - 1,
-				pred:  l.head,
-				cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
+	var w core.Walk[cursor]
+	w.Bind(nil, h.h, &h.buf, h.getProt, h.getBackup)
+	w.Start()
+	defer w.Guard()
+	for w.Enter(l.entry, l.resumable) {
+		c := *w.Cursor()
+		hooks := w.Instrumented()
+		for {
+			if hooks {
+				w.StepHooks()
 			}
-		},
-		Validate: func(c *getCursor) bool { return l.resumable(c.pred, c.cur) },
-		Step: func(c *getCursor) (core.StepKind, bool) {
-			if c.cur.IsNil() || l.at(c.cur).Key.Load() >= key {
-				if c.level == 0 {
-					found := false
-					if !c.cur.IsNil() {
-						n := l.at(c.cur)
-						found = n.Key.Load() == key && n.Next[0].Load().Tag() == 0
-					}
-					return core.StepFinish, found
+			if !w.Poll() {
+				break
+			}
+			var n *node
+			if !c.cur.IsNil() {
+				n = l.at(c.cur)
+			}
+			if n != nil && n.Key.Load() < key {
+				next := n.Next[c.level].Load()
+				if next.Tag() == 0 {
+					c.pred = c.cur.Slot() // a marked cur is skipped, not helped
 				}
+				c.cur = next.Untagged()
+			} else if c.level > 0 {
 				c.level--
 				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-				return core.StepContinue, false
+			} else {
+				found := n != nil && n.Key.Load() == key && n.Next[0].Load().Tag() == 0
+				*w.Cursor() = c
+				if !w.Finish() {
+					break
+				}
+				if !found {
+					return 0, false, true
+				}
+				return n.Val.Load(), true, true // getProt holds cur
 			}
-			n := l.at(c.cur)
-			next := n.Next[c.level].Load()
-			if next.Tag() != 0 {
-				c.cur = next.Untagged() // skip marked, no helping
-				return core.StepContinue, false
+			if w.Due() {
+				*w.Cursor() = c
+				if !w.Checkpoint(l.resumable) {
+					break
+				}
 			}
-			c.pred = c.cur.Slot()
-			c.cur = next.Untagged()
-			return core.StepContinue, false
-		},
-	}
-	for attempt := 0; ; attempt++ {
-		c, found, ok := core.Traverse(h.h, &h.getBuf, h.getProt, h.getBackup, t)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue
 		}
-		if !found {
-			return 0, false
-		}
-		return l.at(c.cur).Val.Load(), true
 	}
+	return 0, false, false
 }

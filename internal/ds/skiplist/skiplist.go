@@ -8,8 +8,8 @@
 //   - ebr.go:       EBR/NR — one pinned descent, and the optimistic get.
 //   - hp.go:        plain HP — per-level protect-and-validate (three
 //     shields a level, the multi-shield cost of Figure 7d); its get helps.
-//   - expedited.go: HP-RCU/HP-BRCU — the Traverse search with masked
-//     helping unlinks, and the optimistic-get traversal.
+//   - expedited.go: HP-RCU/HP-BRCU — the same two descents stepping under
+//     a core.Walk, with masked helping unlinks.
 //
 // Each find is monomorphic: no interface or type-parameter call happens
 // inside a per-node loop. The shared write path reaches the scheme through
@@ -56,6 +56,7 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/core"
 )
 
 // MaxHeight is the tower height cap; 2^20 expected elements per level-0
@@ -186,7 +187,8 @@ type positioner interface {
 }
 
 // ops is the scheme-independent half of a handle: the position the latest
-// find produced, and the one Insert and one Remove of the package. Scheme
+// find produced (its only copy: every find records a level here as it
+// leaves it) and the one Insert and one Remove of the package. Scheme
 // handles embed it and set pos to themselves.
 type ops struct {
 	l     *list
@@ -248,7 +250,7 @@ func (o *ops) Insert(key, val int64) bool {
 					break
 				}
 				o.pos.release()
-				o.pos.find(key, false)
+				o.findCommitted(key, false, committedFindRetries)
 			}
 		}
 		o.pos.release()
@@ -288,10 +290,34 @@ func (o *ops) Remove(key int64) (int64, bool) {
 // the inserter is out, leaves the node unreachable at every level for
 // good.
 func (o *ops) unlinkAndRetire(key int64, slot uint64) {
-	o.pos.find(key, true)
+	o.findCommitted(key, true, committedFindRetries)
 	o.pos.release()
 	o.l.pool.Hdr(slot).Retire()
 	o.pos.retire(slot)
+}
+
+// committedFindRetries bounds findCommitted: the chaos corpus's panic plan
+// cannot fire twice in a row; a panic that repeats this often is a bug.
+const committedFindRetries = 8
+
+// findCommitted is the find of an operation that has already taken effect —
+// its level-0 CAS (Insert) or its markTower (Remove) won — so its result,
+// and a marked node's retirement, hang on this find returning. A panic
+// contained inside it (core's PanicRecover: the handle is restored and the
+// recovery counted by then) is therefore absorbed and the find retried; the
+// node needs no shield meanwhile, nobody but its owner retires it. A
+// poisoned handle, any other value (PanicRethrow re-raises the original)
+// and the last retry's error pass through unchanged. DESIGN.md §10.
+func (o *ops) findCommitted(key int64, past bool, retries int) {
+	defer func() {
+		if r := recover(); r != nil {
+			if pe, ok := r.(*core.PanicError); retries == 0 || !ok || pe.Poisoned {
+				panic(r)
+			}
+			o.findCommitted(key, past, retries-1)
+		}
+	}()
+	o.pos.find(key, past)
 }
 
 // KeysSlow returns the live keys in level-0 order; single-threaded use

@@ -30,8 +30,7 @@
 // Nodes live in slot-addressed pools (alloc.Pool) so links can carry mark
 // bits; a structure integrates HP-BRCU by implementing a cursor, a
 // Protector, and its traversal as a loop of its own over a core.Walk,
-// which it hands the cursor's init and validate functions (a short descent
-// can pass the step as a third callback to core.Traverse instead). See
+// which it hands the cursor's init and validate functions. See
 // examples/quickstart and internal/ds/hlist: expedited.go there is the
 // whole of what the sorted-list family writes for HP-RCU/HP-BRCU, next to
 // the one-file searches of the other schemes (DESIGN.md §3.1).
