@@ -74,7 +74,7 @@ func runChaos() {
 	}
 	fmt.Println()
 
-	header := row{"scheme", "structure", "schedule", "runs", "survived", "faults fired", "escalations", "broadcasts"}
+	header := row{"scheme", "structure", "schedule", "runs", "survived", "faults fired", "stall drains"}
 	if *chaosLeak {
 		header = append(header, "leaked", "reaped")
 	}
@@ -92,7 +92,7 @@ func runChaos() {
 		// gate — doubling this list would double CI's chaos job.
 		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
 			for _, sched := range schedules {
-				var fired, escalations, broadcasts, leaked, reaped, panics uint64
+				var fired, stallDrains, leaked, reaped, panics uint64
 				var checkoutLeaks, reclaimed uint64
 				survived := 0
 				for seed := 1; seed <= *chaosSeeds; seed++ {
@@ -103,8 +103,7 @@ func runChaos() {
 						Facade: *chaosPool,
 					})
 					fired += res.Fired
-					escalations += uint64(res.Stats.WatchdogEscalations)
-					broadcasts += uint64(res.Stats.Broadcasts)
+					stallDrains += uint64(res.Stats.StallDrains)
 					leaked += res.Leaked
 					reaped += uint64(res.Stats.ReapedHandles)
 					panics += uint64(res.Stats.PanicsRecovered)
@@ -133,8 +132,7 @@ func runChaos() {
 					strconv.Itoa(*chaosSeeds),
 					fmt.Sprintf("%d/%d", survived, *chaosSeeds),
 					strconv.FormatUint(fired, 10),
-					strconv.FormatUint(escalations, 10),
-					strconv.FormatUint(broadcasts, 10),
+					strconv.FormatUint(stallDrains, 10),
 				}
 				if *chaosLeak {
 					r = append(r, strconv.FormatUint(leaked, 10), strconv.FormatUint(reaped, 10))

@@ -3,7 +3,9 @@
 // sections are forcibly bounded. A reclaimer that fails to advance the
 // global epoch ForceThreshold times in a row neutralizes exactly the
 // lagging threads, forcing them to roll their critical sections back to the
-// beginning, and then advances the epoch anyway.
+// beginning, and then advances the epoch anyway. The advance is written
+// once, flushAndAdvance, as Algorithm 5 lines 26–34; a stalled epoch gets
+// the same lines at an exhausted budget (ForceFlush; see watchdog.go).
 //
 // # Signal substitution
 //
@@ -109,39 +111,11 @@ type taggedBatch struct {
 type Domain struct {
 	epoch atomicx.Padded
 
-	// cleared is the epoch-advance watermark: every advance from an epoch
-	// below it has had a complete registry scan that found no blocking
-	// critical section (laggards were absent or already neutralized). A
-	// thread advancing from epoch eg with cleared > eg skips the scan
-	// entirely — some thread already walked the whole registry for this
-	// advance, and re-walking it could only re-observe handles known to be
-	// ahead. Raised by max-CAS after a complete scan, never lowered, so
-	// cleared ≤ epoch+1 at all times.
-	//
-	// Why the skip is safe: the baseline never made scan-and-advance
-	// atomic — a thread could complete its scan, be descheduled
-	// arbitrarily long, and only then CAS the epoch. Advancing on a
-	// cached clean scan is exactly that interleaving with the scan and
-	// the CAS performed by different threads. The one state that can
-	// appear between the scan and the advance — a handle announcing
-	// InCs(e<eg) from an epoch load delayed across advances — is harmless
-	// for the same reason it is in the baseline: the announce store
-	// happens after every batch tagged ≤ eg-1 was flushed (those flushes
-	// read epoch < eg, so they completed before the epoch reached eg),
-	// hence after those nodes were unlinked, so the late section can no
-	// longer reach them. See DESIGN.md §11.
-	cleared atomicx.Padded
-
 	handles registry.Registry[Handle]
 	rec     *stats.Reclamation
 
 	maxLocalTasks  int
 	forceThreshold int
-	// effForce is the runtime signalling budget. It starts at the
-	// configured ForceThreshold and is only ever lowered (and later
-	// restored) by the watchdog check, so the §5 bound computed from the
-	// configured value stays a valid upper bound throughout.
-	effForce atomic.Int32
 
 	// population tracks registered handles and their peak, so the §5
 	// bound can be evaluated after the fact with the N actually observed.
@@ -196,7 +170,6 @@ func NewDomain(rec *stats.Reclamation, opts ...Option) *Domain {
 	for _, o := range opts {
 		o(d)
 	}
-	d.effForce.Store(int32(d.forceThreshold))
 	return d
 }
 
@@ -275,20 +248,6 @@ type Handle struct {
 	// flush. Both owner-goroutine-only.
 	flushAt  int
 	batchCap int
-
-	// Epoch-advance resume cursor (owner-goroutine-only). A failed
-	// advance from scanEpoch parks its registry snapshot and position
-	// here; the next attempt from the same epoch resumes mid-snapshot
-	// instead of rescanning handles already observed non-blocking.
-	// Resuming a stale snapshot is safe: handles registered after it was
-	// taken announce epochs ≥ scanEpoch (the global epoch has not moved)
-	// and so can never block this advance, and handles removed from the
-	// registry sit in Out/Reaped, which the scan skips. scanForced
-	// accumulates whether any resumed leg sent a signal.
-	scanSnap   []*Handle
-	scanPos    int
-	scanEpoch  uint64
-	scanForced bool
 
 	// Cooperative cancellation (core.Walk). The owner arms a fresh
 	// token per cancellable operation; a watcher goroutine requests
@@ -480,7 +439,6 @@ func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWo
 func (h *Handle) resurrect() {
 	h.batch = nil
 	h.pushCnt = 0
-	h.scanSnap = nil
 	h.gen++
 	d := h.d
 	d.handles.Add(h)
@@ -906,13 +864,13 @@ func (h *Handle) TraceEvent(k obs.EventKind, arg int64) {
 }
 
 // Defer schedules a task for execution after all current critical sections
-// end (Algorithm 5 lines 22-34). Defer itself is rollback-unsafe and must
+// end (Algorithm 5 lines 22–34). Defer itself is rollback-unsafe and must
 // be called outside critical sections or inside a masked region.
 //
-// When the local batch fills, it is pushed to the global task set tagged
-// with the global epoch; the thread then tries to advance the epoch,
-// neutralizing lagging threads once its private failure budget
-// (ForceThreshold) is exhausted; finally it executes expired tasks.
+// Lines 22–25 are DeferNoCount (push to the local batch; return unless it
+// is full); lines 26–34 are flushAndAdvance: push the batch to the global
+// task set, try to advance the epoch — neutralizing laggards once this
+// thread's failure budget (ForceThreshold) is spent — and run what expired.
 func (h *Handle) Defer(slot uint64, pool alloc.Freer) {
 	h.d.rec.Retired.Inc()
 	h.d.rec.Unreclaimed.Add(1)
@@ -958,7 +916,7 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 // current global epoch (line 26). An empty batch is not enqueued: a
 // zero-task taggedBatch would keep pendingBatches nonzero after a drain,
 // which the watchdog check would misread as a stalled epoch and answer
-// with an endless broadcast storm.
+// with a forced round every third tick, forever.
 func (h *Handle) flush() {
 	if len(h.batch) == 0 {
 		return
@@ -988,103 +946,50 @@ func (h *Handle) flush() {
 	d.tasksMu.Unlock()
 }
 
+// flushAndAdvance is Algorithm 5 lines 26–34: push the batch, count the
+// push, scan the participants (give up on a laggard below ForceThreshold,
+// signal it at the budget), advance the epoch, run what expired.
 func (h *Handle) flushAndAdvance() {
 	d := h.d
 	eg := d.epoch.Load()
-	h.flush()
+	h.flush() // line 26
 	h.pushCnt++
 	if fault.On && fault.Fire(fault.SiteAdvanceStorm) {
-		// Neutralization storm: exhaust the budget so this advance
-		// signals every laggard immediately.
-		h.pushCnt = int(d.effForce.Load())
+		h.pushCnt = d.forceThreshold // storm: this advance signals every laggard
 	}
 
-	// Our own critical section blocks the epoch like anyone else's. This
-	// matters when Defer runs inside an abort-masked region: advancing
-	// past our own lagging epoch would let our deferred tasks free nodes
-	// this very section still protects (e.g. the remainder of a marked
-	// run we are retiring), without any neutralization ever telling us to
-	// roll back. We never signal ourselves; we simply give up advancing
-	// until this section exits.
+	// Our own section blocks the epoch like anyone else's, and we never
+	// signal ourselves: a Defer inside an abort-masked region that advanced
+	// past its own lagging epoch would free nodes this very section still
+	// protects. Give up until the section exits.
 	if ph, e := unpack(h.status.Load()); (ph == phaseInCs || ph == phaseInRm) && e < eg {
 		return
 	}
 
 	forced := false
-	if d.cleared.Load() <= eg {
-		// No complete clean scan for this advance yet: walk (or resume
-		// walking) the registry.
-		if !h.scanForAdvance(eg) {
-			// A laggard exists and the failure budget is not yet
-			// exhausted: give up advancing this time (line 31); the
-			// cursor resumes from the laggard on the next attempt.
-			return
-		}
-		forced = h.scanForced
-		h.scanSnap = nil
-		// The scan covered the whole registry and every section it saw
-		// was absent, ahead, or neutralized: publish that so concurrent
-		// and later advancers from eg skip their scans.
-		raiseWatermark(&d.cleared, eg+1)
-	}
-
-	h.pushCnt = 0
-	if d.epoch.CompareAndSwap(eg, eg+1) {
-		d.rec.EpochAdvances.Inc()
-		if forced {
-			d.rec.ForcedAdvances.Inc()
-		}
-		if obs.On {
-			kind := obs.EvEpochAdvance
-			if forced {
-				kind = obs.EvForcedAdvance
-			}
-			h.trace.Rec(kind, int64(eg+1))
-		}
-	}
-	h.executeExpired(eg)
-}
-
-// scanForAdvance walks the registry looking for critical sections that
-// block the advance from eg, neutralizing them once the failure budget is
-// exhausted. It reports whether the scan completed with every handle
-// absent, ahead, or neutralized. On false the cursor state (scanSnap,
-// scanPos, scanForced) is parked so the next attempt from the same epoch
-// resumes at the blocking handle instead of rescanning the prefix — the
-// prefix was observed non-blocking for eg, and (delayed stale announces
-// aside, which are harmless; see Domain.cleared) nothing can re-enter eg
-// while the global epoch sits at eg.
-func (h *Handle) scanForAdvance(eg uint64) bool {
-	if h.scanEpoch != eg || h.scanSnap == nil {
-		h.scanSnap = h.d.handles.Snapshot()
-		h.scanPos = 0
-		h.scanEpoch = eg
-		h.scanForced = false
-	}
-	for h.scanPos < len(h.scanSnap) {
-		other := h.scanSnap[h.scanPos]
+	for _, other := range d.handles.Snapshot() { // lines 28–32
 		if other == h {
-			h.scanPos++
 			continue
 		}
 		ok, signalled := h.neutralizeIfLagging(other, eg)
 		if !ok {
-			return false
+			return // a laggard, and budget left (line 31)
 		}
-		h.scanForced = h.scanForced || signalled
-		h.scanPos++
+		forced = forced || signalled
 	}
-	return true
-}
-
-// raiseWatermark max-CASes w up to v; concurrent raises keep the highest.
-func raiseWatermark(w *atomicx.Padded, v uint64) {
-	for {
-		cur := w.Load()
-		if cur >= v || w.CompareAndSwap(cur, v) {
-			return
+	h.pushCnt = 0
+	if d.epoch.CompareAndSwap(eg, eg+1) { // line 33
+		d.rec.EpochAdvances.Inc()
+		kind := obs.EvEpochAdvance
+		if forced {
+			d.rec.ForcedAdvances.Inc()
+			kind = obs.EvForcedAdvance
+		}
+		if obs.On {
+			h.trace.Rec(kind, int64(eg+1))
 		}
 	}
+	h.executeExpired(eg) // line 34
 }
 
 // neutralizeIfLagging checks other against the epoch eg. It returns
@@ -1107,7 +1012,7 @@ func (h *Handle) neutralizeIfLagging(other *Handle, eg uint64) (ok, signalled bo
 		if ph == phaseOut || ph >= phaseRbReq || eo >= eg {
 			return true, false
 		}
-		if h.pushCnt < int(d.effForce.Load()) {
+		if h.pushCnt < d.forceThreshold {
 			return false, false
 		}
 		// SendSignal (line 32): the CAS is the delivery point. InRm
@@ -1149,6 +1054,9 @@ func (h *Handle) executeExpired(eg uint64) {
 			kept = append(kept, b)
 		}
 	}
+	// Drop the moved-out tail: an expired batch left in the spare capacity
+	// would keep its backing array reachable for as long as the domain idles.
+	clear(d.tasks[len(kept):])
 	d.tasks = kept
 	d.tasksMu.Unlock()
 
@@ -1192,7 +1100,7 @@ func (h *Handle) Barrier() {
 // The emergency-drain tier of the backpressure ladder calls this from the
 // retire path (internal/core).
 func (h *Handle) ForceFlush() {
-	h.pushCnt = h.d.forceThreshold // force (≥ the effective threshold)
+	h.pushCnt = h.d.forceThreshold // the budget is spent: signal at once
 	h.flushAndAdvance()
 }
 
@@ -1204,7 +1112,3 @@ func (d *Domain) pendingBatches() int {
 	d.tasksMu.Unlock()
 	return n
 }
-
-// EffectiveForceThreshold returns the runtime signalling budget: the
-// configured ForceThreshold unless the watchdog has escalated it down.
-func (d *Domain) EffectiveForceThreshold() int { return int(d.effForce.Load()) }

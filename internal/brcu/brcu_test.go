@@ -293,6 +293,42 @@ func TestGarbageBoundUnderStall(t *testing.T) {
 	stalled.Unregister()
 }
 
+// TestExecuteExpiredDropsRunBatches: the drain filters d.tasks in place, so
+// it must zero the slots it vacates — an expired batch left in the slice's
+// spare capacity would pin its backing array until a later flush happened
+// to overwrite that index.
+func TestExecuteExpiredDropsRunBatches(t *testing.T) {
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
+	d := NewDomain(nil, WithMaxLocalTasks(8), WithForceThreshold(1<<20))
+	reader := d.Register()
+	w := d.Register()
+	defer w.Unregister()
+
+	reader.Enter() // pinned: every flush after the first queues
+	for i := 0; i < 32*8; i++ {
+		retireOne(t, pool, cache, w)
+	}
+	if n := d.pendingBatches(); n < 31 {
+		t.Fatalf("setup: %d batches queued behind the pinned reader, want ≥ 31", n)
+	}
+	reader.Exit()
+	reader.Unregister()
+	w.Barrier()
+
+	if got := d.Stats().Unreclaimed.Load(); got != 0 {
+		t.Fatalf("unreclaimed = %d after the barrier", got)
+	}
+	d.tasksMu.Lock()
+	defer d.tasksMu.Unlock()
+	for i, b := range d.tasks[len(d.tasks):cap(d.tasks)] {
+		if b.tasks != nil || b.epoch != 0 || b.flushed != 0 {
+			t.Fatalf("spare slot %d of d.tasks still holds an executed batch (epoch %d, %d tasks)",
+				len(d.tasks)+i, b.epoch, len(b.tasks))
+		}
+	}
+}
+
 // TestDeferConcurrent runs concurrent reclaimers with readers constantly
 // entering/polling/rolling back, checking counters balance at the end.
 func TestDeferConcurrent(t *testing.T) {

@@ -70,9 +70,6 @@ var statusWordTransitions = []struct {
 	{"reclaimer", "neutralizeIfLagging at budget",
 		[7]string{"= pass", "RbReq signalled", "RbReq signalled", "= pass", "= pass", "= pass", "= pass"},
 		[7]string{"= pass", "RbReq signalled", "RbReq signalled", "= pass", "-", "-", "-"}},
-	{"reclaimer", "watchdog broadcast",
-		[7]string{"=", "RbReq", "RbReq", "=", "=", "=", "="},
-		[7]string{"=", "RbReq", "RbReq", "=", "-", "-", "-"}},
 
 	{"reaper", "TryReap(current word)",
 		[7]string{"Reaping true", "= false", "= false", "Reaping true", "= false", "= false", "= false"},
@@ -240,7 +237,6 @@ var statusWordActions = map[string]func(s *subject) string{
 		s.r.pushCnt = s.d.forceThreshold
 		return neutralizeWord(s.r.neutralizeIfLagging(s.h, globalEpoch))
 	},
-	"watchdog broadcast": func(s *subject) string { s.d.NewWatchdog(nil).broadcast(); return "" },
 
 	"TryReap(current word)": func(s *subject) string { return fmt.Sprint(s.h.TryReap(s.h.Word())) },
 	"TryReap(stale word)":   func(s *subject) string { return fmt.Sprint(s.h.TryReap(s.stale)) },

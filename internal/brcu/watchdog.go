@@ -2,21 +2,14 @@
 // paper's robustness argument rules out but a production deployment must
 // still survive when misconfigured — a stalled global epoch (laggards
 // that the configured ForceThreshold is too patient to neutralize) and
-// retired-but-unreclaimed growth approaching the §5 bound — and the
-// self-healing ladder that answers them: escalate the *effective*
-// ForceThreshold toward 1 (more aggressive targeted signalling) and, as a
-// last resort, broadcast neutralization to every live critical section.
+// retired-but-unreclaimed growth approaching the §5 bound.
 //
-// The check has no goroutine of its own: the domain's janitor
-// (internal/core) calls Check once per tick as its epoch-health stage,
-// and answers a broadcast with its shared drain stage — the forced
-// advances that push the epoch past the victims it just neutralized.
-//
-// Escalations only ever lower the effective threshold below its configured
-// value, so the bound 2GN+GN²+H computed from the configuration remains a
-// valid upper bound; interventions make reclamation strictly more eager.
-// All interventions are counted in stats.Reclamation (WatchdogEscalations,
-// Broadcasts) separately from ordinary Signals.
+// The check only detects, and has no goroutine of its own: the domain's
+// janitor (internal/core) calls Check once per tick and answers a stall as
+// it answers an adoption, by arming its drain stage — a Barrier round,
+// i.e. Algorithm 5's advance at an exhausted budget, which signals exactly
+// the sections that lag. Detections are counted in StallDrains; what the
+// round signals, in Signals.
 package brcu
 
 import "github.com/smrgo/hpbrcu/internal/obs"
@@ -27,14 +20,11 @@ import "github.com/smrgo/hpbrcu/internal/obs"
 // already suspicious.
 const (
 	// WatchdogFraction is the fraction of the §5 bound beyond which
-	// unreclaimed growth triggers an escalation.
+	// unreclaimed growth counts as a stall.
 	WatchdogFraction = 0.75
 	// watchdogStallTicks is how many consecutive no-advance ticks (with
 	// batches queued) count as a stalled epoch.
 	watchdogStallTicks = 3
-	// watchdogCalmTicks is how many consecutive healthy ticks de-escalate
-	// one step back toward the configured threshold.
-	watchdogCalmTicks = 8
 )
 
 // Watchdog is the state one domain's health check carries from tick to
@@ -45,9 +35,9 @@ type Watchdog struct {
 	// shields (nil means 0).
 	shields func() int64
 
-	lastEpoch     uint64
-	stalled, calm int
-	trace         *obs.Trace
+	lastEpoch uint64
+	stalled   int
+	trace     *obs.Trace
 }
 
 // NewWatchdog builds the domain's health check. shields supplies the H
@@ -73,12 +63,12 @@ func (w *Watchdog) bound() int64 {
 	return b
 }
 
-// Check runs one health check: stall and over-bound detection, one rung
-// of escalation when either fires, one step of de-escalation after a calm
-// streak. It reports whether it broadcast — every live critical section
-// was just neutralized, so the caller should force the epoch forward and
-// drain (the janitor's drain stage; tests call Handle.Barrier).
-func (w *Watchdog) Check() (broadcast bool) {
+// Check runs one health check and reports whether the domain is stalled:
+// watchdogStallTicks checks in a row saw flushed batches queued behind an
+// epoch that did not move, or unreclaimed nodes stand above
+// WatchdogFraction of the bound. The caller answers true with a forced
+// drain round (the janitor's drain stage; tests call Handle.Barrier).
+func (w *Watchdog) Check() (stalled bool) {
 	d := w.d
 	e := d.epoch.Load()
 	queued := d.pendingBatches()
@@ -95,74 +85,13 @@ func (w *Watchdog) Check() (broadcast bool) {
 		w.stalled = 0
 	}
 
-	if over || w.stalled >= watchdogStallTicks {
-		w.calm = 0
-		w.stalled = 0
-		return w.escalate()
-	}
-
-	// Healthy tick: walk the effective threshold back up toward the
-	// configured value, one doubling per calm streak.
-	if eff := d.effForce.Load(); eff < int32(d.forceThreshold) {
-		w.calm++
-		if w.calm >= watchdogCalmTicks {
-			w.calm = 0
-			next := eff * 2
-			if next > int32(d.forceThreshold) || next < eff {
-				next = int32(d.forceThreshold)
-			}
-			d.effForce.Store(next)
-		}
-	} else {
-		w.calm = 0
-	}
-	return false
-}
-
-// escalate takes the next rung of the ladder: halve the effective
-// ForceThreshold while it is above 1, then broadcast.
-func (w *Watchdog) escalate() (broadcast bool) {
-	d := w.d
-	d.rec.WatchdogEscalations.Inc()
-	if eff := d.effForce.Load(); eff > 1 {
-		d.effForce.Store(eff / 2)
-		if obs.On {
-			w.trace.Rec(obs.EvWatchdogEscalate, int64(eff/2))
-		}
+	if !over && w.stalled < watchdogStallTicks {
 		return false
 	}
+	w.stalled = 0
+	d.rec.StallDrains.Inc()
 	if obs.On {
-		w.trace.Rec(obs.EvWatchdogEscalate, 1)
+		w.trace.Rec(obs.EvStallDrain, int64(e))
 	}
-	w.broadcast()
 	return true
-}
-
-// broadcast is the last resort: neutralize every live critical section
-// (InCs and InRm alike — masked regions defer the request to their exit,
-// per Algorithm 6). The caller then forces the epoch forward; two
-// advances expire everything that was queued before the broadcast.
-func (w *Watchdog) broadcast() {
-	d := w.d
-	victims := int64(0)
-	for _, other := range d.handles.Snapshot() {
-		for {
-			st := other.status.Load()
-			ph, e := unpack(st)
-			if ph == phaseOut || ph >= phaseRbReq {
-				// Out (the caller's own service handle included), already
-				// neutralized, in a mutation span, or owned by the lease
-				// reaper — no live section to broadcast to.
-				break
-			}
-			if other.status.CompareAndSwap(st, pack(phaseRbReq, e)) {
-				d.rec.Broadcasts.Inc()
-				victims++
-				break
-			}
-		}
-	}
-	if obs.On {
-		w.trace.Rec(obs.EvBroadcast, victims)
-	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // watchdogTick is one janitor tick as far as the watchdog is concerned:
-// the health check, and — when it broadcast — the forced drain round the
-// janitor's drain stage answers with, through the service handle h.
+// the health check, and — when it reports a stall — the forced drain round
+// the janitor's armed drain stage answers with, through the service handle
+// h.
 func watchdogTick(w *Watchdog, h *Handle) {
 	if w.Check() {
 		h.Barrier()
@@ -18,15 +19,16 @@ func watchdogTick(w *Watchdog, h *Handle) {
 // TestWatchdogRecoversStalledEpoch is the acceptance scenario for the
 // watchdog: a domain misconfigured with an absurdly patient ForceThreshold
 // has a reader stall inside a critical section, so the epoch sticks and
-// every flushed batch queues forever. The watchdog must recover — epoch
-// advancing again, unreclaimed memory back to zero — WITHOUT the stalled
-// reader ever cooperating: it is never unstalled, never polls, never exits.
+// every flushed batch queues forever. Detection plus ONE forced round must
+// recover — epoch advancing again, unreclaimed memory back to zero —
+// WITHOUT the stalled reader ever cooperating: it is never unstalled,
+// never polls, never exits.
 func TestWatchdogRecoversStalledEpoch(t *testing.T) {
 	const patience = 1 << 20
 	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
 	// A threshold this patient means ordinary advancing never neutralizes
-	// anyone within the test's lifetime: only the watchdog can unstick it.
+	// anyone within the test's lifetime: only a forced round can unstick it.
 	d := NewDomain(nil, WithMaxLocalTasks(8), WithForceThreshold(patience))
 
 	stalled := d.Register()
@@ -53,44 +55,31 @@ func TestWatchdogRecoversStalledEpoch(t *testing.T) {
 	service := d.Register()
 	defer service.Unregister()
 
-	// Recovery: the stall detector escalates every 3 no-advance ticks,
-	// halving the effective threshold down to 1 (20 halvings) and then
-	// broadcasting, which neutralizes the stalled reader; the drain round
-	// that answers the broadcast forces the queue out.
+	// Recovery: watchdogStallTicks no-advance ticks are the detection; the
+	// round it arms signals the stalled reader at an exhausted budget and
+	// forces the queue out.
 	for i := 0; d.Stats().Unreclaimed.Load() != 0 || d.Epoch() == e0; i++ {
-		if i == 3*21+3 {
-			t.Fatalf("watchdog never recovered: epoch %d (stuck at %d), unreclaimed %d, escalations %d, broadcasts %d",
-				d.Epoch(), e0, d.Stats().Unreclaimed.Load(),
-				d.Stats().WatchdogEscalations.Load(), d.Stats().Broadcasts.Load())
+		if i == watchdogStallTicks+1 {
+			t.Fatalf("one forced round did not recover: epoch %d (stuck at %d), unreclaimed %d, stall drains %d",
+				d.Epoch(), e0, d.Stats().Unreclaimed.Load(), d.Stats().StallDrains.Load())
 		}
 		watchdogTick(w, service)
 	}
-
-	// De-escalation: once healthy, calm ticks walk the effective threshold
-	// back up to the configured value (and stay there — a lingering empty
-	// batch used to re-trigger the stall detector here forever).
-	for i := 0; d.EffectiveForceThreshold() != patience; i++ {
-		if i == 8*21 {
-			t.Fatalf("effective threshold never restored: %d (broadcasts %d)",
-				d.EffectiveForceThreshold(), d.Stats().Broadcasts.Load())
-		}
-		watchdogTick(w, service)
-	}
-	for i := 0; i < 16; i++ {
-		watchdogTick(w, service)
-	}
-	if eff := d.EffectiveForceThreshold(); eff != patience {
-		t.Fatalf("effective threshold left the configured value again: %d", eff)
-	}
-
-	if d.Stats().WatchdogEscalations.Load() == 0 {
-		t.Fatal("recovery without a recorded escalation")
-	}
-	if d.Stats().Broadcasts.Load() == 0 {
-		t.Fatal("recovery without a broadcast: the escalation ladder must end in one")
+	if d.Stats().StallDrains.Load() == 0 {
+		t.Fatal("recovery without a recorded stall drain")
 	}
 	if stalled.Poll() {
 		t.Fatal("the stalled reader must have been neutralized (it never cooperated)")
+	}
+
+	// Once drained, an empty task set behind a static epoch is healthy: the
+	// detector must not fire again.
+	n := d.Stats().StallDrains.Load()
+	for i := 0; i < 16; i++ {
+		watchdogTick(w, service)
+	}
+	if got := d.Stats().StallDrains.Load(); got != n {
+		t.Fatalf("stall drains went %d → %d on a drained domain", n, got)
 	}
 
 	writer.Unregister()
@@ -120,13 +109,7 @@ func TestWatchdogIdleOnHealthyDomain(t *testing.T) {
 		watchdogTick(w, writer)
 	}
 
-	if n := d.Stats().WatchdogEscalations.Load(); n != 0 {
-		t.Fatalf("healthy domain saw %d escalations", n)
-	}
-	if n := d.Stats().Broadcasts.Load(); n != 0 {
-		t.Fatalf("healthy domain saw %d broadcasts", n)
-	}
-	if eff := d.EffectiveForceThreshold(); eff != 2 {
-		t.Fatalf("effective threshold drifted to %d on a healthy domain", eff)
+	if n := d.Stats().StallDrains.Load(); n != 0 {
+		t.Fatalf("healthy domain saw %d stall drains", n)
 	}
 }

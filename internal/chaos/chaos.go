@@ -339,15 +339,17 @@ func Run(sc Scenario) Result {
 
 	var wg sync.WaitGroup
 	var leaks atomic.Uint64
+	var start sync.WaitGroup
+	start.Add(sc.Workers)
 	for w := 0; w < sc.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			if sc.Facade {
-				runFacadeWorker(m, sc, w, &viol)
+				runFacadeWorker(m, sc, w, &start, &viol)
 				return
 			}
-			runWorker(m, sc, w, &viol, &leaks)
+			runWorker(m, sc, w, &start, &viol, &leaks)
 		}(w)
 	}
 	wg.Wait()
@@ -435,6 +437,14 @@ func Run(sc Scenario) Result {
 	return res
 }
 
+// arrive is the start barrier each worker crosses between registering and
+// its first operation, so GarbageBoundObserved sees the scenario's N: on a
+// plain build a fast worker used to finish before a late one had registered.
+func arrive(start *sync.WaitGroup) {
+	start.Done()
+	start.Wait()
+}
+
 // parkedHandles is how many handles m's lease scans hold parked: standing
 // still past the lease timeout with nothing to adopt.
 func parkedHandles(m hpbrcu.Map) (n int64) {
@@ -480,7 +490,7 @@ func containedPanic(h hpbrcu.MapHandle, viol *violations, w int) (skip, fatal bo
 // runWorker replays worker w's deterministic operation stream against the
 // map and its local reference model. Allocator poison panics (the paper's
 // use-after-free detector) are converted into violations.
-func runWorker(m hpbrcu.Map, sc Scenario, w int, viol *violations, leaks *atomic.Uint64) {
+func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *violations, leaks *atomic.Uint64) {
 	defer func() {
 		if r := recover(); r != nil {
 			viol.addf("worker %d poison hit: %v", w, r)
@@ -494,6 +504,7 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, viol *violations, leaks *atomic
 			h.Unregister()
 		}
 	}()
+	arrive(start)
 
 	// Keys owned by this worker: k ≡ w (mod Workers).
 	var own []int64
@@ -667,12 +678,13 @@ func facadeErr(err error, viol *violations, w int) (skip, fatal bool) {
 // SitePoolLeak instead abandons whole checkouts on the checkin path,
 // which happens after the operation applied — so the model advances
 // normally on a leaked op.
-func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, viol *violations) {
+func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *violations) {
 	defer func() {
 		if r := recover(); r != nil {
 			viol.addf("facade worker %d: panic escaped the facade: %v", w, r)
 		}
 	}()
+	arrive(start) // no handle of its own: the pool's checkouts overlap from the first op
 
 	var own []int64
 	for k := int64(w); k < sc.KeyRange; k += int64(sc.Workers) {

@@ -80,7 +80,8 @@ func (r *ShardWedgeResult) Survived() bool { return len(r.Violations) == 0 }
 // the current incarnation. The per-key model survives incarnations: the
 // worker owns its keys, so the map state it left behind is exactly the
 // model state.
-func wedgeWorker(m hpbrcu.Map, sc ShardWedgeScenario, w int, stop <-chan struct{}, viol *violations, leaks *atomic.Int64) {
+func wedgeWorker(m hpbrcu.Map, sc ShardWedgeScenario, w int, start *sync.WaitGroup, stop <-chan struct{}, viol *violations, leaks *atomic.Int64) {
+	arrive(start) // every worker then stays registered until stop closes
 	var own []int64
 	for k := int64(w); k < sc.KeyRange; k += int64(sc.Workers) {
 		own = append(own, k)
@@ -254,11 +255,13 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var leaks atomic.Int64
+	var start sync.WaitGroup
+	start.Add(sc.Workers)
 	for w := 0; w < sc.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wedgeWorker(m, sc, w, stop, &viol, &leaks)
+			wedgeWorker(m, sc, w, &start, stop, &viol, &leaks)
 		}(w)
 	}
 

@@ -88,7 +88,8 @@ type Janitor struct {
 	epoch  func() uint64
 
 	// gate decides whether the drain stage runs a round this tick: armed
-	// by an adoption or a broadcast, open while the rounds make progress.
+	// by an adoption or a detected stall, open while the rounds make
+	// progress.
 	gate reap.DrainGate
 
 	trace *obs.Trace
@@ -197,8 +198,9 @@ func (j *Janitor) tick(now int64) {
 	if j.reaper != nil {
 		parked = j.reaper.Tick(now) > 0
 	}
-	// Epoch health: a broadcast neutralized every live section; the
-	// forced advances that make it count are the drain stage's.
+	// Epoch health: a stalled epoch is answered like an adoption, by the
+	// drain stage's forced round — Algorithm 5's advance at an exhausted
+	// budget, which signals exactly the sections that lag.
 	if j.wd != nil && j.wd.Check() {
 		parked = true
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -115,7 +116,7 @@ func TestReaperResurrection(t *testing.T) {
 }
 
 // TestJanitorSweepsWhatTheLastWorkerLeft: the drain stage forces rounds
-// only on an adoption or a broadcast, and closes its gate when a round
+// only on an adoption or a detected stall, and closes its gate when a round
 // makes no progress — so nodes a live shield protected through the last
 // reclaim pass anyone ran are parked, on the leaving worker's way out, in
 // the HP orphans, where no forced round is owed for them and no surviving
@@ -275,6 +276,24 @@ func TestJanitorStageOrder(t *testing.T) {
 	if got := rec.AdoptedNodes.Load(); got != 3 {
 		t.Fatalf("AdoptedNodes = %d, want 3", got)
 	}
+
+	// A detected stall is the stage's other arming input: nothing to look
+	// at, and on the tick the health check reports the stall, the drain.
+	log.events = nil
+	j = mockJanitor(log, &mockTarget{log: log}, rec)
+	wd, _ := stalledEpoch(t)
+	j.wd = wd
+	for now := int64(100); now < 100+stallTicks-1; now++ {
+		j.tick(now)
+	}
+	if len(log.events) != 0 {
+		t.Fatalf("ticks before the stall was detected ran %v", log.events)
+	}
+	j.tick(200)
+	want = []string{"drain"}
+	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
+		t.Fatalf("stall tick ran %v, want %v", log.events, want)
+	}
 }
 
 // TestJanitorReportsParked: a claimed victim with nothing to adopt is
@@ -302,6 +321,48 @@ func TestJanitorReportsParked(t *testing.T) {
 	}
 }
 
+// stallTicks is how many ticks in a row must see batches queued behind a
+// standing epoch before the health check reports a stall (brcu's
+// watchdogStallTicks).
+const stallTicks = 3
+
+// stalledEpoch returns the health check of a BRCU domain a pinned reader
+// holds at one epoch with batches queued behind it — every stallTicks-th
+// Check reports a stall, since the mock drain never advances it — and a
+// release that drains the domain back to health.
+func stalledEpoch(t *testing.T) (wd *brcu.Watchdog, release func()) {
+	t.Helper()
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
+	d := brcu.NewDomain(nil, brcu.WithMaxLocalTasks(1), brcu.WithForceThreshold(1<<20))
+	reader, writer := d.Register(), d.Register()
+	reader.Enter()
+	for i := 0; i < 4; i++ {
+		slot, _ := pool.Alloc(cache)
+		pool.Hdr(slot).Retire()
+		writer.Defer(slot, pool)
+	}
+	return d.NewWatchdog(nil), func() {
+		reader.Exit()
+		writer.Barrier()
+	}
+}
+
+// stallOnce drives a mock janitor through the detection of a stall, so its
+// drain stage is armed and has run its first round; the stall is then
+// released, leaving the progress gate alone to decide the later rounds.
+func stallOnce(t *testing.T, log *stageLog, rec *stats.Reclamation) *Janitor {
+	t.Helper()
+	j := mockJanitor(log, &mockTarget{log: log}, rec)
+	wd, release := stalledEpoch(t)
+	j.wd = wd
+	for now := int64(300) - stallTicks + 1; now <= 300; now++ {
+		j.tick(now)
+	}
+	release()
+	return j
+}
+
 // reapOnce drives a mock janitor through one look and one reap, so its
 // drain stage is armed and has run its first round.
 func reapOnce(t *testing.T, log *stageLog, rec *stats.Reclamation) *Janitor {
@@ -324,25 +385,32 @@ func countDrains(log *stageLog) int {
 }
 
 // TestJanitorDrainStopsWithoutProgress is the drain stage's wiring
-// (reap.DrainGate holds the policy): an adoption arms it, it forces one
-// round per tick while each round lowered the unreclaimed gauge, and a
-// round that failed to — live workers keep retiring — ends it instead of
-// forcing flush-and-advance (and neutralization) storms forever.
+// (reap.DrainGate holds the policy): an adoption or a detected stall arms
+// it, it forces one round per tick while each round lowered the unreclaimed
+// gauge, and a round that failed to — live workers keep retiring — ends it
+// instead of forcing flush-and-advance (and neutralization) storms forever.
 func TestJanitorDrainStopsWithoutProgress(t *testing.T) {
-	log := &stageLog{}
-	rec := &stats.Reclamation{}
-	rec.Unreclaimed.Add(5)
-	j := reapOnce(t, log, rec) // round #1, in the reaping tick
-	rec.Unreclaimed.Add(-1)
-	j.tick(400) // progress (5→4): round #2
-	if n := countDrains(log); n != 2 {
-		t.Fatalf("drain rounds = %d while the rounds make progress, want 2", n)
-	}
-	for now := int64(500); now <= 1000; now += 100 {
-		j.tick(now) // the gauge stays at 4: no progress since
-	}
-	if n := countDrains(log); n != 2 {
-		t.Fatalf("drain rounds = %d, want 2 once a round made no progress", n)
+	for name, armOnce := range map[string]func(*testing.T, *stageLog, *stats.Reclamation) *Janitor{
+		"adopted":        reapOnce,
+		"stall detected": stallOnce,
+	} {
+		t.Run(name, func(t *testing.T) {
+			log := &stageLog{}
+			rec := &stats.Reclamation{}
+			rec.Unreclaimed.Add(5)
+			j := armOnce(t, log, rec) // round #1, in the arming tick
+			rec.Unreclaimed.Add(-1)
+			j.tick(400) // progress (5→4): round #2
+			if n := countDrains(log); n != 2 {
+				t.Fatalf("drain rounds = %d while the rounds make progress, want 2", n)
+			}
+			for now := int64(500); now <= 1000; now += 100 {
+				j.tick(now) // the gauge stays at 4: no progress since
+			}
+			if n := countDrains(log); n != 2 {
+				t.Fatalf("drain rounds = %d, want 2 once a round made no progress", n)
+			}
+		})
 	}
 }
 

@@ -64,12 +64,10 @@ const (
 	// and was deferred to the region's exit (Algorithm 6); Arg is the
 	// region's epoch.
 	EvMaskDefer
-	// EvWatchdogEscalate: the watchdog lowered the effective
-	// ForceThreshold; Arg is the new effective value.
-	EvWatchdogEscalate
-	// EvBroadcast: the watchdog broadcast neutralization; Arg is the
-	// number of victims.
-	EvBroadcast
+	// EvStallDrain: the epoch-health check found the epoch stalled (or
+	// unreclaimed nodes near the §5 bound) and armed the janitor's forced
+	// drain; Arg is the epoch it found standing.
+	EvStallDrain
 	// EvDrain: the handle executed expired deferred batches; Arg is the
 	// number of tasks run.
 	EvDrain
@@ -145,7 +143,7 @@ const (
 
 var eventNames = [numEventKinds]string{
 	"epoch-advance", "forced-advance", "signal", "rollback", "mask-defer",
-	"watchdog-escalate", "broadcast", "drain", "reclaim", "slab-grow",
+	"stall-drain", "drain", "reclaim", "slab-grow",
 	"lease-expire", "adopt", "reap", "throttle", "reject",
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",

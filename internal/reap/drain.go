@@ -4,14 +4,15 @@ import "math"
 
 // DrainGate is the progress gate on the janitor's forced drain rounds.
 //
-// An adoption (or a watchdog broadcast) parks work where only the
-// janitor's service handle can reach it — the global task set, the HP
-// orphans, the handle's own retired batch — and with every worker dead
-// nobody else is left to advance the epoch, so the janitor keeps forcing
-// flush-advance-reclaim rounds, one per tick. But only while they make
-// progress: with live workers retiring, the unreclaimed gauge may never
-// touch zero, and forcing advances every tick forever would keep
-// neutralizing their critical sections. The zero value is a closed gate.
+// An adoption parks work where only the janitor's service handle can
+// reach it — the global task set, the HP orphans, the handle's own retired
+// batch — and with every worker dead nobody else is left to advance the
+// epoch; a detected stall is the same fact with the workers alive but too
+// patient. Either way the janitor keeps forcing flush-advance-reclaim
+// rounds, one per tick. But only while they make progress: with live
+// workers retiring, the unreclaimed gauge may never touch zero, and forcing
+// advances every tick forever would keep neutralizing their critical
+// sections. The zero value is a closed gate.
 type DrainGate struct {
 	open bool
 	last int64 // the gauge level the previous round started from

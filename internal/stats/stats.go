@@ -106,14 +106,10 @@ type Reclamation struct {
 	EpochAdvances Counter
 	// ForcedAdvances counts epoch advances that required signalling.
 	ForcedAdvances Counter
-	// WatchdogEscalations counts self-healing interventions by the BRCU
-	// watchdog (ForceThreshold reductions and broadcast events). Kept
-	// separate from Signals so Table 2 output stays comparable whether or
-	// not a watchdog is running.
-	WatchdogEscalations Counter
-	// Broadcasts counts neutralizations delivered by watchdog broadcasts,
-	// as opposed to the targeted Signals of ordinary epoch advance.
-	Broadcasts Counter
+	// StallDrains counts the ticks on which the BRCU epoch-health check
+	// found a stalled epoch (or unreclaimed nodes near the §5 bound) and
+	// armed the janitor's forced drain; what the round signals is in Signals.
+	StallDrains Counter
 	// ReapedHandles counts handles the lease reaper confirmed dead and
 	// removed (leaked goroutines; see internal/reap).
 	ReapedHandles Counter
@@ -203,16 +199,15 @@ type Reclamation struct {
 // Snapshot is a point-in-time copy of a Reclamation, safe to compare and
 // print after the workers have stopped.
 type Snapshot struct {
-	Retired             int64
-	Reclaimed           int64
-	Unreclaimed         int64
-	PeakUnreclaimed     int64
-	Signals             int64
-	Rollbacks           int64
-	EpochAdvances       int64
-	ForcedAdvances      int64
-	WatchdogEscalations int64
-	Broadcasts          int64
+	Retired         int64
+	Reclaimed       int64
+	Unreclaimed     int64
+	PeakUnreclaimed int64
+	Signals         int64
+	Rollbacks       int64
+	EpochAdvances   int64
+	ForcedAdvances  int64
+	StallDrains     int64
 
 	ReapedHandles         int64
 	AdoptedNodes          int64
@@ -244,16 +239,15 @@ type Snapshot struct {
 // Snapshot captures the current values.
 func (r *Reclamation) Snapshot() Snapshot {
 	return Snapshot{
-		Retired:             r.Retired.Load(),
-		Reclaimed:           r.Reclaimed.Load(),
-		Unreclaimed:         r.Unreclaimed.Load(),
-		PeakUnreclaimed:     r.Unreclaimed.Peak(),
-		Signals:             r.Signals.Load(),
-		Rollbacks:           r.Rollbacks.Load(),
-		EpochAdvances:       r.EpochAdvances.Load(),
-		ForcedAdvances:      r.ForcedAdvances.Load(),
-		WatchdogEscalations: r.WatchdogEscalations.Load(),
-		Broadcasts:          r.Broadcasts.Load(),
+		Retired:         r.Retired.Load(),
+		Reclaimed:       r.Reclaimed.Load(),
+		Unreclaimed:     r.Unreclaimed.Load(),
+		PeakUnreclaimed: r.Unreclaimed.Peak(),
+		Signals:         r.Signals.Load(),
+		Rollbacks:       r.Rollbacks.Load(),
+		EpochAdvances:   r.EpochAdvances.Load(),
+		ForcedAdvances:  r.ForcedAdvances.Load(),
+		StallDrains:     r.StallDrains.Load(),
 
 		ReapedHandles:         r.ReapedHandles.Load(),
 		AdoptedNodes:          r.AdoptedNodes.Load(),
@@ -289,8 +283,7 @@ func (r *Reclamation) Reset() {
 	r.Rollbacks.Reset()
 	r.EpochAdvances.Reset()
 	r.ForcedAdvances.Reset()
-	r.WatchdogEscalations.Reset()
-	r.Broadcasts.Reset()
+	r.StallDrains.Reset()
 	r.ReapedHandles.Reset()
 	r.AdoptedNodes.Reset()
 	r.BackpressureThrottles.Reset()

@@ -375,8 +375,7 @@ func AggregateSnapshot(m Map) StatsSnapshot {
 		agg.Rollbacks += s.Rollbacks
 		agg.EpochAdvances += s.EpochAdvances
 		agg.ForcedAdvances += s.ForcedAdvances
-		agg.WatchdogEscalations += s.WatchdogEscalations
-		agg.Broadcasts += s.Broadcasts
+		agg.StallDrains += s.StallDrains
 		agg.ReapedHandles += s.ReapedHandles
 		agg.AdoptedNodes += s.AdoptedNodes
 		agg.BackpressureThrottles += s.BackpressureThrottles

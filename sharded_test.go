@@ -8,12 +8,14 @@ package hpbrcu_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/fault"
+	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 func shardedCfg(shards int) hpbrcu.Config {
@@ -72,6 +74,59 @@ func TestShardedRoutingCoversAllShards(t *testing.T) {
 		}
 		if v, ok := h.Get(k); !ok || v != k*10 {
 			t.Fatalf("handle Get(%d) = (%d,%v) after facade insert", k, v, ok)
+		}
+	}
+}
+
+// TestAggregateSnapshotSumsEveryField: AggregateSnapshot merges the books
+// with a hand-written field list, so a counter added to StatsSnapshot (or a
+// line dropped from the list) would silently read as the map's own value
+// alone. Every book — two shards and the map's own — gets a distinct
+// nonzero level in every counter and gauge, and every int64 field of the
+// aggregate must be their sum.
+func TestAggregateSnapshotSumsEveryField(t *testing.T) {
+	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 64, hpbrcu.Config{Shards: hpbrcu.ShardsConfig{Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closed first: nothing but this test moves the books from here on.
+	if err := hpbrcu.Close(m, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for b, rec := range []*hpbrcu.Stats{hpbrcu.ShardStats(m, 0), hpbrcu.ShardStats(m, 1), m.Stats()} {
+		rec.Reset()
+		v := reflect.ValueOf(rec).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			n := int64(1000*(b+1) + i)
+			switch f := v.Field(i).Addr().Interface().(type) {
+			case *stats.Counter:
+				f.Add(n)
+			case *stats.Gauge:
+				f.Add(n)
+			}
+		}
+	}
+
+	agg := reflect.ValueOf(hpbrcu.AggregateSnapshot(m))
+	parts := append(hpbrcu.ShardSnapshots(m), m.Stats().Snapshot())
+	if len(parts) != 3 {
+		t.Fatalf("%d books for a two-shard map, want 3", len(parts))
+	}
+	for i := 0; i < agg.NumField(); i++ {
+		if agg.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		name := agg.Type().Field(i).Name
+		var sum int64
+		for _, p := range parts {
+			n := reflect.ValueOf(p).Field(i).Int()
+			if n == 0 {
+				t.Fatalf("%s is zero in one of the books: the loop above no longer reaches it", name)
+			}
+			sum += n
+		}
+		if got := agg.Field(i).Int(); got != sum {
+			t.Errorf("AggregateSnapshot.%s = %d, want the sum of the books %d", name, got, sum)
 		}
 	}
 }

@@ -122,11 +122,11 @@ type Config struct {
 	// domain's janitor on HP-BRCU maps: each janitor tick it checks for a
 	// stalled epoch (three ticks without an advance while flushed batches
 	// wait) or unreclaimed growth past three quarters of the §5 bound, and
-	// escalates — first by lowering the effective ForceThreshold (more
-	// aggressive signalling), then by broadcasting neutralization.
-	// Interventions are counted in Stats.WatchdogEscalations and
-	// Stats.Broadcasts. Close stops the janitor. Ignored for every other
-	// scheme.
+	// answers either with a forced drain round through the janitor's own
+	// handle — an epoch advance at an exhausted budget, which signals
+	// exactly the sections that lag, however patient ForceThreshold is.
+	// Detections are counted in Stats.StallDrains, the signals in
+	// Stats.Signals. Close stops the janitor. Ignored for every other scheme.
 	Watchdog bool
 	// Reaper enables the lease-scan stage of the domain's janitor on
 	// HP-BRCU maps: each tick it looks for handles abandoned by dead
