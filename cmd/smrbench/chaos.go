@@ -16,7 +16,7 @@ var (
 	chaosLeak        = flag.Bool("leak", false, "chaos: compose goroutine-death faults into every schedule; HP-BRCU runs the orphan reaper and gates on reap convergence")
 	chaosPanic       = flag.Bool("panic", false, "chaos: compose injected panics into every schedule; maps run under PanicRecover and the sweep gates on containment accounting")
 	chaosPool        = flag.Bool("poolleak", false, "chaos: drive the handle-free facade and compose checkout-leak faults into every schedule; HP-BRCU runs the orphan reaper and gates on the pool leak sweep reclaiming every leaked checkout")
-	chaosWedge       = flag.Bool("shardwedge", false, "chaos: run the shard-wedge isolation sweep instead of the schedule corpus — wedge shard 0's janitors under load, gate on quarantine + healthy-shard progress + recovery on a sharded map, and on global reap-service loss on the unsharded control")
+	chaosWedge       = flag.Bool("shardwedge", false, "chaos: run the shard-wedge isolation sweep instead of the schedule corpus — wedge shard 0's janitor under leaking load, gate on the wedged shard reaping nothing while the healthy ones reap and every shard keeps reclaiming on a sharded map, and on global reap-service loss on the unsharded control")
 	chaosWedgeShards = flag.Int("wedgeshards", 4, "chaos: shard count for the sharded half of -shardwedge")
 )
 
@@ -160,21 +160,33 @@ func runChaos() {
 }
 
 // runShardWedgeSweep is the -shardwedge mode: for each seed, one sharded
-// run (fault isolation: the wedged shard is quarantined and recovers
-// while the healthy shards keep reclaiming) and one unsharded control
-// (the same wedge degrades the whole map: leaks fired during the outage
-// stay unreaped until the janitors return). Any violation exits nonzero,
-// so the sweep doubles as a CI gate.
+// run (fault isolation: the wedged shard reaps nothing while the healthy
+// shards reap, and every shard keeps reclaiming) and one unsharded
+// control (the same wedge degrades the whole map: leaks fired during the
+// outage stay unreaped until the janitor returns). Any violation exits
+// nonzero, so the sweep doubles as a CI gate. The -min columns are the
+// smallest over seeds; "-" marks a column the control does not measure.
 func runShardWedgeSweep() {
 	if *chaosWedgeShards < 2 {
 		fmt.Fprintf(os.Stderr, "chaos: -wedgeshards %d cannot demonstrate isolation (need >= 2)\n", *chaosWedgeShards)
 		os.Exit(2)
 	}
-	fmt.Printf("Shard-wedge sweep: %d seeds × {sharded(%d), unsharded control}, HP-BRCU HashMap, janitors + health monitor on\n",
+	fmt.Printf("Shard-wedge sweep: %d seeds × {sharded(%d), unsharded control}, HP-BRCU HashMap, janitors + leaks on\n",
 		*chaosSeeds, *chaosWedgeShards)
 
-	header := row{"mode", "shards", "runs", "survived", "faults fired",
-		"quarantines", "recoveries", "healthy advΔ min", "leaked", "wedge leaks", "reaped"}
+	header := row{"mode", "shards", "runs", "survived", "faults fired", "wedged reaped",
+		"healthy reaped min", "wedged advΔ min", "healthy advΔ min", "leaked", "wedge leaks", "reaped"}
+	minOf := func(cur *int64, v int64) {
+		if v >= 0 && (*cur < 0 || v < *cur) {
+			*cur = v
+		}
+	}
+	cell := func(v int64) string {
+		if v < 0 {
+			return "-"
+		}
+		return strconv.FormatInt(v, 10)
+	}
 	var rows []row
 	var failures []string
 	for _, shards := range []int{*chaosWedgeShards, 1} {
@@ -183,22 +195,21 @@ func runShardWedgeSweep() {
 			mode = "control"
 		}
 		var fired uint64
-		var quarantines, recoveries, advMin, leaked, wedgeLeaks, reaped int64
-		advMin = -1
+		var wedgedReaped, leaked, wedgeLeaks, reaped int64
+		reapedMin, wedgedAdvMin, healthyAdvMin := int64(-1), int64(-1), int64(-1)
 		survived := 0
 		for seed := 1; seed <= *chaosSeeds; seed++ {
 			res := chaos.RunShardWedge(chaos.ShardWedgeScenario{
 				Shards: shards, Seed: uint64(seed),
 			})
 			fired += res.Fired
-			quarantines += res.Quarantines
-			recoveries += res.Recoveries
+			wedgedReaped += res.WedgedReaped
 			leaked += res.Leaked
 			wedgeLeaks += res.WedgeLeaks
 			reaped += res.Reaped
-			if advMin < 0 || (res.HealthyAdvanceMin >= 0 && res.HealthyAdvanceMin < advMin) {
-				advMin = res.HealthyAdvanceMin
-			}
+			minOf(&reapedMin, res.HealthyReapedMin)
+			minOf(&wedgedAdvMin, res.WedgedAdvanceMin)
+			minOf(&healthyAdvMin, res.HealthyAdvanceMin)
 			if res.Survived() {
 				survived++
 			} else {
@@ -212,9 +223,8 @@ func runShardWedgeSweep() {
 			strconv.Itoa(*chaosSeeds),
 			fmt.Sprintf("%d/%d", survived, *chaosSeeds),
 			strconv.FormatUint(fired, 10),
-			strconv.FormatInt(quarantines, 10),
-			strconv.FormatInt(recoveries, 10),
-			strconv.FormatInt(advMin, 10),
+			strconv.FormatInt(wedgedReaped, 10),
+			cell(reapedMin), cell(wedgedAdvMin), cell(healthyAdvMin),
 			strconv.FormatInt(leaked, 10),
 			strconv.FormatInt(wedgeLeaks, 10),
 			strconv.FormatInt(reaped, 10),

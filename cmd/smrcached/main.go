@@ -63,7 +63,7 @@ func runServe(args []string) int {
 		retryAfter   = fs.Duration("retry-after", 10*time.Millisecond, "delay advertised in -BUSY replies")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 		metricsAddr  = fs.String("metrics", "", "serve live metrics on this address (same endpoints as smrbench -metrics)")
-		shards       = fs.Int("shards", 1, "independent SMR domains behind the store (>1 enables per-shard health monitoring with quarantine)")
+		shards       = fs.Int("shards", 1, "independent SMR domains behind the store (>1 confines a wedged janitor to its own shard)")
 	)
 	fs.Parse(args)
 
@@ -91,13 +91,9 @@ func runServe(args []string) int {
 		Reaper:       hpbrcu.ReaperConfig{Enabled: true},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true, Ceiling: *ceiling, DrainFraction: *drainFrac},
 		// Sharding splits the store into independent SMR domains so a
-		// wedged janitor degrades one shard, not the service. Health
-		// monitoring rides along: quarantined shards shed writes with
-		// -BUSY while reads and the healthy shards keep full service.
-		Shards: hpbrcu.ShardsConfig{
-			Count:  *shards,
-			Health: hpbrcu.ShardHealthConfig{Enabled: *shards > 1},
-		},
+		// wedged janitor costs one shard its reaping, not the service;
+		// its workers keep reclaiming and nothing sheds for it.
+		Shards: hpbrcu.ShardsConfig{Count: *shards},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smrcached: %v\n", err)

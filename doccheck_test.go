@@ -36,7 +36,6 @@ var docCheckDirs = []string{
 	"internal/hp",
 	"internal/nbr",
 	"internal/reap",
-	"internal/shard",
 }
 
 func TestExportedDocs(t *testing.T) {

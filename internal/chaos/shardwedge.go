@@ -4,28 +4,28 @@ package chaos
 // `smrbench chaos -shardwedge`. One run wedges shard 0's janitor — it
 // skips every tick via a Period-1 SiteShardStall plan, so neither its
 // lease scan nor its epoch-health check runs — under live
-// registered-handle load, and gates on
-// the fault-isolation contract from both directions:
+// registered-handle load with goroutine-death leaks composed, and gates
+// on what sharding guarantees, from both directions:
 //
-//   - sharded (Shards >= 2): the health monitor must quarantine the
-//     wedged shard (facade writes shed with ErrShardQuarantined, reads
-//     pass through), every healthy shard must keep advancing its epoch
-//     and reclaiming while the wedge holds, and after the stall site is
-//     switched off the recovery loop must rejoin the shard and Close
-//     must drain every shard to balanced books;
+//   - sharded (Shards >= 2): while the wedge holds, shard 0 reaps nothing
+//     and its janitor ticks stand still (the wedge took), every healthy
+//     shard reaps its share of the leaks (the wedge is confined), every
+//     shard — shard 0 included — keeps advancing its epoch and reclaiming
+//     (reclamation does not ride on the janitor: the workers' own
+//     advances drive it, §4.1), and facade writes to shard 0 succeed.
+//     After the stall site is switched off and the workers stopped, every
+//     shard must drain to zero unreclaimed before Close;
 //   - unsharded control (Shards == 1): the same wedge is a *global*
-//     degradation — goroutine-death leaks fired during the wedge stay
-//     unreaped (the whole map lost its janitor service, and there is no
-//     quarantine to shed into), which is exactly the blast radius
-//     sharding exists to contain. After un-wedging, the reaper must
-//     still converge on every leak.
+//     degradation — leaks fired during the wedge stay unreaped, because
+//     the whole map lost its janitor service, which is exactly the blast
+//     radius sharding exists to contain. After un-wedging, the reaper
+//     must still converge on every leak.
 //
 // The phases are condition-driven, not time-driven: workers run until
 // the supervisor has observed each gate, so the run is as fast as the
 // machine allows and never passes vacuously.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -55,18 +55,22 @@ type ShardWedgeResult struct {
 	Violations []string
 	// Fired is the total number of injected faults.
 	Fired uint64
-	// Quarantines and Recoveries are the monitor's state transitions
-	// (sharded runs; zero for the control).
-	Quarantines, Recoveries int64
-	// HealthyAdvanceMin is the smallest epoch-advance delta any healthy
-	// shard made while shard 0 was wedged — the isolation evidence
-	// (sharded runs).
-	HealthyAdvanceMin int64
-	// Leaked and Reaped are the control run's goroutine-death count and
-	// the reaper's final tally.
+	// WedgedReaped is how many handles shard 0 reaped while its janitor
+	// was wedged (0 when the wedge took).
+	WedgedReaped int64
+	// HealthyReapedMin is the fewest handles any healthy shard reaped
+	// during the wedge (sharded runs; -1 for the control).
+	HealthyReapedMin int64
+	// WedgedAdvanceMin and HealthyAdvanceMin are the smallest
+	// epoch-advance delta shard 0, and any healthy shard, made in one
+	// sampling window of the wedge (sharded runs; -1 for the control).
+	WedgedAdvanceMin, HealthyAdvanceMin int64
+	// Leaked and Reaped are the run's goroutine-death count and the
+	// reapers' final tally (a sharded leak abandons one handle per shard
+	// it touched, so there Reaped exceeds Leaked).
 	Leaked, Reaped int64
-	// WedgeLeaks is how many of those leaks fired while the janitors
-	// were wedged — each one demonstrably unreaped until recovery.
+	// WedgeLeaks is how many of those leaks fired while shard 0's janitor
+	// was wedged.
 	WedgeLeaks int64
 	// Stats is the final aggregate snapshot.
 	Stats hpbrcu.StatsSnapshot
@@ -135,10 +139,10 @@ func wedgeIncarnation(m hpbrcu.Map, sc ShardWedgeScenario, w int, stop <-chan st
 				return false
 			default:
 			}
-			// Yield so the janitors and the monitor get scheduled even on
-			// GOMAXPROCS=1: a pure spin loop would starve every 1ms ticker
-			// for whole preemption quanta, which is a scheduling artifact,
-			// not the service shape the wedge gates model.
+			// Yield so the janitors get scheduled even on GOMAXPROCS=1:
+			// a pure spin loop would starve every 1ms ticker for whole
+			// preemption quanta, which is a scheduling artifact, not the
+			// service shape the wedge gates model.
 			runtime.Gosched()
 		}
 		if fault.On && fault.Fire(fault.SiteLeak) {
@@ -186,8 +190,7 @@ func keysOnShard(m hpbrcu.Map, s int, keyRange int64, count int) []int64 {
 }
 
 // shardWedgeConfig is the hostile per-shard configuration: chaos-speed
-// batches plus janitors and (when sharded) the health monitor at
-// test-speed intervals, so wedge verdicts and recoveries land within
+// batches plus janitors at test-speed intervals, so reaps land within
 // milliseconds.
 func shardWedgeConfig(shards int) hpbrcu.Config {
 	cfg := chaosConfig()
@@ -197,22 +200,7 @@ func shardWedgeConfig(shards int) hpbrcu.Config {
 		LeaseTimeout: 20 * time.Millisecond,
 		Interval:     time.Millisecond,
 	}
-	if shards > 1 {
-		cfg.Shards = hpbrcu.ShardsConfig{
-			Count: shards,
-			Health: hpbrcu.ShardHealthConfig{
-				// The probe window over 1ms janitor ticks is the 20ms floor:
-				// it spans several scheduler preemption quanta even on
-				// GOMAXPROCS=1, so a false strike needs a live janitor silent
-				// for 20ms and a verdict needs three such windows in a row —
-				// while a truly wedged janitor (skip-every-tick) is still
-				// detected in well under 100ms.
-				Enabled:          true,
-				StallThreshold:   3,
-				RecoverThreshold: 2,
-			},
-		}
-	}
+	cfg.Shards = hpbrcu.ShardsConfig{Count: shards}
 	return cfg
 }
 
@@ -228,16 +216,14 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 	if sc.KeyRange <= 0 {
 		sc.KeyRange = DefaultKeyRange
 	}
-	res := ShardWedgeResult{Scenario: sc}
+	res := ShardWedgeResult{Scenario: sc, HealthyReapedMin: -1, WedgedAdvanceMin: -1, HealthyAdvanceMin: -1}
 	var viol violations
 
+	// Goroutine-death leaks give every janitor something to reap, so the
+	// wedge has something to demonstrably fail at on shard 0 alone.
 	plans := [fault.NumSites]fault.Plan{
 		fault.SiteShardStall: {Period: 1, Shard: 0},
-	}
-	if sc.Shards == 1 {
-		// The control run composes goroutine-death leaks so the wedge has
-		// something to demonstrably fail to reap.
-		plans[fault.SiteLeak] = fault.Plan{Period: 4000, Cooldown: 2000}
+		fault.SiteLeak:       {Period: 4000, Cooldown: 2000},
 	}
 	inj := fault.New(fault.Config{Seed: sc.Seed, Plans: plans})
 	// The stall starts switched off: the map builds and warms healthy,
@@ -266,7 +252,7 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 	}
 
 	if sc.Shards > 1 {
-		runShardedWedge(m, sc, inj, &viol, &res)
+		runShardedWedge(m, sc, inj, &viol, &leaks, &res)
 	} else {
 		runControlWedge(m, sc, inj, &viol, &leaks, &res)
 	}
@@ -275,14 +261,16 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 	wg.Wait()
 	res.Leaked = leaks.Load()
 
-	if sc.Shards == 1 && res.Leaked > 0 && viol.empty() {
-		// Post-wedge convergence: with the stall off, the reaper must
-		// still adopt every leak (the WithLeak invariant, now after a
-		// janitor outage).
+	if res.Leaked > 0 && viol.empty() {
+		// Post-wedge convergence: with the stall off and the workers
+		// stopped, every shard's books must drain to zero, and (control)
+		// the reaper must still adopt every leak (the WithLeak invariant,
+		// now after a janitor outage). A sharded leak abandons one handle
+		// per shard it touched, so only the control compares counts.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			snap := hpbrcu.AggregateSnapshot(m)
-			if snap.ReapedHandles >= res.Leaked && snap.Unreclaimed == 0 {
+			if snap.Unreclaimed == 0 && (sc.Shards > 1 || snap.ReapedHandles >= res.Leaked) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -294,8 +282,8 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 		}
 	}
 
-	// Close stops the monitor and the janitors (whose drain paths cross
-	// injection sites), so it must precede Deactivate.
+	// Close stops the janitors (whose drain paths cross injection sites),
+	// so it must precede Deactivate.
 	if err := hpbrcu.Close(m, 10*time.Second); err != nil {
 		viol.addf("Close: %v", err)
 	}
@@ -304,8 +292,6 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 
 	snap := hpbrcu.AggregateSnapshot(m)
 	res.Stats = snap
-	res.Quarantines = snap.ShardQuarantines
-	res.Recoveries = snap.ShardRecoveries
 	res.Reaped = snap.ReapedHandles
 	if viol.empty() {
 		for i, s := range hpbrcu.ShardSnapshots(m) {
@@ -322,24 +308,36 @@ func RunShardWedge(sc ShardWedgeScenario) ShardWedgeResult {
 	return res
 }
 
-// runShardedWedge is the sharded supervisor: wedge shard 0, gate on
-// quarantine + routing + healthy-shard progress, un-wedge, gate on
-// recovery.
-func runShardedWedge(m hpbrcu.Map, sc ShardWedgeScenario, inj *fault.Injector, viol *violations, res *ShardWedgeResult) {
-	wedged := keysOnShard(m, 0, sc.KeyRange, 4)
-	healthy := keysOnShard(m, 1, sc.KeyRange, 1)
+// wedgeWindow is the sampling window over which every shard must show
+// epoch progress while shard 0's janitor is wedged: dozens of 1ms janitor
+// ticks and several scheduler quanta even on GOMAXPROCS=1.
+const wedgeWindow = 50 * time.Millisecond
 
-	waitQuarantined := func(want bool, what string) bool {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if hpbrcu.ShardPressures(m)[0].Quarantined == want {
-				return true
-			}
-			time.Sleep(time.Millisecond)
+// awaitWedge waits until shard 0's janitor tick count stands still across
+// a few ticks (a tick already past the injection point may still
+// publish) and reports whether it did within 10s.
+func awaitWedge(m hpbrcu.Map, viol *violations) bool {
+	last := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		now := hpbrcu.ShardPressures(m)[0].JanitorTicks
+		if now == last {
+			return true
 		}
-		viol.addf("timed out waiting for shard 0 to be %s", what)
-		return false
+		last = now
+		time.Sleep(10 * time.Millisecond)
 	}
+	viol.addf("shard 0's janitor kept ticking for 10s under a Period-1 stall plan")
+	return false
+}
+
+// runShardedWedge is the sharded supervisor: wedge shard 0, then sample
+// windows until every healthy shard has reaped (at least minWindows of
+// them), gating each window on every shard's epoch progress and the
+// whole span on shard 0 reaping nothing with its ticks frozen; facade
+// writes to shard 0 must succeed throughout. Un-wedges on return.
+func runShardedWedge(m hpbrcu.Map, sc ShardWedgeScenario, inj *fault.Injector, viol *violations, leaks *atomic.Int64, res *ShardWedgeResult) {
+	const minWindows = 3
+	wedged := keysOnShard(m, 0, sc.KeyRange, 3)
 
 	// Warm healthy: a facade write on the soon-to-be-wedged shard must
 	// work before the wedge.
@@ -350,56 +348,72 @@ func runShardedWedge(m hpbrcu.Map, sc ShardWedgeScenario, inj *fault.Injector, v
 	}
 
 	inj.SetSiteEnabled(fault.SiteShardStall, true)
-	if !waitQuarantined(true, "quarantined") {
+	defer inj.SetSiteEnabled(fault.SiteShardStall, false)
+	if !awaitWedge(m, viol) {
 		return
 	}
+	ticks := hpbrcu.ShardPressures(m)[0].JanitorTicks
+	base, leaksBefore := hpbrcu.ShardSnapshots(m), leaks.Load()
 
-	// Routing while wedged: writes to shard 0 shed, reads pass, other
-	// shards accept writes.
-	if _, err := m.TryInsert(wedged[1], 1); !errors.Is(err, hpbrcu.ErrShardQuarantined) {
-		viol.addf("TryInsert on wedged shard: err=%v, want ErrShardQuarantined", err)
+	// A wedged janitor sheds nothing: facade writes to its shard land.
+	if ok, err := m.Insert(wedged[1], 1); !ok || err != nil {
+		viol.addf("Insert on wedged shard: ok=%v err=%v, want success", ok, err)
 	}
-	if _, _, err := m.Get(wedged[0]); err != nil {
-		viol.addf("Get on wedged shard must pass through, got %v", err)
-	}
-	if _, err := m.Insert(healthy[0], 2); err != nil {
-		viol.addf("Insert on healthy shard during wedge: %v", err)
+	if ok, err := m.TryInsert(wedged[2], 1); !ok || err != nil {
+		viol.addf("TryInsert on wedged shard: ok=%v err=%v, want success", ok, err)
 	}
 
-	// Isolation: while the wedge holds, every healthy shard keeps
-	// advancing and reclaiming under the workers' load.
-	before := hpbrcu.ShardSnapshots(m)
-	time.Sleep(50 * time.Millisecond)
-	after := hpbrcu.ShardSnapshots(m)
-	res.HealthyAdvanceMin = -1
-	for i := 1; i < len(after); i++ {
-		adv := after[i].EpochAdvances - before[i].EpochAdvances
-		rec := after[i].Reclaimed - before[i].Reclaimed
-		if adv <= 0 || rec <= 0 {
-			viol.addf("healthy shard %d starved during wedge: advances Δ=%d reclaimed Δ=%d", i, adv, rec)
-		}
-		if res.HealthyAdvanceMin < 0 || adv < res.HealthyAdvanceMin {
-			res.HealthyAdvanceMin = adv
+	minOf := func(cur *int64, v int64) {
+		if *cur < 0 || v < *cur {
+			*cur = v
 		}
 	}
-	if !hpbrcu.ShardPressures(m)[0].Quarantined {
-		viol.addf("shard 0 left quarantine while its janitors were still wedged")
+	prev := base
+	deadline := time.Now().Add(10 * time.Second)
+	for window := 1; ; window++ {
+		time.Sleep(wedgeWindow)
+		cur := hpbrcu.ShardSnapshots(m)
+		for i := range cur {
+			adv := cur[i].EpochAdvances - prev[i].EpochAdvances
+			rec := cur[i].Reclaimed - prev[i].Reclaimed
+			if adv <= 0 || rec <= 0 {
+				viol.addf("shard %d stopped reclaiming during the wedge: window %d advances Δ=%d reclaimed Δ=%d", i, window, adv, rec)
+				return
+			}
+			if i == 0 {
+				minOf(&res.WedgedAdvanceMin, adv)
+			} else {
+				minOf(&res.HealthyAdvanceMin, adv)
+			}
+		}
+		prev = cur
+
+		res.HealthyReapedMin = -1
+		for i := 1; i < len(cur); i++ {
+			minOf(&res.HealthyReapedMin, cur[i].ReapedHandles-base[i].ReapedHandles)
+		}
+		if window >= minWindows && res.HealthyReapedMin > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			viol.addf("a healthy shard reaped nothing within 10s of the wedge (fewest reaped: %d)", res.HealthyReapedMin)
+			return
+		}
 	}
 
-	// Un-wedge and gate on the rejoin.
-	inj.SetSiteEnabled(fault.SiteShardStall, false)
-	if !waitQuarantined(false, "recovered") {
-		return
+	res.WedgeLeaks = leaks.Load() - leaksBefore
+	res.WedgedReaped = prev[0].ReapedHandles - base[0].ReapedHandles
+	if res.WedgedReaped != 0 {
+		viol.addf("wedged shard 0 reaped %d handles — the stall did not take", res.WedgedReaped)
 	}
-	if _, err := m.Insert(wedged[2], 3); err != nil {
-		viol.addf("Insert on shard 0 after recovery: %v", err)
+	if now := hpbrcu.ShardPressures(m)[0].JanitorTicks; now != ticks {
+		viol.addf("wedged shard 0's janitor ticked %d → %d — the stall did not take", ticks, now)
 	}
 }
 
 // runControlWedge is the unsharded supervisor: the same wedge with no
 // shard boundary to contain it — leaks fired during the outage must stay
-// unreaped (global degradation), and no quarantine ever appears because
-// there is no monitor to raise one.
+// unreaped (global degradation).
 func runControlWedge(m hpbrcu.Map, sc ShardWedgeScenario, inj *fault.Injector, viol *violations, leaks *atomic.Int64, res *ShardWedgeResult) {
 	time.Sleep(10 * time.Millisecond)
 
@@ -422,11 +436,9 @@ func runControlWedge(m hpbrcu.Map, sc ShardWedgeScenario, inj *fault.Injector, v
 	time.Sleep(50 * time.Millisecond)
 	res.WedgeLeaks = leaks.Load() - leaksBefore
 
-	if reapedDuring := hpbrcu.AggregateSnapshot(m).ReapedHandles - reapedBefore; reapedDuring != 0 {
-		viol.addf("control: reaper adopted %d handles while wedged — the stall did not take", reapedDuring)
-	}
-	if hpbrcu.ShardPressures(m)[0].Quarantined {
-		viol.addf("control: unsharded map reported a quarantine")
+	res.WedgedReaped = hpbrcu.AggregateSnapshot(m).ReapedHandles - reapedBefore
+	if res.WedgedReaped != 0 {
+		viol.addf("control: reaper adopted %d handles while wedged — the stall did not take", res.WedgedReaped)
 	}
 
 	inj.SetSiteEnabled(fault.SiteShardStall, false)

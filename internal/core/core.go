@@ -139,12 +139,6 @@ func (d *Domain) Backend() Backend { return d.backend }
 // ShardID reports the shard label this domain was configured with.
 func (d *Domain) ShardID() int { return d.shardID }
 
-// RegisterService registers an exempt service handle: the lease scan
-// never claims it however long its status word stands, so long-lived and
-// mostly-idle maintenance goroutines (the shard health monitor's recovery
-// loop) can hold one across arbitrary quiet spans.
-func (d *Domain) RegisterService() *Handle { return d.register(true) }
-
 // GarbageBound returns the §5 bound 2GN + GN² + H on unreclaimed nodes for
 // a BRCU-backed domain with the given shield count H; it returns -1 for an
 // RCU-backed domain (HP-RCU is unbounded under stalled threads).
@@ -218,9 +212,9 @@ type Handle struct {
 	rcu  *ebr.Handle
 	brcu *brcu.Handle
 
-	// exempt marks service handles (the janitor's, the shard monitor's)
-	// the lease scan must never claim: they are long-lived and mostly
-	// idle, so their status words stand still by design.
+	// exempt marks service handles (the janitor's, a janitor-less
+	// CloseDrain's) the lease scan must never claim: they are long-lived
+	// and mostly idle, so their status words stand still by design.
 	exempt bool
 
 	// bpTick samples the backpressure-threshold refresh on the retire

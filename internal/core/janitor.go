@@ -44,28 +44,16 @@ type JanitorConfig struct {
 	Watchdog bool
 }
 
-// Report is what a janitor publishes at the end of every tick — the one
-// background fact the rest of the system reads instead of re-deriving:
-// the shard health monitor (liveness from Ticks, the epoch-wedge verdict
-// from Advances and Unreclaimed) and the per-shard /metrics rows
-// (hpbrcu.ShardPressures: Ticks and StallStreak).
+// Report is what a janitor publishes at the end of every tick, read by
+// the per-shard STATS and /metrics rows (hpbrcu.ShardPressures).
 type Report struct {
 	// Ticks counts completed ticks; a stalled tick (fault.SiteShardStall)
-	// publishes nothing and does not count.
+	// publishes nothing and does not count, so a count that stands still
+	// names a wedged janitor.
 	Ticks int64
-	// Epoch is the BRCU global epoch and Advances the cumulative
-	// epoch-advance count.
-	Epoch    uint64
-	Advances int64
-	// Unreclaimed is the retired-not-yet-reclaimed gauge after the drain
-	// stage.
-	Unreclaimed int64
 	// StallStreak is how many consecutive ticks saw flushed batches queued
 	// behind an epoch that did not move (0 with the watchdog off).
 	StallStreak int
-	// Level is the backpressure rung after this tick's threshold refresh
-	// (LevelOK with backpressure off).
-	Level reap.Level
 	// Parked is how many handles the lease scan holds parked: their word
 	// stood for the lease timeout, but they hold nothing to adopt, so they
 	// were left registered and are not counted in ReapedHandles.
@@ -79,13 +67,11 @@ type Janitor struct {
 	shardID  int
 
 	// The stages. reaper and wd are nil when their stage is off; drain is
-	// one forced flush-advance-reclaim round through the service handle;
-	// epoch reads the domain's epoch clock.
+	// one forced flush-advance-reclaim round through the service handle.
 	reaper *reap.Reaper
 	wd     *brcu.Watchdog
 	bp     *reap.Backpressure
 	drain  func()
-	epoch  func() uint64
 
 	// gate decides whether the drain stage runs a round this tick: armed
 	// by an adoption or a detected stall, open while the rounds make
@@ -134,7 +120,6 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 		shardID:  d.shardID,
 		bp:       d.bp,
 		drain:    h.Barrier,
-		epoch:    d.brcu.Epoch,
 		d:        d,
 		h:        h,
 		stop:     make(chan struct{}),
@@ -153,9 +138,6 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 	go j.run()
 	return j
 }
-
-// Interval returns the janitor tick.
-func (j *Janitor) Interval() time.Duration { return j.interval }
 
 // Report returns the report of the last completed tick. Safe from any
 // goroutine.
@@ -186,7 +168,7 @@ func (j *Janitor) tick(now int64) {
 	// entirely — no look at any handle, no adoption, no health check, no
 	// report — so a Period-1 plan freezes the janitor as dead as a wedged
 	// goroutine, deterministically and wall-clock independently: adoption
-	// stops, and the shard monitor sees Ticks stand still.
+	// stops, and Ticks stand still.
 	// FireShard reads the injector through the atomic gate — this
 	// goroutine outlives Activate/Deactivate.
 	if fault.FireShard(fault.SiteShardStall, j.shardID) {
@@ -234,19 +216,12 @@ func (j *Janitor) tick(now int64) {
 	j.publish()
 }
 
-// publish replaces the report with the domain's current state and counts
+// publish replaces the report with the stages' current state and counts
 // one tick.
 func (j *Janitor) publish() {
-	r := Report{
-		Epoch:       j.epoch(),
-		Advances:    j.rec.EpochAdvances.Load(),
-		Unreclaimed: j.rec.Unreclaimed.Load(),
-	}
+	var r Report
 	if j.wd != nil {
 		r.StallStreak = j.wd.StallStreak()
-	}
-	if j.bp != nil {
-		r.Level = j.bp.Level()
 	}
 	if j.reaper != nil {
 		r.Parked = j.reaper.Parked()

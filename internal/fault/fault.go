@@ -122,8 +122,8 @@ const (
 	// lease scan, epoch-health check, drain and report alike — simulating
 	// a wedged per-shard janitor. The site is shard-targeted: the plan's
 	// Shard field selects which shard's ticks fire, so a sharded domain
-	// can demonstrate fault isolation (the wedged shard is quarantined,
-	// the others keep reclaiming). Fired through FireShard from the
+	// can demonstrate fault isolation (the wedged shard reaps nothing,
+	// every shard keeps reclaiming). Fired through FireShard from the
 	// janitor goroutine, which is long-lived and therefore uses the
 	// dynamic (atomic) gate rather than the plain fault.On branch.
 	SiteShardStall
@@ -272,8 +272,8 @@ func FireShard(s Site, shard int) bool {
 // SetSiteEnabled switches one site on or off while the injector stays
 // active. Plans are immutable after Activate, so this atomic override is
 // the only way to change a schedule mid-run; it exists for phased chaos
-// scenarios — wedge a shard, watch it quarantine, then re-enable its
-// janitors and watch it recover — where Deactivate would race with the
+// scenarios — wedge a shard, watch what it keeps doing, then re-enable
+// its janitor and watch it catch up — where Deactivate would race with the
 // long-lived goroutines still crossing plain fault.On sites.
 func (inj *Injector) SetSiteEnabled(s Site, enabled bool) {
 	inj.sites[s].disabled.Store(!enabled)

@@ -131,12 +131,6 @@ const (
 	// EvDrainBegin: Shutdown started the graceful drain; Arg is the
 	// number of live connections at that moment.
 	EvDrainBegin
-	// EvShardQuarantine: the shard health monitor moved a shard into
-	// quarantine; Arg is the shard id. Recorded on the monitor's trace.
-	EvShardQuarantine
-	// EvShardRecover: a quarantined shard passed the rejoin criterion and
-	// resumed taking traffic; Arg is the shard id.
-	EvShardRecover
 
 	numEventKinds
 )
@@ -147,7 +141,6 @@ var eventNames = [numEventKinds]string{
 	"lease-expire", "adopt", "reap", "throttle", "reject",
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",
-	"shard-quarantine", "shard-recover",
 }
 
 // String returns the event kind's name.

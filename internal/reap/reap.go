@@ -70,7 +70,7 @@ type Victim interface {
 	// across looks and hands it back to TryReap and CancelReap.
 	Word() uint64
 	// Exempt reports whether the handle must never be reaped (the
-	// janitor's and the shard monitor's service handles).
+	// janitor's service handle).
 	Exempt() bool
 	// TryReap claims the victim by one CAS from word; false means word is
 	// not reapable (a live critical section, a mutation span, another

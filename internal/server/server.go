@@ -255,7 +255,7 @@ func (s *Server) acceptLoop() {
 // enough to stop as soon as pressure recedes. The gate is the MEAN
 // shard pressure, not the worst: rung 3 is a whole-service measure
 // (it sheds connections, which touch every shard), so a single
-// quarantined shard must not cost healthy shards their clients. On an
+// overloaded shard must not cost healthy shards their clients. On an
 // unsharded map mean and worst coincide, so behaviour is unchanged.
 func (s *Server) governor() {
 	defer close(s.governorDone)
@@ -515,7 +515,7 @@ func (s *Server) errReply(c *conn, err error) (reply string, quit bool) {
 // StatsLines renders the service counters as "name=value" rows — the
 // STATS reply, and the final dump smrcached prints after a drain. On a
 // sharded map the map-wide counters come from AggregateSnapshot (sums
-// across shards), and one pressure/health row per shard follows the
+// across shards), and one pressure/janitor row per shard follows the
 // aggregate block so an operator can see WHICH shard is degraded, not
 // just that something is.
 func (s *Server) StatsLines() []string {
@@ -541,17 +541,11 @@ func (s *Server) StatsLines() []string {
 		fmt.Sprintf("retired=%d", snap.Retired),
 		fmt.Sprintf("reclaimed=%d", snap.Reclaimed),
 		fmt.Sprintf("unreclaimed=%d", snap.Unreclaimed),
-		fmt.Sprintf("shard_quarantines=%d", snap.ShardQuarantines),
-		fmt.Sprintf("shard_recoveries=%d", snap.ShardRecoveries),
 	}
 	for _, sp := range hpbrcu.ShardPressures(s.m) {
-		q := 0
-		if sp.Quarantined {
-			q = 1
-		}
 		rows = append(rows,
 			fmt.Sprintf("shard%d_pressure=%s", sp.Shard, sp.Level),
-			fmt.Sprintf("shard%d_quarantined=%d", sp.Shard, q),
+			fmt.Sprintf("shard%d_janitor_ticks=%d", sp.Shard, sp.JanitorTicks),
 			fmt.Sprintf("shard%d_unreclaimed=%d", sp.Shard, sp.Unreclaimed),
 		)
 	}
@@ -571,7 +565,6 @@ func (s *Server) ServiceStats() map[string]any {
 		shards = append(shards, map[string]any{
 			"Shard":        sp.Shard,
 			"Pressure":     sp.Level.String(),
-			"Quarantined":  sp.Quarantined,
 			"Unreclaimed":  sp.Unreclaimed,
 			"JanitorTicks": sp.JanitorTicks,
 			"StallStreak":  sp.StallStreak,

@@ -1,18 +1,19 @@
 package server
 
-// The shard-quarantine soak: a sharded smrcached store under live
-// client load while shard 0's janitors (reaper and epoch watchdog) are
-// deterministically wedged. The service-level claims under test:
+// The shard-wedge soak: a sharded smrcached store under live client load
+// while shard 0's janitor (reaper and epoch watchdog) is deterministically
+// wedged. The service-level claims under test:
 //
-//	quarantine surfaces   — writes owned by the wedged shard come back
-//	                        -BUSY (ErrShardQuarantined is a load-shed
-//	                        signal, same retry contract as backpressure);
-//	degradation is partial — completed request throughput does not
-//	                        collapse, because reads pass through and the
-//	                        healthy shards keep full write service;
-//	recovery is clean     — after the wedge lifts the shard rejoins,
-//	                        writes succeed again, and the drain still
-//	                        balances the books to zero unreclaimed nodes.
+//	the wedge takes      — shard 0's janitor ticks stand still through the
+//	                       whole degraded phase, while the others tick on;
+//	nothing sheds        — a frozen janitor is not a load-shed signal: no
+//	                       -BUSY and no error in either phase, because
+//	                       shard 0's workers keep advancing its epoch and
+//	                       its backpressure tiers never fire;
+//	throughput holds     — the degraded phase completes at least ¾ of the
+//	                       healthy phase's requests;
+//	shutdown is clean    — after the wedge lifts the drain balances every
+//	                       shard's books, with no goroutine left behind.
 
 import (
 	"context"
@@ -25,14 +26,14 @@ import (
 	"github.com/smrgo/hpbrcu/internal/server/loadgen"
 )
 
-func TestServerShardQuarantineSoak(t *testing.T) {
+func TestServerShardWedgeSoak(t *testing.T) {
 	phase := 3 * time.Second
 	if testing.Short() {
 		phase = time.Second
 	}
 	goroutinesBefore := runtime.NumGoroutine()
 
-	// One plan: wedge shard 0's janitors on every pass. The site starts
+	// One plan: wedge shard 0's janitor on every pass. The site starts
 	// disabled so the baseline phase runs clean; SetSiteEnabled flips it
 	// mid-run without violating the Activate/Deactivate quiescence
 	// contract (Activate must precede map creation, Deactivate must
@@ -53,22 +54,7 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 			Interval:     5 * time.Millisecond,
 		},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
-		Shards: hpbrcu.ShardsConfig{
-			Count: 4,
-			// Janitor ticks are 5ms here, not the chaos harness's 1ms: on
-			// a GOMAXPROCS=1 box serving live TCP load, four 1ms tickers
-			// alone generate more timer wakeups than the request traffic
-			// — janitors then starve for whole probe windows and healthy
-			// shards flap into quarantine. The probe window is ten ticks
-			// (50ms), so a verdict requires a janitor silent for 150ms
-			// straight — far beyond scheduler jitter, yet still a fast
-			// detection bound for a genuinely wedged shard.
-			Health: hpbrcu.ShardHealthConfig{
-				Enabled:          true,
-				StallThreshold:   3,
-				RecoverThreshold: 2,
-			},
-		},
+		Shards:       hpbrcu.ShardsConfig{Count: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +80,7 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runPhase := func(seed int64) loadgen.Result {
+	runPhase := func(name string, seed int64) loadgen.Result {
 		res, lerr := loadgen.Run(loadgen.Config{
 			Addr:       addr.String(),
 			Rate:       1200,
@@ -111,77 +97,73 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
+		if res.Busy != 0 || res.Retries != 0 || res.Errors != 0 {
+			t.Fatalf("%s phase: busy=%d retried=%d errors=%d, want none (a wedged janitor sheds nothing): %v",
+				name, res.Busy, res.Retries, res.Errors, res)
+		}
 		return res
 	}
-	waitQuarantined := func(want bool) {
-		deadline := time.Now().Add(10 * time.Second)
-		for hpbrcu.ShardPressures(m)[0].Quarantined != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("shard 0 quarantined != %v within 10s", want)
-			}
-			time.Sleep(2 * time.Millisecond)
+	ticks := func() []int64 {
+		var out []int64
+		for _, sp := range hpbrcu.ShardPressures(m) {
+			out = append(out, sp.JanitorTicks)
 		}
+		return out
 	}
 
 	// Phase A: healthy baseline throughput.
-	resA := runPhase(7)
+	resA := runPhase("baseline", 7)
 	completedA := resA.OK + resA.Miss
 	if completedA == 0 {
 		t.Fatalf("baseline phase completed nothing: %v", resA)
 	}
-	if q := hpbrcu.AggregateSnapshot(m).ShardQuarantines; q != 0 {
-		t.Fatalf("%d quarantine verdicts under healthy load (the monitor mistook normal operation for a wedge)", q)
-	}
 
-	// Wedge shard 0 and wait for the health monitor's verdict.
+	// Wedge shard 0 and wait until its tick count stands still across
+	// several tick periods (a tick already past the injection point may
+	// still publish).
 	inj.SetSiteEnabled(fault.SiteShardStall, true)
-	waitQuarantined(true)
-
-	// Phase B: same offered load against the degraded service.
-	resB := runPhase(8)
-	completedB := resB.OK + resB.Miss
-	if resB.Busy == 0 {
-		t.Fatalf("no -BUSY under quarantine (writes to the wedged shard must shed): %v", resB)
+	for deadline, last := time.Now().Add(10*time.Second), int64(-1); ; {
+		now := ticks()[0]
+		if now == last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard 0's janitor kept ticking for 10s under a Period-1 stall plan")
+		}
+		last = now
+		time.Sleep(25 * time.Millisecond)
 	}
-	if completedB*4 < completedA {
-		t.Fatalf("throughput collapsed under one-shard quarantine: baseline %d completed, degraded %d (want >= 1/4)",
+
+	// Phase B: same offered load with shard 0's janitor frozen.
+	before := ticks()
+	resB := runPhase("wedged", 8)
+	after := ticks()
+	completedB := resB.OK + resB.Miss
+	if after[0] != before[0] {
+		t.Fatalf("shard 0's janitor ticked %d → %d during the wedged phase: the stall did not take", before[0], after[0])
+	}
+	for i := 1; i < len(after); i++ {
+		if after[i] <= before[i] {
+			t.Fatalf("healthy shard %d's janitor stood still too (%d → %d ticks): the wedge was not per-shard", i, before[i], after[i])
+		}
+	}
+	if completedB*4 < completedA*3 {
+		t.Fatalf("throughput fell under one wedged janitor: baseline %d completed, wedged %d (want >= 3/4)",
 			completedA, completedB)
 	}
-	if !hpbrcu.ShardPressures(m)[0].Quarantined {
-		t.Fatal("shard 0 left quarantine while its janitors were still wedged")
-	}
-	for _, sp := range hpbrcu.ShardPressures(m)[1:] {
-		if sp.Quarantined {
-			t.Fatalf("healthy shard %d quarantined during the wedge phase", sp.Shard)
-		}
-	}
 
-	// Lift the wedge: the shard must rejoin and take writes again.
+	// Lift the wedge, then drain.
 	inj.SetSiteEnabled(fault.SiteShardStall, false)
-	waitQuarantined(false)
-	for k := int64(100000); ; k++ {
-		if hpbrcu.ShardOf(m, k) != 0 {
-			continue
-		}
-		if ok, ierr := m.Insert(k, 1); ierr != nil || !ok {
-			t.Fatalf("insert on recovered shard 0: ok=%v err=%v", ok, ierr)
-		}
-		break
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if serr := s.Shutdown(ctx); serr != nil {
 		t.Fatalf("Shutdown after soak: %v", serr)
 	}
-
-	snap := hpbrcu.AggregateSnapshot(m)
-	if snap.Unreclaimed != 0 {
-		t.Fatalf("books unbalanced after drain: unreclaimed=%d", snap.Unreclaimed)
-	}
-	if snap.ShardQuarantines == 0 || snap.ShardRecoveries == 0 {
-		t.Fatalf("quarantine accounting: quarantines=%d recoveries=%d, want both nonzero",
-			snap.ShardQuarantines, snap.ShardRecoveries)
+	for i, snap := range hpbrcu.ShardSnapshots(m) {
+		if snap.Unreclaimed != 0 || snap.Retired != snap.Reclaimed {
+			t.Fatalf("shard %d books unbalanced after drain: retired=%d reclaimed=%d unreclaimed=%d",
+				i, snap.Retired, snap.Reclaimed, snap.Unreclaimed)
+		}
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -195,6 +177,5 @@ func TestServerShardQuarantineSoak(t *testing.T) {
 	}
 
 	t.Logf("baseline: %v", resA)
-	t.Logf("degraded: %v", resB)
-	t.Logf("quarantines=%d recoveries=%d", snap.ShardQuarantines, snap.ShardRecoveries)
+	t.Logf("wedged:   %v (shard 0 janitor ticks frozen at %d)", resB, after[0])
 }

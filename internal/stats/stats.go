@@ -168,14 +168,6 @@ type Reclamation struct {
 	// DrainNanos accumulates the wall-clock nanoseconds graceful drains
 	// took, from shutdown start to balanced books.
 	DrainNanos Counter
-	// ShardQuarantines counts shard health-monitor verdicts that moved a
-	// shard into quarantine (no epoch progress with growing garbage, or a
-	// dead reaper/watchdog tick). Recorded on the sharded map's own
-	// Reclamation, not a shard's.
-	ShardQuarantines Counter
-	// ShardRecoveries counts quarantined shards that passed the health
-	// monitor's rejoin criterion and resumed taking traffic.
-	ShardRecoveries Counter
 
 	// The histograms below record only while the observability layer
 	// (internal/obs) is enabled; see the Histogram doc comment.
@@ -219,13 +211,11 @@ type Snapshot struct {
 	PoolExhausted         int64
 	PoolLeaksReclaimed    int64
 
-	AcceptedConns    int64
-	ShedScans        int64
-	RejectedWrites   int64
-	ClosedByLadder   int64
-	DrainNanos       int64
-	ShardQuarantines int64
-	ShardRecoveries  int64
+	AcceptedConns  int64
+	ShedScans      int64
+	RejectedWrites int64
+	ClosedByLadder int64
+	DrainNanos     int64
 
 	// Histogram digests; all-zero unless the observability layer was
 	// enabled during the run. Summaries are scalar-only, so Snapshot
@@ -259,13 +249,11 @@ func (r *Reclamation) Snapshot() Snapshot {
 		PoolExhausted:         r.PoolExhausted.Load(),
 		PoolLeaksReclaimed:    r.PoolLeaksReclaimed.Load(),
 
-		AcceptedConns:    r.AcceptedConns.Load(),
-		ShedScans:        r.ShedScans.Load(),
-		RejectedWrites:   r.RejectedWrites.Load(),
-		ClosedByLadder:   r.ClosedByLadder.Load(),
-		DrainNanos:       r.DrainNanos.Load(),
-		ShardQuarantines: r.ShardQuarantines.Load(),
-		ShardRecoveries:  r.ShardRecoveries.Load(),
+		AcceptedConns:  r.AcceptedConns.Load(),
+		ShedScans:      r.ShedScans.Load(),
+		RejectedWrites: r.RejectedWrites.Load(),
+		ClosedByLadder: r.ClosedByLadder.Load(),
+		DrainNanos:     r.DrainNanos.Load(),
 
 		PollLag:         r.PollLag.Summary(),
 		CSNanos:         r.CSNanos.Summary(),
@@ -298,8 +286,6 @@ func (r *Reclamation) Reset() {
 	r.RejectedWrites.Reset()
 	r.ClosedByLadder.Reset()
 	r.DrainNanos.Reset()
-	r.ShardQuarantines.Reset()
-	r.ShardRecoveries.Reset()
 	r.PollLag.Reset()
 	r.CSNanos.Reset()
 	r.GraceNanos.Reset()

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -81,19 +82,48 @@ func TestGaugeConcurrentPeakNeverBelowFinal(t *testing.T) {
 	}
 }
 
+// TestReclamationSnapshot: Snapshot and Reset are hand-written field
+// lists, so a counter added to Reclamation (or a line dropped from either
+// list) would read as zero in every snapshot or survive a Reset. Every
+// Counter and Gauge gets a distinct nonzero value (a gauge also a peak
+// above its level); Snapshot must copy each into the same-named field
+// (a gauge's peak into Peak<name>), and Reset must zero all of them.
 func TestReclamationSnapshot(t *testing.T) {
 	var r Reclamation
-	r.Retired.Add(10)
-	r.Unreclaimed.Add(10)
-	r.Unreclaimed.Add(-3)
-	r.Reclaimed.Add(3)
-	r.Signals.Inc()
-	s := r.Snapshot()
-	if s.Retired != 10 || s.Reclaimed != 3 || s.Unreclaimed != 7 || s.PeakUnreclaimed != 10 || s.Signals != 1 {
-		t.Fatalf("snapshot = %+v", s)
+	rv := reflect.ValueOf(&r).Elem()
+	want := map[string]int64{}
+	for i := 0; i < rv.NumField(); i++ {
+		n, name := int64(100+i), rv.Type().Field(i).Name
+		switch f := rv.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			f.Add(n)
+		case *Gauge:
+			f.Add(n + 50)
+			f.Add(-50)
+			want["Peak"+name] = n + 50
+		default:
+			continue
+		}
+		want[name] = n
 	}
+	check := func(when string, zero bool) {
+		t.Helper()
+		s := reflect.ValueOf(r.Snapshot())
+		for name, n := range want {
+			f := s.FieldByName(name)
+			if !f.IsValid() {
+				t.Errorf("Snapshot has no field %s", name)
+				continue
+			}
+			if zero {
+				n = 0
+			}
+			if got := f.Int(); got != n {
+				t.Errorf("%s: Snapshot.%s = %d, want %d", when, name, got, n)
+			}
+		}
+	}
+	check("set", false)
 	r.Reset()
-	if s2 := r.Snapshot(); s2.Retired != 0 || s2.PeakUnreclaimed != 0 {
-		t.Fatalf("after reset: %+v", s2)
-	}
+	check("after Reset", true)
 }

@@ -41,9 +41,9 @@ func baseGoroutines() int {
 }
 
 // TestJanitorGoroutineCensus counts the background goroutines a map
-// starts: one janitor per domain whichever of its stages are on, plus one
-// shard monitor — 9 for eight shards with everything on, where the
-// watchdog, the reaper and the monitor used to make 17 — and Close
+// starts: one janitor per domain whichever of its stages are on and
+// nothing else — 8 for eight shards with everything on, where the
+// watchdog, the reaper and a shard monitor used to make 17 — and Close
 // returns the process to its starting count.
 func TestJanitorGoroutineCensus(t *testing.T) {
 	allOn := hpbrcu.Config{
@@ -52,9 +52,9 @@ func TestJanitorGoroutineCensus(t *testing.T) {
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 	}
 	sharded := allOn
-	sharded.Shards = hpbrcu.ShardsConfig{Count: 8, Health: hpbrcu.ShardHealthConfig{Enabled: true}}
+	sharded.Shards = hpbrcu.ShardsConfig{Count: 8}
 	watchdogOnly := hpbrcu.Config{Watchdog: true}
-	healthOnly := hpbrcu.Config{Shards: sharded.Shards}
+	shardsOnly := hpbrcu.Config{Shards: sharded.Shards}
 	for _, tc := range []struct {
 		name string
 		cfg  hpbrcu.Config
@@ -63,8 +63,8 @@ func TestJanitorGoroutineCensus(t *testing.T) {
 		{"unsharded reaper+watchdog", allOn, 1},
 		{"unsharded watchdog only", watchdogOnly, 1},
 		{"zero config", hpbrcu.Config{}, 0},
-		{"8 shards, reaper+watchdog+health", sharded, 9},
-		{"8 shards, health without a janitor", healthOnly, 1},
+		{"8 shards, reaper+watchdog", sharded, 8},
+		{"8 shards, zero config", shardsOnly, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := baseGoroutines()
@@ -88,42 +88,6 @@ func TestJanitorGoroutineCensus(t *testing.T) {
 				t.Errorf("%d goroutines after Close, want the starting %d", got, base)
 			}
 		})
-	}
-}
-
-// TestShardHealthWithoutJanitor: Health on shards that run neither Reaper
-// nor Watchdog still starts the monitor, which then judges the epoch-wedge
-// signal alone — with no janitor to freeze, steady churn across many probe
-// windows must never strike, even at a one-probe verdict.
-func TestShardHealthWithoutJanitor(t *testing.T) {
-	base := baseGoroutines()
-	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 256, hpbrcu.Config{
-		Shards: hpbrcu.ShardsConfig{
-			Count:  4,
-			Health: hpbrcu.ShardHealthConfig{Enabled: true, StallThreshold: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := settledGoroutines(base+1) - base; got != 1 {
-		t.Fatalf("map added %d goroutines, want the 1 monitor", got)
-	}
-	for end := time.Now().Add(150 * time.Millisecond); time.Now().Before(end); {
-		for k := int64(0); k < 256; k++ {
-			if _, err := m.Insert(k, k); err != nil {
-				t.Fatalf("Insert(%d): %v", k, err)
-			}
-			if _, _, err := m.Remove(k); err != nil {
-				t.Fatalf("Remove(%d): %v", k, err)
-			}
-		}
-	}
-	if got := hpbrcu.AggregateSnapshot(m).ShardQuarantines; got != 0 {
-		t.Fatalf("%d quarantines on healthy janitor-less shards, want 0", got)
-	}
-	if err := hpbrcu.Close(m, 5*time.Second); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -142,24 +142,32 @@ func BarrierCtx(ctx context.Context, h MapHandle) error {
 
 // HandleErr returns the lifecycle error latched on h, if any: ErrClosed
 // after a rejected post-Close operation, or a *PanicError under
-// PanicRecover. It returns nil for handles of maps created before this
-// layer existed (plain MapHandles).
+// PanicRecover. A sharded map's handle reports the first error latched on
+// any of its per-shard handles. It returns nil for handles of maps
+// created before this layer existed (plain MapHandles).
 func HandleErr(h MapHandle) error {
-	if g, ok := h.(*guardedHandle); ok {
-		return g.err
+	switch h := h.(type) {
+	case *guardedHandle:
+		return h.err
+	case *shardedHandle:
+		return h.latched(false)
 	}
 	return nil
 }
 
 // TakeHandleErr returns the latched lifecycle error and clears it, so a
-// retry loop can consume one containment per observation. The error of a
-// poisoned handle re-latches on the next operation — poisoning is
+// retry loop can consume one containment per observation; on a sharded
+// map's handle it returns the first and clears every shard's. The error
+// of a poisoned handle re-latches on the next operation — poisoning is
 // permanent.
 func TakeHandleErr(h MapHandle) error {
-	if g, ok := h.(*guardedHandle); ok {
-		err := g.err
-		g.err = nil
+	switch h := h.(type) {
+	case *guardedHandle:
+		err := h.err
+		h.err = nil
 		return err
+	case *shardedHandle:
+		return h.latched(true)
 	}
 	return nil
 }

@@ -161,23 +161,43 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	}
 }
 
+// TestCloseNonDomainMap: a map that is not one domain — an RCU list has
+// none, a sharded map one per shard behind a composite handle — still
+// latches ErrClosed where HandleErr sees it, and TakeHandleErr clears it.
 func TestCloseNonDomainMap(t *testing.T) {
-	m, err := hpbrcu.NewHList(hpbrcu.RCU, hpbrcu.Config{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		scheme hpbrcu.Scheme
+		cfg    hpbrcu.Config
+	}{
+		{"RCU", hpbrcu.RCU, hpbrcu.Config{}},
+		{"HP-BRCU 2 shards", hpbrcu.HPBRCU, hpbrcu.Config{Shards: hpbrcu.ShardsConfig{Count: 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := hpbrcu.NewHList(tc.scheme, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := m.Register()
+			h.Insert(1, 2)
+			if err := hpbrcu.Close(m, time.Second); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if _, ok := h.Get(1); ok {
+				t.Fatal("post-Close Get succeeded on existing handle")
+			}
+			if !errors.Is(hpbrcu.HandleErr(h), hpbrcu.ErrClosed) {
+				t.Fatalf("HandleErr = %v after a rejected post-Close Get, want ErrClosed", hpbrcu.HandleErr(h))
+			}
+			if !errors.Is(hpbrcu.TakeHandleErr(h), hpbrcu.ErrClosed) {
+				t.Fatal("post-Close Get did not latch ErrClosed")
+			}
+			if err := hpbrcu.HandleErr(h); err != nil {
+				t.Fatalf("HandleErr = %v after TakeHandleErr, want nil", err)
+			}
+			h.Unregister()
+		})
 	}
-	h := m.Register()
-	h.Insert(1, 2)
-	if err := hpbrcu.Close(m, time.Second); err != nil {
-		t.Fatalf("Close(RCU map): %v", err)
-	}
-	if _, ok := h.Get(1); ok {
-		t.Fatal("post-Close Get succeeded on existing handle")
-	}
-	if !errors.Is(hpbrcu.TakeHandleErr(h), hpbrcu.ErrClosed) {
-		t.Fatal("post-Close Get did not latch ErrClosed")
-	}
-	h.Unregister()
 }
 
 func TestGetCtxFallbackAndCancellation(t *testing.T) {

@@ -15,17 +15,15 @@ import (
 )
 
 // IsLoadShed reports whether err is one of the library's load-shed
-// signals: ErrMemoryPressure (the backpressure reject tier),
+// signals: ErrMemoryPressure (the backpressure reject tier) or
 // ErrHandleExhausted (every pooled facade handle stayed checked out
-// through the bounded wait), or ErrShardQuarantined (the key's owning
-// shard is wedged and shedding writes until it recovers). All three mean
-// "the operation was refused to protect the §5 garbage bound — back off
-// and retry"; they are always returned, never panicked. ErrClosed is NOT
-// a load-shed signal: a closed map will never accept the retry, so
-// callers must tell the two apart, and this predicate is how.
+// through the bounded wait). Both mean "the operation was refused to
+// protect the §5 garbage bound — back off and retry"; they are always
+// returned, never panicked. ErrClosed is NOT a load-shed signal: a closed
+// map will never accept the retry, so callers must tell the two apart,
+// and this predicate is how.
 func IsLoadShed(err error) bool {
-	return errors.Is(err, ErrMemoryPressure) || errors.Is(err, ErrHandleExhausted) ||
-		errors.Is(err, ErrShardQuarantined)
+	return errors.Is(err, ErrMemoryPressure) || errors.Is(err, ErrHandleExhausted)
 }
 
 // PressureLevel is a rung of the tiered-backpressure ladder
@@ -123,16 +121,13 @@ func KeyPressure(m Map, key int64) PressureLevel {
 	return Pressure(m)
 }
 
-// ShardPressure is one shard's externally visible pressure and health
+// ShardPressure is one shard's externally visible pressure and janitor
 // row, as reported by ShardPressures.
 type ShardPressure struct {
 	// Shard is the shard id.
 	Shard int
 	// Level is the shard's own backpressure rung.
 	Level PressureLevel
-	// Quarantined reports whether the health monitor is currently
-	// shedding the shard's writes.
-	Quarantined bool
 	// Unreclaimed is the shard's retired-not-yet-reclaimed gauge.
 	Unreclaimed int64
 	// JanitorTicks, StallStreak and ParkedHandles come from the shard
@@ -148,10 +143,9 @@ type ShardPressure struct {
 	ParkedHandles int
 }
 
-// ShardPressures returns one pressure/health row per shard, in shard
+// ShardPressures returns one pressure/janitor row per shard, in shard
 // order — the data behind smrcached's per-shard STATS and /metrics rows.
-// For an unsharded map it returns a single row (shard 0, never
-// quarantined).
+// For an unsharded map it returns a single row (shard 0).
 func ShardPressures(m Map) []ShardPressure {
 	sm, ok := m.(*shardedMap)
 	if !ok {
@@ -166,7 +160,6 @@ func ShardPressures(m Map) []ShardPressure {
 		out[i] = ShardPressure{
 			Shard:       i,
 			Level:       Pressure(sh),
-			Quarantined: sm.quarantined(i),
 			Unreclaimed: sh.st().Unreclaimed.Load(),
 		}
 		out[i].readJanitor(sh)

@@ -8,51 +8,30 @@ package hpbrcu
 // entirely within the shard that owns its key, so each shard's books
 // balance independently, the global §5 bound is the sum of the per-shard
 // bounds, and a wedged shard (dead janitor goroutine, stalled epoch) can
-// only pin its own slice of garbage. The optional health monitor
-// (internal/shard) turns that isolation into routing: a shard judged
-// wedged is quarantined — its write traffic sheds with
-// ErrShardQuarantined while reads pass through — and a recovery loop
-// keeps forcing reclamation rounds on it until it rejoins.
+// only pin its own slice of garbage. Nothing watches the shards: each
+// one answers a stalled epoch with what every domain runs — its workers'
+// own advances and its backpressure tiers.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/smrgo/hpbrcu/internal/core"
-	"github.com/smrgo/hpbrcu/internal/shard"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
-
-// ErrShardQuarantined is returned by a sharded map's facade writes
-// (Insert, TryInsert, Remove) and registered-handle TryInsert when the
-// key's owning shard is quarantined by the health monitor. It is a
-// load-shed signal (IsLoadShed reports true): the shard is expected to
-// recover, so callers should back off and retry — reads against the
-// shard keep working in the meantime.
-var ErrShardQuarantined = errors.New("hpbrcu: shard quarantined (wedged shard shedding writes until it recovers)")
 
 // shardedMap implements Map over independent per-shard mapImpl instances.
 type shardedMap struct {
 	scheme Scheme
 	shards []*mapImpl
 
-	// rec carries the sharded map's own counters: the service counters an
-	// embedding server records through Stats(), and the monitor's
-	// quarantine/recovery counts. Per-shard reclamation lives on each
-	// shard's own Reclamation; AggregateSnapshot merges all of them.
+	// rec carries the service counters an embedding server records
+	// through Stats(). Per-shard reclamation lives on each shard's own
+	// Reclamation; AggregateSnapshot merges all of them.
 	rec *stats.Reclamation
 
-	// mon is the health monitor (nil when disabled or the scheme has no
-	// domain); monHs holds the per-shard service handles its recovery
-	// loop drains through.
-	mon   *shard.Monitor
-	monHs []*core.Handle
-
-	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -67,11 +46,6 @@ func (m *shardedMap) shardFor(key int64) int {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return int(x % uint64(len(m.shards)))
-}
-
-// quarantined reports whether shard s is currently shedding writes.
-func (m *shardedMap) quarantined(s int) bool {
-	return m.mon != nil && m.mon.Quarantined(s)
 }
 
 func (m *shardedMap) Stats() *Stats  { return m.rec }
@@ -96,27 +70,15 @@ func (m *shardedMap) GetCtx(ctx context.Context, key int64) (int64, bool, error)
 }
 
 func (m *shardedMap) Insert(key, val int64) (bool, error) {
-	s := m.shardFor(key)
-	if m.quarantined(s) {
-		return false, ErrShardQuarantined
-	}
-	return m.shards[s].Insert(key, val)
+	return m.shards[m.shardFor(key)].Insert(key, val)
 }
 
 func (m *shardedMap) TryInsert(key, val int64) (bool, error) {
-	s := m.shardFor(key)
-	if m.quarantined(s) {
-		return false, ErrShardQuarantined
-	}
-	return m.shards[s].TryInsert(key, val)
+	return m.shards[m.shardFor(key)].TryInsert(key, val)
 }
 
 func (m *shardedMap) Remove(key int64) (int64, bool, error) {
-	s := m.shardFor(key)
-	if m.quarantined(s) {
-		return 0, false, ErrShardQuarantined
-	}
-	return m.shards[s].Remove(key)
+	return m.shards[m.shardFor(key)].Remove(key)
 }
 
 func (m *shardedMap) Barrier() error {
@@ -146,6 +108,24 @@ func (h *shardedHandle) inner(s int) MapHandle {
 	return h.hs[s]
 }
 
+// latched returns the first lifecycle error latched on an inner handle
+// and, when take is set, clears every inner latch (HandleErr,
+// TakeHandleErr).
+func (h *shardedHandle) latched(take bool) error {
+	var first error
+	for _, inner := range h.hs {
+		if g, ok := inner.(*guardedHandle); ok && g.err != nil {
+			if first == nil {
+				first = g.err
+			}
+			if take {
+				g.err = nil
+			}
+		}
+	}
+	return first
+}
+
 func (h *shardedHandle) Get(key int64) (int64, bool) {
 	return h.inner(h.m.shardFor(key)).Get(key)
 }
@@ -158,16 +138,10 @@ func (h *shardedHandle) Remove(key int64) (int64, bool) {
 	return h.inner(h.m.shardFor(key)).Remove(key)
 }
 
-// TryInsert implements TryInserter: the owning shard's backpressure gate
-// first, behind the quarantine gate — TryInsert is shed traffic, the
-// plain registered Insert/Remove deliberately are not (the registered
-// API is the expert path; its callers own their routing decisions).
+// TryInsert implements TryInserter through the owning shard's
+// backpressure gate.
 func (h *shardedHandle) TryInsert(key, val int64) (bool, error) {
-	s := h.m.shardFor(key)
-	if h.m.quarantined(s) {
-		return false, ErrShardQuarantined
-	}
-	return TryInsert(h.inner(s), key, val)
+	return TryInsert(h.inner(h.m.shardFor(key)), key, val)
 }
 
 // GetCtx implements ContextHandle.
@@ -209,10 +183,9 @@ func (h *shardedHandle) Unregister() {
 
 // newSharded builds cfg.Shards.Count independent instances through build
 // (one per shard, each labelled with its shard id) and assembles the
-// composite map, starting the health monitor when configured.
+// composite map.
 func newSharded(s Scheme, cfg Config, build func(Config) (Map, error)) (Map, error) {
 	n := cfg.Shards.Count
-	health := cfg.Shards.Health
 	inner := cfg
 	inner.Shards = ShardsConfig{} // the per-shard builds must not recurse
 
@@ -234,77 +207,15 @@ func newSharded(s Scheme, cfg Config, build func(Config) (Map, error)) (Map, err
 		}
 		m.shards[i] = impl
 	}
-
-	// The monitor needs BRCU-backed shards (every shard is built from the
-	// same Config, so shard 0 speaks for all of them).
-	if health.Enabled && m.shards[0].dom != nil {
-		probes := make([]shard.Probe, n)
-		m.monHs = make([]*core.Handle, n)
-		var tick time.Duration
-		for i, sh := range m.shards {
-			dom := sh.dom
-			// The monitor's own recovery handle: handles are single-owner,
-			// and its job is to act when the shard's janitor cannot.
-			h := dom.RegisterService()
-			m.monHs[i] = h
-			p := shard.Probe{Recover: h.Barrier}
-			if sh.jan != nil {
-				p.Report, tick = sh.jan.Report, sh.jan.Interval()
-			} else {
-				// Neither Reaper nor Watchdog: no janitor to freeze, so only
-				// the epoch-wedge signal applies. The probe reads the books
-				// itself and counts its own reads as ticks.
-				st, reads := sh.st(), int64(0)
-				p.Report = func() core.Report {
-					reads++
-					return core.Report{
-						Ticks:       reads,
-						Advances:    st.EpochAdvances.Load(),
-						Unreclaimed: st.Unreclaimed.Load(),
-					}
-				}
-			}
-			// Harm-gate the epoch-wedge signal: the drain tier is where
-			// the backlog already demands service, so stuck-advances
-			// below it are normal batch accumulation, not a wedge. With
-			// backpressure off, half the shard's §5 bound plays the same
-			// role (static — the bound only grows with new handles, and
-			// an under-estimate merely re-admits the growth check early).
-			if sh.bp != nil {
-				p.WedgeFloor = sh.bp.DrainAt
-			} else if b := dom.GarbageBound(0); b > 0 {
-				half := b / 2
-				p.WedgeFloor = func() int64 { return half }
-			}
-			probes[i] = p
-		}
-		m.mon = shard.StartMonitor(probes, shard.Config{
-			Interval:         shard.IntervalFor(tick),
-			StallThreshold:   health.StallThreshold,
-			RecoverThreshold: health.RecoverThreshold,
-			Rec:              m.rec,
-		})
-	}
 	return m, nil
 }
 
 // --- lifecycle ---------------------------------------------------------
 
-// doClose is Close for sharded maps: stop the monitor and its recovery
-// handles first (their drains cross the shards' domains), then close
-// every shard against the shared deadline concurrently — one wedged
-// shard's drain must not eat the others' budget.
+// doClose is Close for sharded maps: close every shard against the shared
+// deadline concurrently — one wedged shard's drain must not eat the
+// others' budget.
 func (m *shardedMap) doClose(timeout time.Duration) error {
-	m.closed.Store(true)
-	if m.mon != nil {
-		m.mon.Stop()
-	}
-	for _, h := range m.monHs {
-		if h != nil {
-			h.Barrier()
-			h.Unregister()
-		}
-	}
 	errs := make([]error, len(m.shards))
 	done := make(chan int, len(m.shards))
 	for i, sh := range m.shards {
@@ -390,8 +301,6 @@ func AggregateSnapshot(m Map) StatsSnapshot {
 		agg.RejectedWrites += s.RejectedWrites
 		agg.ClosedByLadder += s.ClosedByLadder
 		agg.DrainNanos += s.DrainNanos
-		agg.ShardQuarantines += s.ShardQuarantines
-		agg.ShardRecoveries += s.ShardRecoveries
 		agg.PollLag = mergeHist(agg.PollLag, s.PollLag)
 		agg.CSNanos = mergeHist(agg.CSNanos, s.CSNanos)
 		agg.GraceNanos = mergeHist(agg.GraceNanos, s.GraceNanos)

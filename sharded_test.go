@@ -1,12 +1,11 @@
 package hpbrcu_test
 
 // Sharded-domain regression tests (DESIGN.md §15): cross-shard retire
-// routing under -race, per-shard book balancing, the Σ-over-shards §5
-// bound, and the quarantine state machine end to end (wedge → shed →
-// recover) against deterministic shard-stall injection.
+// routing under -race, per-shard book balancing and the Σ-over-shards §5
+// bound. What a wedged shard keeps doing is internal/chaos's shard-wedge
+// gate.
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
-	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
@@ -24,19 +22,6 @@ func shardedCfg(shards int) hpbrcu.Config {
 		Reaper:   hpbrcu.ReaperConfig{Enabled: true},
 		Shards:   hpbrcu.ShardsConfig{Count: shards},
 	}
-}
-
-// keyOwnedBy returns a key routed to shard s, starting the scan at from
-// so callers can collect distinct keys.
-func keyOwnedBy(t *testing.T, m hpbrcu.Map, s int, from int64) int64 {
-	t.Helper()
-	for k := from; k < from+1<<16; k++ {
-		if hpbrcu.ShardOf(m, k) == s {
-			return k
-		}
-	}
-	t.Fatalf("no key found for shard %d", s)
-	return 0
 }
 
 // TestShardedRoutingCoversAllShards pins the hash routing: a dense key
@@ -219,124 +204,6 @@ func TestShardedCrossShardRetire(t *testing.T) {
 	}
 }
 
-// TestShardedQuarantineRouting drives the full quarantine lifecycle with
-// deterministic shard-stall injection: wedge shard 0's janitors, wait for
-// the health monitor's verdict, assert the routing contract (writes shed
-// with ErrShardQuarantined, reads pass, healthy shards unaffected,
-// registered plain writes ungated), then un-wedge and wait for recovery.
-func TestShardedQuarantineRouting(t *testing.T) {
-	const shards = 4
-	inj := fault.New(fault.Config{
-		Seed: 42,
-		Plans: [fault.NumSites]fault.Plan{
-			fault.SiteShardStall: {Period: 1, Shard: 0},
-		},
-	})
-	// Activate before the map exists and deactivate only after Close:
-	// the janitor goroutines cross injection sites for their whole lives.
-	fault.Activate(inj)
-	defer fault.Deactivate()
-
-	cfg := shardedCfg(shards)
-	cfg.Reaper.Interval = time.Millisecond
-	cfg.Shards.Health = hpbrcu.ShardHealthConfig{
-		// 20ms probe windows over 1ms janitor ticks: wide enough that a
-		// live janitor is never silent for a whole window even on a
-		// single-CPU, -race test box, while a wedged one is detected
-		// within ~60ms.
-		Enabled:          true,
-		StallThreshold:   2,
-		RecoverThreshold: 2,
-	}
-	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 256, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hpbrcu.Close(m, 10*time.Second)
-
-	wedgedKey := keyOwnedBy(t, m, 0, 0)
-	healthyKey := keyOwnedBy(t, m, 1, 0)
-
-	waitShard := func(quarantined bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			rows := hpbrcu.ShardPressures(m)
-			if len(rows) != shards {
-				t.Fatalf("ShardPressures returned %d rows, want %d", len(rows), shards)
-			}
-			if rows[0].Quarantined == quarantined {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for shard 0 to be %s", what)
-	}
-
-	waitShard(true, "quarantined")
-
-	// Routing contract while shard 0 is quarantined.
-	if _, err := m.Insert(wedgedKey, 1); !errors.Is(err, hpbrcu.ErrShardQuarantined) {
-		t.Errorf("Insert on wedged shard: err=%v, want ErrShardQuarantined", err)
-	}
-	if _, err := m.TryInsert(wedgedKey, 1); !errors.Is(err, hpbrcu.ErrShardQuarantined) {
-		t.Errorf("TryInsert on wedged shard: err=%v, want ErrShardQuarantined", err)
-	}
-	if _, _, err := m.Remove(wedgedKey); !errors.Is(err, hpbrcu.ErrShardQuarantined) {
-		t.Errorf("Remove on wedged shard: err=%v, want ErrShardQuarantined", err)
-	}
-	if !hpbrcu.IsLoadShed(hpbrcu.ErrShardQuarantined) {
-		t.Error("ErrShardQuarantined must be a load-shed signal")
-	}
-	if _, _, err := m.Get(wedgedKey); err != nil {
-		t.Errorf("Get on wedged shard must pass through, got %v", err)
-	}
-	if ok, err := m.Insert(healthyKey, 2); err != nil || !ok {
-		t.Errorf("Insert on healthy shard: ok=%v err=%v, want success", ok, err)
-	}
-
-	h := m.Register()
-	if _, err := hpbrcu.TryInsert(h, wedgedKey, 1); !errors.Is(err, hpbrcu.ErrShardQuarantined) {
-		t.Errorf("registered TryInsert on wedged shard: err=%v, want ErrShardQuarantined", err)
-	}
-	// The plain registered write path is the expert path — deliberately
-	// not gated.
-	if !h.Insert(wedgedKey, 3) {
-		t.Error("registered plain Insert on wedged shard must stay available")
-	}
-	h.Unregister()
-
-	// The pressure aggregates see the quarantine rows without error.
-	worst, mean := hpbrcu.PressureStat(m)
-	if worst < mean {
-		t.Errorf("PressureStat worst=%v < mean=%v", worst, mean)
-	}
-	_ = hpbrcu.KeyPressure(m, wedgedKey)
-
-	// Un-wedge: switch the site off mid-run (the injector stays active,
-	// so the long-lived janitors never race the gate) and wait for the
-	// recovery loop to rejoin the shard.
-	inj.SetSiteEnabled(fault.SiteShardStall, false)
-	waitShard(false, "recovered")
-
-	freshKey := keyOwnedBy(t, m, 0, wedgedKey+1)
-	if ok, err := m.Insert(freshKey, 4); err != nil || !ok {
-		t.Errorf("Insert after recovery: ok=%v err=%v, want success", ok, err)
-	}
-
-	snap := hpbrcu.AggregateSnapshot(m)
-	if snap.ShardQuarantines == 0 {
-		t.Error("ShardQuarantines counter did not record the quarantine")
-	}
-	if snap.ShardRecoveries == 0 {
-		t.Error("ShardRecoveries counter did not record the rejoin")
-	}
-
-	if err := hpbrcu.Close(m, 10*time.Second); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 // TestUnshardedPressureHelpers pins the helpers' unsharded fallbacks so
 // services can call them unconditionally.
 func TestUnshardedPressureHelpers(t *testing.T) {
@@ -360,8 +227,8 @@ func TestUnshardedPressureHelpers(t *testing.T) {
 		t.Errorf("KeyPressure unsharded = %v, want %v", kp, hpbrcu.Pressure(m))
 	}
 	rows := hpbrcu.ShardPressures(m)
-	if len(rows) != 1 || rows[0].Quarantined {
-		t.Errorf("ShardPressures unsharded = %+v, want one healthy row", rows)
+	if len(rows) != 1 || rows[0].Shard != 0 {
+		t.Errorf("ShardPressures unsharded = %+v, want one shard-0 row", rows)
 	}
 	if snaps := hpbrcu.ShardSnapshots(m); len(snaps) != 1 {
 		t.Errorf("ShardSnapshots unsharded returned %d rows, want 1", len(snaps))

@@ -171,38 +171,16 @@ type Config struct {
 // shard's defer batch — so each shard's books balance independently and
 // the global §5 bound is the sum of the per-shard bounds. A wedged shard
 // (dead janitor, stalled epoch) therefore pins only its own slice of
-// garbage; with Health enabled it is additionally quarantined so fresh
-// writes shed instead of piling onto the wedge.
+// garbage. A wedged janitor costs its shard the janitor's service — no
+// leaked handle is reaped and no forced drain runs there until it
+// resumes — and nothing else: the shard's workers keep advancing its
+// epoch and reclaiming under its §5 bound, and no write sheds because of
+// the wedge. Writes to any shard shed only through the tiers every map
+// runs (ErrMemoryPressure, ErrHandleExhausted).
 type ShardsConfig struct {
 	// Count is the number of shards; values <= 1 keep the single-domain
 	// layout.
 	Count int
-	// Health enables the per-shard health monitor and quarantine state
-	// machine; see ShardHealthConfig.
-	Health ShardHealthConfig
-}
-
-// ShardHealthConfig configures the shard health monitor
-// (ShardsConfig.Health): a single goroutine that reads every shard
-// janitor's report — janitor liveness (its tick counter), epoch-advance
-// progress and the books delta — once per probe window (ten janitor
-// ticks, at least 20ms), quarantines a shard after StallThreshold
-// consecutive unhealthy probes, runs an escalated recovery round against
-// it each probe, and rejoins it after RecoverThreshold consecutive
-// healthy probes. Quarantined shards shed writes (Insert/TryInsert/
-// Remove fail fast with ErrShardQuarantined, which IsLoadShed
-// recognizes) while reads pass through. Only effective on HP-BRCU maps.
-// On shards that run no janitor (neither Reaper nor Watchdog) only the
-// epoch-wedge signal applies, read from the shard's books every 20ms.
-type ShardHealthConfig struct {
-	// Enabled turns the monitor on.
-	Enabled bool
-	// StallThreshold is how many consecutive unhealthy probes quarantine
-	// a shard (default 3).
-	StallThreshold int
-	// RecoverThreshold is how many consecutive healthy probes rejoin a
-	// quarantined shard (default 3).
-	RecoverThreshold int
 }
 
 // PoolConfig tunes the handle pool behind the handle-free facade (see
