@@ -43,9 +43,9 @@ func TestBRCUDeferCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 300; round++ {
 		var executed atomic.Bool
-		writer.SetExecutor(func(r alloc.Retired) {
+		writer.SetExecutor(func(rs []alloc.Retired) {
 			executed.Store(true)
-			r.Pool.FreeSlot(r.Slot)
+			new(alloc.Frees).FreeAll(rs)
 		})
 
 		reader.Enter()

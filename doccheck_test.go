@@ -79,6 +79,90 @@ func TestOneAllocator(t *testing.T) {
 	}
 }
 
+// TestArchitectureTreeCoversPackages keeps README's architecture tree in
+// step with the source: every directory under internal/ and cmd/ must
+// appear in it, and every internal/ or cmd/ entry it lists must exist.
+func TestArchitectureTreeCoversPackages(t *testing.T) {
+	listed := architectureTree(t)
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() || path == root {
+				return err
+			}
+			if name := d.Name(); name[0] == '.' || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if path = filepath.ToSlash(path); !listed[path] {
+				t.Errorf("%s is missing from README.md's architecture tree", path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path := range listed {
+		if !strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "cmd/") {
+			continue
+		}
+		if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+			t.Errorf("README.md's architecture tree lists %s, which is not a directory", path)
+		}
+	}
+}
+
+// architectureTree returns the directories README.md's architecture tree
+// names, as slash paths: an entry is a line's first word ending in "/",
+// nested under the nearest less-indented entry above it. Description
+// columns and continuation lines sit far right of any entry's indent.
+func architectureTree(t *testing.T) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(src), "\n## Architecture\n")
+	if ok {
+		_, rest, ok = strings.Cut(rest, "```\n")
+	}
+	if ok {
+		rest, _, ok = strings.Cut(rest, "```")
+	}
+	if !ok {
+		t.Fatal("README.md has no code block under an \"## Architecture\" heading")
+	}
+	const maxIndent = 16 // entries nest 2 spaces a level; descriptions start at column 27
+	type entry struct {
+		indent int
+		path   string
+	}
+	var stack []entry
+	listed := map[string]bool{}
+	for _, line := range strings.Split(rest, "\n") {
+		word := strings.TrimLeft(line, " ")
+		indent := len(line) - len(word)
+		if i := strings.IndexByte(word, ' '); i >= 0 {
+			word = word[:i]
+		}
+		if indent > maxIndent || !strings.HasSuffix(word, "/") {
+			continue
+		}
+		for len(stack) > 0 && stack[len(stack)-1].indent >= indent {
+			stack = stack[:len(stack)-1]
+		}
+		path := strings.TrimSuffix(word, "/")
+		if len(stack) > 0 {
+			path = stack[len(stack)-1].path + "/" + path
+		}
+		stack = append(stack, entry{indent, path})
+		listed[path] = true
+	}
+	if !listed["internal/alloc"] || !listed["cmd/smrbench"] {
+		t.Fatalf("parsed README.md's architecture tree as %v; it should at least list internal/alloc and cmd/smrbench", listed)
+	}
+	return listed
+}
+
 // undocumentedExports parses dir (tests excluded) and returns the
 // exported top-level identifiers lacking documentation. A name in a
 // grouped const/var/type block counts as documented if the block, its

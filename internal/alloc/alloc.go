@@ -14,7 +14,10 @@
 //     observable (Fig. 2's use-after-free reproduces as a poison/version
 //     check failure instead of memory corruption);
 //   - allocation cost is a pool hit, mirroring the paper's use of jemalloc
-//     to keep allocator contention out of the measurements.
+//     to keep allocator contention out of the measurements: an allocation
+//     or a free writes only the node's own header (the pool keeps no
+//     running counts), and a reclaimer hands a pool a whole pass through
+//     FreeSlots, one freelist lock per pass rather than per node.
 //
 // Nodes are addressed by slot index (see atomicx.Ref) rather than by raw
 // pointer so links can carry Harris/Natarajan-Mittal tag bits without
@@ -45,7 +48,6 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/obs"
-	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 // Node lifecycle states, stored in Header.state.
@@ -96,9 +98,10 @@ func (h *Header) TryRetire() bool {
 // Freer releases slots back to their pool. It lets reclamation schemes hold
 // heterogeneous retired records without knowing node types.
 type Freer interface {
-	// FreeSlot returns the slot to the pool. The caller must guarantee the
-	// node is Retired and no longer protected by any thread.
-	FreeSlot(slot uint64)
+	// FreeSlots returns every slot of a reclamation pass to the pool at
+	// once. The caller must guarantee each node is Retired and no longer
+	// protected by any thread; the pool does not keep the slice.
+	FreeSlots(slots []uint64)
 }
 
 const (
@@ -138,12 +141,6 @@ type Pool[T any] struct {
 
 	freeMu   sync.Mutex
 	freeList []uint64 // guarded by freeMu
-
-	// Allocated counts Alloc calls; Freed counts FreeSlot calls; Live
-	// tracks the difference and its peak.
-	Allocated stats.Counter
-	Freed     stats.Counter
-	Live      stats.Gauge
 
 	// growGate, when set, is consulted before the pool carves fresh slots
 	// for a TryAlloc (freelist reuse is always allowed — recycling cannot
@@ -274,8 +271,6 @@ func (p *Pool[T]) take(c *Cache[T]) (slot uint64, node *T) {
 	if !h.state.CompareAndSwap(StateFree, StateLive) {
 		panic(fmt.Sprintf("alloc: allocating slot %d in state %d", slot, h.state.Load()))
 	}
-	p.Allocated.Inc()
-	p.Live.Add(1)
 	return slot, p.At(slot)
 }
 
@@ -336,25 +331,22 @@ func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
 	return nil
 }
 
-// FreeSlot reclaims the slot: the node must be Retired. The node is
-// poisoned (state Free, version bumped) and joins the shared freelist for
-// reuse. FreeSlot implements Freer.
-func (p *Pool[T]) FreeSlot(slot uint64) {
-	h := p.Hdr(slot)
-	h.version.Add(1)
-	if !h.state.CompareAndSwap(StateRetired, StateFree) {
-		panic(fmt.Sprintf("alloc: free of slot %d in state %d (double free or free-without-retire)", slot, h.state.Load()))
+// FreeSlots reclaims a reclamation pass: every node must be Retired. Each
+// is poisoned (version bumped, state Free) in order, and the whole batch
+// then joins the shared freelist under one acquisition of its lock — a
+// reclaimer's pass touches the pool's shared line once, not once per node.
+// A slot that is not Retired (a double free, or a free without retire)
+// panics naming it; the slots poisoned before it never reach the freelist.
+// FreeSlots implements Freer.
+func (p *Pool[T]) FreeSlots(slots []uint64) {
+	if len(slots) == 0 {
+		return
 	}
-	p.Freed.Inc()
-	p.Live.Add(-1)
-	if fault.On {
-		// Stall between poisoning and the freelist push: the slot is
-		// already Free/version-bumped but not yet reusable.
-		fault.Fire(fault.SiteFreeStall)
+	for _, slot := range slots {
+		p.poison(slot)
 	}
-
 	p.freeMu.Lock()
-	p.freeList = append(p.freeList, slot)
+	p.freeList = append(p.freeList, slots...)
 	p.freeMu.Unlock()
 }
 
@@ -362,17 +354,7 @@ func (p *Pool[T]) FreeSlot(slot uint64) {
 // shared freelist lock on the hot path. A full cache drains one batch to
 // the pool first.
 func (p *Pool[T]) FreeLocal(c *Cache[T], slot uint64) {
-	h := p.Hdr(slot)
-	h.version.Add(1)
-	if !h.state.CompareAndSwap(StateRetired, StateFree) {
-		panic(fmt.Sprintf("alloc: free of slot %d in state %d (double free or free-without-retire)", slot, h.state.Load()))
-	}
-	p.Freed.Inc()
-	p.Live.Add(-1)
-	if fault.On {
-		fault.Fire(fault.SiteFreeStall)
-	}
-
+	p.poison(slot)
 	if len(c.slots) >= cap(c.slots) {
 		p.freeMu.Lock()
 		p.freeList = append(p.freeList, c.slots[:cacheBatch]...)
@@ -380,4 +362,20 @@ func (p *Pool[T]) FreeLocal(c *Cache[T], slot uint64) {
 		c.slots = append(c.slots[:0], c.slots[cacheBatch:]...)
 	}
 	c.slots = append(c.slots, slot)
+}
+
+// poison is a free's check and mark on the node's own header, the only
+// word a free writes before the slot joins a freelist: the version bump
+// that makes stale references detectable, then Retired -> Free.
+func (p *Pool[T]) poison(slot uint64) {
+	h := p.Hdr(slot)
+	h.version.Add(1)
+	if !h.state.CompareAndSwap(StateRetired, StateFree) {
+		panic(fmt.Sprintf("alloc: free of slot %d in state %d (double free or free-without-retire)", slot, h.state.Load()))
+	}
+	if fault.On {
+		// Stall between poisoning and the freelist push: the slot is
+		// already Free/version-bumped but not yet reusable.
+		fault.Fire(fault.SiteFreeStall)
+	}
 }

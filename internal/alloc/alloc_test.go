@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func TestAllocReuseBumpsVersion(t *testing.T) {
 	slot, _ := p.Alloc(c)
 	v0 := p.Hdr(slot).Version()
 	p.Hdr(slot).Retire()
-	p.FreeSlot(slot)
+	p.FreeSlots([]uint64{slot})
 	if got := p.Hdr(slot).Version(); got != v0+1 {
 		t.Fatalf("version after free = %d, want %d", got, v0+1)
 	}
@@ -71,15 +72,42 @@ func TestAllocLifecyclePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("free-without-retire", func() { p.FreeSlot(slot) })
+	free := func() { p.FreeSlots([]uint64{slot}) }
+	mustPanic("free-without-retire", free)
 	p.Hdr(slot).Retire()
 	mustPanic("double retire", func() { p.Hdr(slot).Retire() })
-	p.FreeSlot(slot)
-	mustPanic("double free", func() { p.FreeSlot(slot) })
+	free()
+	mustPanic("double free", free)
 	mustPanic("nil deref", func() { p.At(0) })
 	mustPanic("nil header", func() { p.Hdr(0) })
 }
 
+// census counts the carved slots by header state. The pool keeps no
+// running counts, so the tests read the books off the headers themselves.
+type census struct{ carved, free, live, retired int }
+
+func takeCensus(p *Pool[testNode]) census {
+	p.growMu.Lock()
+	top := p.nextSlot
+	p.growMu.Unlock()
+	c := census{carved: int(top - 1)}
+	for s := uint64(1); s < top; s++ {
+		switch p.Hdr(s).State() {
+		case StateFree:
+			c.free++
+		case StateLive:
+			c.live++
+		case StateRetired:
+			c.retired++
+		}
+	}
+	return c
+}
+
+// TestAllocStats checks the books an allocation and a free keep on the
+// headers: a batch of frees moves exactly its slots Retired -> Free, and
+// freed slots are reused before the pool carves more, so the footprint
+// stays at the live peak.
 func TestAllocStats(t *testing.T) {
 	p := NewPool[testNode]()
 	c := p.NewCache()
@@ -88,18 +116,25 @@ func TestAllocStats(t *testing.T) {
 		s, _ := p.Alloc(c)
 		slots = append(slots, s)
 	}
-	if p.Allocated.Load() != 100 || p.Live.Load() != 100 {
-		t.Fatalf("allocated=%d live=%d, want 100/100", p.Allocated.Load(), p.Live.Load())
+	peak := takeCensus(p)
+	if peak.live != 100 || peak.free != peak.carved-100 {
+		t.Fatalf("after 100 allocs: %+v, want 100 live and the rest free", peak)
 	}
 	for _, s := range slots[:40] {
 		p.Hdr(s).Retire()
-		p.FreeSlot(s)
 	}
-	if p.Freed.Load() != 40 || p.Live.Load() != 60 {
-		t.Fatalf("freed=%d live=%d, want 40/60", p.Freed.Load(), p.Live.Load())
+	if got := takeCensus(p); got.live != 60 || got.retired != 40 {
+		t.Fatalf("after 40 retires: %+v, want 60 live, 40 retired", got)
 	}
-	if p.Live.Peak() != 100 {
-		t.Fatalf("live peak = %d, want 100", p.Live.Peak())
+	p.FreeSlots(slots[:40])
+	if got := takeCensus(p); got.live != 60 || got.retired != 0 || got.free != peak.free+40 {
+		t.Fatalf("after freeing 40: %+v, want 60 live, 0 retired, %d free", got, peak.free+40)
+	}
+	for i := 0; i < 40; i++ {
+		p.Alloc(c)
+	}
+	if got := takeCensus(p); got.live != 100 || got.carved != peak.carved {
+		t.Fatalf("after 40 more allocs: %+v, want 100 live in the peak's %d carved slots", got, peak.carved)
 	}
 }
 
@@ -116,13 +151,19 @@ func TestAllocFreeLocal(t *testing.T) {
 	}
 }
 
-// TestAllocConcurrent races the two free paths: every fourth free goes
-// through FreeSlot (the shared freelist, which other workers refill from),
-// the rest through FreeLocal; no node may change owner while it is live.
+// TestAllocConcurrent races the two free paths and the refill between
+// them: every other retired node joins a batch that reaches the shared
+// freelist through FreeSlots eight at a time — the freelist every other
+// worker's refill draws from — and the rest go through FreeLocal, whose
+// full cache spills to that freelist too. Each worker holds at most 48
+// nodes, so the slots circulate between workers. No node may change owner
+// while it is live, and at teardown every carved slot is Free with one
+// version bump per allocation. Run under -race.
 func TestAllocConcurrent(t *testing.T) {
 	p := NewPool[testNode]()
 	const workers = 8
 	const perWorker = 5000
+	const held = 48
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -130,26 +171,28 @@ func TestAllocConcurrent(t *testing.T) {
 		go func(id int64) {
 			defer wg.Done()
 			c := p.NewCache()
-			var mine []uint64
+			var mine, batch []uint64
 			frees := 0
 			free := func(s uint64) {
 				p.Hdr(s).Retire()
-				if frees++; frees%4 == 0 {
-					p.FreeSlot(s)
-				} else {
+				if frees++; frees%2 == 0 {
 					p.FreeLocal(c, s)
+					return
+				}
+				if batch = append(batch, s); len(batch) == 8 {
+					p.FreeSlots(batch)
+					batch = batch[:0]
 				}
 			}
 			for i := 0; i < perWorker; i++ {
 				s, n := p.Alloc(c)
 				n.key = id
 				mine = append(mine, s)
-				if i%3 == 0 && len(mine) > 1 {
-					// Free an old one.
+				if len(mine) > held {
 					victim := mine[0]
 					mine = mine[1:]
-					if p.At(victim).key != id {
-						t.Errorf("node %d stolen: key=%d want %d", victim, p.At(victim).key, id)
+					if k := p.At(victim).key; k != id {
+						t.Errorf("node %d stolen: key=%d want %d", victim, k, id)
 						return
 					}
 					free(victim)
@@ -158,14 +201,70 @@ func TestAllocConcurrent(t *testing.T) {
 			for _, s := range mine {
 				free(s)
 			}
+			p.FreeSlots(batch)
 		}(int64(w))
 	}
 	wg.Wait()
-	if p.Live.Load() != 0 {
-		t.Fatalf("leak: %d live nodes after teardown", p.Live.Load())
+	if got := takeCensus(p); got.live != 0 || got.retired != 0 {
+		t.Fatalf("leak after teardown: %+v", got)
 	}
-	if p.Allocated.Load() != workers*perWorker {
-		t.Fatalf("allocated=%d want %d", p.Allocated.Load(), workers*perWorker)
+	var versions uint64
+	for s := uint64(1); s < p.nextSlot; s++ {
+		versions += p.Hdr(s).Version()
+	}
+	if versions != workers*perWorker {
+		t.Fatalf("version bumps = %d, want one per allocation (%d)", versions, workers*perWorker)
+	}
+}
+
+// TestFreeSlotsBadSlotMidBatch: a slot in the middle of a batch that is
+// not Retired — freed twice, or still Live — panics naming that slot, after
+// poisoning the slots before it and without touching the ones after.
+func TestFreeSlotsBadSlotMidBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		state uint32 // the bad slot's state when the batch is freed
+	}{{"double free", StateFree}, {"live", StateLive}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool[testNode]()
+			c := p.NewCache()
+			var batch []uint64
+			for i := 0; i < 5; i++ {
+				s, _ := p.Alloc(c)
+				batch = append(batch, s)
+			}
+			bad := batch[2]
+			for _, s := range batch {
+				if s != bad || tc.state != StateLive {
+					p.Hdr(s).Retire()
+				}
+			}
+			if tc.state == StateFree {
+				p.FreeSlots([]uint64{bad})
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					want := fmt.Sprintf("free of slot %d in state %d", bad, tc.state)
+					if !strings.Contains(msg, want) {
+						t.Fatalf("FreeSlots panicked with %q, want it to contain %q", msg, want)
+					}
+				}()
+				p.FreeSlots(batch)
+			}()
+			for i, s := range batch {
+				want := StateRetired
+				switch {
+				case i < 2:
+					want = StateFree
+				case s == bad:
+					want = tc.state
+				}
+				if got := p.Hdr(s).State(); got != want {
+					t.Errorf("slot %d (batch[%d]): state %d, want %d", s, i, got, want)
+				}
+			}
+		})
 	}
 }
 

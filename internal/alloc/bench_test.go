@@ -47,16 +47,21 @@ func BenchmarkAblationSlotDeref(b *testing.B) {
 	})
 }
 
-// BenchmarkAllocFree measures the pooled allocation round trip.
+// BenchmarkAllocFree measures the pooled allocation round trip (Alloc,
+// Retire, FreeLocal) from GOMAXPROCS goroutines on one pool, each with its
+// own cache: the ledger's alloc.alloc_free_ns row. Run it at -cpu 1,2 —
+// from two goroutines, any word the round trip writes outside the node's
+// own header is a contended cache line.
 func BenchmarkAllocFree(b *testing.B) {
 	p := NewPool[benchNode]()
-	c := p.NewCache()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, _ := p.Alloc(c)
-		p.Hdr(s).Retire()
-		p.FreeLocal(c, s)
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		c := p.NewCache()
+		for pb.Next() {
+			s, _ := p.Alloc(c)
+			p.Hdr(s).Retire()
+			p.FreeLocal(c, s)
+		}
+	})
 }
 
 // BenchmarkAt is the latency of At on a dependent chain — each node holds
@@ -71,7 +76,7 @@ func BenchmarkAt(b *testing.B) {
 	c := p.NewCache()
 	const chain = 2048
 	var slots [2][]uint64 // per slab
-	for p.Allocated.Load() < 2*slabSize {
+	for i := 0; i < 2*slabSize; i++ {
 		s, _ := p.Alloc(c)
 		if si := (s - 1) >> slabBits; len(slots[si]) < chain {
 			slots[si] = append(slots[si], s)

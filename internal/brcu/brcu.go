@@ -235,7 +235,8 @@ type Handle struct {
 	id      uint64
 	batch   []alloc.Retired
 	pushCnt int
-	exec    func(alloc.Retired)
+	exec    func([]alloc.Retired) // runs one expired batch
+	frees   alloc.Frees           // the default executor's per-pool free batches
 
 	// flushAt is the batch-size watermark that triggers flushAndAdvance
 	// (the domain's maxLocalTasks, copied here at registration so the
@@ -276,20 +277,26 @@ type Handle struct {
 	csStart int64
 }
 
-// Register adds a thread to the domain with the default executor (free the
-// node and update statistics).
+// Register adds a thread to the domain with the default executor: free the
+// batch, a pool's share at a time, and book it once.
 func (d *Domain) Register() *Handle {
 	h := &Handle{d: d, id: d.nextID.Add(1), flushAt: d.maxLocalTasks}
 	h.batchCap = initialBatchCap
 	if h.batchCap > d.maxLocalTasks {
 		h.batchCap = d.maxLocalTasks
 	}
-	h.exec = func(r alloc.Retired) {
-		r.Pool.FreeSlot(r.Slot)
-		d.rec.Reclaimed.Inc()
-		d.rec.Unreclaimed.Add(-1)
-		if obs.On && r.At != 0 {
-			d.rec.ReclaimAgeNanos.Record(obs.Nanos() - r.At)
+	h.exec = func(rs []alloc.Retired) {
+		h.frees.FreeAll(rs)
+		n := int64(len(rs))
+		d.rec.Reclaimed.Add(n)
+		d.rec.Unreclaimed.Add(-n)
+		if obs.On {
+			now := obs.Nanos()
+			for _, r := range rs {
+				if r.At != 0 {
+					d.rec.ReclaimAgeNanos.Record(now - r.At)
+				}
+			}
 		}
 	}
 	if obs.On {
@@ -301,8 +308,9 @@ func (d *Domain) Register() *Handle {
 }
 
 // SetExecutor replaces the deferred-task executor (two-step retirement
-// installs the inner HP-Retire here, Algorithm 4).
-func (h *Handle) SetExecutor(exec func(alloc.Retired)) { h.exec = exec }
+// installs the inner HP-Retire here, Algorithm 4). The executor is handed
+// each expired batch whole.
+func (h *Handle) SetExecutor(exec func([]alloc.Retired)) { h.exec = exec }
 
 // SetResurrect installs the hook run when a reaped handle's owner turns
 // out to be alive and re-registers (internal/core re-adds the HP half and
@@ -1070,9 +1078,7 @@ func (h *Handle) executeExpired(eg uint64) {
 		if now != 0 && b.flushed != 0 {
 			d.rec.GraceNanos.Record(now - b.flushed)
 		}
-		for _, r := range b.tasks {
-			h.exec(r)
-		}
+		h.exec(b.tasks)
 	}
 	if obs.On && tasks > 0 {
 		h.trace.Rec(obs.EvDrain, int64(tasks))

@@ -230,20 +230,18 @@ type Handle struct {
 }
 
 // Register adds a thread to the domain and wires the two-step retirement
-// executor: when the (B)RCU grace period of a deferred node elapses, the
-// node moves to this thread's HP retired batch (Algorithm 4).
+// executor: when the (B)RCU grace period of a deferred batch elapses, the
+// batch moves to this thread's HP retired list (Algorithm 4).
 func (d *Domain) Register() *Handle {
 	return d.register(false)
 }
 
 func (d *Domain) register(exempt bool) *Handle {
 	h := &Handle{d: d, HP: d.HP.Register(), exempt: exempt}
-	exec := func(r alloc.Retired) {
-		// Keep the whole record: the obs retire timestamp set at the
-		// outer Retire rides into the inner HP batch, so the
-		// retire→reclaim age histogram spans both steps.
-		h.HP.RetireRecord(r)
-	}
+	// Keep the whole records: the obs retire timestamp set at the outer
+	// Retire rides into the inner HP batch, so the retire→reclaim age
+	// histogram spans both steps.
+	exec := h.HP.RetireRecords
 	switch d.backend {
 	case BackendRCU:
 		h.rcu = d.rcu.Register()

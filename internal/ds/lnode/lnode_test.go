@@ -45,14 +45,18 @@ func TestNewNodeAndDiscard(t *testing.T) {
 	if n.Next.Load().Tag() != 0 {
 		t.Fatal("NewNode must strip tag bits from the successor")
 	}
-	allocd := l.Pool.Allocated.Load()
+	hdr := l.Pool.Hdr(slot)
+	v := hdr.Version()
 	l.Discard(cache, slot)
+	if hdr.State() != alloc.StateFree || hdr.Version() != v+1 {
+		t.Fatalf("discarded node: state %d version %d, want Free at version %d", hdr.State(), hdr.Version(), v+1)
+	}
 	s2, _ := l.NewNode(cache, 8, 80, atomicx.Nil)
 	if s2 != slot {
 		t.Fatal("discarded slot not reused first")
 	}
-	if l.Pool.Allocated.Load() != allocd+1 {
-		t.Fatal("allocation accounting off")
+	if hdr.State() != alloc.StateLive || hdr.Version() != v+1 {
+		t.Fatalf("reused node: state %d version %d, want Live at version %d", hdr.State(), hdr.Version(), v+1)
 	}
 }
 

@@ -96,27 +96,31 @@ type Handle struct {
 
 	d     *Domain
 	batch []alloc.Retired
-	// exec runs a deferred task once its grace period has elapsed. Plain
-	// RCU frees the slot; HP-RCU replaces this with the inner HP-Retire.
-	exec func(alloc.Retired)
+	// exec runs one expired batch of deferred tasks once its grace period
+	// has elapsed. Plain RCU frees the slots; HP-RCU replaces this with the
+	// inner HP-Retire.
+	exec  func([]alloc.Retired)
+	frees alloc.Frees // the default executor's per-pool free batches
 }
 
-// Register adds a thread to the domain with the default executor (free the
-// node and update statistics).
+// Register adds a thread to the domain with the default executor: free the
+// batch, a pool's share at a time, and book it once.
 func (d *Domain) Register() *Handle {
 	h := &Handle{d: d}
-	h.exec = func(r alloc.Retired) {
-		r.Pool.FreeSlot(r.Slot)
-		d.rec.Reclaimed.Inc()
-		d.rec.Unreclaimed.Add(-1)
+	h.exec = func(rs []alloc.Retired) {
+		h.frees.FreeAll(rs)
+		n := int64(len(rs))
+		d.rec.Reclaimed.Add(n)
+		d.rec.Unreclaimed.Add(-n)
 	}
 	d.handles.Add(h)
 	return h
 }
 
 // SetExecutor replaces the deferred-task executor (used by two-step
-// retirement, Algorithm 4).
-func (h *Handle) SetExecutor(exec func(alloc.Retired)) { h.exec = exec }
+// retirement, Algorithm 4). The executor is handed each expired batch
+// whole.
+func (h *Handle) SetExecutor(exec func([]alloc.Retired)) { h.exec = exec }
 
 // Unregister removes the thread, flushing its pending batch to the global
 // task list first so nothing leaks.
@@ -234,13 +238,14 @@ func (h *Handle) collect() {
 			kept = append(kept, b)
 		}
 	}
+	// Drop the moved-out tail: an expired batch left in the spare capacity
+	// would keep its backing array reachable for as long as the domain idles.
+	clear(d.tasks[len(kept):])
 	d.tasks = kept
 	d.tasksMu.Unlock()
 
 	for _, b := range run {
-		for _, r := range b.tasks {
-			h.exec(r)
-		}
+		h.exec(b.tasks)
 	}
 }
 

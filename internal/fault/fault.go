@@ -84,7 +84,7 @@ const (
 	// SiteAllocExhaust shrinks the allocator refill batch to a single
 	// slot, maximizing freelist pressure and slot-reuse (ABA) churn.
 	SiteAllocExhaust
-	// SiteFreeStall stalls in alloc.Pool.FreeSlot/FreeLocal after the slot
+	// SiteFreeStall stalls in alloc.Pool.FreeSlots/FreeLocal after a slot
 	// is poisoned but before it reaches a freelist.
 	SiteFreeStall
 	// SiteLeak kills a chaos worker mid-operation: the worker returns

@@ -89,6 +89,7 @@ type Handle struct {
 	shields atomic.Pointer[[]*Shield] // owner appends; reclaimers scan
 	retired []alloc.Retired
 	scratch map[uint64]int // reused protected-slot multiset keyed by slot
+	frees   alloc.Frees    // a pass's unprotected nodes, freed per pool at once
 	trace   *obs.Trace     // reclaim events; nil with observability off
 
 	// scanAt is the retired-list length that triggers the next Reclaim:
@@ -295,20 +296,15 @@ func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 	}
 }
 
-// RetireNoCount appends a node to the batch without touching the
-// Retired/Unreclaimed statistics. HP-RCU/HP-BRCU count a node as retired at
-// the two-step Retire (the RCU defer), not at the inner HP-Retire; this
-// entry point lets them avoid double counting.
-func (h *Handle) RetireNoCount(slot uint64, pool alloc.Freer) {
-	h.RetireRecord(alloc.Retired{Slot: slot, Pool: pool})
-}
-
-// RetireRecord is RetireNoCount for a pre-built record; two-step
-// retirement (internal/core) uses it so the outer Retire's obs timestamp
-// survives into the inner HP batch and the retire→reclaim age histogram
-// measures the full two-step lifetime.
-func (h *Handle) RetireRecord(r alloc.Retired) {
-	h.retired = append(h.retired, r)
+// RetireRecords is the inner HP-Retire of two-step retirement
+// (internal/core): it appends a whole expired (B)RCU batch to the retired
+// list and scans once if that reaches the threshold. It does not touch the
+// Retired/Unreclaimed statistics — HP-RCU/HP-BRCU count a node at the
+// outer Retire — and it keeps the records whole, so the outer Retire's obs
+// timestamp survives and the retire→reclaim age histogram measures the
+// full two-step lifetime.
+func (h *Handle) RetireRecords(rs []alloc.Retired) {
+	h.retired = append(h.retired, rs...)
 	if len(h.retired) >= h.scanAt {
 		h.Reclaim()
 	}
@@ -316,7 +312,8 @@ func (h *Handle) RetireRecord(r alloc.Retired) {
 
 // Reclaim scans all shields and frees every retired node that is not
 // protected (Algorithm 1, Reclaim). Unprotected orphans from unregistered
-// threads are adopted and freed too.
+// threads are adopted and freed too. The pass's frees reach each pool as
+// one FreeSlots batch.
 func (h *Handle) Reclaim() {
 	d := h.d
 
@@ -350,12 +347,13 @@ func (h *Handle) Reclaim() {
 			kept = append(kept, r)
 			continue
 		}
-		r.Pool.FreeSlot(r.Slot)
+		h.frees.Add(r)
 		freed++
 		if now != 0 && r.At != 0 {
 			d.rec.ReclaimAgeNanos.Record(now - r.At)
 		}
 	}
+	h.frees.Flush()
 	h.retired = kept
 	// Move the watermark past the survivors so the next scan is earned by
 	// a full batch of fresh retirements, not re-triggered per retire by

@@ -114,6 +114,7 @@ type Handle struct {
 
 	d     *Domain
 	batch []stamped
+	frees alloc.Frees // a pass's freeable nodes, freed per pool at once
 }
 
 // Register adds a thread to the domain.
@@ -266,9 +267,10 @@ func (h *Handle) reclaim() {
 			keep = append(keep, s)
 			continue
 		}
-		s.r.Pool.FreeSlot(s.r.Slot)
+		h.frees.Add(s.r)
 		freed++
 	}
+	h.frees.Flush()
 	if len(keep) > 0 {
 		d.heldMu.Lock()
 		d.held = append(d.held, keep...)

@@ -1,16 +1,21 @@
 // Package stats provides the counters and high-watermark gauges used to
 // report the paper's memory metric: the peak number of retired yet
 // unreclaimed blocks (Figures 1b, 6b, 7 right column, and the appendix
-// grids). Counters are deliberately simple atomics, one shared word each.
-// Some update sites are amortized over a batch (hp's scan adds its freed
-// count once, the pool flushes checkouts by 64); the per-node ones are not:
-// core.Retire, hp.Retire, brcu.Defer and ebr.Defer bump Retired and
-// Unreclaimed, the BRCU and EBR reclaimers bump Reclaimed and Unreclaimed
-// per freed node, and the allocator bumps Allocated/Freed/Live per call —
-// one contended RMW each as soon as two goroutines write. That is the
-// write path's two-goroutine cliff; ROADMAP item 10(a) holds the two
-// measured attempts at making these books handle-local and why they have
-// not landed.
+// grids). Counters are deliberately simple atomics, one shared word each,
+// so where they are bumped decides what they cost once two goroutines
+// write.
+//
+// One update site is per node, on purpose: the retire entry points
+// (core.Retire, hp.Retire, brcu.Defer, ebr.Defer, nbr.Retire) add to
+// Retired and to the Unreclaimed gauge, whose peak is the §5 bound check
+// and must therefore be exact at every retire. (VBR frees a node where it
+// retires it, so it books Reclaimed there too.) Every other book is kept
+// per batch: a reclamation pass — hp's scan, nbr's reclaim, and the BRCU
+// and EBR drains' default executors, which run one expired batch at a
+// time — adds its freed count to Reclaimed and subtracts it from
+// Unreclaimed once, and the handle pool flushes checkouts by 64. The
+// allocator keeps no counts at all: an allocation or a free writes only
+// the node's own header (internal/alloc).
 package stats
 
 import "sync/atomic"
