@@ -79,6 +79,27 @@ func TestOneAllocator(t *testing.T) {
 	}
 }
 
+// TestOneRCUUnderCore keeps core's second backend deleted: HP-RCU runs on
+// a BRCU domain that never signals, so no file of internal/core may import
+// internal/ebr, which serves only the RCU and NR baselines — the ebr half,
+// its branches and its second walk cannot grow back through an import.
+func TestOneRCUUnderCore(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/core", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == "github.com/smrgo/hpbrcu/internal/ebr" {
+					t.Errorf("%s imports internal/ebr; HP-RCU's RCU is internal/brcu with signals off", name)
+				}
+			}
+		}
+	}
+}
+
 // TestArchitectureTreeCoversPackages keeps README's architecture tree in
 // step with the source: every directory under internal/ and cmd/ must
 // appear in it, and every internal/ or cmd/ entry it lists must exist.

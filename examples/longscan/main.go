@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("\nNBR's scans collapse as the scan length crosses its broadcast period;")
 	fmt.Println("HP-BRCU's checkpointed scans keep completing with bounded memory.")
 	fmt.Println("On cancel, HP-BRCU self-neutralizes the in-flight scan at its next")
-	fmt.Println("checkpoint; a scheme without cancellation finishes the scan first.")
+	fmt.Println("poll; a scheme without cancellation finishes the scan first.")
 }
 
 func run(scheme hpbrcu.Scheme) (scans, writes, peak int64, exitLat time.Duration) {
@@ -71,8 +71,8 @@ func run(scheme hpbrcu.Scheme) (scans, writes, peak int64, exitLat time.Duration
 
 	// One long-scan reader: every Get traverses ~half the list. It runs
 	// under a context; cancelling it self-neutralizes the in-flight scan
-	// at its next checkpoint under HP-BRCU (the scan rolls back and the
-	// reader exits within ~BackupPeriod steps), while schemes without
+	// at its next poll under HP-BRCU (the scan rolls back to its last
+	// checkpoint and the reader exits), while schemes without
 	// cooperative cancellation only observe the context between scans.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

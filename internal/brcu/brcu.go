@@ -5,7 +5,9 @@
 // lagging threads, forcing them to roll their critical sections back to the
 // beginning, and then advances the epoch anyway. The advance is written
 // once, flushAndAdvance, as Algorithm 5 lines 26–34; a stalled epoch gets
-// the same lines at an exhausted budget (ForceFlush; see watchdog.go).
+// the same lines at an exhausted budget (ForceFlush; see watchdog.go). A
+// domain built with NeverSignal skips lines 31–32 and is plain RCU: the
+// one RCU under both of internal/core's schemes.
 //
 // # Signal substitution
 //
@@ -116,6 +118,9 @@ type Domain struct {
 
 	maxLocalTasks  int
 	forceThreshold int
+	// neverSignal makes the domain plain RCU: the advance gives up on
+	// every laggard (see NeverSignal). Set at construction, read-only after.
+	neverSignal bool
 
 	// population tracks registered handles and their peak, so the §5
 	// bound can be evaluated after the fact with the N actually observed.
@@ -158,6 +163,17 @@ func WithForceThreshold(n int) Option {
 			d.forceThreshold = n
 		}
 	}
+}
+
+// NeverSignal builds plain RCU on this implementation: Algorithm 5 without
+// the forced neutralization of lines 31–32. The advance gives up on every
+// laggard whatever its failure budget, so neither a Defer nor ForceFlush or
+// Barrier ever signals, and a section stalled at epoch e holds the epoch at
+// e+1 for as long as it stands. HP-RCU (internal/core) runs on such a
+// domain; a section still rolls back when its owner neutralizes itself
+// (cancellation, fault injection).
+func NeverSignal() Option {
+	return func(d *Domain) { d.neverSignal = true }
 }
 
 // NewDomain creates a BRCU domain reporting into rec (nil allocates a
@@ -648,7 +664,7 @@ func (h *Handle) SelfNeutralize() bool {
 
 // Refresh re-announces the current global epoch without leaving the
 // critical section, provided no rollback is pending. It returns false if
-// the thread has been neutralized (the caller must roll back). HP-BRCU
+// the thread has been neutralized (the caller must roll back). core.Walk
 // calls this after each completed checkpoint so that a long traversal
 // never lags the epoch by more than one checkpoint interval.
 func (h *Handle) Refresh() bool {
@@ -886,8 +902,8 @@ func (h *Handle) Defer(slot uint64, pool alloc.Freer) {
 }
 
 // DeferNoCount is Defer without the Retired/Unreclaimed accounting; the
-// two-step retirement of HP-BRCU counts a node once at the outer Retire
-// (internal/core) and uses this entry point for the inner defer.
+// two-step retirement of HP-RCU and HP-BRCU counts a node once at the outer
+// Retire (internal/core) and uses this entry point for the inner defer.
 func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	// Defer is rollback-unsafe (§4.1): inside a critical section it may
 	// only run under an abort mask, where the rollback is deferred past
@@ -1002,8 +1018,9 @@ func (h *Handle) flushAndAdvance() {
 
 // neutralizeIfLagging checks other against the epoch eg. It returns
 // ok=false when other is lagging but this thread's failure budget is below
-// ForceThreshold (the caller gives up advancing). Otherwise it neutralizes
-// other if needed and reports whether a signal was sent.
+// ForceThreshold, or the domain never signals (the caller gives up
+// advancing). Otherwise it neutralizes other if needed and reports whether
+// a signal was sent.
 //
 // The whole verdict costs one atomic load: phase and announced epoch share
 // a packed word, and the phase comparison short-circuits first, so
@@ -1020,7 +1037,7 @@ func (h *Handle) neutralizeIfLagging(other *Handle, eg uint64) (ok, signalled bo
 		if ph == phaseOut || ph >= phaseRbReq || eo >= eg {
 			return true, false
 		}
-		if h.pushCnt < d.forceThreshold {
+		if h.pushCnt < d.forceThreshold || d.neverSignal {
 			return false, false
 		}
 		// SendSignal (line 32): the CAS is the delivery point. InRm
@@ -1087,7 +1104,8 @@ func (h *Handle) executeExpired(eg uint64) {
 
 // Barrier flushes this handle's pending tasks and forces epoch advances
 // until they have executed. Used by teardown paths and tests; concurrent
-// critical sections will be neutralized.
+// critical sections will be neutralized, unless the domain never signals
+// (NeverSignal), where a lagging section keeps its batches queued.
 func (h *Handle) Barrier() {
 	// Hold InMut across the forced flushes (see DeferNoCount); no-op when
 	// an enclosing BeginMut — e.g. internal/core's composed Barrier —

@@ -487,6 +487,48 @@ func containedPanic(h hpbrcu.MapHandle, viol *violations, w int) (skip, fatal bo
 	return true, true
 }
 
+// stream is worker w's deterministic operation stream, shared by every
+// kind of worker: the keys it owns — k ≡ w (mod workers), so each key has
+// exactly one writer — the model of which of them are present, and the
+// splitmix64 generator the operations are drawn from, a pure function of
+// (seed, w).
+type stream struct {
+	own     []int64
+	present map[int64]bool
+	rng     uint64
+}
+
+// newStream returns worker w's stream, or nil when w owns no key.
+func newStream(seed uint64, w, workers int, keyRange int64) *stream {
+	var own []int64
+	for k := int64(w); k < keyRange; k += int64(workers) {
+		own = append(own, k)
+	}
+	if len(own) == 0 {
+		return nil
+	}
+	return &stream{own: own, present: make(map[int64]bool, len(own)), rng: seed ^ (uint64(w)+1)*0x9E3779B97F4A7C15}
+}
+
+// next draws the stream's next 64 bits.
+func (s *stream) next() uint64 {
+	s.rng += 0x9E3779B97F4A7C15
+	x := s.rng
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
+// op draws the next operation: r picks its kind, k is the owned key it
+// reads or writes.
+func (s *stream) op() (r uint64, k int64) {
+	r = s.next()
+	return r, s.own[int(r>>32)%len(s.own)]
+}
+
 // runWorker replays worker w's deterministic operation stream against the
 // map and its local reference model. Allocator poison panics (the paper's
 // use-after-free detector) are converted into violations.
@@ -506,28 +548,10 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 	}()
 	arrive(start)
 
-	// Keys owned by this worker: k ≡ w (mod Workers).
-	var own []int64
-	for k := int64(w); k < sc.KeyRange; k += int64(sc.Workers) {
-		own = append(own, k)
-	}
-	if len(own) == 0 {
+	st := newStream(sc.Seed, w, sc.Workers, sc.KeyRange)
+	if st == nil {
 		return
 	}
-	present := make(map[int64]bool, len(own))
-
-	rng := sc.Seed ^ (uint64(w)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng += 0x9E3779B97F4A7C15
-		x := rng
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		return x
-	}
-
 	for i := 0; i < sc.Ops; i++ {
 		if fault.On && fault.Fire(fault.SiteLeak) {
 			// Goroutine death: abandon the registered handle mid-stream —
@@ -537,11 +561,10 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 			leaks.Add(1)
 			return
 		}
-		r := next()
-		k := own[int(r>>32)%len(own)]
+		r, k := st.op()
 		switch r % 100 {
 		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9: // foreign read
-			fk := int64(next() % uint64(sc.KeyRange))
+			fk := int64(st.next() % uint64(sc.KeyRange))
 			v, ok := h.Get(fk)
 			if skip, fatal := containedPanic(h, viol, w); skip {
 				if fatal {
@@ -562,8 +585,8 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 				}
 				continue
 			}
-			if ok != present[k] || (ok && v != valueOf(k)) {
-				viol.addf("worker %d op %d: Get(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, present[k])
+			if ok != st.present[k] || (ok && v != valueOf(k)) {
+				viol.addf("worker %d op %d: Get(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, st.present[k])
 				return
 			}
 		default:
@@ -575,11 +598,11 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 					}
 					continue
 				}
-				if ok == present[k] {
-					viol.addf("worker %d op %d: Insert(%d) = %v, model has present=%v", w, i, k, ok, present[k])
+				if ok == st.present[k] {
+					viol.addf("worker %d op %d: Insert(%d) = %v, model has present=%v", w, i, k, ok, st.present[k])
 					return
 				}
-				present[k] = true
+				st.present[k] = true
 			} else { // remove
 				v, ok := h.Remove(k)
 				if skip, fatal := containedPanic(h, viol, w); skip {
@@ -588,11 +611,11 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 					}
 					continue
 				}
-				if ok != present[k] || (ok && v != valueOf(k)) {
-					viol.addf("worker %d op %d: Remove(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, present[k])
+				if ok != st.present[k] || (ok && v != valueOf(k)) {
+					viol.addf("worker %d op %d: Remove(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, st.present[k])
 					return
 				}
-				present[k] = false
+				st.present[k] = false
 			}
 		}
 	}
@@ -686,33 +709,15 @@ func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, vi
 	}()
 	arrive(start) // no handle of its own: the pool's checkouts overlap from the first op
 
-	var own []int64
-	for k := int64(w); k < sc.KeyRange; k += int64(sc.Workers) {
-		own = append(own, k)
-	}
-	if len(own) == 0 {
+	st := newStream(sc.Seed, w, sc.Workers, sc.KeyRange)
+	if st == nil {
 		return
 	}
-	present := make(map[int64]bool, len(own))
-
-	rng := sc.Seed ^ (uint64(w)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng += 0x9E3779B97F4A7C15
-		x := rng
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		return x
-	}
-
 	for i := 0; i < sc.Ops; i++ {
-		r := next()
-		k := own[int(r>>32)%len(own)]
+		r, k := st.op()
 		switch r % 100 {
 		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9: // foreign read
-			fk := int64(next() % uint64(sc.KeyRange))
+			fk := int64(st.next() % uint64(sc.KeyRange))
 			v, ok, err := m.Get(fk)
 			if skip, fatal := facadeErr(err, viol, w); skip {
 				if fatal {
@@ -733,8 +738,8 @@ func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, vi
 				}
 				continue
 			}
-			if ok != present[k] || (ok && v != valueOf(k)) {
-				viol.addf("facade worker %d op %d: Get(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, present[k])
+			if ok != st.present[k] || (ok && v != valueOf(k)) {
+				viol.addf("facade worker %d op %d: Get(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, st.present[k])
 				return
 			}
 		default:
@@ -746,11 +751,11 @@ func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, vi
 					}
 					continue
 				}
-				if ok == present[k] {
-					viol.addf("facade worker %d op %d: Insert(%d) = %v, model has present=%v", w, i, k, ok, present[k])
+				if ok == st.present[k] {
+					viol.addf("facade worker %d op %d: Insert(%d) = %v, model has present=%v", w, i, k, ok, st.present[k])
 					return
 				}
-				present[k] = true
+				st.present[k] = true
 			} else { // remove
 				v, ok, err := m.Remove(k)
 				if skip, fatal := facadeErr(err, viol, w); skip {
@@ -759,11 +764,11 @@ func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, vi
 					}
 					continue
 				}
-				if ok != present[k] || (ok && v != valueOf(k)) {
-					viol.addf("facade worker %d op %d: Remove(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, present[k])
+				if ok != st.present[k] || (ok && v != valueOf(k)) {
+					viol.addf("facade worker %d op %d: Remove(%d) = (%d,%v), model has present=%v", w, i, k, v, ok, st.present[k])
 					return
 				}
-				present[k] = false
+				st.present[k] = false
 			}
 		}
 	}

@@ -86,29 +86,12 @@ func (r *ShardWedgeResult) Survived() bool { return len(r.Violations) == 0 }
 // model state.
 func wedgeWorker(m hpbrcu.Map, sc ShardWedgeScenario, w int, start *sync.WaitGroup, stop <-chan struct{}, viol *violations, leaks *atomic.Int64) {
 	arrive(start) // every worker then stays registered until stop closes
-	var own []int64
-	for k := int64(w); k < sc.KeyRange; k += int64(sc.Workers) {
-		own = append(own, k)
-	}
-	if len(own) == 0 {
+	st := newStream(sc.Seed, w, sc.Workers, sc.KeyRange)
+	if st == nil {
 		return
 	}
-	present := make(map[int64]bool, len(own))
-
-	rng := sc.Seed ^ (uint64(w)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng += 0x9E3779B97F4A7C15
-		x := rng
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		return x
-	}
-
 	for {
-		leaked := wedgeIncarnation(m, sc, w, stop, viol, next, own, present)
+		leaked := wedgeIncarnation(m, sc, w, stop, viol, st)
 		if !leaked {
 			return
 		}
@@ -118,7 +101,7 @@ func wedgeWorker(m hpbrcu.Map, sc ShardWedgeScenario, w int, start *sync.WaitGro
 
 // wedgeIncarnation drives one registered handle until a leak fault kills
 // it (returns true) or stop closes (returns false, handle released).
-func wedgeIncarnation(m hpbrcu.Map, sc ShardWedgeScenario, w int, stop <-chan struct{}, viol *violations, next func() uint64, own []int64, present map[int64]bool) (leaked bool) {
+func wedgeIncarnation(m hpbrcu.Map, sc ShardWedgeScenario, w int, stop <-chan struct{}, viol *violations, st *stream) (leaked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			viol.addf("worker %d poison hit: %v", w, r)
@@ -150,28 +133,27 @@ func wedgeIncarnation(m hpbrcu.Map, sc ShardWedgeScenario, w int, stop <-chan st
 			// Barrier. Only the reaper can recover its garbage.
 			return true
 		}
-		r := next()
-		k := own[int(r>>32)%len(own)]
+		r, k := st.op()
 		switch {
 		case r%100 < 20: // read (own or foreign)
-			fk := int64(next() % uint64(sc.KeyRange))
+			fk := int64(st.next() % uint64(sc.KeyRange))
 			if v, ok := h.Get(fk); ok && v != valueOf(fk) {
 				viol.addf("worker %d: Get(%d) = %d, canonical value is %d", w, fk, v, valueOf(fk))
 				return false
 			}
 		case r&(1<<40) == 0: // insert
-			if ok := h.Insert(k, valueOf(k)); ok == present[k] {
-				viol.addf("worker %d: Insert(%d) = %v, model has present=%v", w, k, ok, present[k])
+			if ok := h.Insert(k, valueOf(k)); ok == st.present[k] {
+				viol.addf("worker %d: Insert(%d) = %v, model has present=%v", w, k, ok, st.present[k])
 				return false
 			}
-			present[k] = true
+			st.present[k] = true
 		default: // remove
 			v, ok := h.Remove(k)
-			if ok != present[k] || (ok && v != valueOf(k)) {
-				viol.addf("worker %d: Remove(%d) = (%d,%v), model has present=%v", w, k, v, ok, present[k])
+			if ok != st.present[k] || (ok && v != valueOf(k)) {
+				viol.addf("worker %d: Remove(%d) = (%d,%v), model has present=%v", w, k, v, ok, st.present[k])
 				return false
 			}
-			present[k] = false
+			st.present[k] = false
 		}
 	}
 }

@@ -3,20 +3,27 @@
 // sections.
 //
 // Both schemes compose the unmodified hazard-pointer implementation
-// (internal/hp) with an epoch-based RCU — plain RCU (internal/ebr) for
-// HP-RCU, bounded RCU (internal/brcu) for HP-BRCU — through exactly two
-// mechanisms:
+// (internal/hp) with one RCU, internal/brcu. HP-BRCU runs on Bounded RCU;
+// HP-RCU runs on the same domain built never to signal (brcu.NeverSignal),
+// which is plain RCU — the paper builds HP-BRCU as HP-RCU with its RCU
+// replaced (§4), and this package builds HP-RCU as HP-BRCU with the
+// replacement switched off. Both go through exactly two mechanisms:
 //
 //   - Two-step retirement (Algorithm 4): Retire(p) defers the inner
 //     HP-Retire(p) through the RCU, so a pointer acquired inside a critical
 //     section is safe to dereference and to protect without validation.
 //   - The expedited traversal (Algorithm 7; Walk in traverse.go): it
 //     follows most links under coarse-grained RCU protection, periodically
-//     checkpointing the cursor into HP shields. HP-RCU alternates explicit
-//     bounded RCU phases (Algorithm 3); HP-BRCU stays in one critical
-//     section and relies on neutralization, using double-buffered
-//     protectors so a rollback in the middle of checkpointing always
-//     leaves one complete protected cursor to resume from (§4.3).
+//     checkpointing the cursor into HP shields and re-announcing the epoch,
+//     with double-buffered protectors so a rollback in the middle of
+//     checkpointing always leaves one complete protected cursor to resume
+//     from (§4.3). Under HP-RCU only the walk's own cancellation (and fault
+//     injection) rolls a section back, and the walk is Algorithm 3's
+//     alternation of RCU phases and checkpoints.
+//
+// The backend decides robustness and nothing else: only an HP-BRCU domain
+// has a §5 garbage bound, a janitor and backpressure; an HP-RCU reader
+// stalled inside a section holds the epoch for as long as it stands.
 package core
 
 import (
@@ -24,19 +31,19 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/brcu"
-	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/registry"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// Backend selects which RCU powers the coarse-grained phases.
+// Backend selects whether the RCU under the coarse-grained phases bounds
+// its critical sections.
 type Backend int
 
 const (
 	// BackendRCU yields HP-RCU (§3): robust against long-running
-	// operations but not stalled threads.
+	// operations but not stalled threads. Its BRCU domain never signals.
 	BackendRCU Backend = iota
 	// BackendBRCU yields HP-BRCU (§4): robust against both.
 	BackendBRCU
@@ -51,8 +58,8 @@ const DefaultBackupPeriod = 64
 type Config struct {
 	// BackupPeriod is the checkpoint distance in traversal steps.
 	BackupPeriod int
-	// MaxLocalTasks and ForceThreshold configure the (B)RCU: the local
-	// defer batch size and, for BRCU, the failed-advance budget before
+	// MaxLocalTasks and ForceThreshold configure the BRCU: the local
+	// defer batch size and, for HP-BRCU, the failed-advance budget before
 	// neutralization. Zero selects the paper's defaults (128 and 2).
 	MaxLocalTasks  int
 	ForceThreshold int
@@ -67,8 +74,8 @@ type Config struct {
 	ShardID int
 }
 
-// Domain owns one HP-(B)RCU instance: an HP domain plus an RCU or BRCU
-// domain, with shared statistics.
+// Domain owns one HP-(B)RCU instance: an HP domain plus a BRCU domain,
+// with shared statistics.
 type Domain struct {
 	backend      Backend
 	backupPeriod int
@@ -76,7 +83,6 @@ type Domain struct {
 	rec          *stats.Reclamation
 
 	HP   *hp.Domain
-	rcu  *ebr.Domain
 	brcu *brcu.Domain
 
 	// members tracks the composed handles (both halves), so the lease
@@ -84,11 +90,11 @@ type Domain struct {
 	members registry.Registry[Handle]
 
 	// jan is the domain's janitor; nil until StartJanitor (and always nil
-	// for RCU-backed domains).
+	// for HP-RCU).
 	jan *Janitor
 
 	// bp is the tiered-backpressure evaluator; nil until
-	// EnableBackpressure (and always nil for RCU-backed domains).
+	// EnableBackpressure (and always nil for HP-RCU).
 	bp *reap.Backpressure
 
 	// bound memoizes the last §5-bound evaluation; see
@@ -117,33 +123,32 @@ func NewDomain(backend Backend, cfg Config) *Domain {
 	if d.backupPeriod <= 0 {
 		d.backupPeriod = DefaultBackupPeriod
 	}
+	opts := []brcu.Option{brcu.WithMaxLocalTasks(cfg.MaxLocalTasks), brcu.WithForceThreshold(cfg.ForceThreshold)}
 	switch backend {
 	case BackendRCU:
-		d.rcu = ebr.NewDomain(rec, ebr.WithBatchSize(cfg.MaxLocalTasks))
+		opts = append(opts, brcu.NeverSignal())
 	case BackendBRCU:
-		d.brcu = brcu.NewDomain(rec,
-			brcu.WithMaxLocalTasks(cfg.MaxLocalTasks),
-			brcu.WithForceThreshold(cfg.ForceThreshold))
 	default:
 		panic("core: unknown backend")
 	}
+	d.brcu = brcu.NewDomain(rec, opts...)
 	return d
 }
 
 // Stats returns the shared reclamation statistics.
 func (d *Domain) Stats() *stats.Reclamation { return d.rec }
 
-// Backend reports which RCU powers this domain.
+// Backend reports which scheme this domain runs.
 func (d *Domain) Backend() Backend { return d.backend }
 
 // ShardID reports the shard label this domain was configured with.
 func (d *Domain) ShardID() int { return d.shardID }
 
 // GarbageBound returns the §5 bound 2GN + GN² + H on unreclaimed nodes for
-// a BRCU-backed domain with the given shield count H; it returns -1 for an
-// RCU-backed domain (HP-RCU is unbounded under stalled threads).
+// an HP-BRCU domain with the given shield count H; it returns -1 for HP-RCU,
+// which is unbounded under stalled threads.
 func (d *Domain) GarbageBound(shields int) int64 {
-	if d.brcu == nil {
+	if d.backend == BackendRCU {
 		return -1
 	}
 	return d.brcu.GarbageBound() + int64(shields)
@@ -151,7 +156,7 @@ func (d *Domain) GarbageBound(shields int) int64 {
 
 // GarbageBoundFor is GarbageBound for an explicit thread count.
 func (d *Domain) GarbageBoundFor(threads, shields int) int64 {
-	if d.brcu == nil {
+	if d.backend == BackendRCU {
 		return -1
 	}
 	return d.brcu.GarbageBoundFor(threads) + int64(shields)
@@ -168,7 +173,7 @@ type boundMemo struct {
 // GarbageBoundObserved is the §5 bound 2GN+GN²+H evaluated entirely from
 // the domain's own accounting: N is the peak number of simultaneously
 // registered BRCU handles and H the peak number of registered HP shields.
-// It returns -1 for an RCU-backed domain.
+// It returns -1 for HP-RCU.
 //
 // The result is memoized on the (N, H) pair it was computed from: both
 // peaks are monotone, so a hit is exact and a stale entry is simply
@@ -176,7 +181,7 @@ type boundMemo struct {
 // retire paths, which without the memo would recompute the polynomial —
 // and its float conversions — for the same peaks millions of times.
 func (d *Domain) GarbageBoundObserved() int64 {
-	if d.brcu == nil {
+	if d.backend == BackendRCU {
 		return -1
 	}
 	n := d.brcu.HandlesPeak()
@@ -189,12 +194,12 @@ func (d *Domain) GarbageBoundObserved() int64 {
 	return b
 }
 
-// EnableBackpressure installs the tiered-backpressure evaluator on a
-// BRCU-backed domain (nil for RCU: HP-RCU has no garbage bound to key the
+// EnableBackpressure installs the tiered-backpressure evaluator on an
+// HP-BRCU domain (nil for HP-RCU, which has no garbage bound to key the
 // tiers to). Call before any worker registers; the retire path reads the
 // pointer without synchronization.
 func (d *Domain) EnableBackpressure(cfg reap.BackpressureConfig) *reap.Backpressure {
-	if d.brcu == nil {
+	if d.backend == BackendRCU {
 		return nil
 	}
 	d.bp = reap.NewBackpressure(cfg, d.rec.Unreclaimed.Load, d.GarbageBoundObserved, d.rec)
@@ -209,7 +214,6 @@ func (d *Domain) Backpressure() *reap.Backpressure { return d.bp }
 type Handle struct {
 	d    *Domain
 	HP   *hp.Handle
-	rcu  *ebr.Handle
 	brcu *brcu.Handle
 
 	// exempt marks service handles (the janitor's, a janitor-less
@@ -230,33 +234,25 @@ type Handle struct {
 }
 
 // Register adds a thread to the domain and wires the two-step retirement
-// executor: when the (B)RCU grace period of a deferred batch elapses, the
+// executor: when the RCU grace period of a deferred batch elapses, the
 // batch moves to this thread's HP retired list (Algorithm 4).
 func (d *Domain) Register() *Handle {
 	return d.register(false)
 }
 
 func (d *Domain) register(exempt bool) *Handle {
-	h := &Handle{d: d, HP: d.HP.Register(), exempt: exempt}
+	h := &Handle{d: d, HP: d.HP.Register(), brcu: d.brcu.Register(), exempt: exempt}
 	// Keep the whole records: the obs retire timestamp set at the outer
 	// Retire rides into the inner HP batch, so the retire→reclaim age
 	// histogram spans both steps.
-	exec := h.HP.RetireRecords
-	switch d.backend {
-	case BackendRCU:
-		h.rcu = d.rcu.Register()
-		h.rcu.SetExecutor(exec)
-	case BackendBRCU:
-		h.brcu = d.brcu.Register()
-		h.brcu.SetExecutor(exec)
-		// If the reaper took this handle and the owner then turned out
-		// to be alive, the BRCU half resurrects inside Enter and calls
-		// back here to restore the composed state.
-		h.brcu.SetResurrect(func() {
-			h.HP.Readopt()
-			d.members.Add(h)
-		})
-	}
+	h.brcu.SetExecutor(h.HP.RetireRecords)
+	// If the reaper took this handle and the owner then turned out to be
+	// alive, the BRCU half resurrects inside Enter and calls back here to
+	// restore the composed state.
+	h.brcu.SetResurrect(func() {
+		h.HP.Readopt()
+		d.members.Add(h)
+	})
 	d.members.Add(h)
 	return h
 }
@@ -269,17 +265,9 @@ func (h *Handle) Unregister() {
 	// registry via the resurrect hook) so the removals below stay
 	// balanced. Without it, a reap between the two halves would strip
 	// registries and gauges a second time.
-	claimed := false
-	if h.brcu != nil {
-		claimed = h.brcu.BeginMut()
-	}
+	claimed := h.brcu.BeginMut()
 	h.d.members.Remove(h)
-	if h.rcu != nil {
-		h.rcu.Unregister()
-	}
-	if h.brcu != nil {
-		h.brcu.Unregister() // nested BeginMut no-ops under ours
-	}
+	h.brcu.Unregister() // nested BeginMut no-ops under ours
 	h.HP.Unregister()
 	if claimed {
 		h.brcu.EndMut()
@@ -291,9 +279,9 @@ func (h *Handle) NewShield() *hp.Shield { return h.HP.NewShield() }
 
 // Reaped reports whether the lease reaper has confirmed this handle's
 // owner dead and adopted its state (and no resurrection has happened
-// since). Safe from any goroutine; always false for RCU-backed domains,
-// which have no reaper.
-func (h *Handle) Reaped() bool { return h.brcu != nil && h.brcu.Reaped() }
+// since). Safe from any goroutine; always false for HP-RCU, which has no
+// reaper.
+func (h *Handle) Reaped() bool { return h.brcu.Reaped() }
 
 // Retire schedules a node for two-step reclamation (Algorithm 4): first an
 // RCU grace period, then hazard-pointer scanning. It must be called either
@@ -302,26 +290,21 @@ func (h *Handle) Reaped() bool { return h.brcu != nil && h.brcu.Reaped() }
 func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 	h.d.rec.Retired.Inc()
 	h.d.rec.Unreclaimed.Add(1)
-	if h.brcu != nil {
-		h.brcu.DeferNoCount(slot, pool)
-		// First tier of the backpressure ladder: past the drain threshold
-		// the retiring thread drains its own garbage inline instead of
-		// waiting for the batch thresholds. ShouldDrain, not Level: the
-		// drain tier is an independent knob (DrainFraction > 1 disables
-		// inline drains without touching throttling or rejection). The
-		// periodic threshold refresh is sampled on this handle's own
-		// counter so domains without a janitor still track a growing
-		// thread count, without a shared RMW per retire.
-		if bp := h.d.bp; bp != nil {
-			if h.bpTick++; h.bpTick&255 == 0 {
-				bp.Refresh()
-			}
-			if bp.ShouldDrain() {
-				h.emergencyDrain()
-			}
+	h.brcu.DeferNoCount(slot, pool)
+	// First tier of the backpressure ladder: past the drain threshold the
+	// retiring thread drains its own garbage inline instead of waiting for
+	// the batch thresholds. ShouldDrain, not Level: the drain tier is an
+	// independent knob (DrainFraction > 1 disables inline drains without
+	// touching throttling or rejection). The periodic threshold refresh is
+	// sampled on this handle's own counter so domains without a janitor
+	// still track a growing thread count, without a shared RMW per retire.
+	if bp := h.d.bp; bp != nil {
+		if h.bpTick++; h.bpTick&255 == 0 {
+			bp.Refresh()
 		}
-	} else {
-		h.rcu.DeferNoCount(slot, pool)
+		if bp.ShouldDrain() {
+			h.emergencyDrain()
+		}
 	}
 }
 
@@ -341,55 +324,34 @@ func (h *Handle) emergencyDrain() {
 	}
 }
 
-// Mask runs body as an abort-masked region (§4.2). Under HP-BRCU this is
-// BRCU's Mask; under HP-RCU critical sections are never aborted, so body
-// simply runs. The caller must have HP-protected every node body uses with
-// shields that outlive the region, and body must be rollback-safe.
-func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
-	if h.brcu != nil {
-		return h.brcu.Mask(body)
-	}
-	body()
-	return true, false
-}
+// Mask runs body as an abort-masked region (§4.2): BRCU's Mask, under
+// both schemes — an HP-RCU section is never signalled, but its owner's
+// cancellation neutralizes it like a signal would. The caller must have
+// HP-protected every node body uses with shields that outlive the region,
+// and body must be rollback-safe.
+func (h *Handle) Mask(body func()) (ran, mustRollback bool) { return h.brcu.Mask(body) }
 
 // Barrier drains this thread's deferred nodes through both reclamation
 // steps. For teardown and tests; see the scheme packages for caveats.
 func (h *Handle) Barrier() {
-	if h.brcu != nil {
-		// One InMut span over both steps: the HP reclaim mutates this
-		// handle's retired list too, so it needs the same protection from
-		// a concurrent reap as the BRCU flushes.
-		claimed := h.brcu.BeginMut()
-		h.brcu.Barrier()
-		h.HP.Reclaim()
-		if claimed {
-			h.brcu.EndMut()
-		}
-		return
-	}
-	h.rcu.Barrier()
+	// One InMut span over both steps: the HP reclaim mutates this handle's
+	// retired list too, so it needs the same protection from a concurrent
+	// reap as the BRCU flushes.
+	claimed := h.brcu.BeginMut()
+	h.brcu.Barrier()
 	h.HP.Reclaim()
+	if claimed {
+		h.brcu.EndMut()
+	}
 }
 
-// Pin enters a bare critical section on the underlying (B)RCU — no
+// Pin enters a bare critical section on the underlying BRCU — no
 // traversal, no checkpoints. It exists for the robustness experiments
 // (Table 2) and tests, which need a thread stalled inside a critical
-// section; pair with Unpin. Under BRCU the section can be neutralized,
-// after which Unpin simply clears the request.
-func (h *Handle) Pin() {
-	if h.brcu != nil {
-		h.brcu.Enter()
-		return
-	}
-	h.rcu.Pin()
-}
+// section; pair with Unpin. Under HP-BRCU the section can be neutralized,
+// after which Unpin simply clears the request; under HP-RCU it holds the
+// epoch until Unpin.
+func (h *Handle) Pin() { h.brcu.Enter() }
 
 // Unpin leaves a critical section entered with Pin.
-func (h *Handle) Unpin() {
-	if h.brcu != nil {
-		h.brcu.Exit()
-		return
-	}
-	h.rcu.Unpin()
-}
+func (h *Handle) Unpin() { h.brcu.Exit() }

@@ -94,15 +94,36 @@ type testProtector struct{ s *hp.Shield }
 
 func (p *testProtector) Protect(c *chainCursor) { p.s.ProtectSlot(c.cur.Slot()) }
 
-// TestMaskPassthroughRCU: under the RCU backend Mask simply runs the body.
-func TestMaskPassthroughRCU(t *testing.T) {
-	d := NewDomain(BackendRCU, Config{})
-	h := d.Register()
-	defer h.Unregister()
-	ran := false
-	gotRan, rb := h.Mask(func() { ran = true })
-	if !ran || !gotRan || rb {
-		t.Fatalf("Mask under RCU: ran=%v gotRan=%v rb=%v", ran, gotRan, rb)
+// TestRCUBarrierNeverSignals: HP-RCU's BRCU domain never signals, so a
+// reader parked in a section survives another handle's Barrier — the
+// advance at an exhausted budget that neutralizes it under HP-BRCU — and a
+// node retired after it entered stays out of the HP step until it leaves.
+func TestRCUBarrierNeverSignals(t *testing.T) {
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
+	d := NewDomain(BackendRCU, Config{MaxLocalTasks: 1, ScanThreshold: 1})
+	reader, writer := d.Register(), d.Register()
+	defer reader.Unregister()
+	defer writer.Unregister()
+
+	reader.Pin()
+	slot, _ := pool.Alloc(cache)
+	pool.Hdr(slot).Retire()
+	writer.Retire(slot, pool)
+	writer.Barrier()
+	if !reader.Poll() {
+		t.Fatal("another handle's Barrier neutralized an HP-RCU reader")
+	}
+	if got := d.Stats().Signals.Load(); got != 0 {
+		t.Fatalf("signals = %d under HP-RCU, want 0", got)
+	}
+	if pool.Hdr(slot).State() == alloc.StateFree {
+		t.Fatal("a node retired inside a live HP-RCU section was freed")
+	}
+	reader.Unpin()
+	writer.Barrier()
+	if pool.Hdr(slot).State() != alloc.StateFree {
+		t.Fatal("node not freed once the reader left its section")
 	}
 }
 

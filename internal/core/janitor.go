@@ -97,11 +97,11 @@ type Janitor struct {
 // StartJanitor launches the domain's janitor with the stages cfg asks
 // for. With the reaper stage on it first enables leases, so it must run
 // before any worker goroutine registers (the lease gate is a plain bool,
-// fault.On contract). It returns nil for an RCU-backed domain
-// and when cfg asks for no stage. CloseDrain stops the janitor as part of
+// fault.On contract). It returns nil for HP-RCU and when cfg asks for no
+// stage. CloseDrain stops the janitor as part of
 // the shutdown; Stop does so on its own.
 func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
-	if d.brcu == nil || !(cfg.Reaper || cfg.Watchdog) {
+	if d.backend == BackendRCU || !(cfg.Reaper || cfg.Watchdog) {
 		return nil
 	}
 	if cfg.Interval <= 0 {

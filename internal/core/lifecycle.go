@@ -44,7 +44,7 @@ type PanicError struct {
 	// Op names the entry point the panic escaped from.
 	Op string
 	// Handle describes the handle (id, generation, phase, epoch) at
-	// containment time; empty for RCU-backed handles.
+	// containment time.
 	Handle string
 	// Poisoned reports that restoring the handle failed: the handle must
 	// not be reused — its status word stops moving and the reaper, when
@@ -107,13 +107,9 @@ func (h *Handle) contain(r any, op string, clear func()) {
 				_ = recover() // the restore panic; the original value wins
 			}
 		}()
-		if h.brcu != nil {
-			pe.Handle = h.brcu.Describe()
-			h.brcu.ForceOut()
-			h.brcu.FlushLocal()
-		} else {
-			h.rcu.Unpin()
-		}
+		pe.Handle = h.brcu.Describe()
+		h.brcu.ForceOut()
+		h.brcu.FlushLocal()
 		if clear != nil {
 			clear()
 		}
@@ -123,13 +119,11 @@ func (h *Handle) contain(r any, op string, clear func()) {
 		pe.Poisoned = true
 		h.poisoned = pe
 	}
-	if h.brcu != nil {
-		arg := int64(0)
-		if pe.Poisoned {
-			arg = 1
-		}
-		h.brcu.TraceEvent(obs.EvPanic, arg)
+	arg := int64(0)
+	if pe.Poisoned {
+		arg = 1
 	}
+	h.brcu.TraceEvent(obs.EvPanic, arg)
 	if h.d.policy == PanicRecover {
 		panic(pe)
 	}
@@ -149,28 +143,20 @@ func (h *Handle) BarrierCtx(ctx context.Context) error {
 		return err
 	}
 	var err error
-	if h.brcu != nil {
-		claimed := h.brcu.BeginMut()
-		for i := 0; i < 4; i++ {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			h.brcu.ForceFlush()
-			h.HP.Reclaim()
+	claimed := h.brcu.BeginMut()
+	for i := 0; i < 4; i++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if claimed {
-			h.brcu.EndMut()
-		}
-	} else {
-		h.rcu.Barrier()
+		h.brcu.ForceFlush()
 		h.HP.Reclaim()
-		err = ctx.Err()
+	}
+	if claimed {
+		h.brcu.EndMut()
 	}
 	if err != nil {
 		h.d.rec.CancelledOps.Inc()
-		if h.brcu != nil {
-			h.brcu.TraceEvent(obs.EvCancel, 0)
-		}
+		h.brcu.TraceEvent(obs.EvCancel, 0)
 	}
 	return err
 }
@@ -213,9 +199,7 @@ func (d *Domain) CloseDrain(deadline time.Time) int64 {
 		h = d.register(true) // exempt: this handle idles past any lease timeout on purpose
 		defer h.Unregister()
 	}
-	if h.brcu != nil {
-		h.brcu.TraceEvent(obs.EvClose, d.rec.Unreclaimed.Load())
-	}
+	h.brcu.TraceEvent(obs.EvClose, d.rec.Unreclaimed.Load())
 	var nextTick time.Time
 	for {
 		now := time.Now()

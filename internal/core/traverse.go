@@ -9,13 +9,15 @@ import (
 	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
-// This file implements the expedited traversal (Algorithm 7 for HP-BRCU,
-// Algorithm 3 for HP-RCU) as Walk: the §4.3 double buffer, rollback and
-// resume, written once for both backends and called from a per-node loop
-// the data structure owns, so the node visit compiles into that loop as it
-// does under EBR or NBR. The paper's Traverse is a Walk plus the owner's
-// loop; internal/ds/hlist/expedited.go has the shape (search, contains),
-// and the skip list's and the tree's descents are the same loop.
+// This file implements the expedited traversal (Algorithm 7) as Walk: the
+// §4.3 double buffer, rollback and resume, written once — HP-RCU's domain
+// is HP-BRCU's built never to signal, so its walk is this one, and only its
+// own cancellation and fault injection ever roll it back — and called from
+// a per-node loop the data structure owns, so the node visit compiles into
+// that loop as it does under EBR or NBR. The paper's Traverse is a Walk
+// plus the owner's loop; internal/ds/hlist/expedited.go has the shape
+// (search, contains), and the skip list's and the tree's descents are the
+// same loop.
 
 // Protector publishes HP protection for every node of a cursor (the
 // paper's Protector trait). Implementations write each cursor pointer into
@@ -57,26 +59,28 @@ type CursorBuf[C any] struct {
 // them holds a complete protected cursor, because Checkpoint and Finish
 // protect into the buffer that is *not* the complete one, and only a poll
 // that succeeds after that protection was published makes it the complete
-// one. HP-BRCU therefore resumes after a neutralization that lands in the
-// middle of checkpointing; HP-RCU is never neutralized and uses prot alone.
-// There is no checkpoint of the entry cursor: before the first periodic one
-// completes, a neutralized walk starts over from init (Enter).
+// one. A walk therefore resumes after a neutralization that lands in the
+// middle of checkpointing — under HP-BRCU a reclaimer's signal, under both
+// schemes the walk's own cancellation or an injected fault. There is no
+// checkpoint of the entry cursor: before the first periodic one completes,
+// a neutralized walk starts over from init (Enter).
 // A Walk lives on its owner's stack and allocates nothing.
 type Walk[C any] struct {
 	h     *Handle
-	b     *brcu.Handle // nil under HP-RCU
+	b     *brcu.Handle // h's BRCU half, held here so Poll is one load off the owner's stack
 	buf   *CursorBuf[C]
 	prots [2]Protector[C] // {backup, prot}; prots[compIdx%2] holds the complete checkpoint
 
 	ctx  context.Context // nil: not cancellable
-	stop func() bool     // stops the cancellation watcher (HP-BRCU)
-	tok  uint64          // cancellation token (HP-BRCU)
+	stop func() bool     // stops the cancellation watcher
+	tok  uint64          // cancellation token
 	err  error
 
 	gen     uint64 // reap generation the checkpoints were taken under
 	compIdx int
 	haveCkp bool // does buf.ckpt[compIdx%2] hold a complete checkpoint?
 	entered bool
+	over    bool // a checkpoint failed its revalidation: the walk is done
 	hooks   bool
 	left    int // steps until the next periodic checkpoint
 	yc      int
@@ -97,10 +101,10 @@ func (w *Walk[C]) Bind(ctx context.Context, h *Handle, buf *CursorBuf[C], prot, 
 // cancellation. When the walk's context is done its own critical section
 // is self-neutralized — the paper's signal repurposed as a request timeout
 // — and the next Enter ends the walk with the context's error, the cursor
-// rolled back to its last complete checkpoint and nothing committed.
-// (HP-RCU has no neutralization and notices at checkpoints, at most
-// BackupPeriod steps late.) A context already done ends the walk before it
-// touches any shared state.
+// rolled back to its last complete checkpoint and nothing committed. That
+// holds under both schemes: an HP-RCU section is never signalled, but it
+// neutralizes itself like any other. A context already done ends the walk
+// before it touches any shared state.
 func (w *Walk[C]) Start() {
 	if w.ctx != nil {
 		if w.err = w.ctx.Err(); w.err != nil {
@@ -108,13 +112,11 @@ func (w *Walk[C]) Start() {
 		}
 	}
 	w.h.checkUsable()
-	if w.b != nil {
-		w.gen = w.b.Gen()
-		if w.ctx != nil {
-			b, tok := w.b, w.b.ArmCancel()
-			w.tok = tok
-			w.stop = context.AfterFunc(w.ctx, func() { b.RequestCancel(tok) })
-		}
+	w.gen = w.b.Gen()
+	if w.ctx != nil {
+		b, tok := w.b, w.b.ArmCancel()
+		w.tok = tok
+		w.stop = context.AfterFunc(w.ctx, func() { b.RequestCancel(tok) })
 	}
 }
 
@@ -147,7 +149,7 @@ func (w *Walk[C]) Err() error { return w.err }
 // is one: false means the walk is over — cancelled (Err says so), or
 // holding a checkpoint that no longer validates, in which case the
 // operation restarts from scratch. Every Enter after the first follows a
-// rollback and is accounted as one.
+// rollback and is accounted as one, unless the walk is already over.
 //
 // init builds the entry cursor inside the critical section (it may run
 // many times); valid checks that a checkpointed cursor can still be
@@ -156,7 +158,7 @@ func (w *Walk[C]) Err() error { return w.err }
 // stored in the walk would escape, and every operation would allocate its
 // closures.
 func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
-	if w.err != nil || w.b == nil && w.entered {
+	if w.err != nil || w.over {
 		return false
 	}
 	c := &w.buf.cur
@@ -164,12 +166,6 @@ func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
 	// Decided once per attempt, so the loop tests a local: arming a fault
 	// plan or obs mid-traversal is picked up by the next attempt.
 	w.hooks = atomicx.YieldPeriod != 0 || fault.On || obs.On
-	if w.b == nil {
-		w.entered = true
-		w.h.rcu.Pin()
-		*c = init() // the section protects it until the first checkpoint
-		return true
-	}
 	if w.entered {
 		w.b.RecordRollback()
 	}
@@ -231,7 +227,7 @@ func (w *Walk[C]) Instrumented() bool { return w.hooks }
 func (w *Walk[C]) StepHooks() {
 	atomicx.StepYield(&w.yc)
 	if fault.On {
-		if w.b != nil && fault.Fire(fault.SiteStepRollback) {
+		if fault.Fire(fault.SiteStepRollback) {
 			w.b.SelfNeutralize()
 		}
 		if fault.Fire(fault.SitePanic) {
@@ -239,15 +235,12 @@ func (w *Walk[C]) StepHooks() {
 			panic(fault.ErrInjectedPanic)
 		}
 	}
-	if w.b != nil {
-		w.b.PollHooks()
-	}
+	w.b.PollHooks()
 }
 
-// Poll is the step's neutralization check — one load of the status word —
-// and always true under HP-RCU. False means roll back: leave the loop for
-// Enter.
-func (w *Walk[C]) Poll() bool { return w.b == nil || w.b.Poll() }
+// Poll is the step's neutralization check — one load of the status word.
+// False means roll back: leave the loop for Enter.
+func (w *Walk[C]) Poll() bool { return w.b.Poll() }
 
 // Poll is Walk.Poll for a handle outside any walk. Nothing calls it; it is
 // here for what the compiler exports. A package that instantiates Walk
@@ -256,7 +249,7 @@ func (w *Walk[C]) Poll() bool { return w.b == nil || w.b.Poll() }
 // it does only through an exported, non-generic, inlinable function that
 // inlined it. Without one the step's single load is a call again;
 // TestStepInlines guards it.
-func (h *Handle) Poll() bool { return h.brcu == nil || h.brcu.Poll() }
+func (h *Handle) Poll() bool { return h.brcu.Poll() }
 
 // Due counts one completed step and reports whether a periodic checkpoint
 // falls on it, in which case the owner stores its cursor and calls
@@ -267,36 +260,36 @@ func (w *Walk[C]) Due() bool {
 }
 
 // Checkpoint makes the cursor the new complete checkpoint and catches up
-// with the global epoch, so the traversal stops blocking reclamation. It
-// reports false when the attempt is over (neutralized at the checkpoint,
-// or cancelled): leave the loop for Enter.
+// with the global epoch, so the traversal stops blocking reclamation (the
+// end of one of Algorithm 3's RCU phases). It reports false when the
+// attempt is over — neutralized at the checkpoint, or the cursor no longer
+// valid after the re-announce: leave the loop for Enter, which resumes
+// from the checkpoint in the first case and ends the walk in the second.
 //
 // A checkpoint is only useful if the cursor would pass revalidation on
 // resume (e.g. it is not sitting on a logically deleted node); otherwise
 // it is postponed by a full period. Without this gate a deterministic
 // traversal can livelock: every retry re-checkpoints the same doomed cursor
 // and fails validation again.
+//
+// The cursor is validated again after the re-announce (§3.3, R1): one
+// marked in between keeps a frozen link to a node that may have been
+// retired before the re-announce, whose grace period the new epoch no
+// longer holds back. Stepping on from it is not safe, and resuming from
+// it fails the same check, so the walk ends there without a rollback and
+// the operation restarts from scratch (DESIGN.md §11.2).
 func (w *Walk[C]) Checkpoint(valid func(*C) bool) bool {
 	w.left = w.h.d.backupPeriod
 	c := &w.buf.cur
-	if w.b != nil {
-		return !valid(c) || w.commit() && w.b.Refresh()
-	}
-	// End of this RCU phase (Algorithm 3's Steps boundary): checkpoint the
-	// cursor, re-enter a fresh critical section, and revalidate the source
-	// (§3.3, R1).
-	if w.ctx != nil && w.ctx.Err() != nil {
-		w.h.rcu.Unpin()
-		w.cancel()
-		return false
-	}
 	if !valid(c) {
 		return true
 	}
-	w.prots[1].Protect(c)
-	w.h.rcu.Repin()
+	if !w.commit() || !w.b.Refresh() {
+		return false
+	}
 	if !valid(c) {
-		w.h.rcu.Unpin()
+		w.b.Exit()
+		w.over = true
 		return false
 	}
 	return true
@@ -324,11 +317,6 @@ func (w *Walk[C]) commit() bool {
 // for Enter.
 func (w *Walk[C]) Finish() bool {
 	c := &w.buf.cur
-	if w.b == nil {
-		w.prots[1].Protect(c)
-		w.h.rcu.Unpin()
-		return true
-	}
 	if !w.commit() {
 		return false
 	}
@@ -345,20 +333,12 @@ func (w *Walk[C]) Finish() bool {
 // Fail abandons the walk from inside an attempt: the operation cannot
 // proceed from this cursor (a helping CAS was lost, Algorithm 8 line 29)
 // and the owner retries from scratch.
-func (w *Walk[C]) Fail() {
-	if w.b != nil {
-		w.b.Exit()
-	} else {
-		w.h.rcu.Unpin()
-	}
-}
+func (w *Walk[C]) Fail() { w.b.Exit() }
 
 // cancel accounts a walk abandoned because its context was done.
 func (w *Walk[C]) cancel() {
 	w.h.d.rec.CancelledOps.Inc()
-	if w.b != nil {
-		w.b.TraceEvent(obs.EvCancel, 0)
-	}
+	w.b.TraceEvent(obs.EvCancel, 0)
 	if w.err = w.ctx.Err(); w.err == nil {
 		// The watcher fired on a context whose Err momentarily reads nil
 		// only in pathological custom implementations; report the

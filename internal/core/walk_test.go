@@ -20,7 +20,7 @@ import (
 type chainWalk struct {
 	h            *Handle
 	pool         *alloc.Pool[node]
-	head, tail   uint64
+	slots        []uint64 // the chain's, by position
 	buf          CursorBuf[chainCursor]
 	prot, backup Protector[chainCursor]
 
@@ -37,7 +37,7 @@ type chainWalk struct {
 func (cw *chainWalk) walk() (last int64, ok bool) {
 	init := func() chainCursor {
 		cw.inits++
-		return chainCursor{cur: atomicx.MakeRef(cw.head, 0)}
+		return chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
 	}
 	valid := func(c *chainCursor) bool {
 		cw.valids++
@@ -86,15 +86,15 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 	return 0, false
 }
 
-func newChainWalk(t *testing.T, backend Backend, n, period int) (*chainWalk, *Domain) {
+func newChainWalk(t *testing.T, backend Backend, n int, cfg Config) (*chainWalk, *Domain) {
 	t.Helper()
 	pool := alloc.NewPool[node]()
-	head, slots := chain(pool, pool.NewCache(), n)
-	d := NewDomain(backend, Config{BackupPeriod: period})
+	_, slots := chain(pool, pool.NewCache(), n)
+	d := NewDomain(backend, cfg)
 	h := d.Register()
 	t.Cleanup(h.Unregister)
 	return &chainWalk{
-		h: h, pool: pool, head: head, tail: slots[n-1],
+		h: h, pool: pool, slots: slots,
 		prot:   &testProtector{s: h.NewShield()},
 		backup: &testProtector{s: h.NewShield()},
 	}, d
@@ -107,7 +107,7 @@ func newChainWalk(t *testing.T, backend Backend, n, period int) (*chainWalk, *Do
 // middle of an attempt must be picked up by the next one.
 func TestWalkFaultSitesFire(t *testing.T) {
 	const n, period = 1000, 16
-	cw, d := newChainWalk(t, BackendBRCU, n, period)
+	cw, d := newChainWalk(t, BackendBRCU, n, Config{BackupPeriod: period})
 
 	var plans [fault.NumSites]fault.Plan
 	plans[fault.SitePoll] = fault.Plan{Period: 1}
@@ -218,7 +218,7 @@ func TestWalkCheckpointCadence(t *testing.T) {
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
 		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
 		t.Run(name, func(t *testing.T) {
-			cw, _ := newChainWalk(t, backend, n, period)
+			cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
 			var log []int64
 			prot := &posProtector{testProtector{cw.h.NewShield()}, &log}
 			cw.prot = prot
@@ -226,8 +226,8 @@ func TestWalkCheckpointCadence(t *testing.T) {
 
 			// The walk protects every period-th position and the
 			// destination — not the entry cursor, which a rollback
-			// rebuilds; HP-BRCU protects the destination once more when
-			// it finished in backup.
+			// rebuilds — and the destination once more when it finished
+			// in backup.
 			checkpoints := func(log []int64) []int64 {
 				for len(log) > 1 && log[len(log)-1] == n-1 && log[len(log)-2] == n-1 {
 					log = log[:len(log)-1]
@@ -241,11 +241,12 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			if got, want := checkpoints(log), []int64{16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("protected positions %v, want %v", got, want)
 			}
-			if c := cw.buf.cur; c.cur.Slot() != cw.tail || c.pos != n-1 {
-				t.Fatalf("final cursor %+v, want the tail (slot %d) at position %d", c, cw.tail, n-1)
+			tail := cw.slots[n-1]
+			if c := cw.buf.cur; c.cur.Slot() != tail || c.pos != n-1 {
+				t.Fatalf("final cursor %+v, want the tail (slot %d) at position %d", c, tail, n-1)
 			}
-			if got := prot.s.Get(); got != cw.tail {
-				t.Fatalf("prot shields slot %d after Finish, want the tail (slot %d)", got, cw.tail)
+			if got := prot.s.Get(); got != tail {
+				t.Fatalf("prot shields slot %d after Finish, want the tail (slot %d)", got, tail)
 			}
 
 			log = nil
@@ -270,11 +271,8 @@ func TestWalkCheckpointCadence(t *testing.T) {
 			if last, ok := cw.walk(); ok {
 				t.Fatalf("walk given up at %d = (%d,true), want not ok", cw.failAt, last)
 			}
-			if b := cw.h.brcu; b != nil && !strings.Contains(b.Describe(), "phase=Out") {
+			if b := cw.h.brcu; !strings.Contains(b.Describe(), "phase=Out") {
 				t.Fatalf("Fail left the handle in a critical section: %s", b.Describe())
-			}
-			if r := cw.h.rcu; r != nil && r.Pinned() {
-				t.Fatal("Fail left the handle pinned")
 			}
 		})
 	}
@@ -286,7 +284,7 @@ func TestWalkCheckpointCadence(t *testing.T) {
 // after it resumes from the checkpoint, revalidated once, without init.
 func TestWalkFirstCheckpointIsLazy(t *testing.T) {
 	const n, period = 100, 16
-	cw, d := newChainWalk(t, BackendBRCU, n, period)
+	cw, d := newChainWalk(t, BackendBRCU, n, Config{BackupPeriod: period})
 	var log []int64
 	cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
 	cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
@@ -327,5 +325,92 @@ func TestWalkFirstCheckpointIsLazy(t *testing.T) {
 	}
 	if rb := d.Stats().Rollbacks.Load(); rb != 2 {
 		t.Fatalf("rollbacks = %d, want the 2 forced", rb)
+	}
+}
+
+// hookProtector protects like testProtector, then runs hook on the cursor
+// it just protected.
+type hookProtector struct {
+	testProtector
+	hook func(c *chainCursor)
+}
+
+func (p *hookProtector) Protect(c *chainCursor) {
+	p.testProtector.Protect(c)
+	p.hook(c)
+}
+
+// TestCheckpointRevalidatesAfterReannounce: a cursor marked between a
+// checkpoint's valid and its re-announce keeps a frozen link to a successor
+// that may be retired at the walker's old epoch. From the re-announce on the
+// section no longer holds that successor's grace period back — one more
+// unforced advance and an HP scan free it, with no shield on it — so the
+// checkpoint must validate the cursor again after Refresh and end the walk,
+// uncounted as a rollback, instead of stepping onto the successor. No
+// signal takes part: the walker never lags.
+func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
+	const n, period = 100, 16
+	cw, d := newChainWalk(t, BackendBRCU, n, Config{BackupPeriod: period, MaxLocalTasks: 1, ScanThreshold: 1})
+	other := d.Register()
+	defer other.Unregister()
+	cache := cw.pool.NewCache()
+	retire := func(slot uint64) {
+		cw.pool.Hdr(slot).Retire()
+		other.Retire(slot, cw.pool)
+	}
+	succ := cw.slots[period+1]
+
+	marked, advanced := false, false
+	cw.valid = func(c *chainCursor) bool { return !marked || c.pos != period }
+	hook := func(c *chainCursor) {
+		if c.pos != period || marked {
+			return
+		}
+		// Inside the checkpoint, after its valid and before its Refresh:
+		// the cursor is marked and its successor retired at the walker's
+		// epoch. The retire's advance passes (the walker is current), and
+		// the successor's batch waits for the next one.
+		marked = true
+		e := d.brcu.Epoch()
+		retire(succ)
+		if d.brcu.Epoch() != e+1 {
+			t.Fatalf("the successor's retire did not advance the epoch (%d → %d)", e, d.brcu.Epoch())
+		}
+	}
+	// After the re-announce: one more unforced advance moves the
+	// successor to the HP step, and the scan frees it.
+	advance := func() {
+		advanced = true
+		spare, _ := cw.pool.Alloc(cache)
+		retire(spare)
+		other.HP.Reclaim()
+	}
+	cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, hook}
+	cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, hook}
+	cw.onStep = func(_ *Walk[chainCursor], pos int64) {
+		if marked && !advanced {
+			advance()
+		}
+		// Errorf, not Fatalf: the walk must still leave its section.
+		if slot := cw.slots[pos]; cw.pool.Hdr(slot).State() == alloc.StateFree {
+			t.Errorf("the walk stepped onto position %d, slot %d, whose header reads free", pos, slot)
+		}
+	}
+
+	if last, ok := cw.walk(); ok {
+		t.Fatalf("walk = (%d,true), want it ended at the checkpoint whose cursor was marked", last)
+	}
+	if !marked {
+		t.Fatal("the hook never ran: no checkpoint at position", period)
+	}
+	if !advanced {
+		advance()
+	}
+	if cw.pool.Hdr(succ).State() != alloc.StateFree {
+		t.Fatal("the successor survived the second advance and the scan: the test does not reach the hazard")
+	}
+	s := d.Stats().Snapshot()
+	if s.Signals != 0 || s.Rollbacks != 0 {
+		t.Fatalf("signals = %d, rollbacks = %d; want 0 and 0 (the failed revalidation ends the walk, it is no rollback)", s.Signals, s.Rollbacks)
 	}
 }

@@ -89,9 +89,7 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 			if rb := s.Stats().Rollbacks.Load(); rb != 0 {
 				t.Fatalf("%d rollbacks with nothing else running: init ran more than once a descent", rb)
 			}
-			if backend == core.BackendBRCU { // the poll site is BRCU's
-				t.Logf("longest of %d descents: %d steps (checkpoint period %d)", 2*descents, longest, core.DefaultBackupPeriod)
-			}
+			t.Logf("longest of %d descents: %d steps (checkpoint period %d)", 2*descents, longest, core.DefaultBackupPeriod)
 		})
 	}
 }

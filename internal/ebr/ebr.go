@@ -9,9 +9,9 @@
 // NR mode counts retires but never frees, reproducing the paper's leaking
 // upper-bound baseline.
 //
-// The deferred-task executor is pluggable per handle: plain RCU frees the
-// node directly, while HP-RCU (internal/core) installs an executor that
-// performs the inner HP-Retire of two-step retirement (Algorithm 4).
+// It serves those two baselines and nothing else: the RCU under HP-RCU is
+// internal/brcu's with signals off (internal/core), so a node deferred here
+// is simply freed once its grace period has elapsed.
 package ebr
 
 import (
@@ -96,31 +96,24 @@ type Handle struct {
 
 	d     *Domain
 	batch []alloc.Retired
-	// exec runs one expired batch of deferred tasks once its grace period
-	// has elapsed. Plain RCU frees the slots; HP-RCU replaces this with the
-	// inner HP-Retire.
-	exec  func([]alloc.Retired)
-	frees alloc.Frees // the default executor's per-pool free batches
+	frees alloc.Frees // per-pool free batches for reclaim
 }
 
-// Register adds a thread to the domain with the default executor: free the
-// batch, a pool's share at a time, and book it once.
+// Register adds a thread to the domain.
 func (d *Domain) Register() *Handle {
 	h := &Handle{d: d}
-	h.exec = func(rs []alloc.Retired) {
-		h.frees.FreeAll(rs)
-		n := int64(len(rs))
-		d.rec.Reclaimed.Add(n)
-		d.rec.Unreclaimed.Add(-n)
-	}
 	d.handles.Add(h)
 	return h
 }
 
-// SetExecutor replaces the deferred-task executor (used by two-step
-// retirement, Algorithm 4). The executor is handed each expired batch
-// whole.
-func (h *Handle) SetExecutor(exec func([]alloc.Retired)) { h.exec = exec }
+// reclaim frees one expired batch, a pool's share at a time, and books it
+// once.
+func (h *Handle) reclaim(rs []alloc.Retired) {
+	h.frees.FreeAll(rs)
+	n := int64(len(rs))
+	h.d.rec.Reclaimed.Add(n)
+	h.d.rec.Unreclaimed.Add(-n)
+}
 
 // Unregister removes the thread, flushing its pending batch to the global
 // task list first so nothing leaks.
@@ -147,33 +140,14 @@ func (h *Handle) Unpin() {
 	h.local.Store(unpinned)
 }
 
-// Repin refreshes the announced epoch without leaving the critical section
-// conceptually; used between RCU phases of an HP-RCU traversal where the
-// caller has just checkpointed its cursor into shields.
-func (h *Handle) Repin() {
-	h.local.Store(unpinned)
-	e := h.d.epoch.Load()
-	h.local.Store(e + 1)
-}
-
-// Pinned reports whether the handle is inside a critical section.
-func (h *Handle) Pinned() bool { return h.local.Load() != unpinned }
-
 // Defer schedules the node for reclamation after a grace period
 // (Algorithm 2's Defer specialized to retirement). Must not be called while
 // the effect could be lost on rollback; see package brcu for the bounded
 // variant.
 func (h *Handle) Defer(slot uint64, pool alloc.Freer) {
-	h.d.rec.Retired.Inc()
-	h.d.rec.Unreclaimed.Add(1)
-	h.DeferNoCount(slot, pool)
-}
-
-// DeferNoCount is Defer without the Retired/Unreclaimed accounting; the
-// two-step retirement of HP-RCU counts a node once at the outer Retire
-// (internal/core) and uses this entry point for the inner defer.
-func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	d := h.d
+	d.rec.Retired.Inc()
+	d.rec.Unreclaimed.Add(1)
 	if d.noReclaim {
 		return // NR baseline: leak
 	}
@@ -245,7 +219,7 @@ func (h *Handle) collect() {
 	d.tasksMu.Unlock()
 
 	for _, b := range run {
-		h.exec(b.tasks)
+		h.reclaim(b.tasks)
 	}
 }
 

@@ -51,7 +51,13 @@ func (l Level) String() string {
 	return "level?"
 }
 
-// BackpressureConfig configures NewBackpressure. The fractions are rungs
+// The throttle and reject rungs, as fractions of the base ceiling.
+const (
+	throttleFraction = 0.75 // admissions back off
+	rejectFraction   = 0.9  // admissions fail fast with ErrMemoryPressure
+)
+
+// BackpressureConfig configures NewBackpressure. The rungs are fractions
 // of the base ceiling: Ceiling when set, else the domain's observed §5
 // bound (which grows with the observed thread count, so the janitor
 // refreshes the cached thresholds each tick).
@@ -59,12 +65,6 @@ type BackpressureConfig struct {
 	// DrainFraction of the base triggers inline emergency drains
 	// (default 0.5).
 	DrainFraction float64
-	// ThrottleFraction of the base triggers admission backoff
-	// (default 0.75).
-	ThrottleFraction float64
-	// RejectFraction of the base triggers fail-fast rejection
-	// (default 0.9).
-	RejectFraction float64
 	// Ceiling, when positive, replaces the §5 bound as the base — an
 	// absolute unreclaimed-node budget.
 	Ceiling int64
@@ -100,12 +100,6 @@ func NewBackpressure(cfg BackpressureConfig, unreclaimed, bound func() int64, re
 	if cfg.DrainFraction <= 0 {
 		cfg.DrainFraction = 0.5
 	}
-	if cfg.ThrottleFraction <= 0 {
-		cfg.ThrottleFraction = 0.75
-	}
-	if cfg.RejectFraction <= 0 {
-		cfg.RejectFraction = 0.9
-	}
 	if rec == nil {
 		rec = &stats.Reclamation{}
 	}
@@ -137,8 +131,8 @@ func (bp *Backpressure) Refresh() {
 		return
 	}
 	bp.drainAt.Store(threshold(base, bp.cfg.DrainFraction))
-	bp.throttleAt.Store(threshold(base, bp.cfg.ThrottleFraction))
-	bp.rejectAt.Store(threshold(base, bp.cfg.RejectFraction))
+	bp.throttleAt.Store(threshold(base, throttleFraction))
+	bp.rejectAt.Store(threshold(base, rejectFraction))
 }
 
 // Level returns the current rung.

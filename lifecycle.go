@@ -98,12 +98,13 @@ func (m *mapImpl) doClose(timeout time.Duration) error {
 }
 
 // ContextHandle is the context-aware extension every handle returned by
-// Register implements: cancellable point lookup and drain. On HP-BRCU
-// maps cancellation is cooperative self-neutralization — ctx.Done()
-// aborts the handle's own critical section at its next poll point, the
-// traversal rolls back to its last validated checkpoint, and the
+// Register implements: cancellable point lookup and drain. On HP-RCU and
+// HP-BRCU maps cancellation is cooperative self-neutralization — ctx.Done()
+// aborts the handle's own critical section at its next poll point (an
+// HP-RCU section is never signalled, but it neutralizes itself the same
+// way), the traversal rolls back to its last validated checkpoint, and the
 // operation returns the context's error. On other schemes the context is
-// checked between phases (HP-RCU) or before/after the operation.
+// checked before and after the operation.
 type ContextHandle interface {
 	MapHandle
 	// GetCtx is Get with cooperative cancellation.

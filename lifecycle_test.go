@@ -13,10 +13,12 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
+	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/fault"
 )
 
@@ -227,27 +229,78 @@ func TestGetCtxFallbackAndCancellation(t *testing.T) {
 	}
 }
 
+// TestGetCtxCancelledHPBRCU covers both expedited schemes, whose walks
+// cancel the same way. A context already done ends GetCtx before it enters
+// a section. A context cancelled as the walk starts ends it at the next
+// poll: under HP-RCU too, whose section is never signalled but
+// neutralizes itself like HP-BRCU's. The list is shorter than
+// BackupPeriod, so no checkpoint could be what notices.
 func TestGetCtxCancelledHPBRCU(t *testing.T) {
-	m, err := hpbrcu.NewHList(hpbrcu.HPBRCU, hpbrcu.Config{BackupPeriod: 8, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := m.Register()
-	h.Insert(3, 9)
+	for _, s := range []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU} {
+		t.Run(s.String(), func(t *testing.T) {
+			const n = 512
+			m, err := hpbrcu.NewHList(s, hpbrcu.Config{BackupPeriod: 1 << 20, BatchSize: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := m.Register()
+			for k := int64(0); k < n; k++ {
+				h.Insert(k, 3*k)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := hpbrcu.GetCtx(ctx, h, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("GetCtx(cancelled) err = %v, want context.Canceled", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, _, err := hpbrcu.GetCtx(ctx, h, 3); !errors.Is(err, context.Canceled) {
+				t.Fatalf("GetCtx(cancelled) err = %v, want context.Canceled", err)
+			}
+			// The rejection was pre-flight: the very next operation works.
+			if v, ok, err := hpbrcu.GetCtx(context.Background(), h, 3); err != nil || !ok || v != 9 {
+				t.Fatalf("GetCtx = (%d,%v,%v), want (9,true,nil)", v, ok, err)
+			}
+
+			// Every step yields, so the watcher the walk starts runs
+			// before the first poll and the walk ends there.
+			defer func(p int) { atomicx.YieldPeriod = p }(atomicx.YieldPeriod)
+			atomicx.YieldPeriod = 1
+			if v, ok, err := hpbrcu.GetCtx(&startCancelledCtx{Context: context.Background()}, h, n-1); !errors.Is(err, context.Canceled) {
+				t.Fatalf("GetCtx cancelled as it starts = (%d,%v,%v), want context.Canceled at the first poll", v, ok, err)
+			}
+			if got := m.Stats().CancelledOps.Load(); got != 1 {
+				t.Fatalf("CancelledOps = %d, want the 1 walk the watcher ended", got)
+			}
+			if v, ok, err := hpbrcu.GetCtx(context.Background(), h, n-1); err != nil || !ok || v != 3*(n-1) {
+				t.Fatalf("GetCtx after the cancel = (%d,%v,%v), want (%d,true,nil)", v, ok, err, 3*(n-1))
+			}
+			h.Unregister()
+			if err := hpbrcu.Close(m, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	// The rejection was pre-flight: the very next operation works.
-	if v, ok, err := hpbrcu.GetCtx(context.Background(), h, 3); err != nil || !ok || v != 9 {
-		t.Fatalf("GetCtx = (%d,%v,%v), want (9,true,nil)", v, ok, err)
+}
+
+// startCancelledCtx is a context cancelled as the operation starts: its
+// Done channel is closed from the outset, but the first Err — the
+// operation's pre-flight check — still reads nil, so the cancel reaches the
+// walk only through the watcher the walk arms.
+type startCancelledCtx struct {
+	context.Context
+	errs atomic.Int32
+}
+
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *startCancelledCtx) Done() <-chan struct{} { return closedDone }
+
+func (c *startCancelledCtx) Err() error {
+	if c.errs.Add(1) == 1 {
+		return nil
 	}
-	h.Unregister()
-	if err := hpbrcu.Close(m, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	return context.Canceled
 }
 
 // oneShotPanic activates a fault schedule whose panic site fires exactly

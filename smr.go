@@ -217,22 +217,17 @@ type ReaperConfig struct {
 }
 
 // BackpressureConfig configures the backpressure tiers (see
-// Config.Backpressure). The zero value disables them; zero fractions
-// select the defaults (0.5 / 0.75 / 0.9 of the base).
+// Config.Backpressure). The zero value disables them. Past 0.75 of the
+// base TryInsert backs off before admitting the allocation, and past 0.9
+// it fails fast with ErrMemoryPressure.
 type BackpressureConfig struct {
 	// Enabled turns the tiers on.
 	Enabled bool
 	// DrainFraction of the base triggers inline emergency drains on the
-	// retire path. A value above 1 disables inline drains (e.g. when the
-	// reaper is expected to do all the draining) without affecting the
-	// throttle and reject tiers.
+	// retire path (zero selects 0.5). A value above 1 disables inline
+	// drains (e.g. when the reaper is expected to do all the draining)
+	// without affecting the throttle and reject tiers.
 	DrainFraction float64
-	// ThrottleFraction of the base makes TryInsert back off before
-	// admitting the allocation.
-	ThrottleFraction float64
-	// RejectFraction of the base makes TryInsert fail fast with
-	// ErrMemoryPressure.
-	RejectFraction float64
 	// Ceiling, when positive, replaces the §5 bound as the base — an
 	// absolute unreclaimed-node budget.
 	Ceiling int64
@@ -258,10 +253,8 @@ func (c Config) CoreJanitorConfig() core.JanitorConfig {
 // coreBackpressureConfig lowers the public backpressure options.
 func (c Config) coreBackpressureConfig() reap.BackpressureConfig {
 	return reap.BackpressureConfig{
-		DrainFraction:    c.Backpressure.DrainFraction,
-		ThrottleFraction: c.Backpressure.ThrottleFraction,
-		RejectFraction:   c.Backpressure.RejectFraction,
-		Ceiling:          c.Backpressure.Ceiling,
+		DrainFraction: c.Backpressure.DrainFraction,
+		Ceiling:       c.Backpressure.Ceiling,
 	}
 }
 
