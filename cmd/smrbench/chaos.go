@@ -21,9 +21,9 @@ var (
 )
 
 // runChaos sweeps the fault-injection schedule corpus over the expedited
-// schemes and both list shapes, with the self-healing watchdog enabled,
-// and reports survivals and invariant violations. Any violation makes the
-// process exit nonzero, so the sweep doubles as a CI gate.
+// schemes and both list shapes and reports survivals and invariant
+// violations. Any violation makes the process exit nonzero, so the sweep
+// doubles as a CI gate.
 func runChaos() {
 	if *chaosSeeds < 1 {
 		fmt.Fprintf(os.Stderr, "chaos: -seeds %d makes a vacuous sweep (need >= 1)\n", *chaosSeeds)
@@ -62,7 +62,7 @@ func runChaos() {
 	if *chaosPool {
 		schedules = chaos.WithPoolLeak(schedules)
 	}
-	fmt.Printf("Chaos sweep: %d seeds × %d schedules, watchdog on", *chaosSeeds, len(schedules))
+	fmt.Printf("Chaos sweep: %d seeds × %d schedules", *chaosSeeds, len(schedules))
 	if *chaosLeak {
 		fmt.Print(", goroutine-death faults + orphan reaper")
 	}
@@ -74,7 +74,7 @@ func runChaos() {
 	}
 	fmt.Println()
 
-	header := row{"scheme", "structure", "schedule", "runs", "survived", "faults fired", "stall drains"}
+	header := row{"scheme", "structure", "schedule", "runs", "survived", "faults fired", "forced advances"}
 	if *chaosLeak {
 		header = append(header, "leaked", "reaped")
 	}
@@ -92,18 +92,18 @@ func runChaos() {
 		// gate — doubling this list would double CI's chaos job.
 		for _, st := range []bench.Structure{bench.HList, bench.HMList} {
 			for _, sched := range schedules {
-				var fired, stallDrains, leaked, reaped, panics uint64
+				var fired, forced, leaked, reaped, panics uint64
 				var checkoutLeaks, reclaimed uint64
 				survived := 0
 				for seed := 1; seed <= *chaosSeeds; seed++ {
 					res := chaos.Run(chaos.Scenario{
 						Structure: st, Scheme: scheme, Seed: uint64(seed),
-						Schedule: sched, Watchdog: true,
-						Reaper: *chaosLeak || *chaosPool,
-						Facade: *chaosPool,
+						Schedule: sched,
+						Reaper:   *chaosLeak || *chaosPool,
+						Facade:   *chaosPool,
 					})
 					fired += res.Fired
-					stallDrains += uint64(res.Stats.StallDrains)
+					forced += uint64(res.Stats.ForcedAdvances)
 					leaked += res.Leaked
 					reaped += uint64(res.Stats.ReapedHandles)
 					panics += uint64(res.Stats.PanicsRecovered)
@@ -132,7 +132,7 @@ func runChaos() {
 					strconv.Itoa(*chaosSeeds),
 					fmt.Sprintf("%d/%d", survived, *chaosSeeds),
 					strconv.FormatUint(fired, 10),
-					strconv.FormatUint(stallDrains, 10),
+					strconv.FormatUint(forced, 10),
 				}
 				if *chaosLeak {
 					r = append(r, strconv.FormatUint(leaked, 10), strconv.FormatUint(reaped, 10))

@@ -23,10 +23,10 @@
 //	           -trajectory` instead prints a std-aware per-point delta report
 //	           vs the committed baselines and gates on §5 bounds, coverage and
 //	           (same-machine, -tolerance < 1) regressions (see gridcmd.go)
-//	chaos      fault-injection sweep: seeds × schedules × schemes × lists,
-//	           watchdog on; exits nonzero on any invariant violation. -leak
-//	           composes goroutine-death faults into every schedule and turns
-//	           the reaper's convergence invariant into part of the gate
+//	chaos      fault-injection sweep: seeds × schedules × schemes × lists;
+//	           exits nonzero on any invariant violation. -leak composes
+//	           goroutine-death faults into every schedule and turns the
+//	           reaper's convergence invariant into part of the gate
 //
 // Every measuring experiment is one entry of internal/bench's registry and
 // runs through its one run loop and one table renderer: `smrbench fig5` and

@@ -4,8 +4,12 @@
 // global epoch ForceThreshold times in a row neutralizes exactly the
 // lagging threads, forcing them to roll their critical sections back to the
 // beginning, and then advances the epoch anyway. The advance is written
-// once, flushAndAdvance, as Algorithm 5 lines 26–34; a stalled epoch gets
-// the same lines at an exhausted budget (ForceFlush; see watchdog.go). A
+// once, flushAndAdvance, as Algorithm 5 lines 26–34. Every push a live
+// handle makes to the global task set goes through it and is counted
+// against the budget, which is what the §5 bound rests on; only a leaving
+// handle's last batch (Unregister, the reaper's AdoptBatch) is pushed
+// outside it, once per handle. ForceFlush runs the same lines at an
+// exhausted budget (teardown, backpressure, the janitor's drain). A
 // domain built with NeverSignal skips lines 31–32 and is plain RCU: the
 // one RCU under both of internal/core's schemes.
 //
@@ -213,13 +217,6 @@ func (d *Domain) GarbageBoundFor(threads int) int64 {
 // HandlesPeak returns the highest number of simultaneously registered
 // handles observed — the N to evaluate the §5 bound with after a run.
 func (d *Domain) HandlesPeak() int { return int(d.population.Peak()) }
-
-// GarbageBoundObserved is the §5 bound 2GN+GN² evaluated with the peak
-// observed thread count (the caller adds H from its own shield
-// accounting).
-func (d *Domain) GarbageBoundObserved() int64 {
-	return d.GarbageBoundFor(d.HandlesPeak())
-}
 
 // EnableLeases makes this domain's handles reapable: their owners take the
 // reap-aware paths and date the status word (see Handle.ops). It must be
@@ -486,8 +483,8 @@ func (h *Handle) Word() uint64 { return h.status.Load() }
 // (Handle.ops), and every owner transition out of Out or RbReq is itself
 // a CAS on this word, so exactly one side wins. Every other phase is
 // refused: a stalled-but-registered critical section is neutralization's
-// and the watchdog's job, a mutation span is never adoptable, and a reap
-// already under way has its own reaper.
+// job, a mutation span is never adoptable, and a reap already under way
+// has its own reaper.
 func (h *Handle) TryReap(word uint64) bool {
 	if ph, _ := unpack(word); ph != phaseOut && ph != phaseRbReq {
 		return false
@@ -865,19 +862,6 @@ func (h *Handle) CancelPending(tok uint64) bool {
 	return tok != 0 && h.cancelReq.Load() == tok
 }
 
-// FlushLocal pushes the local defer batch to the global task set without
-// forcing an epoch advance. The recover barrier calls it after restoring
-// a panicked handle: the batch holds only fully committed retirements, so
-// flushing it means an owner that abandons the handle after the panic
-// leaves nothing behind that the next drain cannot reach.
-func (h *Handle) FlushLocal() {
-	claimed := h.BeginMut()
-	h.flush()
-	if claimed {
-		h.EndMut()
-	}
-}
-
 // TraceEvent records an event on this handle's obs trace (no-op unless
 // the observability layer is active; nil-safe). The lifecycle layer in
 // internal/core uses it for panic, cancel and close events.
@@ -937,10 +921,9 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 }
 
 // flush moves the local batch to the global task set tagged with the
-// current global epoch (line 26). An empty batch is not enqueued: a
-// zero-task taggedBatch would keep pendingBatches nonzero after a drain,
-// which the watchdog check would misread as a stalled epoch and answer
-// with a forced round every third tick, forever.
+// current global epoch (line 26). An empty batch is not enqueued: it
+// would free nothing when it expires, yet every push of Barrier's forced
+// rounds after the first would append one to the task set under its lock.
 func (h *Handle) flush() {
 	if len(h.batch) == 0 {
 		return
@@ -1126,13 +1109,4 @@ func (h *Handle) Barrier() {
 func (h *Handle) ForceFlush() {
 	h.pushCnt = h.d.forceThreshold // the budget is spent: signal at once
 	h.flushAndAdvance()
-}
-
-// pendingBatches reports how many flushed batches are waiting in the
-// global task set (the watchdog's stalled-drain signal).
-func (d *Domain) pendingBatches() int {
-	d.tasksMu.Lock()
-	n := len(d.tasks)
-	d.tasksMu.Unlock()
-	return n
 }

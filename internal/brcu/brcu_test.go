@@ -10,6 +10,15 @@ import (
 
 type node struct{ key int64 }
 
+// pendingBatches reports how many flushed batches are waiting in the
+// global task set.
+func (d *Domain) pendingBatches() int {
+	d.tasksMu.Lock()
+	n := len(d.tasks)
+	d.tasksMu.Unlock()
+	return n
+}
+
 func retireOne(t *testing.T, pool *alloc.Pool[node], cache *alloc.Cache[node], h *Handle) uint64 {
 	t.Helper()
 	slot, _ := pool.Alloc(cache)

@@ -181,9 +181,6 @@ type Scenario struct {
 	Workers   int
 	Ops       int // operations per worker
 	KeyRange  int64
-	// Watchdog runs the self-healing BRCU watchdog during the scenario
-	// (HP-BRCU only; ignored elsewhere).
-	Watchdog bool
 	// Reaper runs the lease-based orphan reaper during the scenario
 	// (HP-BRCU only; ignored elsewhere). With a SiteLeak plan active it
 	// turns killed workers from permanent leaks into reaped-and-adopted
@@ -287,9 +284,6 @@ func Run(sc Scenario) Result {
 		if cfg.BatchSize < 64 {
 			cfg.BatchSize = 64
 		}
-	}
-	if sc.Watchdog && sc.Scheme == hpbrcu.HPBRCU {
-		cfg.Watchdog = true
 	}
 	if sc.Schedule.Plans[fault.SitePanic].Period > 0 {
 		// Injected panics must come back as latched errors, not crash the
@@ -395,7 +389,7 @@ func Run(sc Scenario) Result {
 	// stays active through the drain so the tail shows the final drain
 	// and reclaim events too.
 	dh := m.Register()
-	if sc.Scheme == hpbrcu.HPBRCU && (cfg.Watchdog || reaperOn) {
+	if reaperOn {
 		hpbrcu.Close(m, 0) // the books check below reports what is left
 	}
 	fault.Deactivate()

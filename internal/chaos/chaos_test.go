@@ -32,7 +32,6 @@ func TestRunSurvivesAcceptanceGrid(t *testing.T) {
 					res := Run(Scenario{
 						Structure: st, Scheme: scheme, Seed: seed,
 						Schedule: sched, Workers: 3, Ops: 400, KeyRange: 64,
-						Watchdog: true,
 					})
 					if !res.Survived() {
 						t.Fatalf("%s/%s/%s seed %d: %v", scheme, st, sched.Name, seed, res.Violations)
@@ -72,7 +71,6 @@ func TestRunSurvivesPanicSchedules(t *testing.T) {
 					res := Run(Scenario{
 						Structure: st, Scheme: scheme, Seed: seed,
 						Schedule: sched, Workers: 3, Ops: 400, KeyRange: 64,
-						Watchdog: true,
 					})
 					if !res.Survived() {
 						t.Fatalf("%s/%s/%s seed %d: %v", scheme, st, sched.Name, seed, res.Violations)
@@ -128,7 +126,7 @@ func TestRunFacadeCleanSchedule(t *testing.T) {
 	res := Run(Scenario{
 		Structure: bench.HMList, Scheme: hpbrcu.HPBRCU, Seed: 5,
 		Schedule: Schedules[0], Workers: 3, Ops: 500, KeyRange: 64,
-		Facade: true, Reaper: true, Watchdog: true,
+		Facade: true, Reaper: true,
 	})
 	if !res.Survived() {
 		t.Fatalf("violations: %v", res.Violations)

@@ -3,7 +3,7 @@ package chaos
 // Shard-wedge chaos (DESIGN.md §15): the phased scenario behind
 // `smrbench chaos -shardwedge`. One run wedges shard 0's janitor — it
 // skips every tick via a Period-1 SiteShardStall plan, so neither its
-// lease scan nor its epoch-health check runs — under live
+// lease scan nor its drain runs — under live
 // registered-handle load with goroutine-death leaks composed, and gates
 // on what sharding guarantees, from both directions:
 //
@@ -176,7 +176,6 @@ func keysOnShard(m hpbrcu.Map, s int, keyRange int64, count int) []int64 {
 // milliseconds.
 func shardWedgeConfig(shards int) hpbrcu.Config {
 	cfg := chaosConfig()
-	cfg.Watchdog = true
 	cfg.Reaper = hpbrcu.ReaperConfig{
 		Enabled:      true,
 		LeaseTimeout: 20 * time.Millisecond,

@@ -1,16 +1,16 @@
 package core
 
-// The janitor: the one background goroutine an HP-BRCU domain runs. The
-// paper's robustness argument (§4.1, §5) needs one background fact per
-// domain — is the epoch advancing, and who is in the way — so one ticker
-// drives fixed, ordered stages through one exempt service handle:
+// The janitor: the one background goroutine an HP-BRCU domain with the
+// reaper on runs. The epoch needs no watcher — Algorithm 5 bounds it on
+// the operation path, every push counted against ForceThreshold — but a
+// dead worker makes no pushes, so one ticker drives fixed, ordered stages
+// through one exempt service handle:
 //
-//	lease scan → epoch health → drain → backpressure → report
+//	lease scan → drain → backpressure → report
 //
-// The lease scan (internal/reap) and the epoch-health check
-// (internal/brcu) keep their protocol code and lose their goroutines; both
-// hand the work they park in the domain-global paths to the single
-// progress-gated drain stage. See DESIGN.md §7.
+// The lease scan (internal/reap) keeps its protocol code and hands what it
+// adopts into the domain-global paths to the progress-gated drain stage.
+// See DESIGN.md §7.
 
 import (
 	"sync"
@@ -24,24 +24,17 @@ import (
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// watchdogOnlyInterval is the janitor tick of a domain that runs the
-// epoch-health stage without the lease scan.
-const watchdogOnlyInterval = time.Millisecond
-
 // JanitorConfig configures StartJanitor. Zero durations select the
 // defaults.
 type JanitorConfig struct {
-	// Reaper turns the lease-scan stage (and the reap-aware handle paths)
-	// on.
+	// Reaper turns the janitor — its lease-scan stage and the reap-aware
+	// handle paths — on; without it StartJanitor starts nothing.
 	Reaper bool
 	// LeaseTimeout is how long a handle's status word must stand still
 	// before the scan claims it (default reap.DefaultLeaseTimeout).
 	LeaseTimeout time.Duration
-	// Interval is the janitor tick (default reap.DefaultInterval with the
-	// reaper on, 1 ms otherwise).
+	// Interval is the janitor tick (default reap.DefaultInterval).
 	Interval time.Duration
-	// Watchdog turns the epoch-health stage on.
-	Watchdog bool
 }
 
 // Report is what a janitor publishes at the end of every tick, read by
@@ -51,9 +44,6 @@ type Report struct {
 	// publishes nothing and does not count, so a count that stands still
 	// names a wedged janitor.
 	Ticks int64
-	// StallStreak is how many consecutive ticks saw flushed batches queued
-	// behind an epoch that did not move (0 with the watchdog off).
-	StallStreak int
 	// Parked is how many handles the lease scan holds parked: their word
 	// stood for the lease timeout, but they hold nothing to adopt, so they
 	// were left registered and are not counted in ReapedHandles.
@@ -66,16 +56,14 @@ type Janitor struct {
 	interval time.Duration
 	shardID  int
 
-	// The stages. reaper and wd are nil when their stage is off; drain is
-	// one forced flush-advance-reclaim round through the service handle.
+	// The stages. bp is nil with backpressure off; drain is one forced
+	// flush-advance-reclaim round through the service handle.
 	reaper *reap.Reaper
-	wd     *brcu.Watchdog
 	bp     *reap.Backpressure
 	drain  func()
 
 	// gate decides whether the drain stage runs a round this tick: armed
-	// by an adoption or a detected stall, open while the rounds make
-	// progress.
+	// by an adoption, open while the rounds make progress.
 	gate reap.DrainGate
 
 	trace *obs.Trace
@@ -94,25 +82,19 @@ type Janitor struct {
 	stopOnce sync.Once
 }
 
-// StartJanitor launches the domain's janitor with the stages cfg asks
-// for. With the reaper stage on it first enables leases, so it must run
-// before any worker goroutine registers (the lease gate is a plain bool,
-// fault.On contract). It returns nil for HP-RCU and when cfg asks for no
-// stage. CloseDrain stops the janitor as part of
-// the shutdown; Stop does so on its own.
+// StartJanitor launches the domain's janitor when cfg turns the reaper on.
+// It first enables leases, so it must run before any worker goroutine
+// registers (the lease gate is a plain bool, fault.On contract). It
+// returns nil for HP-RCU and with the reaper off. CloseDrain stops the
+// janitor as part of the shutdown; Stop does so on its own.
 func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
-	if d.backend == BackendRCU || !(cfg.Reaper || cfg.Watchdog) {
+	if d.backend == BackendRCU || !cfg.Reaper {
 		return nil
 	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = watchdogOnlyInterval
-		if cfg.Reaper {
-			cfg.Interval = reap.DefaultInterval
-		}
+		cfg.Interval = reap.DefaultInterval
 	}
-	if cfg.Reaper {
-		d.brcu.EnableLeases()
-	}
+	d.brcu.EnableLeases()
 	h := d.register(true) // exempt: the janitor's own handle idles by design
 	j := &Janitor{
 		rec:      d.rec,
@@ -122,14 +104,9 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 		drain:    h.Barrier,
 		d:        d,
 		h:        h,
+		reaper:   reap.New(reapTarget{d}, reap.Config{LeaseTimeout: cfg.LeaseTimeout, Rec: d.rec}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if cfg.Reaper {
-		j.reaper = reap.New(reapTarget{d}, reap.Config{LeaseTimeout: cfg.LeaseTimeout, Rec: d.rec})
-	}
-	if cfg.Watchdog {
-		j.wd = d.brcu.NewWatchdog(d.HP.Shields)
 	}
 	if obs.On {
 		j.trace = obs.NewTrace("janitor")
@@ -165,7 +142,7 @@ func (j *Janitor) run() {
 // with an explicit clock so tests can drive the stages deterministically.
 func (j *Janitor) tick(now int64) {
 	// The shard-wedge injection point: a fired stall skips the pass
-	// entirely — no look at any handle, no adoption, no health check, no
+	// entirely — no look at any handle, no adoption, no drain, no
 	// report — so a Period-1 plan freezes the janitor as dead as a wedged
 	// goroutine, deterministically and wall-clock independently: adoption
 	// stops, and Ticks stand still.
@@ -176,21 +153,11 @@ func (j *Janitor) tick(now int64) {
 	}
 
 	// Lease scan: look, claim, adopt, remove, finish.
-	parked := false
-	if j.reaper != nil {
-		parked = j.reaper.Tick(now) > 0
-	}
-	// Epoch health: a stalled epoch is answered like an adoption, by the
-	// drain stage's forced round — Algorithm 5's advance at an exhausted
-	// budget, which signals exactly the sections that lag.
-	if j.wd != nil && j.wd.Check() {
-		parked = true
+	if j.reaper.Tick(now) > 0 {
+		j.gate.Arm()
 	}
 
 	// Drain, while it makes progress.
-	if parked {
-		j.gate.Arm()
-	}
 	if j.gate.Allow(j.rec.Unreclaimed.Load()) {
 		j.drain()
 	} else if j.h != nil {
@@ -219,13 +186,7 @@ func (j *Janitor) tick(now int64) {
 // publish replaces the report with the stages' current state and counts
 // one tick.
 func (j *Janitor) publish() {
-	var r Report
-	if j.wd != nil {
-		r.StallStreak = j.wd.StallStreak()
-	}
-	if j.reaper != nil {
-		r.Parked = j.reaper.Parked()
-	}
+	r := Report{Parked: j.reaper.Parked()}
 	j.mu.Lock()
 	r.Ticks = j.report.Ticks + 1
 	j.report = r

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
-	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -116,7 +115,7 @@ func TestReaperResurrection(t *testing.T) {
 }
 
 // TestJanitorSweepsWhatTheLastWorkerLeft: the drain stage forces rounds
-// only on an adoption or a detected stall, and closes its gate when a round
+// only on an adoption, and closes its gate when a round
 // makes no progress — so nodes a live shield protected through the last
 // reclaim pass anyone ran are parked, on the leaving worker's way out, in
 // the HP orphans, where no forced round is owed for them and no surviving
@@ -186,7 +185,7 @@ func TestEmergencyDrainBoundsGarbage(t *testing.T) {
 
 func TestBackpressureNilForRCU(t *testing.T) {
 	d := NewDomain(BackendRCU, Config{})
-	if j := d.StartJanitor(JanitorConfig{Reaper: true, Watchdog: true}); j != nil {
+	if j := d.StartJanitor(JanitorConfig{Reaper: true}); j != nil {
 		t.Fatal("StartJanitor must be a no-op on an RCU-backed domain")
 	}
 	if d.EnableBackpressure(reap.BackpressureConfig{}) != nil {
@@ -275,24 +274,6 @@ func TestJanitorStageOrder(t *testing.T) {
 	if got := rec.AdoptedNodes.Load(); got != 3 {
 		t.Fatalf("AdoptedNodes = %d, want 3", got)
 	}
-
-	// A detected stall is the stage's other arming input: nothing to look
-	// at, and on the tick the health check reports the stall, the drain.
-	log.events = nil
-	j = mockJanitor(log, &mockTarget{log: log}, rec)
-	wd, _ := stalledEpoch(t)
-	j.wd = wd
-	for now := int64(100); now < 100+stallTicks-1; now++ {
-		j.tick(now)
-	}
-	if len(log.events) != 0 {
-		t.Fatalf("ticks before the stall was detected ran %v", log.events)
-	}
-	j.tick(200)
-	want = []string{"drain"}
-	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
-		t.Fatalf("stall tick ran %v, want %v", log.events, want)
-	}
 }
 
 // TestJanitorReportsParked: a claimed victim with nothing to adopt is
@@ -320,48 +301,6 @@ func TestJanitorReportsParked(t *testing.T) {
 	}
 }
 
-// stallTicks is how many ticks in a row must see batches queued behind a
-// standing epoch before the health check reports a stall (brcu's
-// watchdogStallTicks).
-const stallTicks = 3
-
-// stalledEpoch returns the health check of a BRCU domain a pinned reader
-// holds at one epoch with batches queued behind it — every stallTicks-th
-// Check reports a stall, since the mock drain never advances it — and a
-// release that drains the domain back to health.
-func stalledEpoch(t *testing.T) (wd *brcu.Watchdog, release func()) {
-	t.Helper()
-	pool := alloc.NewPool[node]()
-	cache := pool.NewCache()
-	d := brcu.NewDomain(nil, brcu.WithMaxLocalTasks(1), brcu.WithForceThreshold(1<<20))
-	reader, writer := d.Register(), d.Register()
-	reader.Enter()
-	for i := 0; i < 4; i++ {
-		slot, _ := pool.Alloc(cache)
-		pool.Hdr(slot).Retire()
-		writer.Defer(slot, pool)
-	}
-	return d.NewWatchdog(nil), func() {
-		reader.Exit()
-		writer.Barrier()
-	}
-}
-
-// stallOnce drives a mock janitor through the detection of a stall, so its
-// drain stage is armed and has run its first round; the stall is then
-// released, leaving the progress gate alone to decide the later rounds.
-func stallOnce(t *testing.T, log *stageLog, rec *stats.Reclamation) *Janitor {
-	t.Helper()
-	j := mockJanitor(log, &mockTarget{log: log}, rec)
-	wd, release := stalledEpoch(t)
-	j.wd = wd
-	for now := int64(300) - stallTicks + 1; now <= 300; now++ {
-		j.tick(now)
-	}
-	release()
-	return j
-}
-
 // reapOnce drives a mock janitor through one look and one reap, so its
 // drain stage is armed and has run its first round.
 func reapOnce(t *testing.T, log *stageLog, rec *stats.Reclamation) *Janitor {
@@ -384,33 +323,28 @@ func countDrains(log *stageLog) int {
 }
 
 // TestJanitorDrainStopsWithoutProgress is the drain stage's wiring
-// (reap.DrainGate holds the policy): an adoption or a detected stall arms
-// it, it forces one round per tick while each round lowered the unreclaimed
-// gauge, and a round that failed to — live workers keep retiring — ends it
-// instead of forcing flush-and-advance (and neutralization) storms forever.
+// (reap.DrainGate holds the policy): an adoption arms it, it forces one
+// round per tick while each round lowered the unreclaimed gauge, and a
+// round that failed to — live workers keep retiring — ends it instead of
+// forcing flush-and-advance (and neutralization) storms forever.
 func TestJanitorDrainStopsWithoutProgress(t *testing.T) {
-	for name, armOnce := range map[string]func(*testing.T, *stageLog, *stats.Reclamation) *Janitor{
-		"adopted":        reapOnce,
-		"stall detected": stallOnce,
-	} {
-		t.Run(name, func(t *testing.T) {
-			log := &stageLog{}
-			rec := &stats.Reclamation{}
-			rec.Unreclaimed.Add(5)
-			j := armOnce(t, log, rec) // round #1, in the arming tick
-			rec.Unreclaimed.Add(-1)
-			j.tick(400) // progress (5→4): round #2
-			if n := countDrains(log); n != 2 {
-				t.Fatalf("drain rounds = %d while the rounds make progress, want 2", n)
-			}
-			for now := int64(500); now <= 1000; now += 100 {
-				j.tick(now) // the gauge stays at 4: no progress since
-			}
-			if n := countDrains(log); n != 2 {
-				t.Fatalf("drain rounds = %d, want 2 once a round made no progress", n)
-			}
-		})
-	}
+	t.Run("adopted", func(t *testing.T) {
+		log := &stageLog{}
+		rec := &stats.Reclamation{}
+		rec.Unreclaimed.Add(5)
+		j := reapOnce(t, log, rec) // round #1, in the arming tick
+		rec.Unreclaimed.Add(-1)
+		j.tick(400) // progress (5→4): round #2
+		if n := countDrains(log); n != 2 {
+			t.Fatalf("drain rounds = %d while the rounds make progress, want 2", n)
+		}
+		for now := int64(500); now <= 1000; now += 100 {
+			j.tick(now) // the gauge stays at 4: no progress since
+		}
+		if n := countDrains(log); n != 2 {
+			t.Fatalf("drain rounds = %d, want 2 once a round made no progress", n)
+		}
+	})
 }
 
 // TestJanitorTicksUnderShardStall: Report.Ticks advances exactly once per
@@ -465,7 +399,7 @@ func TestJanitorTicksUnderShardStall(t *testing.T) {
 // handle.
 func TestJanitorStartStop(t *testing.T) {
 	d := NewDomain(BackendBRCU, Config{})
-	j := d.StartJanitor(JanitorConfig{Reaper: true, Watchdog: true, LeaseTimeout: time.Hour, Interval: time.Millisecond})
+	j := d.StartJanitor(JanitorConfig{Reaper: true, LeaseTimeout: time.Hour, Interval: time.Millisecond})
 	if j.interval != time.Millisecond {
 		t.Fatalf("interval = %v, want the configured 1ms", j.interval)
 	}
@@ -497,6 +431,6 @@ func TestJanitorStartStop(t *testing.T) {
 		t.Fatalf("domain has %d members after CloseDrain, want 0", got)
 	}
 	if d.StartJanitor(JanitorConfig{}) != nil {
-		t.Fatal("StartJanitor with no stage asked for must start nothing")
+		t.Fatal("StartJanitor with the reaper off must start nothing")
 	}
 }

@@ -92,11 +92,18 @@ func (h *Handle) checkUsable() {
 
 // contain is the recover barrier's second half, called with a recovered
 // panic value: restore the handle to a reusable state — clear the
-// traversal protectors, unwind the status word to Out (resolving any
-// reaper phase exactly as Enter would), flush the defer batch so an
-// abandoned handle leaks nothing — account the recovery, and re-raise
-// per the panic policy. If restoration itself panics the handle is
-// poisoned instead: every subsequent operation refuses it up front.
+// traversal protectors and unwind the status word to Out (resolving any
+// reaper phase exactly as Enter would) — account the recovery, and
+// re-raise per the panic policy. If restoration itself panics the handle
+// is poisoned instead: every subsequent operation refuses it up front.
+//
+// The defer batch stays where it is. A restored handle fills and pushes
+// it like any other, counted against ForceThreshold; pushing it here
+// would be a push outside Algorithm 5's budget, and a handle that panics
+// more often than it fills a batch would then never signal the laggards
+// holding the epoch, growing garbage past the §5 bound. A handle its
+// owner abandons hands the batch on through Unregister, the facade's
+// Discard or the reaper's adoption.
 func (h *Handle) contain(r any, op string, clear func()) {
 	h.d.rec.PanicsRecovered.Inc()
 	pe := &PanicError{Value: r, Op: op}
@@ -109,7 +116,6 @@ func (h *Handle) contain(r any, op string, clear func()) {
 		}()
 		pe.Handle = h.brcu.Describe()
 		h.brcu.ForceOut()
-		h.brcu.FlushLocal()
 		if clear != nil {
 			clear()
 		}

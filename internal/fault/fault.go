@@ -119,7 +119,7 @@ const (
 	// sequence.
 	SiteNetDrop
 	// SiteShardStall stalls one shard's janitor tick (internal/core) —
-	// lease scan, epoch-health check, drain and report alike — simulating
+	// lease scan, drain, backpressure refresh and report alike — simulating
 	// a wedged per-shard janitor. The site is shard-targeted: the plan's
 	// Shard field selects which shard's ticks fire, so a sharded domain
 	// can demonstrate fault isolation (the wedged shard reaps nothing,

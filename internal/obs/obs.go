@@ -1,9 +1,9 @@
 // Package obs is the observability layer for the reclamation core: a
 // low-overhead, always-compiled tracing and metrics gate in the style of
-// internal/fault. Instrumentation points in internal/brcu (including the
-// watchdog), internal/hp, internal/core and internal/alloc are guarded by
-// a single package-level boolean, so a disabled build costs one
-// predictable branch per site and nothing else:
+// internal/fault. Instrumentation points in internal/brcu, internal/hp,
+// internal/core and internal/alloc are guarded by a single package-level
+// boolean, so a disabled build costs one predictable branch per site and
+// nothing else:
 //
 //	if obs.On {
 //	        h.trace.Rec(obs.EvEpochAdvance, int64(e))
@@ -26,8 +26,8 @@
 //
 // Like fault.On, the gate and the active collector may only change while
 // no goroutine is inside an instrumented region: Activate before the
-// workers start, Deactivate after they have joined (and after any BRCU
-// watchdog has been stopped). Each Trace is single-writer: it belongs to
+// workers start, Deactivate after they have joined (and after any
+// janitor has been stopped). Each Trace is single-writer: it belongs to
 // the goroutine that owns the traced handle, which is also why recording
 // needs no CAS. Merging is safe after the writers have quiesced; a live
 // dump (the HTTP exporter) may observe torn events near each ring's write
@@ -64,10 +64,6 @@ const (
 	// and was deferred to the region's exit (Algorithm 6); Arg is the
 	// region's epoch.
 	EvMaskDefer
-	// EvStallDrain: the epoch-health check found the epoch stalled (or
-	// unreclaimed nodes near the §5 bound) and armed the janitor's forced
-	// drain; Arg is the epoch it found standing.
-	EvStallDrain
 	// EvDrain: the handle executed expired deferred batches; Arg is the
 	// number of tasks run.
 	EvDrain
@@ -119,14 +115,14 @@ const (
 	// is the connection's accept sequence number. Recorded on the accept
 	// loop's trace.
 	EvAccept
-	// EvConnClose: a server connection ended (client went away, ladder
-	// closed it, drain, or a contained per-connection panic); Arg is the
-	// connection's accept sequence number. Recorded on the connection's
-	// own trace, which the handler goroutine owns.
+	// EvConnClose: a server connection ended (client went away, drain, or
+	// a contained per-connection panic); Arg is the connection's accept
+	// sequence number. Recorded on the connection's own trace, which the
+	// handler goroutine owns.
 	EvConnClose
-	// EvShed: the server's degradation ladder refused work; Arg is the
-	// rung that decided (1 = scan shed, 2 = write rejected, 3 =
-	// connection closed).
+	// EvShed: the server refused work; Arg is what decided (1 = scan shed
+	// at the ladder's first rung, 2 = write rejected at its second, 3 =
+	// connection turned away at the door, over MaxConns).
 	EvShed
 	// EvDrainBegin: Shutdown started the graceful drain; Arg is the
 	// number of live connections at that moment.
@@ -137,7 +133,7 @@ const (
 
 var eventNames = [numEventKinds]string{
 	"epoch-advance", "forced-advance", "signal", "rollback", "mask-defer",
-	"stall-drain", "drain", "reclaim", "slab-grow",
+	"drain", "reclaim", "slab-grow",
 	"lease-expire", "adopt", "reap", "throttle", "reject",
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",

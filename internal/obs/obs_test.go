@@ -117,12 +117,12 @@ func TestMergedTailLimitsPerHandle(t *testing.T) {
 func TestFormatTail(t *testing.T) {
 	c := NewCollector(8)
 	tr := c.NewTrace("brcu")
-	tr.Rec(EvStallDrain, 1)
+	tr.Rec(EvDrain, 1)
 	lines := c.FormatTail(0)
 	if len(lines) != 1 {
 		t.Fatalf("lines = %v", lines)
 	}
-	for _, want := range []string{"seq=1", "brcu#0", "stall-drain", "arg=1"} {
+	for _, want := range []string{"seq=1", "brcu#0", "drain", "arg=1"} {
 		if !strings.Contains(lines[0], want) {
 			t.Errorf("line %q missing %q", lines[0], want)
 		}

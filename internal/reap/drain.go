@@ -7,9 +7,8 @@ import "math"
 // An adoption parks work where only the janitor's service handle can
 // reach it — the global task set, the HP orphans, the handle's own retired
 // batch — and with every worker dead nobody else is left to advance the
-// epoch; a detected stall is the same fact with the workers alive but too
-// patient. Either way the janitor keeps forcing flush-advance-reclaim
-// rounds, one per tick. But only while they make progress: with live
+// epoch. So the janitor keeps forcing flush-advance-reclaim rounds, one
+// per tick. But only while they make progress: with live
 // workers retiring, the unreclaimed gauge may never touch zero, and forcing
 // advances every tick forever would keep neutralizing their critical
 // sections. The zero value is a closed gate.

@@ -3,18 +3,20 @@
 // degradation under overload. The library's two fail-fast load-shed
 // surfaces — ErrMemoryPressure from the tiered backpressure ladder and
 // ErrHandleExhausted from the facade's handle pool — plus the read-only
-// pressure rung (hpbrcu.Pressure) drive a three-rung degradation ladder:
+// pressure rung (hpbrcu.Pressure) drive a two-rung degradation ladder:
 //
-//	rung 1 (PressureDrain):  shed optional work — SCAN gets -BUSY;
-//	rung 2:                  reject writes with -BUSY. Reactive by
-//	                         design: SET runs through TryInsert's
-//	                         admission gate and the gate's verdict
-//	                         (throttle backoff, then ErrMemoryPressure)
-//	                         is mapped onto the wire; DEL, which has no
-//	                         gate, is refused proactively at the reject
-//	                         tier;
-//	rung 3 (PressureReject): close the newest connections, down to a
-//	                         configured floor, until pressure recedes.
+//	rung 1 (PressureDrain): shed optional work — SCAN gets -BUSY;
+//	rung 2:                 reject writes with -BUSY. Reactive by
+//	                        design: SET runs through TryInsert's
+//	                        admission gate and the gate's verdict
+//	                        (throttle backoff, then ErrMemoryPressure)
+//	                        is mapped onto the wire; DEL, which has no
+//	                        gate, is refused proactively at the reject
+//	                        tier.
+//
+// The ladder closes no connection: at the reject tier every write is
+// already refused, and a connection holds no handle and no garbage between
+// requests, so closing one frees nothing the map is short of.
 //
 // Any facade error that hpbrcu.IsLoadShed recognizes — including
 // ErrHandleExhausted from the handle pool — turns into the same
@@ -71,13 +73,6 @@ type Config struct {
 	WriteTimeout time.Duration
 	// RetryAfter is the delay advertised in -BUSY replies. Default 10ms.
 	RetryAfter time.Duration
-	// LadderInterval is the governor tick at which rung 3 (connection
-	// shedding) re-evaluates pressure. Default 10ms.
-	LadderInterval time.Duration
-	// MinConns is the floor below which rung 3 never closes connections,
-	// so the service keeps answering *some* traffic at peak overload.
-	// Default 8.
-	MinConns int
 	// ScanLimit caps the row count of one SCAN. Default 128.
 	ScanLimit int
 	// Logf, when non-nil, receives diagnostic lines (accept errors,
@@ -104,12 +99,6 @@ func (c *Config) applyDefaults() error {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 10 * time.Millisecond
 	}
-	if c.LadderInterval <= 0 {
-		c.LadderInterval = 10 * time.Millisecond
-	}
-	if c.MinConns <= 0 {
-		c.MinConns = 8
-	}
 	if c.ScanLimit <= 0 {
 		c.ScanLimit = 128
 	}
@@ -131,9 +120,7 @@ type Server struct {
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
-	governorStop chan struct{}
-	governorDone chan struct{}
-	acceptDone   chan struct{}
+	acceptDone chan struct{}
 
 	// connPanics counts panics contained by the per-connection recover
 	// barrier. Deliberately NOT stats.PanicsRecovered: that counter
@@ -144,7 +131,6 @@ type Server struct {
 	inflightRejects atomic.Int64
 
 	acceptTrace *obs.Trace
-	govTrace    *obs.Trace
 }
 
 // conn is one accepted connection. Its handler goroutine owns nc's read
@@ -161,13 +147,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:          cfg,
-		m:            cfg.Map,
-		rec:          cfg.Map.Stats(),
-		conns:        make(map[uint64]*conn),
-		governorStop: make(chan struct{}),
-		governorDone: make(chan struct{}),
-		acceptDone:   make(chan struct{}),
+		cfg:        cfg,
+		m:          cfg.Map,
+		rec:        cfg.Map.Stats(),
+		conns:      make(map[uint64]*conn),
+		acceptDone: make(chan struct{}),
 	}
 	return s, nil
 }
@@ -189,16 +173,14 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Serve starts the accept loop and the ladder governor on ln and
-// returns immediately. The server owns ln from here on.
+// Serve starts the accept loop on ln and returns immediately. The server
+// owns ln from here on.
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	if obs.On {
 		s.acceptTrace = obs.NewTrace("srv-accept")
-		s.govTrace = obs.NewTrace("srv-governor")
 	}
 	go s.acceptLoop()
-	go s.governor()
 }
 
 // acceptLoop admits connections up to MaxConns; over-capacity accepts
@@ -245,52 +227,6 @@ func (s *Server) acceptLoop() {
 			s.acceptTrace.Rec(obs.EvAccept, int64(id))
 		}
 		go s.serveConn(c)
-	}
-}
-
-// governor is rung 3 of the degradation ladder: while the map sits at
-// the reject tier, each tick closes the newest connection above the
-// MinConns floor. Newest-first preserves the oldest (presumably
-// productive) sessions, and one-per-tick keeps the shedding gentle
-// enough to stop as soon as pressure recedes. The gate is the MEAN
-// shard pressure, not the worst: rung 3 is a whole-service measure
-// (it sheds connections, which touch every shard), so a single
-// overloaded shard must not cost healthy shards their clients. On an
-// unsharded map mean and worst coincide, so behaviour is unchanged.
-func (s *Server) governor() {
-	defer close(s.governorDone)
-	t := time.NewTicker(s.cfg.LadderInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.governorStop:
-			return
-		case <-t.C:
-		}
-		_, mean := hpbrcu.PressureStat(s.m)
-		if s.draining.Load() || mean < hpbrcu.PressureReject {
-			continue
-		}
-		s.mu.Lock()
-		var victim *conn
-		if len(s.conns) > s.cfg.MinConns {
-			for _, c := range s.conns {
-				if victim == nil || c.id > victim.id {
-					victim = c
-				}
-			}
-		}
-		s.mu.Unlock()
-		if victim == nil {
-			continue
-		}
-		s.rec.ClosedByLadder.Inc()
-		if obs.On {
-			s.govTrace.Rec(obs.EvShed, 3)
-		}
-		// Closing nc unblocks the handler's read; teardown (unregister,
-		// EvConnClose) stays with the handler goroutine, which owns it.
-		victim.nc.Close()
 	}
 }
 
@@ -523,12 +459,10 @@ func (s *Server) StatsLines() []string {
 	s.mu.Lock()
 	live := len(s.conns)
 	s.mu.Unlock()
-	worst, mean := hpbrcu.PressureStat(s.m)
 	rows := []string{
 		fmt.Sprintf("accepted_conns=%d", snap.AcceptedConns),
 		fmt.Sprintf("live_conns=%d", live),
-		fmt.Sprintf("pressure=%s", worst),
-		fmt.Sprintf("pressure_mean=%s", mean),
+		fmt.Sprintf("pressure=%s", hpbrcu.Pressure(s.m)),
 		fmt.Sprintf("shed_scans=%d", snap.ShedScans),
 		fmt.Sprintf("rejected_writes=%d", snap.RejectedWrites),
 		fmt.Sprintf("closed_by_ladder=%d", snap.ClosedByLadder),
@@ -559,7 +493,6 @@ func (s *Server) ServiceStats() map[string]any {
 	s.mu.Lock()
 	live := len(s.conns)
 	s.mu.Unlock()
-	worst, mean := hpbrcu.PressureStat(s.m)
 	shards := make([]map[string]any, 0, 1)
 	for _, sp := range hpbrcu.ShardPressures(s.m) {
 		shards = append(shards, map[string]any{
@@ -567,7 +500,6 @@ func (s *Server) ServiceStats() map[string]any {
 			"Pressure":     sp.Level.String(),
 			"Unreclaimed":  sp.Unreclaimed,
 			"JanitorTicks": sp.JanitorTicks,
-			"StallStreak":  sp.StallStreak,
 		})
 	}
 	return map[string]any{
@@ -575,8 +507,7 @@ func (s *Server) ServiceStats() map[string]any {
 		"Inflight":        s.inflight.Load(),
 		"InflightRejects": s.inflightRejects.Load(),
 		"ConnPanics":      s.connPanics.Load(),
-		"Pressure":        worst.String(),
-		"PressureMean":    mean.String(),
+		"Pressure":        hpbrcu.Pressure(s.m).String(),
 		"Shards":          shards,
 	}
 }
@@ -609,8 +540,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.ln.Close()
 	<-s.acceptDone
-	close(s.governorStop)
-	<-s.governorDone
 
 	handlers := make(chan struct{})
 	go func() { s.wg.Wait(); close(handlers) }()

@@ -1,7 +1,7 @@
 package server
 
 // The shard-wedge soak: a sharded smrcached store under live client load
-// while shard 0's janitor (reaper and epoch watchdog) is deterministically
+// while shard 0's janitor (its lease scan and drain) is deterministically
 // wedged. The service-level claims under test:
 //
 //	the wedge takes      — shard 0's janitor ticks stand still through the
@@ -47,7 +47,6 @@ func TestServerShardWedgeSoak(t *testing.T) {
 
 	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 256, hpbrcu.Config{
 		BatchSize: 64,
-		Watchdog:  true,
 		Reaper: hpbrcu.ReaperConfig{
 			Enabled:      true,
 			LeaseTimeout: 40 * time.Millisecond,

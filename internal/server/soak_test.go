@@ -135,7 +135,7 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Fatalf("PoolLeaksReclaimed = %d, want >= %d injected leaks", snap.PoolLeaksReclaimed, leaked)
 	}
 
-	// Zero goroutine leaks: handlers, governor, accept loop, reaper,
+	// Zero goroutine leaks: handlers, accept loop, reaper,
 	// pool sweep and loadgen workers must all be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore+2 {

@@ -111,10 +111,6 @@ type Reclamation struct {
 	EpochAdvances Counter
 	// ForcedAdvances counts epoch advances that required signalling.
 	ForcedAdvances Counter
-	// StallDrains counts the ticks on which the BRCU epoch-health check
-	// found a stalled epoch (or unreclaimed nodes near the §5 bound) and
-	// armed the janitor's forced drain; what the round signals is in Signals.
-	StallDrains Counter
 	// ReapedHandles counts handles the lease reaper confirmed dead and
 	// removed (leaked goroutines; see internal/reap).
 	ReapedHandles Counter
@@ -167,7 +163,6 @@ type Reclamation struct {
 	// (memory pressure, handle exhaustion) surfacing from the facade.
 	RejectedWrites Counter
 	// ClosedByLadder counts connections the server closed to shed load:
-	// the ladder's third rung (newest connections first) and
 	// over-capacity accepts turned away at the door.
 	ClosedByLadder Counter
 	// DrainNanos accumulates the wall-clock nanoseconds graceful drains
@@ -204,7 +199,6 @@ type Snapshot struct {
 	Rollbacks       int64
 	EpochAdvances   int64
 	ForcedAdvances  int64
-	StallDrains     int64
 
 	ReapedHandles         int64
 	AdoptedNodes          int64
@@ -242,7 +236,6 @@ func (r *Reclamation) Snapshot() Snapshot {
 		Rollbacks:       r.Rollbacks.Load(),
 		EpochAdvances:   r.EpochAdvances.Load(),
 		ForcedAdvances:  r.ForcedAdvances.Load(),
-		StallDrains:     r.StallDrains.Load(),
 
 		ReapedHandles:         r.ReapedHandles.Load(),
 		AdoptedNodes:          r.AdoptedNodes.Load(),
@@ -276,7 +269,6 @@ func (r *Reclamation) Reset() {
 	r.Rollbacks.Reset()
 	r.EpochAdvances.Reset()
 	r.ForcedAdvances.Reset()
-	r.StallDrains.Reset()
 	r.ReapedHandles.Reset()
 	r.AdoptedNodes.Reset()
 	r.BackpressureThrottles.Reset()

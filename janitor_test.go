@@ -41,29 +41,28 @@ func baseGoroutines() int {
 }
 
 // TestJanitorGoroutineCensus counts the background goroutines a map
-// starts: one janitor per domain whichever of its stages are on and
-// nothing else — 8 for eight shards with everything on, where the
-// watchdog, the reaper and a shard monitor used to make 17 — and Close
-// returns the process to its starting count.
+// starts: one janitor per domain with the reaper on and nothing else — 8
+// for eight shards with everything on — none without the reaper, since
+// backpressure runs on the retire path, and Close returns the process to
+// its starting count.
 func TestJanitorGoroutineCensus(t *testing.T) {
 	allOn := hpbrcu.Config{
-		Watchdog:     true,
 		Reaper:       hpbrcu.ReaperConfig{Enabled: true},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 	}
 	sharded := allOn
 	sharded.Shards = hpbrcu.ShardsConfig{Count: 8}
-	watchdogOnly := hpbrcu.Config{Watchdog: true}
+	backpressureOnly := hpbrcu.Config{Backpressure: allOn.Backpressure}
 	shardsOnly := hpbrcu.Config{Shards: sharded.Shards}
 	for _, tc := range []struct {
 		name string
 		cfg  hpbrcu.Config
 		want int
 	}{
-		{"unsharded reaper+watchdog", allOn, 1},
-		{"unsharded watchdog only", watchdogOnly, 1},
+		{"unsharded reaper+backpressure", allOn, 1},
+		{"unsharded backpressure only", backpressureOnly, 0},
 		{"zero config", hpbrcu.Config{}, 0},
-		{"8 shards, reaper+watchdog", sharded, 8},
+		{"8 shards, reaper+backpressure", sharded, 8},
 		{"8 shards, zero config", shardsOnly, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

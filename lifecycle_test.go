@@ -3,7 +3,7 @@ package hpbrcu_test
 // Lifecycle tests: unified shutdown (Close), the ErrClosed admission
 // gate, and panic containment under both policies. The close-while-busy
 // soak is the acceptance scenario for ISSUE 4's shutdown leg: workers
-// hammer an HP-BRCU map with the reaper and watchdog running, Close
+// hammer an HP-BRCU map with the janitor running, Close
 // lands mid-flight, and afterwards the books balance, every service
 // goroutine has exited, and every post-Close operation reports ErrClosed
 // without panicking.
@@ -26,7 +26,6 @@ func lifecycleConfig() hpbrcu.Config {
 	return hpbrcu.Config{
 		BatchSize:    8,
 		BackupPeriod: 8,
-		Watchdog:     true,
 		Reaper: hpbrcu.ReaperConfig{
 			Enabled:      true,
 			LeaseTimeout: 50 * time.Millisecond,
@@ -126,7 +125,7 @@ func TestCloseWhileBusy(t *testing.T) {
 	}
 	h.Unregister() // must be a clean no-op
 
-	// Service goroutines (reaper, watchdog) must have exited.
+	// The janitor must have exited.
 	waitGoroutines(t, base)
 }
 

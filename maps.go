@@ -24,7 +24,7 @@ type mapImpl struct {
 	reg    func() MapHandle
 	st     func() *stats.Reclamation
 	dom    *core.Domain       // non-nil for HP-RCU/HP-BRCU maps
-	jan    *core.Janitor      // non-nil when Config.Reaper or Config.Watchdog started one
+	jan    *core.Janitor      // non-nil when Config.Reaper started one
 	bp     *reap.Backpressure // non-nil when Config.Backpressure enabled
 	rec    bool               // Config.PanicPolicy == PanicRecover
 

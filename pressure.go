@@ -6,7 +6,7 @@ package hpbrcu
 // ErrHandleExhausted from the facade's handle pool — into one shed
 // decision, plus a read-only view of the backpressure rung so a service
 // can degrade *before* operations start failing. internal/server builds
-// its three-rung degradation ladder on exactly these two primitives.
+// its two-rung degradation ladder on exactly these two primitives.
 
 import (
 	"errors"
@@ -65,8 +65,7 @@ func (l PressureLevel) String() string {
 //
 // For a sharded map Pressure is the worst shard's rung — the
 // conservative signal for decisions that touch every shard (shedding a
-// SCAN, for instance, which reads all of them). PressureStat separates
-// the worst-shard and mean-shard views, and KeyPressure scopes the
+// SCAN, for instance, which reads all of them). KeyPressure scopes the
 // signal to one key's owning shard, so a service can degrade one slice
 // of traffic instead of the whole map.
 func Pressure(m Map) PressureLevel {
@@ -76,35 +75,13 @@ func Pressure(m Map) PressureLevel {
 			return PressureLevel(impl.bp.Level())
 		}
 	case *shardedMap:
-		worst, _ := PressureStat(m)
+		worst := PressureOK
+		for _, sh := range impl.shards {
+			worst = max(worst, Pressure(sh))
+		}
 		return worst
 	}
 	return PressureOK
-}
-
-// PressureStat returns the worst-shard and mean-shard pressure rungs of
-// m. For unsharded maps both equal Pressure(m). Services aggregate the
-// two differently by rung: worst for decisions that touch every shard
-// (scan shedding), mean for whole-service actions (closing connections)
-// that would be an overreaction to one sick shard.
-func PressureStat(m Map) (worst, mean PressureLevel) {
-	sm, ok := m.(*shardedMap)
-	if !ok {
-		p := Pressure(m)
-		return p, p
-	}
-	var sum int
-	for _, sh := range sm.shards {
-		var p PressureLevel
-		if sh.bp != nil {
-			p = PressureLevel(sh.bp.Level())
-		}
-		if p > worst {
-			worst = p
-		}
-		sum += int(p)
-	}
-	return worst, PressureLevel(sum / len(sm.shards))
 }
 
 // KeyPressure returns the backpressure rung of the shard that owns key —
@@ -130,16 +107,13 @@ type ShardPressure struct {
 	Level PressureLevel
 	// Unreclaimed is the shard's retired-not-yet-reclaimed gauge.
 	Unreclaimed int64
-	// JanitorTicks, StallStreak and ParkedHandles come from the shard
-	// janitor's last published report (all 0 when the shard runs no
-	// janitor): the number of ticks it has completed — a count that
-	// stands still names a wedged janitor — how many consecutive ticks
-	// its watchdog saw flushed batches queued behind an epoch that did
-	// not move, and how many handles the lease scan found standing still
+	// JanitorTicks and ParkedHandles come from the shard janitor's last
+	// published report (both 0 when the shard runs no janitor): the number
+	// of ticks it has completed — a count that stands still names a wedged
+	// janitor — and how many handles the lease scan found standing still
 	// past the lease timeout with nothing to adopt, which it leaves
 	// registered instead of reaping (they are not in ReapedHandles).
 	JanitorTicks  int64
-	StallStreak   int
 	ParkedHandles int
 }
 
@@ -172,6 +146,6 @@ func ShardPressures(m Map) []ShardPressure {
 func (p *ShardPressure) readJanitor(m *mapImpl) {
 	if m.jan != nil {
 		r := m.jan.Report()
-		p.JanitorTicks, p.StallStreak, p.ParkedHandles = r.Ticks, r.StallStreak, r.Parked
+		p.JanitorTicks, p.ParkedHandles = r.Ticks, r.Parked
 	}
 }

@@ -286,7 +286,6 @@ func AggregateSnapshot(m Map) StatsSnapshot {
 		agg.Rollbacks += s.Rollbacks
 		agg.EpochAdvances += s.EpochAdvances
 		agg.ForcedAdvances += s.ForcedAdvances
-		agg.StallDrains += s.StallDrains
 		agg.ReapedHandles += s.ReapedHandles
 		agg.AdoptedNodes += s.AdoptedNodes
 		agg.BackpressureThrottles += s.BackpressureThrottles

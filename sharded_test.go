@@ -18,9 +18,8 @@ import (
 
 func shardedCfg(shards int) hpbrcu.Config {
 	return hpbrcu.Config{
-		Watchdog: true,
-		Reaper:   hpbrcu.ReaperConfig{Enabled: true},
-		Shards:   hpbrcu.ShardsConfig{Count: shards},
+		Reaper: hpbrcu.ReaperConfig{Enabled: true},
+		Shards: hpbrcu.ShardsConfig{Count: shards},
 	}
 }
 
@@ -129,8 +128,7 @@ func TestShardedCrossShardRetire(t *testing.T) {
 		t.Fatal(err)
 	}
 	single, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 256, hpbrcu.Config{
-		Watchdog: true,
-		Reaper:   hpbrcu.ReaperConfig{Enabled: true},
+		Reaper: hpbrcu.ReaperConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +216,6 @@ func TestUnshardedPressureHelpers(t *testing.T) {
 	}
 	if got := hpbrcu.ShardOf(m, 12345); got != 0 {
 		t.Errorf("ShardOf unsharded = %d, want 0", got)
-	}
-	worst, mean := hpbrcu.PressureStat(m)
-	if p := hpbrcu.Pressure(m); worst != p || mean != p {
-		t.Errorf("PressureStat unsharded = (%v,%v), want (%v,%v)", worst, mean, p, p)
 	}
 	if kp := hpbrcu.KeyPressure(m, 7); kp != hpbrcu.Pressure(m) {
 		t.Errorf("KeyPressure unsharded = %v, want %v", kp, hpbrcu.Pressure(m))

@@ -118,23 +118,15 @@ type Config struct {
 	// ForceThreshold is BRCU's failed-advance budget before neutralizing
 	// laggards (default 2).
 	ForceThreshold int
-	// Watchdog enables the self-healing epoch-health stage of the
-	// domain's janitor on HP-BRCU maps: each janitor tick it checks for a
-	// stalled epoch (three ticks without an advance while flushed batches
-	// wait) or unreclaimed growth past three quarters of the §5 bound, and
-	// answers either with a forced drain round through the janitor's own
-	// handle — an epoch advance at an exhausted budget, which signals
-	// exactly the sections that lag, however patient ForceThreshold is.
-	// Detections are counted in Stats.StallDrains, the signals in
-	// Stats.Signals. Close stops the janitor. Ignored for every other scheme.
-	Watchdog bool
-	// Reaper enables the lease-scan stage of the domain's janitor on
-	// HP-BRCU maps: each tick it looks for handles abandoned by dead
-	// worker goroutines (a status word that has not moved for
-	// LeaseTimeout, no live critical section), claims each with one CAS
-	// that fails if the owner has moved since, and adopts their deferred
-	// garbage and shields into the domain-global reclamation paths. Close
-	// stops the janitor. Ignored for every other scheme.
+	// Reaper starts the domain's janitor on HP-BRCU maps, its one
+	// background goroutine: each tick its lease scan looks for handles
+	// abandoned by dead worker goroutines (a status word that has not
+	// moved for LeaseTimeout, no live critical section), claims each with
+	// one CAS that fails if the owner has moved since, and adopts their
+	// deferred garbage and shields into the domain-global reclamation
+	// paths. A stalled epoch needs no janitor: the operation path signals
+	// the laggards once ForceThreshold is spent. Close stops the janitor.
+	// Ignored for every other scheme.
 	Reaper ReaperConfig
 	// Backpressure enables tiered memory backpressure on HP-BRCU maps,
 	// keyed to the §5 garbage bound (or an absolute ceiling): inline
@@ -202,10 +194,10 @@ type PoolConfig struct {
 	LeakTimeout time.Duration
 }
 
-// ReaperConfig configures the lease scan (Config.Reaper) and, through
-// Interval, the janitor tick every other stage shares. The zero value
-// disables the scan; zero durations select the defaults (250ms lease
-// timeout, 5ms tick).
+// ReaperConfig configures the janitor (Config.Reaper): its lease scan and,
+// through Interval, the tick its drain and backpressure stages run on. The
+// zero value starts no janitor; zero durations select the defaults (250ms
+// lease timeout, 5ms tick).
 type ReaperConfig struct {
 	// Enabled turns the reaper on.
 	Enabled bool
@@ -239,14 +231,13 @@ type BackpressureConfig struct {
 // or escalate.
 var ErrMemoryPressure = reap.ErrMemoryPressure
 
-// CoreJanitorConfig lowers the public reaper and watchdog options to the
-// internal janitor config.
+// CoreJanitorConfig lowers the public reaper options to the internal
+// janitor config.
 func (c Config) CoreJanitorConfig() core.JanitorConfig {
 	return core.JanitorConfig{
 		Reaper:       c.Reaper.Enabled,
 		LeaseTimeout: c.Reaper.LeaseTimeout,
 		Interval:     c.Reaper.Interval,
-		Watchdog:     c.Watchdog,
 	}
 }
 

@@ -375,7 +375,6 @@ func TestChaosSeedCorpus(t *testing.T) {
 			res := chaos.Run(chaos.Scenario{
 				Structure: c.st, Scheme: c.scheme, Seed: seed,
 				Schedule: sched, Workers: 3, Ops: 400, KeyRange: 64,
-				Watchdog: true,
 			})
 			if !res.Survived() {
 				t.Fatalf("%s/%s/%s seed %d: %v", c.scheme, c.st, c.schedule, seed, res.Violations)
