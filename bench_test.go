@@ -3,8 +3,8 @@ package hpbrcu_test
 // The paper's figures are measured by cmd/smrbench over internal/bench's
 // registry, in wall-clock mode, and nowhere else. What stays here are the
 // testing.B views the registry has no counterpart for: the per-node cost
-// of a long read, and the per-operation cost of the two O(log n) descents,
-// each with nothing else running.
+// of a long read, the fixed cost of a point read, and the per-operation
+// cost of the two O(log n) descents, each with nothing else running.
 
 import (
 	"fmt"
@@ -49,6 +49,41 @@ func BenchmarkStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size.steps), "ns/step")
 			})
 		}
+	}
+}
+
+// BenchmarkPointGet is the per-operation cost of a point read, scheme by
+// scheme, from one goroutine: a Get of a uniform key on a HashMap of 4 096
+// keys kept half full (every even key), the map the frozen benchmark's
+// point_read_mostly workload builds, without its facade and production
+// posture. About two nodes a Get, so it is the fixed cost of an operation —
+// entering and leaving the section, the walk's setup and ending — that
+// this measures: the in-tree view of that benchmark's ds.get_ns rows.
+func BenchmarkPointGet(b *testing.B) {
+	const keyRange = 1 << 12
+	for _, s := range []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU, hpbrcu.RCU, hpbrcu.NBR, hpbrcu.HP} {
+		b.Run(s.String(), func(b *testing.B) {
+			m, ok := bench.NewMap(bench.HashMap, s, keyRange, hpbrcu.Config{})
+			if !ok {
+				b.Skip("unsupported")
+			}
+			h := m.Register()
+			defer h.Unregister()
+			for k := int64(0); k < keyRange; k += 2 {
+				h.Insert(k, k)
+			}
+			rng := uint64(0x9E3779B97F4A7C15)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				k := int64(rng % keyRange)
+				if v, ok := h.Get(k); ok != (k%2 == 0) || ok && v != k {
+					b.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
+				}
+			}
+		})
 	}
 }
 

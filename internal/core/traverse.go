@@ -87,32 +87,40 @@ type Walk[C any] struct {
 }
 
 // Bind points a zero Walk at a handle, its cursor storage and its
-// protectors; a non-nil ctx makes it cancellable (see Start). It only
-// stores, so that it inlines and the stores land in the owner's frame:
-// through a pointer the compiler cannot see to be a stack address every
-// pointer field would cost a write barrier, and returned as a struct value
-// the walk would be copied into place — either was a tenth of a two-hop Get.
+// protectors, and arms the first attempt; a non-nil ctx makes it
+// cancellable (see Start). It only stores, so that it inlines and the
+// stores land in the owner's frame: through a pointer the compiler cannot
+// see to be a stack address every pointer field would cost a write
+// barrier, and returned as a struct value the walk would be copied into
+// place — either was a tenth of a two-hop Get.
 func (w *Walk[C]) Bind(ctx context.Context, h *Handle, buf *CursorBuf[C], prot, backup Protector[C]) {
 	w.h, w.b, w.buf, w.ctx = h, h.brcu, buf, ctx
 	w.prots[0], w.prots[1] = backup, prot
+	w.left, w.hooks = h.d.backupPeriod, atomicx.YieldPeriod != 0 || fault.On || obs.On
 }
 
 // Start opens the walk: it refuses a poisoned handle and arms
-// cancellation. When the walk's context is done its own critical section
-// is self-neutralized — the paper's signal repurposed as a request timeout
-// — and the next Enter ends the walk with the context's error, the cursor
-// rolled back to its last complete checkpoint and nothing committed. That
-// holds under both schemes: an HP-RCU section is never signalled, but it
-// neutralizes itself like any other. A context already done ends the walk
-// before it touches any shared state.
+// cancellation, if a context is bound. When that context is done the
+// walk's critical section is self-neutralized — the paper's signal
+// repurposed as a request timeout — and the next Enter ends the walk with
+// the context's error, the cursor rolled back to its last complete
+// checkpoint and nothing committed. That holds under both schemes: an
+// HP-RCU section is never signalled, but it neutralizes itself like any
+// other. A context already done ends the walk before it touches any
+// shared state.
 func (w *Walk[C]) Start() {
+	if w.ctx != nil || w.h.poisoned != nil {
+		w.start()
+	}
+}
+
+func (w *Walk[C]) start() {
 	if w.ctx != nil {
 		if w.err = w.ctx.Err(); w.err != nil {
 			return
 		}
 	}
 	w.h.checkUsable()
-	w.gen = w.b.Gen()
 	if w.ctx != nil {
 		b, tok := w.b, w.b.ArmCancel()
 		w.tok = tok
@@ -156,8 +164,24 @@ func (w *Walk[C]) Err() error { return w.err }
 // resumed from — typically that its source node is not logically deleted
 // (§3.3). They are arguments here and to Checkpoint, not fields: a func
 // stored in the walk would escape, and every operation would allocate its
-// closures.
+// closures. The first attempt of a walk without a context has no
+// checkpoint, rollback or cancel to honour, so only later ones reenter.
 func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
+	if w.entered || w.ctx != nil {
+		return w.reenter(init, valid)
+	}
+	w.entered = true
+	w.b.Enter()
+	w.gen = w.b.Gen()
+	// Build the entry cursor (lines 11-12) and nothing else. Protecting,
+	// polling and copying it would buy a checkpoint that resumes to
+	// exactly where init starts; until commit completes the first one,
+	// the section itself protects the cursor and a rollback re-runs init.
+	w.buf.cur = init()
+	return true
+}
+
+func (w *Walk[C]) reenter(init func() C, valid func(*C) bool) bool {
 	if w.err != nil || w.over {
 		return false
 	}
@@ -205,12 +229,7 @@ func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
 		}
 		return true
 	}
-	// First critical section, or one that follows a rollback from before
-	// any checkpoint completed: build the entry cursor (lines 11-12) and
-	// nothing else. Protecting, polling and copying it would buy a
-	// checkpoint that resumes to exactly where init starts; until commit
-	// completes the first one, the section itself protects the cursor and
-	// a rollback re-runs init.
+	// A rollback from before any checkpoint completed: start over.
 	*c = init()
 	return true
 }
@@ -236,7 +255,14 @@ func (w *Walk[C]) StepHooks() {
 		}
 	}
 	w.b.PollHooks()
+	if StepHook != nil {
+		StepHook(w.b)
+	}
 }
+
+// StepHook is a test seam: set while no walk runs, it runs last in every
+// StepHooks, just before the step's poll, to stage an interleaving there.
+var StepHook func(*brcu.Handle)
 
 // Poll is the step's neutralization check — one load of the status word.
 // False means roll back: leave the loop for Enter.
@@ -328,6 +354,19 @@ func (w *Walk[C]) Finish() bool {
 		w.prots[1].Protect(c)
 	}
 	return true
+}
+
+// Conclude is Finish for a read-only walk whose owner has read, inside the
+// section, all it returns: one poll commits those reads — nothing is freed
+// that the section may reach before its status word reads RbReq (DESIGN.md
+// §11.2) — and no shield or cursor copy follows. False means discard the
+// reads and leave the loop for Enter.
+func (w *Walk[C]) Conclude() bool {
+	if w.b.Poll() {
+		w.b.Exit()
+		return true
+	}
+	return false
 }
 
 // Fail abandons the walk from inside an attempt: the operation cannot

@@ -1,8 +1,8 @@
 package core
 
 // Tests of the Walk API from a loop of the test's own, shaped like
-// hlist's: what the instrumented gate carries, and where the countdown
-// puts checkpoints.
+// hlist's: what the instrumented gate carries, where the countdown puts
+// checkpoints, and what Conclude commits.
 
 import (
 	"errors"
@@ -30,6 +30,11 @@ type chainWalk struct {
 	visited int
 	inits   int // calls of init
 	valids  int // calls of valid, from Enter's resume and from Checkpoint
+
+	// conclude ends the walk with Conclude instead of Finish, running
+	// onConclude (if set) between the tail's read and Conclude's poll.
+	conclude   bool
+	onConclude func()
 }
 
 // walk runs to the tail and returns its key; ok is false when the walk
@@ -67,6 +72,16 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 			}
 			nd := cw.pool.At(c.cur.Slot())
 			nx := nd.next.Load()
+			if nx.IsNil() && cw.conclude {
+				last := nd.key
+				if cw.onConclude != nil {
+					cw.onConclude()
+				}
+				if w.Conclude() {
+					return last, true
+				}
+				break
+			}
 			if nx.IsNil() {
 				*w.Cursor() = c
 				if w.Finish() {
@@ -412,5 +427,67 @@ func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
 	s := d.Stats().Snapshot()
 	if s.Signals != 0 || s.Rollbacks != 0 {
 		t.Fatalf("signals = %d, rollbacks = %d; want 0 and 0 (the failed revalidation ends the walk, it is no rollback)", s.Signals, s.Rollbacks)
+	}
+}
+
+// TestConcludeCommitsItsReads: Conclude's poll is what makes the reads
+// before it safe to return. Between the tail's key read and that poll,
+// another handle unlinks and retires the tail, and its barrier frees it —
+// which it can only do after neutralizing the walker, whose section would
+// otherwise hold the tail's grace period back. The walk must roll back and
+// return the new tail, never the key it read from the now free slot.
+func TestConcludeCommitsItsReads(t *testing.T) {
+	const n = 8
+	cw, d := newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
+	other := d.Register()
+	defer other.Unregister()
+	tail := cw.slots[n-1]
+	cw.conclude = true
+	cw.onConclude = func() {
+		cw.onConclude = nil
+		cw.pool.At(cw.slots[n-2]).next.Store(atomicx.Nil)
+		cw.pool.Hdr(tail).Retire()
+		other.Retire(tail, cw.pool)
+		other.Barrier()
+		// Errorf, not Fatalf: the walk must still leave its section.
+		if cw.pool.Hdr(tail).State() != alloc.StateFree {
+			t.Errorf("the tail survived the barrier: the test does not reach the hazard")
+		}
+	}
+	if last, ok := cw.walk(); !ok || last != n-2 {
+		t.Fatalf("walk = (%d,%v), want the new tail (%d,true): the key read from the freed tail was returned", last, ok, n-2)
+	}
+	if s := d.Stats().Snapshot(); s.Signals == 0 || s.Rollbacks != 1 {
+		t.Fatalf("signals = %d, rollbacks = %d; want the walker signalled and rolled back once", s.Signals, s.Rollbacks)
+	}
+}
+
+// TestConcludeProtectsNothing: a concluded walk publishes no shield of
+// its own. A two-node walk never reaches a checkpoint, so it makes no
+// Protect call at all; a long one still checkpoints every BackupPeriod
+// steps, and only the destination goes unprotected.
+func TestConcludeProtectsNothing(t *testing.T) {
+	const period = 16
+	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
+		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
+		t.Run(name, func(t *testing.T) {
+			for _, tc := range []struct {
+				n    int
+				want []int64
+			}{{2, nil}, {100, []int64{16, 32, 48, 64, 80, 96}}} {
+				cw, _ := newChainWalk(t, backend, tc.n, Config{BackupPeriod: period})
+				var log []int64
+				record := func(c *chainCursor) { log = append(log, c.pos) }
+				cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, record}
+				cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, record}
+				cw.conclude = true
+				if last, ok := cw.walk(); !ok || last != int64(tc.n-1) {
+					t.Fatalf("%d-node walk = (%d,%v), want (%d,true)", tc.n, last, ok, tc.n-1)
+				}
+				if !reflect.DeepEqual(log, tc.want) {
+					t.Fatalf("%d-node concluded walk protected positions %v, want %v", tc.n, log, tc.want)
+				}
+			}
+		})
 	}
 }

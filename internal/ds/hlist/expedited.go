@@ -327,15 +327,15 @@ func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool,
 					continue
 				}
 			}
+			var val int64 // the whole answer is read here, for Conclude's poll to commit
 			found := n != nil && n.Key.Load() == key && n.Next.Load().Tag() == 0
-			c.cur = cur
-			if !w.Finish() {
+			if found {
+				val = n.Val.Load()
+			}
+			if !w.Conclude() {
 				break
 			}
-			if !found {
-				return 0, false, true, nil
-			}
-			return n.Val.Load(), true, true, nil // prot holds cur
+			return val, found, true, nil
 		}
 	}
 	return 0, false, false, w.Err()

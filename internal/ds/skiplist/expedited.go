@@ -290,15 +290,15 @@ func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 				c.level--
 				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
 			} else {
+				var val int64 // the whole answer is read here, for Conclude's poll to commit
 				found := n != nil && n.Key.Load() == key && n.Next[0].Load().Tag() == 0
-				*w.Cursor() = c
-				if !w.Finish() {
+				if found {
+					val = n.Val.Load()
+				}
+				if !w.Conclude() {
 					break
 				}
-				if !found {
-					return 0, false, true
-				}
-				return n.Val.Load(), true, true // getProt holds cur
+				return val, found, true
 			}
 			if w.Due() {
 				*w.Cursor() = c

@@ -113,8 +113,10 @@ func TestCloseReachesTheJanitorsOwnGarbage(t *testing.T) {
 	if !dead.Insert(1, 1) {
 		t.Fatal("Insert(1) failed")
 	}
-	if _, ok := reader.Get(1); !ok { // leaves the reader's shield on node 1
-		t.Fatal("Get(1) missed")
+	// A failing Insert finds node 1 and leaves the reader's shield on it (a
+	// Get concludes without one).
+	if reader.Insert(1, 2) {
+		t.Fatal("Insert(1) over a present key succeeded")
 	}
 	if _, ok := dead.Remove(1); !ok { // node 1 retires into dead's local batch
 		t.Fatal("Remove(1) missed")

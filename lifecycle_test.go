@@ -13,12 +13,13 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/brcu"
+	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/fault"
 )
 
@@ -230,8 +231,8 @@ func TestGetCtxFallbackAndCancellation(t *testing.T) {
 
 // TestGetCtxCancelledHPBRCU covers both expedited schemes, whose walks
 // cancel the same way. A context already done ends GetCtx before it enters
-// a section. A context cancelled as the walk starts ends it at the next
-// poll: under HP-RCU too, whose section is never signalled but
+// a section. A context cancelled while the walk is in its section ends it
+// at the next poll: under HP-RCU too, whose section is never signalled but
 // neutralizes itself like HP-BRCU's. The list is shorter than
 // BackupPeriod, so no checkpoint could be what notices.
 func TestGetCtxCancelledHPBRCU(t *testing.T) {
@@ -257,13 +258,28 @@ func TestGetCtxCancelledHPBRCU(t *testing.T) {
 				t.Fatalf("GetCtx = (%d,%v,%v), want (9,true,nil)", v, ok, err)
 			}
 
-			// Every step yields, so the watcher the walk starts runs
-			// before the first poll and the walk ends there.
-			defer func(p int) { atomicx.YieldPeriod = p }(atomicx.YieldPeriod)
-			atomicx.YieldPeriod = 1
-			if v, ok, err := hpbrcu.GetCtx(&startCancelledCtx{Context: context.Background()}, h, n-1); !errors.Is(err, context.Canceled) {
-				t.Fatalf("GetCtx cancelled as it starts = (%d,%v,%v), want context.Canceled at the first poll", v, ok, err)
+			// The context is cancelled at the walk's first poll, and the
+			// poll waits until the watcher the walk armed has delivered it:
+			// the walk must end right there, at that poll.
+			ctx2 := &pollCancelledCtx{Context: context.Background(), done: make(chan struct{})}
+			polls := 0
+			defer func(p int) { atomicx.YieldPeriod, core.StepHook = p, nil }(atomicx.YieldPeriod)
+			atomicx.YieldPeriod = 1 // instruments the walk, so the hook runs
+			core.StepHook = func(b *brcu.Handle) {
+				if polls++; polls == 1 {
+					close(ctx2.done)
+					for b.Poll() {
+						runtime.Gosched()
+					}
+				}
 			}
+			if v, ok, err := hpbrcu.GetCtx(ctx2, h, n-1); !errors.Is(err, context.Canceled) {
+				t.Fatalf("GetCtx cancelled at its first poll = (%d,%v,%v), want context.Canceled", v, ok, err)
+			}
+			if polls != 1 {
+				t.Fatalf("the walk ran %d steps, want it ended at the poll the cancel landed before", polls)
+			}
+			core.StepHook = nil
 			if got := m.Stats().CancelledOps.Load(); got != 1 {
 				t.Fatalf("CancelledOps = %d, want the 1 walk the watcher ended", got)
 			}
@@ -278,28 +294,23 @@ func TestGetCtxCancelledHPBRCU(t *testing.T) {
 	}
 }
 
-// startCancelledCtx is a context cancelled as the operation starts: its
-// Done channel is closed from the outset, but the first Err — the
-// operation's pre-flight check — still reads nil, so the cancel reaches the
-// walk only through the watcher the walk arms.
-type startCancelledCtx struct {
+// pollCancelledCtx is a context the test cancels by closing done: its Err
+// reads nil until then, so the operation's pre-flight check passes and
+// the cancel reaches the walk only through the watcher the walk arms.
+type pollCancelledCtx struct {
 	context.Context
-	errs atomic.Int32
+	done chan struct{}
 }
 
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+func (c *pollCancelledCtx) Done() <-chan struct{} { return c.done }
 
-func (c *startCancelledCtx) Done() <-chan struct{} { return closedDone }
-
-func (c *startCancelledCtx) Err() error {
-	if c.errs.Add(1) == 1 {
+func (c *pollCancelledCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
 		return nil
 	}
-	return context.Canceled
 }
 
 // oneShotPanic activates a fault schedule whose panic site fires exactly
