@@ -54,7 +54,22 @@ func TestExportedDocs(t *testing.T) {
 // still compiles — so the mode cannot grow back through a forgotten
 // constructor parameter, option or counter.
 func TestOneAllocator(t *testing.T) {
-	arena := regexp.MustCompile(`(?i)arena`)
+	confineToShim(t, regexp.MustCompile(`(?i)arena`), "internal/alloc/alloc.go", 20, "the deleted allocator mode")
+}
+
+// TestOneDomainPerMap keeps sharding deleted: a map is one domain. Outside
+// the frozen benchmark/ module, the only Go file that may say "shard" is
+// smr.go, within the 15 lines of the ignored Config.Shards field that
+// module still sets — so sharding cannot grow back through an option.
+func TestOneDomainPerMap(t *testing.T) {
+	confineToShim(t, regexp.MustCompile(`(?i)shard`), "smr.go", 15, "the deleted map sharding")
+}
+
+// confineToShim fails every Go file outside benchmark/ (and this one) that
+// matches re, except shim, whose matches must all fall within maxLines
+// lines.
+func confineToShim(t *testing.T, re *regexp.Regexp, shim string, maxLines int, what string) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -65,12 +80,12 @@ func TestOneAllocator(t *testing.T) {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		if hits := arena.FindAllIndex(src, -1); hits == nil {
+		if hits := re.FindAllIndex(src, -1); hits == nil {
 			return err
-		} else if filepath.ToSlash(path) != "internal/alloc/alloc.go" {
-			t.Errorf("%s mentions the deleted allocator mode; only internal/alloc/alloc.go's shim for benchmark/ may", path)
-		} else if n := bytes.Count(src[hits[0][0]:hits[len(hits)-1][1]], []byte("\n")); n >= 20 {
-			t.Errorf("%s mentions the mode over %d lines; the shim is at most 20", path, n+1)
+		} else if filepath.ToSlash(path) != shim {
+			t.Errorf("%s mentions %s; only %s's shim for benchmark/ may", path, what, shim)
+		} else if n := bytes.Count(src[hits[0][0]:hits[len(hits)-1][1]], []byte("\n")); n >= maxLines {
+			t.Errorf("%s mentions %s over %d lines; the shim is at most %d", path, what, n+1, maxLines)
 		}
 		return err
 	})

@@ -12,7 +12,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/pool"
 )
 
@@ -26,9 +25,7 @@ import (
 var ErrHandleExhausted = pool.ErrExhausted
 
 // handlePool aliases the instantiated pool so mapImpl can hold an
-// atomic.Pointer to it. The pooled resource is the guarded handle itself;
-// on schemes without an HP-(B)RCU domain its core is nil and the reaper
-// integration degrades to no-ops.
+// atomic.Pointer to it. The pooled resource is the guarded handle itself.
 type handlePool = pool.Pool[*guardedHandle]
 
 // pool returns the map's handle pool, creating it on first use. Lazy
@@ -46,7 +43,6 @@ func (m *mapImpl) pool() *handlePool {
 	p := pool.New(pool.Config[*guardedHandle]{
 		Size:           m.poolCfg.Size,
 		AcquireTimeout: m.poolCfg.AcquireTimeout,
-		LeakTimeout:    m.poolCfg.LeakTimeout,
 		Rec:            m.st(),
 		New:            func() *guardedHandle { return m.Register().(*guardedHandle) },
 		// Retire owns the disposal of a handle the pool (or the borrower)
@@ -54,7 +50,6 @@ func (m *mapImpl) pool() *handlePool {
 		// handles — their garbage is the lease reaper's to adopt — and
 		// works after Close, which is exactly when the drain runs.
 		Retire: (*guardedHandle).Unregister,
-		Reaped: func(g *guardedHandle) bool { return g.core != nil && g.core.Reaped() },
 	})
 	m.hpool.Store(p)
 	if m.closed.Load() {
@@ -92,12 +87,8 @@ func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*guardedHandle], er
 // through the abort path before the rethrow, but a handle that just
 // carried a panic is conservatively retired rather than recycled —
 // panics are rare, capacity is re-mintable, and a poisoned handle must
-// not be reused at all. The SitePoolLeak fault hook simulates a borrower
-// dying with the checkout, which is the leak sweep's job to survive.
+// not be reused at all.
 func (m *mapImpl) checkin(e *pool.Entry[*guardedHandle], completed bool) {
-	if fault.On && fault.Fire(fault.SitePoolLeak) {
-		return
-	}
 	g := e.Res()
 	if !completed || g.poisoned {
 		m.pool().Discard(e)

@@ -1,11 +1,9 @@
 package hpbrcu
 
-// Facade soaks: the handle-free API's reason to exist is that 100k+
+// Facade soak: the handle-free API's reason to exist is that 100k+
 // short-lived goroutines — each spawning, running one operation, and
 // exiting — keep the §5 garbage bound a function of the pool size, not
-// the goroutine count, and leave nothing behind after Close. The injected
-// variant kills the checkin path to prove the leak sweep (backed by the
-// lease reaper) resurrects abandoned capacity.
+// the goroutine count, and leave nothing behind after Close.
 
 import (
 	"errors"
@@ -14,13 +12,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/smrgo/hpbrcu/internal/fault"
 )
 
 // facadeSoakConfig is a deliberately tiny pool under a reaper tuned for
-// test-speed leases, so exhaustion and leak reclamation both genuinely
-// happen within the soak.
+// test-speed leases, so exhaustion genuinely happens within the soak.
 func facadeSoakConfig(poolSize int) Config {
 	return Config{
 		BatchSize:      64,
@@ -29,7 +24,6 @@ func facadeSoakConfig(poolSize int) Config {
 		Pool: PoolConfig{
 			Size:           poolSize,
 			AcquireTimeout: 2 * time.Millisecond,
-			LeakTimeout:    50 * time.Millisecond,
 		},
 		Reaper: ReaperConfig{
 			Enabled:      true,
@@ -129,50 +123,4 @@ func TestFacadeSoakTransientGoroutines(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Logf("served=%d shed=%d peak=%d bound=%d", served, shed, s.PeakUnreclaimed, bound)
-}
-
-func TestFacadeSoakInjectedCheckoutLeaks(t *testing.T) {
-	total := 30_000
-	if testing.Short() {
-		total = 8_000
-	}
-	const poolSize = 8
-	m, err := NewHList(HPBRCU, facadeSoakConfig(poolSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Roughly one checkin in 500 dies with its checkout still out. The
-	// cooldown keeps the pool from losing its entire capacity in one
-	// burst before the sweep can catch up.
-	inj := fault.New(fault.Config{
-		Seed: 0xFACADE,
-		Plans: func() (p [fault.NumSites]fault.Plan) {
-			p[fault.SitePoolLeak] = fault.Plan{Period: 500, Cooldown: 50}
-			return p
-		}(),
-	})
-	fault.Activate(inj)
-	served, shed := runFacadeSoak(t, m, total, 128)
-	fired := inj.Fired(fault.SitePoolLeak)
-	if fired == 0 {
-		t.Fatalf("fault schedule never fired a pool leak (served=%d)", served)
-	}
-	// Close must still drain to balanced books: every leaked checkout is
-	// reclaimed by the sweep (via the reaper's verdict or the lease
-	// timeout) before the deadline.
-	if err := Close(m, 10*time.Second); err != nil {
-		t.Fatalf("Close with %d injected leaks: %v", fired, err)
-	}
-	fault.Deactivate()
-	s := m.Stats().Snapshot()
-	if s.Unreclaimed != 0 {
-		t.Fatalf("books unbalanced after Close: unreclaimed=%d", s.Unreclaimed)
-	}
-	if s.PoolLeaksReclaimed < int64(fired) {
-		t.Fatalf("PoolLeaksReclaimed = %d, want >= %d injected leaks", s.PoolLeaksReclaimed, fired)
-	}
-	if p := m.(*mapImpl).hpool.Load(); p == nil || p.Live() != 0 {
-		t.Fatal("pool not drained to balanced books after Close")
-	}
-	t.Logf("served=%d shed=%d leaksFired=%d leaksReclaimed=%d", served, shed, fired, s.PoolLeaksReclaimed)
 }

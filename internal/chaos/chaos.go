@@ -133,26 +133,6 @@ func WithPanic(scheds []Schedule) []Schedule {
 	return out
 }
 
-// WithPoolLeak returns a copy of scheds with a checkout-leak plan
-// composed into each schedule (and "+poolleak" appended to its name):
-// roughly every ~900th facade checkin is skipped outright, simulating a
-// borrower goroutine dying with its pooled handle still checked out. The
-// plans only bite in facade scenarios (Scenario.Facade), where Run
-// asserts the both-ways invariant: with the reaper on the pool's leak
-// sweep reclaims every leaked checkout and Close drains to balanced
-// books; with the reaper off the leaked handles' garbage is demonstrably
-// stuck. The cooldown keeps a burst of leaks from consuming the whole
-// pool before the sweep can resurrect capacity.
-func WithPoolLeak(scheds []Schedule) []Schedule {
-	out := make([]Schedule, len(scheds))
-	for i, s := range scheds {
-		out[i] = s
-		out[i].Name = s.Name + "+poolleak"
-		out[i].Plans[fault.SitePoolLeak] = Plan{Period: 900, Cooldown: 64}
-	}
-	return out
-}
-
 func plans(m map[fault.Site]Plan) [fault.NumSites]Plan {
 	var out [fault.NumSites]Plan
 	for s, p := range m {
@@ -190,9 +170,7 @@ type Scenario struct {
 	// Facade makes the workers drive the handle-free facade (m.Get,
 	// m.Insert, m.Remove) instead of registered handles: every operation
 	// checks a pooled handle out and back in, so ErrHandleExhausted is an
-	// expected load-shed outcome (the model does not advance) and
-	// SitePoolLeak plans (see WithPoolLeak) abandon whole checkouts for
-	// the pool's leak sweep to reclaim.
+	// expected load-shed outcome (the model does not advance).
 	Facade bool
 	// Config overrides the map configuration. The zero value selects
 	// hostile chaos defaults (small batches, short checkpoint distance).
@@ -209,10 +187,6 @@ type Result struct {
 	// Leaked is how many workers a SiteLeak fault killed mid-run,
 	// abandoning their registered handles.
 	Leaked uint64
-	// CheckoutLeaks is how many facade checkins a SitePoolLeak fault
-	// skipped, each abandoning a pooled handle checkout (facade
-	// scenarios only).
-	CheckoutLeaks uint64
 	// TraceTail is the merged tail of every handle's event trace
 	// (internal/obs), collected after the workers quiesced. On a
 	// violation it shows what the reclamation core was doing when the
@@ -271,19 +245,9 @@ func Run(sc Scenario) Result {
 		cfg = chaosConfig()
 	}
 	if sc.Facade && cfg.Pool == (hpbrcu.PoolConfig{}) {
-		// A deliberately small pool with test-speed timeouts so exhaustion
-		// and leak reclamation genuinely happen in-run, and a defer batch
-		// larger than one schedule's retire dribble so a leaked checkout's
-		// garbage really is stuck without the reaper (the worst case the
-		// both-ways invariant needs to observe).
-		cfg.Pool = hpbrcu.PoolConfig{
-			Size:           8,
-			AcquireTimeout: 2 * time.Millisecond,
-			LeakTimeout:    50 * time.Millisecond,
-		}
-		if cfg.BatchSize < 64 {
-			cfg.BatchSize = 64
-		}
+		// A deliberately small pool with a test-speed wait, so exhaustion
+		// genuinely happens in-run.
+		cfg.Pool = hpbrcu.PoolConfig{Size: 8, AcquireTimeout: 2 * time.Millisecond}
 	}
 	if sc.Schedule.Plans[fault.SitePanic].Period > 0 {
 		// Injected panics must come back as latched errors, not crash the
@@ -348,10 +312,9 @@ func Run(sc Scenario) Result {
 	}
 	wg.Wait()
 	res.Leaked = leaks.Load()
-	res.CheckoutLeaks = inj.Fired(fault.SitePoolLeak)
 
 	if sc.Facade {
-		return finishFacade(m, reaperOn, inj, col, prevCol, &viol, res)
+		return finishFacade(m, inj, col, prevCol, &viol, res)
 	}
 
 	// Convergence invariant: with the reaper on, every handle a SiteLeak
@@ -366,13 +329,12 @@ func Run(sc Scenario) Result {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			snap := m.Stats().Snapshot()
-			parked := parkedHandles(m)
-			if snap.ReapedHandles+parked >= int64(res.Leaked) && snap.Unreclaimed == 0 {
+			if snap.ReapedHandles+snap.ParkedHandles >= int64(res.Leaked) && snap.Unreclaimed == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
 				viol.addf("reap convergence: leaked=%d but reaped=%d parked-empty=%d unreclaimed=%d after 10s",
-					res.Leaked, snap.ReapedHandles, parked, snap.Unreclaimed)
+					res.Leaked, snap.ReapedHandles, snap.ParkedHandles, snap.Unreclaimed)
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -437,15 +399,6 @@ func Run(sc Scenario) Result {
 func arrive(start *sync.WaitGroup) {
 	start.Done()
 	start.Wait()
-}
-
-// parkedHandles is how many handles m's lease scans hold parked: standing
-// still past the lease timeout with nothing to adopt.
-func parkedHandles(m hpbrcu.Map) (n int64) {
-	for _, sp := range hpbrcu.ShardPressures(m) {
-		n += int64(sp.ParkedHandles)
-	}
-	return n
 }
 
 // traceTailPerHandle is how many events per handle a Result's TraceTail
@@ -617,40 +570,22 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 }
 
 // finishFacade is the facade-mode post-run: faults off, then Close —
-// which drains the handle pool (sweeping leaked checkouts), runs the
-// domain drain with the reaper still helping, and settles the books —
-// then the both-ways leak invariant and the §5 bound. With the reaper on,
-// every leaked checkout must be reclaimed and the books must balance;
-// with it off, leaked checkouts must demonstrably stick (that asymmetry
-// is the invariant).
-func finishFacade(m hpbrcu.Map, reaperOn bool, inj *fault.Injector, col, prevCol *obs.Collector, viol *violations, res Result) Result {
+// which drains the handle pool, runs the domain drain with the reaper (if
+// any) still helping, and settles the books — then the same verdicts as
+// a registered-handle run: balanced books, the §5 bound and the panic
+// accounting.
+func finishFacade(m hpbrcu.Map, inj *fault.Injector, col, prevCol *obs.Collector, viol *violations, res Result) Result {
 	fault.Deactivate()
 	res.Fired = inj.TotalFired()
-	expectStuck := res.CheckoutLeaks > 0 && !reaperOn
-	timeout := 10 * time.Second
-	if expectStuck {
-		// The drain cannot balance by design; just give the pool's leak
-		// sweep comfortably more than its LeakTimeout to settle capacity.
-		timeout = 1500 * time.Millisecond
-	}
-	closeErr := hpbrcu.Close(m, timeout)
+	closeErr := hpbrcu.Close(m, 10*time.Second)
 	if viol.empty() {
 		snap := m.Stats().Snapshot()
-		if expectStuck {
-			if snap.Unreclaimed == 0 {
-				viol.addf("facade: %d leaked checkouts but the books balanced without a reaper — the leak the reaper exists for did not manifest", res.CheckoutLeaks)
-			}
-		} else {
-			if closeErr != nil {
-				viol.addf("facade close: %v", closeErr)
-			}
-			if snap.Unreclaimed != 0 {
-				viol.addf("facade books: unreclaimed=%d after Close (retired=%d reclaimed=%d)",
-					snap.Unreclaimed, snap.Retired, snap.Reclaimed)
-			}
-			if res.CheckoutLeaks > 0 && snap.PoolLeaksReclaimed < int64(res.CheckoutLeaks) {
-				viol.addf("facade: %d checkouts leaked but only %d reclaimed", res.CheckoutLeaks, snap.PoolLeaksReclaimed)
-			}
+		if closeErr != nil {
+			viol.addf("facade close: %v", closeErr)
+		}
+		if snap.Unreclaimed != 0 {
+			viol.addf("facade books: unreclaimed=%d after Close (retired=%d reclaimed=%d)",
+				snap.Unreclaimed, snap.Retired, snap.Reclaimed)
 		}
 		if b := hpbrcu.GarbageBoundObserved(m); b >= 0 {
 			res.Bound = b
@@ -691,10 +626,7 @@ func facadeErr(err error, viol *violations, w int) (skip, fatal bool) {
 
 // runFacadeWorker replays worker w's deterministic stream through the
 // handle-free facade: every operation checks a pooled handle out and back
-// in. The worker owns no registered handle a SiteLeak could kill;
-// SitePoolLeak instead abandons whole checkouts on the checkin path,
-// which happens after the operation applied — so the model advances
-// normally on a leaked op.
+// in. The worker owns no registered handle a SiteLeak could kill.
 func runFacadeWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *violations) {
 	defer func() {
 		if r := recover(); r != nil {

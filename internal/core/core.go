@@ -68,10 +68,6 @@ type Config struct {
 	// PanicPolicy selects what the recover barrier does with panics that
 	// escape user code inside critical sections (default PanicRethrow).
 	PanicPolicy PanicPolicy
-	// ShardID labels this domain's shard in a sharded deployment: the
-	// shard's janitor fires shard-targeted fault injection under it and it
-	// surfaces in diagnostics. Single-domain deployments leave it 0.
-	ShardID int
 }
 
 // Domain owns one HP-(B)RCU instance: an HP domain plus a BRCU domain,
@@ -79,7 +75,6 @@ type Config struct {
 type Domain struct {
 	backend      Backend
 	backupPeriod int
-	shardID      int
 	rec          *stats.Reclamation
 
 	HP   *hp.Domain
@@ -115,7 +110,6 @@ func NewDomain(backend Backend, cfg Config) *Domain {
 	d := &Domain{
 		backend:      backend,
 		backupPeriod: cfg.BackupPeriod,
-		shardID:      cfg.ShardID,
 		rec:          rec,
 		HP:           hp.NewDomain(rec, hp.WithScanThreshold(cfg.ScanThreshold)),
 		policy:       cfg.PanicPolicy,
@@ -140,9 +134,6 @@ func (d *Domain) Stats() *stats.Reclamation { return d.rec }
 
 // Backend reports which scheme this domain runs.
 func (d *Domain) Backend() Backend { return d.backend }
-
-// ShardID reports the shard label this domain was configured with.
-func (d *Domain) ShardID() int { return d.shardID }
 
 // GarbageBound returns the §5 bound 2GN + GN² + H on unreclaimed nodes for
 // an HP-BRCU domain with the given shield count H; it returns -1 for HP-RCU,

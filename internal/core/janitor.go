@@ -6,7 +6,7 @@ package core
 // dead worker makes no pushes, so one ticker drives fixed, ordered stages
 // through one exempt service handle:
 //
-//	lease scan → drain → backpressure → report
+//	lease scan → drain → backpressure
 //
 // The lease scan (internal/reap) keeps its protocol code and hands what it
 // adopts into the domain-global paths to the progress-gated drain stage.
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/brcu"
-	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/obs"
 	"github.com/smrgo/hpbrcu/internal/reap"
@@ -37,24 +36,10 @@ type JanitorConfig struct {
 	Interval time.Duration
 }
 
-// Report is what a janitor publishes at the end of every tick, read by
-// the per-shard STATS and /metrics rows (hpbrcu.ShardPressures).
-type Report struct {
-	// Ticks counts completed ticks; a stalled tick (fault.SiteShardStall)
-	// publishes nothing and does not count, so a count that stands still
-	// names a wedged janitor.
-	Ticks int64
-	// Parked is how many handles the lease scan holds parked: their word
-	// stood for the lease timeout, but they hold nothing to adopt, so they
-	// were left registered and are not counted in ReapedHandles.
-	Parked int
-}
-
 // Janitor is a running per-domain janitor; see StartJanitor.
 type Janitor struct {
 	rec      *stats.Reclamation
 	interval time.Duration
-	shardID  int
 
 	// The stages. bp is nil with backpressure off; drain is one forced
 	// flush-advance-reclaim round through the service handle.
@@ -70,9 +55,6 @@ type Janitor struct {
 	// last* remember the counter levels already mirrored into the trace.
 	lastThrottles int64
 	lastRejects   int64
-
-	mu     sync.Mutex // guards report
-	report Report
 
 	d        *Domain // cleared of this janitor by Stop; nil in mock-target tests
 	h        *Handle // the service handle behind drain
@@ -99,7 +81,6 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 	j := &Janitor{
 		rec:      d.rec,
 		interval: cfg.Interval,
-		shardID:  d.shardID,
 		bp:       d.bp,
 		drain:    h.Barrier,
 		d:        d,
@@ -114,14 +95,6 @@ func (d *Domain) StartJanitor(cfg JanitorConfig) *Janitor {
 	d.jan = j
 	go j.run()
 	return j
-}
-
-// Report returns the report of the last completed tick. Safe from any
-// goroutine.
-func (j *Janitor) Report() Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
 }
 
 func (j *Janitor) run() {
@@ -141,17 +114,6 @@ func (j *Janitor) run() {
 // tick is one janitor pass at time now (UnixNano); factored out of run
 // with an explicit clock so tests can drive the stages deterministically.
 func (j *Janitor) tick(now int64) {
-	// The shard-wedge injection point: a fired stall skips the pass
-	// entirely — no look at any handle, no adoption, no drain, no
-	// report — so a Period-1 plan freezes the janitor as dead as a wedged
-	// goroutine, deterministically and wall-clock independently: adoption
-	// stops, and Ticks stand still.
-	// FireShard reads the injector through the atomic gate — this
-	// goroutine outlives Activate/Deactivate.
-	if fault.FireShard(fault.SiteShardStall, j.shardID) {
-		return
-	}
-
 	// Lease scan: look, claim, adopt, remove, finish.
 	if j.reaper.Tick(now) > 0 {
 		j.gate.Arm()
@@ -179,18 +141,6 @@ func (j *Janitor) tick(now int64) {
 			}
 		}
 	}
-
-	j.publish()
-}
-
-// publish replaces the report with the stages' current state and counts
-// one tick.
-func (j *Janitor) publish() {
-	r := Report{Parked: j.reaper.Parked()}
-	j.mu.Lock()
-	r.Ticks = j.report.Ticks + 1
-	j.report = r
-	j.mu.Unlock()
 }
 
 // halt stops the goroutine and waits for it to exit; afterwards the

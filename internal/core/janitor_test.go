@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
-	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/reap"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
@@ -258,9 +257,6 @@ func TestJanitorStageOrder(t *testing.T) {
 	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
 		t.Fatalf("first tick ran %v, want %v", log.events, want)
 	}
-	if r := j.Report(); r.Ticks != 1 {
-		t.Fatalf("report after one tick = %+v, want Ticks=1", r)
-	}
 
 	log.events = nil
 	j.tick(300) // the word stood for 100: claim and reap
@@ -278,8 +274,9 @@ func TestJanitorStageOrder(t *testing.T) {
 
 // TestJanitorReportsParked: a claimed victim with nothing to adopt is
 // handed back and parked, not reaped — no ReapedHandles count, no drain —
-// and the report says so, which is how a convergence check tells "every
-// dead handle is reaped or holds nothing" from "the reaper missed one".
+// and the ParkedHandles gauge says so, which is how a convergence check
+// tells "every dead handle is reaped or holds nothing" from "the reaper
+// missed one".
 func TestJanitorReportsParked(t *testing.T) {
 	log := &stageLog{}
 	rec := &stats.Reclamation{}
@@ -287,7 +284,7 @@ func TestJanitorReportsParked(t *testing.T) {
 	j := mockJanitor(log, tgt, rec)
 
 	j.tick(200)
-	if got := j.Report().Parked; got != 0 {
+	if got := rec.ParkedHandles.Load(); got != 0 {
 		t.Fatalf("Parked = %d after the first look, want 0", got)
 	}
 	j.tick(300)
@@ -296,8 +293,8 @@ func TestJanitorReportsParked(t *testing.T) {
 	if got := fmt.Sprint(log.events); got != fmt.Sprint(want) {
 		t.Fatalf("ticks ran %v, want %v", log.events, want)
 	}
-	if r := j.Report(); r.Parked != 1 || rec.ReapedHandles.Load() != 0 {
-		t.Fatalf("Parked=%d ReapedHandles=%d, want 1 and 0", r.Parked, rec.ReapedHandles.Load())
+	if p := rec.ParkedHandles.Load(); p != 1 || rec.ReapedHandles.Load() != 0 {
+		t.Fatalf("Parked=%d ReapedHandles=%d, want 1 and 0", p, rec.ReapedHandles.Load())
 	}
 }
 
@@ -347,85 +344,35 @@ func TestJanitorDrainStopsWithoutProgress(t *testing.T) {
 	})
 }
 
-// TestJanitorTicksUnderShardStall: Report.Ticks advances exactly once per
-// un-stalled tick and not at all while SiteShardStall fires — a stalled
-// tick publishes nothing, which is how STATS shows a wedged janitor.
-func TestJanitorTicksUnderShardStall(t *testing.T) {
-	log := &stageLog{}
-	j := mockJanitor(log, &mockTarget{log: log}, &stats.Reclamation{})
-	for i := int64(1); i <= 5; i++ {
-		j.tick(i)
-		if got := j.Report().Ticks; got != i {
-			t.Fatalf("Ticks = %d after %d ticks", got, i)
-		}
-	}
-
-	inj := fault.New(fault.Config{Plans: [fault.NumSites]fault.Plan{
-		fault.SiteShardStall: {Period: 1, Shard: 0},
-	}})
-	fault.Activate(inj)
-	defer fault.Deactivate()
-	log.events = nil
-	for i := int64(6); i <= 10; i++ {
-		j.tick(i)
-	}
-	if got := j.Report().Ticks; got != 5 {
-		t.Fatalf("Ticks = %d while the stall fired, want 5 (frozen)", got)
-	}
-	if len(log.events) != 0 {
-		t.Fatalf("a stalled tick still ran %v", log.events)
-	}
-	if got := inj.Fired(fault.SiteShardStall); got != 5 {
-		t.Fatalf("SiteShardStall fired %d times for 5 ticks: one gate per tick, got %d", got, got)
-	}
-
-	// A janitor on another shard is not the plan's target.
-	other := mockJanitor(log, &mockTarget{log: log}, &stats.Reclamation{})
-	other.shardID = 1
-	other.tick(1)
-	if got := other.Report().Ticks; got != 1 {
-		t.Fatalf("shard 1 janitor Ticks = %d under a shard-0 stall, want 1", got)
-	}
-
-	inj.SetSiteEnabled(fault.SiteShardStall, false)
-	j.tick(11)
-	if got := j.Report().Ticks; got != 6 {
-		t.Fatalf("Ticks = %d after the stall lifted, want 6", got)
-	}
-}
-
-// TestJanitorStartStop: the running goroutine ticks on its own, never
-// touches a handle inside its lease timeout, and Stop releases the service
-// handle.
+// TestJanitorStartStop: the running goroutine ticks on its own — its lease
+// scan parks an idle handle that holds nothing, and reaps nothing — and
+// Stop ends the goroutine and releases the service handle.
 func TestJanitorStartStop(t *testing.T) {
 	d := NewDomain(BackendBRCU, Config{})
-	j := d.StartJanitor(JanitorConfig{Reaper: true, LeaseTimeout: time.Hour, Interval: time.Millisecond})
+	j := d.StartJanitor(JanitorConfig{Reaper: true, LeaseTimeout: 5 * time.Millisecond, Interval: time.Millisecond})
 	if j.interval != time.Millisecond {
 		t.Fatalf("interval = %v, want the configured 1ms", j.interval)
 	}
 	h := d.Register()
-	waitFor(t, "the janitor to tick", func() bool { return j.Report().Ticks >= 3 })
+	waitFor(t, "the lease scan to park the idle handle", func() bool { return d.Stats().ParkedHandles.Load() == 1 })
 	j.Stop()
 	j.Stop() // idempotent
-	ticks := j.Report().Ticks
-	time.Sleep(5 * time.Millisecond)
-	if got := j.Report().Ticks; got != ticks {
-		t.Fatalf("janitor ticked after Stop: %d → %d", ticks, got)
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("the janitor goroutine is still running after Stop")
 	}
 	if got := d.Stats().ReapedHandles.Load(); got != 0 {
-		t.Fatalf("janitor reaped %d handles inside their lease timeout", got)
+		t.Fatalf("janitor reaped %d handles that held nothing", got)
 	}
 	h.Unregister()
 	if got := len(d.members.Snapshot()); got != 0 {
 		t.Fatalf("domain has %d members after Stop and Unregister, want 0", got)
 	}
 	// A CloseDrain after Stop must not reuse the stopped janitor: it
-	// drains through a handle of its own and publishes no further report.
+	// drains through a handle of its own.
 	if left := d.CloseDrain(time.Now().Add(time.Second)); left != 0 {
 		t.Fatalf("CloseDrain after Stop left %d unreclaimed", left)
-	}
-	if got := j.Report().Ticks; got != ticks {
-		t.Fatalf("CloseDrain ticked the stopped janitor: %d → %d", ticks, got)
 	}
 	if got := len(d.members.Snapshot()); got != 0 {
 		t.Fatalf("domain has %d members after CloseDrain, want 0", got)

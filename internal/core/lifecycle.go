@@ -216,9 +216,6 @@ func (d *Domain) CloseDrain(deadline time.Time) int64 {
 		h.Barrier()
 		left := d.rec.Unreclaimed.Load()
 		if left == 0 || !now.Before(deadline) {
-			if j != nil {
-				j.publish() // the closing state, for readers of the report
-			}
 			return left
 		}
 		runtime.Gosched()

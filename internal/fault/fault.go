@@ -99,12 +99,6 @@ const (
 	// shared-memory mutation — exercising the recover barrier's abort
 	// path. The caller panics; this package only decides.
 	SitePanic
-	// SitePoolLeak makes a facade operation leak its pooled handle
-	// checkout: the return path is skipped, simulating a borrower
-	// goroutine that died (or wedged) while holding a checked-out handle.
-	// The pool's leak sweep — backed by the lease reaper — must retire the
-	// slot and restore the capacity. Fired from the facade checkin path.
-	SitePoolLeak
 	// SiteNetRead stalls the cache server's per-connection request-read
 	// path after a complete request line arrived — a slow or wedged
 	// client goroutine holding server-side resources mid-protocol.
@@ -118,15 +112,6 @@ const (
 	// server's teardown path must still run its normal checkin/close
 	// sequence.
 	SiteNetDrop
-	// SiteShardStall stalls one shard's janitor tick (internal/core) —
-	// lease scan, drain, backpressure refresh and report alike — simulating
-	// a wedged per-shard janitor. The site is shard-targeted: the plan's
-	// Shard field selects which shard's ticks fire, so a sharded domain
-	// can demonstrate fault isolation (the wedged shard reaps nothing,
-	// every shard keeps reclaiming). Fired through FireShard from the
-	// janitor goroutine, which is long-lived and therefore uses the
-	// dynamic (atomic) gate rather than the plain fault.On branch.
-	SiteShardStall
 
 	// NumSites is the number of injection sites.
 	NumSites
@@ -136,7 +121,7 @@ var siteNames = [NumSites]string{
 	"poll", "shield", "mask-enter", "mask-exit", "mask-abort",
 	"step-rollback", "advance-storm", "drain-skip",
 	"alloc-stall", "alloc-exhaust", "free-stall", "leak", "panic",
-	"pool-leak", "net-read", "net-write", "net-drop", "shard-stall",
+	"net-read", "net-write", "net-drop",
 }
 
 // String returns the site's name.
@@ -160,12 +145,6 @@ type Plan struct {
 	// (the "configurable duration" of a stall, measured in scheduler
 	// yields so runs stay wall-clock independent).
 	StallYields int
-	// Shard restricts shard-targeted sites (fired through FireShard) to
-	// one shard id; arrivals from other shards never fire and do not
-	// advance the site's arrival counter. Negative targets every shard.
-	// The zero value targets shard 0 — the natural victim for wedge
-	// schedules — and is ignored entirely by Fire/FireDyn call sites.
-	Shard int
 }
 
 // Config seeds an Injector.
@@ -181,11 +160,6 @@ type siteState struct {
 	// cooldown. Races on it are benign: a lost update only mistimes a
 	// cooldown by one fire, never the determinism of the hash decision.
 	gate atomic.Uint64
-	// disabled suppresses the site while set. Unlike the plans (immutable
-	// after Activate), it is atomic so a test can switch one site off
-	// mid-run — e.g. un-wedge a stalled shard to observe recovery —
-	// without violating the Activate/Deactivate quiescence contract.
-	disabled atomic.Bool
 }
 
 // Injector is one activated fault schedule. Its methods are safe for
@@ -252,36 +226,9 @@ func FireDyn(s Site) bool {
 	return inj.fire(s)
 }
 
-// FireShard is FireDyn for shard-targeted sites: the arrival only counts
-// (and can only fire) when the plan's Shard selector matches the calling
-// shard. Like FireDyn it reads the injector through the atomic pointer,
-// because its callers — the per-shard janitor goroutines — are
-// long-lived and cross injection points while schedules come and go.
-func FireShard(s Site, shard int) bool {
-	inj := activeDyn.Load()
-	if inj == nil {
-		return false
-	}
-	p := &inj.plans[s]
-	if p.Shard >= 0 && p.Shard != shard {
-		return false
-	}
-	return inj.fire(s)
-}
-
-// SetSiteEnabled switches one site on or off while the injector stays
-// active. Plans are immutable after Activate, so this atomic override is
-// the only way to change a schedule mid-run; it exists for phased chaos
-// scenarios — wedge a shard, watch what it keeps doing, then re-enable
-// its janitor and watch it catch up — where Deactivate would race with the
-// long-lived goroutines still crossing plain fault.On sites.
-func (inj *Injector) SetSiteEnabled(s Site, enabled bool) {
-	inj.sites[s].disabled.Store(!enabled)
-}
-
 func (inj *Injector) fire(s Site) bool {
 	p := &inj.plans[s]
-	if p.Period == 0 || inj.sites[s].disabled.Load() {
+	if p.Period == 0 {
 		return false
 	}
 	st := &inj.sites[s]

@@ -103,9 +103,9 @@ const (
 	// operation; Arg is the entry's checkout count so far.
 	EvCheckout
 	// EvReturn: a facade operation returned its pooled handle; Arg is 0
-	// for a clean return into the pool, 1 when the entry was retired
-	// instead (post-Close return, poisoned handle, or a lost leak-sweep
-	// race).
+	// for a clean return into the pool, 1 when the entry was discarded
+	// instead (a panic unwound through the operation, or a poisoned
+	// handle).
 	EvReturn
 	// EvExhausted: a facade operation gave up acquiring a handle after
 	// the bounded wait and returned ErrHandleExhausted; Arg is the pool's

@@ -20,37 +20,37 @@
 // A slow-path scavenge scan over the entry table backstops the fast
 // tiers: sync.Pool may drop entries at GC, but every live entry stays
 // reachable through the table, so dropped entries are recovered instead
-// of lost capacity.
+// of lost capacity. The table holds live entries only: retiring an entry
+// drops it, so a scan costs at most Size claims however many entries the
+// pool has minted and retired.
 //
 // # Ownership
 //
 // Each entry carries one word — idle, out or retired, under a count of its
-// checkouts that the idle→out CAS bumps — and every ownership transfer is
-// a CAS on it. An entry may transiently be referenced by several tiers at
-// once (the channel, the fast tier, the table scan); the CAS arbitrates,
-// so duplicate references are harmless and losers simply move on. The CAS
-// also publishes the owner's plain writes (the per-entry checkout tally,
-// the resource's own state) to the next owner.
+// checkouts that the idle→out CAS bumps. Every claim is a CAS on it; the
+// owner leaves out with a plain store, since nobody else writes the word
+// of an entry that is out. An entry may transiently be referenced by
+// several tiers at once (the channel, the fast tier, the table scan); the
+// claim CAS arbitrates, so duplicate references are harmless and losers
+// simply move on. The word also publishes the owner's plain writes (the
+// per-entry checkout tally, the resource's own state) to the next owner.
 //
-// # Leaked checkouts
+// # Every checkout comes back
 //
-// A borrower that never returns (goroutine death, a wedged op) would
-// permanently eat one slot of a hard-capped pool. The leak sweep — run
-// from the exhaustion slow path and from Close — retires such slots:
-// either the lease reaper has already confirmed the borrower dead
-// (Config.Reaped; the reaper adopted the handle's garbage, so nothing is
-// lost), or the checkout has been continuously out across two sweeps
-// more than LeakTimeout apart. Retiring a slot only flips its state and
-// releases the capacity; the sweep NEVER touches the leaked resource —
-// if the borrower is merely slow, its eventual return loses the
-// state CAS and the borrower itself disposes of the resource
-// (Config.Retire), which is the only race-free party to do so.
+// The pool trusts its borrowers to return what they check out: the
+// facade checks in from a defer, on every completion path. An entry that
+// is out therefore belongs to its borrower alone, however long the
+// operation runs — nothing presumes a slow borrower dead and hands its
+// slot to a second one, so the ceiling is hard. When every entry stays
+// out through the bounded wait, Acquire sheds with ErrExhausted, and
+// Close waits for outstanding checkouts until its deadline.
 package pool
 
 import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,10 +69,10 @@ var ErrExhausted = errors.New("hpbrcu: handle pool exhausted (every pooled handl
 var ErrClosed = errors.New("hpbrcu: handle pool is closed")
 
 // Entry states, the low two bits of the entry's word; the bits above count
-// its checkouts. Transfers are CASes on the whole word: idle→out bumps the
-// count (checkout), out→idle (return) and out→retired (leak sweep,
-// post-Close return, discard; the Close drain claims idle entries first)
-// keep it.
+// its checkouts. idle→out is a CAS on the whole word that bumps the count
+// (checkout); out→idle (return) and out→retired (post-Close return,
+// discard; the Close drain claims idle entries first) are the owner's
+// stores and keep it.
 const (
 	stateIdle uint64 = iota
 	stateOut
@@ -90,24 +90,17 @@ const checkoutFlush = 64
 // the tiers arbitrate over. While checked out it belongs exclusively to
 // the borrowing goroutine.
 type Entry[T any] struct {
-	// state is seq<<seqShift | state. seq counts checkouts; the leak sweep
-	// compares it across sweeps to detect a checkout that never returned
-	// (same seq, still out), and its CAS from the word it judged can only
-	// retire that very checkout.
+	// state is seq<<seqShift | state; seq counts checkouts.
 	state atomic.Uint64
 	res   T
 
 	// pending is the unflushed checkout tally. Owner-plain: written only
-	// by the current owner, published to the next by the state CAS.
+	// by the current owner, published to the next through the state word.
 	pending int
 	// trace is the entry's obs ring (nil outside observed runs); recorded
 	// only while the entry is owned, so the single-writer contract holds
 	// transfer-to-transfer.
 	trace *obs.Trace
-
-	// Leak-sweep bookkeeping, sweeper-only under Pool.mu.
-	markSeq uint64
-	markAt  int64
 }
 
 // Res returns the pooled resource. Valid only while the entry is checked
@@ -120,12 +113,11 @@ func (e *Entry[T]) claim() bool {
 	return w&stateMask == stateIdle && e.state.CompareAndSwap(w, (w+1<<seqShift)|stateOut)
 }
 
-// leave is the owner's out→to CAS. It fails only when the leak sweep
-// retired the checkout first: nobody else writes the word of an entry
-// that is out.
-func (e *Entry[T]) leave(to uint64) bool {
-	w := e.state.Load()
-	return w&stateMask == stateOut && e.state.CompareAndSwap(w, w&^stateMask|to)
+// leave is the owner's out→to transfer. Nobody else writes the word of an
+// entry that is out, so a store suffices; it publishes the owner's plain
+// writes to whoever claims the entry next.
+func (e *Entry[T]) leave(to uint64) {
+	e.state.Store(e.state.Load()&^stateMask | to)
 }
 
 // Config parameterizes a Pool.
@@ -136,25 +128,15 @@ type Config[T any] struct {
 	// AcquireTimeout bounds the wait when every entry is checked out;
 	// past it Acquire returns ErrExhausted. <=0 selects 1ms.
 	AcquireTimeout time.Duration
-	// LeakTimeout is how long a single checkout may stay out before the
-	// leak sweep retires its slot. <=0 selects 1s. It must comfortably
-	// exceed the longest legitimate operation.
-	LeakTimeout time.Duration
 
 	// New mints a resource (registers a handle). Called at most Size
 	// times concurrently with anything.
 	New func() T
 	// Retire disposes a resource the pool or a borrower owns outright:
-	// the Close drain, a discarded checkout, or a return that lost the
-	// leak-sweep race. Never called by the sweep itself on a leaked
-	// resource — the borrower might still be alive.
+	// the Close drain, a discarded checkout, or a return after Close.
 	Retire func(T)
-	// Reaped reports whether the external safety net (the lease reaper)
-	// already confirmed the borrower dead and reclaimed the resource's
-	// state. Optional; called from the sweep on checked-out entries.
-	Reaped func(T) bool
-	// Rec receives the pool counters (PoolCheckouts, PoolExhausted,
-	// PoolLeaksReclaimed). Optional.
+	// Rec receives the pool counters (PoolCheckouts, PoolExhausted).
+	// Optional.
 	Rec *stats.Reclamation
 }
 
@@ -171,10 +153,9 @@ type Pool[T any] struct {
 	closed  atomic.Bool
 	stop    chan struct{} // closed by Close to wake blocked waiters
 
-	mu      sync.Mutex // guards all, sweep bookkeeping, the pool trace
-	all     []*Entry[T]
-	lastSwp int64
-	ptrace  *obs.Trace // pool-level ring for exhaustion events
+	mu     sync.Mutex  // guards all and the pool trace
+	all    []*Entry[T] // live entries; copy-on-write (see forget)
+	ptrace *obs.Trace  // pool-level ring for exhaustion events
 }
 
 // New creates a pool. cfg.New must be non-nil.
@@ -184,9 +165,6 @@ func New[T any](cfg Config[T]) *Pool[T] {
 	}
 	if cfg.AcquireTimeout <= 0 {
 		cfg.AcquireTimeout = time.Millisecond
-	}
-	if cfg.LeakTimeout <= 0 {
-		cfg.LeakTimeout = time.Second
 	}
 	return &Pool[T]{
 		cfg:  cfg,
@@ -224,13 +202,6 @@ func (p *Pool[T]) Acquire(ctx context.Context) (*Entry[T], error) {
 	}
 	if e := p.scavenge(); e != nil {
 		return p.checkedOut(e), nil
-	}
-	// Exhausted for now: retire leaked checkouts (freed capacity is
-	// mintable immediately), then wait, bounded.
-	if p.sweep(time.Now().UnixNano()) {
-		if e := p.tryMint(); e != nil {
-			return p.checkedOut(e), nil
-		}
 	}
 	return p.await(ctx)
 }
@@ -381,10 +352,9 @@ func (p *Pool[T]) exhausted() {
 	}
 }
 
-// Release returns a checked-out entry to the pool. After Close — or when
-// the leak sweep retired the slot in the meantime — the entry is retired
-// instead and the resource disposed through Config.Retire (the caller,
-// as current owner, is the only party that can do so race-free).
+// Release returns a checked-out entry to the pool. After Close the entry
+// is retired instead and the resource disposed through Config.Retire (the
+// caller, as current owner, is the only party that can do so race-free).
 func (p *Pool[T]) Release(e *Entry[T]) {
 	if p.closed.Load() {
 		p.retireOwned(e)
@@ -393,16 +363,7 @@ func (p *Pool[T]) Release(e *Entry[T]) {
 	if obs.On {
 		e.trace.Rec(obs.EvReturn, 0)
 	}
-	if !e.leave(stateIdle) {
-		// The leak sweep declared this checkout dead and already released
-		// the capacity; we turned out to be alive, so the resource is ours
-		// to dispose of.
-		p.flushPending(e)
-		if p.cfg.Retire != nil {
-			p.cfg.Retire(e.res)
-		}
-		return
-	}
+	e.leave(stateIdle)
 	if p.waiters.Load() > 0 {
 		select {
 		case p.idle <- e:
@@ -425,16 +386,27 @@ func (p *Pool[T]) Discard(e *Entry[T]) {
 }
 
 // retireOwned retires an entry the caller owns (checked out, or claimed
-// by the Close drain). The out→retired CAS can only lose to the leak
-// sweep, in which case capacity is already released and only the
-// resource disposal remains ours.
+// by the Close drain): the capacity is released, the entry leaves the
+// table, and the resource is disposed of.
 func (p *Pool[T]) retireOwned(e *Entry[T]) {
-	if e.leave(stateRetired) {
-		p.created.Add(-1)
-	}
+	e.leave(stateRetired)
+	p.created.Add(-1)
+	p.forget(e)
 	p.flushPending(e)
 	if p.cfg.Retire != nil {
 		p.cfg.Retire(e.res)
+	}
+}
+
+// forget drops a retired entry from the table. The new table is a copy:
+// scavengers iterate the slice they loaded outside mu, so a backing array
+// once published is never written within its length again. Stale readers
+// see at worst the retired entry, which fails its claim CAS.
+func (p *Pool[T]) forget(e *Entry[T]) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i := slices.Index(p.all, e); i >= 0 {
+		p.all = slices.Concat(p.all[:i], p.all[i+1:])
 	}
 }
 
@@ -447,65 +419,11 @@ func (p *Pool[T]) flushPending(e *Entry[T]) {
 	}
 }
 
-// minSweepGap rate-limits the exhaustion-path sweep: concurrent starved
-// acquirers should not serialize on repeated full-table scans.
-const minSweepGap = int64(100 * time.Microsecond)
-
-// sweep retires leaked checkouts: entries whose resource the lease
-// reaper already reclaimed (Reaped), or that stayed continuously checked
-// out across two sweeps more than LeakTimeout apart. It reports whether
-// any capacity was released. The sweep never touches the leaked
-// resource itself — see the package comment.
-func (p *Pool[T]) sweep(now int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if now-p.lastSwp < minSweepGap {
-		return false
-	}
-	p.lastSwp = now
-	released := false
-	// Compact into a fresh array: scavengers iterate the previous slice
-	// header outside mu, so the old backing array must stay immutable.
-	// Stale readers see at worst retired entries, which fail their claim
-	// CAS. (Cold path — the minSweepGap rate limit bounds the allocs.)
-	kept := make([]*Entry[T], 0, len(p.all))
-	for _, e := range p.all {
-		w := e.state.Load()
-		st, seq := w&stateMask, w>>seqShift
-		if st == stateRetired {
-			continue // compact retired entries out of the table
-		}
-		kept = append(kept, e)
-		if st != stateOut {
-			continue
-		}
-		reaped := p.cfg.Reaped != nil && p.cfg.Reaped(e.res)
-		timedOut := e.markSeq == seq && e.markAt != 0 && now-e.markAt >= int64(p.cfg.LeakTimeout)
-		if reaped || timedOut {
-			if e.state.CompareAndSwap(w, w&^stateMask|stateRetired) {
-				p.created.Add(-1)
-				released = true
-				kept = kept[:len(kept)-1]
-				if p.cfg.Rec != nil {
-					p.cfg.Rec.PoolLeaksReclaimed.Inc()
-				}
-			}
-			continue
-		}
-		if e.markSeq != seq || e.markAt == 0 {
-			e.markSeq, e.markAt = seq, now
-		}
-	}
-	p.all = kept
-	return released
-}
-
 // Close stops admission, wakes blocked waiters, and drains the pool to
-// balanced books: idle entries are retired through Config.Retire, leaked
-// checkouts are swept, and outstanding ones are waited for until the
-// deadline (a straggler that returns later still retires itself — see
-// Release). It returns the number of entries still outstanding at the
-// deadline. Idempotent.
+// balanced books: idle entries are retired through Config.Retire and
+// outstanding checkouts are waited for until the deadline (a straggler
+// that returns later still retires itself — see Release). It returns the
+// number of entries still outstanding at the deadline. Idempotent.
 func (p *Pool[T]) Close(deadline time.Time) int {
 	if p.closed.Swap(true) {
 		// Lost the race to another closer; still help drain below so the
@@ -539,14 +457,10 @@ func (p *Pool[T]) Close(deadline time.Time) int {
 		if left == 0 {
 			return 0
 		}
-		now := time.Now()
-		if now.After(deadline) {
+		if time.Now().After(deadline) {
 			return int(left)
 		}
-		// Outstanding checkouts: sweep for leaks (ignore the rate limit
-		// indirectly — the gap is far below a scheduling quantum), then
-		// give borrowers a moment to return.
-		p.sweep(now.UnixNano())
+		// Outstanding checkouts: give their borrowers a moment to return.
 		time.Sleep(200 * time.Microsecond)
 	}
 }

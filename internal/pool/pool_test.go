@@ -12,11 +12,9 @@ import (
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// res is a fake pooled resource with external-reclaim and disposal
-// tracking.
+// res is a fake pooled resource with disposal tracking.
 type res struct {
 	id      int
-	reaped  atomic.Bool
 	retired atomic.Bool
 }
 
@@ -26,11 +24,10 @@ type fixture struct {
 	retired atomic.Int64
 }
 
-func (f *fixture) config(size int, acquire, leak time.Duration) Config[*res] {
+func (f *fixture) config(size int, acquire time.Duration) Config[*res] {
 	return Config[*res]{
 		Size:           size,
 		AcquireTimeout: acquire,
-		LeakTimeout:    leak,
 		Rec:            f.rec,
 		New: func() *res {
 			return &res{id: int(f.minted.Add(1))}
@@ -41,7 +38,6 @@ func (f *fixture) config(size int, acquire, leak time.Duration) Config[*res] {
 			}
 			f.retired.Add(1)
 		},
-		Reaped: func(r *res) bool { return r.reaped.Load() },
 	}
 }
 
@@ -57,7 +53,7 @@ func newFixture() *fixture { return &fixture{rec: &stats.Reclamation{}} }
 // so the table-scan half runs on every host.
 func TestAcquireReleaseReuses(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(1, time.Millisecond, time.Second))
+	p := New(f.config(1, time.Millisecond))
 	e, err := p.Acquire(nil)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -90,7 +86,7 @@ func TestAcquireReleaseReuses(t *testing.T) {
 
 func TestCeilingAndExhaustion(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(3, 5*time.Millisecond, time.Second))
+	p := New(f.config(3, 5*time.Millisecond))
 	var held []*Entry[*res]
 	for i := 0; i < 3; i++ {
 		e, err := p.Acquire(nil)
@@ -125,11 +121,69 @@ func TestCeilingAndExhaustion(t *testing.T) {
 	for _, e := range held[1:] {
 		p.Release(e)
 	}
+
+	// The ceiling is hard: a borrower that holds the only checkout of a
+	// Size-1 pool for 100ms — slow, not dead — keeps it, and an acquirer
+	// looping meanwhile is shed every time, never handed a second handle.
+	f = newFixture()
+	p = New(f.config(1, 2*time.Millisecond))
+	slow, err := p.Acquire(nil)
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	var released atomic.Bool
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		released.Store(true)
+		p.Release(slow)
+	}()
+	shed := 0
+	for !released.Load() {
+		e, err := p.Acquire(nil)
+		if err == nil {
+			p.Release(e)
+			break
+		}
+		if !errors.Is(err, ErrExhausted) {
+			t.Fatalf("Acquire against a held checkout: err = %v, want ErrExhausted", err)
+		}
+		shed++
+	}
+	if got := f.minted.Load(); got != 1 {
+		t.Fatalf("New ran %d times while one slow borrower held a Size-1 pool, want 1", got)
+	}
+	if shed == 0 {
+		t.Fatal("the looping acquirer was never shed with ErrExhausted")
+	}
+}
+
+// TestRetiredEntriesLeaveTheTable: the entry table holds live entries
+// only, so a pool that discards every checkout — each one minting a
+// replacement — still scans at most Size entries when it scavenges.
+func TestRetiredEntriesLeaveTheTable(t *testing.T) {
+	f := newFixture()
+	p := New(f.config(4, time.Millisecond))
+	for i := 0; i < 10_000; i++ {
+		e, err := p.Acquire(nil)
+		if err != nil {
+			t.Fatalf("Acquire %d: %v", i, err)
+		}
+		p.Discard(e)
+	}
+	p.mu.Lock()
+	n := len(p.all)
+	p.mu.Unlock()
+	if n > p.Size() {
+		t.Fatalf("entry table holds %d entries after 10 000 discards, want at most Size %d", n, p.Size())
+	}
+	if got, want := f.retired.Load(), f.minted.Load(); got != want || p.Live() != 0 {
+		t.Fatalf("retired %d of %d minted, Live %d; want every discard retired", got, want, p.Live())
+	}
 }
 
 func TestAcquireContextCancel(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(1, time.Second, time.Second))
+	p := New(f.config(1, time.Second))
 	e, err := p.Acquire(nil)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -145,90 +199,9 @@ func TestAcquireContextCancel(t *testing.T) {
 	p.Release(e)
 }
 
-func TestLeakReclaimViaReaped(t *testing.T) {
-	f := newFixture()
-	p := New(f.config(1, 2*time.Millisecond, time.Hour))
-	e, err := p.Acquire(nil)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	leaked := e.Res()
-	// Simulate a dead borrower whose handle the lease reaper reclaimed:
-	// the entry is never released, but the safety net marks it.
-	leaked.reaped.Store(true)
-	e2, err := p.Acquire(nil)
-	if err != nil {
-		t.Fatalf("Acquire after reap: %v (the sweep should have released the slot)", err)
-	}
-	if e2.Res() == leaked {
-		t.Fatal("pool recycled a reaped resource instead of minting a fresh one")
-	}
-	if got := f.rec.PoolLeaksReclaimed.Load(); got != 1 {
-		t.Fatalf("PoolLeaksReclaimed = %d, want 1", got)
-	}
-	if leaked.retired.Load() {
-		t.Fatal("sweep must never call Retire on a leaked resource")
-	}
-	p.Release(e2)
-}
-
-func TestLeakReclaimViaTimeout(t *testing.T) {
-	f := newFixture()
-	p := New(f.config(1, time.Millisecond, 3*time.Millisecond))
-	if _, err := p.Acquire(nil); err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	// Never released. First failed Acquire marks it in the sweep; after
-	// LeakTimeout a later sweep retires the slot.
-	_, err := p.Acquire(nil)
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("first contended Acquire: err = %v, want ErrExhausted", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err = p.Acquire(nil); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never reclaimed by timeout sweep: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := f.rec.PoolLeaksReclaimed.Load(); got != 1 {
-		t.Fatalf("PoolLeaksReclaimed = %d, want 1", got)
-	}
-}
-
-func TestLateReturnAfterSweepRetires(t *testing.T) {
-	f := newFixture()
-	p := New(f.config(1, time.Millisecond, time.Hour))
-	e, err := p.Acquire(nil)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	e.Res().reaped.Store(true) // sweep will declare the borrower dead
-	e2, err := p.Acquire(nil)  // triggers the sweep, mints a replacement
-	if err != nil {
-		t.Fatalf("Acquire after reap: %v", err)
-	}
-	// The "dead" borrower turns out alive and returns: it must dispose of
-	// the resource itself, not re-enter the pool.
-	p.Release(e)
-	if !e.Res().retired.Load() {
-		t.Fatal("late return after a sweep retire must dispose the resource")
-	}
-	if got := p.Live(); got != 1 {
-		t.Fatalf("Live = %d after late return, want 1", got)
-	}
-	if w := e.state.Load(); w != 1<<seqShift|stateRetired {
-		t.Fatalf("swept entry's word = seq %d state %d, want its one checkout, retired", w>>seqShift, w&stateMask)
-	}
-	p.Release(e2)
-}
-
 func TestCloseDrainsToBalancedBooks(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(8, time.Millisecond, time.Second))
+	p := New(f.config(8, time.Millisecond))
 	var held []*Entry[*res]
 	for i := 0; i < 8; i++ {
 		e, err := p.Acquire(nil)
@@ -265,7 +238,7 @@ func TestCloseDrainsToBalancedBooks(t *testing.T) {
 
 func TestCheckoutCountExactAfterClose(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(2, time.Millisecond, time.Second))
+	p := New(f.config(2, time.Millisecond))
 	const ops = 1000
 	for i := 0; i < ops; i++ {
 		e, err := p.Acquire(nil)
@@ -284,7 +257,7 @@ func TestCheckoutCountExactAfterClose(t *testing.T) {
 // with a pool far smaller than the goroutine count; run with -race.
 func TestRaceStress(t *testing.T) {
 	f := newFixture()
-	p := New(f.config(4, 200*time.Microsecond, 50*time.Millisecond))
+	p := New(f.config(4, 200*time.Microsecond))
 	var wg sync.WaitGroup
 	var served, exhausted atomic.Int64
 	for g := 0; g < 32; g++ {
@@ -338,7 +311,7 @@ func TestRaceStress(t *testing.T) {
 func TestCloseNeverReportsExhausted(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		f := newFixture()
-		p := New(f.config(1, 200*time.Microsecond, time.Second))
+		p := New(f.config(1, 200*time.Microsecond))
 		// Pin the only entry so every other acquirer lands in await.
 		held, err := p.Acquire(nil)
 		if err != nil {

@@ -108,8 +108,8 @@ type Config struct {
 	// LeaseTimeout is how long a victim's word must stand still before the
 	// scan claims it (default DefaultLeaseTimeout).
 	LeaseTimeout time.Duration
-	// Rec receives ReapedHandles/AdoptedNodes counts (nil allocates a
-	// private one).
+	// Rec receives the ReapedHandles/AdoptedNodes counts and the
+	// ParkedHandles gauge (nil allocates a private one).
 	Rec *stats.Reclamation
 }
 
@@ -131,9 +131,8 @@ type Reaper struct {
 	tgt Target
 	cfg Config
 
-	looks  map[Victim]look
-	parked int
-	trace  *obs.Trace
+	looks map[Victim]look
+	trace *obs.Trace
 }
 
 // New builds the lease scan over tgt, applying defaults. The caller must
@@ -209,7 +208,8 @@ func (r *Reaper) Tick(now int64) (reaped int) {
 		}
 		looks[v] = l
 	}
-	r.looks, r.parked = looks, parked
+	r.looks = looks
+	r.cfg.Rec.ParkedHandles.Add(int64(parked) - r.cfg.Rec.ParkedHandles.Load())
 
 	if len(reaping) > 0 {
 		// Every victim is in the Reaping phase: its owner, should it wake,
@@ -242,5 +242,6 @@ func (r *Reaper) Tick(now int64) (reaped int) {
 func (r *Reaper) Watched() int { return len(r.looks) }
 
 // Parked reports how many victims stood parked at the last tick: claimed,
-// found to hold nothing, handed back, not moved since. Same ownership as Tick.
-func (r *Reaper) Parked() int { return r.parked }
+// found to hold nothing, handed back, not moved since. It reads the
+// ParkedHandles gauge of Config.Rec, which only Tick writes.
+func (r *Reaper) Parked() int { return int(r.cfg.Rec.ParkedHandles.Load()) }

@@ -354,10 +354,8 @@ func (s *Server) dispatch(c *conn, line string) (reply string, quit bool) {
 		// Remove has no admission gate of its own (it only produces
 		// garbage, never allocates), so deletes get a proactive rung-2
 		// check at the reject tier — the one rung where a write would
-		// certainly have been refused. The check is per-key: on a sharded
-		// map only the owning shard's rung matters, so one overloaded
-		// shard never sheds every key's deletes.
-		if hpbrcu.KeyPressure(s.m, key) >= hpbrcu.PressureReject {
+		// certainly have been refused.
+		if hpbrcu.Pressure(s.m) >= hpbrcu.PressureReject {
 			s.rec.RejectedWrites.Inc()
 			if obs.On {
 				c.trace.Rec(obs.EvShed, 2)
@@ -449,17 +447,13 @@ func (s *Server) errReply(c *conn, err error) (reply string, quit bool) {
 }
 
 // StatsLines renders the service counters as "name=value" rows — the
-// STATS reply, and the final dump smrcached prints after a drain. On a
-// sharded map the map-wide counters come from AggregateSnapshot (sums
-// across shards), and one pressure/janitor row per shard follows the
-// aggregate block so an operator can see WHICH shard is degraded, not
-// just that something is.
+// STATS reply, and the final dump smrcached prints after a drain.
 func (s *Server) StatsLines() []string {
-	snap := hpbrcu.AggregateSnapshot(s.m)
+	snap := s.m.Stats().Snapshot()
 	s.mu.Lock()
 	live := len(s.conns)
 	s.mu.Unlock()
-	rows := []string{
+	return []string{
 		fmt.Sprintf("accepted_conns=%d", snap.AcceptedConns),
 		fmt.Sprintf("live_conns=%d", live),
 		fmt.Sprintf("pressure=%s", hpbrcu.Pressure(s.m)),
@@ -476,14 +470,6 @@ func (s *Server) StatsLines() []string {
 		fmt.Sprintf("reclaimed=%d", snap.Reclaimed),
 		fmt.Sprintf("unreclaimed=%d", snap.Unreclaimed),
 	}
-	for _, sp := range hpbrcu.ShardPressures(s.m) {
-		rows = append(rows,
-			fmt.Sprintf("shard%d_pressure=%s", sp.Shard, sp.Level),
-			fmt.Sprintf("shard%d_janitor_ticks=%d", sp.Shard, sp.JanitorTicks),
-			fmt.Sprintf("shard%d_unreclaimed=%d", sp.Shard, sp.Unreclaimed),
-		)
-	}
-	return rows
 }
 
 // ServiceStats is the Extra payload section smrcached contributes to
@@ -493,22 +479,12 @@ func (s *Server) ServiceStats() map[string]any {
 	s.mu.Lock()
 	live := len(s.conns)
 	s.mu.Unlock()
-	shards := make([]map[string]any, 0, 1)
-	for _, sp := range hpbrcu.ShardPressures(s.m) {
-		shards = append(shards, map[string]any{
-			"Shard":        sp.Shard,
-			"Pressure":     sp.Level.String(),
-			"Unreclaimed":  sp.Unreclaimed,
-			"JanitorTicks": sp.JanitorTicks,
-		})
-	}
 	return map[string]any{
 		"LiveConns":       live,
 		"Inflight":        s.inflight.Load(),
 		"InflightRejects": s.inflightRejects.Load(),
 		"ConnPanics":      s.connPanics.Load(),
 		"Pressure":        hpbrcu.Pressure(s.m).String(),
-		"Shards":          shards,
 	}
 }
 

@@ -153,7 +153,7 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatalf("unknown command: got %q, want -ERR", head)
 	}
 
-	srows := c.must("STATS", "*18")
+	srows := c.must("STATS", "*15")
 	if got := statRow(srows, "accepted_conns"); got != "1" {
 		t.Fatalf("accepted_conns = %q, want 1", got)
 	}
@@ -265,7 +265,7 @@ func TestServerBusyOnTinyCeiling(t *testing.T) {
 	if busy == 0 {
 		t.Fatal("no -BUSY observed under a 16-node ceiling and 3000 write ops")
 	}
-	rows := c.must("STATS", "*18")
+	rows := c.must("STATS", "*15")
 	rejects := statRow(rows, "rejected_writes")
 	if rejects == "" || rejects == "0" {
 		t.Fatalf("rejected_writes = %q, want non-zero", rejects)

@@ -117,6 +117,11 @@ type Reclamation struct {
 	// AdoptedNodes counts retired/deferred nodes the reaper adopted from
 	// reaped handles into the domain-global reclamation paths.
 	AdoptedNodes Counter
+	// ParkedHandles is how many handles the lease scan held parked at its
+	// last pass: their status word stood past the lease timeout, but they
+	// held nothing to adopt, so they stay registered and are not counted
+	// in ReapedHandles. Written by the scan alone.
+	ParkedHandles Gauge
 	// BackpressureThrottles counts allocations that were delayed by the
 	// tiered-backpressure throttle before being admitted.
 	BackpressureThrottles Counter
@@ -140,11 +145,6 @@ type Reclamation struct {
 	// ErrHandleExhausted because every pooled handle stayed checked out
 	// through the bounded acquisition wait.
 	PoolExhausted Counter
-	// PoolLeaksReclaimed counts checkout slots the pool retired because
-	// the borrower never returned them — detected either by the lease
-	// reaper having reaped the handle or by the pool's own leak timeout —
-	// restoring the lost capacity for fresh handles.
-	PoolLeaksReclaimed Counter
 
 	// Service counters: a network service built over the facade
 	// (internal/server, cmd/smrcached) records its overload-ladder
@@ -202,13 +202,14 @@ type Snapshot struct {
 
 	ReapedHandles         int64
 	AdoptedNodes          int64
+	ParkedHandles         int64
+	PeakParkedHandles     int64
 	BackpressureThrottles int64
 	BackpressureRejects   int64
 	PanicsRecovered       int64
 	CancelledOps          int64
 	PoolCheckouts         int64
 	PoolExhausted         int64
-	PoolLeaksReclaimed    int64
 
 	AcceptedConns  int64
 	ShedScans      int64
@@ -239,13 +240,14 @@ func (r *Reclamation) Snapshot() Snapshot {
 
 		ReapedHandles:         r.ReapedHandles.Load(),
 		AdoptedNodes:          r.AdoptedNodes.Load(),
+		ParkedHandles:         r.ParkedHandles.Load(),
+		PeakParkedHandles:     r.ParkedHandles.Peak(),
 		BackpressureThrottles: r.BackpressureThrottles.Load(),
 		BackpressureRejects:   r.BackpressureRejects.Load(),
 		PanicsRecovered:       r.PanicsRecovered.Load(),
 		CancelledOps:          r.CancelledOps.Load(),
 		PoolCheckouts:         r.PoolCheckouts.Load(),
 		PoolExhausted:         r.PoolExhausted.Load(),
-		PoolLeaksReclaimed:    r.PoolLeaksReclaimed.Load(),
 
 		AcceptedConns:  r.AcceptedConns.Load(),
 		ShedScans:      r.ShedScans.Load(),
@@ -271,13 +273,13 @@ func (r *Reclamation) Reset() {
 	r.ForcedAdvances.Reset()
 	r.ReapedHandles.Reset()
 	r.AdoptedNodes.Reset()
+	r.ParkedHandles.Reset()
 	r.BackpressureThrottles.Reset()
 	r.BackpressureRejects.Reset()
 	r.PanicsRecovered.Reset()
 	r.CancelledOps.Reset()
 	r.PoolCheckouts.Reset()
 	r.PoolExhausted.Reset()
-	r.PoolLeaksReclaimed.Reset()
 	r.AcceptedConns.Reset()
 	r.ShedScans.Reset()
 	r.RejectedWrites.Reset()

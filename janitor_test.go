@@ -41,29 +41,23 @@ func baseGoroutines() int {
 }
 
 // TestJanitorGoroutineCensus counts the background goroutines a map
-// starts: one janitor per domain with the reaper on and nothing else — 8
-// for eight shards with everything on — none without the reaper, since
-// backpressure runs on the retire path, and Close returns the process to
-// its starting count.
+// starts: one janitor with the reaper on and nothing else, none without
+// the reaper, since backpressure runs on the retire path, and Close
+// returns the process to its starting count.
 func TestJanitorGoroutineCensus(t *testing.T) {
 	allOn := hpbrcu.Config{
 		Reaper:       hpbrcu.ReaperConfig{Enabled: true},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 	}
-	sharded := allOn
-	sharded.Shards = hpbrcu.ShardsConfig{Count: 8}
 	backpressureOnly := hpbrcu.Config{Backpressure: allOn.Backpressure}
-	shardsOnly := hpbrcu.Config{Shards: sharded.Shards}
 	for _, tc := range []struct {
 		name string
 		cfg  hpbrcu.Config
 		want int
 	}{
-		{"unsharded reaper+backpressure", allOn, 1},
-		{"unsharded backpressure only", backpressureOnly, 0},
+		{"reaper+backpressure", allOn, 1},
+		{"backpressure only", backpressureOnly, 0},
 		{"zero config", hpbrcu.Config{}, 0},
-		{"8 shards, reaper+backpressure", sharded, 8},
-		{"8 shards, zero config", shardsOnly, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := baseGoroutines()

@@ -63,26 +63,21 @@ type PanicError = core.PanicError
 // there is no janitor and there are no drain books; Close just stops
 // admission.
 func Close(m Map, timeout time.Duration) error {
-	switch impl := m.(type) {
-	case *mapImpl:
-		impl.closeOnce.Do(func() { impl.closeErr = impl.doClose(timeout) })
-		return impl.closeErr
-	case *shardedMap:
-		// Sharded maps close every shard concurrently against the shared
-		// deadline; see shardedMap.doClose.
-		impl.closeOnce.Do(func() { impl.closeErr = impl.doClose(timeout) })
-		return impl.closeErr
+	impl, ok := m.(*mapImpl)
+	if !ok {
+		return nil
 	}
-	return nil
+	impl.closeOnce.Do(func() { impl.closeErr = impl.doClose(timeout) })
+	return impl.closeErr
 }
 
 func (m *mapImpl) doClose(timeout time.Duration) error {
 	m.closed.Store(true)
 	deadline := time.Now().Add(timeout)
 	// Drain the handle pool first: retiring its idle handles flushes
-	// their deferred batches into the domain-global task set (and sweeps
-	// leaked checkouts), so the domain drain below sees everything the
-	// facade deferred. Outstanding checkouts past the deadline retire
+	// their deferred batches into the domain-global task set, so the
+	// domain drain below sees everything the facade deferred. Outstanding
+	// checkouts are waited for until the deadline; past it they retire
 	// themselves on return — the books still balance, just later.
 	if p := m.hpool.Load(); p != nil {
 		p.Close(deadline)
@@ -143,34 +138,27 @@ func BarrierCtx(ctx context.Context, h MapHandle) error {
 
 // HandleErr returns the lifecycle error latched on h, if any: ErrClosed
 // after a rejected post-Close operation, or a *PanicError under
-// PanicRecover. A sharded map's handle reports the first error latched on
-// any of its per-shard handles. It returns nil for handles of maps
-// created before this layer existed (plain MapHandles).
+// PanicRecover. It returns nil for handles of maps created before this
+// layer existed (plain MapHandles).
 func HandleErr(h MapHandle) error {
-	switch h := h.(type) {
-	case *guardedHandle:
-		return h.err
-	case *shardedHandle:
-		return h.latched(false)
+	if g, ok := h.(*guardedHandle); ok {
+		return g.err
 	}
 	return nil
 }
 
 // TakeHandleErr returns the latched lifecycle error and clears it, so a
-// retry loop can consume one containment per observation; on a sharded
-// map's handle it returns the first and clears every shard's. The error
-// of a poisoned handle re-latches on the next operation — poisoning is
+// retry loop can consume one containment per observation. The error of a
+// poisoned handle re-latches on the next operation — poisoning is
 // permanent.
 func TakeHandleErr(h MapHandle) error {
-	switch h := h.(type) {
-	case *guardedHandle:
-		err := h.err
-		h.err = nil
-		return err
-	case *shardedHandle:
-		return h.latched(true)
+	g, ok := h.(*guardedHandle)
+	if !ok {
+		return nil
 	}
-	return nil
+	err := g.err
+	g.err = nil
+	return err
 }
 
 // guardedHandle is the lifecycle guard Register wraps every handle in:
@@ -184,13 +172,10 @@ type guardedHandle struct {
 	m     *mapImpl
 	inner MapHandle // the structure handle; nil for a post-Close registration stub
 
-	// The structure handle's optional capabilities, resolved once by
-	// Register. ctx is inner where the structure has context-aware
-	// operations of its own (nil: a context check around the plain ones);
-	// core is its HP-(B)RCU participation record (nil on other schemes),
-	// whose lease and reap state the pool's leak sweep consults.
-	ctx  ContextHandle
-	core *core.Handle
+	// ctx is inner where the structure has context-aware operations of
+	// its own, resolved once by Register (nil: a context check around the
+	// plain ones).
+	ctx ContextHandle
 
 	err      error // latched lifecycle error (owner-read, see HandleErr)
 	poisoned bool  // a contained panic left inner unrestorable

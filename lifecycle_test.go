@@ -163,9 +163,9 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	}
 }
 
-// TestCloseNonDomainMap: a map that is not one domain — an RCU list has
-// none, a sharded map one per shard behind a composite handle — still
-// latches ErrClosed where HandleErr sees it, and TakeHandleErr clears it.
+// TestCloseNonDomainMap: a map without an HP-(B)RCU domain — an RCU list —
+// still latches ErrClosed where HandleErr sees it, and TakeHandleErr
+// clears it.
 func TestCloseNonDomainMap(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -173,7 +173,6 @@ func TestCloseNonDomainMap(t *testing.T) {
 		cfg    hpbrcu.Config
 	}{
 		{"RCU", hpbrcu.RCU, hpbrcu.Config{}},
-		{"HP-BRCU 2 shards", hpbrcu.HPBRCU, hpbrcu.Config{Shards: hpbrcu.ShardsConfig{Count: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := hpbrcu.NewHList(tc.scheme, tc.cfg)

@@ -61,9 +61,6 @@ func (m *mapImpl) Register() MapHandle {
 	h := m.reg()
 	g := &guardedHandle{m: m, inner: h}
 	g.ctx, _ = h.(ContextHandle)
-	if c, ok := h.(interface{ Core() *core.Handle }); ok {
-		g.core = c.Core()
-	}
 	return g
 }
 func (m *mapImpl) Stats() *Stats  { return m.st() }
@@ -164,15 +161,11 @@ var structures = [...]struct {
 }
 
 // newStructure builds structure st under scheme s, if Table 1 has that
-// cell — once, or once per shard (sharded.go). heads is the number of head
-// sentinels (the hash map's buckets).
+// cell. heads is the number of head sentinels (the hash map's buckets).
 func newStructure(st structureID, s Scheme, heads int, cfg Config) (Map, error) {
 	row := &structures[st]
 	if !slices.Contains(row.schemes, s) {
 		return nil, &ErrUnsupported{Structure: row.name, Scheme: s}
-	}
-	if cfg.Shards.Count > 1 {
-		return newSharded(s, cfg, func(c Config) (Map, error) { return row.build(s, heads, c) })
 	}
 	return row.build(s, heads, cfg)
 }
@@ -253,11 +246,6 @@ func NewHashMap(s Scheme, buckets int, cfg Config) (Map, error) {
 	if buckets < 1 {
 		buckets = 1
 	}
-	if n := cfg.Shards.Count; n > 1 {
-		// Each shard gets its proportional slice of the bucket budget, so
-		// a sharded map's total chain length matches the unsharded layout.
-		buckets = (buckets + n - 1) / n
-	}
 	return newStructure(hashMap, s, buckets, cfg)
 }
 
@@ -281,28 +269,9 @@ func NewNMTree(s Scheme, cfg Config) (Map, error) {
 
 // GarbageBound returns the §5 robustness bound 2GN+GN²+H for an HP-BRCU
 // map, or -1 when m is not HP-BRCU-backed or the bound is unavailable.
-// For a sharded map the bound is the sum of the per-shard bounds plus the
-// caller's shields: each shard's garbage is bounded by its own domain's
-// 2GNᵢ+GNᵢ²+Hᵢ independently, so the global bound is Σᵢ boundᵢ.
 func GarbageBound(m Map, shields int) int64 {
-	switch impl := m.(type) {
-	case *mapImpl:
-		if impl.dom != nil {
-			return impl.dom.GarbageBound(shields)
-		}
-	case *shardedMap:
-		var total int64
-		for _, sh := range impl.shards {
-			if sh.dom == nil {
-				return -1
-			}
-			b := sh.dom.GarbageBound(0)
-			if b < 0 {
-				return -1
-			}
-			total += b
-		}
-		return total + int64(shields)
+	if impl, ok := m.(*mapImpl); ok && impl.dom != nil {
+		return impl.dom.GarbageBound(shields)
 	}
 	return -1
 }
@@ -311,28 +280,19 @@ func GarbageBound(m Map, shields int) int64 {
 // evaluated with the peak thread count N and peak registered-shield count
 // H the domain actually observed — the bound a finished run's
 // PeakUnreclaimed must respect. It returns -1 when m is not
-// HP-BRCU-backed. For a sharded map it is the sum of the per-shard
-// observed bounds (Σᵢ 2GNᵢ+GNᵢ²+Hᵢ): the shards' books are independent,
-// so their bounds add.
+// HP-BRCU-backed.
 func GarbageBoundObserved(m Map) int64 {
-	switch impl := m.(type) {
-	case *mapImpl:
-		if impl.dom != nil {
-			return impl.dom.GarbageBoundObserved()
-		}
-	case *shardedMap:
-		var total int64
-		for _, sh := range impl.shards {
-			if sh.dom == nil {
-				return -1
-			}
-			b := sh.dom.GarbageBoundObserved()
-			if b < 0 {
-				return -1
-			}
-			total += b
-		}
-		return total
+	if impl, ok := m.(*mapImpl); ok && impl.dom != nil {
+		return impl.dom.GarbageBoundObserved()
 	}
 	return -1
 }
+
+// AggregateSnapshot returns the whole map's reclamation snapshot. A map is
+// one domain, so this is m.Stats().Snapshot().
+func AggregateSnapshot(m Map) StatsSnapshot { return m.Stats().Snapshot() }
+
+// ResetUnreclaimedPeaks re-bases m's PeakUnreclaimed at its current level
+// (Gauge.ResetPeak); benchmarks call it after prefilling so reported
+// peaks cover only the measured interval.
+func ResetUnreclaimedPeaks(m Map) { m.Stats().Unreclaimed.ResetPeak() }

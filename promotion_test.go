@@ -60,8 +60,8 @@ func exerciseHandle(t *testing.T, h MapHandle, key int64) {
 }
 
 // registerGuard registers a handle and checks what Register resolved on
-// it: an HP-BRCU list handle is context-aware and has a participation
-// record, and it is the guard's inner handle itself, not a wrapper.
+// it: an HP-BRCU list handle is context-aware, and it is the guard's inner
+// handle itself, not a wrapper.
 func registerGuard(t *testing.T, m Map) *guardedHandle {
 	t.Helper()
 	h := m.Register()
@@ -71,9 +71,6 @@ func registerGuard(t *testing.T, m Map) *guardedHandle {
 	}
 	if g.ctx == nil || g.ctx != g.inner {
 		t.Fatalf("guard did not resolve the structure's GetCtx/BarrierCtx on %T", g.inner)
-	}
-	if g.core == nil {
-		t.Fatalf("guard did not resolve the participation record of %T", g.inner)
 	}
 	return g
 }

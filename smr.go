@@ -143,36 +143,9 @@ type Config struct {
 	// error-returning Get/Insert/Remove methods on Map); see PoolConfig.
 	// The zero value selects the defaults — the facade needs no opt-in.
 	Pool PoolConfig
-	// Shards splits the map into independent fault-isolated shards — one
-	// complete domain (epoch clock, handle registry, janitor,
-	// backpressure books, handle pool) per shard, with keys hash-routed
-	// to their owning shard. See ShardsConfig and DESIGN.md §15. The zero
-	// value (and Count <= 1) keeps the single-domain layout.
-	Shards ShardsConfig
-
-	// shardID labels the single domain this Config builds inside a
-	// sharded map; set only by the sharded constructor.
-	shardID int
-}
-
-// ShardsConfig configures map sharding (Config.Shards): Count independent
-// scheme instances, each with its own epoch clock, handle registry,
-// janitor, backpressure accounting and facade handle pool. Keys
-// are pinned to shards by hash, handles and pool checkouts are pinned to
-// the shard that created them, and every retire is routed to the owning
-// shard's defer batch — so each shard's books balance independently and
-// the global §5 bound is the sum of the per-shard bounds. A wedged shard
-// (dead janitor, stalled epoch) therefore pins only its own slice of
-// garbage. A wedged janitor costs its shard the janitor's service — no
-// leaked handle is reaped and no forced drain runs there until it
-// resumes — and nothing else: the shard's workers keep advancing its
-// epoch and reclaiming under its §5 bound, and no write sheds because of
-// the wedge. Writes to any shard shed only through the tiers every map
-// runs (ErrMemoryPressure, ErrHandleExhausted).
-type ShardsConfig struct {
-	// Count is the number of shards; values <= 1 keep the single-domain
-	// layout.
-	Count int
+	// Shards is ignored: a map is one domain (DESIGN.md §15). The field
+	// stays so that configurations setting Shards.Count still compile.
+	Shards struct{ Count int }
 }
 
 // PoolConfig tunes the handle pool behind the handle-free facade (see
@@ -186,12 +159,6 @@ type PoolConfig struct {
 	// handle when all Size are checked out before failing with
 	// ErrHandleExhausted. Default 1ms.
 	AcquireTimeout time.Duration
-	// LeakTimeout is how long a single checkout may stay out before the
-	// pool's leak sweep retires its slot (the borrower is presumed dead;
-	// the lease reaper, when enabled, recovers the handle's garbage).
-	// Must comfortably exceed the longest legitimate operation. Default
-	// 1s.
-	LeakTimeout time.Duration
 }
 
 // ReaperConfig configures the janitor (Config.Reaper): its lease scan and,
@@ -257,7 +224,6 @@ func (c Config) CoreConfig() core.Config {
 		ForceThreshold: c.ForceThreshold,
 		ScanThreshold:  c.BatchSize,
 		PanicPolicy:    c.PanicPolicy,
-		ShardID:        c.shardID,
 	}
 }
 

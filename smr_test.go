@@ -3,11 +3,14 @@ package hpbrcu_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
+	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 type builder struct {
@@ -214,5 +217,47 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	if !hpbrcu.HPBRCU.Robust() || hpbrcu.RCU.Robust() {
 		t.Fatal("robustness classification wrong")
+	}
+}
+
+// TestAggregateSnapshotSumsEveryField: a map is one domain, so the whole
+// map's books are that domain's, and AggregateSnapshot — what callers
+// that read one snapshot per map use — must carry every counter and
+// gauge of them: each gets a distinct nonzero level, and every int64
+// field of the aggregate must read it back.
+func TestAggregateSnapshotSumsEveryField(t *testing.T) {
+	m, err := hpbrcu.NewHashMap(hpbrcu.HPBRCU, 64, hpbrcu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closed first: nothing but this test moves the books from here on.
+	if err := hpbrcu.Close(m, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rec := m.Stats()
+	rec.Reset()
+	v := reflect.ValueOf(rec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i).Addr().Interface().(type) {
+		case *stats.Counter:
+			f.Add(int64(1000 + i))
+		case *stats.Gauge:
+			f.Add(int64(1000 + i))
+		}
+	}
+	agg := reflect.ValueOf(hpbrcu.AggregateSnapshot(m))
+	own := reflect.ValueOf(rec.Snapshot())
+	for i := 0; i < agg.NumField(); i++ {
+		if agg.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		name := agg.Type().Field(i).Name
+		want := own.Field(i).Int()
+		if want == 0 {
+			t.Fatalf("%s is zero in the map's books: the loop above no longer reaches it", name)
+		}
+		if got := agg.Field(i).Int(); got != want {
+			t.Errorf("AggregateSnapshot.%s = %d, want the domain's %d", name, got, want)
+		}
 	}
 }
