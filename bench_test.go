@@ -9,6 +9,7 @@ package hpbrcu_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/bench"
@@ -58,9 +59,32 @@ func BenchmarkStep(b *testing.B) {
 // point_read_mostly workload builds, without its facade and production
 // posture. About two nodes a Get, so it is the fixed cost of an operation —
 // entering and leaving the section, the walk's setup and ending — that
-// this measures: the in-tree view of that benchmark's ds.get_ns rows.
+// this measures: the in-tree view of that benchmark's ds.get_ns rows. The
+// HP-BRCU/facade row is that workload's own path: the handle-free Get, in
+// the production posture (PanicRecover, reaper and backpressure on), so
+// the pooled checkout, the leased Enter/Exit and the facade's deferred
+// checkin are in it — its distance to the HP-BRCU row is what the posture
+// and the facade add.
 func BenchmarkPointGet(b *testing.B) {
 	const keyRange = 1 << 12
+	fill := func(insert func(k int64)) {
+		for k := int64(0); k < keyRange; k += 2 {
+			insert(k)
+		}
+	}
+	run := func(b *testing.B, get func(k int64) (int64, bool)) {
+		rng := uint64(0x9E3779B97F4A7C15)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			k := int64(rng % keyRange)
+			if v, ok := get(k); ok != (k%2 == 0) || ok && v != k {
+				b.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
+			}
+		}
+	}
 	for _, s := range []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU, hpbrcu.RCU, hpbrcu.NBR, hpbrcu.HP} {
 		b.Run(s.String(), func(b *testing.B) {
 			m, ok := bench.NewMap(bench.HashMap, s, keyRange, hpbrcu.Config{})
@@ -69,22 +93,26 @@ func BenchmarkPointGet(b *testing.B) {
 			}
 			h := m.Register()
 			defer h.Unregister()
-			for k := int64(0); k < keyRange; k += 2 {
-				h.Insert(k, k)
-			}
-			rng := uint64(0x9E3779B97F4A7C15)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				k := int64(rng % keyRange)
-				if v, ok := h.Get(k); ok != (k%2 == 0) || ok && v != k {
-					b.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
-				}
-			}
+			fill(func(k int64) { h.Insert(k, k) })
+			run(b, h.Get)
 		})
 	}
+	b.Run("HP-BRCU/facade", func(b *testing.B) {
+		m, _ := bench.NewMap(bench.HashMap, hpbrcu.HPBRCU, keyRange, hpbrcu.Config{
+			PanicPolicy:  hpbrcu.PanicRecover,
+			Reaper:       hpbrcu.ReaperConfig{Enabled: true},
+			Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
+		})
+		defer hpbrcu.Close(m, 5*time.Second)
+		fill(func(k int64) { m.Insert(k, k) })
+		run(b, func(k int64) (int64, bool) {
+			v, ok, err := m.Get(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return v, ok
+		})
+	})
 }
 
 // BenchmarkDescent is the per-operation cost of the two structures whose

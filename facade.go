@@ -2,10 +2,9 @@ package hpbrcu
 
 // Handle-free facade: the error-returning operation methods of the Map
 // interface. Each operation checks a registered handle out of a
-// lock-free tiered pool (internal/pool), runs through its lifecycle guard
-// — backpressure gate, panic containment — and returns the handle on
-// every path, including panics and context cancellation. The §5 garbage
-// bound thereby scales with the pool size, not the goroutine count; see
+// lock-free tiered pool (internal/pool), runs the operation and returns
+// the handle from one deferred call on every path, including panics and
+// context cancellation. The §5 garbage bound thereby scales with the pool size, not the goroutine count; see
 // DESIGN.md §12 for the safety argument.
 
 import (
@@ -35,6 +34,10 @@ func (m *mapImpl) pool() *handlePool {
 	if p := m.hpool.Load(); p != nil {
 		return p
 	}
+	return m.newPool()
+}
+
+func (m *mapImpl) newPool() *handlePool {
 	m.poolMu.Lock()
 	defer m.poolMu.Unlock()
 	if p := m.hpool.Load(); p != nil {
@@ -61,13 +64,17 @@ func (m *mapImpl) pool() *handlePool {
 }
 
 // checkout acquires a pooled handle, translating pool errors into the
-// package's lifecycle vocabulary. ctx may be nil.
+// package's lifecycle vocabulary; it reads the closed flag. ctx may be nil.
 func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*guardedHandle], error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
 	e, err := m.pool().Acquire(ctx)
 	if err == nil {
+		if e.Res().inner == nil { // a stub minted by a Register racing Close
+			m.pool().Discard(e)
+			return nil, ErrClosed
+		}
 		return e, nil
 	}
 	// An acquire that lost its bounded wait while Close was already in
@@ -81,16 +88,27 @@ func (m *mapImpl) checkout(ctx context.Context) (*pool.Entry[*guardedHandle], er
 	return nil, err
 }
 
-// checkin returns a checkout on every completion path. completed is
-// false only when a panic is unwinding through the facade frame
-// (PanicRethrow, or a non-library panic): the handle was restored
-// through the abort path before the rethrow, but a handle that just
-// carried a panic is conservatively retired rather than recycled —
-// panics are rare, capacity is re-mintable, and a poisoned handle must
-// not be reused at all.
-func (m *mapImpl) checkin(e *pool.Entry[*guardedHandle], completed bool) {
+// checkin is a facade operation's one deferred call: it returns the
+// checkout on every completion path. *completed is false while a panic
+// unwinds through the operation. Under PanicRecover a *PanicError is
+// recovered here into *errp and the operation completes with zero values;
+// any other panic continues. A handle that carried an unrecovered panic
+// is retired rather than recycled — panics are rare, capacity is
+// re-mintable — and a poisoned handle is never reused (DESIGN.md §12.3).
+func (m *mapImpl) checkin(e *pool.Entry[*guardedHandle], completed *bool, errp *error) {
 	g := e.Res()
-	if !completed || g.poisoned {
+	if !*completed && m.rec {
+		switch r := recover().(type) {
+		case nil:
+		case *PanicError:
+			g.poisoned = r.Poisoned
+			*errp, *completed = r, true
+		default:
+			m.pool().Discard(e)
+			panic(r)
+		}
+	}
+	if !*completed || g.poisoned {
 		m.pool().Discard(e)
 		return
 	}
@@ -100,30 +118,31 @@ func (m *mapImpl) checkin(e *pool.Entry[*guardedHandle], completed bool) {
 	m.pool().Release(e)
 }
 
-// Get implements the handle-free Map.Get.
+// Get implements the handle-free Map.Get. Like Insert and Remove it skips
+// the guard: checkout read the closed flag, checkin retires poisoned
+// handles and contains panics.
 func (m *mapImpl) Get(key int64) (v int64, ok bool, err error) {
-	e, cerr := m.checkout(nil)
-	if cerr != nil {
-		return 0, false, cerr
+	e, err := m.checkout(nil)
+	if err != nil {
+		return 0, false, err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
-	g := e.Res()
-	v, ok = g.Get(key)
+	defer m.checkin(e, &completed, &err)
+	v, ok = e.Res().inner.Get(key)
 	completed = true
-	return v, ok, g.err
+	return v, ok, nil
 }
 
 // GetCtx implements the handle-free Map.GetCtx: ctx bounds both the
 // handle acquisition and (on schemes that support it) the lookup itself,
 // via cooperative self-neutralization.
 func (m *mapImpl) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err error) {
-	e, cerr := m.checkout(ctx)
-	if cerr != nil {
-		return 0, false, cerr
+	e, err := m.checkout(ctx)
+	if err != nil {
+		return 0, false, err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
+	defer m.checkin(e, &completed, &err)
 	v, ok, err = e.Res().GetCtx(ctx, key)
 	completed = true
 	return v, ok, err
@@ -131,16 +150,15 @@ func (m *mapImpl) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err 
 
 // Insert implements the handle-free Map.Insert.
 func (m *mapImpl) Insert(key, val int64) (ok bool, err error) {
-	e, cerr := m.checkout(nil)
-	if cerr != nil {
-		return false, cerr
+	e, err := m.checkout(nil)
+	if err != nil {
+		return false, err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
-	g := e.Res()
-	ok = g.Insert(key, val)
+	defer m.checkin(e, &completed, &err)
+	ok = e.Res().inner.Insert(key, val)
 	completed = true
-	return ok, g.err
+	return ok, nil
 }
 
 // TryInsert implements the handle-free Map.TryInsert: Insert through the
@@ -149,12 +167,12 @@ func (m *mapImpl) Insert(key, val int64) (ok bool, err error) {
 // callers test them with IsLoadShed instead of enumerating the
 // sentinels by hand.
 func (m *mapImpl) TryInsert(key, val int64) (ok bool, err error) {
-	e, cerr := m.checkout(nil)
-	if cerr != nil {
-		return false, cerr
+	e, err := m.checkout(nil)
+	if err != nil {
+		return false, err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
+	defer m.checkin(e, &completed, &err)
 	ok, err = e.Res().TryInsert(key, val)
 	completed = true
 	return ok, err
@@ -162,26 +180,25 @@ func (m *mapImpl) TryInsert(key, val int64) (ok bool, err error) {
 
 // Remove implements the handle-free Map.Remove.
 func (m *mapImpl) Remove(key int64) (v int64, ok bool, err error) {
-	e, cerr := m.checkout(nil)
-	if cerr != nil {
-		return 0, false, cerr
+	e, err := m.checkout(nil)
+	if err != nil {
+		return 0, false, err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
-	g := e.Res()
-	v, ok = g.Remove(key)
+	defer m.checkin(e, &completed, &err)
+	v, ok = e.Res().inner.Remove(key)
 	completed = true
-	return v, ok, g.err
+	return v, ok, nil
 }
 
 // Barrier implements the handle-free Map.Barrier.
 func (m *mapImpl) Barrier() (err error) {
-	e, cerr := m.checkout(nil)
-	if cerr != nil {
-		return cerr
+	e, err := m.checkout(nil)
+	if err != nil {
+		return err
 	}
 	completed := false
-	defer func() { m.checkin(e, completed) }()
+	defer m.checkin(e, &completed, &err)
 	g := e.Res()
 	g.Barrier()
 	completed = true

@@ -76,8 +76,9 @@ const (
 	phaseInMut
 	// phaseReaping: the lease reaper claimed the handle (TryReap) and is
 	// adopting its deferred state. A waking owner spins until the reaper
-	// publishes phaseReaped or hands the word back (CancelReap). The owner
-	// never writes over this phase or the next. See DESIGN.md §7.2.
+	// publishes phaseReaped or hands the word back (CancelReap). An owner
+	// swap that lands on this phase or the next stores it back before it
+	// does anything else (see swap, and DESIGN.md §7.2).
 	phaseReaping
 	// phaseReaped: the handle was reaped — removed from the registry,
 	// its batch and shields adopted. A waking owner re-registers
@@ -134,12 +135,11 @@ type Domain struct {
 	// and post-mortem traces.
 	nextID atomic.Uint64
 
-	// leaseOn selects the reap-aware owner paths (internal/reap, DESIGN.md
-	// §7): every owner transition on the status word becomes a CAS that
-	// respects the reaper's phases, and every return to Out carries the
-	// owner's operation count (Handle.ops). It follows the fault.On
-	// contract: set once by EnableLeases before any worker goroutine
-	// touches a handle, plain loads thereafter.
+	// leaseOn makes the handles reapable (internal/reap, DESIGN.md §7):
+	// BeginMut claims the InMut phase the reaper refuses. Enter and Exit
+	// take one path either way. It follows the fault.On contract: set
+	// once by EnableLeases before any worker goroutine touches a handle,
+	// plain loads thereafter.
 	leaseOn bool
 
 	tasksMu sync.Mutex
@@ -218,8 +218,8 @@ func (d *Domain) GarbageBoundFor(threads int) int64 {
 // handles observed — the N to evaluate the §5 bound with after a run.
 func (d *Domain) HandlesPeak() int { return int(d.population.Peak()) }
 
-// EnableLeases makes this domain's handles reapable: their owners take the
-// reap-aware paths and date the status word (see Handle.ops). It must be
+// EnableLeases makes this domain's handles reapable: their owners claim the
+// InMut phase around every mutation of adoptable state (BeginMut). It must be
 // called before any goroutine uses a handle (the fault.On activation
 // contract); core.StartJanitor does so at construction time.
 func (d *Domain) EnableLeases() { d.leaseOn = true }
@@ -229,14 +229,14 @@ func (d *Domain) EnableLeases() { d.leaseOn = true }
 // read and CASed by reclaimers.
 type Handle struct {
 	// status is the packed {phase, payload} word — the single most
-	// contended word in the scheme (stored by the owner at every
+	// contended word in the scheme (swapped by the owner at every
 	// Enter/Exit, read and CASed by every advancing reclaimer), so it
 	// owns its cache line. It is also the only word the owner and the
 	// lease reaper share.
 	status atomicx.Padded
 
 	// ops counts the owner's claims on the status word (Enter, BeginMut)
-	// and resurrections, with leases on; every owner return to Out writes
+	// and resurrections; every owner return to Out writes
 	// pack(phaseOut, ops), so no Out word ever recurs. That is what lets
 	// the lease scan read liveness off the status word alone: an Out word
 	// it sees twice, a timeout apart, belongs to an owner that claimed
@@ -372,13 +372,25 @@ func (h *Handle) Describe() string {
 // invalidates checkpointed cursors.
 func (h *Handle) Gen() uint64 { return h.gen }
 
-// settle resolves the reaper's phases on the owner's behalf: it waits out
-// an in-flight adoption and resurrects a reaped handle, and returns a
-// status word whose phase is the owner's to move.
-func (h *Handle) settle() uint64 {
+// swap is every owner transition on the status word: one exchange, the
+// price of Algorithm 5's stores. A swap that lands on the reaper's Reaping
+// or Reaped stores it back before the owner does anything else, and
+// reports false; the reaper's closing writes wait that window out
+// (closeReap). DESIGN.md §7.2 has the argument.
+func (h *Handle) swap(w uint64) bool {
+	old := h.status.Swap(w)
+	if old&(1<<phaseBits-1) < phaseReaping {
+		return true
+	}
+	h.status.Store(old)
+	return false
+}
+
+// settle resolves the reaper phase an owner's swap put back: it waits out
+// an in-flight adoption and resurrects a reaped handle.
+func (h *Handle) settle() {
 	for {
-		st := h.status.Load()
-		switch ph, _ := unpack(st); ph {
+		switch ph, _ := unpack(h.status.Load()); ph {
 		case phaseReaping:
 			// The reap is short and bounded (slice moves and registry
 			// copy-on-writes under domain mutexes, no waiting on other
@@ -387,33 +399,13 @@ func (h *Handle) settle() uint64 {
 		case phaseReaped:
 			h.resurrect()
 		default:
-			return st
-		}
-	}
-}
-
-// outWord is the word every leased return to Out writes; see Handle.ops.
-func (h *Handle) outWord() uint64 { return pack(phaseOut, h.ops) }
-
-// enterLeased is Enter with the reap protocol live: resolve any reaper
-// phase, then CAS into the critical section. The transition must be a CAS,
-// not a blind store — an owner descheduled between resolving the phase and
-// the store could be claimed and reaped in the gap, and a blind InCs store
-// would overwrite the Reaped word and run a critical section on a handle
-// the reaper has already stripped from the registries. The CAS is also
-// what defeats a reaper holding the word this one replaces: its claim
-// compares against a word that no longer stands.
-func (h *Handle) enterLeased() {
-	h.ops++
-	for {
-		// st is Out or a stale RbReq from the previous section; both are
-		// superseded by the new section.
-		st := h.settle()
-		if h.status.CompareAndSwap(st, pack(phaseInCs, h.d.epoch.Load())) {
 			return
 		}
 	}
 }
+
+// outWord is the word every owner return to Out writes; see Handle.ops.
+func (h *Handle) outWord() uint64 { return pack(phaseOut, h.ops) }
 
 // BeginMut claims the un-reapable InMut phase around an owner-side
 // mutation of reaper-adoptable state (the defer batch; in internal/core
@@ -438,19 +430,16 @@ func (h *Handle) BeginMut() bool {
 		panic("brcu: BeginMut inside an unmasked critical section (" + h.Describe() + ")")
 	}
 	h.ops++
-	for {
-		// st is Out (or a stale RbReq with no section to roll back —
-		// superseded, exactly as Exit would have).
-		st := h.settle()
-		if h.status.CompareAndSwap(st, pack(phaseInMut, 0)) {
-			return true
-		}
+	// Out, or a stale RbReq superseded exactly as Exit would have.
+	for !h.swap(pack(phaseInMut, 0)) {
+		h.settle()
 	}
+	return true
 }
 
-// EndMut leaves the InMut phase, by a CAS from the only word it may
-// replace: the reaper never claims InMut, and an EndMut without its
-// BeginMut cannot smash a word the reaper owns.
+// EndMut leaves the InMut phase: one CAS from the only word it may
+// replace (nobody else writes it), so an EndMut without its BeginMut
+// leaves every other word alone.
 func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWord()) }
 
 // resurrect re-registers a reaped handle whose owner turned out to be
@@ -480,8 +469,8 @@ func (h *Handle) Word() uint64 { return h.status.Load() }
 // RbReq word the lease scan saw stand for the whole lease timeout — to
 // Reaping. The compare against the exact stale word is the proof that the
 // owner has not moved since the scan's first look: no Out word recurs
-// (Handle.ops), and every owner transition out of Out or RbReq is itself
-// a CAS on this word, so exactly one side wins. Every other phase is
+// (Handle.ops), and every owner transition out of Out or RbReq is an
+// atomic exchange on this word, so exactly one side wins. Every other phase is
 // refused: a stalled-but-registered critical section is neutralization's
 // job, a mutation span is never adoptable, and a reap already under way
 // has its own reaper.
@@ -493,12 +482,21 @@ func (h *Handle) TryReap(word uint64) bool {
 }
 
 // FinishReap publishes the end of a reap: Reaping → Reaped. An owner
-// spinning in settle proceeds to resurrect only after this store, which
+// spinning in settle proceeds to resurrect only after this write, which
 // is what makes the whole reap — adoption AND registry removal — atomic
 // against resurrection: the reaper must call it only after the victim
 // has left every registry, or a resurrecting owner could be stripped
 // from them while live.
-func (h *Handle) FinishReap() { h.status.Store(pack(phaseReaped, 0)) }
+func (h *Handle) FinishReap() { h.closeReap(pack(phaseReaped, 0)) }
+
+// closeReap is the reaper's closing write, Reaping → w, retried until it
+// lands: it fails only while an owner's swap has the word, and a blind
+// store there would be undone by the owner's restore. Reaper-only.
+func (h *Handle) closeReap(w uint64) {
+	for !h.status.CompareAndSwap(pack(phaseReaping, 0), w) {
+		runtime.Gosched()
+	}
+}
 
 // Reaped reports whether the handle is currently in the reaped state:
 // the lease reaper confirmed its owner dead, adopted its deferred state
@@ -520,7 +518,7 @@ func (h *Handle) Reaped() bool {
 // reap/resurrect cycles; restoring the word unchanged keeps it standing
 // still for the scan, which parks the victim until it moves. Reaper-only,
 // between TryReap and what would have been FinishReap.
-func (h *Handle) CancelReap(word uint64) { h.status.Store(word) }
+func (h *Handle) CancelReap(word uint64) { h.closeReap(word) }
 
 // BatchEmpty reports whether the handle's local defer batch is empty.
 // Reaper-only, between TryReap and FinishReap/CancelReap — the
@@ -596,16 +594,16 @@ func (h *Handle) Unregister() {
 
 // Enter begins (or re-begins, after a rollback) a critical section: it
 // announces InCs with the current global epoch (Algorithm 5 line 16). Any
-// pending RbReq from a previous section is superseded.
+// pending RbReq from a previous section is superseded; a reaper phase is
+// put back and settled (swap, settle) first.
 func (h *Handle) Enter() {
 	if obs.On {
 		h.csStart = obs.Nanos()
 	}
-	if h.d.leaseOn {
-		h.enterLeased()
-		return
+	h.ops++
+	for !h.swap(pack(phaseInCs, h.d.epoch.Load())) {
+		h.settle()
 	}
-	h.status.Store(pack(phaseInCs, h.d.epoch.Load()))
 }
 
 // Poll is the cooperative stand-in for signal delivery: it reports false
@@ -680,33 +678,14 @@ func (h *Handle) Refresh() bool {
 // Exit ends the critical section (Algorithm 5 line 18). A pending RbReq is
 // discarded: per the framework contract the caller has already validated
 // its results with a successful Poll after its last protection, so
-// completing instead of rolling back is safe (see package comment).
+// completing instead of rolling back is safe (see package comment). A
+// reaper phase (the reaper may claim a long-neutralized section) is put
+// back for the next Enter to settle.
 func (h *Handle) Exit() {
-	if h.d.leaseOn {
-		h.exitLeased()
-	} else {
-		h.status.Store(pack(phaseOut, 0))
-	}
+	h.swap(h.outWord())
 	if obs.On && h.csStart != 0 {
 		h.d.rec.CSNanos.Record(obs.Nanos() - h.csStart)
 		h.csStart = 0
-	}
-}
-
-// exitLeased is Exit with the reap protocol live: a blind store could
-// smash a Reaping/Reaped word the reaper owns (it may claim a neutralized
-// section whose RbReq stood for the whole lease timeout), so leave those
-// phases alone — the next Enter settles them — and CAS everything else to
-// Out.
-func (h *Handle) exitLeased() {
-	for {
-		st := h.status.Load()
-		if ph, _ := unpack(st); ph >= phaseReaping {
-			return
-		}
-		if h.status.CompareAndSwap(st, h.outWord()) {
-			return
-		}
 	}
 }
 
@@ -811,15 +790,9 @@ func (h *Handle) runMasked(body func(), e uint64) {
 // settled exactly as Enter would: an in-flight adoption waited out, a
 // reaped handle resurrected.
 func (h *Handle) ForceOut() {
-	for {
-		st := h.settle()
-		if ph, _ := unpack(st); ph == phaseOut {
-			return
-		}
-		// InCs, InRm, RbReq or InMut: abandon the section or mutation span.
-		if h.status.CompareAndSwap(st, h.outWord()) {
-			return
-		}
+	// InCs, InRm, RbReq or InMut: abandon the section or mutation span.
+	for !h.swap(h.outWord()) {
+		h.settle()
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //	InCs^      moved to that phase, announcing the current global epoch
 //	RbReq      moved to that phase, payload (the section's epoch) kept
 //	Out#       moved to Out with an operation count no Out word has carried
-//	Out        moved to Out, payload 0 (unleased: nobody dates the word)
+//	           (leased or not: Enter and Exit take one path)
 //	restored   the reaper put back exactly the word it claimed from
 //	wait: X    the owner spins while the reaper holds the word, then X
 //	panic      misuse, caught before the word moves
@@ -38,7 +38,7 @@ var statusWordTransitions = []struct {
 		[7]string{"InCs^", "InCs^", "InCs^", "InCs^", "-", "-", "-"}},
 	{"owner", "Exit",
 		[7]string{"=", "Out#", "Out#", "Out#", "Out#", "=", "="},
-		[7]string{"=", "Out", "Out", "Out", "-", "-", "-"}},
+		[7]string{"=", "Out#", "Out#", "Out#", "-", "-", "-"}},
 	{"owner", "Poll",
 		[7]string{"= ok", "= ok", "= ok", "= rollback", "= rollback", "= rollback", "= rollback"},
 		[7]string{"= ok", "= ok", "= ok", "= rollback", "-", "-", "-"}},
@@ -59,7 +59,7 @@ var statusWordTransitions = []struct {
 		[7]string{"=", "=", "=", "=", "-", "-", "-"}},
 	{"owner", "ForceOut",
 		[7]string{"=", "Out#", "Out#", "Out#", "Out#", "wait: Out# gen+1", "Out# gen+1"},
-		[7]string{"=", "Out", "Out", "Out", "-", "-", "-"}},
+		[7]string{"=", "Out#", "Out#", "Out#", "-", "-", "-"}},
 	{"owner", "Unregister",
 		[7]string{"Out# left", "panic", "panic", "Out# left", "= left", "wait: Out# left gen+1", "Out# left gen+1"},
 		[7]string{"= left", "panic", "panic", "= left", "-", "-", "-"}},
@@ -245,7 +245,7 @@ var statusWordActions = map[string]func(s *subject) string{
 }
 
 // describe renders what became of the word in the table's notation.
-func (s *subject) describe(before uint64, leased bool) string {
+func (s *subject) describe(before uint64) string {
 	after := s.h.Word()
 	ph, payload := unpack(after)
 	switch {
@@ -253,12 +253,12 @@ func (s *subject) describe(before uint64, leased bool) string {
 		return "="
 	case after == s.claimed && s.claimed != 0:
 		return "restored"
-	case ph == phaseOut && leased:
+	case ph == phaseOut:
 		if s.outs[after] {
 			return "Out(recurred)"
 		}
 		return "Out#"
-	case ph == phaseOut || ph >= phaseInMut:
+	case ph >= phaseInMut:
 		if payload != 0 {
 			return phaseName(ph) + "(payload)"
 		}
@@ -300,7 +300,7 @@ func TestStatusWordTransitions(t *testing.T) {
 					t.Errorf("%s: want %q, but the phase cannot be set up", name, want)
 					continue
 				}
-				if got := s.outcome(act, leased, strings.HasPrefix(want, "wait: ")); got != want {
+				if got := s.outcome(act, strings.HasPrefix(want, "wait: ")); got != want {
 					t.Errorf("%s: %s, want %s", name, got, want)
 				}
 			}
@@ -312,7 +312,7 @@ func TestStatusWordTransitions(t *testing.T) {
 // the reaper holds must wait, and the test must not wait with it) and
 // renders the cell. For a cell expected to wait it first checks that the
 // action does, then finishes the reap to release it.
-func (s *subject) outcome(act func(*subject) string, leased, wantWait bool) string {
+func (s *subject) outcome(act func(*subject) string, wantWait bool) string {
 	before := s.h.Word()
 	type result struct {
 		ret      string
@@ -348,7 +348,7 @@ func (s *subject) outcome(act func(*subject) string, leased, wantWait bool) stri
 	if res.panicked {
 		return prefix + "panic"
 	}
-	out := prefix + s.describe(before, leased)
+	out := prefix + s.describe(before)
 	if res.ret != "" {
 		out += " " + res.ret
 	}

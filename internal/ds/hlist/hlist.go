@@ -36,6 +36,7 @@ package hlist
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
@@ -103,10 +104,13 @@ func (s *set) KeysSlow() []int64 {
 	return out
 }
 
-// BucketOf hashes a key to a bucket index (Fibonacci hashing).
+// BucketOf hashes a key to a bucket index (Fibonacci hashing): key·2⁶⁴/φ
+// mod 2⁶⁴ is the fraction of key/φ, and its product with n keeps the high
+// word, in [0, n). Its low bits repeat with the key's: taking them put
+// every multiple of a power-of-two n in one bucket.
 func BucketOf(key int64, n int) int {
-	h := uint64(key) * 0x9E3779B97F4A7C15
-	return int(h % uint64(n))
+	hi, _ := bits.Mul64(uint64(key)*0x9E3779B97F4A7C15, uint64(n))
+	return int(hi)
 }
 
 // positioner is the per-scheme half of a write. find returns the position

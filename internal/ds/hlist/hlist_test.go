@@ -45,6 +45,26 @@ func TestConcurrentContendedKey(t *testing.T)    { listtest.ConcurrentContended(
 func TestReclamationBalance(t *testing.T)        { listtest.ReclamationBalance(t, variants()) }
 func TestChurn(t *testing.T)                     { listtest.Churn(t, variants()) }
 
+// TestBucketOfSpreadsStrides: n keys of stride n — 0, n, 2n, … — must
+// spread over at least half of n buckets, for power-of-two tables (what
+// DefaultBuckets gives for a power-of-two key range) and others. Hashing
+// by the low bits of key·φ put every one of them in bucket 0.
+func TestBucketOfSpreadsStrides(t *testing.T) {
+	for _, n := range []int{8, 64, 1000, 1024, 4096} {
+		used := map[int]bool{}
+		for i := 0; i < n; i++ {
+			b := BucketOf(int64(i*n), n)
+			if b < 0 || b >= n {
+				t.Fatalf("BucketOf(%d, %d) = %d, out of range", i*n, n, b)
+			}
+			used[b] = true
+		}
+		if len(used) < n/2 {
+			t.Errorf("%d keys of stride %d occupy %d of %d buckets, want >= %d", n, n, len(used), n, n/2)
+		}
+	}
+}
+
 // handle adds the handle's shared half to the conformance surface, so the
 // two tests below can stage marked runs and inspect one excision.
 type handle interface {

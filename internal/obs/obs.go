@@ -100,7 +100,7 @@ const (
 	// unreclaimed count at that moment.
 	EvClose
 	// EvCheckout: the handle pool lent a registered handle to a facade
-	// operation; Arg is the entry's checkout count so far.
+	// operation; Arg is its checkouts not yet in PoolCheckouts (1–64).
 	EvCheckout
 	// EvReturn: a facade operation returned its pooled handle; Arg is 0
 	// for a clean return into the pool, 1 when the entry was discarded

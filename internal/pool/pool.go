@@ -26,14 +26,14 @@
 //
 // # Ownership
 //
-// Each entry carries one word — idle, out or retired, under a count of its
-// checkouts that the idle→out CAS bumps. Every claim is a CAS on it; the
-// owner leaves out with a plain store, since nobody else writes the word
-// of an entry that is out. An entry may transiently be referenced by
-// several tiers at once (the channel, the fast tier, the table scan); the
-// claim CAS arbitrates, so duplicate references are harmless and losers
-// simply move on. The word also publishes the owner's plain writes (the
-// per-entry checkout tally, the resource's own state) to the next owner.
+// Each entry carries one word: idle, out or retired. A claim swaps an
+// idle word to out, and of two claimers exactly one gets idle back; the
+// owner leaves out with a plain store (DESIGN.md §12.2). An entry may
+// transiently be referenced by several tiers at once (the channel, the
+// fast tier, the table scan); the claim arbitrates, so duplicate
+// references are harmless and losers simply move on. The word also
+// publishes the owner's plain writes (the per-entry checkout tally, the
+// resource's own state) to the next owner.
 //
 // # Every checkout comes back
 //
@@ -68,17 +68,14 @@ var ErrExhausted = errors.New("hpbrcu: handle pool exhausted (every pooled handl
 // ErrClosed is returned by Acquire after Close has begun.
 var ErrClosed = errors.New("hpbrcu: handle pool is closed")
 
-// Entry states, the low two bits of the entry's word; the bits above count
-// its checkouts. idle→out is a CAS on the whole word that bumps the count
-// (checkout); out→idle (return) and out→retired (post-Close return,
+// Entry states, the whole of the entry's word. idle→out is a claimer's
+// swap (checkout); out→idle (return) and out→retired (post-Close return,
 // discard; the Close drain claims idle entries first) are the owner's
-// stores and keep it.
+// stores.
 const (
 	stateIdle uint64 = iota
 	stateOut
 	stateRetired
-	stateMask = 3
-	seqShift  = 2
 )
 
 // checkoutFlush is how many checkouts an entry accumulates before
@@ -90,7 +87,7 @@ const checkoutFlush = 64
 // the tiers arbitrate over. While checked out it belongs exclusively to
 // the borrowing goroutine.
 type Entry[T any] struct {
-	// state is seq<<seqShift | state; seq counts checkouts.
+	// state is stateIdle, stateOut or stateRetired.
 	state atomic.Uint64
 	res   T
 
@@ -107,18 +104,26 @@ type Entry[T any] struct {
 // out by the caller.
 func (e *Entry[T]) Res() T { return e.res }
 
-// claim is the idle→out CAS; it counts the checkout in the same word.
-func (e *Entry[T]) claim() bool {
-	w := e.state.Load()
-	return w&stateMask == stateIdle && e.state.CompareAndSwap(w, (w+1<<seqShift)|stateOut)
+// claim is the idle→out transfer: a load that filters out every entry not
+// idle, then one swap.
+func (e *Entry[T]) claim() bool { return e.state.Load() == stateIdle && e.take() }
+
+// take is claim's swap. Out back: another claimer won. Retired back: the
+// entry was claimed and retired since the load, and retired is put back.
+func (e *Entry[T]) take() bool {
+	switch e.state.Swap(stateOut) {
+	case stateIdle:
+		return true
+	case stateRetired:
+		e.state.Store(stateRetired)
+	}
+	return false
 }
 
-// leave is the owner's out→to transfer. Nobody else writes the word of an
-// entry that is out, so a store suffices; it publishes the owner's plain
-// writes to whoever claims the entry next.
-func (e *Entry[T]) leave(to uint64) {
-	e.state.Store(e.state.Load()&^stateMask | to)
-}
+// leave is the owner's out→to transfer. Nobody else changes the word of
+// an entry that is out, so a store suffices; it publishes the owner's
+// plain writes to whoever claims the entry next.
+func (e *Entry[T]) leave(to uint64) { e.state.Store(to) }
 
 // Config parameterizes a Pool.
 type Config[T any] struct {
@@ -206,7 +211,7 @@ func (p *Pool[T]) Acquire(ctx context.Context) (*Entry[T], error) {
 	return p.await(ctx)
 }
 
-// takeFast pops entries off the per-P tier until one wins its claim CAS.
+// takeFast pops entries off the per-P tier until it wins a claim.
 func (p *Pool[T]) takeFast() *Entry[T] {
 	for {
 		v := p.fast.Get()
@@ -231,7 +236,7 @@ func (p *Pool[T]) tryMint() *Entry[T] {
 		}
 	}
 	e := &Entry[T]{res: p.cfg.New()}
-	e.state.Store(1<<seqShift | stateOut)
+	e.state.Store(stateOut)
 	p.mu.Lock()
 	if obs.On {
 		e.trace = obs.NewTrace("pool-entry")
@@ -242,7 +247,7 @@ func (p *Pool[T]) tryMint() *Entry[T] {
 }
 
 // scavenge recovers idle entries the fast tiers lost track of (sync.Pool
-// drops entries at GC; a returner may be preempted between its state CAS
+// drops entries at GC; a returner may be preempted between its state store
 // and its container put). The table is the ground truth.
 func (p *Pool[T]) scavenge() *Entry[T] {
 	p.mu.Lock()
@@ -257,14 +262,12 @@ func (p *Pool[T]) scavenge() *Entry[T] {
 }
 
 func (p *Pool[T]) checkedOut(e *Entry[T]) *Entry[T] {
-	if e.pending++; e.pending >= checkoutFlush {
-		if p.cfg.Rec != nil {
-			p.cfg.Rec.PoolCheckouts.Add(int64(e.pending))
-		}
-		e.pending = 0
-	}
+	e.pending++
 	if obs.On {
-		e.trace.Rec(obs.EvCheckout, int64(e.state.Load()>>seqShift))
+		e.trace.Rec(obs.EvCheckout, int64(e.pending))
+	}
+	if e.pending >= checkoutFlush {
+		p.flushPending(e)
 	}
 	return e
 }
@@ -401,7 +404,7 @@ func (p *Pool[T]) retireOwned(e *Entry[T]) {
 // forget drops a retired entry from the table. The new table is a copy:
 // scavengers iterate the slice they loaded outside mu, so a backing array
 // once published is never written within its length again. Stale readers
-// see at worst the retired entry, which fails its claim CAS.
+// see at worst the retired entry, which fails its claim.
 func (p *Pool[T]) forget(e *Entry[T]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

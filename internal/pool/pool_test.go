@@ -77,10 +77,54 @@ func TestAcquireReleaseReuses(t *testing.T) {
 	if got, live := f.minted.Load(), p.Live(); got != 1 || live != 1 {
 		t.Fatalf("minted %d resources (live %d) for a reuse pattern, want 1", got, live)
 	}
-	// The claim CAS is what counts a checkout: one mint and 64 claims, and
-	// the releases left the count alone.
-	if w := e.state.Load(); w != 65<<seqShift|stateIdle {
-		t.Fatalf("entry word = seq %d state %d, want seq 65 idle", w>>seqShift, w&stateMask)
+	// Every checkout is counted, one mint and 64 claims, in the shared
+	// PoolCheckouts counter; an entry flushes its tally in batches, and
+	// Close flushes the rest.
+	p.Close(time.Now().Add(time.Second))
+	if got := f.rec.PoolCheckouts.Load(); got != 65 {
+		t.Fatalf("PoolCheckouts = %d, want 65 (one mint, 64 reuses)", got)
+	}
+}
+
+// TestClaimOverRetiredStaysRetired is a claimer whose load saw the entry
+// idle, and whose swap then landed after the entry was checked out and
+// retired: the swap must hand the word back retired, and the entry must
+// never be served again, from whichever tier still references it.
+func TestClaimOverRetiredStaysRetired(t *testing.T) {
+	f := newFixture()
+	// A ceiling of one, so a release sync.Pool drops cannot be papered
+	// over by minting a second entry (see TestAcquireReleaseReuses).
+	p := New(f.config(1, time.Millisecond))
+	e, err := p.Acquire(nil)
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	p.Discard(e)
+	if e.take() {
+		t.Fatal("a swap over a retired entry claimed it")
+	}
+	if w := e.state.Load(); w != stateRetired {
+		t.Fatalf("entry word = %d after the swap, want retired (%d)", w, stateRetired)
+	}
+	// Stale references in the fast tier and the global tier, as a claimer
+	// preempted between its container pop and its claim would leave.
+	p.fast.Put(e)
+	p.idle <- e
+	for i := 0; i < 4; i++ {
+		got, err := p.Acquire(nil)
+		if err != nil {
+			t.Fatalf("Acquire %d: %v", i, err)
+		}
+		if got == e {
+			t.Fatalf("Acquire %d served the retired entry", i)
+		}
+		p.Release(got)
+	}
+	if got, live := f.retired.Load(), p.Live(); got != 1 || live != 1 {
+		t.Fatalf("retired %d, live %d; want 1 retired and 1 live", got, live)
+	}
+	if w := e.state.Load(); w != stateRetired {
+		t.Fatalf("entry word = %d after the reuse round, want retired", w)
 	}
 }
 

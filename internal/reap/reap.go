@@ -19,7 +19,7 @@
 //   - a victim whose Out or RbReq word has stood still for LeaseTimeout is
 //     *claimed* by one CAS from that exact word to Reaping (Victim.TryReap).
 //     The compare is the proof that the owner has not moved: an owner that
-//     entered a section or a mutation span in the meantime — a CAS on the
+//     entered a section or a mutation span in the meantime — a swap on the
 //     same word — has already replaced it, and the claim fails;
 //   - a claimed victim's deferred batch and retired list are adopted into
 //     the domain-global reclamation paths, its shields are cleared, and it
@@ -32,13 +32,15 @@
 //     reap/resurrect cycles (its only cost, if truly dead, is a registry
 //     slot).
 //
-// Safety: the owner's transitions out of a reapable state are CASes on
-// the status word (enter a critical section, claim the mutating InMut
+// Safety: the owner's transitions out of a reapable state are atomic swaps
+// on the status word (enter a critical section, claim the mutating InMut
 // phase around batch mutation), so the reaper and the owner serialize
 // through that one word — a reap can never overlap an owner-side mutation
 // of the adopted state, and the Reaping phase excludes a waking owner for
-// the reap's whole span. How long a word must stand is purely the
-// liveness heuristic that decides when to try.
+// the reap's whole span (an owner swap that lands on it stores it back
+// and waits; FinishReap and CancelReap are CASes from Reaping). How long
+// a word must stand is purely the liveness heuristic that decides when
+// to try.
 //
 // A slow-but-alive owner that wakes after the full reap finds its handle
 // in the Reaped phase and resurrects: it re-registers and continues, its
