@@ -41,19 +41,31 @@ var stepLoops = []struct {
 	// sites, as a regexp; every loop has to call each of them.
 	must map[string]string
 }{{
-	file: "internal/ds/hlist/expedited.go", methods: []string{"search", "contains"},
+	file: "internal/ds/hlist/expedited.go", methods: []string{"search", "walkContains"},
 	inlinable: canInlinePoll,
 	// Each sits behind a branch taken once per checkpoint, rollback, marked
 	// run or finished traversal, or behind the local instrumented flag.
-	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Conclude", "w.Fail", "h.excise"},
+	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.excise"},
 	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
+}, {
+	// A read's first attempt: RCU's loop with a poll and a countdown per
+	// node. Conclude runs once, at the destination.
+	file: "internal/ds/hlist/expedited.go", methods: []string{"contains"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"a.Conclude"},
+	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
 }, {
 	// The two O(log n) descents are the same loop. The skip list's cold
 	// calls are hlist's, with the one-node unlink for the run excision.
-	file: "internal/ds/skiplist/expedited.go", methods: []string{"search", "contains"},
+	file: "internal/ds/skiplist/expedited.go", methods: []string{"search", "walkContains"},
 	inlinable: canInlinePoll,
-	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Conclude", "w.Fail", "h.unlink"},
+	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.unlink"},
 	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.at": poolAt},
+}, {
+	file: "internal/ds/skiplist/expedited.go", methods: []string{"contains"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"a.Conclude"},
+	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.at": poolAt},
 }, {
 	// seekStep is the visit every scheme's tree loop calls (next entry).
 	file: "internal/ds/nmtree/expedited.go", methods: []string{"descend"},

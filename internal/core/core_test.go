@@ -111,7 +111,7 @@ func TestRCUBarrierNeverSignals(t *testing.T) {
 	pool.Hdr(slot).Retire()
 	writer.Retire(slot, pool)
 	writer.Barrier()
-	if !reader.Poll() {
+	if !reader.brcu.Poll() {
 		t.Fatal("another handle's Barrier neutralized an HP-RCU reader")
 	}
 	if got := d.Stats().Signals.Load(); got != 0 {

@@ -16,8 +16,10 @@ import (
 // a per-node loop the data structure owns, so the node visit compiles into
 // that loop as it does under EBR or NBR. The paper's Traverse is a Walk
 // plus the owner's loop; internal/ds/hlist/expedited.go has the shape
-// (search, contains), and the skip list's and the tree's descents are the
-// same loop.
+// (search, walkContains), and the skip list's and the tree's descents are
+// the same loop. A read-only traversal tries first without a Walk
+// (Attempt): RCU's loop with a poll per node, handed to a Walk only if it
+// leaves its first section.
 
 // Protector publishes HP protection for every node of a cursor (the
 // paper's Protector trait). Implementations write each cursor pointer into
@@ -47,13 +49,13 @@ type CursorBuf[C any] struct {
 // Walk is one expedited traversal's state, between the loop that visits
 // nodes — which the data structure owns — and the double-buffered
 // checkpoints, which live only here. The owner declares a zero Walk, calls
-// Bind and Start, defers Guard, and loops `for w.Enter(init, valid)` over
-// critical-section attempts; inside, its per-node loop keeps the cursor in
-// locals, breaks out when Poll fails, stores the cursor and calls
-// Checkpoint when Due, and leaves through Finish at its destination or Fail
-// on a lost helping CAS (hlist's search is the whole shape). A step then
-// costs the protocol's own work: Poll's one load, the visit, Due's
-// countdown.
+// Bind and Start, defers Guard, Adopts the read's first attempt if there
+// was one, and loops `for w.Enter(init, valid)` over critical-section
+// attempts; inside, its per-node loop keeps the cursor in locals, breaks
+// out when Poll fails, stores the cursor and calls Checkpoint when Due, and
+// leaves through Finish at its destination or Fail on a lost helping CAS
+// (hlist's search is the whole shape). A step then costs the protocol's
+// own work: Poll's one load, the visit, Due's countdown.
 //
 // prot and backup are the double buffer (§4.3): at every instant one of
 // them holds a complete protected cursor, because Checkpoint and Finish
@@ -80,6 +82,7 @@ type Walk[C any] struct {
 	compIdx int
 	haveCkp bool // does buf.ckpt[compIdx%2] hold a complete checkpoint?
 	entered bool
+	adopted bool // Enter continues an adopted attempt's live section
 	over    bool // a checkpoint failed its revalidation: the walk is done
 	hooks   bool
 	left    int // steps until the next periodic checkpoint
@@ -96,7 +99,7 @@ type Walk[C any] struct {
 func (w *Walk[C]) Bind(ctx context.Context, h *Handle, buf *CursorBuf[C], prot, backup Protector[C]) {
 	w.h, w.b, w.buf, w.ctx = h, h.brcu, buf, ctx
 	w.prots[0], w.prots[1] = backup, prot
-	w.left, w.hooks = h.d.backupPeriod, atomicx.YieldPeriod != 0 || fault.On || obs.On
+	w.left, w.hooks = h.d.backupPeriod, hooksArmed()
 }
 
 // Start opens the walk: it refuses a poisoned handle and arms
@@ -182,6 +185,10 @@ func (w *Walk[C]) Enter(init func() C, valid func(*C) bool) bool {
 }
 
 func (w *Walk[C]) reenter(init func() C, valid func(*C) bool) bool {
+	if w.adopted {
+		w.adopted = false
+		return true
+	}
 	if w.err != nil || w.over {
 		return false
 	}
@@ -189,7 +196,7 @@ func (w *Walk[C]) reenter(init func() C, valid func(*C) bool) bool {
 	w.left, w.yc = w.h.d.backupPeriod, 0
 	// Decided once per attempt, so the loop tests a local: arming a fault
 	// plan or obs mid-traversal is picked up by the next attempt.
-	w.hooks = atomicx.YieldPeriod != 0 || fault.On || obs.On
+	w.hooks = hooksArmed()
 	if w.entered {
 		w.b.RecordRollback()
 	}
@@ -264,18 +271,13 @@ func (w *Walk[C]) StepHooks() {
 // StepHooks, just before the step's poll, to stage an interleaving there.
 var StepHook func(*brcu.Handle)
 
+// hooksArmed reports whether a step must run StepHooks: a yield period, a
+// fault plan or the obs layer is active.
+func hooksArmed() bool { return atomicx.YieldPeriod != 0 || fault.On || obs.On }
+
 // Poll is the step's neutralization check — one load of the status word.
 // False means roll back: leave the loop for Enter.
 func (w *Walk[C]) Poll() bool { return w.b.Poll() }
-
-// Poll is Walk.Poll for a handle outside any walk. Nothing calls it; it is
-// here for what the compiler exports. A package that instantiates Walk
-// without importing brcu (hlist) can inline brcu.(*Handle).Poll into its
-// per-node loop only if this package's export data carries that body, and
-// it does only through an exported, non-generic, inlinable function that
-// inlined it. Without one the step's single load is a call again;
-// TestStepInlines guards it.
-func (h *Handle) Poll() bool { return h.brcu.Poll() }
 
 // Due counts one completed step and reports whether a periodic checkpoint
 // falls on it, in which case the owner stores its cursor and calls
@@ -356,19 +358,6 @@ func (w *Walk[C]) Finish() bool {
 	return true
 }
 
-// Conclude is Finish for a read-only walk whose owner has read, inside the
-// section, all it returns: one poll commits those reads — nothing is freed
-// that the section may reach before its status word reads RbReq (DESIGN.md
-// §11.2) — and no shield or cursor copy follows. False means discard the
-// reads and leave the loop for Enter.
-func (w *Walk[C]) Conclude() bool {
-	if w.b.Poll() {
-		w.b.Exit()
-		return true
-	}
-	return false
-}
-
 // Fail abandons the walk from inside an attempt: the operation cannot
 // proceed from this cursor (a helping CAS was lost, Algorithm 8 line 29)
 // and the owner retries from scratch.
@@ -383,5 +372,72 @@ func (w *Walk[C]) cancel() {
 		// only in pathological custom implementations; report the
 		// conventional value.
 		w.err = context.Canceled
+	}
+}
+
+// Attempt is a read-only traversal's first attempt, run without a Walk:
+// RCU's loop, a poll before every node it reads (Step), and one poll that
+// commits what it read (Conclude). It protects nothing past its section —
+// there is no Bind, closure, deferred Guard or shield — so it is only for an
+// owner that returns values read inside the section. An attempt that
+// leaves its loop without concluding is handed to a Walk (Adopt), which
+// takes over from exactly where it stopped.
+type Attempt struct {
+	b    *brcu.Handle
+	left int // steps the attempt may still start; 0 once Step spent the budget
+}
+
+// Try opens a first attempt in a fresh section, or reports false when the
+// read must run a Walk from the start: a context is bound (only a walk arms
+// cancellation), the handle is poisoned (only Start refuses one), or a hook
+// is armed (only a walk's steps run StepHooks). The hooks are read once, as
+// a walk reads them once per attempt.
+func (h *Handle) Try(ctx context.Context) (Attempt, bool) {
+	if ctx != nil || h.poisoned != nil || hooksArmed() {
+		return Attempt{}, false
+	}
+	h.brcu.Enter()
+	return Attempt{b: h.brcu, left: h.d.backupPeriod}, true
+}
+
+// Step is the poll before the attempt reads its next node, and its budget:
+// false means leave the loop and hand the attempt to a Walk. The budget is
+// BackupPeriod−1 steps, so that a walk adopting a spent attempt takes the
+// BackupPeriod-th step and checkpoints after it, where it would have
+// checkpointed had it run from the start; §4.3's bound on the work a
+// rollback discards holds as it does for a walk.
+func (a *Attempt) Step() bool {
+	a.left--
+	return a.left > 0 && a.b.Poll()
+}
+
+// Conclude commits every read the attempt made with one poll — nothing the
+// section may reach is freed before its status word reads RbReq (DESIGN.md
+// §11.2) — and leaves the section. False means discard the reads and hand
+// the attempt to a Walk.
+func (a *Attempt) Conclude() bool {
+	if !a.b.Poll() {
+		return false
+	}
+	a.b.Exit()
+	return true
+}
+
+// Adopt takes over a first attempt that left its loop without concluding;
+// a zero Attempt (Try said no) is none. Call it after Start. An attempt
+// that failed a poll was neutralized: the walk's first Enter counts that
+// rollback and re-enters from init, exactly as after a rollback before its
+// first checkpoint. One whose budget is spent still holds its section, and
+// c is the cursor of its next step: the first Enter continues from c in
+// that section without re-entering, and the countdown falls due after that
+// step, so no step runs twice.
+func (w *Walk[C]) Adopt(a Attempt, c C) {
+	if a.b == nil {
+		return
+	}
+	w.entered = true
+	if a.left == 0 {
+		w.adopted, w.gen, w.left = true, w.b.Gen(), 1
+		w.buf.cur = c
 	}
 }

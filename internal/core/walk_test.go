@@ -2,7 +2,8 @@ package core
 
 // Tests of the Walk API from a loop of the test's own, shaped like
 // hlist's: what the instrumented gate carries, where the countdown puts
-// checkpoints, and what Conclude commits.
+// checkpoints, what a first attempt's Conclude commits, and how a Walk
+// adopts an attempt that leaves its section.
 
 import (
 	"errors"
@@ -31,15 +32,48 @@ type chainWalk struct {
 	inits   int // calls of init
 	valids  int // calls of valid, from Enter's resume and from Checkpoint
 
-	// conclude ends the walk with Conclude instead of Finish, running
-	// onConclude (if set) between the tail's read and Conclude's poll.
-	conclude   bool
+	// onConclude, if set, runs in read's first attempt between the tail's
+	// read and Conclude's poll.
 	onConclude func()
+}
+
+// read is a read-only traversal shaped like hlist's contains: a first
+// attempt without a walk (onStep gets a nil *Walk there), handed to the
+// walk if it leaves its section.
+func (cw *chainWalk) read() (last int64, ok bool) {
+	a, ok := cw.h.Try(nil)
+	if !ok {
+		return cw.walkFrom(a, chainCursor{})
+	}
+	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
+	for a.Step() {
+		cw.visited++
+		if cw.onStep != nil {
+			cw.onStep(nil, c.pos)
+		}
+		nd := cw.pool.At(c.cur.Slot())
+		nx := nd.next.Load()
+		if nx.IsNil() {
+			last := nd.key
+			if cw.onConclude != nil {
+				cw.onConclude()
+			}
+			if a.Conclude() {
+				return last, true
+			}
+			break
+		}
+		c.cur, c.pos = nx, c.pos+1
+	}
+	return cw.walkFrom(a, c)
 }
 
 // walk runs to the tail and returns its key; ok is false when the walk
 // ended early (a checkpoint that no longer validates).
-func (cw *chainWalk) walk() (last int64, ok bool) {
+func (cw *chainWalk) walk() (last int64, ok bool) { return cw.walkFrom(Attempt{}, chainCursor{}) }
+
+// walkFrom is walk adopting the first attempt a, whose next cursor is from.
+func (cw *chainWalk) walkFrom(a Attempt, from chainCursor) (last int64, ok bool) {
 	init := func() chainCursor {
 		cw.inits++
 		return chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
@@ -52,6 +86,7 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 	w.Bind(nil, cw.h, &cw.buf, cw.prot, cw.backup)
 	w.Start()
 	defer w.Guard()
+	w.Adopt(a, from)
 	for w.Enter(init, valid) {
 		c := *w.Cursor()
 		hooks := w.Instrumented()
@@ -72,16 +107,6 @@ func (cw *chainWalk) walk() (last int64, ok bool) {
 			}
 			nd := cw.pool.At(c.cur.Slot())
 			nx := nd.next.Load()
-			if nx.IsNil() && cw.conclude {
-				last := nd.key
-				if cw.onConclude != nil {
-					cw.onConclude()
-				}
-				if w.Conclude() {
-					return last, true
-				}
-				break
-			}
 			if nx.IsNil() {
 				*w.Cursor() = c
 				if w.Finish() {
@@ -430,63 +455,108 @@ func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
 	}
 }
 
-// TestConcludeCommitsItsReads: Conclude's poll is what makes the reads
-// before it safe to return. Between the tail's key read and that poll,
-// another handle unlinks and retires the tail, and its barrier frees it —
-// which it can only do after neutralizing the walker, whose section would
-// otherwise hold the tail's grace period back. The walk must roll back and
-// return the new tail, never the key it read from the now free slot.
+// TestConcludeCommitsItsReads: a first attempt's Conclude poll is what
+// makes the reads before it safe to return. Between the tail's key read and
+// that poll, another handle unlinks and retires the tail, and its barrier
+// frees it — which it can only do after neutralizing the reader, whose
+// section would otherwise hold the tail's grace period back. The read must
+// roll back, once, and return the new tail, never the key it read from the
+// now free slot.
 func TestConcludeCommitsItsReads(t *testing.T) {
 	const n = 8
 	cw, d := newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
 	other := d.Register()
 	defer other.Unregister()
 	tail := cw.slots[n-1]
-	cw.conclude = true
 	cw.onConclude = func() {
 		cw.onConclude = nil
 		cw.pool.At(cw.slots[n-2]).next.Store(atomicx.Nil)
 		cw.pool.Hdr(tail).Retire()
 		other.Retire(tail, cw.pool)
 		other.Barrier()
-		// Errorf, not Fatalf: the walk must still leave its section.
+		// Errorf, not Fatalf: the read must still leave its section.
 		if cw.pool.Hdr(tail).State() != alloc.StateFree {
 			t.Errorf("the tail survived the barrier: the test does not reach the hazard")
 		}
 	}
-	if last, ok := cw.walk(); !ok || last != n-2 {
-		t.Fatalf("walk = (%d,%v), want the new tail (%d,true): the key read from the freed tail was returned", last, ok, n-2)
+	if last, ok := cw.read(); !ok || last != n-2 {
+		t.Fatalf("read = (%d,%v), want the new tail (%d,true): the key read from the freed tail was returned", last, ok, n-2)
 	}
 	if s := d.Stats().Snapshot(); s.Signals == 0 || s.Rollbacks != 1 {
-		t.Fatalf("signals = %d, rollbacks = %d; want the walker signalled and rolled back once", s.Signals, s.Rollbacks)
+		t.Fatalf("signals = %d, rollbacks = %d; want the reader signalled and rolled back once", s.Signals, s.Rollbacks)
+	}
+	if cw.inits != 1 {
+		t.Fatalf("init ran %d times, want once: the walk restarts the read after the failed poll", cw.inits)
 	}
 }
 
-// TestConcludeProtectsNothing: a concluded walk publishes no shield of
-// its own. A two-node walk never reaches a checkpoint, so it makes no
-// Protect call at all; a long one still checkpoints every BackupPeriod
-// steps, and only the destination goes unprotected.
+// TestConcludeProtectsNothing: a read that concludes in its first attempt
+// publishes no shield, under both schemes: a two-node read and one that
+// takes the whole budget (BackupPeriod−1 steps) make no Protect call at
+// all.
 func TestConcludeProtectsNothing(t *testing.T) {
 	const period = 16
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
 		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
 		t.Run(name, func(t *testing.T) {
-			for _, tc := range []struct {
-				n    int
-				want []int64
-			}{{2, nil}, {100, []int64{16, 32, 48, 64, 80, 96}}} {
-				cw, _ := newChainWalk(t, backend, tc.n, Config{BackupPeriod: period})
+			for _, n := range []int{2, period - 1} {
+				cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
 				var log []int64
 				record := func(c *chainCursor) { log = append(log, c.pos) }
 				cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, record}
 				cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, record}
-				cw.conclude = true
-				if last, ok := cw.walk(); !ok || last != int64(tc.n-1) {
-					t.Fatalf("%d-node walk = (%d,%v), want (%d,true)", tc.n, last, ok, tc.n-1)
+				if last, ok := cw.read(); !ok || last != int64(n-1) {
+					t.Fatalf("%d-node read = (%d,%v), want (%d,true)", n, last, ok, n-1)
 				}
-				if !reflect.DeepEqual(log, tc.want) {
-					t.Fatalf("%d-node concluded walk protected positions %v, want %v", tc.n, log, tc.want)
+				if log != nil || cw.inits != 0 || cw.visited != n {
+					t.Fatalf("%d-node read: protected %v, init ran %d times, %d steps; want no walk: nothing protected, no init, %d steps", n, log, cw.inits, cw.visited, n)
 				}
+			}
+		})
+	}
+}
+
+// TestFirstAttemptHandsOff pins the two ways a first attempt leaves its
+// section without concluding. A spent budget hands the live section and
+// cursor to the walk, which runs every step exactly once — no rollback, no
+// init — and checkpoints exactly where a walk run from the start does. A
+// failed poll is the walk's rollback before its first checkpoint: counted
+// once, init once, and the read starts over.
+func TestFirstAttemptHandsOff(t *testing.T) {
+	const n, period = 100, 16
+	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
+		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
+		t.Run(name, func(t *testing.T) {
+			protected := func(run func(*chainWalk) (int64, bool)) (log []int64, cw *chainWalk, d *Domain) {
+				cw, d = newChainWalk(t, backend, n, Config{BackupPeriod: period})
+				cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
+				cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+				if last, ok := run(cw); !ok || last != n-1 {
+					t.Fatalf("run = (%d,%v), want (%d,true)", last, ok, n-1)
+				}
+				return log, cw, d
+			}
+			want, _, _ := protected((*chainWalk).walk)
+			got, cw, d := protected((*chainWalk).read)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("a read handed off by its budget protected %v, a walk from the start %v", got, want)
+			}
+			if rb := d.Stats().Rollbacks.Load(); cw.visited != n || cw.inits != 0 || rb != 0 {
+				t.Fatalf("budget hand-off: %d steps, %d inits, %d rollbacks; want each of the %d steps once, no init, no rollback", cw.visited, cw.inits, rb, n)
+			}
+
+			_, cw, d = protected(func(cw *chainWalk) (int64, bool) {
+				cw.onStep = func(w *Walk[chainCursor], pos int64) {
+					if w == nil && pos == 5 {
+						cw.h.brcu.SelfNeutralize()
+					}
+				}
+				return cw.read()
+			})
+			// Positions 0..5 in the attempt (the poll before 6 fails), then
+			// the whole chain again from init.
+			if rb := d.Stats().Rollbacks.Load(); cw.visited != 6+n || cw.inits != 1 || rb != 1 {
+				t.Fatalf("failed poll: %d steps, %d inits, %d rollbacks; want %d, 1, 1", cw.visited, cw.inits, rb, 6+n)
 			}
 		})
 	}

@@ -259,8 +259,8 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	return h.helpingGet(key)
 }
 
-// GetOptimistic is the HHSList wait-free-style contains under a core.Walk:
-// a pure read traversal through marked nodes. Under HP-BRCU it is only
+// GetOptimistic is the HHSList wait-free-style contains (see contains): a
+// pure read traversal through marked nodes. Under HP-BRCU it is only
 // lock-free (rollbacks may retry it), matching the paper's footnote 9.
 func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 	val, found, _ := h.get(nil, key)
@@ -290,8 +290,45 @@ func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, erro
 }
 
 // contains runs the optimistic read once: ok is false when it must be
-// retried from scratch or, with err set, was cancelled.
+// retried from scratch or, with err set, was cancelled. Its first attempt
+// is ebr.go's loop with a poll before every node (core.Attempt); a read the
+// attempt cannot finish, or that must walk from the start, goes on in
+// walkContains.
 func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool, bool, error) {
+	a, ok := h.h.Try(ctx)
+	if !ok {
+		return h.walkContains(ctx, key, a, getCursor{})
+	}
+	l := &h.l
+	cur := l.Pool.At(l.Head).Next.Load().Untagged()
+	for a.Step() {
+		var n *lnode.Node
+		if !cur.IsNil() {
+			if n = l.At(cur); n.Key.Load() < key {
+				cur = n.Next.Load().Untagged()
+				continue
+			}
+		}
+		val, found := answer(n, key) // read whole before Conclude's poll commits it
+		if a.Conclude() {
+			return val, found, true, nil
+		}
+		break
+	}
+	return h.walkContains(ctx, key, a, getCursor{cur: cur})
+}
+
+// answer is what a read returns from the node its traversal stopped at.
+func answer(n *lnode.Node, key int64) (val int64, found bool) {
+	if found = n != nil && n.Key.Load() == key && n.Next.Load().Tag() == 0; found {
+		val = n.Val.Load()
+	}
+	return val, found
+}
+
+// walkContains is contains under a core.Walk, adopting the first attempt a
+// (none when Try refused) and, if its budget is spent, its cursor from.
+func (h *ExpeditedHandle) walkContains(ctx context.Context, key int64, a core.Attempt, from getCursor) (int64, bool, bool, error) {
 	l := &h.l
 	init := func() getCursor {
 		return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
@@ -303,6 +340,7 @@ func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool,
 	w.Bind(ctx, h.h, &h.getBuf, h.getProt, h.getBackup)
 	w.Start()
 	defer w.Guard()
+	w.Adopt(a, from)
 	c := w.Cursor()
 	for w.Enter(init, valid) {
 		cur := c.cur // in a local, as in search
@@ -327,12 +365,8 @@ func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool,
 					continue
 				}
 			}
-			var val int64 // the whole answer is read here, for Conclude's poll to commit
-			found := n != nil && n.Key.Load() == key && n.Next.Load().Tag() == 0
-			if found {
-				val = n.Val.Load()
-			}
-			if !w.Conclude() {
+			val, found := answer(n, key)
+			if c.cur = cur; !w.Finish() {
 				break
 			}
 			return val, found, true, nil

@@ -258,14 +258,59 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	}
 }
 
-// contains runs the optimistic read once: ebr.go's Get descent under a
-// core.Walk. ok is false when it must be retried from scratch.
+// contains runs the optimistic read once: ebr.go's Get descent with a
+// poll before every node (core.Attempt), handed to walkContains if it
+// leaves its first section. ok is false when it must be retried from
+// scratch.
 func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
+	a, ok := h.h.Try(nil)
+	if !ok {
+		return h.walkContains(key, a, cursor{})
+	}
+	l := h.l
+	c := l.entry()
+	for a.Step() {
+		var n *node
+		if !c.cur.IsNil() {
+			n = l.at(c.cur)
+		}
+		if n != nil && n.Key.Load() < key {
+			next := n.Next[c.level].Load()
+			if next.Tag() == 0 {
+				c.pred = c.cur.Slot() // a marked cur is skipped, not helped
+			}
+			c.cur = next.Untagged()
+		} else if c.level > 0 {
+			c.level--
+			c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
+		} else {
+			val, found := answer(n, key) // read whole before Conclude's poll commits it
+			if a.Conclude() {
+				return val, found, true
+			}
+			break
+		}
+	}
+	return h.walkContains(key, a, c)
+}
+
+// answer is what a get returns from the level-0 node its descent stopped at.
+func answer(n *node, key int64) (val int64, found bool) {
+	if found = n != nil && n.Key.Load() == key && n.Next[0].Load().Tag() == 0; found {
+		val = n.Val.Load()
+	}
+	return val, found
+}
+
+// walkContains is contains under a core.Walk, adopting the first attempt a
+// (none when Try refused) and, if its budget is spent, its window from.
+func (h *ExpeditedHandle) walkContains(key int64, a core.Attempt, from cursor) (int64, bool, bool) {
 	l := h.l
 	var w core.Walk[cursor]
 	w.Bind(nil, h.h, &h.buf, h.getProt, h.getBackup)
 	w.Start()
 	defer w.Guard()
+	w.Adopt(a, from)
 	for w.Enter(l.entry, l.resumable) {
 		c := *w.Cursor()
 		hooks := w.Instrumented()
@@ -290,12 +335,8 @@ func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 				c.level--
 				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
 			} else {
-				var val int64 // the whole answer is read here, for Conclude's poll to commit
-				found := n != nil && n.Key.Load() == key && n.Next[0].Load().Tag() == 0
-				if found {
-					val = n.Val.Load()
-				}
-				if !w.Conclude() {
+				val, found := answer(n, key)
+				if *w.Cursor() = c; !w.Finish() {
 					break
 				}
 				return val, found, true

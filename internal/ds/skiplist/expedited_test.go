@@ -10,6 +10,7 @@ import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/fault"
+	"github.com/smrgo/hpbrcu/internal/hp"
 )
 
 // filled builds a list holding the keys [0, n) with towers drawn from a
@@ -44,11 +45,12 @@ func count(t *testing.T) *fault.Injector {
 // TestDescentCheckpointsOnce is TestWalkCheckpointCadence's twin for the
 // package's claim that a descent never pays a mid-descent checkpoint at the
 // default period: on a 2^16-key list every find stores exactly the shields
-// of its final checkpoint — the window and two per level above it — and
-// every Get none, since it concludes without a shield, in one
+// of its final checkpoint — the window and two per level above it — in one
 // critical-section attempt, because no descent is as long as
-// core.DefaultBackupPeriod. It also pins what this
-// package's cursor is: the window, small enough to copy without noticing.
+// core.DefaultBackupPeriod. A Get walks only while a hook is armed, and
+// then stores its final window alone; with none armed it is a first
+// attempt and stores no shield at all. It also pins what this package's
+// cursor is: the window, small enough to copy without noticing.
 func TestDescentCheckpointsOnce(t *testing.T) {
 	if sz := unsafe.Sizeof(cursor{}); sz > 32 {
 		t.Fatalf("cursor is %d bytes: it is copied at every checkpoint and must stay its window", sz)
@@ -57,6 +59,7 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 		keys       = 1 << 16
 		descents   = 4096
 		findStores = 2 + 2*(MaxHeight-1)
+		getStores  = 2
 	)
 	for _, backend := range []core.Backend{core.BackendRCU, core.BackendBRCU} {
 		name := map[core.Backend]string{core.BackendRCU: "HP-RCU", core.BackendBRCU: "HP-BRCU"}[backend]
@@ -64,6 +67,7 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 			s := newExpedited(backend, core.Config{})
 			h := filled(t, s, keys)
 			inj := count(t)
+			getShields := []*hp.Shield{h.getProt.predS, h.getProt.curS, h.getBackup.predS, h.getBackup.curS}
 			rng, longest := atomicx.NewRand(0xfeed), uint64(0)
 			for i := 0; i < descents; i++ {
 				key := int64(rng.Next() % keys)
@@ -82,10 +86,25 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 				if v, ok := h.Get(key); !ok || v != key+1 {
 					t.Fatalf("Get(%d) = (%d,%v)", key, v, ok)
 				}
-				if got := inj.Arrivals(fault.SiteShield) - stores; got != 0 {
-					t.Fatalf("Get(%d) stored %d shields, want none: a Get concludes unshielded", key, got)
+				if got := inj.Arrivals(fault.SiteShield) - stores; got != getStores {
+					t.Fatalf("Get(%d) stored %d shields, want its final window's %d and nothing else", key, got, getStores)
 				}
 				longest = max(longest, inj.Arrivals(fault.SitePoll)-polls)
+
+				for _, sh := range getShields {
+					sh.Clear()
+				}
+				fault.Deactivate()
+				v, ok := h.Get(key)
+				fault.Activate(inj)
+				if !ok || v != key+1 {
+					t.Fatalf("first-attempt Get(%d) = (%d,%v)", key, v, ok)
+				}
+				for _, sh := range getShields {
+					if sh.Get() != 0 {
+						t.Fatalf("first-attempt Get(%d) left slot %d shielded, want no shield: it concludes unshielded", key, sh.Get())
+					}
+				}
 			}
 			if rb := s.Stats().Rollbacks.Load(); rb != 0 {
 				t.Fatalf("%d rollbacks with nothing else running: init ran more than once a descent", rb)
