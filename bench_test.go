@@ -3,8 +3,9 @@ package hpbrcu_test
 // The paper's figures are measured by cmd/smrbench over internal/bench's
 // registry, in wall-clock mode, and nowhere else. What stays here are the
 // testing.B views the registry has no counterpart for: the per-node cost
-// of a long read, the fixed cost of a point read, and the per-operation
-// cost of the two O(log n) descents, each with nothing else running.
+// of a long read, the fixed cost of a point read and of a point write, and
+// the per-operation cost of the two O(log n) descents, each with nothing
+// else running.
 
 import (
 	"fmt"
@@ -111,6 +112,63 @@ func BenchmarkPointGet(b *testing.B) {
 				b.Fatal(err)
 			}
 			return v, ok
+		})
+	})
+}
+
+// BenchmarkPointChurn is BenchmarkPointGet's map and rows doing an Insert
+// or a Remove of a uniform key, half and half, instead of a Get: the fixed
+// cost of a write — its find, the CAS, the node's allocation or
+// retirement — and the in-tree view of the frozen benchmark's
+// ds.insert_remove_ns row (its HP-BRCU/facade row, of write_churn's path).
+func BenchmarkPointChurn(b *testing.B) {
+	const keyRange = 1 << 12
+	run := func(b *testing.B, insert func(k int64), remove func(k int64)) {
+		for k := int64(0); k < keyRange; k += 2 {
+			insert(k)
+		}
+		rng := uint64(0x9E3779B97F4A7C15)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if k := int64(rng % keyRange); rng>>63 == 0 {
+				insert(k)
+			} else {
+				remove(k)
+			}
+		}
+	}
+	for _, s := range []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU, hpbrcu.RCU, hpbrcu.NBR, hpbrcu.HP} {
+		b.Run(s.String(), func(b *testing.B) {
+			m, ok := bench.NewMap(bench.HashMap, s, keyRange, hpbrcu.Config{})
+			if !ok {
+				b.Skip("unsupported")
+			}
+			h := m.Register()
+			defer h.Unregister()
+			run(b, func(k int64) { h.Insert(k, k) }, func(k int64) { h.Remove(k) })
+		})
+	}
+	b.Run("HP-BRCU/facade", func(b *testing.B) {
+		m, _ := bench.NewMap(bench.HashMap, hpbrcu.HPBRCU, keyRange, hpbrcu.Config{
+			PanicPolicy:  hpbrcu.PanicRecover,
+			Reaper:       hpbrcu.ReaperConfig{Enabled: true},
+			Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
+		})
+		defer hpbrcu.Close(m, 5*time.Second)
+		check := func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, func(k int64) {
+			_, err := m.Insert(k, k)
+			check(err)
+		}, func(k int64) {
+			_, _, err := m.Remove(k)
+			check(err)
 		})
 	})
 }

@@ -41,7 +41,7 @@ var stepLoops = []struct {
 	// sites, as a regexp; every loop has to call each of them.
 	must map[string]string
 }{{
-	file: "internal/ds/hlist/expedited.go", methods: []string{"search", "walkContains"},
+	file: "internal/ds/hlist/expedited.go", methods: []string{"walkSearch", "walkContains"},
 	inlinable: canInlinePoll,
 	// Each sits behind a branch taken once per checkpoint, rollback, marked
 	// run or finished traversal, or behind the local instrumented flag.
@@ -53,6 +53,13 @@ var stepLoops = []struct {
 	file: "internal/ds/hlist/expedited.go", methods: []string{"contains"},
 	inlinable: canInlinePoll,
 	outOfLine: []string{"a.Conclude"},
+	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
+}, {
+	// A find's first attempt: the same loop. The two shield stores and
+	// Conclude run once, at the destination.
+	file: "internal/ds/hlist/expedited.go", methods: []string{"search"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"h.prot.prevS.ProtectSlot", "h.prot.curS.Protect", "a.Conclude"},
 	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
 }, {
 	// The two O(log n) descents are the same loop. The skip list's cold

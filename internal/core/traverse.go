@@ -16,8 +16,8 @@ import (
 // a per-node loop the data structure owns, so the node visit compiles into
 // that loop as it does under EBR or NBR. The paper's Traverse is a Walk
 // plus the owner's loop; internal/ds/hlist/expedited.go has the shape
-// (search, walkContains), and the skip list's and the tree's descents are
-// the same loop. A read-only traversal tries first without a Walk
+// (walkSearch, walkContains), and the skip list's and the tree's descents are
+// the same loop. A point read and a list find try first without a Walk
 // (Attempt): RCU's loop with a poll per node, handed to a Walk only if it
 // leaves its first section.
 
@@ -49,12 +49,12 @@ type CursorBuf[C any] struct {
 // Walk is one expedited traversal's state, between the loop that visits
 // nodes — which the data structure owns — and the double-buffered
 // checkpoints, which live only here. The owner declares a zero Walk, calls
-// Bind and Start, defers Guard, Adopts the read's first attempt if there
-// was one, and loops `for w.Enter(init, valid)` over critical-section
+// Bind and Start, defers Guard, Adopts the traversal's first attempt if
+// there was one, and loops `for w.Enter(init, valid)` over critical-section
 // attempts; inside, its per-node loop keeps the cursor in locals, breaks
 // out when Poll fails, stores the cursor and calls Checkpoint when Due, and
 // leaves through Finish at its destination or Fail on a lost helping CAS
-// (hlist's search is the whole shape). A step then costs the protocol's
+// (hlist's walkSearch is the whole shape). A step then costs the protocol's
 // own work: Poll's one load, the visit, Due's countdown.
 //
 // prot and backup are the double buffer (§4.3): at every instant one of
@@ -375,23 +375,24 @@ func (w *Walk[C]) cancel() {
 	}
 }
 
-// Attempt is a read-only traversal's first attempt, run without a Walk:
-// RCU's loop, a poll before every node it reads (Step), and one poll that
-// commits what it read (Conclude). It protects nothing past its section —
-// there is no Bind, closure, deferred Guard or shield — so it is only for an
-// owner that returns values read inside the section. An attempt that
-// leaves its loop without concluding is handed to a Walk (Adopt), which
-// takes over from exactly where it stopped.
+// Attempt is a traversal's first attempt, run without a Walk: RCU's loop, a
+// poll before every node it reads (Step), and one poll that commits what it
+// read (Conclude). There is no Bind, closure, deferred Guard or checkpoint,
+// so its owner may return only values it read inside the section, or a
+// position it shielded before Conclude. An attempt that leaves its loop
+// without concluding is handed to a Walk (Adopt), which takes over from
+// exactly where it stopped.
 type Attempt struct {
 	b    *brcu.Handle
-	left int // steps the attempt may still start; 0 once Step spent the budget
+	left int  // steps the attempt may still start; 0 once Step spent the budget
+	live bool // Handoff: the section is handed over live, at a step the walk must take
 }
 
 // Try opens a first attempt in a fresh section, or reports false when the
-// read must run a Walk from the start: a context is bound (only a walk arms
-// cancellation), the handle is poisoned (only Start refuses one), or a hook
-// is armed (only a walk's steps run StepHooks). The hooks are read once, as
-// a walk reads them once per attempt.
+// traversal must run a Walk from the start: a context is bound (only a walk
+// arms cancellation), the handle is poisoned (only Start refuses one), or a
+// hook is armed (only a walk's steps run StepHooks). The hooks are read
+// once, as a walk reads them once per attempt.
 func (h *Handle) Try(ctx context.Context) (Attempt, bool) {
 	if ctx != nil || h.poisoned != nil || hooksArmed() {
 		return Attempt{}, false
@@ -411,10 +412,17 @@ func (a *Attempt) Step() bool {
 	return a.left > 0 && a.b.Poll()
 }
 
+// Handoff gives the section up live at the node the last Step polled for,
+// which only a walk may handle (a marked run is excised in the walk's
+// masked region, under its Guard): the walk takes that step again, in the
+// same section and at the same place in its countdown.
+func (a *Attempt) Handoff() { a.live = true }
+
 // Conclude commits every read the attempt made with one poll — nothing the
-// section may reach is freed before its status word reads RbReq (DESIGN.md
-// §11.2) — and leaves the section. False means discard the reads and hand
-// the attempt to a Walk.
+// section may reach is freed before its status word reads RbReq, and a
+// shield published before a poll that succeeds is honoured by every
+// reclaimer (DESIGN.md §11.2) — and leaves the section. False means discard
+// the reads and hand the attempt to a Walk.
 func (a *Attempt) Conclude() bool {
 	if !a.b.Poll() {
 		return false
@@ -427,17 +435,19 @@ func (a *Attempt) Conclude() bool {
 // a zero Attempt (Try said no) is none. Call it after Start. An attempt
 // that failed a poll was neutralized: the walk's first Enter counts that
 // rollback and re-enters from init, exactly as after a rollback before its
-// first checkpoint. One whose budget is spent still holds its section, and
-// c is the cursor of its next step: the first Enter continues from c in
-// that section without re-entering, and the countdown falls due after that
-// step, so no step runs twice.
+// first checkpoint. One whose budget is spent, or that was handed off,
+// still holds its section, and c is the cursor of the step it did not take:
+// the first Enter continues from c in that section without re-entering,
+// and the countdown resumes where the attempt's stopped — it falls due
+// after the BackupPeriod-th step, as from the start — so no step that
+// moved the cursor runs twice.
 func (w *Walk[C]) Adopt(a Attempt, c C) {
 	if a.b == nil {
 		return
 	}
 	w.entered = true
-	if a.left == 0 {
-		w.adopted, w.gen, w.left = true, w.b.Gen(), 1
+	if a.left == 0 || a.live {
+		w.adopted, w.gen, w.left = true, w.b.Gen(), a.left+1
 		w.buf.cur = c
 	}
 }

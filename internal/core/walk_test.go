@@ -2,8 +2,9 @@ package core
 
 // Tests of the Walk API from a loop of the test's own, shaped like
 // hlist's: what the instrumented gate carries, where the countdown puts
-// checkpoints, what a first attempt's Conclude commits, and how a Walk
-// adopts an attempt that leaves its section.
+// checkpoints, what a first attempt's Conclude commits — a read's values,
+// a find's shields — and how a Walk adopts an attempt that leaves its
+// section.
 
 import (
 	"errors"
@@ -32,9 +33,15 @@ type chainWalk struct {
 	inits   int // calls of init
 	valids  int // calls of valid, from Enter's resume and from Checkpoint
 
-	// onConclude, if set, runs in read's first attempt between the tail's
-	// read and Conclude's poll.
+	// onConclude, if set, runs in a first attempt between the tail's read
+	// (and, in find, its shield) and Conclude's poll.
 	onConclude func()
+
+	// marked are the positions a find must not step past: find's first
+	// attempt hands its section to the walk there, and the walk excises
+	// the position in a masked region (it unmarks it) before visiting it.
+	marked  map[int64]bool
+	excised int
 }
 
 // read is a read-only traversal shaped like hlist's contains: a first
@@ -55,6 +62,42 @@ func (cw *chainWalk) read() (last int64, ok bool) {
 		nx := nd.next.Load()
 		if nx.IsNil() {
 			last := nd.key
+			if cw.onConclude != nil {
+				cw.onConclude()
+			}
+			if a.Conclude() {
+				return last, true
+			}
+			break
+		}
+		c.cur, c.pos = nx, c.pos+1
+	}
+	return cw.walkFrom(a, c)
+}
+
+// find is a write's find shaped like hlist's search: a first attempt that
+// shields the tail in prot before Conclude's poll commits it, and hands its
+// live section to the walk at a marked position.
+func (cw *chainWalk) find() (last int64, ok bool) {
+	a, ok := cw.h.Try(nil)
+	if !ok {
+		return cw.walkFrom(a, chainCursor{})
+	}
+	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
+	for a.Step() {
+		if cw.marked[c.pos] {
+			a.Handoff()
+			break
+		}
+		cw.visited++
+		if cw.onStep != nil {
+			cw.onStep(nil, c.pos)
+		}
+		nd := cw.pool.At(c.cur.Slot())
+		nx := nd.next.Load()
+		if nx.IsNil() {
+			last := nd.key
+			cw.prot.Protect(&c)
 			if cw.onConclude != nil {
 				cw.onConclude()
 			}
@@ -96,6 +139,15 @@ func (cw *chainWalk) walkFrom(a Attempt, from chainCursor) (last int64, ok bool)
 			}
 			if !w.Poll() {
 				break
+			}
+			if cw.marked[c.pos] {
+				pos := c.pos
+				if _, mustRollback := cw.h.Mask(func() {
+					delete(cw.marked, pos)
+					cw.excised++
+				}); mustRollback {
+					break
+				}
 			}
 			cw.visited++
 			if cw.onStep != nil {
@@ -555,6 +607,116 @@ func TestFirstAttemptHandsOff(t *testing.T) {
 			})
 			// Positions 0..5 in the attempt (the poll before 6 fails), then
 			// the whole chain again from init.
+			if rb := d.Stats().Rollbacks.Load(); cw.visited != 6+n || cw.inits != 1 || rb != 1 {
+				t.Fatalf("failed poll: %d steps, %d inits, %d rollbacks; want %d, 1, 1", cw.visited, cw.inits, rb, 6+n)
+			}
+		})
+	}
+}
+
+// TestFindShieldsBeforeConclude: a find's first attempt hands its caller a
+// position to CAS outside the section, so it must shield that position
+// before Conclude's poll commits it. Between the tail's shield and that
+// poll, another handle unlinks and retires the tail, and its barrier
+// signals the finder to push the tail into the HP step: the shield must
+// already hold it there, the poll must fail, and the find must roll back
+// once, run init once and return the new tail. A find that concludes
+// shields its destination in prot and nothing else.
+func TestFindShieldsBeforeConclude(t *testing.T) {
+	const n = 8
+	cw, d := newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
+	var log []int64
+	logged := &posProtector{testProtector{cw.h.NewShield()}, &log}
+	cw.prot = logged
+	cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find = (%d,%v), want (%d,true)", last, ok, n-1)
+	}
+	if tail := cw.slots[n-1]; !reflect.DeepEqual(log, []int64{n - 1}) || logged.s.Get() != tail || cw.inits != 0 {
+		t.Fatalf("a find that concludes protected %v (prot shields slot %d) and ran init %d times; want only the tail (slot %d) in prot, no init",
+			log, logged.s.Get(), cw.inits, tail)
+	}
+
+	// A fresh chain: the find above left its tail shielded.
+	cw, d = newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
+	prot := &testProtector{cw.h.NewShield()}
+	cw.prot, cw.backup = prot, &testProtector{cw.h.NewShield()}
+	other := d.Register()
+	defer other.Unregister()
+	tail := cw.slots[n-1]
+	cw.onConclude = func() {
+		cw.onConclude = nil
+		cw.pool.At(cw.slots[n-2]).next.Store(atomicx.Nil)
+		cw.pool.Hdr(tail).Retire()
+		other.Retire(tail, cw.pool)
+		other.Barrier()
+		// Errorf, not Fatalf: the find must still leave its section.
+		if cw.pool.Hdr(tail).State() == alloc.StateFree {
+			t.Errorf("the barrier freed the tail the find had shielded: the shield was not published before the committing poll")
+		}
+	}
+	if last, ok := cw.find(); !ok || last != n-2 {
+		t.Fatalf("find = (%d,%v), want the new tail (%d,true): a position the section no longer covered was committed", last, ok, n-2)
+	}
+	if s := d.Stats().Snapshot(); s.Signals == 0 || s.Rollbacks != 1 || cw.inits != 1 {
+		t.Fatalf("signals = %d, rollbacks = %d, inits = %d; want the finder signalled, rolled back once and restarted once", s.Signals, s.Rollbacks, cw.inits)
+	}
+	if got := prot.s.Get(); got != cw.slots[n-2] {
+		t.Fatalf("prot shields slot %d after the walk, want the new tail (slot %d)", got, cw.slots[n-2])
+	}
+}
+
+// TestFindHandsOff pins the three ways a find's first attempt leaves its
+// section without concluding, against TestFirstAttemptHandsOff's walk from
+// the start. A spent budget and a marked position both hand the live
+// section to the walk: it protects exactly the positions the walk from the
+// start protects, every position is stepped past once, and there is no
+// rollback or init; the marked position is excised once, by the walk. A
+// failed poll is one rollback and one init.
+func TestFindHandsOff(t *testing.T) {
+	const n, period = 100, 16
+	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
+		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
+		t.Run(name, func(t *testing.T) {
+			protected := func(mark int64, run func(*chainWalk) (int64, bool)) (log []int64, cw *chainWalk, d *Domain) {
+				cw, d = newChainWalk(t, backend, n, Config{BackupPeriod: period})
+				cw.prot = &posProtector{testProtector{cw.h.NewShield()}, &log}
+				cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+				if mark >= 0 {
+					cw.marked = map[int64]bool{mark: true}
+				}
+				if last, ok := run(cw); !ok || last != n-1 {
+					t.Fatalf("run = (%d,%v), want (%d,true)", last, ok, n-1)
+				}
+				return log, cw, d
+			}
+			want, _, _ := protected(-1, (*chainWalk).walk)
+			for _, mark := range []int64{-1, 0, 5, period - 2} {
+				if got, _, _ := protected(mark, (*chainWalk).walk); !reflect.DeepEqual(got, want) {
+					t.Fatalf("a walk from the start past a marked position %d protected %v, unmarked %v", mark, got, want)
+				}
+				got, cw, d := protected(mark, (*chainWalk).find)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("a find handed off (marked position %d) protected %v, a walk from the start %v", mark, got, want)
+				}
+				wantExcised := 0
+				if mark >= 0 {
+					wantExcised = 1
+				}
+				if rb := d.Stats().Rollbacks.Load(); cw.visited != n || cw.inits != 0 || rb != 0 || cw.excised != wantExcised {
+					t.Fatalf("hand-off at marked position %d: %d steps, %d inits, %d rollbacks, %d excisions; want each of the %d steps once, no init, no rollback, %d excisions",
+						mark, cw.visited, cw.inits, rb, cw.excised, n, wantExcised)
+				}
+			}
+
+			_, cw, d := protected(-1, func(cw *chainWalk) (int64, bool) {
+				cw.onStep = func(w *Walk[chainCursor], pos int64) {
+					if w == nil && pos == 5 {
+						cw.h.brcu.SelfNeutralize()
+					}
+				}
+				return cw.find()
+			})
 			if rb := d.Stats().Rollbacks.Load(); cw.visited != 6+n || cw.inits != 1 || rb != 1 {
 				t.Fatalf("failed poll: %d steps, %d inits, %d rollbacks; want %d, 1, 1", cw.visited, cw.inits, rb, 6+n)
 			}

@@ -132,13 +132,55 @@ func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.BarrierCtx(ctx) }
 
 // search runs the expedited Harris search (Algorithm 8's TrySearch) once:
-// Harris's loop, as in ebr.go, stepping under a core.Walk. ok is false when
-// the operation must be retried (failed revalidation or a lost helping CAS,
-// §4.3); otherwise the position is HP-protected by prot. The position is
+// ok is false when the operation must be retried (failed revalidation or a
+// lost helping CAS, §4.3); otherwise the position is HP-protected by prot.
+// Its first attempt is ebr.go's loop with a poll before every node
+// (core.Attempt): at the destination it shields prev and cur in prot, and
+// Conclude's poll commits them, so the position outlives the section as a
+// walk's Finish leaves it. A marked node (a run only the walk's masked
+// region may excise), a failed poll or a spent budget hands the search to
+// walkSearch, which also runs it from the start when Try refuses.
+func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
+	a, ok := h.h.Try(nil)
+	if !ok {
+		return h.walkSearch(key, a, cursor{})
+	}
+	l := &h.l
+	prev := l.Head
+	cur := l.Pool.At(prev).Next.Load()
+	for a.Step() {
+		found := false
+		if !cur.IsNil() {
+			curN := l.At(cur)
+			next := curN.Next.Load()
+			if next.Tag() != 0 {
+				a.Handoff()
+				break
+			}
+			k := curN.Key.Load()
+			if k < key {
+				prev, cur = cur.Slot(), next
+				continue
+			}
+			found = k == key
+		}
+		h.prot.prevS.ProtectSlot(prev)
+		h.prot.curS.Protect(cur)
+		if a.Conclude() {
+			return prev, cur, found, true
+		}
+		break
+	}
+	return h.walkSearch(key, a, cursor{prev: prev, cur: cur})
+}
+
+// walkSearch is search under a core.Walk, adopting the first attempt a
+// (none when Try refused) and, if it is still live, its cursor from:
+// Harris's loop, as in ebr.go, stepping under the walk. The position is
 // kept in locals, not in the named results: the deferred Guard pins results
 // to memory, and the walk's cursor slot is written only when it is
 // checkpointed.
-func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
+func (h *ExpeditedHandle) walkSearch(key int64, a core.Attempt, from cursor) (uint64, atomicx.Ref, bool, bool) {
 	l := &h.l
 	init := func() cursor {
 		return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
@@ -155,6 +197,7 @@ func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
 	w.Bind(nil, h.h, &h.searchBuf, h.prot, h.backup)
 	w.Start()
 	defer w.Guard()
+	w.Adopt(a, from)
 	c := w.Cursor()
 	for w.Enter(init, valid) {
 		prev, cur := c.prev, c.cur
@@ -343,7 +386,7 @@ func (h *ExpeditedHandle) walkContains(ctx context.Context, key int64, a core.At
 	w.Adopt(a, from)
 	c := w.Cursor()
 	for w.Enter(init, valid) {
-		cur := c.cur // in a local, as in search
+		cur := c.cur // in a local, as in walkSearch
 		hooks := w.Instrumented()
 		for {
 			if hooks {

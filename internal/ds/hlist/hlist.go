@@ -17,8 +17,11 @@
 //   - hp.go:        plain HP — protect-and-validate find (run bound 1 only:
 //     Figure 2 is why HP cannot follow links out of a marked run).
 //   - expedited.go: HP-RCU/HP-BRCU — Harris's search and the optimistic
-//     get, each a loop of its own over a core.Walk, which keeps the
-//     checkpoints and the rollbacks; runs are excised in a masked region.
+//     get, each first RCU's loop with a poll per node (core.Attempt; the
+//     search shields its destination before the committing poll), then,
+//     if that attempt leaves its section or meets a marked run, a loop of
+//     its own over a core.Walk, which keeps the checkpoints and the
+//     rollbacks; runs are excised in the walk's masked region.
 //
 // Each search is monomorphic: no interface, func-value or type-parameter
 // call happens inside a per-node loop — under core.Walk too, whose
