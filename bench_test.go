@@ -59,7 +59,7 @@ func BenchmarkStep(b *testing.B) {
 // keys kept half full (every even key), the map the frozen benchmark's
 // point_read_mostly workload builds, without its facade and production
 // posture. About two nodes a Get, so it is the fixed cost of an operation —
-// entering and leaving the section, the walk's setup and ending — that
+// entering and leaving the section, the traversal's Try and Conclude — that
 // this measures: the in-tree view of that benchmark's ds.get_ns rows. The
 // HP-BRCU/facade row is that workload's own path: the handle-free Get, in
 // the production posture (PanicRecover, reaper and backpressure on), so

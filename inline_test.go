@@ -41,45 +41,38 @@ var stepLoops = []struct {
 	// sites, as a regexp; every loop has to call each of them.
 	must map[string]string
 }{{
-	file: "internal/ds/hlist/expedited.go", methods: []string{"walkSearch", "walkContains"},
-	inlinable: canInlinePoll,
-	// Each sits behind a branch taken once per checkpoint, rollback, marked
-	// run or finished traversal, or behind the local instrumented flag.
-	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.excise"},
-	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
-}, {
-	// A read's first attempt: RCU's loop with a poll and a countdown per
-	// node. Conclude runs once, at the destination.
+	// The five expedited operations are one loop each: Step (a poll and a
+	// countdown) before every node, and the buffer's Walk — the slow call —
+	// only when Step or a marked node says so. A find's Shield and every
+	// Conclude run once, at the destination.
 	file: "internal/ds/hlist/expedited.go", methods: []string{"contains"},
 	inlinable: canInlinePoll,
-	outOfLine: []string{"a.Conclude"},
-	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
+	outOfLine: []string{"h.getBuf.Walk", "a.Conclude"},
+	must:      map[string]string{"a.Step": brcuPoll, "l.At": poolAt},
 }, {
-	// A find's first attempt: the same loop. The two shield stores and
-	// Conclude run once, at the destination.
 	file: "internal/ds/hlist/expedited.go", methods: []string{"search"},
 	inlinable: canInlinePoll,
-	outOfLine: []string{"h.prot.prevS.ProtectSlot", "h.prot.curS.Protect", "a.Conclude"},
-	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.At": poolAt},
-}, {
-	// The two O(log n) descents are the same loop. The skip list's cold
-	// calls are hlist's, with the one-node unlink for the run excision.
-	file: "internal/ds/skiplist/expedited.go", methods: []string{"search", "walkContains"},
-	inlinable: canInlinePoll,
-	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "w.Fail", "h.unlink"},
-	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`, "l.at": poolAt},
+	outOfLine: []string{"h.searchBuf.Walk", "h.searchBuf.Shield", "a.Conclude"},
+	must:      map[string]string{"a.Step": brcuPoll, "l.At": poolAt},
 }, {
 	file: "internal/ds/skiplist/expedited.go", methods: []string{"contains"},
 	inlinable: canInlinePoll,
-	outOfLine: []string{"a.Conclude"},
-	must:      map[string]string{"a.Step": `brcu\.\(\*Handle\)\.Poll`, "l.at": poolAt},
+	outOfLine: []string{"h.getBuf.Walk", "a.Conclude"},
+	must:      map[string]string{"a.Step": brcuPoll, "l.at": poolAt},
 }, {
-	// seekStep is the visit every scheme's tree loop calls (next entry).
+	file: "internal/ds/skiplist/expedited.go", methods: []string{"search"},
+	inlinable: canInlinePoll,
+	outOfLine: []string{"h.findBuf.Walk", "h.findBuf.Shield", "a.Conclude"},
+	must:      map[string]string{"a.Step": brcuPoll, "l.at": poolAt},
+}, {
+	// t.resumable runs only inside Walk, from the valid closure built on
+	// Walk's branch.
 	file: "internal/ds/nmtree/expedited.go", methods: []string{"descend"},
 	inlinable: canInlinePoll,
-	outOfLine: []string{"w.StepHooks", "w.Checkpoint", "w.Finish", "t.seekStep"},
-	must:      map[string]string{"w.Poll": `brcu\.\(\*Handle\)\.Poll`},
+	outOfLine: []string{"h.seekBuf.Walk", "h.seekBuf.Shield", "a.Conclude", "t.seekStep", "t.resumable"},
+	must:      map[string]string{"a.Step": brcuPoll},
 }, {
+	// seekStep is the visit every scheme's tree loop calls.
 	file: "internal/ds/nmtree/nmtree.go", methods: []string{"seekStep"},
 	inlinable: `internal/ds/nmtree/nmtree\.go:\d+:\d+: can inline \(\*tree\)\.childEdge`,
 	must:      map[string]string{"t.pool.At": poolAt},
@@ -96,9 +89,11 @@ var stepLoops = []struct {
 }}
 
 // poolAt matches the compiler's name for an instantiation of alloc's At,
-// canInlinePoll its verdict on brcu's Poll, which every expedited loop needs.
+// brcuPoll its name for brcu's Poll, and canInlinePoll its verdict on that
+// Poll, which every expedited loop needs.
 const (
 	poolAt        = `alloc\.\(\*Pool\[.*\]\)\.At`
+	brcuPoll      = `brcu\.\(\*Handle\)\.Poll`
 	canInlinePoll = `internal/brcu/brcu\.go:\d+:\d+: can inline \(\*Handle\)\.Poll`
 )
 

@@ -263,7 +263,7 @@ type Handle struct {
 	flushAt  int
 	batchCap int
 
-	// Cooperative cancellation (core.Walk). The owner arms a fresh
+	// Cooperative cancellation (core's traversals). The owner arms a fresh
 	// token per cancellable operation; a watcher goroutine requests
 	// cancellation by presenting the token it saw armed. Tokens make a
 	// late watcher from a finished operation harmless: its RequestCancel
@@ -275,7 +275,7 @@ type Handle struct {
 
 	// gen counts resurrections (owner-goroutine-only): a reaped handle
 	// whose owner turns out to be alive re-registers and bumps gen, so
-	// core.Walk knows its checkpointed protections were cleared
+	// a traversal knows its checkpointed protections were cleared
 	// by the reaper and restarts from scratch.
 	gen uint64
 	// onResurrect re-registers composed per-scheme state (the HP half,
@@ -367,7 +367,7 @@ func (h *Handle) Describe() string {
 }
 
 // Gen returns the handle's resurrection generation. It changes only
-// inside Enter (via settle), on the owner goroutine; core.Walk compares
+// inside Enter (via settle), on the owner goroutine; a traversal compares
 // it across Enters to detect a reap-and-resurrect, whose shield clearing
 // invalidates checkpointed cursors.
 func (h *Handle) Gen() uint64 { return h.gen }
@@ -445,7 +445,7 @@ func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWo
 // resurrect re-registers a reaped handle whose owner turned out to be
 // alive. The reaper already adopted the old batch and retired list and
 // cleared the shields, so the handle restarts empty; bumping gen tells
-// core.Walk to discard checkpoints the pre-reap shields protected.
+// a traversal to discard checkpoints the pre-reap shields protected.
 func (h *Handle) resurrect() {
 	h.batch = nil
 	h.pushCnt = 0
@@ -659,7 +659,7 @@ func (h *Handle) SelfNeutralize() bool {
 
 // Refresh re-announces the current global epoch without leaving the
 // critical section, provided no rollback is pending. It returns false if
-// the thread has been neutralized (the caller must roll back). core.Walk
+// the thread has been neutralized (the caller must roll back). A traversal
 // calls this after each completed checkpoint so that a long traversal
 // never lags the epoch by more than one checkpoint interval.
 func (h *Handle) Refresh() bool {
@@ -764,7 +764,7 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
 
 // runMasked runs the masked body behind a recover barrier. A panic that
 // escapes it (user code, or SitePanic standing in for one) unwinds the
-// region before continuing to the outer barrier (core.Walk's Guard): restore
+// region before continuing to the outer barrier (core's Walk): restore
 // InRm→InCs so the abort path sees the section in its normal state — a
 // lost CAS means a neutralization landed mid-region and the standing
 // RbReq is already what the abort path expects.
@@ -796,7 +796,7 @@ func (h *Handle) ForceOut() {
 	}
 }
 
-// --- Cooperative cancellation (core.Walk) ------------------------------
+// --- Cooperative cancellation (core's traversals) -----------------------
 
 // ArmCancel installs a fresh cancellation token for the operation about
 // to run and returns it. Owner-side; pair with DisarmCancel.

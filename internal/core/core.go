@@ -12,13 +12,14 @@
 //   - Two-step retirement (Algorithm 4): Retire(p) defers the inner
 //     HP-Retire(p) through the RCU, so a pointer acquired inside a critical
 //     section is safe to dereference and to protect without validation.
-//   - The expedited traversal (Algorithm 7; Walk in traverse.go): it
-//     follows most links under coarse-grained RCU protection, periodically
-//     checkpointing the cursor into HP shields and re-announcing the epoch,
+//   - The expedited traversal (Algorithm 7; traverse.go): one loop, owned
+//     by the data structure, follows most links under coarse-grained RCU
+//     protection; its out-of-line half (CursorBuf.Walk) periodically
+//     checkpoints the cursor into HP shields and re-announces the epoch,
 //     with double-buffered protectors so a rollback in the middle of
 //     checkpointing always leaves one complete protected cursor to resume
-//     from (§4.3). Under HP-RCU only the walk's own cancellation (and fault
-//     injection) rolls a section back, and the walk is Algorithm 3's
+//     from (§4.3). Under HP-RCU only the traversal's own cancellation (and
+//     fault injection) rolls a section back, and the loop is Algorithm 3's
 //     alternation of RCU phases and checkpoints.
 //
 // The backend decides robustness and nothing else: only an HP-BRCU domain
@@ -27,6 +28,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
@@ -222,6 +224,13 @@ type Handle struct {
 	// non-nil value makes every subsequent operation refuse the handle
 	// (see lifecycle.go). Owner-goroutine-only.
 	poisoned *PanicError
+
+	// The running traversal's cancellation (see try) and the yield
+	// harness's step counter. Owner-goroutine-only.
+	ctx  context.Context
+	stop func() bool // stops the cancellation watcher; nil when none is armed
+	tok  uint64      // cancellation token
+	yc   int
 }
 
 // Register adds a thread to the domain and wires the two-step retirement

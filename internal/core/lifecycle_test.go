@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 )
 
 // TestContainedPanicKeepsTheBound: a handle that retires fewer than
@@ -22,12 +25,12 @@ func TestContainedPanicKeepsTheBound(t *testing.T) {
 	holder.Pin()
 	defer holder.Unpin()
 
+	// A panic in a step, raised where Walk's recover barrier covers it: the
+	// step hooks, which a yield period arms without ever yielding.
 	boom := errors.New("user code panicked")
-	cw.onStep = func(_ *Walk[chainCursor], pos int64) {
-		if pos == 1 {
-			panic(boom)
-		}
-	}
+	defer func(p int) { atomicx.YieldPeriod, StepHook = p, nil }(atomicx.YieldPeriod)
+	atomicx.YieldPeriod = 1 << 30
+	StepHook = func(*brcu.Handle) { panic(boom) }
 	cache := cw.pool.NewCache()
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < flushAt-1; i++ {
@@ -39,13 +42,13 @@ func TestContainedPanicKeepsTheBound(t *testing.T) {
 			defer func() {
 				v := recover()
 				if v == nil {
-					t.Fatal("the walk returned: the panic was not raised")
+					t.Fatal("the find returned: the panic was not raised")
 				}
 				if pe, _ := v.(*PanicError); pe == nil || pe.Value != boom || pe.Poisoned {
 					t.Fatalf("recovered %v, want a restored *PanicError wrapping the user panic", v)
 				}
 			}()
-			cw.walk()
+			cw.find()
 		}()
 	}
 

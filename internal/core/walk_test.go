@@ -1,10 +1,10 @@
 package core
 
-// Tests of the Walk API from a loop of the test's own, shaped like
-// hlist's: what the instrumented gate carries, where the countdown puts
-// checkpoints, what a first attempt's Conclude commits — a read's values,
-// a find's shields — and how a Walk adopts an attempt that leaves its
-// section.
+// Tests of the traversal API from a loop of the test's own, shaped like
+// hlist's: what the step hooks carry, where the countdown puts
+// checkpoints, hooked or not, what Conclude commits — a read's values, a
+// find's shields — and how Walk takes the steps the loop cannot: a
+// rollback, a checkpoint, a marked position.
 
 import (
 	"errors"
@@ -17,8 +17,9 @@ import (
 	"github.com/smrgo/hpbrcu/internal/fault"
 )
 
-// chainWalk is one handle's walker over a chain: it owns the per-node
-// loop and reaches the protocol only through Walk.
+// chainWalk is one handle's traversal of a chain: it owns the per-node
+// loop and reaches the protocol only through Try, Step, Walk, Shield and
+// Conclude.
 type chainWalk struct {
 	h            *Handle
 	pool         *alloc.Pool[node]
@@ -27,96 +28,35 @@ type chainWalk struct {
 	prot, backup Protector[chainCursor]
 
 	valid   func(c *chainCursor) bool // nil: always resumable
-	onStep  func(w *Walk[chainCursor], pos int64)
-	failAt  int64 // the owner gives the walk up (Fail) at this position; 0: never
+	onStep  func(a *Attempt, pos int64)
+	failAt  int64 // a find loses its helping CAS at this position (fix reports false); 0: never
 	visited int
 	inits   int // calls of init
-	valids  int // calls of valid, from Enter's resume and from Checkpoint
+	valids  int // calls of valid, from a resume and from a checkpoint
 
-	// onConclude, if set, runs in a first attempt between the tail's read
-	// (and, in find, its shield) and Conclude's poll.
+	// onConclude, if set, runs between the tail's read (and, in find, its
+	// shield) and Conclude's poll.
 	onConclude func()
 
-	// marked are the positions a find must not step past: find's first
-	// attempt hands its section to the walk there, and the walk excises
-	// the position in a masked region (it unmarks it) before visiting it.
+	// marked are the positions a find must not step past: it hands them to
+	// Walk with a fix that excises the position in a masked region (it
+	// unmarks it) before the loop visits it.
 	marked  map[int64]bool
 	excised int
 }
 
-// read is a read-only traversal shaped like hlist's contains: a first
-// attempt without a walk (onStep gets a nil *Walk there), handed to the
-// walk if it leaves its section.
-func (cw *chainWalk) read() (last int64, ok bool) {
-	a, ok := cw.h.Try(nil)
-	if !ok {
-		return cw.walkFrom(a, chainCursor{})
-	}
-	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
-	for a.Step() {
-		cw.visited++
-		if cw.onStep != nil {
-			cw.onStep(nil, c.pos)
-		}
-		nd := cw.pool.At(c.cur.Slot())
-		nx := nd.next.Load()
-		if nx.IsNil() {
-			last := nd.key
-			if cw.onConclude != nil {
-				cw.onConclude()
-			}
-			if a.Conclude() {
-				return last, true
-			}
-			break
-		}
-		c.cur, c.pos = nx, c.pos+1
-	}
-	return cw.walkFrom(a, c)
-}
+// read is a read-only traversal shaped like hlist's contains: it commits
+// its reads with Conclude and shields nothing.
+func (cw *chainWalk) read() (last int64, ok bool) { return cw.run(false) }
 
-// find is a write's find shaped like hlist's search: a first attempt that
-// shields the tail in prot before Conclude's poll commits it, and hands its
-// live section to the walk at a marked position.
-func (cw *chainWalk) find() (last int64, ok bool) {
-	a, ok := cw.h.Try(nil)
-	if !ok {
-		return cw.walkFrom(a, chainCursor{})
-	}
-	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
-	for a.Step() {
-		if cw.marked[c.pos] {
-			a.Handoff()
-			break
-		}
-		cw.visited++
-		if cw.onStep != nil {
-			cw.onStep(nil, c.pos)
-		}
-		nd := cw.pool.At(c.cur.Slot())
-		nx := nd.next.Load()
-		if nx.IsNil() {
-			last := nd.key
-			cw.prot.Protect(&c)
-			if cw.onConclude != nil {
-				cw.onConclude()
-			}
-			if a.Conclude() {
-				return last, true
-			}
-			break
-		}
-		c.cur, c.pos = nx, c.pos+1
-	}
-	return cw.walkFrom(a, c)
-}
+// find is a write's find shaped like hlist's search: it shields the tail
+// before Conclude's poll commits it, and hands marked positions to Walk.
+func (cw *chainWalk) find() (last int64, ok bool) { return cw.run(true) }
 
-// walk runs to the tail and returns its key; ok is false when the walk
-// ended early (a checkpoint that no longer validates).
-func (cw *chainWalk) walk() (last int64, ok bool) { return cw.walkFrom(Attempt{}, chainCursor{}) }
-
-// walkFrom is walk adopting the first attempt a, whose next cursor is from.
-func (cw *chainWalk) walkFrom(a Attempt, from chainCursor) (last int64, ok bool) {
+// run is the loop of read and find: the tail's key, or not ok when the
+// traversal ended early (a lost CAS, or a checkpoint that no longer
+// validates).
+func (cw *chainWalk) run(find bool) (last int64, ok bool) {
 	init := func() chainCursor {
 		cw.inits++
 		return chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
@@ -125,57 +65,53 @@ func (cw *chainWalk) walkFrom(a Attempt, from chainCursor) (last int64, ok bool)
 		cw.valids++
 		return cw.valid == nil || cw.valid(c)
 	}
-	var w Walk[chainCursor]
-	w.Bind(nil, cw.h, &cw.buf, cw.prot, cw.backup)
-	w.Start()
-	defer w.Guard()
-	w.Adopt(a, from)
-	for w.Enter(init, valid) {
-		c := *w.Cursor()
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			if cw.marked[c.pos] {
-				pos := c.pos
-				if _, mustRollback := cw.h.Mask(func() {
-					delete(cw.marked, pos)
-					cw.excised++
-				}); mustRollback {
-					break
-				}
-			}
-			cw.visited++
-			if cw.onStep != nil {
-				cw.onStep(&w, c.pos)
-			}
-			if cw.failAt > 0 && c.pos == cw.failAt {
-				w.Fail()
+	fix := func(c *chainCursor) bool {
+		if cw.failAt > 0 && c.pos == cw.failAt {
+			return false
+		}
+		pos := c.pos
+		ran, _ := cw.h.Mask(func() {
+			delete(cw.marked, pos)
+			cw.excised++
+		})
+		return ran
+	}
+	cw.buf.Init(cw.h, cw.prot, cw.backup) // a test may have swapped the protectors
+	a := cw.buf.Try(nil)
+	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
+	for {
+		if !a.Step() {
+			if c, ok = cw.buf.Walk(&a, c, init, valid, nil); !ok {
 				return 0, false
 			}
-			nd := cw.pool.At(c.cur.Slot())
-			nx := nd.next.Load()
-			if nx.IsNil() {
-				*w.Cursor() = c
-				if w.Finish() {
-					return nd.key, true
-				}
-				break
-			}
-			c.cur, c.pos = nx, c.pos+1
-			if w.Due() {
-				*w.Cursor() = c
-				if !w.Checkpoint(valid) {
-					break
-				}
-			}
 		}
+		if find && (cw.marked[c.pos] || cw.failAt > 0 && c.pos == cw.failAt) {
+			if c, ok = cw.buf.Walk(&a, c, init, valid, fix); !ok {
+				return 0, false
+			}
+			continue
+		}
+		cw.visited++
+		if cw.onStep != nil {
+			cw.onStep(&a, c.pos)
+		}
+		nd := cw.pool.At(c.cur.Slot())
+		nx := nd.next.Load()
+		if nx.IsNil() {
+			last := nd.key
+			if find {
+				cw.buf.Shield(c)
+			}
+			if cw.onConclude != nil {
+				cw.onConclude()
+			}
+			if a.Conclude() {
+				return last, true
+			}
+			continue
+		}
+		c.cur, c.pos = nx, c.pos+1
 	}
-	return 0, false
 }
 
 func newChainWalk(t *testing.T, backend Backend, n int, cfg Config) (*chainWalk, *Domain) {
@@ -193,10 +129,10 @@ func newChainWalk(t *testing.T, backend Backend, n int, cfg Config) (*chainWalk,
 }
 
 // TestWalkFaultSitesFire arms the three sites the step hooks carry at
-// Period 1 and walks a 1 000-node chain: all of them must fire from the
-// instrumented path, the forced rollbacks must resume to the right answer,
-// a contained panic must leave the handle usable, and a plan armed in the
-// middle of an attempt must be picked up by the next one.
+// Period 1 and finds the tail of a 1 000-node chain: all of them must fire
+// from Walk's hooked steps, the forced rollbacks must resume to the right
+// answer, a contained panic must leave the handle usable, and a plan armed
+// in the middle of a section must be picked up by the next one.
 func TestWalkFaultSitesFire(t *testing.T) {
 	const n, period = 1000, 16
 	cw, d := newChainWalk(t, BackendBRCU, n, Config{BackupPeriod: period})
@@ -210,8 +146,8 @@ func TestWalkFaultSitesFire(t *testing.T) {
 	fault.Activate(inj)
 	defer fault.Deactivate()
 
-	if last, ok := cw.walk(); !ok || last != n-1 {
-		t.Fatalf("walk under forced rollbacks = (%d,%v), want (%d,true)", last, ok, n-1)
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find under forced rollbacks = (%d,%v), want (%d,true)", last, ok, n-1)
 	}
 	if inj.Fired(fault.SitePoll) == 0 || inj.Fired(fault.SiteStepRollback) == 0 {
 		t.Fatalf("fired: poll=%d step-rollback=%d, want both > 0",
@@ -238,7 +174,7 @@ func TestWalkFaultSitesFire(t *testing.T) {
 				t.Fatalf("recovered %v, want the injected panic re-raised", r)
 			}
 		}()
-		cw.walk()
+		cw.find()
 		t.Fatal("walk returned with SitePanic armed at Period 1")
 	}()
 	if inj.Fired(fault.SitePanic) == 0 {
@@ -251,37 +187,38 @@ func TestWalkFaultSitesFire(t *testing.T) {
 		t.Fatal("contained panic poisoned the handle")
 	}
 	fault.Deactivate()
-	if last, ok := cw.walk(); !ok || last != n-1 {
-		t.Fatalf("walk after contained panic = (%d,%v), want (%d,true)", last, ok, n-1)
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find after contained panic = (%d,%v), want (%d,true)", last, ok, n-1)
 	}
 
-	// Armed mid-attempt: the running attempt keeps its uninstrumented
-	// loop, the next one runs the hooks.
+	// Armed mid-section: the running section keeps its unhooked countdown,
+	// the next one runs the hooks.
 	plans[fault.SitePanic] = fault.Plan{}
 	plans[fault.SiteStepRollback] = fault.Plan{}
 	inj = fault.New(fault.Config{Seed: 1, Plans: plans})
 	var sawOff, sawOn bool
-	cw.onStep = func(w *Walk[chainCursor], pos int64) {
+	cw.onStep = func(a *Attempt, pos int64) {
 		switch {
 		case !fault.On && pos == 100:
-			if w.Instrumented() {
-				t.Error("attempt instrumented with nothing armed")
+			if cw.buf.hooks {
+				t.Error("section hooked with nothing armed")
 			}
 			fault.Activate(inj)
 			sawOff = inj.Arrivals(fault.SitePoll) == 0
 		case fault.On && pos == 120 && !sawOn:
-			if w.Instrumented() || inj.Arrivals(fault.SitePoll) != 0 {
-				t.Error("running attempt picked the plan up mid-loop")
+			// Past the checkpoint at 112, which Walk took unhooked.
+			if cw.buf.hooks || inj.Arrivals(fault.SitePoll) != 0 {
+				t.Error("running section picked the plan up mid-loop")
 			}
 			sawOn = true
 			cw.h.brcu.SelfNeutralize() // end this attempt
 		}
 	}
-	if last, ok := cw.walk(); !ok || last != n-1 {
-		t.Fatalf("walk across Activate = (%d,%v), want (%d,true)", last, ok, n-1)
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find across Activate = (%d,%v), want (%d,true)", last, ok, n-1)
 	}
 	if !sawOff || !sawOn || inj.Arrivals(fault.SitePoll) == 0 {
-		t.Fatalf("mid-traversal Activate: off=%v on=%v poll arrivals=%d, want the next attempt to reach the hooks",
+		t.Fatalf("mid-traversal Activate: off=%v on=%v poll arrivals=%d, want the next section to reach the hooks",
 			sawOff, sawOn, inj.Arrivals(fault.SitePoll))
 	}
 }
@@ -301,79 +238,87 @@ func (p *posProtector) Protect(c *chainCursor) {
 // TestWalkCheckpointCadence pins where the countdown protects: after every
 // BackupPeriod-th step, exactly where i%period == 0 did — and a checkpoint
 // whose cursor does not validate is postponed by a whole period, not to
-// the next step, so a cursor that never validates still arrives. It also
-// pins the walk's two ways out: Finish delivers the final cursor in the
-// cursor slot, protected in prot; Fail leaves the section with the walk
-// not ok.
+// the next step, so a cursor that never validates still arrives. The same
+// positions hold with a hook armed, when every step goes through Walk. It
+// also pins the find's two ways out: Shield and Conclude deliver the final
+// cursor in the cursor slot, protected in prot; a lost CAS leaves the
+// section with the find not ok.
 func TestWalkCheckpointCadence(t *testing.T) {
 	const n, period = 100, 16
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
 		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
 		t.Run(name, func(t *testing.T) {
-			cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
-			var log []int64
-			prot := &posProtector{testProtector{cw.h.NewShield()}, &log}
-			cw.prot = prot
-			cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
-
-			// The walk protects every period-th position and the
-			// destination — not the entry cursor, which a rollback
-			// rebuilds — and the destination once more when it finished
-			// in backup.
-			checkpoints := func(log []int64) []int64 {
-				for len(log) > 1 && log[len(log)-1] == n-1 && log[len(log)-2] == n-1 {
-					log = log[:len(log)-1]
+			for _, hooked := range []bool{false, true} {
+				if hooked {
+					defer func(p int) { atomicx.YieldPeriod = p }(atomicx.YieldPeriod)
+					atomicx.YieldPeriod = 1 << 30 // arms the hooks, never yields
 				}
-				return log
-			}
-
-			if last, ok := cw.walk(); !ok || last != n-1 {
-				t.Fatalf("walk = (%d,%v)", last, ok)
-			}
-			if got, want := checkpoints(log), []int64{16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("protected positions %v, want %v", got, want)
-			}
-			tail := cw.slots[n-1]
-			if c := cw.buf.cur; c.cur.Slot() != tail || c.pos != n-1 {
-				t.Fatalf("final cursor %+v, want the tail (slot %d) at position %d", c, tail, n-1)
-			}
-			if got := prot.s.Get(); got != tail {
-				t.Fatalf("prot shields slot %d after Finish, want the tail (slot %d)", got, tail)
-			}
-
-			log = nil
-			cw.valid = func(c *chainCursor) bool { return c.pos != 32 && c.pos != 48 }
-			if last, ok := cw.walk(); !ok || last != n-1 {
-				t.Fatalf("walk with postponed checkpoints = (%d,%v)", last, ok)
-			}
-			if got, want := checkpoints(log), []int64{16, 64, 80, 96, n - 1}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("protected positions with 32 and 48 unresumable %v, want %v", got, want)
-			}
-
-			log = nil
-			cw.valid = func(*chainCursor) bool { return false }
-			if last, ok := cw.walk(); !ok || last != n-1 {
-				t.Fatalf("walk whose cursor never validates = (%d,%v): postponed checkpoints must not be fatal", last, ok)
-			}
-			if got, want := checkpoints(log), []int64{n - 1}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("protected positions with nothing resumable %v, want %v", got, want)
-			}
-
-			cw.valid, cw.failAt = nil, 40
-			if last, ok := cw.walk(); ok {
-				t.Fatalf("walk given up at %d = (%d,true), want not ok", cw.failAt, last)
-			}
-			if b := cw.h.brcu; !strings.Contains(b.Describe(), "phase=Out") {
-				t.Fatalf("Fail left the handle in a critical section: %s", b.Describe())
+				cadence(t, backend, hooked)
 			}
 		})
 	}
 }
 
-// TestWalkFirstCheckpointIsLazy pins the two halves of Enter's transition:
-// a rollback before the first complete checkpoint starts over — init runs
-// again, valid is not consulted, nothing was protected — and a rollback
-// after it resumes from the checkpoint, revalidated once, without init.
+func cadence(t *testing.T, backend Backend, hooked bool) {
+	const n, period = 100, 16
+	cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
+	var log []int64
+	prot := &posProtector{testProtector{cw.h.NewShield()}, &log}
+	cw.prot = prot
+	cw.backup = &posProtector{testProtector{cw.h.NewShield()}, &log}
+	cw.onStep = func(a *Attempt, _ int64) {
+		if cw.buf.hooks != hooked {
+			t.Fatalf("section hooked = %v, want %v", cw.buf.hooks, hooked)
+		}
+	}
+
+	// The find protects every period-th position and the destination —
+	// not the entry cursor, which a rollback rebuilds.
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find = (%d,%v)", last, ok)
+	}
+	if want := []int64{16, 32, 48, 64, 80, 96, n - 1}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("hooked %v: protected positions %v, want %v", hooked, log, want)
+	}
+	tail := cw.slots[n-1]
+	if c := cw.buf.cur; c.cur.Slot() != tail || c.pos != n-1 {
+		t.Fatalf("final cursor %+v, want the tail (slot %d) at position %d", c, tail, n-1)
+	}
+	if got := prot.s.Get(); got != tail {
+		t.Fatalf("prot shields slot %d after Conclude, want the tail (slot %d)", got, tail)
+	}
+
+	log = nil
+	cw.valid = func(c *chainCursor) bool { return c.pos != 32 && c.pos != 48 }
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find with postponed checkpoints = (%d,%v)", last, ok)
+	}
+	if want := []int64{16, 64, 80, 96, n - 1}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("hooked %v: protected positions with 32 and 48 unresumable %v, want %v", hooked, log, want)
+	}
+
+	log = nil
+	cw.valid = func(*chainCursor) bool { return false }
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find whose cursor never validates = (%d,%v): postponed checkpoints must not be fatal", last, ok)
+	}
+	if want := []int64{n - 1}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("hooked %v: protected positions with nothing resumable %v, want %v", hooked, log, want)
+	}
+
+	cw.valid, cw.failAt = nil, 40
+	if last, ok := cw.find(); ok {
+		t.Fatalf("find that lost its CAS at %d = (%d,true), want not ok", cw.failAt, last)
+	}
+	if b := cw.h.brcu; !strings.Contains(b.Describe(), "phase=Out") {
+		t.Fatalf("a lost CAS left the handle in a critical section: %s", b.Describe())
+	}
+}
+
+// TestWalkFirstCheckpointIsLazy pins the two halves of a rollback in Walk:
+// before the first complete checkpoint it starts over — init runs again,
+// valid is not consulted, nothing was protected — and after it, it resumes
+// from the checkpoint, revalidated once, without init.
 func TestWalkFirstCheckpointIsLazy(t *testing.T) {
 	const n, period = 100, 16
 	cw, d := newChainWalk(t, BackendBRCU, n, Config{BackupPeriod: period})
@@ -384,15 +329,15 @@ func TestWalkFirstCheckpointIsLazy(t *testing.T) {
 	type books struct{ inits, valids, protects int }
 	var at books // at the forced rollback
 	stage := 0
-	cw.onStep = func(w *Walk[chainCursor], pos int64) {
+	cw.onStep = func(_ *Attempt, pos int64) {
 		now := books{cw.inits, cw.valids, len(log)}
 		switch stage {
-		case 0: // first attempt, short of the checkpoint at 16
+		case 0: // first section, short of the checkpoint at 16
 			if pos == 5 {
 				at, stage = now, 1
 				cw.h.brcu.SelfNeutralize()
 			}
-		case 1: // the next poll failed: first step of the second attempt
+		case 1: // the next poll failed: first step of the second section
 			if want := (books{at.inits + 1, at.valids, 0}); pos != 0 || now != want {
 				t.Errorf("after a rollback before the first checkpoint: pos %d, %+v; want a restart at 0 with %+v", pos, now, want)
 			}
@@ -402,18 +347,18 @@ func TestWalkFirstCheckpointIsLazy(t *testing.T) {
 				at, stage = now, 3
 				cw.h.brcu.SelfNeutralize()
 			}
-		case 3: // first step of the third attempt
+		case 3: // first step of the third section
 			if want := (books{at.inits, at.valids + 1, at.protects}); pos != 16 || now != want {
 				t.Errorf("after a rollback past the first checkpoint: pos %d, %+v; want a resume at 16 with %+v", pos, now, want)
 			}
 			stage = 4
 		}
 	}
-	if last, ok := cw.walk(); !ok || last != n-1 {
-		t.Fatalf("walk = (%d,%v), want (%d,true)", last, ok, n-1)
+	if last, ok := cw.find(); !ok || last != n-1 {
+		t.Fatalf("find = (%d,%v), want (%d,true)", last, ok, n-1)
 	}
 	if stage != 4 {
-		t.Fatalf("walk ended in stage %d: a forced rollback did not happen", stage)
+		t.Fatalf("find ended in stage %d: a forced rollback did not happen", stage)
 	}
 	if rb := d.Stats().Rollbacks.Load(); rb != 2 {
 		t.Fatalf("rollbacks = %d, want the 2 forced", rb)
@@ -479,7 +424,7 @@ func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
 	}
 	cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, hook}
 	cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, hook}
-	cw.onStep = func(_ *Walk[chainCursor], pos int64) {
+	cw.onStep = func(_ *Attempt, pos int64) {
 		if marked && !advanced {
 			advance()
 		}
@@ -489,8 +434,8 @@ func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
 		}
 	}
 
-	if last, ok := cw.walk(); ok {
-		t.Fatalf("walk = (%d,true), want it ended at the checkpoint whose cursor was marked", last)
+	if last, ok := cw.find(); ok {
+		t.Fatalf("find = (%d,true), want it ended at the checkpoint whose cursor was marked", last)
 	}
 	if !marked {
 		t.Fatal("the hook never ran: no checkpoint at position", period)
@@ -507,13 +452,13 @@ func TestCheckpointRevalidatesAfterReannounce(t *testing.T) {
 	}
 }
 
-// TestConcludeCommitsItsReads: a first attempt's Conclude poll is what
-// makes the reads before it safe to return. Between the tail's key read and
-// that poll, another handle unlinks and retires the tail, and its barrier
-// frees it — which it can only do after neutralizing the reader, whose
-// section would otherwise hold the tail's grace period back. The read must
-// roll back, once, and return the new tail, never the key it read from the
-// now free slot.
+// TestConcludeCommitsItsReads: Conclude's poll is what makes the reads
+// before it safe to return. Between the tail's key read and that poll,
+// another handle unlinks and retires the tail, and its barrier frees it —
+// which it can only do after neutralizing the reader, whose section would
+// otherwise hold the tail's grace period back. The read must roll back,
+// once, and return the new tail, never the key it read from the now free
+// slot.
 func TestConcludeCommitsItsReads(t *testing.T) {
 	const n = 8
 	cw, d := newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
@@ -538,42 +483,45 @@ func TestConcludeCommitsItsReads(t *testing.T) {
 		t.Fatalf("signals = %d, rollbacks = %d; want the reader signalled and rolled back once", s.Signals, s.Rollbacks)
 	}
 	if cw.inits != 1 {
-		t.Fatalf("init ran %d times, want once: the walk restarts the read after the failed poll", cw.inits)
+		t.Fatalf("init ran %d times, want once: Walk restarts the read after the failed poll", cw.inits)
 	}
 }
 
-// TestConcludeProtectsNothing: a read that concludes in its first attempt
-// publishes no shield, under both schemes: a two-node read and one that
-// takes the whole budget (BackupPeriod−1 steps) make no Protect call at
-// all.
+// TestConcludeProtectsNothing: a read that concludes before its first
+// checkpoint publishes no shield, under both schemes and with or without a
+// hook armed: a two-node read and one of BackupPeriod−1 steps make no
+// Protect call at all.
 func TestConcludeProtectsNothing(t *testing.T) {
 	const period = 16
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
 		name := map[Backend]string{BackendRCU: "HP-RCU", BackendBRCU: "HP-BRCU"}[backend]
 		t.Run(name, func(t *testing.T) {
-			for _, n := range []int{2, period - 1} {
-				cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
-				var log []int64
-				record := func(c *chainCursor) { log = append(log, c.pos) }
-				cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, record}
-				cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, record}
-				if last, ok := cw.read(); !ok || last != int64(n-1) {
-					t.Fatalf("%d-node read = (%d,%v), want (%d,true)", n, last, ok, n-1)
-				}
-				if log != nil || cw.inits != 0 || cw.visited != n {
-					t.Fatalf("%d-node read: protected %v, init ran %d times, %d steps; want no walk: nothing protected, no init, %d steps", n, log, cw.inits, cw.visited, n)
+			defer func(p int) { atomicx.YieldPeriod = p }(atomicx.YieldPeriod)
+			for _, yield := range []int{0, 1 << 30} {
+				atomicx.YieldPeriod = yield // 1<<30 arms the hooks and never yields
+				for _, n := range []int{2, period - 1} {
+					cw, _ := newChainWalk(t, backend, n, Config{BackupPeriod: period})
+					var log []int64
+					record := func(c *chainCursor) { log = append(log, c.pos) }
+					cw.prot = &hookProtector{testProtector{cw.h.NewShield()}, record}
+					cw.backup = &hookProtector{testProtector{cw.h.NewShield()}, record}
+					if last, ok := cw.read(); !ok || last != int64(n-1) {
+						t.Fatalf("%d-node read = (%d,%v), want (%d,true)", n, last, ok, n-1)
+					}
+					if log != nil || cw.inits != 0 || cw.visited != n {
+						t.Fatalf("%d-node read (yield period %d): protected %v, init ran %d times, %d steps; want nothing protected, no init, %d steps", n, yield, log, cw.inits, cw.visited, n)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestFirstAttemptHandsOff pins the two ways a first attempt leaves its
-// section without concluding. A spent budget hands the live section and
-// cursor to the walk, which runs every step exactly once — no rollback, no
-// init — and checkpoints exactly where a walk run from the start does. A
-// failed poll is the walk's rollback before its first checkpoint: counted
-// once, init once, and the read starts over.
+// TestFirstAttemptHandsOff pins the two ways a read's first section hands
+// a step to Walk. A spent countdown: Walk checkpoints in the live section,
+// exactly where a find does, and the read runs every step exactly once — no
+// rollback, no init. A failed poll: Walk counts one rollback, runs init
+// once, and the read starts over.
 func TestFirstAttemptHandsOff(t *testing.T) {
 	const n, period = 100, 16
 	for _, backend := range []Backend{BackendRCU, BackendBRCU} {
@@ -588,25 +536,26 @@ func TestFirstAttemptHandsOff(t *testing.T) {
 				}
 				return log, cw, d
 			}
-			want, _, _ := protected((*chainWalk).walk)
+			found, _, _ := protected((*chainWalk).find)
+			want := found[:len(found)-1] // the find's checkpoints, without its destination's shield
 			got, cw, d := protected((*chainWalk).read)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("a read handed off by its budget protected %v, a walk from the start %v", got, want)
+				t.Fatalf("a read checkpointed at %v, a find at %v", got, want)
 			}
 			if rb := d.Stats().Rollbacks.Load(); cw.visited != n || cw.inits != 0 || rb != 0 {
-				t.Fatalf("budget hand-off: %d steps, %d inits, %d rollbacks; want each of the %d steps once, no init, no rollback", cw.visited, cw.inits, rb, n)
+				t.Fatalf("spent countdowns: %d steps, %d inits, %d rollbacks; want each of the %d steps once, no init, no rollback", cw.visited, cw.inits, rb, n)
 			}
 
 			_, cw, d = protected(func(cw *chainWalk) (int64, bool) {
-				cw.onStep = func(w *Walk[chainCursor], pos int64) {
-					if w == nil && pos == 5 {
+				cw.onStep = func(_ *Attempt, pos int64) {
+					if pos == 5 && cw.inits == 0 {
 						cw.h.brcu.SelfNeutralize()
 					}
 				}
 				return cw.read()
 			})
-			// Positions 0..5 in the attempt (the poll before 6 fails), then
-			// the whole chain again from init.
+			// Positions 0..5 in the first section (the poll before 6 fails),
+			// then the whole chain again from init.
 			if rb := d.Stats().Rollbacks.Load(); cw.visited != 6+n || cw.inits != 1 || rb != 1 {
 				t.Fatalf("failed poll: %d steps, %d inits, %d rollbacks; want %d, 1, 1", cw.visited, cw.inits, rb, 6+n)
 			}
@@ -614,14 +563,14 @@ func TestFirstAttemptHandsOff(t *testing.T) {
 	}
 }
 
-// TestFindShieldsBeforeConclude: a find's first attempt hands its caller a
-// position to CAS outside the section, so it must shield that position
-// before Conclude's poll commits it. Between the tail's shield and that
-// poll, another handle unlinks and retires the tail, and its barrier
-// signals the finder to push the tail into the HP step: the shield must
-// already hold it there, the poll must fail, and the find must roll back
-// once, run init once and return the new tail. A find that concludes
-// shields its destination in prot and nothing else.
+// TestFindShieldsBeforeConclude: a find hands its caller a position to CAS
+// outside the section, so it must shield that position before Conclude's
+// poll commits it. Between the tail's shield and that poll, another handle
+// unlinks and retires the tail, and its barrier signals the finder to push
+// the tail into the HP step: the shield must already hold it there, the
+// poll must fail, and the find must roll back once, run init once and
+// return the new tail. A find that concludes shields its destination in
+// prot and nothing else.
 func TestFindShieldsBeforeConclude(t *testing.T) {
 	const n = 8
 	cw, d := newChainWalk(t, BackendBRCU, n, Config{MaxLocalTasks: 1, ScanThreshold: 1})
@@ -662,16 +611,15 @@ func TestFindShieldsBeforeConclude(t *testing.T) {
 		t.Fatalf("signals = %d, rollbacks = %d, inits = %d; want the finder signalled, rolled back once and restarted once", s.Signals, s.Rollbacks, cw.inits)
 	}
 	if got := prot.s.Get(); got != cw.slots[n-2] {
-		t.Fatalf("prot shields slot %d after the walk, want the new tail (slot %d)", got, cw.slots[n-2])
+		t.Fatalf("prot shields slot %d after the find, want the new tail (slot %d)", got, cw.slots[n-2])
 	}
 }
 
-// TestFindHandsOff pins the three ways a find's first attempt leaves its
-// section without concluding, against TestFirstAttemptHandsOff's walk from
-// the start. A spent budget and a marked position both hand the live
-// section to the walk: it protects exactly the positions the walk from the
-// start protects, every position is stepped past once, and there is no
-// rollback or init; the marked position is excised once, by the walk. A
+// TestFindHandsOff pins what a find's marked position costs: Walk excises
+// it in place, in the live section, and the step after the excision is the
+// one it interrupted. So a find past a marked position protects exactly the
+// positions a find past none protects, every position is stepped past
+// once, there is no rollback or init, and the position is excised once. A
 // failed poll is one rollback and one init.
 func TestFindHandsOff(t *testing.T) {
 	const n, period = 100, 16
@@ -690,28 +638,21 @@ func TestFindHandsOff(t *testing.T) {
 				}
 				return log, cw, d
 			}
-			want, _, _ := protected(-1, (*chainWalk).walk)
-			for _, mark := range []int64{-1, 0, 5, period - 2} {
-				if got, _, _ := protected(mark, (*chainWalk).walk); !reflect.DeepEqual(got, want) {
-					t.Fatalf("a walk from the start past a marked position %d protected %v, unmarked %v", mark, got, want)
-				}
+			want, _, _ := protected(-1, (*chainWalk).find)
+			for _, mark := range []int64{0, 5, period - 2, period, n - 1} {
 				got, cw, d := protected(mark, (*chainWalk).find)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("a find handed off (marked position %d) protected %v, a walk from the start %v", mark, got, want)
+					t.Fatalf("a find past a marked position %d protected %v, one past none %v", mark, got, want)
 				}
-				wantExcised := 0
-				if mark >= 0 {
-					wantExcised = 1
-				}
-				if rb := d.Stats().Rollbacks.Load(); cw.visited != n || cw.inits != 0 || rb != 0 || cw.excised != wantExcised {
-					t.Fatalf("hand-off at marked position %d: %d steps, %d inits, %d rollbacks, %d excisions; want each of the %d steps once, no init, no rollback, %d excisions",
-						mark, cw.visited, cw.inits, rb, cw.excised, n, wantExcised)
+				if rb := d.Stats().Rollbacks.Load(); cw.visited != n || cw.inits != 0 || rb != 0 || cw.excised != 1 {
+					t.Fatalf("marked position %d: %d steps, %d inits, %d rollbacks, %d excisions; want each of the %d steps once, no init, no rollback, 1 excision",
+						mark, cw.visited, cw.inits, rb, cw.excised, n)
 				}
 			}
 
 			_, cw, d := protected(-1, func(cw *chainWalk) (int64, bool) {
-				cw.onStep = func(w *Walk[chainCursor], pos int64) {
-					if w == nil && pos == 5 {
+				cw.onStep = func(_ *Attempt, pos int64) {
+					if pos == 5 && cw.inits == 0 {
 						cw.h.brcu.SelfNeutralize()
 					}
 				}

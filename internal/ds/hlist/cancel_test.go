@@ -53,44 +53,35 @@ func TestTraverseCtxCancelMidTraversalRollsBack(t *testing.T) {
 		}
 	}
 
-	// The optimistic read's walk with a loop of the test's own: step ~50
-	// nodes in, then cancel and hold position (keep polling and
-	// checkpointing without advancing) until the self-neutralization
-	// lands and ends the walk. The hold guarantees the cancel arrives
-	// mid-traversal, not between operations.
+	// The optimistic read's loop, written out in the test: step ~50 nodes
+	// in, then cancel and hold position (keep stepping and checkpointing
+	// without advancing) until the self-neutralization lands and Walk ends
+	// the traversal. The hold guarantees the cancel arrives mid-traversal,
+	// not between operations.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	lst := &h.l
-	init := func() getCursor { return getCursor{cur: lst.Pool.At(lst.Head).Next.Load().Untagged()} }
-	valid := func(c *getCursor) bool { return c.cur.IsNil() || lst.At(c.cur).Next.Load().Tag() == 0 }
-	var w core.Walk[getCursor]
-	w.Bind(ctx, h.h, &h.getBuf, h.getProt, h.getBackup)
-	w.Start()
+	a := h.getBuf.Try(ctx)
+	c := h.getEntry()
 	steps := 0
-	func() {
-		defer w.Guard()
-		for w.Enter(init, valid) {
-			cur := w.Cursor().cur
-			for w.Poll() {
-				steps++
-				if steps == 50 {
-					cancel()
-				}
-				if steps < 50 {
-					cur = lst.At(cur).Next.Load().Untagged()
-				}
-				if w.Due() {
-					w.Cursor().cur = cur
-					if !w.Checkpoint(valid) {
-						break
-					}
-				}
+	for {
+		if !a.Step() {
+			var ok bool
+			if c, ok = h.getBuf.Walk(&a, c, h.getEntry, h.getResumable, nil); !ok {
+				break
 			}
 		}
-	}()
-	err := w.Err()
+		steps++
+		if steps == 50 {
+			cancel()
+		}
+		if steps < 50 {
+			c.cur = lst.At(c.cur).Next.Load().Untagged()
+		}
+	}
+	err := h.getBuf.Err()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("walk err = %v, want context.Canceled", err)
+		t.Fatalf("traversal err = %v, want context.Canceled", err)
 	}
 	if steps < 50 {
 		t.Fatalf("traversal aborted after %d steps, before the cancel point", steps)

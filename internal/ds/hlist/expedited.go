@@ -93,8 +93,8 @@ type ExpeditedHandle struct {
 	maskRunS           *hp.Shield
 	maskEndS           *hp.Shield
 
-	// Handle-owned cursor storage for core.Walk, one buffer per cursor
-	// type, so traversals never heap-allocate their cursors.
+	// Handle-owned traversal state, one buffer per traversal, so
+	// traversals never heap-allocate their cursors.
 	searchBuf core.CursorBuf[cursor]
 	getBuf    core.CursorBuf[getCursor]
 }
@@ -112,6 +112,8 @@ func (l *Expedited) Register() *ExpeditedHandle {
 		maskRunS:  d.NewShield(),
 		maskEndS:  d.NewShield(),
 	}
+	h.searchBuf.Init(d, h.prot, h.backup)
+	h.getBuf.Init(d, h.getProt, h.getBackup)
 	h.init(&l.set, h)
 	return h
 }
@@ -133,144 +135,90 @@ func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.Bar
 
 // search runs the expedited Harris search (Algorithm 8's TrySearch) once:
 // ok is false when the operation must be retried (failed revalidation or a
-// lost helping CAS, §4.3); otherwise the position is HP-protected by prot.
-// Its first attempt is ebr.go's loop with a poll before every node
-// (core.Attempt): at the destination it shields prev and cur in prot, and
-// Conclude's poll commits them, so the position outlives the section as a
-// walk's Finish leaves it. A marked node (a run only the walk's masked
-// region may excise), a failed poll or a spent budget hands the search to
-// walkSearch, which also runs it from the start when Try refuses.
+// lost helping CAS, §4.3); otherwise the position is HP-protected. It is
+// ebr.go's loop with Step before every node: a marked node, a failed poll
+// or a spent countdown goes to the buffer's Walk — which excises the run in
+// its masked region, rolls back or checkpoints — and at the destination
+// prev and cur are shielded before Conclude's poll commits them, so the
+// position outlives the section.
 func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
-	a, ok := h.h.Try(nil)
-	if !ok {
-		return h.walkSearch(key, a, cursor{})
-	}
 	l := &h.l
-	prev := l.Head
-	cur := l.Pool.At(prev).Next.Load()
-	for a.Step() {
+	a := h.searchBuf.Try(nil)
+	c := h.entry()
+	for {
+		if !a.Step() {
+			var ok bool
+			if c, ok = h.searchBuf.Walk(&a, c, h.entry, h.resumable, nil); !ok {
+				return 0, atomicx.Nil, false, false
+			}
+		}
 		found := false
-		if !cur.IsNil() {
-			curN := l.At(cur)
+		if !c.cur.IsNil() {
+			curN := l.At(c.cur)
 			next := curN.Next.Load()
 			if next.Tag() != 0 {
-				a.Handoff()
-				break
+				var ok bool
+				if c, ok = h.searchBuf.Walk(&a, c, h.entry, h.resumable, h.excise); !ok {
+					return 0, atomicx.Nil, false, false
+				}
+				continue
 			}
 			k := curN.Key.Load()
 			if k < key {
-				prev, cur = cur.Slot(), next
+				c = cursor{prev: c.cur.Slot(), cur: next}
 				continue
 			}
 			found = k == key
 		}
-		h.prot.prevS.ProtectSlot(prev)
-		h.prot.curS.Protect(cur)
+		h.searchBuf.Shield(c)
 		if a.Conclude() {
-			return prev, cur, found, true
+			return c.prev, c.cur, found, true
 		}
-		break
 	}
-	return h.walkSearch(key, a, cursor{prev: prev, cur: cur})
 }
 
-// walkSearch is search under a core.Walk, adopting the first attempt a
-// (none when Try refused) and, if it is still live, its cursor from:
-// Harris's loop, as in ebr.go, stepping under the walk. The position is
-// kept in locals, not in the named results: the deferred Guard pins results
-// to memory, and the walk's cursor slot is written only when it is
-// checkpointed.
-func (h *ExpeditedHandle) walkSearch(key int64, a core.Attempt, from cursor) (uint64, atomicx.Ref, bool, bool) {
-	l := &h.l
-	init := func() cursor {
-		return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
-	}
-	// Resuming is safe while cur is not logically deleted (§3.3). A nil cur
-	// cannot be marked, so prev stands in for it.
-	valid := func(c *cursor) bool {
-		if c.cur.IsNil() {
-			return l.Pool.At(c.prev).Next.Load().Tag() == 0
-		}
-		return l.At(c.cur).Next.Load().Tag() == 0
-	}
-	var w core.Walk[cursor]
-	w.Bind(nil, h.h, &h.searchBuf, h.prot, h.backup)
-	w.Start()
-	defer w.Guard()
-	w.Adopt(a, from)
-	c := w.Cursor()
-	for w.Enter(init, valid) {
-		prev, cur := c.prev, c.cur
-		found, done := false, false
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			if cur.IsNil() {
-				done = true
-			} else {
-				curN := l.At(cur)
-				next := curN.Next.Load()
-				if next.Tag() != 0 {
-					end, ok, mustRollback := h.excise(prev, cur)
-					if mustRollback {
-						break
-					}
-					if !ok {
-						w.Fail()
-						return 0, atomicx.Nil, false, false
-					}
-					cur = end
-				} else if k := curN.Key.Load(); k >= key {
-					found, done = k == key, true
-				} else {
-					prev, cur = cur.Slot(), next
-				}
-			}
-			if done {
-				*c = cursor{prev: prev, cur: cur}
-				if w.Finish() {
-					return prev, cur, found, true
-				}
-				break
-			}
-			if w.Due() {
-				*c = cursor{prev: prev, cur: cur}
-				if !w.Checkpoint(valid) {
-					break
-				}
-			}
-		}
-	}
-	return 0, atomicx.Nil, false, false
+// entry is search's init: the head's link.
+func (h *ExpeditedHandle) entry() cursor {
+	return cursor{prev: h.l.Head, cur: h.l.Pool.At(h.l.Head).Next.Load()}
 }
 
-// excise unlinks the marked run [cur, end) from prev inside an abort-masked
-// region — physical deletion is rollback-safe but not abort-rollback-safe,
-// it retires. The run is captured into a buffer before the masked writes
-// so retirement never re-reads a link after a retire, and the excision
-// operands (predecessor, run head, excision target) are protected by
-// outliving shields beforehand so the masked CAS can never act on recycled
-// slots (the ABA guard the paper notes in footnote 6). ok reports whether
-// the CAS won; mustRollback, checked first, that the section was
-// neutralized before or during the region.
-func (h *ExpeditedHandle) excise(prev uint64, cur atomicx.Ref) (end atomicx.Ref, ok, mustRollback bool) {
+// resumable is search's valid: resuming is safe while cur is not logically
+// deleted (§3.3). A nil cur cannot be marked, so prev stands in for it.
+func (h *ExpeditedHandle) resumable(c *cursor) bool {
 	l := &h.l
-	end = h.runEnd(cur)
-	h.maskPrevS.ProtectSlot(prev)
-	h.maskRunS.Protect(cur)
+	if c.cur.IsNil() {
+		return l.Pool.At(c.prev).Next.Load().Tag() == 0
+	}
+	return l.At(c.cur).Next.Load().Tag() == 0
+}
+
+// excise unlinks the marked run starting at c.cur from c.prev inside an
+// abort-masked region — physical deletion is rollback-safe but not
+// abort-rollback-safe, it retires — and moves c.cur past it. The run is
+// captured into a buffer before the masked writes so retirement never
+// re-reads a link after a retire, and the excision operands (predecessor,
+// run head, excision target) are protected by outliving shields beforehand
+// so the masked CAS can never act on recycled slots (the ABA guard the
+// paper notes in footnote 6). It reports whether the CAS won; Walk's poll
+// after it tells whether the section was neutralized before or during the
+// region.
+func (h *ExpeditedHandle) excise(c *cursor) bool {
+	l := &h.l
+	end := h.runEnd(c.cur)
+	h.maskPrevS.ProtectSlot(c.prev)
+	h.maskRunS.Protect(c.cur)
 	h.maskEndS.Protect(end)
-	_, mustRollback = h.h.Mask(func() {
-		if l.Pool.At(prev).Next.CompareAndSwap(cur, end) {
+	ok := false
+	h.h.Mask(func() {
+		if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, end) {
 			h.retireRun()
 			ok = true
 		}
 	})
-	return end, ok, mustRollback
+	if ok {
+		c.cur = end
+	}
+	return ok
 }
 
 // find repeats search until a traversal finishes: the position it returns
@@ -333,32 +281,42 @@ func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, erro
 }
 
 // contains runs the optimistic read once: ok is false when it must be
-// retried from scratch or, with err set, was cancelled. Its first attempt
-// is ebr.go's loop with a poll before every node (core.Attempt); a read the
-// attempt cannot finish, or that must walk from the start, goes on in
-// walkContains.
+// retried from scratch or, with err set, was cancelled. It is ebr.go's loop
+// with Step before every node; the value is read whole before Conclude's
+// poll commits it.
 func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool, bool, error) {
-	a, ok := h.h.Try(ctx)
-	if !ok {
-		return h.walkContains(ctx, key, a, getCursor{})
-	}
 	l := &h.l
-	cur := l.Pool.At(l.Head).Next.Load().Untagged()
-	for a.Step() {
+	a := h.getBuf.Try(ctx)
+	c := h.getEntry()
+	for {
+		if !a.Step() {
+			var ok bool
+			if c, ok = h.getBuf.Walk(&a, c, h.getEntry, h.getResumable, nil); !ok {
+				return 0, false, false, h.getBuf.Err()
+			}
+		}
 		var n *lnode.Node
-		if !cur.IsNil() {
-			if n = l.At(cur); n.Key.Load() < key {
-				cur = n.Next.Load().Untagged()
+		if !c.cur.IsNil() {
+			if n = l.At(c.cur); n.Key.Load() < key {
+				c.cur = n.Next.Load().Untagged()
 				continue
 			}
 		}
-		val, found := answer(n, key) // read whole before Conclude's poll commits it
+		val, found := answer(n, key)
 		if a.Conclude() {
 			return val, found, true, nil
 		}
-		break
 	}
-	return h.walkContains(ctx, key, a, getCursor{cur: cur})
+}
+
+// getEntry is contains's init.
+func (h *ExpeditedHandle) getEntry() getCursor {
+	return getCursor{cur: h.l.Pool.At(h.l.Head).Next.Load().Untagged()}
+}
+
+// getResumable is contains's valid.
+func (h *ExpeditedHandle) getResumable(c *getCursor) bool {
+	return c.cur.IsNil() || h.l.At(c.cur).Next.Load().Tag() == 0
 }
 
 // answer is what a read returns from the node its traversal stopped at.
@@ -367,53 +325,4 @@ func answer(n *lnode.Node, key int64) (val int64, found bool) {
 		val = n.Val.Load()
 	}
 	return val, found
-}
-
-// walkContains is contains under a core.Walk, adopting the first attempt a
-// (none when Try refused) and, if its budget is spent, its cursor from.
-func (h *ExpeditedHandle) walkContains(ctx context.Context, key int64, a core.Attempt, from getCursor) (int64, bool, bool, error) {
-	l := &h.l
-	init := func() getCursor {
-		return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
-	}
-	valid := func(c *getCursor) bool {
-		return c.cur.IsNil() || l.At(c.cur).Next.Load().Tag() == 0
-	}
-	var w core.Walk[getCursor]
-	w.Bind(ctx, h.h, &h.getBuf, h.getProt, h.getBackup)
-	w.Start()
-	defer w.Guard()
-	w.Adopt(a, from)
-	c := w.Cursor()
-	for w.Enter(init, valid) {
-		cur := c.cur // in a local, as in walkSearch
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			var n *lnode.Node
-			if !cur.IsNil() {
-				if n = l.At(cur); n.Key.Load() < key {
-					cur = n.Next.Load().Untagged()
-					if w.Due() {
-						c.cur = cur
-						if !w.Checkpoint(valid) {
-							break
-						}
-					}
-					continue
-				}
-			}
-			val, found := answer(n, key)
-			if c.cur = cur; !w.Finish() {
-				break
-			}
-			return val, found, true, nil
-		}
-	}
-	return 0, false, false, w.Err()
 }

@@ -1,10 +1,10 @@
 package hlist
 
-// Tests of the first attempts (core.Attempt) of a read and of a write's
-// find on the hash map: that real reclaimer signals landing in first
-// attempts never let a wrong value or a lost update through, that a marked
-// run hands the find's live section to the walk, and that every condition
-// an attempt cannot honour sends the traversal down the walk instead.
+// Tests of the one loop of a read and of a write's find on the hash map and
+// the list: that real reclaimer signals landing in a first section never
+// let a wrong value or a lost update through, that a marked run is excised
+// in place, that a find's shields are committed by its poll, and that every
+// hook drives the same loop, through Walk.
 
 import (
 	"context"
@@ -14,17 +14,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
+	"github.com/smrgo/hpbrcu/internal/ds/lnode"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
 // TestFirstAttemptUnderSignals churns an HP-BRCU hash map with no hook
-// armed — so every Get runs a first attempt, unlike under any chaos mode,
-// which arms the fault layer — and a reclaimer that flushes at every
-// retire and signals the first laggard. Readers check every value against
+// armed — so every Get's Step is the inline poll and countdown, unlike
+// under any chaos mode, which arms the fault layer and sends every Step to
+// Walk — and a reclaimer that flushes at every retire and signals the first
+// laggard. Readers check every value against
 // its key until the domain has counted both signals and rollbacks.
 func TestFirstAttemptUnderSignals(t *testing.T) {
 	const (
@@ -93,10 +97,48 @@ func TestFirstAttemptUnderSignals(t *testing.T) {
 	}
 }
 
-// TestReadRoutesToWalk: a read whose first attempt could not honour what
-// the handle or the process asks of it runs the walk from the start — a
-// bound context (only the walk cancels), a poisoned handle (only the walk
-// refuses one), and each step hook (only the walk's steps run them).
+// countingProtector counts the Protect calls of the protector it wraps.
+type countingProtector[C any] struct {
+	core.Protector[C]
+	n *int
+}
+
+func (p countingProtector[C]) Protect(c *C) {
+	*p.n++
+	p.Protector.Protect(c)
+}
+
+// armedHooks are the three things that arm the step hooks, each with a
+// plan that never fires, so the traversal's result is the unhooked one.
+func armedHooks() []struct {
+	name     string
+	arm, off func()
+} {
+	yield := atomicx.YieldPeriod
+	return []struct {
+		name     string
+		arm, off func()
+	}{
+		{"obs", func() { obs.Activate(obs.NewCollector(0)) }, obs.Deactivate},
+		{"yield", func() { atomicx.YieldPeriod = 1 << 30 }, func() { atomicx.YieldPeriod = yield }},
+		{"fault", func() { fault.Activate(atPanic(1 << 62)) }, fault.Deactivate},
+	}
+}
+
+// atPanic is a fault plan that panics at every period-th hooked step.
+func atPanic(period uint64) *fault.Injector {
+	var plans [fault.NumSites]fault.Plan
+	plans[fault.SitePanic] = fault.Plan{Period: period}
+	return fault.New(fault.Config{Seed: 1, Plans: plans})
+}
+
+// TestReadRoutesToWalk: a read's every step goes to Walk while a hook is
+// armed, and the read is the same loop: each hook (obs, the yield harness,
+// the fault layer) runs its steps through Walk — core.StepHook sees them —
+// and the short read still commits through Conclude without a Protect or a
+// rollback. Through Walk a panic at a step (SitePanic) is contained as a
+// *PanicError with the handle left Out, a handle whose restore failed is
+// refused, and a context already done ends the read before it starts.
 func TestReadRoutesToWalk(t *testing.T) {
 	cfg := core.Config{PanicPolicy: core.PanicRecover}
 	newMap := func() (*Expedited, *ExpeditedHandle) {
@@ -112,13 +154,8 @@ func TestReadRoutesToWalk(t *testing.T) {
 	panicOf := func(h *ExpeditedHandle) (r any) {
 		defer func() { r = recover() }()
 		v, ok := h.Get(3)
-		t.Fatalf("Get = (%d,%v), want a panic: the read did not take the walk", v, ok)
+		t.Fatalf("Get = (%d,%v), want a panic: the read's steps did not run the hooks", v, ok)
 		return nil
-	}
-	atPanic := func(period uint64) *fault.Injector {
-		var plans [fault.NumSites]fault.Plan
-		plans[fault.SitePanic] = fault.Plan{Period: period}
-		return fault.New(fault.Config{Seed: 1, Plans: plans})
 	}
 
 	t.Run("ctx", func(t *testing.T) {
@@ -155,7 +192,7 @@ func TestReadRoutesToWalk(t *testing.T) {
 
 	t.Run("poisoned", func(t *testing.T) {
 		_, h := newMap()
-		// A restoration that panics poisons the handle: the walk's recover
+		// A restoration that panics poisons the handle: Walk's recover
 		// barrier clears the get protectors, and this one has no shield.
 		shield := h.getProt.curS
 		h.getProt.curS = nil
@@ -171,135 +208,50 @@ func TestReadRoutesToWalk(t *testing.T) {
 		}
 	})
 
-	// Each hook is seen to route by core.StepHook, which only a walk's
-	// instrumented steps run.
-	yield := atomicx.YieldPeriod
-	for _, hook := range []struct {
-		name     string
-		arm, off func()
-	}{
-		{"obs", func() { obs.Activate(obs.NewCollector(0)) }, obs.Deactivate},
-		{"yield", func() { atomicx.YieldPeriod = 1 << 30 }, func() { atomicx.YieldPeriod = yield }},
-		{"fault", func() { fault.Activate(atPanic(1 << 62)) }, fault.Deactivate},
-	} {
+	for _, hook := range armedHooks() {
 		t.Run("hook/"+hook.name, func(t *testing.T) {
-			_, h := newMap()
+			m, h := newMap()
+			protects := 0
+			h.getBuf.Init(h.h, countingProtector[getCursor]{h.getProt, &protects}, countingProtector[getCursor]{h.getBackup, &protects})
 			steps := 0
 			core.StepHook = func(*brcu.Handle) { steps++ }
 			hook.arm()
 			v, ok := h.Get(3)
 			hook.off()
 			core.StepHook = nil
-			if !ok || v != 103 || steps == 0 {
-				t.Fatalf("Get = (%d,%v) with %d instrumented steps, want (103,true) from the walk", v, ok, steps)
+			if !ok || v != 103 || steps == 0 || protects != 0 {
+				t.Fatalf("Get = (%d,%v) with %d hooked steps and %d protections; want (103,true) through Walk's steps, committed by Conclude unshielded", v, ok, steps, protects)
+			}
+			if rb := m.Stats().Rollbacks.Load(); rb != 0 {
+				t.Fatalf("%d rollbacks: the hooked read did not commit in its first section", rb)
 			}
 		})
 	}
 }
 
 // TestFindFirstAttemptUnderSignals is TestFirstAttemptUnderSignals for the
-// write side: two writers insert and remove overlapping keys of an HP-BRCU
-// hash map, with no hook armed, so every find runs a first attempt and
-// hands its caller a position shielded before its committing poll, while a
-// reclaimer that flushes at every retire signals the first laggard. Each
-// writer books its own successful inserts and removes per key; at the end
-// a key must be present exactly when its books add up to one, every value
-// read or removed must match its key, and after the drain nothing may be
-// left unreclaimed.
+// write side (listtest.FindUnderSignals): two writers insert and remove
+// overlapping keys of an HP-BRCU hash map, with no hook armed, so every
+// find hands its caller a position shielded before its committing poll,
+// while a reclaimer that flushes at every retire signals the first
+// laggard; the writers' books must balance and the drain must reclaim
+// everything.
 func TestFindFirstAttemptUnderSignals(t *testing.T) {
-	const (
-		keys, buckets = 1 << 8, 1 << 4
-		writers       = 2
-		deadline      = 20 * time.Second
-	)
-	m := NewExpeditedOf(core.BackendBRCU, HHS, buckets, core.Config{MaxLocalTasks: 1, ForceThreshold: 1, ScanThreshold: 1})
-	valueOf := func(k int64) int64 { return 3*k + 1 }
-
-	var (
-		stop, enough atomic.Bool
-		wg           sync.WaitGroup
-		ops          atomic.Int64
-		books        [writers][keys]int
-	)
-	next := func(rng *uint64) uint64 {
-		*rng ^= *rng << 13
-		*rng ^= *rng >> 7
-		*rng ^= *rng << 17
-		return *rng
-	}
-	wg.Add(writers + 1)
-	for w := 0; w < writers; w++ {
-		go func(w int, rng uint64) {
-			defer wg.Done()
-			h := m.Register()
-			defer h.Unregister()
-			for !stop.Load() {
-				r := next(&rng)
-				k := int64(r % keys)
-				if r&(1<<40) == 0 {
-					if h.Insert(k, valueOf(k)) {
-						books[w][k]++
-					}
-				} else if v, ok := h.Remove(k); ok {
-					if v != valueOf(k) {
-						t.Errorf("Remove(%d) = %d, want %d", k, v, valueOf(k))
-					}
-					books[w][k]--
-				}
-				if ops.Add(1)%4096 == 0 {
-					s := m.Stats().Snapshot()
-					enough.Store(s.Signals > 0 && s.Rollbacks > 0 && ops.Load() > 1<<17)
-				}
-			}
-		}(w, uint64(w+1)*0x9E3779B97F4A7C15)
-	}
-	go func() { // the reader
-		defer wg.Done()
-		h := m.Register()
-		defer h.Unregister()
-		for rng := uint64(0xbeef); !stop.Load(); {
-			k := int64(next(&rng) % keys)
-			if v, ok := h.Get(k); ok && v != valueOf(k) {
-				t.Errorf("Get(%d) = %d, want %d", k, v, valueOf(k))
-			}
-		}
-	}()
-	for start := time.Now(); !enough.Load() && time.Since(start) < deadline; {
-		time.Sleep(time.Millisecond)
-	}
-	stop.Store(true)
-	wg.Wait()
-	s := m.Stats().Snapshot()
-	t.Logf("%d writes: %d signals, %d rollbacks", ops.Load(), s.Signals, s.Rollbacks)
-	if s.Signals == 0 || s.Rollbacks == 0 {
-		t.Fatalf("signals = %d, rollbacks = %d after %v: no signal landed in a traversal, the test is vacuous", s.Signals, s.Rollbacks, deadline)
-	}
-
-	h := m.Register()
-	for k := int64(0); k < keys; k++ {
-		net := 0
-		for w := range books {
-			net += books[w][k]
-		}
-		v, ok := h.Get(k)
-		if (net != 0 && net != 1) || ok != (net == 1) || ok && v != valueOf(k) {
-			t.Errorf("key %d: Get = (%d,%v), but the writers' books net %d successful inserts over removes", k, v, ok, net)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		h.Barrier()
-	}
-	h.Unregister()
-	if s := m.Stats().Snapshot(); s.Retired == 0 || s.Unreclaimed != 0 {
-		t.Fatalf("after the drain: retired = %d, unreclaimed = %d (reclaimed %d); want retires, all reclaimed", s.Retired, s.Unreclaimed, s.Reclaimed)
-	}
+	m := NewExpeditedOf(core.BackendBRCU, HHS, 1<<4, core.Config{MaxLocalTasks: 1, ForceThreshold: 1, ScanThreshold: 1})
+	listtest.FindUnderSignals(t, listtest.Of("HashMap/HP-BRCU", false, true, m), 1<<8)
 }
 
-// TestFindHandsOffAMarkedRun: a find whose first attempt meets a marked
-// node hands its live section to the walk, which excises the run in its
-// masked region and finishes the find in that same section — no rollback
-// is counted — whatever the run bound.
+// TestFindHandsOffAMarkedRun: a find that meets a marked run hands that
+// step to Walk, which excises the run in its masked region and lets the
+// find go on from where the run ends in the same section — whatever the
+// run bound, no rollback is counted and no node is visited twice. With the
+// step hooks armed, core.StepHook counts the find's steps: one per node
+// before and after the run, one per excision and one past the tail. A find
+// that gave up at the run and started over from the head would step the
+// prefix again (and, with nobody else to excise the run, forever: the hook
+// stops it).
 func TestFindHandsOffAMarkedRun(t *testing.T) {
+	defer func(p int) { atomicx.YieldPeriod, core.StepHook = p, nil }(atomicx.YieldPeriod)
 	for _, kind := range []Kind{HarrisMichael, Harris} {
 		l := NewExpeditedOf(core.BackendBRCU, kind, 1, core.Config{})
 		h := l.Register()
@@ -312,8 +264,28 @@ func TestFindHandsOffAMarkedRun(t *testing.T) {
 				t.Fatalf("markOnly(%d) failed", k)
 			}
 		}
-		if !h.Insert(20, 20) {
-			t.Fatal("Insert(20) failed")
+		// 7 live nodes and the tail, and one step per excision: a whole
+		// run in one under Harris, each marked node in its own under
+		// Harris-Michael (bound 1).
+		excisions := map[Kind]int{Harris: 1, HarrisMichael: 3}[kind]
+		want := 7 + 1 + excisions
+		steps := 0
+		core.StepHook = func(*brcu.Handle) {
+			if steps++; steps > 10*want {
+				panic("the find keeps stepping: it restarted at the marked run")
+			}
+		}
+		atomicx.YieldPeriod = 1 << 30 // arms the hooks, never yields
+		inserted, thrown := func() (ok bool, r any) {
+			defer func() { r = recover() }()
+			return h.Insert(20, 20), nil
+		}()
+		atomicx.YieldPeriod, core.StepHook = 0, nil
+		if thrown != nil || !inserted {
+			t.Fatalf("bound %d: Insert(20) = %v, panicked with %v", o.bound, inserted, thrown)
+		}
+		if steps != want {
+			t.Errorf("bound %d: the find took %d steps across the marked run, want %d: each node once", o.bound, steps, want)
 		}
 		if got := l.Stats().Retired.Load(); got != 3 {
 			t.Errorf("bound %d: the find retired %d of the 3 marked nodes, want all of them excised", o.bound, got)
@@ -322,17 +294,83 @@ func TestFindHandsOffAMarkedRun(t *testing.T) {
 			t.Errorf("bound %d: linked = %d after the find, want 8", o.bound, got)
 		}
 		if rb := l.Stats().Rollbacks.Load(); rb != 0 {
-			t.Errorf("bound %d: rollbacks = %d, want 0: a marked run hands the live section over, it does not roll back", o.bound, rb)
+			t.Errorf("bound %d: rollbacks = %d, want 0: a marked run is excised in the live section, it does not roll back", o.bound, rb)
 		}
 		h.Unregister()
 	}
 }
 
-// TestFindRoutesToWalk: a write whose find could not honour what the handle
-// or the process asks of it runs the walk from the start — a poisoned
-// handle (only the walk refuses one), and each step hook (only the walk's
-// steps run them), the fault layer's with SitePanic contained and the
-// handle left Out.
+// preProtector runs before, once, ahead of the protector it wraps.
+type preProtector struct {
+	core.Protector[cursor]
+	before func(c *cursor)
+}
+
+func (p *preProtector) Protect(c *cursor) {
+	if f := p.before; f != nil {
+		p.before = nil
+		f(c)
+	}
+	p.Protector.Protect(c)
+}
+
+// TestFindCommitsItsShields stages, in the list's own find, what a shield
+// stored after Conclude would lose. Just before the find shields its
+// destination, another handle unlinks and retires that node and its barrier
+// frees it. Inside the section that barrier has to neutralize the finder
+// first, so Conclude's poll fails and the find rolls back and returns the
+// next position; a find that concluded before shielding would be out of its
+// section by then and return the freed node.
+func TestFindCommitsItsShields(t *testing.T) {
+	l := NewExpeditedOf(core.BackendBRCU, Harris, 1, core.Config{MaxLocalTasks: 1, ScanThreshold: 1})
+	fill := l.Register()
+	for k := int64(0); k < 10; k++ {
+		fill.Insert(k, k)
+	}
+	fill.Unregister()
+	h, other := l.Register(), l.Register()
+	defer h.Unregister()
+	defer other.Unregister()
+
+	pool := h.l.Pool
+	var victim uint64
+	h.searchBuf.Init(h.h, &preProtector{h.prot, func(c *cursor) {
+		victim = c.cur.Slot()
+		n := pool.At(victim)
+		next := n.Next.Load()
+		if !n.Next.CompareAndSwap(next, next.WithTag(lnode.MarkBit)) || !pool.At(c.prev).Next.CompareAndSwap(c.cur, next) {
+			t.Errorf("could not unlink the destination, slot %d", victim)
+		}
+		pool.Hdr(victim).Retire()
+		other.retire(victim)
+		other.Barrier()
+		// Errorf, not Fatalf: the find must still leave its section.
+		if pool.Hdr(victim).State() != alloc.StateFree {
+			t.Errorf("the destination survived the barrier: the test does not reach the hazard")
+		}
+	}}, h.backup)
+
+	_, cur, found := h.find(5)
+	if victim == 0 {
+		t.Fatal("the find stored no shield")
+	}
+	if cur.Slot() == victim || found {
+		t.Fatalf("find(5) = (slot %d, found %v): it returned the node freed before its shields were committed", cur.Slot(), found)
+	}
+	if cur.IsNil() || pool.Hdr(cur.Slot()).State() == alloc.StateFree || h.l.At(cur).Key.Load() != 6 {
+		t.Fatalf("find(5) returned %v, want the live node of key 6", cur)
+	}
+	if s := l.Stats().Snapshot(); s.Signals == 0 || s.Rollbacks != 1 {
+		t.Fatalf("signals = %d, rollbacks = %d; want the finder signalled and rolled back once", s.Signals, s.Rollbacks)
+	}
+}
+
+// TestFindRoutesToWalk: a write's find runs the read's one loop. Each hook
+// (obs, the yield harness, the fault layer) sends its steps through Walk —
+// core.StepHook sees them — and a short find still commits in its first
+// section, with its destination alone shielded, in prot. Through Walk a
+// panic at a step (SitePanic) is contained with the handle left Out, and a
+// handle whose restore failed is refused.
 func TestFindRoutesToWalk(t *testing.T) {
 	cfg := core.Config{PanicPolicy: core.PanicRecover}
 	newMap := func() (*Expedited, *ExpeditedHandle) {
@@ -348,13 +386,8 @@ func TestFindRoutesToWalk(t *testing.T) {
 	panicOf := func(op func() bool) (r any) {
 		defer func() { r = recover() }()
 		ok := op()
-		t.Fatalf("op = %v, want a panic: the find did not take the walk", ok)
+		t.Fatalf("op = %v, want a panic: the find's steps did not run the hooks", ok)
 		return nil
-	}
-	atPanic := func(period uint64) *fault.Injector {
-		var plans [fault.NumSites]fault.Plan
-		plans[fault.SitePanic] = fault.Plan{Period: period}
-		return fault.New(fault.Config{Seed: 1, Plans: plans})
 	}
 
 	t.Run("fault", func(t *testing.T) {
@@ -383,8 +416,8 @@ func TestFindRoutesToWalk(t *testing.T) {
 
 	t.Run("poisoned", func(t *testing.T) {
 		_, h := newMap()
-		// A restoration that panics poisons the handle: the find walk's
-		// recover barrier clears prot, and this one has no cur shield.
+		// A restoration that panics poisons the handle: Walk's recover
+		// barrier clears prot, and this one has no cur shield.
 		shield := h.prot.curS
 		h.prot.curS = nil
 		fault.Activate(atPanic(1))
@@ -399,17 +432,11 @@ func TestFindRoutesToWalk(t *testing.T) {
 		}
 	})
 
-	yield := atomicx.YieldPeriod
-	for _, hook := range []struct {
-		name     string
-		arm, off func()
-	}{
-		{"obs", func() { obs.Activate(obs.NewCollector(0)) }, obs.Deactivate},
-		{"yield", func() { atomicx.YieldPeriod = 1 << 30 }, func() { atomicx.YieldPeriod = yield }},
-		{"fault", func() { fault.Activate(atPanic(1 << 62)) }, fault.Deactivate},
-	} {
+	for _, hook := range armedHooks() {
 		t.Run("hook/"+hook.name, func(t *testing.T) {
-			_, h := newMap()
+			m, h := newMap()
+			var inProt, inBackup int
+			h.searchBuf.Init(h.h, countingProtector[cursor]{h.prot, &inProt}, countingProtector[cursor]{h.backup, &inBackup})
 			steps := 0
 			core.StepHook = func(*brcu.Handle) { steps++ }
 			hook.arm()
@@ -418,7 +445,10 @@ func TestFindRoutesToWalk(t *testing.T) {
 			hook.off()
 			core.StepHook = nil
 			if !inserted || !removed || v != 103 || steps == 0 {
-				t.Fatalf("Insert = %v, Remove = (%d,%v) with %d instrumented steps; want true, (103,true) from the walk", inserted, v, removed, steps)
+				t.Fatalf("Insert = %v, Remove = (%d,%v) with %d hooked steps; want true, (103,true) through Walk's steps", inserted, v, removed, steps)
+			}
+			if rb := m.Stats().Rollbacks.Load(); inProt != 2 || inBackup != 0 || rb != 0 {
+				t.Fatalf("two finds shielded %d positions in prot and %d in backup, with %d rollbacks; want their two destinations in prot, committed in their first sections", inProt, inBackup, rb)
 			}
 		})
 	}

@@ -17,16 +17,17 @@
 //   - hp.go:        plain HP — protect-and-validate find (run bound 1 only:
 //     Figure 2 is why HP cannot follow links out of a marked run).
 //   - expedited.go: HP-RCU/HP-BRCU — Harris's search and the optimistic
-//     get, each first RCU's loop with a poll per node (core.Attempt; the
-//     search shields its destination before the committing poll), then,
-//     if that attempt leaves its section or meets a marked run, a loop of
-//     its own over a core.Walk, which keeps the checkpoints and the
-//     rollbacks; runs are excised in the walk's masked region.
+//     get, each one loop: RCU's loop with a poll and a countdown per node
+//     (core.Attempt's Step) and a commit at the destination (the search
+//     shields it before Conclude's poll). A failed poll, a checkpoint, an
+//     armed hook or a marked run goes to the buffer's Walk, which keeps
+//     the checkpoints and the rollbacks and excises runs in its masked
+//     region.
 //
 // Each search is monomorphic: no interface, func-value or type-parameter
-// call happens inside a per-node loop — under core.Walk too, whose
-// per-step calls (Poll, Due) inline and whose out-of-line ones sit on the
-// checkpoint, rollback and finish branches (inline_test.go at the
+// call happens inside a per-node loop — the expedited ones' Step inlines,
+// and their out-of-line calls (Walk, the commit) sit on the rollback,
+// checkpoint, marked-run and destination branches (inline_test.go at the
 // repository root holds the expedited loops to that). The shared write
 // path reaches the scheme through the positioner interface, a handful of
 // indirect calls per operation.

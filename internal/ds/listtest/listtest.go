@@ -446,3 +446,100 @@ func Churn(t *testing.T, vs []Variant) {
 		}
 	})
 }
+
+// FindUnderSignals is the write side's check against real signals, for one
+// HP-BRCU variant with no hook armed — so every find's Step is the inline
+// poll, not the hooked Walk every chaos mode sends it to — built with a
+// reclaimer that flushes at every retire and signals the first laggard.
+// Two writers insert and remove overlapping keys in [0, keys) and book
+// their own successful inserts and removes per key, while a reader checks
+// every value it sees against its key, until the domain has counted both
+// signals and rollbacks. At the end a key must be present exactly when its
+// books add up to one, and after the drain nothing may be left
+// unreclaimed.
+func FindUnderSignals(t *testing.T, v Variant, keys int) {
+	const (
+		writers  = 2
+		deadline = 20 * time.Second
+	)
+	valueOf := func(k int64) int64 { return 3*k + 1 }
+	next := func(rng *uint64) uint64 {
+		*rng ^= *rng << 13
+		*rng ^= *rng >> 7
+		*rng ^= *rng << 17
+		return *rng
+	}
+	var (
+		stop, enough atomic.Bool
+		wg           sync.WaitGroup
+		ops          atomic.Int64
+		books        = make([][]int, writers)
+	)
+	wg.Add(writers + 1)
+	for w := range books {
+		books[w] = make([]int, keys)
+		go func(w int, rng uint64) {
+			defer wg.Done()
+			h := v.Register()
+			defer h.Unregister()
+			for !stop.Load() {
+				r := next(&rng)
+				k := int64(r % uint64(keys))
+				if r&(1<<40) == 0 {
+					if h.Insert(k, valueOf(k)) {
+						books[w][k]++
+					}
+				} else if val, ok := h.Remove(k); ok {
+					if val != valueOf(k) {
+						t.Errorf("Remove(%d) = %d, want %d", k, val, valueOf(k))
+					}
+					books[w][k]--
+				}
+				if ops.Add(1)%4096 == 0 {
+					s := v.Stats().Snapshot()
+					enough.Store(s.Signals > 0 && s.Rollbacks > 0 && ops.Load() > 1<<17)
+				}
+			}
+		}(w, uint64(w+1)*0x9E3779B97F4A7C15)
+	}
+	go func() { // the reader
+		defer wg.Done()
+		h := v.Register()
+		defer h.Unregister()
+		for rng := uint64(0xbeef); !stop.Load(); {
+			k := int64(next(&rng) % uint64(keys))
+			if val, ok := h.Get(k); ok && val != valueOf(k) {
+				t.Errorf("Get(%d) = %d, want %d", k, val, valueOf(k))
+			}
+		}
+	}()
+	for start := time.Now(); !enough.Load() && time.Since(start) < deadline; {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	s := v.Stats().Snapshot()
+	t.Logf("%s: %d writes, %d signals, %d rollbacks", v.Name, ops.Load(), s.Signals, s.Rollbacks)
+	if s.Signals == 0 || s.Rollbacks == 0 {
+		t.Fatalf("signals = %d, rollbacks = %d after %v: no signal landed in a traversal, the test is vacuous", s.Signals, s.Rollbacks, deadline)
+	}
+
+	h := v.Register()
+	for k := int64(0); k < int64(keys); k++ {
+		net := 0
+		for w := range books {
+			net += books[w][k]
+		}
+		val, ok := h.Get(k)
+		if (net != 0 && net != 1) || ok != (net == 1) || ok && val != valueOf(k) {
+			t.Errorf("key %d: Get = (%d,%v), but the writers' books net %d successful inserts over removes", k, val, ok, net)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		h.Barrier()
+	}
+	h.Unregister()
+	if s := v.Stats().Snapshot(); s.Retired == 0 || s.Unreclaimed != 0 {
+		t.Fatalf("after the drain: retired = %d, unreclaimed = %d (reclaimed %d); want retires, all reclaimed", s.Retired, s.Unreclaimed, s.Reclaimed)
+	}
+}

@@ -77,8 +77,8 @@ type ExpeditedHandle struct {
 
 	prot, backup *treeProtector
 
-	// Handle-owned cursor storage for core.Walk, so descents never
-	// heap-allocate their cursors.
+	// Handle-owned traversal state, so descents never heap-allocate their
+	// cursors.
 	seekBuf core.CursorBuf[seekCursor]
 }
 
@@ -86,6 +86,7 @@ type ExpeditedHandle struct {
 func (l *Expedited) Register() *ExpeditedHandle {
 	d := l.dom.Register()
 	h := &ExpeditedHandle{h: d, prot: newTreeProtector(d), backup: newTreeProtector(d)}
+	h.seekBuf.Init(d, h.prot, h.backup)
 	h.init(&l.tree, h)
 	return h
 }
@@ -114,49 +115,39 @@ func (h *ExpeditedHandle) seek(key int64) seekRecord {
 	}
 }
 
-// descend runs the NM seek once: ebr.go's loop over seekStep, stepping
-// under a core.Walk with the cursor in a local (see hlist's search). ok is
-// false when it must be retried from the root.
+// descend runs the NM seek once: ebr.go's loop over seekStep with Step
+// before every edge, the record shielded at the leaf before Conclude's poll
+// commits it. ok is false when it must be retried from the root.
 func (h *ExpeditedHandle) descend(key int64) (seekRecord, bool) {
 	t := h.t
-	valid := func(c *seekCursor) bool {
-		if c.sr.parent == t.root {
-			return true // initial cursor: resuming from the root
+	a := h.seekBuf.Try(nil)
+	c := t.seekInit()
+	for {
+		if !a.Step() {
+			valid := func(c *seekCursor) bool { return t.resumable(key, c) }
+			var ok bool
+			if c, ok = h.seekBuf.Walk(&a, c, t.seekInit, valid, nil); !ok {
+				return seekRecord{}, false
+			}
 		}
-		// Still clean and unchanged: parent was not spliced out (Expedited).
-		e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
-		return e == c.leafEdge && e.Tag() == 0
-	}
-	var w core.Walk[seekCursor]
-	w.Bind(nil, h.h, &h.seekBuf, h.prot, h.backup)
-	w.Start()
-	defer w.Guard()
-	for w.Enter(t.seekInit, valid) {
-		c := *w.Cursor()
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			if t.seekStep(key, &c) {
-				*w.Cursor() = c
-				if w.Finish() {
-					return c.sr, true
-				}
-				break
-			}
-			if w.Due() {
-				*w.Cursor() = c
-				if !w.Checkpoint(valid) {
-					break
-				}
+		if t.seekStep(key, &c) {
+			h.seekBuf.Shield(c)
+			if a.Conclude() {
+				return c.sr, true
 			}
 		}
 	}
-	return seekRecord{}, false
+}
+
+// resumable is descend's valid: a checkpointed cursor can be resumed from
+// while its parent→leaf edge is still clean and unchanged, so the parent
+// was not spliced out (Expedited).
+func (t *tree) resumable(key int64, c *seekCursor) bool {
+	if c.sr.parent == t.root {
+		return true // initial cursor: resuming from the root
+	}
+	e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
+	return e == c.leafEdge && e.Tag() == 0
 }
 
 // retire is the two-step retirement; legal outside critical sections.

@@ -19,8 +19,10 @@
 //   - nbr.go:       NBR — the read-phase descent, reservation of the seek
 //     record, the write phase; and a pure-read Get (the tree is
 //     access-aware: seeks are pure reads, every write follows reservation).
-//   - expedited.go: HP-RCU/HP-BRCU — the same descent stepping under a
-//     core.Walk, the seek record checkpointed into four shields.
+//   - expedited.go: HP-RCU/HP-BRCU — the same descent with a poll and a
+//     countdown per edge (core.Attempt), one loop whose rollbacks and
+//     checkpoints are its buffer's Walk, the seek record shielded into
+//     four shields at the leaf.
 //
 // Each seek is monomorphic: no interface or type-parameter call happens
 // inside a per-node loop. The shared write path reaches the scheme through

@@ -29,6 +29,15 @@ func TestConcurrentDisjoint(t *testing.T)  { listtest.ConcurrentDisjoint(t, vari
 func TestConcurrentContended(t *testing.T) { listtest.ConcurrentContended(t, variants()) }
 func TestChurn(t *testing.T)               { listtest.Churn(t, variants()) }
 
+// TestFindFirstAttemptUnderSignals runs listtest.FindUnderSignals on an
+// HP-BRCU tree: with no hook armed, every seek shields its record before
+// its committing poll while a reclaimer that flushes at every retire
+// signals the first laggard.
+func TestFindFirstAttemptUnderSignals(t *testing.T) {
+	tr := NewHPBRCU(core.Config{MaxLocalTasks: 1, ForceThreshold: 1, ScanThreshold: 1})
+	listtest.FindUnderSignals(t, listtest.Of("NMTree/HP-BRCU", true, true, tr), 1<<8)
+}
+
 // TestReclamationBalanceMostlyDrains: a chain splice leaks the chain's
 // interior (package comment) — without retiring it, so everything that is
 // retired must still drain.

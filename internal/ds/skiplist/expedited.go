@@ -99,9 +99,9 @@ type ExpeditedHandle struct {
 	getProt, getBackup           *protector // get: the window
 	maskPredS, maskCurS, maskNxS *hp.Shield
 
-	// Handle-owned cursor storage for core.Walk, so descents never
-	// heap-allocate their cursors; finds and gets take turns in it.
-	buf core.CursorBuf[cursor]
+	// Handle-owned traversal state, one buffer per traversal, so
+	// descents never heap-allocate their cursors.
+	findBuf, getBuf core.CursorBuf[cursor]
 }
 
 // Register creates a thread handle.
@@ -114,6 +114,8 @@ func (s *Expedited) Register() *ExpeditedHandle {
 		maskPredS: d.NewShield(), maskCurS: d.NewShield(), maskNxS: d.NewShield(),
 	}
 	h.prot, h.backup = newProtector(d, &h.ops), newProtector(d, &h.ops)
+	h.findBuf.Init(d, h.prot, h.backup)
+	h.getBuf.Init(d, h.getProt, h.getBackup)
 	h.init(&s.list, h)
 	return h
 }
@@ -146,85 +148,75 @@ func (l *list) resumable(c *cursor) bool {
 		(c.cur.IsNil() || l.at(c.cur).Next[0].Load().Tag() == 0)
 }
 
-// search runs the expedited find once: the descent of ebr.go's find,
-// stepping under a core.Walk, each finished level recorded in ops.preds
-// and ops.succs as it is left. false means it must be retried from scratch
-// (failed revalidation or a lost helping CAS); on success the record is
-// protected by prot. The window is kept in a local (see hlist's search).
+// search runs the expedited find once: the descent of ebr.go's find with
+// Step before every node, each finished level recorded in ops.preds and
+// ops.succs as it is left. A marked node goes to the buffer's Walk, which
+// unlinks it in its masked region; at level 0 the record is shielded
+// before Conclude's poll commits it. false means it must be retried from
+// scratch (failed revalidation or a lost helping CAS).
 func (h *ExpeditedHandle) search(key int64, past bool) bool {
 	l := h.l
-	var w core.Walk[cursor]
-	w.Bind(nil, h.h, &h.buf, h.prot, h.backup)
-	w.Start()
-	defer w.Guard()
-	for w.Enter(l.entry, l.resumable) {
-		c := *w.Cursor()
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			down := c.cur.IsNil()
-			if !down {
-				n := l.at(c.cur)
-				next := n.Next[c.level].Load()
-				if next.Tag() != 0 {
-					// cur is marked at this level — checked before the key, or
-					// a deleted node would be recorded as a successor.
-					ok, mustRollback := h.unlink(c, next.Untagged())
-					if mustRollback {
-						break
-					}
-					if !ok {
-						w.Fail()
-						return false
-					}
-					c.cur = next.Untagged()
-				} else if k := n.Key.Load(); k > key || k == key && !past {
-					down = true
-				} else {
-					c.pred, c.cur = c.cur.Slot(), next.Untagged()
-				}
-			}
-			if down {
-				h.preds[c.level], h.succs[c.level] = c.pred, c.cur
-				if c.level == 0 {
-					*w.Cursor() = c
-					if w.Finish() {
-						return true
-					}
-					break
-				}
-				c.level--
-				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-			}
-			if w.Due() {
-				*w.Cursor() = c
-				if !w.Checkpoint(l.resumable) {
-					break
-				}
+	a := h.findBuf.Try(nil)
+	c := l.entry()
+	for {
+		if !a.Step() {
+			var ok bool
+			if c, ok = h.findBuf.Walk(&a, c, l.entry, l.resumable, nil); !ok {
+				return false
 			}
 		}
+		down := c.cur.IsNil()
+		if !down {
+			n := l.at(c.cur)
+			next := n.Next[c.level].Load()
+			if next.Tag() != 0 {
+				// cur is marked at this level — checked before the key, or a
+				// deleted node would be recorded as a successor.
+				var ok bool
+				if c, ok = h.findBuf.Walk(&a, c, l.entry, l.resumable, h.unlink); !ok {
+					return false
+				}
+				continue
+			}
+			if k := n.Key.Load(); k > key || k == key && !past {
+				down = true
+			} else {
+				c.pred, c.cur = c.cur.Slot(), next.Untagged()
+			}
+		}
+		if down {
+			h.preds[c.level], h.succs[c.level] = c.pred, c.cur
+			if c.level == 0 {
+				h.findBuf.Shield(c)
+				if a.Conclude() {
+					return true
+				}
+				continue
+			}
+			c.level--
+			c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
+		}
 	}
-	return false
 }
 
 // unlink swings the window's link past its marked cur inside an
 // abort-masked region, with the operands shielded (no retirement here —
-// the node's owner retires). ok reports whether the CAS won; mustRollback,
-// checked first, that the section was neutralized before or during the
-// region.
-func (h *ExpeditedHandle) unlink(c cursor, next atomicx.Ref) (ok, mustRollback bool) {
+// the node's owner retires), and moves the window past it. It reports
+// whether the CAS won; Walk's poll after it tells whether the section was
+// neutralized before or during the region.
+func (h *ExpeditedHandle) unlink(c *cursor) bool {
+	next := h.l.at(c.cur).Next[c.level].Load().Untagged()
 	h.maskPredS.ProtectSlot(c.pred)
 	h.maskCurS.Protect(c.cur)
 	h.maskNxS.Protect(next)
-	_, mustRollback = h.h.Mask(func() {
+	ok := false
+	h.h.Mask(func() {
 		ok = h.l.pool.At(c.pred).Next[c.level].CompareAndSwap(c.cur, next)
 	})
-	return ok, mustRollback
+	if ok {
+		c.cur = next
+	}
+	return ok
 }
 
 // find retries search until it succeeds, yielding between attempts so
@@ -258,18 +250,20 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	}
 }
 
-// contains runs the optimistic read once: ebr.go's Get descent with a
-// poll before every node (core.Attempt), handed to walkContains if it
-// leaves its first section. ok is false when it must be retried from
-// scratch.
+// contains runs the optimistic read once: ebr.go's Get descent with Step
+// before every node, the value read whole before Conclude's poll commits
+// it. ok is false when it must be retried from scratch.
 func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
-	a, ok := h.h.Try(nil)
-	if !ok {
-		return h.walkContains(key, a, cursor{})
-	}
 	l := h.l
+	a := h.getBuf.Try(nil)
 	c := l.entry()
-	for a.Step() {
+	for {
+		if !a.Step() {
+			var ok bool
+			if c, ok = h.getBuf.Walk(&a, c, l.entry, l.resumable, nil); !ok {
+				return 0, false, false
+			}
+		}
 		var n *node
 		if !c.cur.IsNil() {
 			n = l.at(c.cur)
@@ -284,14 +278,12 @@ func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 			c.level--
 			c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
 		} else {
-			val, found := answer(n, key) // read whole before Conclude's poll commits it
+			val, found := answer(n, key)
 			if a.Conclude() {
 				return val, found, true
 			}
-			break
 		}
 	}
-	return h.walkContains(key, a, c)
 }
 
 // answer is what a get returns from the level-0 node its descent stopped at.
@@ -300,54 +292,4 @@ func answer(n *node, key int64) (val int64, found bool) {
 		val = n.Val.Load()
 	}
 	return val, found
-}
-
-// walkContains is contains under a core.Walk, adopting the first attempt a
-// (none when Try refused) and, if its budget is spent, its window from.
-func (h *ExpeditedHandle) walkContains(key int64, a core.Attempt, from cursor) (int64, bool, bool) {
-	l := h.l
-	var w core.Walk[cursor]
-	w.Bind(nil, h.h, &h.buf, h.getProt, h.getBackup)
-	w.Start()
-	defer w.Guard()
-	w.Adopt(a, from)
-	for w.Enter(l.entry, l.resumable) {
-		c := *w.Cursor()
-		hooks := w.Instrumented()
-		for {
-			if hooks {
-				w.StepHooks()
-			}
-			if !w.Poll() {
-				break
-			}
-			var n *node
-			if !c.cur.IsNil() {
-				n = l.at(c.cur)
-			}
-			if n != nil && n.Key.Load() < key {
-				next := n.Next[c.level].Load()
-				if next.Tag() == 0 {
-					c.pred = c.cur.Slot() // a marked cur is skipped, not helped
-				}
-				c.cur = next.Untagged()
-			} else if c.level > 0 {
-				c.level--
-				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-			} else {
-				val, found := answer(n, key)
-				if *w.Cursor() = c; !w.Finish() {
-					break
-				}
-				return val, found, true
-			}
-			if w.Due() {
-				*w.Cursor() = c
-				if !w.Checkpoint(l.resumable) {
-					break
-				}
-			}
-		}
-	}
-	return 0, false, false
 }

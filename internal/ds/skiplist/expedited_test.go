@@ -9,6 +9,7 @@ import (
 
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/core"
+	"github.com/smrgo/hpbrcu/internal/ds/listtest"
 	"github.com/smrgo/hpbrcu/internal/fault"
 	"github.com/smrgo/hpbrcu/internal/hp"
 )
@@ -45,12 +46,12 @@ func count(t *testing.T) *fault.Injector {
 // TestDescentCheckpointsOnce is TestWalkCheckpointCadence's twin for the
 // package's claim that a descent never pays a mid-descent checkpoint at the
 // default period: on a 2^16-key list every find stores exactly the shields
-// of its final checkpoint — the window and two per level above it — in one
+// of its final commit — the window and two per level above it — in one
 // critical-section attempt, because no descent is as long as
-// core.DefaultBackupPeriod. A Get walks only while a hook is armed, and
-// then stores its final window alone; with none armed it is a first
-// attempt and stores no shield at all. It also pins what this package's
-// cursor is: the window, small enough to copy without noticing.
+// core.DefaultBackupPeriod. A Get commits its reads with Conclude's poll
+// and stores no shield at all, whether a hook is armed (every step then
+// goes through Walk) or not. It also pins what this package's cursor is:
+// the window, small enough to copy without noticing.
 func TestDescentCheckpointsOnce(t *testing.T) {
 	if sz := unsafe.Sizeof(cursor{}); sz > 32 {
 		t.Fatalf("cursor is %d bytes: it is copied at every checkpoint and must stay its window", sz)
@@ -59,7 +60,7 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 		keys       = 1 << 16
 		descents   = 4096
 		findStores = 2 + 2*(MaxHeight-1)
-		getStores  = 2
+		getStores  = 0
 	)
 	for _, backend := range []core.Backend{core.BackendRCU, core.BackendBRCU} {
 		name := map[core.Backend]string{core.BackendRCU: "HP-RCU", core.BackendBRCU: "HP-BRCU"}[backend]
@@ -87,7 +88,7 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 					t.Fatalf("Get(%d) = (%d,%v)", key, v, ok)
 				}
 				if got := inj.Arrivals(fault.SiteShield) - stores; got != getStores {
-					t.Fatalf("Get(%d) stored %d shields, want its final window's %d and nothing else", key, got, getStores)
+					t.Fatalf("Get(%d) stored %d shields under a hook, want %d: it commits unshielded", key, got, getStores)
 				}
 				longest = max(longest, inj.Arrivals(fault.SitePoll)-polls)
 
@@ -98,11 +99,11 @@ func TestDescentCheckpointsOnce(t *testing.T) {
 				v, ok := h.Get(key)
 				fault.Activate(inj)
 				if !ok || v != key+1 {
-					t.Fatalf("first-attempt Get(%d) = (%d,%v)", key, v, ok)
+					t.Fatalf("unhooked Get(%d) = (%d,%v)", key, v, ok)
 				}
 				for _, sh := range getShields {
 					if sh.Get() != 0 {
-						t.Fatalf("first-attempt Get(%d) left slot %d shielded, want no shield: it concludes unshielded", key, sh.Get())
+						t.Fatalf("unhooked Get(%d) left slot %d shielded, want no shield: it concludes unshielded", key, sh.Get())
 					}
 				}
 			}
@@ -182,6 +183,18 @@ func TestGetResumesNotRestarts(t *testing.T) {
 	}
 	if min, max := passes*alone, passes*alone+rollbacks*(period+1); visited < min || visited > max {
 		t.Fatalf("%d loop iterations for %d passes and %d rollbacks, want within [%d, %d]", visited, passes, rollbacks, min, max)
+	}
+}
+
+// TestFindFirstAttemptUnderSignals runs listtest.FindUnderSignals on an
+// HP-BRCU skip list: with no hook armed, every find shields its record
+// before its committing poll while a reclaimer that flushes at every
+// retire signals the first laggard.
+func TestFindFirstAttemptUnderSignals(t *testing.T) {
+	s := NewHPBRCU(core.Config{MaxLocalTasks: 1, ForceThreshold: 1, ScanThreshold: 1})
+	listtest.FindUnderSignals(t, listtest.Of("SkipList/HP-BRCU", true, true, s), 1<<8)
+	if err := s.CheckSlow(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,8 +8,10 @@
 //   - ebr.go:       EBR/NR — one pinned descent, and the optimistic get.
 //   - hp.go:        plain HP — per-level protect-and-validate (three
 //     shields a level, the multi-shield cost of Figure 7d); its get helps.
-//   - expedited.go: HP-RCU/HP-BRCU — the same two descents stepping under
-//     a core.Walk, with masked helping unlinks.
+//   - expedited.go: HP-RCU/HP-BRCU — the same two descents with a poll
+//     and a countdown per node (core.Attempt), each one loop whose
+//     rollbacks, checkpoints and masked helping unlinks are its buffer's
+//     Walk.
 //
 // Each find is monomorphic: no interface or type-parameter call happens
 // inside a per-node loop. The shared write path reaches the scheme through

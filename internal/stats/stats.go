@@ -134,7 +134,7 @@ type Reclamation struct {
 	// the panic re-raised or converted per the panic policy.
 	PanicsRecovered Counter
 	// CancelledOps counts operations abandoned by cooperative
-	// cancellation (a core.Walk or BarrierCtx observing a done context).
+	// cancellation (a traversal or BarrierCtx observing a done context).
 	CancelledOps Counter
 	// PoolCheckouts counts handle checkouts served by the handle pool
 	// (internal/pool). The hot path accumulates per-entry and flushes in

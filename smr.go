@@ -29,8 +29,9 @@
 //
 // Nodes live in slot-addressed pools (alloc.Pool) so links can carry mark
 // bits; a structure integrates HP-BRCU by implementing a cursor, a
-// Protector, and its traversal as a loop of its own over a core.Walk,
-// which it hands the cursor's init and validate functions. See
+// Protector, and its traversal as a loop of its own with a core.Attempt's
+// Step before every node and its CursorBuf's Walk, handed the cursor's
+// init and validate functions, when Step says so. See
 // examples/quickstart and internal/ds/hlist: expedited.go there is the
 // whole of what the sorted-list family writes for HP-RCU/HP-BRCU, next to
 // the one-file searches of the other schemes (DESIGN.md §3.1).
