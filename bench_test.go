@@ -62,8 +62,8 @@ func BenchmarkStep(b *testing.B) {
 // entering and leaving the section, the traversal's Try and Conclude — that
 // this measures: the in-tree view of that benchmark's ds.get_ns rows. The
 // HP-BRCU/facade row is that workload's own path: the handle-free Get, in
-// the production posture (PanicRecover, reaper and backpressure on), so
-// the pooled checkout, the leased Enter/Exit and the facade's deferred
+// the production posture (PanicRecover and backpressure on), so
+// the pooled checkout, Enter/Exit and the facade's deferred
 // checkin are in it — its distance to the HP-BRCU row is what the posture
 // and the facade add.
 func BenchmarkPointGet(b *testing.B) {

@@ -13,9 +13,9 @@ import (
 
 var (
 	chaosSeeds  = flag.Int("seeds", 8, "chaos: seeds per (scheme, structure, schedule) cell")
-	chaosLeak   = flag.Bool("leak", false, "chaos: compose goroutine-death faults into every schedule; HP-BRCU runs the orphan reaper and gates on reap convergence")
+	chaosLeak   = flag.Bool("leak", false, "chaos: compose goroutine-death faults into every schedule and gate on the adoption of every dropped handle after a garbage collection")
 	chaosPanic  = flag.Bool("panic", false, "chaos: compose injected panics into every schedule; maps run under PanicRecover and the sweep gates on containment accounting")
-	chaosFacade = flag.Bool("facade", false, "chaos: drive the handle-free facade through a small handle pool; HP-BRCU runs the orphan reaper and the sweep gates on safety, the §5 bound and balanced books after Close")
+	chaosFacade = flag.Bool("facade", false, "chaos: drive the handle-free facade through a small handle pool (HP-BRCU); the sweep gates on safety, the §5 bound and balanced books after Close")
 )
 
 // runChaos sweeps the fault-injection schedule corpus over the expedited
@@ -30,8 +30,8 @@ func runChaos() {
 
 	// The chaos harness targets the expedited schemes (the others have no
 	// fault sites to speak of); honor -schemes but clamp to that set. The
-	// facade mode runs the production posture, reaper on, so it clamps
-	// further to HP-BRCU.
+	// facade mode clamps further to HP-BRCU, the scheme of the production
+	// posture.
 	capable := map[hpbrcu.Scheme]bool{hpbrcu.HPRCU: true, hpbrcu.HPBRCU: true}
 	if *chaosFacade {
 		capable = map[hpbrcu.Scheme]bool{hpbrcu.HPBRCU: true}
@@ -55,13 +55,13 @@ func runChaos() {
 	}
 	fmt.Printf("Chaos sweep: %d seeds × %d schedules", *chaosSeeds, len(schedules))
 	if *chaosLeak {
-		fmt.Print(", goroutine-death faults + orphan reaper")
+		fmt.Print(", goroutine-death faults + adoption")
 	}
 	if *chaosPanic {
 		fmt.Print(", injected panics + containment")
 	}
 	if *chaosFacade {
-		fmt.Print(", facade ops through a pooled handle + orphan reaper")
+		fmt.Print(", facade ops through a pooled handle")
 	}
 	fmt.Println()
 
@@ -90,7 +90,6 @@ func runChaos() {
 					res := chaos.Run(chaos.Scenario{
 						Structure: st, Scheme: scheme, Seed: uint64(seed),
 						Schedule: sched,
-						Reaper:   *chaosLeak || *chaosFacade,
 						Facade:   *chaosFacade,
 					})
 					fired += res.Fired

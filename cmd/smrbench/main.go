@@ -12,8 +12,8 @@
 //	fig6       long-running reads vs key range (Figure 6 / appendix B.3)
 //	fig7       write-heavy/mixed throughput + memory (Figure 7)
 //	table2     robustness criteria incl. stalled-thread measurement (Table 2);
-//	           -leak-rate kills a fraction of writers without Unregister and
-//	           -reaper runs the lease-based orphan reaper against the leaks
+//	           -leak-rate kills a fraction of writers without Unregister;
+//	           HP-RCU and HP-BRCU adopt their dropped handles
 //	ablation   design-choice sweeps (BackupPeriod, ForceThreshold, BatchSize)
 //	appendixB  the full grid: 4 mixes × 6 structures × 2 key ranges
 //	table1     applicability matrix (Table 1, benchmark structures)
@@ -26,7 +26,7 @@
 //	chaos      fault-injection sweep: seeds × schedules × schemes × lists;
 //	           exits nonzero on any invariant violation. -leak composes
 //	           goroutine-death faults into every schedule and turns the
-//	           reaper's convergence invariant into part of the gate
+//	           adoption of every dropped handle into part of the gate
 //
 // Every measuring experiment is one entry of internal/bench's registry and
 // runs through its one run loop and one table renderer: `smrbench fig5` and
@@ -59,7 +59,6 @@ var (
 	schemes  = flag.String("schemes", "", "comma-separated scheme filter (e.g. RCU,HP-BRCU)")
 	csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	leakRate = flag.String("leak-rate", "0", "table2: fraction of writers in [0,1] that die without unregistering")
-	reaper   = flag.Bool("reaper", false, "table2: run the lease-based orphan reaper (HP-BRCU only)")
 )
 
 func main() {
@@ -131,7 +130,6 @@ func sweep() bench.Sweep {
 	if sw.LeakRate, err = parseLeakRate(*leakRate); err != nil {
 		fatalArg(err)
 	}
-	sw.Reaper = *reaper
 	return sw
 }
 

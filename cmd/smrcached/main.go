@@ -51,7 +51,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("smrcached", flag.ExitOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:7070", "listen address (use :0 for an ephemeral port; the resolved address is announced on stderr)")
-		scheme       = fs.String("scheme", "HP-BRCU", "reclamation scheme protecting the store (HP-BRCU recommended: backpressure and the reaper need its domain)")
+		scheme       = fs.String("scheme", "HP-BRCU", "reclamation scheme protecting the store (HP-BRCU recommended: backpressure needs its domain)")
 		buckets      = fs.Int("buckets", 1024, "hash buckets of the store")
 		ceiling      = fs.Int64("ceiling", 0, "absolute unreclaimed-node budget for the backpressure ladder (0 keeps the §5 bound as the base)")
 		drainFrac    = fs.Float64("drain-fraction", 0, "inline-drain tier as a fraction of the base (0 keeps the default 0.5; above 1 disables inline drains so the ladder is exercised)")
@@ -87,7 +87,6 @@ func runServe(args []string) int {
 		// connection.
 		PanicPolicy:  hpbrcu.PanicRecover,
 		Pool:         hpbrcu.PoolConfig{Size: *pool},
-		Reaper:       hpbrcu.ReaperConfig{Enabled: true},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true, Ceiling: *ceiling, DrainFraction: *drainFrac},
 	})
 	if err != nil {

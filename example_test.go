@@ -91,8 +91,9 @@ func ExampleGarbageBound() {
 	b := m.Register()
 	defer a.Unregister()
 	defer b.Unregister()
-	// G = 10*2 = 20, N = 2 threads: 2GN + GN² + H = 80 + 80 + 12.
+	// G = 10*2 = 20, N = 3 (two threads and the map's adopter handle):
+	// 2GN + GN² + H = 120 + 180 + 12.
 	fmt.Println(hpbrcu.GarbageBound(m, 12))
 	// Output:
-	// 172
+	// 312
 }

@@ -47,11 +47,11 @@ func (m *mapImpl) newPool() *handlePool {
 		Size:           m.poolCfg.Size,
 		AcquireTimeout: m.poolCfg.AcquireTimeout,
 		Rec:            m.st(),
-		New:            func() *guardedHandle { return m.Register().(*guardedHandle) },
+		New:            m.register,
 		// Retire owns the disposal of a handle the pool (or the borrower)
-		// holds outright. The guard's Unregister already refuses poisoned
-		// handles — their garbage is the lease reaper's to adopt — and
-		// works after Close, which is exactly when the drain runs.
+		// holds outright. The guard's Unregister adopts a poisoned handle
+		// instead of unregistering it, and works after Close, which is
+		// exactly when the drain runs.
 		Retire: (*guardedHandle).Unregister,
 	})
 	m.hpool.Store(p)

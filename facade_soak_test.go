@@ -14,8 +14,8 @@ import (
 	"time"
 )
 
-// facadeSoakConfig is a deliberately tiny pool under a reaper tuned for
-// test-speed leases, so exhaustion genuinely happens within the soak.
+// facadeSoakConfig is a deliberately tiny pool, so exhaustion genuinely
+// happens within the soak.
 func facadeSoakConfig(poolSize int) Config {
 	return Config{
 		BatchSize:      64,
@@ -24,11 +24,6 @@ func facadeSoakConfig(poolSize int) Config {
 		Pool: PoolConfig{
 			Size:           poolSize,
 			AcquireTimeout: 2 * time.Millisecond,
-		},
-		Reaper: ReaperConfig{
-			Enabled:      true,
-			LeaseTimeout: 15 * time.Millisecond,
-			Interval:     2 * time.Millisecond,
 		},
 	}
 }
@@ -91,7 +86,7 @@ func TestFacadeSoakTransientGoroutines(t *testing.T) {
 
 	// The §5 bound must be a function of the pool size, not of the 100k
 	// goroutines that came and went: the pool registers at most Size
-	// handles, plus the reaper's service handle and one spare.
+	// handles, plus the domain's adopter handle and one spare.
 	impl := m.(*mapImpl)
 	bound := impl.dom.GarbageBoundFor(poolSize+2, (poolSize+2)*8)
 	if err := Close(m, 10*time.Second); err != nil {
@@ -111,8 +106,8 @@ func TestFacadeSoakTransientGoroutines(t *testing.T) {
 		t.Fatalf("pool not drained to balanced books after Close")
 	}
 
-	// Zero goroutine leaks: the soak workers, the reaper and the pool must
-	// all be gone once Close returns.
+	// Zero goroutine leaks: the soak workers and the pool must all be gone
+	// once Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore+2 {
 		if time.Now().After(deadline) {

@@ -139,7 +139,7 @@ type Measurement struct {
 	// observed peaks after a stall run; -1 where the scheme has no bound
 	// or the workload does not evaluate it.
 	Bound int64
-	// Reaped counts handles the lease reaper recovered (stall runs with
+	// Reaped counts dropped handles the domain adopted (stall runs with
 	// leaking writers only).
 	Reaped int64
 	// AllocsPerOp and GCCPUFrac are the GC-pressure columns: heap objects

@@ -81,11 +81,10 @@ type Sweep struct {
 	Schemes []hpbrcu.Scheme // nil: every scheme the structure supports
 	Threads []int           // nil: the declared thread counts (mixed workloads)
 	Exps    []int           // nil: the declared key-range exponents (long scans)
-	// LeakRate and Reaper turn table2 into the goroutine-death
-	// experiment: that fraction of writers dies without unregistering,
-	// and HP-BRCU runs the lease reaper against the leaks.
+	// LeakRate turns table2 into the goroutine-death experiment: that
+	// fraction of writers drops its handle without unregistering, and
+	// HP-RCU and HP-BRCU adopt the dropped handles.
 	LeakRate float64
-	Reaper   bool
 }
 
 func (sw Sweep) schemes() []hpbrcu.Scheme {
@@ -260,26 +259,13 @@ func table2Plan(sw Sweep) ([]Column, []Point) {
 	if sw.LeakRate > 0 {
 		cols = append(cols, colReaped, colStuck)
 		workload += fmt.Sprintf("/leak=%.2f", sw.LeakRate)
-		if sw.Reaper {
-			workload += "/reaper"
-		}
 	}
 	var pts []Point
 	for _, s := range sw.schemes() {
-		var cfg hpbrcu.Config
-		if sw.Reaper && s == hpbrcu.HPBRCU {
-			// Aggressive timings so abandoned handles are reaped within a
-			// sub-second run, not after a production-scale lease.
-			cfg.Reaper = hpbrcu.ReaperConfig{
-				Enabled:      true,
-				LeaseTimeout: 25 * time.Millisecond,
-				Interval:     2 * time.Millisecond,
-			}
-		}
 		pts = append(pts, Point{Workload: workload, Scheme: s, Run: func(d time.Duration, seed uint64) Measurement {
 			return RunStalled(StallConfig{
 				Scheme: s, Writers: stallWriters, KeyRange: stallKeyRange,
-				Duration: d, Seed: seed, Config: cfg, LeakRate: sw.LeakRate,
+				Duration: d, Seed: seed, LeakRate: sw.LeakRate,
 			})
 		}})
 	}

@@ -2,12 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
 	"github.com/smrgo/hpbrcu/internal/ds/hmlist"
 	"github.com/smrgo/hpbrcu/internal/obs"
@@ -26,7 +28,7 @@ type StallConfig struct {
 	// zero).
 	Seed uint64
 	// LeakRate is the fraction of writers ([0,1]) that leak: they stop
-	// without Unregister or Barrier, abandoning their handles mid-churn —
+	// without Unregister or Barrier, dropping their handles mid-churn —
 	// the goroutine-death experiment behind `smrbench -leak-rate`.
 	LeakRate float64
 }
@@ -37,8 +39,8 @@ type StallConfig struct {
 // or a held shield). The stalled thread enters before the writers start
 // and leaves only after they stop — the worst case the paper's robustness
 // criterion targets. Ops counts the writers' operations; Bound is the §5
-// bound for HP-BRCU; Reaped and Unreclaimed report the lease reaper's work
-// when LeakRate made some writers die without unregistering.
+// bound for HP-BRCU; Reaped and Unreclaimed report how the handles of the
+// writers LeakRate kills without Unregister were adopted and drained.
 func RunStalled(cfg StallConfig) Measurement {
 	if cfg.Writers == 0 {
 		cfg.Writers = 2
@@ -63,9 +65,8 @@ func RunStalled(cfg StallConfig) Measurement {
 		// has seen the true peak handle and shield counts; nil means the
 		// scheme has no bound (reported as -1).
 		boundFn func() int64
-		// reaperStop stops the janitor (and its lease scan) after the
-		// leak-convergence wait; nil when no reaper runs.
-		reaperStop func()
+		// adopts marks the schemes whose dropped handles are adopted.
+		adopts bool
 	)
 
 	switch cfg.Scheme {
@@ -115,7 +116,8 @@ func RunStalled(cfg StallConfig) Measurement {
 		rec = l.Stats()
 	case hpbrcu.HPRCU:
 		l := hlist.NewHPRCU(cfg.Config.CoreConfig())
-		register = func() churnHandle { return l.Register() }
+		register = func() churnHandle { return owned(l.Register()) }
+		adopts = true
 		stall = func() func() {
 			h := l.Domain().Register()
 			h.Pin()
@@ -124,12 +126,8 @@ func RunStalled(cfg StallConfig) Measurement {
 		rec = l.Stats()
 	case hpbrcu.HPBRCU:
 		l := hlist.NewHPBRCU(cfg.Config.CoreConfig())
-		register = func() churnHandle { return l.Register() }
-		if cfg.Config.Reaper.Enabled {
-			// Lease gate before any worker registers (plain-bool
-			// activation contract; see core.StartJanitor).
-			reaperStop = l.Domain().StartJanitor(cfg.Config.CoreJanitorConfig()).Stop
-		}
+		register = func() churnHandle { return owned(l.Register()) }
+		adopts = true
 		stall = func() func() {
 			h := l.Domain().Register()
 			h.Pin()
@@ -150,8 +148,8 @@ func RunStalled(cfg StallConfig) Measurement {
 		cfg.Scheme, cfg.Writers, cfg.KeyRange), rec)
 	unstall := stall()
 
-	// The first `leakers` writers die without unregistering — a leak the
-	// reaper (when configured) must recover from.
+	// The first `leakers` writers die without unregistering — a leak
+	// adoption recovers from under HP-RCU and HP-BRCU.
 	leakers := int(cfg.LeakRate*float64(cfg.Writers) + 0.5)
 	if leakers > cfg.Writers {
 		leakers = cfg.Writers
@@ -193,16 +191,14 @@ func RunStalled(cfg StallConfig) Measurement {
 	gc1 := readGCSample()
 	unstall()
 
-	if reaperStop != nil {
-		if leakers > 0 {
-			// Let the reaper converge on the abandoned handles before
-			// reading the books.
-			deadline := time.Now().Add(5 * time.Second)
-			for rec.ReapedHandles.Load() < int64(leakers) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
+	if adopts && leakers > 0 {
+		// Collect until every dropped handle is adopted before reading
+		// the books.
+		deadline := time.Now().Add(5 * time.Second)
+		for rec.ReapedHandles.Load() < int64(leakers) && time.Now().Before(deadline) {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
 		}
-		reaperStop()
 	}
 
 	r := measured(rec.Snapshot(), writerOps.Load(), 0, elapsed, gc0, gc1)
@@ -210,6 +206,24 @@ func RunStalled(cfg StallConfig) Measurement {
 		r.Bound = boundFn()
 	}
 	return r
+}
+
+// ownedHandle is a writer's expedited handle as its goroutine holds it:
+// dropped without Unregister, it is adopted (core.AdoptWhenUnreachable).
+// The writer loop uses it on every iteration, so it stays reachable for as
+// long as an operation runs on it.
+type ownedHandle struct{ *hlist.ExpeditedHandle }
+
+func owned(h *hlist.ExpeditedHandle) *ownedHandle {
+	o := &ownedHandle{h}
+	core.AdoptWhenUnreachable(o, h.Core())
+	return o
+}
+
+// Unregister clears the finalizer and releases the handle.
+func (o *ownedHandle) Unregister() {
+	runtime.SetFinalizer(o, nil)
+	o.ExpeditedHandle.Unregister()
 }
 
 // stallWorkerSeed derives writer w's rng seed from the run seed, in a

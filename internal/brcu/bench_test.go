@@ -26,28 +26,15 @@ func BenchmarkAblationPollCost(b *testing.B) {
 }
 
 // BenchmarkEnterExit measures the critical-section boundary cost (two
-// swaps), the HP-BRCU analogue of RCU's pin/unpin, on a plain domain and on
-// one whose handles are reapable (EnableLeases, the production posture):
-// the two take one path, so the rows should match.
+// stores), the HP-BRCU analogue of RCU's pin/unpin.
 func BenchmarkEnterExit(b *testing.B) {
-	for _, leased := range []bool{false, true} {
-		name := "plain"
-		if leased {
-			name = "leased"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := NewDomain(nil)
-			if leased {
-				d.EnableLeases()
-			}
-			h := d.Register()
-			defer h.Unregister()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Enter()
-				h.Exit()
-			}
-		})
+	d := NewDomain(nil)
+	h := d.Register()
+	defer h.Unregister()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Enter()
+		h.Exit()
 	}
 }
 

@@ -7,9 +7,9 @@
 // once, flushAndAdvance, as Algorithm 5 lines 26–34. Every push a live
 // handle makes to the global task set goes through it and is counted
 // against the budget, which is what the §5 bound rests on; only a leaving
-// handle's last batch (Unregister, the reaper's AdoptBatch) is pushed
-// outside it, once per handle. ForceFlush runs the same lines at an
-// exhausted budget (teardown, backpressure, the janitor's drain). A
+// handle's last batch (Unregister, Adopt) is pushed outside it, once per
+// handle. ForceFlush runs the same lines at an exhausted budget (teardown,
+// backpressure, the domain's close drain). A
 // domain built with NeverSignal skips lines 31–32 and is plain RCU: the
 // one RCU under both of internal/core's schemes.
 //
@@ -20,9 +20,8 @@
 // across a goroutine's stack is unsound under the garbage collector, so
 // this implementation substitutes *cooperative neutralization*:
 //
-//   - a thread's state lives in one packed status word {phase, payload}:
-//     the announced epoch, or in Out the owner's operation count
-//     (Handle.ops), which dates its last activity for the lease scan;
+//   - a thread's state lives in one packed status word {phase, epoch}:
+//     the phase and, inside a section, the epoch it announced;
 //   - the reclaimer "sends a signal" by CASing the victim's status from
 //     InCs(e) to RbReq(e) — this is the delivery linearization point;
 //   - the victim observes RbReq at its next poll point (every traversal
@@ -42,7 +41,6 @@ package brcu
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -67,26 +65,9 @@ const (
 	// phaseRbReq: neutralized; the thread must roll back at its next poll
 	// (or masked-region exit).
 	phaseRbReq
-	// phaseInMut: the owner is mutating reaper-adoptable state (the defer
-	// batch, the HP retired list) outside any critical section. TryReap
-	// refuses the phase, so an owner descheduled mid-mutation can never be
-	// reaped while its batch is in flight; and, being ≥ phaseRbReq, it never
-	// blocks an epoch advance (the owner holds no critical section). See
-	// BeginMut.
-	phaseInMut
-	// phaseReaping: the lease reaper claimed the handle (TryReap) and is
-	// adopting its deferred state. A waking owner spins until the reaper
-	// publishes phaseReaped or hands the word back (CancelReap). An owner
-	// swap that lands on this phase or the next stores it back before it
-	// does anything else (see swap, and DESIGN.md §7.2).
-	phaseReaping
-	// phaseReaped: the handle was reaped — removed from the registry,
-	// its batch and shields adopted. A waking owner re-registers
-	// (resurrects) before continuing.
-	phaseReaped
 )
 
-const phaseBits = 3
+const phaseBits = 2
 
 func pack(phase, epoch uint64) uint64 { return epoch<<phaseBits | phase }
 func unpack(st uint64) (phase, epoch uint64) {
@@ -134,13 +115,6 @@ type Domain struct {
 	// nextID hands out sequential handle ids, carried into misuse panics
 	// and post-mortem traces.
 	nextID atomic.Uint64
-
-	// leaseOn makes the handles reapable (internal/reap, DESIGN.md §7):
-	// BeginMut claims the InMut phase the reaper refuses. Enter and Exit
-	// take one path either way. It follows the fault.On contract: set
-	// once by EnableLeases before any worker goroutine touches a handle,
-	// plain loads thereafter.
-	leaseOn bool
 
 	tasksMu sync.Mutex
 	tasks   []taggedBatch
@@ -218,31 +192,21 @@ func (d *Domain) GarbageBoundFor(threads int) int64 {
 // handles observed — the N to evaluate the §5 bound with after a run.
 func (d *Domain) HandlesPeak() int { return int(d.population.Peak()) }
 
-// EnableLeases makes this domain's handles reapable: their owners claim the
-// InMut phase around every mutation of adoptable state (BeginMut). It must be
-// called before any goroutine uses a handle (the fault.On activation
-// contract); core.StartJanitor does so at construction time.
-func (d *Domain) EnableLeases() { d.leaseOn = true }
+// EnableLeases does nothing. Handles are adopted when the garbage
+// collector proves their owner gone (internal/core, DESIGN.md §7), which
+// needs no per-domain mode; the method stays so that callers written
+// against the lease reaper still compile.
+func (d *Domain) EnableLeases() {}
 
 // Handle is one thread's participation record (Algorithm 5 lines 8-13).
 // Not safe for concurrent use by multiple goroutines; the status word is
 // read and CASed by reclaimers.
 type Handle struct {
-	// status is the packed {phase, payload} word — the single most
-	// contended word in the scheme (swapped by the owner at every
+	// status is the packed {phase, epoch} word — the single most
+	// contended word in the scheme (stored by the owner at every
 	// Enter/Exit, read and CASed by every advancing reclaimer), so it
-	// owns its cache line. It is also the only word the owner and the
-	// lease reaper share.
+	// owns its cache line.
 	status atomicx.Padded
-
-	// ops counts the owner's claims on the status word (Enter, BeginMut)
-	// and resurrections; every owner return to Out writes
-	// pack(phaseOut, ops), so no Out word ever recurs. That is what lets
-	// the lease scan read liveness off the status word alone: an Out word
-	// it sees twice, a timeout apart, belongs to an owner that claimed
-	// nothing in between, and a CAS from that exact word (TryReap) succeeds
-	// only if that is still so. Owner-goroutine-only.
-	ops uint64
 
 	d       *Domain
 	id      uint64
@@ -272,15 +236,6 @@ type Handle struct {
 	cancelArm atomic.Uint64
 	cancelReq atomic.Uint64
 	armSeq    uint64
-
-	// gen counts resurrections (owner-goroutine-only): a reaped handle
-	// whose owner turns out to be alive re-registers and bumps gen, so
-	// a traversal knows its checkpointed protections were cleared
-	// by the reaper and restarts from scratch.
-	gen uint64
-	// onResurrect re-registers composed per-scheme state (the HP half,
-	// core-domain membership) when a reaped handle resurrects.
-	onResurrect func()
 
 	// Observability state, touched only past the obs.On gate. trace is
 	// nil-safe; pollN samples the epoch-lag histogram; csStart times the
@@ -325,11 +280,6 @@ func (d *Domain) Register() *Handle {
 // each expired batch whole.
 func (h *Handle) SetExecutor(exec func([]alloc.Retired)) { h.exec = exec }
 
-// SetResurrect installs the hook run when a reaped handle's owner turns
-// out to be alive and re-registers (internal/core re-adds the HP half and
-// the domain membership there). Owner-goroutine-only, set at registration.
-func (h *Handle) SetResurrect(fn func()) { h.onResurrect = fn }
-
 // ID returns the handle's sequential id within its domain.
 func (h *Handle) ID() uint64 { return h.id }
 
@@ -343,277 +293,66 @@ func phaseName(ph uint64) string {
 		return "InRm"
 	case phaseRbReq:
 		return "RbReq"
-	case phaseInMut:
-		return "InMut"
-	case phaseReaping:
-		return "Reaping"
-	case phaseReaped:
-		return "Reaped"
 	}
 	return "phase?"
 }
 
-// Describe formats the handle's identity and live status — id,
-// resurrection generation, phase, and the word's payload: the announced
-// epoch, or in Out the operation count — so misuse panics and the
-// panic-containment layer produce actionable post-mortems.
+// Describe formats the handle's identity and live status — id, phase and
+// announced epoch — so misuse panics and the panic-containment layer
+// produce actionable post-mortems.
 func (h *Handle) Describe() string {
 	ph, e := unpack(h.status.Load())
-	payload := "epoch"
-	if ph == phaseOut {
-		payload = "ops"
-	}
-	return fmt.Sprintf("handle#%d gen=%d phase=%s %s=%d", h.id, h.gen, phaseName(ph), payload, e)
+	return fmt.Sprintf("handle#%d phase=%s epoch=%d", h.id, phaseName(ph), e)
 }
 
-// Gen returns the handle's resurrection generation. It changes only
-// inside Enter (via settle), on the owner goroutine; a traversal compares
-// it across Enters to detect a reap-and-resurrect, whose shield clearing
-// invalidates checkpointed cursors.
-func (h *Handle) Gen() uint64 { return h.gen }
-
-// swap is every owner transition on the status word: one exchange, the
-// price of Algorithm 5's stores. A swap that lands on the reaper's Reaping
-// or Reaped stores it back before the owner does anything else, and
-// reports false; the reaper's closing writes wait that window out
-// (closeReap). DESIGN.md §7.2 has the argument.
-func (h *Handle) swap(w uint64) bool {
-	old := h.status.Swap(w)
-	if old&(1<<phaseBits-1) < phaseReaping {
-		return true
-	}
-	h.status.Store(old)
-	return false
-}
-
-// settle resolves the reaper phase an owner's swap put back: it waits out
-// an in-flight adoption and resurrects a reaped handle.
-func (h *Handle) settle() {
-	for {
-		switch ph, _ := unpack(h.status.Load()); ph {
-		case phaseReaping:
-			// The reap is short and bounded (slice moves and registry
-			// copy-on-writes under domain mutexes, no waiting on other
-			// owners); wait for FinishReap or CancelReap.
-			runtime.Gosched()
-		case phaseReaped:
-			h.resurrect()
-		default:
-			return
-		}
-	}
-}
-
-// outWord is the word every owner return to Out writes; see Handle.ops.
-func (h *Handle) outWord() uint64 { return pack(phaseOut, h.ops) }
-
-// BeginMut claims the un-reapable InMut phase around an owner-side
-// mutation of reaper-adoptable state (the defer batch; in internal/core
-// also the HP retired list) performed outside critical sections. It first
-// resolves any reaper phase — resurrecting a reaped handle — so after it
-// returns a reap can only have happened entirely before the mutation,
-// never concurrently with it: the status word is what makes adoption
-// race-free.
-//
-// It reports whether the phase was claimed; false means the handle is
-// already un-reapable (leases off, inside a masked region, or an
-// enclosing BeginMut). Call EndMut exactly when it returns true.
-func (h *Handle) BeginMut() bool {
-	if !h.d.leaseOn {
-		return false
-	}
-	ph, _ := unpack(h.status.Load())
-	if ph == phaseInRm || ph == phaseInMut {
-		return false
-	}
-	if ph == phaseInCs {
-		panic("brcu: BeginMut inside an unmasked critical section (" + h.Describe() + ")")
-	}
-	h.ops++
-	// Out, or a stale RbReq superseded exactly as Exit would have.
-	for !h.swap(pack(phaseInMut, 0)) {
-		h.settle()
-	}
-	return true
-}
-
-// EndMut leaves the InMut phase: one CAS from the only word it may
-// replace (nobody else writes it), so an EndMut without its BeginMut
-// leaves every other word alone.
-func (h *Handle) EndMut() { h.status.CompareAndSwap(pack(phaseInMut, 0), h.outWord()) }
-
-// resurrect re-registers a reaped handle whose owner turned out to be
-// alive. The reaper already adopted the old batch and retired list and
-// cleared the shields, so the handle restarts empty; bumping gen tells
-// a traversal to discard checkpoints the pre-reap shields protected.
-func (h *Handle) resurrect() {
-	h.batch = nil
-	h.pushCnt = 0
-	h.gen++
-	d := h.d
-	d.handles.Add(h)
-	d.population.Add(1)
-	if h.onResurrect != nil {
-		h.onResurrect()
-	}
-	// A fresh count: the word the reaper claimed must not stand again.
-	h.ops++
-	h.status.Store(h.outWord())
-}
-
-// Word returns the status word for the lease scan to compare across looks
-// and to claim from (TryReap). Any goroutine.
-func (h *Handle) Word() uint64 { return h.status.Load() }
-
-// TryReap claims the handle for the reaper: one CAS from word — an Out or
-// RbReq word the lease scan saw stand for the whole lease timeout — to
-// Reaping. The compare against the exact stale word is the proof that the
-// owner has not moved since the scan's first look: no Out word recurs
-// (Handle.ops), and every owner transition out of Out or RbReq is an
-// atomic exchange on this word, so exactly one side wins. Every other phase is
-// refused: a stalled-but-registered critical section is neutralization's
-// job, a mutation span is never adoptable, and a reap already under way
-// has its own reaper.
-func (h *Handle) TryReap(word uint64) bool {
-	if ph, _ := unpack(word); ph != phaseOut && ph != phaseRbReq {
-		return false
-	}
-	return h.status.CompareAndSwap(word, pack(phaseReaping, 0))
-}
-
-// FinishReap publishes the end of a reap: Reaping → Reaped. An owner
-// spinning in settle proceeds to resurrect only after this write, which
-// is what makes the whole reap — adoption AND registry removal — atomic
-// against resurrection: the reaper must call it only after the victim
-// has left every registry, or a resurrecting owner could be stripped
-// from them while live.
-func (h *Handle) FinishReap() { h.closeReap(pack(phaseReaped, 0)) }
-
-// closeReap is the reaper's closing write, Reaping → w, retried until it
-// lands: it fails only while an owner's swap has the word, and a blind
-// store there would be undone by the owner's restore. Reaper-only.
-func (h *Handle) closeReap(w uint64) {
-	for !h.status.CompareAndSwap(pack(phaseReaping, 0), w) {
-		runtime.Gosched()
-	}
-}
-
-// Reaped reports whether the handle is currently in the reaped state:
-// the lease reaper confirmed its owner dead, adopted its deferred state
-// and removed it from the registries, and no owner has resurrected it
-// since. The handle pool polls this from its leak sweep (any goroutine,
-// hence the atomic load): a pooled checkout whose handle was reaped is a
-// leak the reaper already cleaned up after, so the pool can retire the
-// checkout slot without touching the handle.
-func (h *Handle) Reaped() bool {
-	ph, _ := unpack(h.status.Load())
-	return ph == phaseReaped
-}
-
-// CancelReap aborts a claimed reap without adopting: Reaping → word, the
-// exact word TryReap claimed from. The handle stays registered and its
-// owner, if merely slow, continues with its state intact — no
-// resurrection, no generation bump. The reaper uses it for victims with
-// nothing to adopt, so an idle-but-alive handle is never churned through
-// reap/resurrect cycles; restoring the word unchanged keeps it standing
-// still for the scan, which parks the victim until it moves. Reaper-only,
-// between TryReap and what would have been FinishReap.
-func (h *Handle) CancelReap(word uint64) { h.closeReap(word) }
-
-// BatchEmpty reports whether the handle's local defer batch is empty.
-// Reaper-only, between TryReap and FinishReap/CancelReap — the
-// Reaping phase excludes the owner, which is what makes reading the
-// plain slice safe.
-func (h *Handle) BatchEmpty() bool { return len(h.batch) == 0 }
-
-// AdoptBatch moves the handle's local deferred batch into the global task
-// set, tagged with the current epoch, as if the (dead) owner had flushed
-// it. The tag is conservative: the batch executes only after a further
-// epoch advance, strictly later than the owner's own flush would have
-// allowed, so the §5 safety argument is unchanged. Reaper-only, between
-// TryReap and FinishReap; returns the number of adopted tasks.
-func (h *Handle) AdoptBatch() int {
-	n := len(h.batch)
-	if n == 0 {
-		h.batch = nil
-		return 0
-	}
-	d := h.d
-	var ts int64
-	if obs.On {
-		ts = obs.Nanos()
-	}
-	// The backing array moves to the global set wholesale; a resurrected
-	// owner starts from a nil batch and can never touch it again.
-	b := taggedBatch{epoch: d.epoch.Load(), flushed: ts, tasks: h.batch}
-	h.batch = nil
-	d.tasksMu.Lock()
-	d.tasks = append(d.tasks, b)
-	d.tasksMu.Unlock()
-	return n
-}
-
-// RemoveAll bulk-removes reaped handles from the registry with a single
-// copy-on-write publication. The reaper must call it while every handle
-// is still in the Reaping phase (before FinishReap), so no owner can
-// resurrect — and re-register — concurrently with the removal.
-func (d *Domain) RemoveAll(hs []*Handle) {
-	if len(hs) == 0 {
-		return
-	}
-	set := make(map[*Handle]bool, len(hs))
-	for _, h := range hs {
-		set[h] = true
-	}
-	d.handles.RemoveWhere(func(h *Handle) bool { return set[h] })
-	d.population.Add(-int64(len(hs)))
-}
+// outWord is the status word of a handle outside any critical section.
+const outWord = phaseOut
 
 // Unregister removes the thread, flushing pending deferred tasks first.
-// Unregistering a handle the reaper already adopted resurrects it first
-// and then removes it, so the registry and the population gauge stay
-// balanced no matter how a reap interleaves.
 func (h *Handle) Unregister() {
 	if ph, _ := unpack(h.status.Load()); ph == phaseInCs || ph == phaseInRm {
 		panic("brcu: unregister inside a critical section (" + h.Describe() + ")")
 	}
-	// Hold InMut across the flush and the registry removal: a reap can
-	// then only land entirely before this point (resolved by BeginMut via
-	// resurrection), never concurrently with the teardown — which is what
-	// keeps the population gauge from being double-decremented.
-	claimed := h.BeginMut()
-	if len(h.batch) > 0 {
-		h.flush()
-	}
+	h.leave()
+}
+
+// Adopt is Unregister for a handle whose owner is gone, called from
+// internal/core once the garbage collector has proved that no goroutine
+// can reach the handle again. A section the owner never left — a goroutine
+// that exited inside it — is forced Out first: nothing will ever read
+// through it. The batch then joins the global task set tagged with the
+// current epoch, exactly as the owner's own flush would have, and the
+// handle leaves the registry. It returns the number of adopted tasks.
+func (h *Handle) Adopt() int {
+	n := len(h.batch)
+	h.ForceOut()
+	h.leave()
+	return n
+}
+
+// leave pushes the handle's last batch and takes it out of the domain.
+func (h *Handle) leave() {
+	h.flush()
 	h.d.handles.Remove(h)
 	h.d.population.Add(-1)
-	if claimed {
-		h.EndMut()
-	}
 }
 
 // Enter begins (or re-begins, after a rollback) a critical section: it
 // announces InCs with the current global epoch (Algorithm 5 line 16). Any
-// pending RbReq from a previous section is superseded; a reaper phase is
-// put back and settled (swap, settle) first.
+// pending RbReq from a previous section is superseded.
 func (h *Handle) Enter() {
 	if obs.On {
 		h.csStart = obs.Nanos()
 	}
-	h.ops++
-	for !h.swap(pack(phaseInCs, h.d.epoch.Load())) {
-		h.settle()
-	}
+	h.status.Store(pack(phaseInCs, h.d.epoch.Load()))
 }
 
 // Poll is the cooperative stand-in for signal delivery: it reports false
 // when a neutralization request is pending, in which case the caller must
 // roll back — discard everything derived since the last complete
 // checkpoint and either Exit or Enter again. It is a single atomic load,
-// leases on or off, obs and fault injection on or off, and it inlines into
-// the per-node loop (inline_test.go at the repository root holds it to
-// that). The reaper phases (≥ RbReq) also demand a rollback: the next
-// Enter settles them, resurrecting if the handle was reaped.
+// obs and fault injection on or off, and it inlines into the per-node loop
+// (inline_test.go at the repository root holds it to that).
 func (h *Handle) Poll() bool {
 	return h.status.Load()&(1<<phaseBits-1) < phaseRbReq
 }
@@ -666,9 +405,7 @@ func (h *Handle) Refresh() bool {
 	st := h.status.Load()
 	ph, _ := unpack(st)
 	if ph != phaseInCs {
-		// RbReq or a reaper phase: the caller must roll back (and Enter,
-		// which settles the reaper phases).
-		return false
+		return false // RbReq: the caller must roll back
 	}
 	e := h.d.epoch.Load()
 	// CAS so a concurrent neutralization is never overwritten.
@@ -678,11 +415,9 @@ func (h *Handle) Refresh() bool {
 // Exit ends the critical section (Algorithm 5 line 18). A pending RbReq is
 // discarded: per the framework contract the caller has already validated
 // its results with a successful Poll after its last protection, so
-// completing instead of rolling back is safe (see package comment). A
-// reaper phase (the reaper may claim a long-neutralized section) is put
-// back for the next Enter to settle.
+// completing instead of rolling back is safe (see package comment).
 func (h *Handle) Exit() {
-	h.swap(h.outWord())
+	h.status.Store(outWord)
 	if obs.On && h.csStart != 0 {
 		h.d.rec.CSNanos.Record(obs.Nanos() - h.csStart)
 		h.csStart = 0
@@ -733,9 +468,8 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
 	st := h.status.Load()
 	ph, e := unpack(st)
 	if ph != phaseInCs {
-		if ph >= phaseRbReq {
-			// Neutralized (or claimed by the reaper): roll back before
-			// any masked write; Enter settles the phase.
+		if ph == phaseRbReq {
+			// Neutralized: roll back before any masked write.
 			return false, true
 		}
 		panic("brcu: Mask outside a critical section (" + h.Describe() + ")")
@@ -784,17 +518,10 @@ func (h *Handle) runMasked(body func(), e uint64) {
 }
 
 // ForceOut drives the handle out of whatever phase a panic left it in,
-// restoring the Out state the next operation expects. Owner-side only —
-// it is the recover barrier's stand-in for the Exit (or Enter-and-settle)
-// the unwound control flow never performed. The reaper's phases are
-// settled exactly as Enter would: an in-flight adoption waited out, a
-// reaped handle resurrected.
-func (h *Handle) ForceOut() {
-	// InCs, InRm, RbReq or InMut: abandon the section or mutation span.
-	for !h.swap(h.outWord()) {
-		h.settle()
-	}
-}
+// restoring the Out state the next operation expects: the recover
+// barrier's stand-in for the Exit the unwound control flow never performed,
+// and Adopt's for the one a dead owner never will.
+func (h *Handle) ForceOut() { h.status.Store(outWord) }
 
 // --- Cooperative cancellation (core's traversals) -----------------------
 
@@ -869,11 +596,6 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	if ph, _ := unpack(h.status.Load()); ph == phaseInCs {
 		panic("brcu: Defer inside an unmasked critical section (rollback-unsafe, §4.1; " + h.Describe() + ")")
 	}
-	// Hold the un-reapable InMut phase across the batch mutation: a reap
-	// can then only land before or after it, never while the append/flush
-	// is in flight. No-op inside a masked region or an
-	// enclosing BeginMut, where the reaper already cannot touch us.
-	claimed := h.BeginMut()
 	r := alloc.Retired{Slot: slot, Pool: pool}
 	if obs.On {
 		r.At = obs.Nanos()
@@ -887,9 +609,6 @@ func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
 	h.batch = append(h.batch, r)
 	if len(h.batch) >= h.flushAt {
 		h.flushAndAdvance()
-	}
-	if claimed {
-		h.EndMut()
 	}
 }
 
@@ -979,18 +698,16 @@ func (h *Handle) flushAndAdvance() {
 // a signal was sent.
 //
 // The whole verdict costs one atomic load: phase and announced epoch share
-// a packed word, and the phase comparison short-circuits first, so
-// Out/Reaped (and every other non-blocking phase) are skipped without a
-// separate epoch-word access.
+// a packed word, and the phase comparison short-circuits first, so Out and
+// RbReq are skipped without a separate epoch-word access.
 func (h *Handle) neutralizeIfLagging(other *Handle, eg uint64) (ok, signalled bool) {
 	d := h.d
 	for {
 		st := other.status.Load()
 		ph, eo := unpack(st)
 		// Only live critical sections block the epoch; RbReq threads are
-		// already doomed, Out threads are absent (line 30), and the
-		// reaper phases (≥ RbReq) have no live section either.
-		if ph == phaseOut || ph >= phaseRbReq || eo >= eg {
+		// already doomed and Out threads are absent (line 30).
+		if ph == phaseOut || ph == phaseRbReq || eo >= eg {
 			return true, false
 		}
 		if h.pushCnt < d.forceThreshold || d.neverSignal {
@@ -1063,15 +780,8 @@ func (h *Handle) executeExpired(eg uint64) {
 // critical sections will be neutralized, unless the domain never signals
 // (NeverSignal), where a lagging section keeps its batches queued.
 func (h *Handle) Barrier() {
-	// Hold InMut across the forced flushes (see DeferNoCount); no-op when
-	// an enclosing BeginMut — e.g. internal/core's composed Barrier —
-	// already claimed it.
-	claimed := h.BeginMut()
 	for i := 0; i < 4; i++ {
 		h.ForceFlush()
-	}
-	if claimed {
-		h.EndMut()
 	}
 }
 

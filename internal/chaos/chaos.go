@@ -29,6 +29,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,9 +103,10 @@ var Schedules = []Schedule{
 
 // WithLeak returns a copy of scheds with a goroutine-death plan composed
 // into each schedule (and "+leak" appended to its name): every ~1500th
-// arrival at the leak site kills a worker mid-stream, abandoning its
-// registered handle. With Scenario.Reaper set, Run asserts that every
-// such leak is reaped and its adopted garbage drained.
+// arrival at the leak site kills a worker mid-stream, dropping its
+// registered handle. Under HP-RCU and HP-BRCU, Run asserts that every such
+// handle is adopted once the garbage collector has run, and that its
+// adopted garbage drains.
 func WithLeak(scheds []Schedule) []Schedule {
 	out := make([]Schedule, len(scheds))
 	for i, s := range scheds {
@@ -161,12 +163,6 @@ type Scenario struct {
 	Workers   int
 	Ops       int // operations per worker
 	KeyRange  int64
-	// Reaper runs the lease-based orphan reaper during the scenario
-	// (HP-BRCU only; ignored elsewhere). With a SiteLeak plan active it
-	// turns killed workers from permanent leaks into reaped-and-adopted
-	// handles, and Run asserts the convergence invariant: every leak is
-	// eventually reaped and the books still balance.
-	Reaper bool
 	// Facade makes the workers drive the handle-free facade (m.Get,
 	// m.Insert, m.Remove) instead of registered handles: every operation
 	// checks a pooled handle out and back in, so ErrHandleExhausted is an
@@ -255,26 +251,17 @@ func Run(sc Scenario) Result {
 		// methods have no error results to surface them through.
 		cfg.PanicPolicy = hpbrcu.PanicRecover
 	}
-	reaperOn := sc.Reaper && sc.Scheme == hpbrcu.HPBRCU
-	if reaperOn {
-		// Aggressive timings so leaked handles are reaped within the run,
-		// not after a human-scale lease timeout.
-		cfg.Reaper = hpbrcu.ReaperConfig{
-			Enabled:      true,
-			LeaseTimeout: 20 * time.Millisecond,
-			Interval:     2 * time.Millisecond,
-		}
-	}
+	// The schemes whose dropped handles are adopted (DESIGN.md §7).
+	adopts := sc.Scheme == hpbrcu.HPRCU || sc.Scheme == hpbrcu.HPBRCU
 
 	res := Result{Scenario: sc, Bound: -1}
 	var viol violations
 
 	fcfg := fault.Config{Seed: sc.Seed, Plans: sc.Schedule.Plans}
 	inj := fault.New(fcfg)
-	// Activate before the map exists so the janitor goroutine (started
-	// by the constructor) observes the gate via its creation edge; the
-	// matching Deactivate happens after the janitor stops below. The trace
-	// collector follows the same lifecycle: every handle the scenario
+	// Activate before the map exists, Deactivate after the workers and
+	// every adoption are done. The trace collector follows the same
+	// lifecycle: every handle the scenario
 	// registers gets a ring buffer, and the merged tail lands in
 	// Result.TraceTail. A collector installed by the live exporter
 	// (`smrbench -metrics`) is restored afterwards.
@@ -317,43 +304,30 @@ func Run(sc Scenario) Result {
 		return finishFacade(m, inj, col, prevCol, &viol, res)
 	}
 
-	// Convergence invariant: with the reaper on, every handle a SiteLeak
-	// killed must be reaped or hold nothing — a worker that dies with an
-	// empty batch, an empty retired list and no set shield is by design
-	// parked, not reaped (it costs only its registry slot) — and the
-	// adopted garbage must be fully drained. Poll while the reaper is
-	// still running (it does the work); faults stay active — the reaper
-	// must converge under the same hostile schedule the workers died
-	// under.
-	if reaperOn && res.Leaked > 0 && viol.empty() {
+	// Adoption invariant: a handle a SiteLeak killed is unreachable, so
+	// once the garbage collector has run, its finalizer adopts it
+	// (ReapedHandles counts an adoption when its drain round is done).
+	// Faults stay active: adoption must hold under the same hostile
+	// schedule the workers died under, and it must be over before the
+	// gate closes, since its drain round crosses injection sites.
+	if adopts && res.Leaked > 0 && viol.empty() {
 		deadline := time.Now().Add(10 * time.Second)
-		for {
-			snap := m.Stats().Snapshot()
-			if snap.ReapedHandles+snap.ParkedHandles >= int64(res.Leaked) && snap.Unreclaimed == 0 {
-				break
-			}
+		for m.Stats().ReapedHandles.Load() < int64(res.Leaked) {
 			if time.Now().After(deadline) {
-				viol.addf("reap convergence: leaked=%d but reaped=%d parked-empty=%d unreclaimed=%d after 10s",
-					res.Leaked, snap.ReapedHandles, snap.ParkedHandles, snap.Unreclaimed)
+				viol.addf("adoption: leaked=%d but reaped=%d after 10s of garbage collections",
+					res.Leaked, m.Stats().ReapedHandles.Load())
 				break
 			}
+			runtime.GC()
 			time.Sleep(time.Millisecond)
 		}
 	}
 
 	// Faults off before the drain: the drain must observe the repaired,
 	// fault-free behaviour (and a DrainSkip plan would defeat it). The
-	// janitor stops before the gate closes — its drain path crosses
-	// injection sites — and Close is what stops it: a zero timeout halts
-	// the janitor, runs one round and returns, leaving the fixed-round
-	// drain below as the gate. That drain's handle registers first,
-	// because a closed map hands out inert stubs. The trace collector
-	// stays active through the drain so the tail shows the final drain
-	// and reclaim events too.
+	// trace collector stays active through the drain so the tail shows
+	// the final drain and reclaim events too.
 	dh := m.Register()
-	if reaperOn {
-		hpbrcu.Close(m, 0) // the books check below reports what is left
-	}
 	fault.Deactivate()
 	res.Fired = inj.TotalFired()
 
@@ -363,15 +337,9 @@ func Run(sc Scenario) Result {
 	if viol.empty() {
 		drain(dh)
 		snap := m.Stats().Snapshot()
-		if sc.Scheme == hpbrcu.HPRCU || sc.Scheme == hpbrcu.HPBRCU {
-			// Without a reaper, a leaked handle's deferred batch is
-			// stuck forever: the books cannot balance, by design — that
-			// asymmetry (leaks without reaper, convergence with) is what
-			// the leak-chaos tests assert.
-			if snap.Unreclaimed != 0 && !(res.Leaked > 0 && !reaperOn) {
-				viol.addf("books: unreclaimed=%d after drain (retired=%d reclaimed=%d)",
-					snap.Unreclaimed, snap.Retired, snap.Reclaimed)
-			}
+		if adopts && snap.Unreclaimed != 0 {
+			viol.addf("books: unreclaimed=%d after drain (retired=%d reclaimed=%d)",
+				snap.Unreclaimed, snap.Retired, snap.Reclaimed)
 		}
 		if b := hpbrcu.GarbageBoundObserved(m); b >= 0 {
 			res.Bound = b
@@ -501,9 +469,9 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 	}
 	for i := 0; i < sc.Ops; i++ {
 		if fault.On && fault.Fire(fault.SiteLeak) {
-			// Goroutine death: abandon the registered handle mid-stream —
-			// no Unregister, no Barrier. The reaper (when on) must find
-			// and adopt it; without one this is a real leak.
+			// Goroutine death: drop the registered handle mid-stream —
+			// no Unregister, no Barrier. Under HP-RCU and HP-BRCU its
+			// finalizer adopts it; elsewhere this is a real leak.
 			leaked = true
 			leaks.Add(1)
 			return
@@ -570,10 +538,9 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, start *sync.WaitGroup, viol *vi
 }
 
 // finishFacade is the facade-mode post-run: faults off, then Close —
-// which drains the handle pool, runs the domain drain with the reaper (if
-// any) still helping, and settles the books — then the same verdicts as
-// a registered-handle run: balanced books, the §5 bound and the panic
-// accounting.
+// which drains the handle pool, runs the domain drain and settles the
+// books — then the same verdicts as a registered-handle run: balanced
+// books, the §5 bound and the panic accounting.
 func finishFacade(m hpbrcu.Map, inj *fault.Injector, col, prevCol *obs.Collector, viol *violations, res Result) Result {
 	fault.Deactivate()
 	res.Fired = inj.TotalFired()

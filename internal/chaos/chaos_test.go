@@ -85,26 +85,57 @@ func TestRunSurvivesPanicSchedules(t *testing.T) {
 	}
 }
 
-// TestRunFacadePoolLeakBothWays: a facade scenario reaches the same
-// verdicts with the reaper on and off — every checkout comes back through
-// the facade's deferred checkin, so there is no leaked checkout for the
-// reaper to recover, and the books balance through Close both ways.
-func TestRunFacadePoolLeakBothWays(t *testing.T) {
-	for _, reaper := range []bool{true, false} {
-		res := Run(Scenario{
-			Structure: bench.HList, Scheme: hpbrcu.HPBRCU, Seed: 11,
-			Schedule: Schedules[0], Workers: 4, Ops: 1500, KeyRange: 64,
-			Facade: true, Reaper: reaper,
-		})
-		if !res.Survived() {
-			t.Fatalf("reaper=%v: %v", reaper, res.Violations)
+// TestRunLeakSchedulesAdopt: with goroutine-death faults composed into
+// the corpus, every handle a killed worker dropped is adopted once the
+// collector has run, and the books balance (Run asserts both); the
+// schedules must actually kill workers for the gate to mean anything.
+func TestRunLeakSchedulesAdopt(t *testing.T) {
+	scheds := WithLeak(Schedules)
+	if testing.Short() {
+		scheds = scheds[:2]
+	}
+	for _, scheme := range []hpbrcu.Scheme{hpbrcu.HPRCU, hpbrcu.HPBRCU} {
+		var leaked, reaped int64
+		for _, sched := range scheds {
+			res := Run(Scenario{
+				Structure: bench.HList, Scheme: scheme, Seed: 3,
+				Schedule: sched, Workers: 4, Ops: 3000, KeyRange: 64,
+			})
+			if !res.Survived() {
+				t.Fatalf("%s/%s: %v", scheme, sched.Name, res.Violations)
+			}
+			leaked += int64(res.Leaked)
+			reaped += res.Stats.ReapedHandles
 		}
-		if res.Stats.PoolCheckouts == 0 {
-			t.Fatalf("reaper=%v: facade run recorded zero pool checkouts", reaper)
+		if leaked == 0 {
+			t.Errorf("%s: the leak corpus never killed a worker", scheme)
 		}
-		if res.Stats.Unreclaimed != 0 {
-			t.Fatalf("reaper=%v: unreclaimed=%d after Close", reaper, res.Stats.Unreclaimed)
+		if reaped < leaked {
+			t.Errorf("%s: reaped %d of %d dropped handles", scheme, reaped, leaked)
 		}
+	}
+}
+
+// TestRunFacadePoolLeaksNothing: every checkout of a facade scenario comes
+// back through the facade's deferred checkin, so no pooled handle is ever
+// dropped for adoption to recover, and the books balance through Close.
+func TestRunFacadePoolLeaksNothing(t *testing.T) {
+	res := Run(Scenario{
+		Structure: bench.HList, Scheme: hpbrcu.HPBRCU, Seed: 11,
+		Schedule: Schedules[0], Workers: 4, Ops: 1500, KeyRange: 64,
+		Facade: true,
+	})
+	if !res.Survived() {
+		t.Fatal(res.Violations)
+	}
+	if res.Stats.PoolCheckouts == 0 {
+		t.Fatal("facade run recorded zero pool checkouts")
+	}
+	if res.Stats.Unreclaimed != 0 {
+		t.Fatalf("unreclaimed=%d after Close", res.Stats.Unreclaimed)
+	}
+	if res.Stats.ReapedHandles != 0 {
+		t.Fatalf("reaped=%d: a pooled handle was adopted", res.Stats.ReapedHandles)
 	}
 }
 
@@ -115,7 +146,7 @@ func TestRunFacadeCleanSchedule(t *testing.T) {
 	res := Run(Scenario{
 		Structure: bench.HMList, Scheme: hpbrcu.HPBRCU, Seed: 5,
 		Schedule: Schedules[0], Workers: 3, Ops: 500, KeyRange: 64,
-		Facade: true, Reaper: true,
+		Facade: true,
 	})
 	if !res.Survived() {
 		t.Fatalf("violations: %v", res.Violations)

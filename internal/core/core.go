@@ -23,19 +23,19 @@
 //     alternation of RCU phases and checkpoints.
 //
 // The backend decides robustness and nothing else: only an HP-BRCU domain
-// has a §5 garbage bound, a janitor and backpressure; an HP-RCU reader
-// stalled inside a section holds the epoch for as long as it stands.
+// has a §5 garbage bound and backpressure; an HP-RCU reader stalled inside
+// a section holds the epoch for as long as it stands.
 package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
 	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/reap"
-	"github.com/smrgo/hpbrcu/internal/registry"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
@@ -82,21 +82,15 @@ type Domain struct {
 	HP   *hp.Domain
 	brcu *brcu.Domain
 
-	// members tracks the composed handles (both halves), so the lease
-	// scan can snapshot, claim and bulk-remove them as units.
-	members registry.Registry[Handle]
-
-	// jan is the domain's janitor; nil until StartJanitor (and always nil
-	// for HP-RCU).
-	jan *Janitor
+	// adopter is the domain's own handle, registered by NewDomain: the
+	// close drain and every adoption flush through it, under mu (see
+	// lifecycle.go). It idles otherwise, and counts in N like any worker.
+	adopter *Handle
+	mu      sync.Mutex
 
 	// bp is the tiered-backpressure evaluator; nil until
 	// EnableBackpressure (and always nil for HP-RCU).
 	bp *reap.Backpressure
-
-	// bound memoizes the last §5-bound evaluation; see
-	// GarbageBoundObserved.
-	bound atomic.Pointer[boundMemo]
 
 	// policy is the panic policy every handle's recover barrier applies.
 	policy PanicPolicy
@@ -128,6 +122,7 @@ func NewDomain(backend Backend, cfg Config) *Domain {
 		panic("core: unknown backend")
 	}
 	d.brcu = brcu.NewDomain(rec, opts...)
+	d.adopter = d.Register()
 	return d
 }
 
@@ -155,42 +150,23 @@ func (d *Domain) GarbageBoundFor(threads, shields int) int64 {
 	return d.brcu.GarbageBoundFor(threads) + int64(shields)
 }
 
-// boundMemo caches one GarbageBoundObserved evaluation keyed by the peaks
-// it was computed from; see that method.
-type boundMemo struct {
-	handles int
-	shields int64
-	bound   int64
-}
-
 // GarbageBoundObserved is the §5 bound 2GN+GN²+H evaluated entirely from
 // the domain's own accounting: N is the peak number of simultaneously
 // registered BRCU handles and H the peak number of registered HP shields.
 // It returns -1 for HP-RCU.
-//
-// The result is memoized on the (N, H) pair it was computed from: both
-// peaks are monotone, so a hit is exact and a stale entry is simply
-// replaced. The backpressure ladder refreshes its thresholds from here on
-// retire paths, which without the memo would recompute the polynomial —
-// and its float conversions — for the same peaks millions of times.
 func (d *Domain) GarbageBoundObserved() int64 {
 	if d.backend == BackendRCU {
 		return -1
 	}
-	n := d.brcu.HandlesPeak()
-	s := d.HP.ShieldsPeak()
-	if m := d.bound.Load(); m != nil && m.handles == n && m.shields == s {
-		return m.bound
-	}
-	b := d.brcu.GarbageBoundFor(n) + s
-	d.bound.Store(&boundMemo{handles: n, shields: s, bound: b})
-	return b
+	return d.brcu.GarbageBoundFor(d.brcu.HandlesPeak()) + d.HP.ShieldsPeak()
 }
 
 // EnableBackpressure installs the tiered-backpressure evaluator on an
 // HP-BRCU domain (nil for HP-RCU, which has no garbage bound to key the
 // tiers to). Call before any worker registers; the retire path reads the
-// pointer without synchronization.
+// pointer without synchronization. The thresholds follow the §5 bound,
+// which moves only when a handle registers or creates a shield: both
+// refresh them.
 func (d *Domain) EnableBackpressure(cfg reap.BackpressureConfig) *reap.Backpressure {
 	if d.backend == BackendRCU {
 		return nil
@@ -209,17 +185,6 @@ type Handle struct {
 	HP   *hp.Handle
 	brcu *brcu.Handle
 
-	// exempt marks service handles (the janitor's, a janitor-less
-	// CloseDrain's) the lease scan must never claim: they are long-lived
-	// and mostly idle, so their status words stand still by design.
-	exempt bool
-
-	// bpTick samples the backpressure-threshold refresh on the retire
-	// path: every 256th retire of this handle recomputes the cached
-	// rungs, replacing the shared call counter the ladder itself used to
-	// bump (a domain-wide RMW per retire). Owner-goroutine-only.
-	bpTick uint32
-
 	// poisoned records the contained panic whose restore failed; a
 	// non-nil value makes every subsequent operation refuse the handle
 	// (see lifecycle.go). Owner-goroutine-only.
@@ -237,51 +202,35 @@ type Handle struct {
 // executor: when the RCU grace period of a deferred batch elapses, the
 // batch moves to this thread's HP retired list (Algorithm 4).
 func (d *Domain) Register() *Handle {
-	return d.register(false)
-}
-
-func (d *Domain) register(exempt bool) *Handle {
-	h := &Handle{d: d, HP: d.HP.Register(), brcu: d.brcu.Register(), exempt: exempt}
+	h := &Handle{d: d, HP: d.HP.Register(), brcu: d.brcu.Register()}
 	// Keep the whole records: the obs retire timestamp set at the outer
 	// Retire rides into the inner HP batch, so the retire→reclaim age
 	// histogram spans both steps.
 	h.brcu.SetExecutor(h.HP.RetireRecords)
-	// If the reaper took this handle and the owner then turned out to be
-	// alive, the BRCU half resurrects inside Enter and calls back here to
-	// restore the composed state.
-	h.brcu.SetResurrect(func() {
-		h.HP.Readopt()
-		d.members.Add(h)
-	})
-	d.members.Add(h)
+	d.refreshBackpressure()
 	return h
 }
 
 // Unregister removes the thread from both domains.
 func (h *Handle) Unregister() {
-	// Claim the un-reapable phase across the teardown of both halves: a
-	// reap can then only land entirely before this point, in which case
-	// BeginMut resurrects the handle (re-adding it to members and the HP
-	// registry via the resurrect hook) so the removals below stay
-	// balanced. Without it, a reap between the two halves would strip
-	// registries and gauges a second time.
-	claimed := h.brcu.BeginMut()
-	h.d.members.Remove(h)
-	h.brcu.Unregister() // nested BeginMut no-ops under ours
+	h.brcu.Unregister()
 	h.HP.Unregister()
-	if claimed {
-		h.brcu.EndMut()
-	}
 }
 
 // NewShield creates an HP shield owned by this thread.
-func (h *Handle) NewShield() *hp.Shield { return h.HP.NewShield() }
+func (h *Handle) NewShield() *hp.Shield {
+	s := h.HP.NewShield()
+	h.d.refreshBackpressure()
+	return s
+}
 
-// Reaped reports whether the lease reaper has confirmed this handle's
-// owner dead and adopted its state (and no resurrection has happened
-// since). Safe from any goroutine; always false for HP-RCU, which has no
-// reaper.
-func (h *Handle) Reaped() bool { return h.brcu.Reaped() }
+// refreshBackpressure recomputes the ladder's thresholds after N or H may
+// have grown.
+func (d *Domain) refreshBackpressure() {
+	if d.bp != nil {
+		d.bp.Refresh()
+	}
+}
 
 // Retire schedules a node for two-step reclamation (Algorithm 4): first an
 // RCU grace period, then hazard-pointer scanning. It must be called either
@@ -295,16 +244,9 @@ func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 	// retiring thread drains its own garbage inline instead of waiting for
 	// the batch thresholds. ShouldDrain, not Level: the drain tier is an
 	// independent knob (DrainFraction > 1 disables inline drains without
-	// touching throttling or rejection). The periodic threshold refresh is
-	// sampled on this handle's own counter so domains without a janitor
-	// still track a growing thread count, without a shared RMW per retire.
-	if bp := h.d.bp; bp != nil {
-		if h.bpTick++; h.bpTick&255 == 0 {
-			bp.Refresh()
-		}
-		if bp.ShouldDrain() {
-			h.emergencyDrain()
-		}
+	// touching throttling or rejection).
+	if bp := h.d.bp; bp != nil && bp.ShouldDrain() {
+		h.emergencyDrain()
 	}
 }
 
@@ -312,16 +254,8 @@ func (h *Handle) Retire(slot uint64, pool alloc.Freer) {
 // flush-and-advance on the BRCU (expiring what a grace period allows) and
 // an HP shield scan over the result.
 func (h *Handle) emergencyDrain() {
-	// Both steps mutate reaper-adoptable state (the BRCU batch, the HP
-	// retired list); hold the un-reapable InMut phase across them.
-	// Inside a masked region BeginMut no-ops — the InRm word already
-	// excludes the reaper.
-	claimed := h.brcu.BeginMut()
 	h.brcu.ForceFlush()
 	h.HP.Reclaim()
-	if claimed {
-		h.brcu.EndMut()
-	}
 }
 
 // Mask runs body as an abort-masked region (§4.2): BRCU's Mask, under
@@ -334,15 +268,8 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) { return h.brcu.Mask
 // Barrier drains this thread's deferred nodes through both reclamation
 // steps. For teardown and tests; see the scheme packages for caveats.
 func (h *Handle) Barrier() {
-	// One InMut span over both steps: the HP reclaim mutates this handle's
-	// retired list too, so it needs the same protection from a concurrent
-	// reap as the BRCU flushes.
-	claimed := h.brcu.BeginMut()
 	h.brcu.Barrier()
 	h.HP.Reclaim()
-	if claimed {
-		h.brcu.EndMut()
-	}
 }
 
 // Pin enters a bare critical section on the underlying BRCU — no

@@ -134,9 +134,10 @@ func TestGarbageBoundAccessors(t *testing.T) {
 	b := d.Register()
 	defer a.Unregister()
 	defer b.Unregister()
-	// G = 30, N = 2: 2GN + GN² = 120 + 120 = 240, +5 shields.
-	if got := d.GarbageBound(5); got != 245 {
-		t.Fatalf("bound = %d, want 245", got)
+	// G = 30, N = 3 (the domain's adopter handle and two workers):
+	// 2GN + GN² = 180 + 270 = 450, +5 shields.
+	if got := d.GarbageBound(5); got != 455 {
+		t.Fatalf("bound = %d, want 455", got)
 	}
 	if got := NewDomain(BackendRCU, Config{}).GarbageBound(5); got != -1 {
 		t.Fatalf("RCU bound = %d, want -1", got)

@@ -2,7 +2,8 @@ package core
 
 // This file is the operation-lifecycle robustness layer: panic
 // containment for the entry points that run user code, cooperative
-// cancellation plumbing, and the unified-shutdown drain. The design
+// cancellation plumbing, the adoption of handles whose owner is gone, and
+// the unified-shutdown drain. The design
 // rides the §4 rollback machinery — a contained panic and a cancelled
 // context both leave the handle exactly as a neutralization-driven abort
 // would, so the §4.3 validity invariant ("at every moment at least one
@@ -47,8 +48,8 @@ type PanicError struct {
 	// containment time.
 	Handle string
 	// Poisoned reports that restoring the handle failed: the handle must
-	// not be reused — its status word stops moving and the reaper, when
-	// running, adopts its garbage.
+	// not be reused; its garbage is adopted when it is dropped (see
+	// Adopt).
 	Poisoned bool
 }
 
@@ -93,7 +94,7 @@ func (h *Handle) checkUsable() {
 // contain is the recover barrier's second half, called with a recovered
 // panic value: restore the handle to a reusable state — clear the
 // traversal protectors and unwind the status word to Out (resolving any
-// reaper phase exactly as Enter would) — account the recovery, and
+// account the recovery, and
 // re-raise per the panic policy. If restoration itself panics the handle
 // is poisoned instead: every subsequent operation refuses it up front.
 //
@@ -102,8 +103,7 @@ func (h *Handle) checkUsable() {
 // would be a push outside Algorithm 5's budget, and a handle that panics
 // more often than it fills a batch would then never signal the laggards
 // holding the epoch, growing garbage past the §5 bound. A handle its
-// owner abandons hands the batch on through Unregister, the facade's
-// Discard or the reaper's adoption.
+// owner abandons hands the batch on through Unregister or adoption.
 func (h *Handle) contain(r any, op string, clear func()) {
 	h.d.rec.PanicsRecovered.Inc()
 	pe := &PanicError{Value: r, Op: op}
@@ -149,16 +149,12 @@ func (h *Handle) BarrierCtx(ctx context.Context) error {
 		return err
 	}
 	var err error
-	claimed := h.brcu.BeginMut()
 	for i := 0; i < 4; i++ {
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		h.brcu.ForceFlush()
 		h.HP.Reclaim()
-	}
-	if claimed {
-		h.brcu.EndMut()
 	}
 	if err != nil {
 		h.d.rec.CancelledOps.Inc()
@@ -176,47 +172,69 @@ func (d *Domain) MarkClosed() bool { return d.closed.CompareAndSwap(false, true)
 // Closed reports whether MarkClosed has run.
 func (d *Domain) Closed() bool { return d.closed.Load() }
 
+// AdoptWhenUnreachable arranges for h to be adopted once the garbage
+// collector finds owner unreachable: owner is the object a goroutine holds
+// to use h (hpbrcu's guardedHandle), and the one whose finalizer runs
+// Adopt. Nothing reachable from owner may reference owner again — a
+// finalizer never runs on an object inside a cycle — and every method of
+// owner that uses h must keep owner alive to its end (runtime.KeepAlive),
+// or the collector may find it dead while an operation still runs on h.
+// An owner that unregisters h first clears the finalizer with
+// runtime.SetFinalizer(owner, nil).
+func AdoptWhenUnreachable[T any](owner *T, h *Handle) {
+	runtime.SetFinalizer(owner, func(*T) { h.Adopt() })
+}
+
+// Adopt hands the state of a handle whose owner is gone to the domain, as
+// Unregister would have: a section the owner never left is forced Out, the
+// BRCU batch joins the global task set tagged with the current epoch, the
+// HP retired list becomes orphans, the shields are cleared and the handle
+// leaves both registries. One drain round through the domain's adopter
+// handle then runs what that allows; only then does ReapedHandles count
+// the adoption, and AdoptedNodes the nodes it moved. It runs on the
+// finalizer goroutine (AdoptWhenUnreachable) or for an owner that hands
+// over a poisoned handle, and never while a goroutine can still operate
+// on h.
+func (h *Handle) Adopt() {
+	d := h.d
+	n := h.brcu.Adopt() + h.HP.PendingRetired()
+	h.HP.Unregister()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.adopter.brcu.TraceEvent(obs.EvAdopt, int64(n))
+	d.adopter.Barrier()
+	d.rec.AdoptedNodes.Add(int64(n))
+	d.rec.ReapedHandles.Inc()
+}
+
 // closeDrainPause is the back-off between unsuccessful drain rounds of
 // CloseDrain: long enough not to spin a core against a generous
 // deadline, short enough not to stretch a drain that is one worker
 // Unregister away from balancing.
 const closeDrainPause = 100 * time.Microsecond
 
-// CloseDrain stops the janitor and forces drain rounds until the books
-// balance (Unreclaimed == 0) or the deadline passes, returning the
-// remaining unreclaimed count. The rounds go through the janitor's own
-// service handle, so they reach what its drain stage parked there (nodes
-// a then-live shield protected) as well as the global paths; between
-// rounds the janitor's tick keeps running on this goroutine at its usual
-// cadence, so garbage abandoned by leaked or panicked workers is still
-// adopted and freed. A domain without a janitor drains through a
-// temporary exempt handle. Nodes still held in live workers' local
-// batches or shields drain only once those workers Unregister, which is
-// why the loop keeps retrying until the deadline rather than giving up
-// after a fixed round count.
+// CloseDrain forces drain rounds through the domain's adopter handle until
+// the books balance (Unreclaimed == 0) or the deadline passes, returning
+// the remaining unreclaimed count. The first round that leaves garbage
+// runs a garbage collection, so that handles dropped without Unregister
+// are adopted (Adopt) while the loop still waits. Nodes still held in live
+// workers' local batches or shields drain only once those workers
+// Unregister, which is why the loop keeps retrying until the deadline
+// rather than giving up after a fixed round count.
 func (d *Domain) CloseDrain(deadline time.Time) int64 {
-	j := d.jan
-	var h *Handle
-	if j != nil {
-		j.halt() // its handle and tick state are ours from here on
-		defer j.Stop()
-		h = j.h
-	} else {
-		h = d.register(true) // exempt: this handle idles past any lease timeout on purpose
-		defer h.Unregister()
-	}
-	h.brcu.TraceEvent(obs.EvClose, d.rec.Unreclaimed.Load())
-	var nextTick time.Time
-	for {
-		now := time.Now()
-		if j != nil && !now.Before(nextTick) {
-			j.tick(now.UnixNano())
-			nextTick = now.Add(j.interval)
+	for round := 0; ; round++ {
+		d.mu.Lock()
+		if round == 0 {
+			d.adopter.brcu.TraceEvent(obs.EvClose, d.rec.Unreclaimed.Load())
 		}
-		h.Barrier()
+		d.adopter.Barrier()
+		d.mu.Unlock()
 		left := d.rec.Unreclaimed.Load()
-		if left == 0 || !now.Before(deadline) {
+		if left == 0 || !time.Now().Before(deadline) {
 			return left
+		}
+		if round == 0 {
+			runtime.GC()
 		}
 		runtime.Gosched()
 		time.Sleep(closeDrainPause)

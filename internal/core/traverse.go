@@ -57,8 +57,7 @@ type CursorBuf[C any] struct {
 	cur     C
 	ckpt    [2]C
 	compIdx int
-	haveCkp bool   // does ckpt[compIdx%2] hold a complete checkpoint of this operation?
-	gen     uint64 // reap generation the complete checkpoint was protected under
+	haveCkp bool // does ckpt[compIdx%2] hold a complete checkpoint of this operation?
 
 	// The running operation's state that only Walk reads; Try resets it.
 	hooks bool  // a yield period, a fault plan or obs was active when this section began
@@ -291,7 +290,7 @@ func (b *CursorBuf[C]) commit(a *Attempt) bool {
 	}
 	b.ckpt[next] = b.cur
 	b.compIdx++
-	b.haveCkp, b.gen = true, a.b.Gen()
+	b.haveCkp = true
 	return true
 }
 
@@ -316,12 +315,6 @@ func (b *CursorBuf[C]) reenter(a *Attempt, init func() C, valid func(*C) bool) b
 	a.b.Enter()
 	b.hooks = hooksArmed()
 	b.arm(a, h.d.backupPeriod)
-	if b.haveCkp && a.b.Gen() != b.gen {
-		// The lease reaper reaped this handle since the checkpoint and
-		// Enter resurrected it: the shields backing both buffers were
-		// cleared, so the checkpoint is no longer protected. Restart.
-		b.haveCkp = false
-	}
 	if !b.haveCkp {
 		// A rollback from before any checkpoint completed: start over. A
 		// cursor created in THIS section needs no validation (R2), and

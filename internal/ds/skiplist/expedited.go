@@ -124,8 +124,7 @@ func (s *Expedited) Register() *ExpeditedHandle {
 func (h *ExpeditedHandle) Unregister() { h.h.Unregister() }
 
 // Core exposes the composed HP-(B)RCU participation record, so the
-// lifecycle layer (handle pool, reaper integration) can reach the lease
-// and reap state of the handle it wraps.
+// lifecycle layer can arrange its adoption (core.AdoptWhenUnreachable).
 func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 
 // Barrier drains reclamation (teardown/tests).

@@ -30,8 +30,8 @@
 //
 // On and the active injector may only change while no goroutine is inside
 // an injection point: Activate before the workers start, Deactivate after
-// they have joined (and after any janitor has been stopped — its drain
-// path crosses injection sites too). This mirrors the
+// they have joined (and after every adoption of a dropped handle is done —
+// its drain round crosses injection sites too). This mirrors the
 // atomicx.YieldPeriod contract and keeps the gate a plain, race-free load.
 package fault
 
@@ -88,9 +88,9 @@ const (
 	// is poisoned but before it reaches a freelist.
 	SiteFreeStall
 	// SiteLeak kills a chaos worker mid-operation: the worker returns
-	// without Unregister or Barrier, abandoning its registered handle,
+	// without Unregister or Barrier, dropping its registered handle,
 	// shields, deferred batch and retired list — the goroutine-death case
-	// the lease reaper (internal/reap) exists to recover. Fired by the
+	// adoption (internal/core) exists to recover. Fired by the
 	// chaos harness between operations, not from library hot paths.
 	SiteLeak
 	// SitePanic panics with ErrInjectedPanic from inside a critical

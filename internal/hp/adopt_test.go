@@ -6,9 +6,10 @@ import (
 	"github.com/smrgo/hpbrcu/internal/alloc"
 )
 
-// TestAdoptReleasesShieldsAndOrphansRetired exercises the reaper-side
-// Unregister: shield protections drop, the retired list becomes domain
-// orphans, and a survivor's Reclaim frees the abandoned nodes.
+// TestAdoptReleasesShieldsAndOrphansRetired exercises the Unregister that
+// internal/core's adoption runs for a handle whose owner is gone: shield
+// protections drop, the retired list becomes domain orphans, the handle
+// leaves the registry, and a survivor's Reclaim frees the abandoned nodes.
 func TestAdoptReleasesShieldsAndOrphansRetired(t *testing.T) {
 	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
@@ -23,17 +24,15 @@ func TestAdoptReleasesShieldsAndOrphansRetired(t *testing.T) {
 	pool.Hdr(slot).Retire()
 	dead.Retire(slot, pool)
 
-	if n := d.Adopt(dead); n != 1 {
-		t.Fatalf("Adopt orphaned %d nodes, want 1", n)
-	}
+	dead.Unregister()
 	if s.Get() != 0 {
-		t.Fatal("Adopt must clear the dead handle's shield values")
-	}
-	if got := len(*dead.shields.Load()); got != 1 {
-		t.Fatalf("Adopt dropped the shield slice (len %d); resurrecting owners reuse it", got)
+		t.Fatal("Unregister must clear the dead handle's shield values")
 	}
 	if d.Shields() != 0 {
-		t.Fatalf("shield gauge = %d after Adopt, want 0", d.Shields())
+		t.Fatalf("shield gauge = %d after Unregister, want 0", d.Shields())
+	}
+	if n := len(d.handles.Snapshot()); n != 1 {
+		t.Fatalf("%d handles registered, want the survivor alone", n)
 	}
 
 	live.Reclaim()
@@ -42,51 +41,5 @@ func TestAdoptReleasesShieldsAndOrphansRetired(t *testing.T) {
 	}
 	if got := d.Stats().Unreclaimed.Load(); got != 0 {
 		t.Fatalf("unreclaimed = %d, want 0", got)
-	}
-}
-
-func TestUnregisterAfterAdoptIsNoop(t *testing.T) {
-	d := NewDomain(nil)
-	h := d.Register()
-	h.NewShield()
-	d.Adopt(h)
-	d.RemoveAll([]*Handle{h})
-
-	// A late deferred Unregister by a slow-but-alive owner: the shields were
-	// already deducted once; a second deduction would corrupt the H gauge.
-	h.Unregister()
-	if got := d.Shields(); got != 0 {
-		t.Fatalf("shield gauge = %d after late Unregister, want 0", got)
-	}
-	if got := d.ShieldsPeak(); got != 1 {
-		t.Fatalf("shield peak = %d, want 1", got)
-	}
-}
-
-func TestReadoptRestoresShieldAccounting(t *testing.T) {
-	d := NewDomain(nil)
-	h := d.Register()
-	s := h.NewShield()
-	d.Adopt(h)
-	d.RemoveAll([]*Handle{h})
-
-	h.Readopt()
-	if got := d.Shields(); got != 1 {
-		t.Fatalf("shield gauge = %d after Readopt, want 1", got)
-	}
-	// The owner keeps using the same *Shield it got at registration.
-	s.ProtectSlot(7)
-	if s.Get() != 7 {
-		t.Fatal("readopted shield does not protect")
-	}
-	// Readopt is idempotent: a second call must not double-account.
-	h.Readopt()
-	if got := d.Shields(); got != 1 {
-		t.Fatalf("shield gauge = %d after double Readopt, want 1", got)
-	}
-	// Now that the handle is live again, Unregister releases normally.
-	h.Unregister()
-	if got := d.Shields(); got != 0 {
-		t.Fatalf("shield gauge = %d after Unregister, want 0", got)
 	}
 }

@@ -102,12 +102,6 @@ type Handle struct {
 	// scanAt ≤ H + threshold and the §5 bound 2GN+GN²+H still holds.
 	// Owner-goroutine-only.
 	scanAt int
-
-	// reaped is set by Domain.Adopt when the lease reaper takes over this
-	// handle's state, and cleared by Readopt if the owner resurrects. It
-	// makes a late Unregister by a slow-but-alive owner a no-op instead of
-	// a double release of shields already deducted from the gauge.
-	reaped atomic.Bool
 }
 
 // Register adds a thread to the domain.
@@ -124,11 +118,9 @@ func (d *Domain) Register() *Handle {
 
 // Unregister removes the thread. Its shields are cleared and any still
 // pending retired nodes are handed to the domain for later reclamation.
-// Unregistering a handle the reaper already adopted is a no-op.
+// internal/core also runs it on the finalizer goroutine for a handle whose
+// owner is gone (adoption), so it reads the shield list through one load.
 func (h *Handle) Unregister() {
-	if h.reaped.Load() {
-		return
-	}
 	// One snapshot for both the clear loop and the gauge: the two loads
 	// could otherwise disagree if this handle's owner leaked mid-NewShield
 	// and the slice grew between them.
@@ -147,70 +139,6 @@ func (h *Handle) Unregister() {
 		h.retired = nil
 	}
 	d.handles.Remove(h)
-}
-
-// Adopt is the reaper-side Unregister for a handle whose owner died: the
-// shield values are cleared (releasing their protections) but the slice is
-// kept — data-structure handles hold *Shield pointers created at Register,
-// and a resurrecting owner reuses them — and the retired list moves to the
-// domain's orphans, to be freed by the next Reclaim pass of any survivor.
-// Returns the number of orphaned nodes. The caller (internal/core) holds
-// the brcu reap protocol in phaseReaping, which excludes the owner.
-func (d *Domain) Adopt(h *Handle) int {
-	shields := *h.shields.Load()
-	for _, s := range shields {
-		s.Clear()
-	}
-	d.shields.Add(-int64(len(shields)))
-	n := len(h.retired)
-	if n > 0 {
-		d.orphanMu.Lock()
-		d.orphans = append(d.orphans, h.retired...)
-		d.orphanMu.Unlock()
-		h.retired = nil
-	}
-	h.reaped.Store(true)
-	return n
-}
-
-// Empty reports whether this handle holds nothing a reaper would adopt:
-// no retired nodes and no set shield. Reaper-only, called while the brcu
-// Reaping phase excludes the owner (which is what makes reading the
-// plain retired slice safe).
-func (h *Handle) Empty() bool {
-	if len(h.retired) > 0 {
-		return false
-	}
-	for _, s := range *h.shields.Load() {
-		if s.Get() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Readopt resurrects a reaped handle whose owner turned out to be alive:
-// re-register and re-account the (cleared but still referenced) shields.
-// No-op unless the handle was actually reaped.
-func (h *Handle) Readopt() {
-	if !h.reaped.CompareAndSwap(true, false) {
-		return
-	}
-	h.d.shields.Add(int64(len(*h.shields.Load())))
-	h.d.handles.Add(h)
-}
-
-// RemoveAll bulk-removes reaped handles from the registry with a single
-// copy-on-write publication.
-func (d *Domain) RemoveAll(hs []*Handle) {
-	if len(hs) == 0 {
-		return
-	}
-	set := make(map[*Handle]bool, len(hs))
-	for _, h := range hs {
-		set[h] = true
-	}
-	d.handles.RemoveWhere(func(h *Handle) bool { return set[h] })
 }
 
 // Shield is a single protection slot for a node (Algorithm 1). The zero
@@ -365,22 +293,6 @@ func (h *Handle) Reclaim() {
 	}
 	if obs.On {
 		h.trace.Rec(obs.EvReclaim, freed)
-	}
-}
-
-// Sweep runs a Reclaim pass if one has something to reach: nodes this
-// handle still holds, or orphans. A domain's janitor calls it every tick
-// its forced drain does not run. Both places park nodes that only a pass of
-// this handle can free once the workers are gone — nodes a then-live
-// shield kept on the last pass, nodes the last workers handed to the
-// domain on their way out — and a pass costs nobody else anything: a
-// shield scan, no epoch advance, no neutralization.
-func (h *Handle) Sweep() {
-	h.d.orphanMu.Lock()
-	orphans := len(h.d.orphans)
-	h.d.orphanMu.Unlock()
-	if orphans > 0 || len(h.retired) > 0 {
-		h.Reclaim()
 	}
 }
 

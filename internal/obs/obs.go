@@ -26,10 +26,10 @@
 //
 // Like fault.On, the gate and the active collector may only change while
 // no goroutine is inside an instrumented region: Activate before the
-// workers start, Deactivate after they have joined (and after any
-// janitor has been stopped). Each Trace is single-writer: it belongs to
-// the goroutine that owns the traced handle, which is also why recording
-// needs no CAS. Merging is safe after the writers have quiesced; a live
+// workers start, Deactivate after they have joined (and after every
+// adoption of a dropped handle is done). Each Trace is single-writer: it
+// belongs to the goroutine that owns the traced handle, which is also why
+// recording needs no CAS. Merging is safe after the writers have quiesced; a live
 // dump (the HTTP exporter) may observe torn events near each ring's write
 // position and must treat the output as diagnostic, not exact.
 package obs
@@ -73,22 +73,10 @@ const (
 	// EvSlabGrow: the allocator materialized or carved fresh slots
 	// instead of reusing freed ones; Arg is the number of slots carved.
 	EvSlabGrow
-	// EvLeaseExpire: the reaper observed a handle whose status word has
-	// stood still for the lease timeout and is about to try claiming it;
-	// Arg is how long the word stood, in nanoseconds.
-	EvLeaseExpire
-	// EvAdopt: the reaper adopted a dead handle's deferred batch and
+	// EvAdopt: the domain adopted a dropped handle's deferred batch and
 	// retired list into the domain-global paths; Arg is the node count.
+	// Recorded on the trace of the domain's adopter handle.
 	EvAdopt
-	// EvReap: the reaper removed the handles it claimed and adopted; Arg
-	// is the number of handles reaped this pass.
-	EvReap
-	// EvThrottle: allocations were delayed by the backpressure throttle;
-	// Arg is the number of throttled admissions since the last tick.
-	EvThrottle
-	// EvReject: allocations were refused with ErrMemoryPressure; Arg is
-	// the number of rejections since the last tick.
-	EvReject
 	// EvPanic: a panic in user code was contained by the recover barrier
 	// and the handle driven through the abort path; Arg is 1 if the
 	// handle could not be restored and was poisoned, 0 otherwise.
@@ -134,7 +122,7 @@ const (
 var eventNames = [numEventKinds]string{
 	"epoch-advance", "forced-advance", "signal", "rollback", "mask-defer",
 	"drain", "reclaim", "slab-grow",
-	"lease-expire", "adopt", "reap", "throttle", "reject",
+	"adopt",
 	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",
 }

@@ -1,20 +1,19 @@
-// Tiered memory backpressure, keyed to the §5 garbage bound: as the
-// retired-but-unreclaimed count climbs toward a ceiling, allocation first
-// triggers inline emergency drains (internal/core's retire path), then
-// throttles with a bounded backoff, and finally fails fast with
-// ErrMemoryPressure instead of letting the application dig an unbounded
-// memory hole. The tiers are advisory until a caller routes its
-// allocations through Admit (hpbrcu.TryInsert does); plain inserts keep
-// the paper's semantics — the §5 bound still caps growth from live
-// threads, backpressure only governs what leaked threads pinned.
+// Package reap holds the tiered memory backpressure ladder (DESIGN.md §9),
+// keyed to the §5 garbage bound: as the retired-but-unreclaimed count
+// climbs toward a ceiling, allocation first triggers inline emergency
+// drains (internal/core's retire path), then throttles with a bounded
+// backoff, and finally fails fast with ErrMemoryPressure instead of letting
+// the application dig an unbounded memory hole. The tiers are advisory
+// until a caller routes its allocations through Admit (hpbrcu.TryInsert
+// does); plain inserts keep the paper's semantics.
 package reap
 
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
-	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
@@ -59,8 +58,8 @@ const (
 
 // BackpressureConfig configures NewBackpressure. The rungs are fractions
 // of the base ceiling: Ceiling when set, else the domain's observed §5
-// bound (which grows with the observed thread count, so the janitor
-// refreshes the cached thresholds each tick).
+// bound, which grows with the observed thread and shield counts; the
+// domain calls Refresh whenever either grows.
 type BackpressureConfig struct {
 	// DrainFraction of the base triggers inline emergency drains
 	// (default 0.5).
@@ -74,23 +73,21 @@ type BackpressureConfig struct {
 // (no thread has registered, so the observed bound is zero).
 const unlimited = int64(1) << 62
 
-// Backpressure evaluates the ladder. Level and Admit are hot-path-safe:
-// they compare the unreclaimed gauge against cached atomic thresholds,
-// refreshed by the janitor tick and by every 256th call.
+// Backpressure evaluates the ladder. Level, ShouldDrain and Admit are
+// hot-path-safe: they compare the unreclaimed gauge against cached atomic
+// thresholds and write nothing shared. Refresh recomputes the thresholds.
 type Backpressure struct {
 	cfg         BackpressureConfig
 	unreclaimed func() int64
 	bound       func() int64
 	rec         *stats.Reclamation
 
-	// The cached thresholds are read on every ShouldDrain (one per
-	// retire, domain-wide); calls is an RMW bumped by every Level. Pad
-	// the counter onto its own line so those writes don't keep
-	// invalidating the read-mostly threshold line under every reader.
+	// mu serializes Refresh, so that of two racing refreshes the one that
+	// stores last also read the base last: the peaks it reads only grow.
+	mu         sync.Mutex
 	drainAt    atomic.Int64
 	throttleAt atomic.Int64
 	rejectAt   atomic.Int64
-	calls      atomicx.Padded
 }
 
 // NewBackpressure builds the evaluator. unreclaimed reads the live gauge;
@@ -116,10 +113,12 @@ func threshold(base int64, frac float64) int64 {
 	return t
 }
 
-// Refresh recomputes the cached thresholds from the current base. The
-// janitor calls it once per tick; Level samples it every 256th call so a
-// domain without a janitor still tracks a growing thread count.
+// Refresh recomputes the cached thresholds from the current base. The base
+// moves only when the domain's peak handle or shield count grows, and the
+// domain calls Refresh exactly there (internal/core).
 func (bp *Backpressure) Refresh() {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	base := bp.cfg.Ceiling
 	if base <= 0 && bp.bound != nil {
 		base = bp.bound()
@@ -137,9 +136,6 @@ func (bp *Backpressure) Refresh() {
 
 // Level returns the current rung.
 func (bp *Backpressure) Level() Level {
-	if bp.calls.Add(1)&255 == 0 {
-		bp.Refresh()
-	}
 	u := bp.unreclaimed()
 	switch {
 	case u >= bp.rejectAt.Load():
@@ -156,15 +152,11 @@ func (bp *Backpressure) Level() Level {
 // emergency drain. It compares against the drain threshold alone — not
 // Level, whose tiers collapse into each other — so DrainFraction is an
 // independent knob: setting it above 1 disables inline drains without
-// touching throttling or rejection (useful when drains are the janitor's
-// job, and for tests that pin the reject tier with stuck garbage).
+// touching throttling or rejection (useful for tests that pin the reject
+// tier with stuck garbage).
 //
 // ShouldDrain is two atomic loads and nothing else: it runs once per
-// retire on every thread, so it must not share an RMW (the old every-256th
-// self-refresh turned the call counter into a domain-wide contended word).
-// Threshold refreshes instead come from the janitor tick and from the
-// retire path's own per-handle sampling (internal/core), which touch no
-// shared state until they actually refresh.
+// retire on every thread.
 func (bp *Backpressure) ShouldDrain() bool {
 	return bp.unreclaimed() >= bp.drainAt.Load()
 }

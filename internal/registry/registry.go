@@ -53,8 +53,8 @@ func (r *Registry[T]) Remove(v *T) {
 
 // RemoveWhere deletes every member matching pred and reports how many were
 // removed. The whole sweep publishes one copy-on-write snapshot under one
-// writer-mutex acquisition, so a bulk removal (the reaper dropping N dead
-// handles at once) does not pay N mutex round-trips and N list copies.
+// writer-mutex acquisition, so a bulk removal of N members does not pay N
+// mutex round-trips and N list copies.
 func (r *Registry[T]) RemoveWhere(pred func(*T) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -29,10 +29,9 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 	goroutinesBefore := runtime.NumGoroutine()
 
-	// Activate before the map exists so the reaper goroutine (started by
-	// the constructor) observes the gate via its creation edge — the
-	// same ordering the chaos harness uses. Everything after this line,
-	// prefill included, runs under fire.
+	// Activate before the map exists — the same ordering the chaos
+	// harness uses. Everything after this line, prefill included, runs
+	// under fire.
 	var plans [fault.NumSites]fault.Plan
 	plans[fault.SitePanic] = fault.Plan{Period: 300, Cooldown: 10}
 	plans[fault.SiteNetRead] = fault.Plan{Period: 97, StallYields: 200}
@@ -48,11 +47,6 @@ func TestServerChaosSoak(t *testing.T) {
 		Pool: hpbrcu.PoolConfig{
 			Size:           16,
 			AcquireTimeout: 2 * time.Millisecond,
-		},
-		Reaper: hpbrcu.ReaperConfig{
-			Enabled:      true,
-			LeaseTimeout: 15 * time.Millisecond,
-			Interval:     2 * time.Millisecond,
 		},
 		Backpressure: hpbrcu.BackpressureConfig{Enabled: true},
 	})
@@ -130,8 +124,8 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Fatalf("ConnPanics = %d, want 0 under PanicRecover", s.ConnPanics())
 	}
 
-	// Zero goroutine leaks: handlers, accept loop, reaper and loadgen
-	// workers must all be gone.
+	// Zero goroutine leaks: handlers, accept loop and loadgen workers
+	// must all be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore+2 {
 		if time.Now().After(deadline) {

@@ -111,17 +111,13 @@ type Reclamation struct {
 	EpochAdvances Counter
 	// ForcedAdvances counts epoch advances that required signalling.
 	ForcedAdvances Counter
-	// ReapedHandles counts handles the lease reaper confirmed dead and
-	// removed (leaked goroutines; see internal/reap).
+	// ReapedHandles counts adopted handles: dropped without Unregister
+	// and found unreachable by the garbage collector, or poisoned and
+	// handed over (internal/core's Adopt).
 	ReapedHandles Counter
-	// AdoptedNodes counts retired/deferred nodes the reaper adopted from
-	// reaped handles into the domain-global reclamation paths.
+	// AdoptedNodes counts retired/deferred nodes adoption moved from
+	// those handles into the domain-global reclamation paths.
 	AdoptedNodes Counter
-	// ParkedHandles is how many handles the lease scan held parked at its
-	// last pass: their status word stood past the lease timeout, but they
-	// held nothing to adopt, so they stay registered and are not counted
-	// in ReapedHandles. Written by the scan alone.
-	ParkedHandles Gauge
 	// BackpressureThrottles counts allocations that were delayed by the
 	// tiered-backpressure throttle before being admitted.
 	BackpressureThrottles Counter
@@ -202,8 +198,6 @@ type Snapshot struct {
 
 	ReapedHandles         int64
 	AdoptedNodes          int64
-	ParkedHandles         int64
-	PeakParkedHandles     int64
 	BackpressureThrottles int64
 	BackpressureRejects   int64
 	PanicsRecovered       int64
@@ -240,8 +234,6 @@ func (r *Reclamation) Snapshot() Snapshot {
 
 		ReapedHandles:         r.ReapedHandles.Load(),
 		AdoptedNodes:          r.AdoptedNodes.Load(),
-		ParkedHandles:         r.ParkedHandles.Load(),
-		PeakParkedHandles:     r.ParkedHandles.Peak(),
 		BackpressureThrottles: r.BackpressureThrottles.Load(),
 		BackpressureRejects:   r.BackpressureRejects.Load(),
 		PanicsRecovered:       r.PanicsRecovered.Load(),
@@ -273,7 +265,6 @@ func (r *Reclamation) Reset() {
 	r.ForcedAdvances.Reset()
 	r.ReapedHandles.Reset()
 	r.AdoptedNodes.Reset()
-	r.ParkedHandles.Reset()
 	r.BackpressureThrottles.Reset()
 	r.BackpressureRejects.Reset()
 	r.PanicsRecovered.Reset()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/smrgo/hpbrcu/internal/core"
@@ -45,11 +46,10 @@ const (
 type PanicError = core.PanicError
 
 // Close shuts a map down: it stops admitting operations (every later
-// operation reports ErrClosed), stops the janitor goroutine the
-// configuration started, and forces drain rounds until the books balance
-// (Stats().Unreclaimed == 0) or the timeout passes. The janitor's tick
-// keeps running inside the drain, so garbage abandoned by leaked or
-// panicked workers is still adopted and freed.
+// operation reports ErrClosed) and forces drain rounds until the books
+// balance (Stats().Unreclaimed == 0) or the timeout passes. A round that
+// leaves garbage runs one garbage collection, so handles dropped without
+// Unregister are adopted and their garbage freed while Close waits.
 //
 // Close is idempotent and safe to call concurrently: one caller performs
 // the shutdown, the rest block until it finishes and return the same
@@ -60,8 +60,7 @@ type PanicError = core.PanicError
 // Handles survive Close: in-flight operations complete, later ones
 // report ErrClosed, and Unregister keeps working so workers can release
 // cleanly after shutdown. For maps without an HP-RCU/HP-BRCU domain
-// there is no janitor and there are no drain books; Close just stops
-// admission.
+// there are no drain books; Close just stops admission.
 func Close(m Map, timeout time.Duration) error {
 	impl, ok := m.(*mapImpl)
 	if !ok {
@@ -168,6 +167,12 @@ func TakeHandleErr(h MapHandle) error {
 // map's backpressure gate, and surfaces the context-aware operations of
 // the underlying structure. Like the handle it wraps it is owned by one
 // goroutine; only the closed flag is cross-thread.
+//
+// On an HP-RCU or HP-BRCU map Register attaches a finalizer that adopts
+// the inner handle once the guard is unreachable (core.AdoptWhenUnreachable).
+// Every method that reaches inner therefore ends with runtime.KeepAlive(g):
+// without it the collector may find g dead after its last use, mid-operation,
+// and adopt the handle the operation is still running on.
 type guardedHandle struct {
 	m     *mapImpl
 	inner MapHandle // the structure handle; nil for a post-Close registration stub
@@ -230,7 +235,9 @@ func (g *guardedHandle) Get(key int64) (v int64, ok bool) {
 	if g.m.rec {
 		defer g.latch(nil)
 	}
-	return g.inner.Get(key)
+	v, ok = g.inner.Get(key)
+	runtime.KeepAlive(g)
+	return v, ok
 }
 
 func (g *guardedHandle) Insert(key, val int64) (ok bool) {
@@ -240,7 +247,9 @@ func (g *guardedHandle) Insert(key, val int64) (ok bool) {
 	if g.m.rec {
 		defer g.latch(nil)
 	}
-	return g.inner.Insert(key, val)
+	ok = g.inner.Insert(key, val)
+	runtime.KeepAlive(g)
+	return ok
 }
 
 func (g *guardedHandle) Remove(key int64) (v int64, ok bool) {
@@ -250,7 +259,9 @@ func (g *guardedHandle) Remove(key int64) (v int64, ok bool) {
 	if g.m.rec {
 		defer g.latch(nil)
 	}
-	return g.inner.Remove(key)
+	v, ok = g.inner.Remove(key)
+	runtime.KeepAlive(g)
+	return v, ok
 }
 
 // Barrier is allowed after Close on purpose: a worker's local batch only
@@ -264,17 +275,23 @@ func (g *guardedHandle) Barrier() {
 		defer g.latch(nil)
 	}
 	g.inner.Barrier()
+	runtime.KeepAlive(g)
 }
 
 // Unregister is also allowed after Close, so workers release cleanly
-// during shutdown. A poisoned handle is deliberately not unregistered:
-// its status word is untrustworthy, and the lease reaper's adoption path
-// is the correct way to recover its garbage.
+// during shutdown. It clears the finalizer Register attached. A poisoned
+// handle is adopted instead of unregistered: its status word is
+// untrustworthy, and adoption forces it Out rather than reading it.
 func (g *guardedHandle) Unregister() {
-	if g.inner == nil || g.poisoned {
+	if g.inner == nil {
 		return
 	}
-	g.inner.Unregister()
+	runtime.SetFinalizer(g, nil)
+	if !g.poisoned {
+		g.inner.Unregister()
+	} else if c, ok := g.inner.(coreHandle); ok {
+		c.Core().Adopt()
+	}
 }
 
 // TryInsert implements TryInserter for every guarded handle: through the
@@ -292,7 +309,9 @@ func (g *guardedHandle) TryInsert(key, val int64) (ok bool, err error) {
 			return false, err
 		}
 	}
-	return g.inner.Insert(key, val), nil
+	ok = g.inner.Insert(key, val)
+	runtime.KeepAlive(g)
+	return ok, nil
 }
 
 // GetCtx implements ContextHandle.
@@ -304,13 +323,12 @@ func (g *guardedHandle) GetCtx(ctx context.Context, key int64) (v int64, ok bool
 		defer g.latch(&err)
 	}
 	if g.ctx != nil {
-		return g.ctx.GetCtx(ctx, key)
+		v, ok, err = g.ctx.GetCtx(ctx, key)
+	} else if err = ctx.Err(); err == nil {
+		v, ok = g.inner.Get(key)
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, false, err
-	}
-	v, ok = g.inner.Get(key)
-	return v, ok, nil
+	runtime.KeepAlive(g)
+	return v, ok, err
 }
 
 // BarrierCtx implements ContextHandle. Like Barrier it is allowed after
@@ -326,11 +344,11 @@ func (g *guardedHandle) BarrierCtx(ctx context.Context) (err error) {
 		defer g.latch(&err)
 	}
 	if g.ctx != nil {
-		return g.ctx.BarrierCtx(ctx)
+		err = g.ctx.BarrierCtx(ctx)
+	} else if err = ctx.Err(); err == nil {
+		g.inner.Barrier()
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	g.inner.Barrier()
-	return ctx.Err()
+	runtime.KeepAlive(g)
+	return err
 }

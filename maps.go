@@ -24,7 +24,6 @@ type mapImpl struct {
 	reg    func() MapHandle
 	st     func() *stats.Reclamation
 	dom    *core.Domain       // non-nil for HP-RCU/HP-BRCU maps
-	jan    *core.Janitor      // non-nil when Config.Reaper started one
 	bp     *reap.Backpressure // non-nil when Config.Backpressure enabled
 	rec    bool               // Config.PanicPolicy == PanicRecover
 
@@ -49,7 +48,21 @@ func (m *mapImpl) withPool(cfg Config) *mapImpl {
 	return m
 }
 
+// Register returns a guarded handle whose owner is the caller: on an
+// HP-RCU or HP-BRCU map it is adopted (core.AdoptWhenUnreachable) if the
+// caller drops it without Unregister.
 func (m *mapImpl) Register() MapHandle {
+	g := m.register()
+	if c, ok := g.inner.(coreHandle); ok && m.dom != nil {
+		core.AdoptWhenUnreachable(g, c.Core())
+	}
+	return g
+}
+
+// register builds a guarded handle without a finalizer: the facade's pool
+// owns its handles through a table the handles themselves reach (g.m), a
+// cycle no finalizer would ever run on.
+func (m *mapImpl) register() *guardedHandle {
 	if m.closed.Load() {
 		// Post-Close registration returns an inert stub: every operation
 		// latches and reports ErrClosed, Unregister is a no-op. Returning
@@ -63,13 +76,16 @@ func (m *mapImpl) Register() MapHandle {
 	g.ctx, _ = h.(ContextHandle)
 	return g
 }
+
+// coreHandle is implemented by the structure handles of HP-RCU and HP-BRCU
+// maps.
+type coreHandle interface{ Core() *core.Handle }
+
 func (m *mapImpl) Stats() *Stats  { return m.st() }
 func (m *mapImpl) Scheme() Scheme { return m.scheme }
 
-// withDomain records the HP-(B)RCU domain for GarbageBound and starts the
-// janitor when the configuration asks for one of its stages (HP-BRCU
-// domains only). Backpressure installs first: the janitor's tick
-// refreshes its thresholds.
+// withDomain records the HP-(B)RCU domain for GarbageBound and installs
+// backpressure when the configuration asks for it (HP-BRCU domains only).
 func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	m.withPool(cfg)
 	m.dom = d
@@ -77,7 +93,6 @@ func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	if cfg.Backpressure.Enabled {
 		m.bp = d.EnableBackpressure(cfg.coreBackpressureConfig())
 	}
-	m.jan = d.StartJanitor(cfg.CoreJanitorConfig())
 	return m
 }
 

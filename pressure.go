@@ -57,8 +57,8 @@ func (l PressureLevel) String() string {
 }
 
 // Pressure returns the current backpressure rung of m. It is cheap
-// enough for per-request use: the underlying ladder caches its
-// thresholds and re-samples the gauge every few hundred calls. Maps
+// enough for per-request use: it reads the unreclaimed gauge and compares
+// it against thresholds the ladder caches, writing nothing shared. Maps
 // without tiered backpressure (Config.Backpressure disabled, or a
 // scheme without an HP-BRCU domain) always report PressureOK — such
 // services still degrade reactively via IsLoadShed on operation errors.

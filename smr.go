@@ -119,15 +119,11 @@ type Config struct {
 	// ForceThreshold is BRCU's failed-advance budget before neutralizing
 	// laggards (default 2).
 	ForceThreshold int
-	// Reaper starts the domain's janitor on HP-BRCU maps, its one
-	// background goroutine: each tick its lease scan looks for handles
-	// abandoned by dead worker goroutines (a status word that has not
-	// moved for LeaseTimeout, no live critical section), claims each with
-	// one CAS that fails if the owner has moved since, and adopts their
-	// deferred garbage and shields into the domain-global reclamation
-	// paths. A stalled epoch needs no janitor: the operation path signals
-	// the laggards once ForceThreshold is spent. Close stops the janitor.
-	// Ignored for every other scheme.
+	// Reaper is ignored. A handle Register returned on an HP-RCU or
+	// HP-BRCU map is adopted once the garbage collector finds it
+	// unreachable without Unregister: its deferred garbage and shields go
+	// to the domain-global reclamation paths (DESIGN.md §7). The field
+	// stays so that configurations setting Reaper.Enabled still compile.
 	Reaper ReaperConfig
 	// Backpressure enables tiered memory backpressure on HP-BRCU maps,
 	// keyed to the §5 garbage bound (or an absolute ceiling): inline
@@ -162,18 +158,10 @@ type PoolConfig struct {
 	AcquireTimeout time.Duration
 }
 
-// ReaperConfig configures the janitor (Config.Reaper): its lease scan and,
-// through Interval, the tick its drain and backpressure stages run on. The
-// zero value starts no janitor; zero durations select the defaults (250ms
-// lease timeout, 5ms tick).
+// ReaperConfig is the type of the ignored Config.Reaper.
 type ReaperConfig struct {
-	// Enabled turns the reaper on.
+	// Enabled is ignored.
 	Enabled bool
-	// LeaseTimeout is how long a handle's status word may stand still
-	// outside a critical section before the handle is presumed dead.
-	LeaseTimeout time.Duration
-	// Interval is the janitor tick period.
-	Interval time.Duration
 }
 
 // BackpressureConfig configures the backpressure tiers (see
@@ -185,8 +173,7 @@ type BackpressureConfig struct {
 	Enabled bool
 	// DrainFraction of the base triggers inline emergency drains on the
 	// retire path (zero selects 0.5). A value above 1 disables inline
-	// drains (e.g. when the reaper is expected to do all the draining)
-	// without affecting the throttle and reject tiers.
+	// drains without affecting the throttle and reject tiers.
 	DrainFraction float64
 	// Ceiling, when positive, replaces the §5 bound as the base — an
 	// absolute unreclaimed-node budget.
@@ -198,16 +185,6 @@ type BackpressureConfig struct {
 // returned, never panicked; callers decide whether to shed load, retry,
 // or escalate.
 var ErrMemoryPressure = reap.ErrMemoryPressure
-
-// CoreJanitorConfig lowers the public reaper options to the internal
-// janitor config.
-func (c Config) CoreJanitorConfig() core.JanitorConfig {
-	return core.JanitorConfig{
-		Reaper:       c.Reaper.Enabled,
-		LeaseTimeout: c.Reaper.LeaseTimeout,
-		Interval:     c.Reaper.Interval,
-	}
-}
 
 // coreBackpressureConfig lowers the public backpressure options.
 func (c Config) coreBackpressureConfig() reap.BackpressureConfig {

@@ -9,6 +9,7 @@ package hpbrcu_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,25 +93,19 @@ func TestSoakHPBRCUAllStructures(t *testing.T) {
 
 // leakSoakConfig keeps the defer batch larger than anything a short-lived
 // worker retires, so a leaked handle's garbage really is stuck in its
-// private batch — the worst case for the reaper.
-func leakSoakConfig(reaper bool) hpbrcu.Config {
-	cfg := hpbrcu.Config{BatchSize: 64, ForceThreshold: 2, BackupPeriod: 16}
-	if reaper {
-		cfg.Reaper = hpbrcu.ReaperConfig{
-			Enabled:      true,
-			LeaseTimeout: 15 * time.Millisecond,
-			Interval:     2 * time.Millisecond,
-		}
-	}
-	return cfg
+// private batch — the worst case for adoption.
+func leakSoakConfig() hpbrcu.Config {
+	return hpbrcu.Config{BatchSize: 64, ForceThreshold: 2, BackupPeriod: 16}
 }
 
 // leakChurn runs `leakers` short-lived workers that each register, do a
 // few insert+remove pairs (retiring nodes into the private batch) and die
-// without Unregister, plus one law-abiding worker. Returns the map.
-func leakChurn(t *testing.T, cfg hpbrcu.Config, leakers int) hpbrcu.Map {
+// without Unregister, plus one law-abiding worker. Each leaked handle is
+// handed to keep, if it is not nil, which decides whether it stays
+// referenced. Returns the map.
+func leakChurn(t *testing.T, leakers int, keep func(hpbrcu.MapHandle)) hpbrcu.Map {
 	t.Helper()
-	m, err := hpbrcu.NewHList(hpbrcu.HPBRCU, cfg)
+	m, err := hpbrcu.NewHList(hpbrcu.HPBRCU, leakSoakConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +115,9 @@ func leakChurn(t *testing.T, cfg hpbrcu.Config, leakers int) hpbrcu.Map {
 		go func(seed int64) {
 			defer wg.Done()
 			h := m.Register() // never unregistered: a leak
+			if keep != nil {
+				keep(h)
+			}
 			rng := rand.New(rand.NewSource(seed))
 			base := seed * 1000
 			for i := 0; i < 10; i++ {
@@ -143,12 +141,13 @@ func leakChurn(t *testing.T, cfg hpbrcu.Config, leakers int) hpbrcu.Map {
 	return m
 }
 
-// TestSoakLeakWithReaperConverges is the tentpole's acceptance test, on
-// direction: goroutines die without Unregister, the reaper adopts their
-// handles, and the books converge to zero without anyone's cooperation.
+// TestSoakLeakWithReaperConverges is the adoption acceptance test, on
+// direction: goroutines die without Unregister, the garbage collector
+// finds their handles unreachable, the domain adopts them, and the books
+// converge to zero without anyone's cooperation.
 func TestSoakLeakWithReaperConverges(t *testing.T) {
 	const leakers = 4
-	m := leakChurn(t, leakSoakConfig(true), leakers)
+	m := leakChurn(t, leakers, nil)
 	defer hpbrcu.Close(m, 5*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -162,30 +161,44 @@ func TestSoakLeakWithReaperConverges(t *testing.T) {
 			t.Fatalf("no convergence: reaped=%d (want >= %d) unreclaimed=%d (want 0)",
 				s.ReapedHandles, leakers, s.Unreclaimed)
 		}
+		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestSoakLeakWithoutReaperLeaks is the same churn with the reaper off:
-// the abandoned batches must stay stuck — otherwise the reaper tests above
-// would be vacuously green because something else cleaned up.
+// TestSoakLeakWithoutReaperLeaks is the same churn with the leaked handles
+// still referenced — the paper's stalled thread: no collection adopts
+// them, their batches stay stuck — otherwise the adoption test above
+// would be vacuously green because something else cleaned up — and what
+// they hold stays inside the §5 bound.
 func TestSoakLeakWithoutReaperLeaks(t *testing.T) {
-	m := leakChurn(t, leakSoakConfig(false), 4)
+	var mu sync.Mutex
+	var held []hpbrcu.MapHandle
+	m := leakChurn(t, 4, func(h hpbrcu.MapHandle) {
+		mu.Lock()
+		held = append(held, h)
+		mu.Unlock()
+	})
 
-	// Even a determined drain by a live handle cannot reach garbage stuck
-	// in a dead handle's private batch.
+	// Even a determined drain by a live handle, between collections,
+	// cannot reach garbage stuck in a referenced handle's private batch.
 	h := m.Register()
 	for i := 0; i < 8; i++ {
+		runtime.GC()
 		h.Barrier()
 	}
 	h.Unregister()
 	s := m.Stats().Snapshot()
 	if s.Unreclaimed == 0 {
-		t.Fatal("leaked handles' garbage drained without a reaper: the leak-soak premise is broken")
+		t.Fatal("stalled handles' garbage drained: the leak-soak premise is broken")
 	}
 	if s.ReapedHandles != 0 {
-		t.Fatalf("reaped=%d with the reaper disabled", s.ReapedHandles)
+		t.Fatalf("reaped=%d: a referenced handle was adopted", s.ReapedHandles)
 	}
+	if b := hpbrcu.GarbageBoundObserved(m); s.PeakUnreclaimed > b {
+		t.Fatalf("peak unreclaimed %d exceeds the §5 bound %d", s.PeakUnreclaimed, b)
+	}
+	runtime.KeepAlive(held)
 }
 
 // TestSoakBackpressureCeiling hammers inserts through the admission gate
