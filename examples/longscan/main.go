@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"runtime"
@@ -35,24 +34,22 @@ var (
 func main() {
 	flag.Parse()
 	// Demo plumbing, not API usage: on a single-CPU host the goroutines
-	// only interleave at ~10ms scheduler slices, which hides both the
-	// neutralization behaviour and the cancellation latency this example
-	// demonstrates. Same knob the in-repo benchmark harness uses.
+	// only interleave at ~10ms scheduler slices, which hides the
+	// neutralization behaviour this example demonstrates. Same knob the
+	// in-repo benchmark harness uses.
 	if runtime.GOMAXPROCS(0) == 1 {
 		atomicx.YieldPeriod = 16
 	}
 	for _, scheme := range []hpbrcu.Scheme{hpbrcu.NBR, hpbrcu.HPBRCU} {
-		scans, writes, peak, exitLat := run(scheme)
-		fmt.Printf("%-8s completed scans: %6d   writer ops: %8d   peak unreclaimed: %d   reader exit after cancel: %v\n",
-			scheme, scans, writes, peak, exitLat)
+		scans, writes, peak := run(scheme)
+		fmt.Printf("%-8s completed scans: %6d   writer ops: %8d   peak unreclaimed: %d\n",
+			scheme, scans, writes, peak)
 	}
 	fmt.Println("\nNBR's scans collapse as the scan length crosses its broadcast period;")
 	fmt.Println("HP-BRCU's checkpointed scans keep completing with bounded memory.")
-	fmt.Println("On cancel, HP-BRCU self-neutralizes the in-flight scan at its next")
-	fmt.Println("poll; a scheme without cancellation finishes the scan first.")
 }
 
-func run(scheme hpbrcu.Scheme) (scans, writes, peak int64, exitLat time.Duration) {
+func run(scheme hpbrcu.Scheme) (scans, writes, peak int64) {
 	m, err := hpbrcu.NewHHSList(scheme, hpbrcu.Config{})
 	if err != nil {
 		panic(err)
@@ -67,25 +64,18 @@ func run(scheme hpbrcu.Scheme) (scans, writes, peak int64, exitLat time.Duration
 
 	var stop atomic.Bool
 	var nScans, nWrites atomic.Int64
-	var wg, readerWG sync.WaitGroup
+	var wg sync.WaitGroup
 
-	// One long-scan reader: every Get traverses ~half the list. It runs
-	// under a context; cancelling it self-neutralizes the in-flight scan
-	// at its next poll under HP-BRCU (the scan rolls back to its last
-	// checkpoint and the reader exits), while schemes without
-	// cooperative cancellation only observe the context between scans.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	readerWG.Add(1)
+	// One long-scan reader: every Get traverses the whole list. It checks
+	// the stop flag between scans; the writers stop with it, so under NBR
+	// too the scan in flight then completes.
+	wg.Add(1)
 	go func() {
-		defer readerWG.Done()
+		defer wg.Done()
 		h := m.Register()
 		defer h.Unregister()
-		for {
-			// Absent key past the maximum: full scan.
-			if _, _, err := hpbrcu.GetCtx(ctx, h, *keyRange); err != nil {
-				return
-			}
+		for !stop.Load() {
+			h.Get(*keyRange) // absent key past the maximum: full scan
 			nScans.Add(1)
 		}
 	}()
@@ -110,21 +100,11 @@ func run(scheme hpbrcu.Scheme) (scans, writes, peak int64, exitLat time.Duration
 	}
 
 	time.Sleep(time.Duration(*seconds) * time.Second)
-	// Quiesce the writers first: under NBR the churn restarts the reader's
-	// full-range scan indefinitely, so an in-flight scan might never finish
-	// and the reader could only observe the cancel between scans. With the
-	// churn stopped the comparison is clean — both schemes are mid-scan
-	// when the cancel lands; HP-BRCU self-neutralizes and exits at its next
-	// poll, NBR must run the scan to completion first.
 	stop.Store(true)
 	wg.Wait()
-	cancelAt := time.Now()
-	cancel()
-	readerWG.Wait()
-	exitLat = time.Since(cancelAt)
 	scans, writes, peak = nScans.Load(), nWrites.Load(), m.Stats().Unreclaimed.Peak()
 	if err := hpbrcu.Close(m, 5*time.Second); err != nil {
 		panic(err)
 	}
-	return scans, writes, peak, exitLat
+	return scans, writes, peak
 }

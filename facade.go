@@ -133,9 +133,8 @@ func (m *mapImpl) Get(key int64) (v int64, ok bool, err error) {
 	return v, ok, nil
 }
 
-// GetCtx implements the handle-free Map.GetCtx: ctx bounds both the
-// handle acquisition and (on schemes that support it) the lookup itself,
-// via cooperative self-neutralization.
+// GetCtx implements the handle-free Map.GetCtx: ctx bounds the handle
+// acquisition, and a done ctx ends the operation before the lookup.
 func (m *mapImpl) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err error) {
 	e, err := m.checkout(ctx)
 	if err != nil {
@@ -143,7 +142,9 @@ func (m *mapImpl) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err 
 	}
 	completed := false
 	defer m.checkin(e, &completed, &err)
-	v, ok, err = e.Res().GetCtx(ctx, key)
+	if err = ctx.Err(); err == nil {
+		v, ok = e.Res().inner.Get(key)
+	}
 	completed = true
 	return v, ok, err
 }

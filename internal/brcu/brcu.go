@@ -148,8 +148,7 @@ func WithForceThreshold(n int) Option {
 // laggard whatever its failure budget, so neither a Defer nor ForceFlush or
 // Barrier ever signals, and a section stalled at epoch e holds the epoch at
 // e+1 for as long as it stands. HP-RCU (internal/core) runs on such a
-// domain; a section still rolls back when its owner neutralizes itself
-// (cancellation, fault injection).
+// domain; a section still rolls back when fault injection neutralizes it.
 func NeverSignal() Option {
 	return func(d *Domain) { d.neverSignal = true }
 }
@@ -226,16 +225,6 @@ type Handle struct {
 	// flush. Both owner-goroutine-only.
 	flushAt  int
 	batchCap int
-
-	// Cooperative cancellation (core's traversals). The owner arms a fresh
-	// token per cancellable operation; a watcher goroutine requests
-	// cancellation by presenting the token it saw armed. Tokens make a
-	// late watcher from a finished operation harmless: its RequestCancel
-	// misses the newly armed token, and at worst its SelfNeutralize costs
-	// one spurious rollback. armSeq is owner-goroutine-only.
-	cancelArm atomic.Uint64
-	cancelReq atomic.Uint64
-	armSeq    uint64
 
 	// Observability state, touched only past the obs.On gate. trace is
 	// nil-safe; pollN samples the epoch-lag histogram; csStart times the
@@ -523,48 +512,9 @@ func (h *Handle) runMasked(body func(), e uint64) {
 // and Adopt's for the one a dead owner never will.
 func (h *Handle) ForceOut() { h.status.Store(outWord) }
 
-// --- Cooperative cancellation (core's traversals) -----------------------
-
-// ArmCancel installs a fresh cancellation token for the operation about
-// to run and returns it. Owner-side; pair with DisarmCancel.
-func (h *Handle) ArmCancel() uint64 {
-	h.armSeq++
-	tok := h.armSeq
-	h.cancelReq.Store(0)
-	h.cancelArm.Store(tok)
-	return tok
-}
-
-// DisarmCancel retires the current token after the operation returns.
-// A watcher racing with it can at worst leave a stale cancelReq behind,
-// which no future token ever matches.
-func (h *Handle) DisarmCancel() {
-	h.cancelArm.Store(0)
-	h.cancelReq.Store(0)
-}
-
-// RequestCancel asks the owner to abandon the operation that armed tok.
-// Watcher-side (any goroutine). If the token is still armed it plants the
-// request and self-neutralizes the owner's live critical section, so the
-// owner reaches its next cancel check within one poll interval instead of
-// finishing the traversal first.
-func (h *Handle) RequestCancel(tok uint64) {
-	if tok == 0 || h.cancelArm.Load() != tok {
-		return
-	}
-	h.cancelReq.Store(tok)
-	h.SelfNeutralize()
-}
-
-// CancelPending reports whether RequestCancel has fired for tok.
-// Owner-side, checked at rollback boundaries.
-func (h *Handle) CancelPending(tok uint64) bool {
-	return tok != 0 && h.cancelReq.Load() == tok
-}
-
 // TraceEvent records an event on this handle's obs trace (no-op unless
 // the observability layer is active; nil-safe). The lifecycle layer in
-// internal/core uses it for panic, cancel and close events.
+// internal/core uses it for panic and close events.
 func (h *Handle) TraceEvent(k obs.EventKind, arg int64) {
 	if obs.On {
 		h.trace.Rec(k, arg)

@@ -28,7 +28,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -190,12 +189,8 @@ type Handle struct {
 	// (see lifecycle.go). Owner-goroutine-only.
 	poisoned *PanicError
 
-	// The running traversal's cancellation (see try) and the yield
-	// harness's step counter. Owner-goroutine-only.
-	ctx  context.Context
-	stop func() bool // stops the cancellation watcher; nil when none is armed
-	tok  uint64      // cancellation token
-	yc   int
+	// The yield harness's step counter. Owner-goroutine-only.
+	yc int
 }
 
 // Register adds a thread to the domain and wires the two-step retirement
@@ -259,8 +254,8 @@ func (h *Handle) emergencyDrain() {
 }
 
 // Mask runs body as an abort-masked region (§4.2): BRCU's Mask, under
-// both schemes — an HP-RCU section is never signalled, but its owner's
-// cancellation neutralizes it like a signal would. The caller must have
+// both schemes — an HP-RCU section is never signalled, but an injected
+// fault neutralizes it like a signal would. The caller must have
 // HP-protected every node body uses with shields that outlive the region,
 // and body must be rollback-safe.
 func (h *Handle) Mask(body func()) (ran, mustRollback bool) { return h.brcu.Mask(body) }

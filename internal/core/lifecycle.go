@@ -1,17 +1,15 @@
 package core
 
 // This file is the operation-lifecycle robustness layer: panic
-// containment for the entry points that run user code, cooperative
-// cancellation plumbing, the adoption of handles whose owner is gone, and
-// the unified-shutdown drain. The design
-// rides the §4 rollback machinery — a contained panic and a cancelled
-// context both leave the handle exactly as a neutralization-driven abort
-// would, so the §4.3 validity invariant ("at every moment at least one
-// protector buffer holds a complete protected cursor") is preserved by
-// construction. See DESIGN.md §10.
+// containment for the entry points that run user code, the adoption of
+// handles whose owner is gone, and the unified-shutdown drain. The design
+// rides the §4 rollback machinery — a contained panic leaves the handle
+// exactly as a neutralization-driven abort would, so the §4.3 validity
+// invariant ("at every moment at least one protector buffer holds a
+// complete protected cursor") is preserved by construction. See DESIGN.md
+// §10.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -139,29 +137,6 @@ func (h *Handle) contain(r any, op string, clear func()) {
 // Poisoned reports whether a previous panic left this handle
 // unrestorable.
 func (h *Handle) Poisoned() bool { return h.poisoned != nil }
-
-// BarrierCtx is Barrier with cooperative cancellation: between forced
-// drain rounds it checks ctx and, when done, returns its error with the
-// remaining rounds undone. The rounds already run keep their effect —
-// draining is idempotent, so a later Barrier simply finishes the job.
-func (h *Handle) BarrierCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var err error
-	for i := 0; i < 4; i++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		h.brcu.ForceFlush()
-		h.HP.Reclaim()
-	}
-	if err != nil {
-		h.d.rec.CancelledOps.Inc()
-		h.brcu.TraceEvent(obs.EvCancel, 0)
-	}
-	return err
-}
 
 // MarkClosed flips the domain into the closed state; it reports whether
 // this call was the one that closed it. The domain itself keeps working

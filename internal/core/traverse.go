@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/smrgo/hpbrcu/internal/atomicx"
 	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/fault"
@@ -16,11 +14,11 @@ import (
 // protocol through three calls — Try enters a section, Step polls and counts
 // before every node, Conclude commits at the destination (a find first
 // stores its shields with Shield). Everything else — rollback and resume
-// through the §4.3 double buffer, the periodic checkpoint, the step hooks,
-// cancellation, and the excision of a marked node — is one out-of-line
-// call, CursorBuf.Walk, taken only when Step or a mark says so. HP-RCU's
-// domain is HP-BRCU's built never to signal, so its loop is this one, and
-// only its own cancellation and fault injection ever roll it back.
+// through the §4.3 double buffer, the periodic checkpoint, the step hooks
+// and the excision of a marked node — is one out-of-line call,
+// CursorBuf.Walk, taken only when Step or a mark says so. HP-RCU's domain
+// is HP-BRCU's built never to signal, so its loop is this one, and only
+// fault injection ever rolls it back.
 
 // Protector publishes HP protection for every node of a cursor (the
 // paper's Protector trait). Implementations write each cursor pointer into
@@ -44,9 +42,9 @@ type Protector[C any] interface {
 // succeeds after that protection was published makes it the complete one.
 // A traversal therefore resumes after a neutralization that lands in the
 // middle of checkpointing — under HP-BRCU a reclaimer's signal, under both
-// schemes its own cancellation or an injected fault. There is no
-// checkpoint of the entry cursor: before the first periodic one completes,
-// a neutralized traversal starts over from init.
+// schemes an injected fault. There is no checkpoint of the entry cursor:
+// before the first periodic one completes, a neutralized traversal starts
+// over from init.
 //
 // A CursorBuf is owned by the handle's goroutine and must not be shared:
 // two concurrent traversals through one buffer would tear each other's
@@ -60,9 +58,8 @@ type CursorBuf[C any] struct {
 	haveCkp bool // does ckpt[compIdx%2] hold a complete checkpoint of this operation?
 
 	// The running operation's state that only Walk reads; Try resets it.
-	hooks bool  // a yield period, a fault plan or obs was active when this section began
-	due   int   // while hooks are armed: Steps until the next checkpoint
-	err   error // the context's error, once a done context ended the traversal
+	hooks bool // a yield period, a fault plan or obs was active when this section began
+	due   int  // while hooks are armed: Steps until the next checkpoint
 }
 
 // Init points the buffer at its handle and its two protectors; prot is the
@@ -74,47 +71,32 @@ func (b *CursorBuf[C]) Init(h *Handle, prot, backup Protector[C]) {
 
 // Attempt is what the loop itself keeps of a traversal, on its owner's
 // stack: the BRCU half the step polls and the countdown to the next Walk.
-// It is three words, so Try returns it in registers.
+// It is two words, so Try returns it in registers.
 type Attempt struct {
-	h    *Handle
 	b    *brcu.Handle
 	left int // Steps until the next Walk: the one a checkpoint falls on, or the next one while hooks are armed
 }
 
-// Try begins a traversal in a fresh critical section. A bound context, a
-// poisoned handle or an armed hook takes try, out of line.
-func (b *CursorBuf[C]) Try(ctx context.Context) Attempt {
+// Try begins a traversal in a fresh critical section. A poisoned handle
+// or an armed hook takes try, out of line.
+func (b *CursorBuf[C]) Try() Attempt {
 	h := b.h
-	b.compIdx, b.haveCkp, b.hooks, b.err = 0, false, false, nil
-	if ctx != nil || h.poisoned != nil || hooksArmed() {
-		return b.try(ctx)
+	b.compIdx, b.haveCkp, b.hooks = 0, false, false
+	if h.poisoned != nil || hooksArmed() {
+		return b.try()
 	}
 	h.brcu.Enter()
-	return Attempt{h: h, b: h.brcu, left: h.d.backupPeriod + 1}
+	return Attempt{b: h.brcu, left: h.d.backupPeriod + 1}
 }
 
-// try refuses a poisoned handle and arms cancellation, if a context is
-// bound: when that context is done the section is self-neutralized — the
-// paper's signal repurposed as a request timeout — and the next Walk ends
-// the traversal with the context's error, rolled back and with nothing
-// committed. That holds under both schemes: an HP-RCU section is never
-// signalled, but it neutralizes itself like any other. A context already
-// done ends the traversal at its first Step, before it reads a node. An
-// armed hook sends every Step to Walk, which runs the hooks and keeps the
-// real checkpoint cadence.
-func (b *CursorBuf[C]) try(ctx context.Context) Attempt {
+// try refuses a poisoned handle. An armed hook sends every Step to Walk,
+// which runs the hooks and keeps the real checkpoint cadence.
+func (b *CursorBuf[C]) try() Attempt {
 	h := b.h
 	h.checkUsable()
 	b.hooks = hooksArmed()
-	if ctx != nil {
-		if b.err = ctx.Err(); b.err != nil {
-			b.hooks = true
-		} else {
-			h.bind(ctx)
-		}
-	}
 	h.brcu.Enter()
-	a := Attempt{h: h, b: h.brcu}
+	a := Attempt{b: h.brcu}
 	b.arm(&a, h.d.backupPeriod+1)
 	return a
 }
@@ -147,15 +129,8 @@ func (a *Attempt) Conclude() bool {
 	if !a.b.Poll() {
 		return false
 	}
-	a.b.Exit() // leave's body, written out: one call deep on every operation
-	a.h.unbind()
-	return true
-}
-
-// leave exits the operation's last section and disarms its cancellation.
-func (a *Attempt) leave() {
 	a.b.Exit()
-	a.h.unbind()
+	return true
 }
 
 // Shield protects a find's destination for its caller, into the buffer
@@ -177,9 +152,8 @@ func (b *CursorBuf[C]) Shield(c C) {
 // when armed, checkpoints when the countdown is spent, and rolls back after
 // a failed poll: the cursor resumes from the last complete checkpoint, or
 // init builds it again. It returns the cursor to visit next, or false when
-// the operation is over — cancelled (Err says so), or needing a restart
-// from scratch after a lost CAS or a checkpoint that no longer validates —
-// with its section left.
+// the operation is over — needing a restart from scratch after a lost CAS
+// or a checkpoint that no longer validates — with its section left.
 //
 // init builds the entry cursor inside the critical section (it may run
 // many times); valid checks that a checkpointed cursor can still be
@@ -187,15 +161,12 @@ func (b *CursorBuf[C]) Shield(c C) {
 // (§3.3). They are arguments, not fields: a func stored in the buffer
 // would escape, and every operation would allocate its closures.
 func (b *CursorBuf[C]) Walk(a *Attempt, c C, init func() C, valid func(*C) bool, fix func(*C) bool) (C, bool) {
-	defer b.guard(a)
+	defer b.guard()
 	b.cur = c
 	switch {
-	case b.err != nil:
-		a.leave() // the context was done before the traversal began
-		return b.cur, false
 	case fix != nil:
 		if !fix(&b.cur) && a.b.Poll() {
-			a.leave()
+			a.b.Exit()
 			return b.cur, false
 		}
 	case a.left == 0 && a.b.Poll():
@@ -220,13 +191,9 @@ func (b *CursorBuf[C]) Walk(a *Attempt, c C, init func() C, valid func(*C) bool,
 	return b.cur, true
 }
 
-// Err is nil unless the traversal ended because its context was done.
-func (b *CursorBuf[C]) Err() error { return b.err }
-
 // guard is Walk's recover barrier.
-func (b *CursorBuf[C]) guard(a *Attempt) {
+func (b *CursorBuf[C]) guard() {
 	if r := recover(); r != nil {
-		a.h.unbind()
 		b.h.contain(r, "traversal", func() {
 			clearProtection(b.prots[0])
 			clearProtection(b.prots[1])
@@ -273,7 +240,7 @@ func (b *CursorBuf[C]) checkpoint(a *Attempt, valid func(*C) bool) bool {
 		return true
 	}
 	if !valid(c) {
-		a.leave()
+		a.b.Exit()
 		return false
 	}
 	return true
@@ -295,20 +262,12 @@ func (b *CursorBuf[C]) commit(a *Attempt) bool {
 }
 
 // reenter rolls back a neutralized section and opens the next one, or
-// reports false when the operation is over: cancelled, or holding a
-// checkpoint that no longer validates, in which case it restarts from
-// scratch. Every call follows a rollback and is accounted as one.
+// reports false when the operation is over: it holds a checkpoint that no
+// longer validates, and restarts from scratch. Every call follows a
+// rollback and is accounted as one.
 func (b *CursorBuf[C]) reenter(a *Attempt, init func() C, valid func(*C) bool) bool {
 	h := b.h
 	a.b.RecordRollback()
-	if a.b.CancelPending(h.tok) {
-		// Our watcher self-neutralized the section. Exit clears the stale
-		// RbReq; the cursor stays rolled back at the last complete
-		// checkpoint, still protected by its buffer.
-		b.err = h.cancelled()
-		a.leave()
-		return false
-	}
 	// Re-enter with a fresh epoch (the paper's siglongjmp target,
 	// Algorithm 7 line 15). The hooks are decided once per section, so a
 	// fault plan or obs armed mid-section is picked up by the next one.
@@ -330,46 +289,10 @@ func (b *CursorBuf[C]) reenter(a *Attempt, init func() C, valid func(*C) bool) b
 	// ends the operation.
 	b.cur = b.ckpt[b.compIdx&1]
 	if !valid(&b.cur) {
-		a.leave()
+		a.b.Exit()
 		return false
 	}
 	return true
-}
-
-// bind arms cancellation of the operation about to run: a watcher that
-// self-neutralizes the section when ctx is done.
-func (h *Handle) bind(ctx context.Context) {
-	b, tok := h.brcu, h.brcu.ArmCancel()
-	h.ctx, h.tok = ctx, tok
-	h.stop = context.AfterFunc(ctx, func() { b.RequestCancel(tok) })
-}
-
-// unbind stops the watcher, if one is armed, and retires the token when
-// the operation ends.
-func (h *Handle) unbind() {
-	if h.stop != nil {
-		h.disarm()
-	}
-}
-
-func (h *Handle) disarm() {
-	h.stop()
-	h.brcu.DisarmCancel()
-	h.ctx, h.stop, h.tok = nil, nil, 0
-}
-
-// cancelled accounts an operation abandoned because its context was done
-// and returns the context's error.
-func (h *Handle) cancelled() error {
-	h.d.rec.CancelledOps.Inc()
-	h.brcu.TraceEvent(obs.EvCancel, 0)
-	if err := h.ctx.Err(); err != nil {
-		return err
-	}
-	// The watcher fired on a context whose Err momentarily reads nil only
-	// in pathological custom implementations; report the conventional
-	// value.
-	return context.Canceled
 }
 
 // stepHooks is everything a step carries that is not the protocol: the

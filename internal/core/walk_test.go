@@ -77,7 +77,7 @@ func (cw *chainWalk) run(find bool) (last int64, ok bool) {
 		return ran
 	}
 	cw.buf.Init(cw.h, cw.prot, cw.backup) // a test may have swapped the protectors
-	a := cw.buf.Try(nil)
+	a := cw.buf.Try()
 	c := chainCursor{cur: atomicx.MakeRef(cw.slots[0], 0)}
 	for {
 		if !a.Step() {

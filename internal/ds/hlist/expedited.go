@@ -1,7 +1,6 @@
 package hlist
 
 import (
-	"context"
 	"runtime"
 
 	"github.com/smrgo/hpbrcu/internal/atomicx"
@@ -129,9 +128,6 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-// BarrierCtx is Barrier with cooperative cancellation between rounds.
-func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.BarrierCtx(ctx) }
-
 // search runs the expedited Harris search (Algorithm 8's TrySearch) once:
 // ok is false when the operation must be retried (failed revalidation or a
 // lost helping CAS, §4.3); otherwise the position is HP-protected. It is
@@ -142,7 +138,7 @@ func (h *ExpeditedHandle) BarrierCtx(ctx context.Context) error { return h.h.Bar
 // position outlives the section.
 func (h *ExpeditedHandle) search(key int64) (uint64, atomicx.Ref, bool, bool) {
 	l := &h.l
-	a := h.searchBuf.Try(nil)
+	a := h.searchBuf.Try()
 	c := h.entry()
 	for {
 		if !a.Step() {
@@ -252,26 +248,13 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 // GetOptimistic is the HHSList wait-free-style contains (see contains): a
 // pure read traversal through marked nodes. Under HP-BRCU it is only
 // lock-free (rollbacks may retry it), matching the paper's footnote 9.
+// It repeats contains until a traversal finishes: a checkpoint that no
+// longer validates restarts it.
 func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
-	val, found, _ := h.get(nil, key)
-	return val, found
-}
-
-// GetCtx is GetOptimistic with cooperative cancellation: ctx.Done()
-// self-neutralizes the traversal at its next poll point and GetCtx
-// returns the context's error.
-func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, error) {
-	return h.get(ctx, key)
-}
-
-// get repeats contains until a traversal finishes or ctx (nil: never) is
-// done: validation failures retry, only cancellation breaks the loop.
-func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, error) {
 	h.bind(key)
 	for attempt := 0; ; attempt++ {
-		val, found, ok, err := h.contains(ctx, key)
-		if ok || err != nil {
-			return val, found, err
+		if val, found, ok := h.contains(key); ok {
+			return val, found
 		}
 		if attempt > 0 {
 			runtime.Gosched() // checkpointed on a node that got marked; rare
@@ -280,18 +263,17 @@ func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, erro
 }
 
 // contains runs the optimistic read once: ok is false when it must be
-// retried from scratch or, with err set, was cancelled. It is ebr.go's loop
-// with Step before every node; the value is read whole before Conclude's
-// poll commits it.
-func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool, bool, error) {
+// retried from scratch. It is ebr.go's loop with Step before every node;
+// the value is read whole before Conclude's poll commits it.
+func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 	l := &h.l
-	a := h.getBuf.Try(ctx)
+	a := h.getBuf.Try()
 	c := h.getEntry()
 	for {
 		if !a.Step() {
 			var ok bool
 			if c, ok = h.getBuf.Walk(&a, c, h.getEntry, h.getResumable, nil); !ok {
-				return 0, false, false, h.getBuf.Err()
+				return 0, false, false
 			}
 		}
 		var n *lnode.Node
@@ -303,7 +285,7 @@ func (h *ExpeditedHandle) contains(ctx context.Context, key int64) (int64, bool,
 		}
 		val, found := answer(n, key)
 		if a.Conclude() {
-			return val, found, true, nil
+			return val, found, true
 		}
 	}
 }

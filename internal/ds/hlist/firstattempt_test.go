@@ -7,8 +7,6 @@ package hlist
 // hook drives the same loop, through Walk.
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,8 +135,8 @@ func atPanic(period uint64) *fault.Injector {
 // the fault layer) runs its steps through Walk — core.StepHook sees them —
 // and the short read still commits through Conclude without a Protect or a
 // rollback. Through Walk a panic at a step (SitePanic) is contained as a
-// *PanicError with the handle left Out, a handle whose restore failed is
-// refused, and a context already done ends the read before it starts.
+// *PanicError with the handle left Out, and a handle whose restore failed
+// is refused.
 func TestReadRoutesToWalk(t *testing.T) {
 	cfg := core.Config{PanicPolicy: core.PanicRecover}
 	newMap := func() (*Expedited, *ExpeditedHandle) {
@@ -157,15 +155,6 @@ func TestReadRoutesToWalk(t *testing.T) {
 		t.Fatalf("Get = (%d,%v), want a panic: the read's steps did not run the hooks", v, ok)
 		return nil
 	}
-
-	t.Run("ctx", func(t *testing.T) {
-		_, h := newMap()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, _, err := h.GetCtx(ctx, 3); !errors.Is(err, context.Canceled) {
-			t.Fatalf("GetCtx(cancelled) err = %v, want context.Canceled", err)
-		}
-	})
 
 	t.Run("fault", func(t *testing.T) {
 		m, h := newMap()

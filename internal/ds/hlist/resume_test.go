@@ -6,9 +6,76 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/smrgo/hpbrcu/internal/atomicx"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/fault"
 )
+
+// TestNeutralizedReadResumes neutralizes a long optimistic read at its
+// 50th step, through core.StepHook and SelfNeutralize — the rollback a
+// reclaimer's signal or an injected fault causes — under both expedited
+// schemes: an HP-RCU section is never signalled, so this is the only way
+// one rolls back. The read must return the right value after exactly one
+// rollback, having resumed from its last complete checkpoint: it repeats
+// at most a period of steps, not the 50 a restart from the head would.
+// The handle must then serve the next operations as before.
+func TestNeutralizedReadResumes(t *testing.T) {
+	defer func(p int) { atomicx.YieldPeriod, core.StepHook = p, nil }(atomicx.YieldPeriod)
+	const n, key, at, period = 200, 150, 50, 8
+	for _, sc := range []struct {
+		name    string
+		backend core.Backend
+	}{{"HP-RCU", core.BackendRCU}, {"HP-BRCU", core.BackendBRCU}} {
+		t.Run(sc.name, func(t *testing.T) {
+			l := NewExpeditedOf(sc.backend, Harris, 1, core.Config{BackupPeriod: period, MaxLocalTasks: 8, ScanThreshold: 8})
+			h := l.Register()
+			defer h.Unregister()
+			for k := int64(n - 1); k >= 0; k-- { // descending: every insert lands at the head
+				h.Insert(k, k*31+7)
+			}
+			// read runs GetOptimistic(key) with the step hooks armed and
+			// neutralizes its section at hooked step stopAt (0: never).
+			read := func(stopAt int) (v int64, found bool, steps int) {
+				neutralized := false
+				core.StepHook = func(b *brcu.Handle) {
+					if steps++; steps == stopAt {
+						neutralized = b.SelfNeutralize()
+					}
+				}
+				atomicx.YieldPeriod = 1 << 30 // arms the hooks, never yields
+				v, found = h.GetOptimistic(key)
+				atomicx.YieldPeriod, core.StepHook = 0, nil
+				if stopAt != 0 && !neutralized {
+					t.Fatalf("step %d: SelfNeutralize planted nothing; the read was not in its section", stopAt)
+				}
+				return v, found, steps
+			}
+			_, _, clean := read(0)
+			before := l.Stats().Rollbacks.Load()
+			v, found, steps := read(at)
+			if !found || v != key*31+7 {
+				t.Fatalf("GetOptimistic(%d) = (%d,%v) after the rollback, want (%d,true)", key, v, found, key*31+7)
+			}
+			if rb := l.Stats().Rollbacks.Load() - before; rb != 1 {
+				t.Fatalf("%d rollbacks, want the 1 the neutralization caused", rb)
+			}
+			if steps <= clean || steps > clean+period {
+				t.Fatalf("the neutralized read took %d steps, a clean one %d: a resume repeats 1..%d of them, a restart %d", steps, clean, period, at)
+			}
+			// The handle is reusable as it stands: no re-registration.
+			if v, found := h.Get(42); !found || v != 42*31+7 {
+				t.Fatalf("Get(42) after the rollback = (%d,%v), want (%d,true)", v, found, 42*31+7)
+			}
+			if !h.Insert(n, n) {
+				t.Fatal("Insert after the rollback failed")
+			}
+			if v, found := h.GetOptimistic(n); !found || v != n {
+				t.Fatalf("GetOptimistic(%d) after the rollback = (%d,%v), want (%d,true)", n, v, found, n)
+			}
+		})
+	}
+}
 
 // TestGetResumesNotRestarts runs the list's own Get loop on two cores
 // against a reclaimer that does nothing but retire, flushing every eighth

@@ -119,7 +119,7 @@ func (h *ExpeditedHandle) seek(key int64) seekRecord {
 // commits it. ok is false when it must be retried from the root.
 func (h *ExpeditedHandle) descend(key int64) (seekRecord, bool) {
 	t := h.t
-	a := h.seekBuf.Try(nil)
+	a := h.seekBuf.Try()
 	c := t.seekInit()
 	for {
 		if !a.Step() {

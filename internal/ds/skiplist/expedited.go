@@ -155,7 +155,7 @@ func (l *list) resumable(c *cursor) bool {
 // scratch (failed revalidation or a lost helping CAS).
 func (h *ExpeditedHandle) search(key int64, past bool) bool {
 	l := h.l
-	a := h.findBuf.Try(nil)
+	a := h.findBuf.Try()
 	c := l.entry()
 	for {
 		if !a.Step() {
@@ -254,7 +254,7 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 // it. ok is false when it must be retried from scratch.
 func (h *ExpeditedHandle) contains(key int64) (int64, bool, bool) {
 	l := h.l
-	a := h.getBuf.Try(nil)
+	a := h.getBuf.Try()
 	c := l.entry()
 	for {
 		if !a.Step() {

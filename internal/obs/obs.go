@@ -81,9 +81,6 @@ const (
 	// and the handle driven through the abort path; Arg is 1 if the
 	// handle could not be restored and was poisoned, 0 otherwise.
 	EvPanic
-	// EvCancel: a context cancellation self-neutralized the handle's
-	// critical section and the operation returned early; Arg is 0.
-	EvCancel
 	// EvClose: the domain began its unified shutdown drain; Arg is the
 	// unreclaimed count at that moment.
 	EvClose
@@ -123,7 +120,7 @@ var eventNames = [numEventKinds]string{
 	"epoch-advance", "forced-advance", "signal", "rollback", "mask-defer",
 	"drain", "reclaim", "slab-grow",
 	"adopt",
-	"panic-recover", "cancel", "close", "checkout", "return", "exhausted",
+	"panic-recover", "close", "checkout", "return", "exhausted",
 	"accept", "conn-close", "shed", "drain-begin",
 }
 

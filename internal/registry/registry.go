@@ -51,23 +51,5 @@ func (r *Registry[T]) Remove(v *T) {
 	r.list.Store(&next)
 }
 
-// RemoveWhere deletes every member matching pred and reports how many were
-// removed. The whole sweep publishes one copy-on-write snapshot under one
-// writer-mutex acquisition, so a bulk removal of N members does not pay N
-// mutex round-trips and N list copies.
-func (r *Registry[T]) RemoveWhere(pred func(*T) bool) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.Snapshot()
-	next := make([]*T, 0, len(old))
-	for _, o := range old {
-		if !pred(o) {
-			next = append(next, o)
-		}
-	}
-	r.list.Store(&next)
-	return len(old) - len(next)
-}
-
 // Len returns the current number of members.
 func (r *Registry[T]) Len() int { return len(r.Snapshot()) }

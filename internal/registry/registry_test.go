@@ -43,38 +43,6 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 	}
 }
 
-func TestRemoveWhere(t *testing.T) {
-	var r Registry[member]
-	var keep []*member
-	for i := 0; i < 10; i++ {
-		m := &member{i}
-		r.Add(m)
-		if i%2 == 0 {
-			keep = append(keep, m)
-		}
-	}
-	n := r.RemoveWhere(func(m *member) bool { return m.id%2 == 1 })
-	if n != 5 {
-		t.Fatalf("RemoveWhere removed %d, want 5", n)
-	}
-	snap := r.Snapshot()
-	if len(snap) != len(keep) {
-		t.Fatalf("len = %d after RemoveWhere, want %d", len(snap), len(keep))
-	}
-	for i, m := range keep {
-		if snap[i] != m {
-			t.Fatalf("snapshot[%d] = %v, want id %d (order must be preserved)", i, snap[i], m.id)
-		}
-	}
-	// No matches: membership unchanged, zero reported.
-	if n := r.RemoveWhere(func(*member) bool { return false }); n != 0 {
-		t.Fatalf("no-match RemoveWhere removed %d", n)
-	}
-	if r.Len() != len(keep) {
-		t.Fatal("no-match RemoveWhere changed membership")
-	}
-}
-
 func TestConcurrentChurn(t *testing.T) {
 	var r Registry[member]
 	var wg sync.WaitGroup
@@ -103,18 +71,18 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddRemoveWhereSnapshot interleaves every mutation kind with
-// snapshot readers — the access pattern of a reaper bulk-removing dead
-// handles while reclaimers scan and workers register. Run under -race this
-// is the satellite stress test for the registry's copy-on-write contract.
-func TestConcurrentAddRemoveWhereSnapshot(t *testing.T) {
+// TestConcurrentAddRemoveSnapshot interleaves targeted removes, removers
+// sweeping a snapshot member by member, and snapshot readers with
+// registrations — reclaimers scanning while workers come and go. Run under
+// -race it stresses the registry's copy-on-write contract.
+func TestConcurrentAddRemoveSnapshot(t *testing.T) {
 	var r Registry[member]
 	var wg sync.WaitGroup
 	const (
-		adders  = 4
-		reapers = 2
-		readers = 2
-		rounds  = 300
+		adders   = 4
+		removers = 2
+		readers  = 2
+		rounds   = 300
 	)
 	for w := 0; w < adders; w++ {
 		wg.Add(1)
@@ -124,17 +92,21 @@ func TestConcurrentAddRemoveWhereSnapshot(t *testing.T) {
 				m := &member{id: w*rounds + i}
 				r.Add(m)
 				if i%3 == 0 {
-					r.Remove(m) // targeted remove racing the bulk sweeps
+					r.Remove(m) // targeted remove racing the sweeps
 				}
 			}
 		}(w)
 	}
-	for w := 0; w < reapers; w++ {
+	for w := 0; w < removers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				r.RemoveWhere(func(m *member) bool { return m.id%reapers == w })
+				for _, m := range r.Snapshot() {
+					if m.id%removers == w {
+						r.Remove(m)
+					}
+				}
 			}
 		}(w)
 	}
@@ -157,9 +129,11 @@ func TestConcurrentAddRemoveWhereSnapshot(t *testing.T) {
 	}
 	wg.Wait()
 	// Drain the survivors; the registry must end empty and stay usable.
-	r.RemoveWhere(func(*member) bool { return true })
+	for _, m := range r.Snapshot() {
+		r.Remove(m)
+	}
 	if r.Len() != 0 {
-		t.Fatalf("len = %d after full RemoveWhere", r.Len())
+		t.Fatalf("len = %d after removing every member", r.Len())
 	}
 	m := &member{99}
 	r.Add(m)

@@ -129,9 +129,6 @@ type Reclamation struct {
 	// handle was driven through the normal abort path (or poisoned) and
 	// the panic re-raised or converted per the panic policy.
 	PanicsRecovered Counter
-	// CancelledOps counts operations abandoned by cooperative
-	// cancellation (a traversal or BarrierCtx observing a done context).
-	CancelledOps Counter
 	// PoolCheckouts counts handle checkouts served by the handle pool
 	// (internal/pool). The hot path accumulates per-entry and flushes in
 	// batches, so the counter is exact only after the pool quiesces
@@ -201,7 +198,6 @@ type Snapshot struct {
 	BackpressureThrottles int64
 	BackpressureRejects   int64
 	PanicsRecovered       int64
-	CancelledOps          int64
 	PoolCheckouts         int64
 	PoolExhausted         int64
 
@@ -237,7 +233,6 @@ func (r *Reclamation) Snapshot() Snapshot {
 		BackpressureThrottles: r.BackpressureThrottles.Load(),
 		BackpressureRejects:   r.BackpressureRejects.Load(),
 		PanicsRecovered:       r.PanicsRecovered.Load(),
-		CancelledOps:          r.CancelledOps.Load(),
 		PoolCheckouts:         r.PoolCheckouts.Load(),
 		PoolExhausted:         r.PoolExhausted.Load(),
 
@@ -268,7 +263,6 @@ func (r *Reclamation) Reset() {
 	r.BackpressureThrottles.Reset()
 	r.BackpressureRejects.Reset()
 	r.PanicsRecovered.Reset()
-	r.CancelledOps.Reset()
 	r.PoolCheckouts.Reset()
 	r.PoolExhausted.Reset()
 	r.AcceptedConns.Reset()

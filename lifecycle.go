@@ -2,12 +2,11 @@ package hpbrcu
 
 // Public operation-lifecycle layer: unified shutdown (Close), the
 // per-handle guard that latches lifecycle errors (MapHandle methods have
-// no error results), panic-policy surface, and context-aware operation
-// helpers. The mechanisms live in internal/core (see DESIGN.md §10);
-// this file adapts them to the Map/MapHandle interfaces.
+// no error results) and the panic-policy surface. The mechanisms live in
+// internal/core (see DESIGN.md §10); this file adapts them to the
+// Map/MapHandle interfaces.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -18,8 +17,8 @@ import (
 
 // ErrClosed is reported by handle operations attempted after Close has
 // begun. It is latched on the handle (HandleErr/TakeHandleErr) because
-// Get/Insert/Remove have no error results; TryInsert and the context
-// variants return it directly. Post-Close operations never panic.
+// Get/Insert/Remove have no error results; TryInsert returns it
+// directly. Post-Close operations never panic.
 var ErrClosed = errors.New("hpbrcu: map is closed")
 
 // PanicPolicy selects what HP-RCU/HP-BRCU maps do with a panic escaping
@@ -91,50 +90,6 @@ func (m *mapImpl) doClose(timeout time.Duration) error {
 	return nil
 }
 
-// ContextHandle is the context-aware extension every handle returned by
-// Register implements: cancellable point lookup and drain. On HP-RCU and
-// HP-BRCU maps cancellation is cooperative self-neutralization — ctx.Done()
-// aborts the handle's own critical section at its next poll point (an
-// HP-RCU section is never signalled, but it neutralizes itself the same
-// way), the traversal rolls back to its last validated checkpoint, and the
-// operation returns the context's error. On other schemes the context is
-// checked before and after the operation.
-type ContextHandle interface {
-	MapHandle
-	// GetCtx is Get with cooperative cancellation.
-	GetCtx(ctx context.Context, key int64) (int64, bool, error)
-	// BarrierCtx is Barrier with cooperative cancellation between drain
-	// rounds; rounds already run keep their effect.
-	BarrierCtx(ctx context.Context) error
-}
-
-// GetCtx runs a cancellable Get through h when it supports one, falling
-// back to a context check around a plain Get so callers can be written
-// against GetCtx regardless of scheme.
-func GetCtx(ctx context.Context, h MapHandle, key int64) (int64, bool, error) {
-	if ch, ok := h.(ContextHandle); ok {
-		return ch.GetCtx(ctx, key)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, false, err
-	}
-	v, ok := h.Get(key)
-	return v, ok, nil
-}
-
-// BarrierCtx runs a cancellable Barrier through h when it supports one,
-// falling back to a context check around a plain Barrier.
-func BarrierCtx(ctx context.Context, h MapHandle) error {
-	if ch, ok := h.(ContextHandle); ok {
-		return ch.BarrierCtx(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	h.Barrier()
-	return ctx.Err()
-}
-
 // HandleErr returns the lifecycle error latched on h, if any: ErrClosed
 // after a rejected post-Close operation, or a *PanicError under
 // PanicRecover. It returns nil for handles of maps created before this
@@ -163,9 +118,8 @@ func TakeHandleErr(h MapHandle) error {
 // guardedHandle is the lifecycle guard Register wraps every handle in:
 // it rejects operations after Close (latching ErrClosed), converts
 // contained panics into latched errors under PanicRecover, refuses to
-// reuse or unregister a poisoned handle, passes TryInsert through the
-// map's backpressure gate, and surfaces the context-aware operations of
-// the underlying structure. Like the handle it wraps it is owned by one
+// reuse or unregister a poisoned handle and passes TryInsert through the
+// map's backpressure gate. Like the handle it wraps it is owned by one
 // goroutine; only the closed flag is cross-thread.
 //
 // On an HP-RCU or HP-BRCU map Register attaches a finalizer that adopts
@@ -176,11 +130,6 @@ func TakeHandleErr(h MapHandle) error {
 type guardedHandle struct {
 	m     *mapImpl
 	inner MapHandle // the structure handle; nil for a post-Close registration stub
-
-	// ctx is inner where the structure has context-aware operations of
-	// its own, resolved once by Register (nil: a context check around the
-	// plain ones).
-	ctx ContextHandle
 
 	err      error // latched lifecycle error (owner-read, see HandleErr)
 	poisoned bool  // a contained panic left inner unrestorable
@@ -312,43 +261,4 @@ func (g *guardedHandle) TryInsert(key, val int64) (ok bool, err error) {
 	ok = g.inner.Insert(key, val)
 	runtime.KeepAlive(g)
 	return ok, nil
-}
-
-// GetCtx implements ContextHandle.
-func (g *guardedHandle) GetCtx(ctx context.Context, key int64) (v int64, ok bool, err error) {
-	if !g.admit() {
-		return 0, false, g.err
-	}
-	if g.m.rec {
-		defer g.latch(&err)
-	}
-	if g.ctx != nil {
-		v, ok, err = g.ctx.GetCtx(ctx, key)
-	} else if err = ctx.Err(); err == nil {
-		v, ok = g.inner.Get(key)
-	}
-	runtime.KeepAlive(g)
-	return v, ok, err
-}
-
-// BarrierCtx implements ContextHandle. Like Barrier it is allowed after
-// Close.
-func (g *guardedHandle) BarrierCtx(ctx context.Context) (err error) {
-	if g.inner == nil || g.poisoned {
-		if g.err != nil {
-			return g.err
-		}
-		return ErrClosed
-	}
-	if g.m.rec {
-		defer g.latch(&err)
-	}
-	if g.ctx != nil {
-		err = g.ctx.BarrierCtx(ctx)
-	} else if err = ctx.Err(); err == nil {
-		g.inner.Barrier()
-		err = ctx.Err()
-	}
-	runtime.KeepAlive(g)
-	return err
 }

@@ -112,9 +112,6 @@ func TestCloseWhileBusy(t *testing.T) {
 	if _, err := hpbrcu.TryInsert(h, 1, 1); !errors.Is(err, hpbrcu.ErrClosed) {
 		t.Fatalf("post-Close TryInsert err = %v, want ErrClosed", err)
 	}
-	if _, _, err := hpbrcu.GetCtx(context.Background(), h, 1); !errors.Is(err, hpbrcu.ErrClosed) {
-		t.Fatalf("post-Close GetCtx err = %v, want ErrClosed", err)
-	}
 	h.Unregister() // must be a clean no-op
 
 	// Nothing the map started may outlive Close.
@@ -192,39 +189,59 @@ func TestCloseNonDomainMap(t *testing.T) {
 	}
 }
 
+// TestGetCtxFallbackAndCancellation: the facade's GetCtx on the hash map,
+// under every scheme. A live context gets Get's answer, a done one its own
+// error, and a closed map ErrClosed. Every scheme takes the one path that
+// was once only the fallback of the non-neutralizing ones: the context is
+// checked at the operation's boundary.
 func TestGetCtxFallbackAndCancellation(t *testing.T) {
-	// A scheme with no native context support still honours GetCtx via
-	// the fallback, including pre-flight rejection of a cancelled ctx.
-	m, err := hpbrcu.NewHList(hpbrcu.RCU, hpbrcu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := m.Register()
-	defer h.Unregister()
-	h.Insert(7, 11)
-
-	if v, ok, err := hpbrcu.GetCtx(context.Background(), h, 7); err != nil || !ok || v != 11 {
-		t.Fatalf("GetCtx = (%d,%v,%v), want (11,true,nil)", v, ok, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := hpbrcu.GetCtx(ctx, h, 7); !errors.Is(err, context.Canceled) {
-		t.Fatalf("GetCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	if err := hpbrcu.BarrierCtx(ctx, h); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BarrierCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	if err := hpbrcu.BarrierCtx(context.Background(), h); err != nil {
-		t.Fatalf("BarrierCtx = %v", err)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	live := context.Background()
+	for _, s := range hpbrcu.Schemes {
+		t.Run(s.String(), func(t *testing.T) {
+			m, err := hpbrcu.NewHashMap(s, 16, hpbrcu.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := m.Insert(7, 11); !ok || err != nil {
+				t.Fatalf("Insert(7) = (%v,%v)", ok, err)
+			}
+			for _, c := range []struct {
+				name   string
+				ctx    context.Context
+				key    int64
+				closed bool // Close the map before this row
+				v      int64
+				ok     bool
+				err    error
+			}{
+				{name: "live/present", ctx: live, key: 7, v: 11, ok: true},
+				{name: "live/absent", ctx: live, key: 8},
+				{name: "cancelled", ctx: cancelled, key: 7, err: context.Canceled},
+				{name: "expired", ctx: expired, key: 7, err: context.DeadlineExceeded},
+				{name: "closed", ctx: live, key: 7, closed: true, err: hpbrcu.ErrClosed},
+			} {
+				if c.closed {
+					if err := hpbrcu.Close(m, 5*time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if v, ok, err := m.GetCtx(c.ctx, c.key); v != c.v || ok != c.ok || !errors.Is(err, c.err) {
+					t.Errorf("%s: GetCtx(%d) = (%d,%v,%v), want (%d,%v,%v)", c.name, c.key, v, ok, err, c.v, c.ok, c.err)
+				}
+			}
+		})
 	}
 }
 
-// TestGetCtxCancelledHPBRCU covers both expedited schemes, whose walks
-// cancel the same way. A context already done ends GetCtx before it enters
-// a section. A context cancelled while the walk is in its section ends it
-// at the next poll: under HP-RCU too, whose section is never signalled but
-// neutralizes itself like HP-BRCU's. The list is shorter than
-// BackupPeriod, so no checkpoint could be what notices.
+// TestGetCtxCancelledHPBRCU covers both expedited schemes. A context
+// already done ends GetCtx before the lookup, and the very next operation
+// works. A context cancelled while the walk is in its section does not
+// reach the walk: only a reclaimer's signal or an injected fault rolls a
+// section back, so the walk runs to its answer with no rollback.
 func TestGetCtxCancelledHPBRCU(t *testing.T) {
 	for _, s := range []hpbrcu.Scheme{hpbrcu.HPBRCU, hpbrcu.HPRCU} {
 		t.Run(s.String(), func(t *testing.T) {
@@ -233,73 +250,47 @@ func TestGetCtxCancelledHPBRCU(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := m.Register()
 			for k := int64(0); k < n; k++ {
-				h.Insert(k, 3*k)
+				if ok, err := m.Insert(k, 3*k); !ok || err != nil {
+					t.Fatalf("Insert(%d) = (%v,%v)", k, ok, err)
+				}
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, _, err := hpbrcu.GetCtx(ctx, h, 3); !errors.Is(err, context.Canceled) {
+			if _, _, err := m.GetCtx(ctx, 3); !errors.Is(err, context.Canceled) {
 				t.Fatalf("GetCtx(cancelled) err = %v, want context.Canceled", err)
 			}
-			// The rejection was pre-flight: the very next operation works.
-			if v, ok, err := hpbrcu.GetCtx(context.Background(), h, 3); err != nil || !ok || v != 9 {
+			if v, ok, err := m.GetCtx(context.Background(), 3); err != nil || !ok || v != 9 {
 				t.Fatalf("GetCtx = (%d,%v,%v), want (9,true,nil)", v, ok, err)
 			}
 
-			// The context is cancelled at the walk's first poll, and the
-			// poll waits until the watcher the walk armed has delivered it:
-			// the walk must end right there, at that poll.
-			ctx2 := &pollCancelledCtx{Context: context.Background(), done: make(chan struct{})}
-			polls := 0
+			// Cancel at the walk's first step; the walk must go on.
+			ctx2, cancel2 := context.WithCancel(context.Background())
+			defer cancel2()
+			steps := 0
 			defer func(p int) { atomicx.YieldPeriod, core.StepHook = p, nil }(atomicx.YieldPeriod)
 			atomicx.YieldPeriod = 1 // instruments the walk, so the hook runs
-			core.StepHook = func(b *brcu.Handle) {
-				if polls++; polls == 1 {
-					close(ctx2.done)
-					for b.Poll() {
-						runtime.Gosched()
-					}
+			core.StepHook = func(*brcu.Handle) {
+				if steps++; steps == 1 {
+					cancel2()
 				}
 			}
-			if v, ok, err := hpbrcu.GetCtx(ctx2, h, n-1); !errors.Is(err, context.Canceled) {
-				t.Fatalf("GetCtx cancelled at its first poll = (%d,%v,%v), want context.Canceled", v, ok, err)
-			}
-			if polls != 1 {
-				t.Fatalf("the walk ran %d steps, want it ended at the poll the cancel landed before", polls)
+			rollbacks := m.Stats().Rollbacks.Load()
+			if v, ok, err := m.GetCtx(ctx2, n-1); err != nil || !ok || v != 3*(n-1) {
+				t.Fatalf("GetCtx cancelled mid-walk = (%d,%v,%v), want (%d,true,nil)", v, ok, err, 3*(n-1))
 			}
 			core.StepHook = nil
-			if got := m.Stats().CancelledOps.Load(); got != 1 {
-				t.Fatalf("CancelledOps = %d, want the 1 walk the watcher ended", got)
+			if steps <= 1 {
+				t.Fatalf("the walk ran %d steps, want it to run on past the cancel", steps)
 			}
-			if v, ok, err := hpbrcu.GetCtx(context.Background(), h, n-1); err != nil || !ok || v != 3*(n-1) {
-				t.Fatalf("GetCtx after the cancel = (%d,%v,%v), want (%d,true,nil)", v, ok, err, 3*(n-1))
+			if got := m.Stats().Rollbacks.Load() - rollbacks; got != 0 {
+				t.Fatalf("%d rollbacks, want none: a cancel does not neutralize a section", got)
 			}
-			h.Unregister()
 			if err := hpbrcu.Close(m, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// pollCancelledCtx is a context the test cancels by closing done: its Err
-// reads nil until then, so the operation's pre-flight check passes and
-// the cancel reaches the walk only through the watcher the walk arms.
-type pollCancelledCtx struct {
-	context.Context
-	done chan struct{}
-}
-
-func (c *pollCancelledCtx) Done() <-chan struct{} { return c.done }
-
-func (c *pollCancelledCtx) Err() error {
-	select {
-	case <-c.done:
-		return context.Canceled
-	default:
-		return nil
 	}
 }
 

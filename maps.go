@@ -69,12 +69,8 @@ func (m *mapImpl) register() *guardedHandle {
 		// a handle (rather than nil) keeps worker loops panic-free.
 		return &guardedHandle{m: m, err: ErrClosed}
 	}
-	// The guard is the only wrapper: the structure handle's optional
-	// capabilities are resolved here, once, not asserted per operation.
-	h := m.reg()
-	g := &guardedHandle{m: m, inner: h}
-	g.ctx, _ = h.(ContextHandle)
-	return g
+	// The guard is the only wrapper around the structure handle.
+	return &guardedHandle{m: m, inner: m.reg()}
 }
 
 // coreHandle is implemented by the structure handles of HP-RCU and HP-BRCU

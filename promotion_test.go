@@ -2,26 +2,23 @@ package hpbrcu
 
 // Promotion audit: Register hands out one guard around the structure
 // handle and nothing in between, and the guard must carry the optional
-// handle interfaces (TryInserter, ContextHandle) itself while still
-// reaching what the structure offers underneath — its own GetCtx and
-// BarrierCtx, its participation record, the backpressure gate — however
-// the map is configured. The capabilities are resolved once, at Register;
-// these tests pin that resolution per configuration (their names date from
-// when each configuration added a wrapper of its own).
+// handle interface (TryInserter) itself while still reaching what the
+// structure offers underneath — its participation record, its optimistic
+// get, the backpressure gate — however the map is configured. These tests
+// pin that per configuration (their names date from when each
+// configuration added a wrapper of its own).
 
 import (
-	"context"
 	"testing"
 	"time"
 )
 
 // Compile-time pins: the guard is the handle every caller sees, so it
-// must carry both optional interfaces itself; the map implementation must
+// must carry the optional interface itself; the map implementation must
 // satisfy the full Map interface including the handle-free facade.
 var (
-	_ TryInserter   = (*guardedHandle)(nil)
-	_ ContextHandle = (*guardedHandle)(nil)
-	_ Map           = (*mapImpl)(nil)
+	_ TryInserter = (*guardedHandle)(nil)
+	_ Map         = (*mapImpl)(nil)
 )
 
 // optimisticGetter is the structure-handle method the HHSList's Get must
@@ -31,8 +28,7 @@ type optimisticGetter interface {
 }
 
 // exerciseHandle drives the promoted surface end to end on a fresh
-// handle: TryInsert must insert, GetCtx must see the insert, and a
-// cancelled context must surface its error instead of the value.
+// handle: TryInsert must insert and Get must see the insert.
 func exerciseHandle(t *testing.T, h MapHandle, key int64) {
 	t.Helper()
 	ti, ok := h.(TryInserter)
@@ -42,26 +38,14 @@ func exerciseHandle(t *testing.T, h MapHandle, key int64) {
 	if ok, err := ti.TryInsert(key, key*2); err != nil || !ok {
 		t.Fatalf("TryInsert(%d) = %v, %v; want true, nil", key, ok, err)
 	}
-	ch, ok := h.(ContextHandle)
-	if !ok {
-		t.Fatal("handle lost ContextHandle through the decorator stack")
-	}
-	if v, ok, err := ch.GetCtx(context.Background(), key); err != nil || !ok || v != key*2 {
-		t.Fatalf("GetCtx(%d) = %d, %v, %v; want %d, true, nil", key, v, ok, err, key*2)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, ok, err := ch.GetCtx(cancelled, key); err == nil || ok {
-		t.Fatalf("GetCtx under cancelled ctx = ok=%v err=%v; want miss with the ctx error", ok, err)
-	}
-	if err := ch.BarrierCtx(context.Background()); err != nil {
-		t.Fatalf("BarrierCtx: %v", err)
+	if v, ok := h.Get(key); !ok || v != key*2 {
+		t.Fatalf("Get(%d) = %d, %v; want %d, true", key, v, ok, key*2)
 	}
 }
 
-// registerGuard registers a handle and checks what Register resolved on
-// it: an HP-BRCU list handle is context-aware, and it is the guard's inner
-// handle itself, not a wrapper.
+// registerGuard registers a handle and checks what Register put in it: the
+// HP-BRCU structure handle itself, with its participation record, not a
+// wrapper.
 func registerGuard(t *testing.T, m Map) *guardedHandle {
 	t.Helper()
 	h := m.Register()
@@ -69,8 +53,8 @@ func registerGuard(t *testing.T, m Map) *guardedHandle {
 	if !ok {
 		t.Fatalf("Register returned %T, want *guardedHandle", h)
 	}
-	if g.ctx == nil || g.ctx != g.inner {
-		t.Fatalf("guard did not resolve the structure's GetCtx/BarrierCtx on %T", g.inner)
+	if _, ok := g.inner.(coreHandle); !ok {
+		t.Fatalf("guard holds %T, not the structure's HP-BRCU handle", g.inner)
 	}
 	return g
 }

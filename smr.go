@@ -251,8 +251,8 @@ type Map interface {
 
 	// Get returns the value mapped to key, through a pooled handle.
 	Get(key int64) (int64, bool, error)
-	// GetCtx is Get with cooperative cancellation: the context bounds
-	// both the handle acquisition and the lookup itself.
+	// GetCtx is Get under a context: ctx bounds the wait for a pooled
+	// handle, and a done ctx returns its error instead of a lookup.
 	GetCtx(ctx context.Context, key int64) (int64, bool, error)
 	// Insert maps key to val (failing if key is present), through a
 	// pooled handle.
