@@ -141,13 +141,6 @@ type Pool[T any] struct {
 
 	freeMu   sync.Mutex
 	freeList []uint64 // guarded by freeMu
-
-	// growGate, when set, is consulted before the pool carves fresh slots
-	// for a TryAlloc (freelist reuse is always allowed — recycling cannot
-	// increase the footprint). A non-nil error aborts the allocation; the
-	// backpressure layer installs reap.Backpressure.Admit here. Set via
-	// SetGrowGate before workers start; read without synchronization.
-	growGate func() error
 }
 
 // Mode, its two values and NewPool's ignored argument are a shim kept only
@@ -227,9 +220,6 @@ func (p *Pool[T]) Hdr(slot uint64) *Header {
 	return &p.slabs[idx>>slabBits].entries[idx&slabMask].hdr
 }
 
-// SetGrowGate installs the growth admission check; see the field comment.
-func (p *Pool[T]) SetGrowGate(gate func() error) { p.growGate = gate }
-
 // Alloc returns a Live node, reusing a freed slot when one is available.
 // The node's fields hold whatever the previous occupant left; callers must
 // initialize every field before publishing the node.
@@ -240,26 +230,9 @@ func (p *Pool[T]) Alloc(c *Cache[T]) (slot uint64, node *T) {
 		fault.Fire(fault.SiteAllocStall)
 	}
 	if len(c.slots) == 0 {
-		_ = p.refill(c, false)
+		p.refill(c)
 	}
 	return p.take(c)
-}
-
-// TryAlloc is Alloc behind the grow gate: if the cache and the freelist
-// are empty and the gate refuses pool growth (memory pressure), it
-// returns the gate's error instead of carving fresh slots. With no gate
-// installed it is identical to Alloc.
-func (p *Pool[T]) TryAlloc(c *Cache[T]) (slot uint64, node *T, err error) {
-	if fault.On {
-		fault.Fire(fault.SiteAllocStall)
-	}
-	if len(c.slots) == 0 {
-		if err := p.refill(c, true); err != nil {
-			return 0, nil, err
-		}
-	}
-	slot, node = p.take(c)
-	return slot, node, nil
 }
 
 // take pops one cached slot and marks it Live.
@@ -275,10 +248,8 @@ func (p *Pool[T]) take(c *Cache[T]) (slot uint64, node *T) {
 }
 
 // refill moves slots into the cache from the shared freelist, growing a
-// fresh slab when the freelist is empty. With gated set, the grow gate is
-// consulted before fresh slots are carved (never before freelist reuse);
-// its error is returned with the cache left empty.
-func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
+// fresh slab when the freelist is empty.
+func (p *Pool[T]) refill(c *Cache[T]) {
 	batch := cacheBatch
 	if fault.On && fault.Fire(fault.SiteAllocExhaust) {
 		// Pool exhaustion: refill a single slot, maximizing freelist
@@ -294,15 +265,9 @@ func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
 		c.slots = append(c.slots, p.freeList[n-take:]...)
 		p.freeList = p.freeList[:n-take]
 		p.freeMu.Unlock()
-		return nil
+		return
 	}
 	p.freeMu.Unlock()
-
-	if gated && p.growGate != nil {
-		if err := p.growGate(); err != nil {
-			return err
-		}
-	}
 
 	p.growMu.Lock()
 	start := p.nextSlot
@@ -328,7 +293,6 @@ func (p *Pool[T]) refill(c *Cache[T], gated bool) error {
 		// is outpacing reclamation.
 		c.trace.Rec(obs.EvSlabGrow, int64(batch))
 	}
-	return nil
 }
 
 // FreeSlots reclaims a reclamation pass: every node must be Retired. Each

@@ -11,7 +11,10 @@
 // handle. ForceFlush runs the same lines at an exhausted budget (teardown,
 // backpressure, the domain's close drain). A
 // domain built with NeverSignal skips lines 31–32 and is plain RCU: the
-// one RCU under both of internal/core's schemes.
+// one RCU in the repository, under internal/core's HP-RCU and under the
+// RCU and NR baselines of the data structures, which enter and leave
+// their sections with Pin and Unpin and retire with Defer; NoReclaim
+// makes such a domain the NR baseline.
 //
 // # Signal substitution
 //
@@ -105,8 +108,10 @@ type Domain struct {
 	maxLocalTasks  int
 	forceThreshold int
 	// neverSignal makes the domain plain RCU: the advance gives up on
-	// every laggard (see NeverSignal). Set at construction, read-only after.
+	// every laggard (see NeverSignal). noReclaim makes Defer count and
+	// leak (see NoReclaim). Both set at construction, read-only after.
 	neverSignal bool
+	noReclaim   bool
 
 	// population tracks registered handles and their peak, so the §5
 	// bound can be evaluated after the fact with the N actually observed.
@@ -151,6 +156,13 @@ func WithForceThreshold(n int) Option {
 // domain; a section still rolls back when fault injection neutralizes it.
 func NeverSignal() Option {
 	return func(d *Domain) { d.neverSignal = true }
+}
+
+// NoReclaim turns the domain into the paper's NR baseline: Defer counts
+// the node as retired but never frees it, so it is never reused.
+// DeferNoCount, core's entry, ignores it.
+func NoReclaim() Option {
+	return func(d *Domain) { d.noReclaim = true }
 }
 
 // NewDomain creates a BRCU domain reporting into rec (nil allocates a
@@ -335,6 +347,15 @@ func (h *Handle) Enter() {
 	}
 	h.status.Store(pack(phaseInCs, h.d.epoch.Load()))
 }
+
+// Pin enters a section that is never rolled back: Enter without the obs
+// timing, so that it inlines into the RCU and NR baselines' operations
+// at the price of two loads and a store. Those run on a NeverSignal
+// domain, where nothing neutralizes a section, and leave it with Unpin.
+func (h *Handle) Pin() { h.status.Store(pack(phaseInCs, h.d.epoch.Load())) }
+
+// Unpin leaves a section entered with Pin.
+func (h *Handle) Unpin() { h.status.Store(outWord) }
 
 // Poll is the cooperative stand-in for signal delivery: it reports false
 // when a neutralization request is pending, in which case the caller must
@@ -522,29 +543,38 @@ func (h *Handle) TraceEvent(k obs.EventKind, arg int64) {
 }
 
 // Defer schedules a task for execution after all current critical sections
-// end (Algorithm 5 lines 22–34). Defer itself is rollback-unsafe and must
-// be called outside critical sections or inside a masked region.
+// end (Algorithm 5 lines 22–34) and counts the node as retired. Only the
+// RCU and NR baselines call it, from inside sections entered with Pin on
+// a NeverSignal domain: such a section is never rolled back, so nothing
+// can replay the defer. On a NoReclaim domain it counts and leaks.
 //
-// Lines 22–25 are DeferNoCount (push to the local batch; return unless it
-// is full); lines 26–34 are flushAndAdvance: push the batch to the global
-// task set, try to advance the epoch — neutralizing laggards once this
-// thread's failure budget (ForceThreshold) is spent — and run what expired.
-func (h *Handle) Defer(slot uint64, pool alloc.Freer) {
-	h.d.rec.Retired.Inc()
-	h.d.rec.Unreclaimed.Add(1)
-	h.DeferNoCount(slot, pool)
-}
+// Lines 22–25 push to the local batch and return unless it is full; lines
+// 26–34 are flushAndAdvance: push the batch to the global task set, try
+// to advance the epoch — neutralizing laggards once this thread's failure
+// budget (ForceThreshold) is spent — and run what expired.
+func (h *Handle) Defer(slot uint64, pool alloc.Freer) { h.push(slot, pool, true) }
 
 // DeferNoCount is Defer without the Retired/Unreclaimed accounting; the
 // two-step retirement of HP-RCU and HP-BRCU counts a node once at the outer
 // Retire (internal/core) and uses this entry point for the inner defer.
-func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) {
-	// Defer is rollback-unsafe (§4.1): inside a critical section it may
-	// only run under an abort mask, where the rollback is deferred past
-	// it. Catch the misuse that would otherwise corrupt the task
-	// registry on a rollback.
-	if ph, _ := unpack(h.status.Load()); ph == phaseInCs {
-		panic("brcu: Defer inside an unmasked critical section (rollback-unsafe, §4.1; " + h.Describe() + ")")
+// It is the one defer a rollback could replay, so inside a critical
+// section it may only run under an abort mask (§4.1), and it panics when
+// called in an unmasked section.
+func (h *Handle) DeferNoCount(slot uint64, pool alloc.Freer) { h.push(slot, pool, false) }
+
+// push is both entries' body, one out-of-line call under either of them;
+// counted tells Defer from DeferNoCount.
+func (h *Handle) push(slot uint64, pool alloc.Freer, counted bool) {
+	if counted {
+		h.d.rec.Retired.Inc()
+		h.d.rec.Unreclaimed.Add(1)
+		if h.d.noReclaim {
+			return // NR baseline: leak
+		}
+	} else if ph, _ := unpack(h.status.Load()); ph == phaseInCs {
+		// Catch the misuse that would otherwise corrupt the task registry
+		// on a rollback.
+		panic("brcu: DeferNoCount inside an unmasked critical section (rollback-unsafe, §4.1; " + h.Describe() + ")")
 	}
 	r := alloc.Retired{Slot: slot, Pool: pool}
 	if obs.On {
@@ -608,9 +638,10 @@ func (h *Handle) flushAndAdvance() {
 	}
 
 	// Our own section blocks the epoch like anyone else's, and we never
-	// signal ourselves: a Defer inside an abort-masked region that advanced
-	// past its own lagging epoch would free nodes this very section still
-	// protects. Give up until the section exits.
+	// signal ourselves: a defer inside an abort-masked region or a
+	// baseline's pinned section that advanced past its own lagging epoch
+	// would free nodes this very section still protects. Give up until
+	// the section exits.
 	if ph, e := unpack(h.status.Load()); (ph == phaseInCs || ph == phaseInRm) && e < eg {
 		return
 	}

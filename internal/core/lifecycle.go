@@ -42,8 +42,8 @@ type PanicError struct {
 	Value any
 	// Op names the entry point the panic escaped from.
 	Op string
-	// Handle describes the handle (id, generation, phase, epoch) at
-	// containment time.
+	// Handle describes the handle (id, phase, epoch) at containment
+	// time.
 	Handle string
 	// Poisoned reports that restoring the handle failed: the handle must
 	// not be reused; its garbage is adopted when it is dropped (see
@@ -90,10 +90,10 @@ func (h *Handle) checkUsable() {
 }
 
 // contain is the recover barrier's second half, called with a recovered
-// panic value: restore the handle to a reusable state — clear the
-// traversal protectors and unwind the status word to Out (resolving any
-// account the recovery, and
-// re-raise per the panic policy. If restoration itself panics the handle
+// panic value: account the recovery, restore the handle to a reusable
+// state — unwind the status word to Out (discarding any pending rollback
+// request) and clear the traversal protectors — and re-raise per the
+// panic policy. If restoration itself panics the handle
 // is poisoned instead: every subsequent operation refuses it up front.
 //
 // The defer batch stays where it is. A restored handle fills and pushes

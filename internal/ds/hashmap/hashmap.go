@@ -12,10 +12,10 @@ package hashmap
 
 import (
 	"github.com/smrgo/hpbrcu/internal/alloc"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
 	"github.com/smrgo/hpbrcu/internal/ds/lnode"
-	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/stats"
@@ -47,10 +47,10 @@ type (
 )
 
 // NewEBR creates an RCU-protected map with n buckets.
-func NewEBR(n int, opts ...ebr.Option) *EBR { return hlist.NewEBROf(hlist.HHS, n, opts...) }
+func NewEBR(n int, opts ...brcu.Option) *EBR { return hlist.NewEBROf(hlist.HHS, n, opts...) }
 
 // NewNR creates the no-reclamation baseline map.
-func NewNR(n int) *EBR { return NewEBR(n, ebr.NoReclaim()) }
+func NewNR(n int) *EBR { return NewEBR(n, brcu.NoReclaim()) }
 
 // NewHP creates a hazard-pointer-protected map with n buckets.
 func NewHP(n int, opts ...hp.Option) *HP { return hlist.NewHPOf(n, opts...) }

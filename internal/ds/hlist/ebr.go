@@ -2,34 +2,37 @@ package hlist
 
 import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
-	"github.com/smrgo/hpbrcu/internal/ebr"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 // EBR is a list or hash map protected by epoch-based RCU (or by nothing in
 // NR mode): every operation runs inside one critical section, so traversal
 // needs no per-node protection, but a stalled or long-running reader
-// blocks all reclamation (§2.2).
+// blocks all reclamation (§2.2). The RCU is a BRCU domain that never
+// signals, the one under HP-RCU too.
 type EBR struct {
 	set
-	dom *ebr.Domain
+	dom *brcu.Domain
 }
 
 // NewEBROf creates a member of the family with the given number of head
 // sentinels (1 = a list, n = a hash map), reclaimed by epoch-based RCU;
-// ebr.NoReclaim among opts makes it the NR baseline.
-func NewEBROf(k Kind, heads int, opts ...ebr.Option) *EBR {
-	return &EBR{set: newSet(k, heads), dom: ebr.NewDomain(nil, opts...)}
+// brcu.NoReclaim among opts makes it the NR baseline. brcu.NeverSignal
+// is added after opts: a signal would let the advance free nodes a
+// section still reads, since these sections never poll.
+func NewEBROf(k Kind, heads int, opts ...brcu.Option) *EBR {
+	return &EBR{set: newSet(k, heads), dom: brcu.NewDomain(nil, append(opts, brcu.NeverSignal())...)}
 }
 
 // NewEBR creates a Harris list reclaimed by epoch-based RCU.
-func NewEBR(opts ...ebr.Option) *EBR { return NewEBROf(Harris, 1, opts...) }
+func NewEBR(opts ...brcu.Option) *EBR { return NewEBROf(Harris, 1, opts...) }
 
 // NewNR creates the no-reclamation baseline.
-func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
+func NewNR() *EBR { return NewEBR(brcu.NoReclaim()) }
 
 // Domain exposes the underlying reclamation domain.
-func (l *EBR) Domain() *ebr.Domain { return l.dom }
+func (l *EBR) Domain() *brcu.Domain { return l.dom }
 
 // Stats exposes reclamation statistics.
 func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
@@ -37,7 +40,7 @@ func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 // EBRHandle is one thread's accessor.
 type EBRHandle struct {
 	ops
-	h *ebr.Handle
+	h *brcu.Handle
 }
 
 // Register creates a thread handle.

@@ -12,7 +12,8 @@
 // (§4.3 puts the scheme behind the traversal, not behind insert and
 // remove), so that, and only that, is written per scheme:
 //
-//   - ebr.go:       EBR/NR — one pinned Harris search.
+//   - ebr.go:       EBR/NR — one pinned Harris search, on a BRCU domain
+//     that never signals (brcu.NeverSignal; NR adds brcu.NoReclaim).
 //   - nbr.go:       NBR — read-phase searchOnce, reservations, write phase.
 //   - hp.go:        plain HP — protect-and-validate find (run bound 1 only:
 //     Figure 2 is why HP cannot follow links out of a marked run).

@@ -8,9 +8,9 @@
 package hmlist
 
 import (
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
-	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/hp"
 )
 
@@ -25,10 +25,10 @@ type (
 )
 
 // NewEBR creates a list reclaimed by epoch-based RCU.
-func NewEBR(opts ...ebr.Option) *EBR { return hlist.NewEBROf(hlist.HarrisMichael, 1, opts...) }
+func NewEBR(opts ...brcu.Option) *EBR { return hlist.NewEBROf(hlist.HarrisMichael, 1, opts...) }
 
 // NewNR creates the no-reclamation baseline: retired nodes leak.
-func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
+func NewNR() *EBR { return NewEBR(brcu.NoReclaim()) }
 
 // NewHP creates a hazard-pointer-protected list.
 func NewHP(opts ...hp.Option) *HP { return hlist.NewHPOf(1, opts...) }

@@ -2,24 +2,25 @@ package nmtree
 
 import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
-	"github.com/smrgo/hpbrcu/internal/ebr"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
 // EBR is a Natarajan-Mittal tree protected by epoch-based RCU (or nothing
-// in NR mode).
+// in NR mode): a BRCU domain that never signals.
 type EBR struct {
 	tree
-	dom *ebr.Domain
+	dom *brcu.Domain
 }
 
-// NewEBR creates a tree reclaimed by epoch-based RCU.
-func NewEBR(opts ...ebr.Option) *EBR {
-	return &EBR{tree: newTree(), dom: ebr.NewDomain(nil, opts...)}
+// NewEBR creates a tree reclaimed by epoch-based RCU. brcu.NeverSignal is
+// added after opts, since these sections never poll.
+func NewEBR(opts ...brcu.Option) *EBR {
+	return &EBR{tree: newTree(), dom: brcu.NewDomain(nil, append(opts, brcu.NeverSignal())...)}
 }
 
 // NewNR creates the no-reclamation baseline.
-func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
+func NewNR() *EBR { return NewEBR(brcu.NoReclaim()) }
 
 // Stats exposes reclamation statistics.
 func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
@@ -27,7 +28,7 @@ func (l *EBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 // EBRHandle is one thread's accessor.
 type EBRHandle struct {
 	ops
-	h *ebr.Handle
+	h *brcu.Handle
 }
 
 // Register creates a thread handle.

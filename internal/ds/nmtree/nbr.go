@@ -23,11 +23,6 @@ func NewNBR(opts ...nbr.Option) *NBR {
 	return &NBR{tree: newTree(), dom: nbr.NewDomain(nil, opts...)}
 }
 
-// NewNBRLarge creates the paper's NBR-Large configuration (batch 8192).
-func NewNBRLarge() *NBR {
-	return NewNBR(nbr.WithBatchSize(nbr.LargeBatchSize))
-}
-
 // Stats exposes reclamation statistics.
 func (l *NBR) Stats() *stats.Reclamation { return l.dom.Stats() }
 

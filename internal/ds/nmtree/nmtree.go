@@ -15,7 +15,8 @@
 // is the only code that differs (§4.3 puts the scheme behind Traverse, not
 // behind insert and remove):
 //
-//   - ebr.go:       EBR/NR — one pinned descent.
+//   - ebr.go:       EBR/NR — one pinned descent, on a BRCU domain that
+//     never signals (brcu.NeverSignal).
 //   - nbr.go:       NBR — the read-phase descent, reservation of the seek
 //     record, the write phase; and a pure-read Get (the tree is
 //     access-aware: seeks are pure reads, every write follows reservation).

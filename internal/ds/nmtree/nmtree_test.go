@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/listtest"
-	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 )
 
@@ -100,7 +100,7 @@ func newStagedCase[H stagedHandle](name string, recycles bool, l interface{ Regi
 // the slot cannot come back, and the remover returns on the slot mismatch.
 func TestRemoveLosesSpliceToHelper(t *testing.T) {
 	for _, c := range []stagedCase{
-		newStagedCase("EBR", true, NewEBR(ebr.WithBatchSize(1))),
+		newStagedCase("EBR", true, NewEBR(brcu.WithMaxLocalTasks(1))),
 		newStagedCase("NBR", true, NewNBR(nbr.WithBatchSize(1))),
 		newStagedCase("HP-RCU", false, NewHPRCU(core.Config{})),
 		newStagedCase("HP-BRCU", false, NewHPBRCU(core.Config{})),

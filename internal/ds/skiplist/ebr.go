@@ -2,23 +2,25 @@ package skiplist
 
 import (
 	"github.com/smrgo/hpbrcu/internal/atomicx"
-	"github.com/smrgo/hpbrcu/internal/ebr"
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/stats"
 )
 
-// EBR is a skip list protected by epoch-based RCU (or nothing in NR mode).
+// EBR is a skip list protected by epoch-based RCU (or nothing in NR mode):
+// a BRCU domain that never signals.
 type EBR struct {
 	list
-	dom *ebr.Domain
+	dom *brcu.Domain
 }
 
-// NewEBR creates a skip list reclaimed by epoch-based RCU.
-func NewEBR(opts ...ebr.Option) *EBR {
-	return &EBR{list: newList(), dom: ebr.NewDomain(nil, opts...)}
+// NewEBR creates a skip list reclaimed by epoch-based RCU. brcu.NeverSignal
+// is added after opts, since these sections never poll.
+func NewEBR(opts ...brcu.Option) *EBR {
+	return &EBR{list: newList(), dom: brcu.NewDomain(nil, append(opts, brcu.NeverSignal())...)}
 }
 
 // NewNR creates the no-reclamation baseline.
-func NewNR() *EBR { return NewEBR(ebr.NoReclaim()) }
+func NewNR() *EBR { return NewEBR(brcu.NoReclaim()) }
 
 // Stats exposes reclamation statistics.
 func (s *EBR) Stats() *stats.Reclamation { return s.dom.Stats() }
@@ -26,7 +28,7 @@ func (s *EBR) Stats() *stats.Reclamation { return s.dom.Stats() }
 // EBRHandle is one thread's accessor.
 type EBRHandle struct {
 	ops
-	h *ebr.Handle
+	h *brcu.Handle
 }
 
 // Register creates a thread handle.

@@ -5,7 +5,8 @@
 // that is the only code that differs (§4.3 puts the scheme behind
 // Traverse, not behind insert and remove):
 //
-//   - ebr.go:       EBR/NR — one pinned descent, and the optimistic get.
+//   - ebr.go:       EBR/NR — one pinned descent, and the optimistic get,
+//     on a BRCU domain that never signals (brcu.NeverSignal).
 //   - hp.go:        plain HP — per-level protect-and-validate (three
 //     shields a level, the multi-shield cost of Figure 7d); its get helps.
 //   - expedited.go: HP-RCU/HP-BRCU — the same two descents with a poll

@@ -194,6 +194,3 @@ func (bp *Backpressure) Admit() error {
 
 // DrainAt exposes the cached drain threshold (diagnostics and tests).
 func (bp *Backpressure) DrainAt() int64 { return bp.drainAt.Load() }
-
-// RejectAt exposes the cached reject threshold (diagnostics and tests).
-func (bp *Backpressure) RejectAt() int64 { return bp.rejectAt.Load() }

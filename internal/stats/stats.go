@@ -6,13 +6,13 @@
 // write.
 //
 // One update site is per node, on purpose: the retire entry points
-// (core.Retire, hp.Retire, brcu.Defer, ebr.Defer, nbr.Retire) add to
+// (core.Retire, hp.Retire, brcu.Defer, nbr.Retire) add to
 // Retired and to the Unreclaimed gauge, whose peak is the §5 bound check
 // and must therefore be exact at every retire. (VBR frees a node where it
 // retires it, so it books Reclaimed there too.) Every other book is kept
 // per batch: a reclamation pass — hp's scan, nbr's reclaim, and the BRCU
-// and EBR drains' default executors, which run one expired batch at a
-// time — adds its freed count to Reclaimed and subtracts it from
+// drain's default executor, which runs one expired batch at a time —
+// adds its freed count to Reclaimed and subtracts it from
 // Unreclaimed once, and the handle pool flushes checkouts by 64. The
 // allocator keeps no counts at all: an allocation or a free writes only
 // the node's own header (internal/alloc).

@@ -5,12 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/smrgo/hpbrcu/internal/brcu"
 	"github.com/smrgo/hpbrcu/internal/core"
 	"github.com/smrgo/hpbrcu/internal/ds/hashmap"
 	"github.com/smrgo/hpbrcu/internal/ds/hlist"
 	"github.com/smrgo/hpbrcu/internal/ds/nmtree"
 	"github.com/smrgo/hpbrcu/internal/ds/skiplist"
-	"github.com/smrgo/hpbrcu/internal/ebr"
 	"github.com/smrgo/hpbrcu/internal/hp"
 	"github.com/smrgo/hpbrcu/internal/nbr"
 	"github.com/smrgo/hpbrcu/internal/reap"
@@ -92,10 +92,10 @@ func (m *mapImpl) withDomain(d *core.Domain, cfg Config) *mapImpl {
 	return m
 }
 
-func (c Config) ebrOpts(s Scheme) []ebr.Option {
-	opts := []ebr.Option{ebr.WithBatchSize(c.BatchSize)}
+func (c Config) rcuOpts(s Scheme) []brcu.Option {
+	opts := []brcu.Option{brcu.WithMaxLocalTasks(c.BatchSize)}
 	if s == NR {
-		opts = append(opts, ebr.NoReclaim())
+		opts = append(opts, brcu.NoReclaim())
 	}
 	return opts
 }
@@ -187,7 +187,7 @@ func listOf(k hlist.Kind) func(Scheme, int, Config) (Map, error) {
 	return func(s Scheme, heads int, cfg Config) (Map, error) {
 		switch s {
 		case NR, RCU:
-			return plain(s, cfg, hlist.NewEBROf(k, heads, cfg.ebrOpts(s)...))
+			return plain(s, cfg, hlist.NewEBROf(k, heads, cfg.rcuOpts(s)...))
 		case HP: // Harris-Michael whatever the row says: Figure 2
 			return plain(s, cfg, hlist.NewHPOf(heads, cfg.hpOpts()...))
 		case NBR, NBRLarge:
@@ -206,7 +206,7 @@ func listOf(k hlist.Kind) func(Scheme, int, Config) (Map, error) {
 func buildSkipList(s Scheme, _ int, cfg Config) (Map, error) {
 	switch s {
 	case NR, RCU:
-		return plain(s, cfg, skiplist.NewEBR(cfg.ebrOpts(s)...))
+		return plain(s, cfg, skiplist.NewEBR(cfg.rcuOpts(s)...))
 	case HP:
 		return plain(s, cfg, skiplist.NewHP(cfg.hpOpts()...))
 	case HPRCU:
@@ -219,7 +219,7 @@ func buildSkipList(s Scheme, _ int, cfg Config) (Map, error) {
 func buildNMTree(s Scheme, _ int, cfg Config) (Map, error) {
 	switch s {
 	case NR, RCU:
-		return plain(s, cfg, nmtree.NewEBR(cfg.ebrOpts(s)...))
+		return plain(s, cfg, nmtree.NewEBR(cfg.rcuOpts(s)...))
 	case NBR, NBRLarge:
 		return plain(s, cfg, nmtree.NewNBR(cfg.nbrOpts(s)...))
 	case HPRCU:
