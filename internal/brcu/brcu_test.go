@@ -305,36 +305,48 @@ func TestGarbageBoundUnderStall(t *testing.T) {
 // TestExecuteExpiredDropsRunBatches: the drain filters d.tasks in place, so
 // it must zero the slots it vacates — an expired batch left in the slice's
 // spare capacity would pin its backing array until a later flush happened
-// to overwrite that index.
+// to overwrite that index. It runs once behind an HP-BRCU reader that is
+// never signalled in time and once behind a baseline's pinned reader.
 func TestExecuteExpiredDropsRunBatches(t *testing.T) {
-	pool := alloc.NewPool[node]()
-	cache := pool.NewCache()
-	d := NewDomain(nil, WithMaxLocalTasks(8), WithForceThreshold(1<<20))
-	reader := d.Register()
-	w := d.Register()
-	defer w.Unregister()
+	for _, tc := range []struct {
+		name       string
+		opt        Option
+		enter, out func(*Handle)
+	}{
+		{"Signalling", WithForceThreshold(1 << 20), (*Handle).Enter, (*Handle).Exit},
+		{"NeverSignal", NeverSignal(), (*Handle).Pin, (*Handle).Unpin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := alloc.NewPool[node]()
+			cache := pool.NewCache()
+			d := NewDomain(nil, WithMaxLocalTasks(8), tc.opt)
+			reader := d.Register()
+			w := d.Register()
+			defer w.Unregister()
 
-	reader.Enter() // pinned: every flush after the first queues
-	for i := 0; i < 32*8; i++ {
-		retireOne(t, pool, cache, w)
-	}
-	if n := d.pendingBatches(); n < 31 {
-		t.Fatalf("setup: %d batches queued behind the pinned reader, want ≥ 31", n)
-	}
-	reader.Exit()
-	reader.Unregister()
-	w.Barrier()
+			tc.enter(reader) // pinned: every flush after the first queues
+			for i := 0; i < 32*8; i++ {
+				retireOne(t, pool, cache, w)
+			}
+			if n := d.pendingBatches(); n < 31 {
+				t.Fatalf("setup: %d batches queued behind the pinned reader, want ≥ 31", n)
+			}
+			tc.out(reader)
+			reader.Unregister()
+			w.Barrier()
 
-	if got := d.Stats().Unreclaimed.Load(); got != 0 {
-		t.Fatalf("unreclaimed = %d after the barrier", got)
-	}
-	d.tasksMu.Lock()
-	defer d.tasksMu.Unlock()
-	for i, b := range d.tasks[len(d.tasks):cap(d.tasks)] {
-		if b.tasks != nil || b.epoch != 0 || b.flushed != 0 {
-			t.Fatalf("spare slot %d of d.tasks still holds an executed batch (epoch %d, %d tasks)",
-				len(d.tasks)+i, b.epoch, len(b.tasks))
-		}
+			if got := d.Stats().Unreclaimed.Load(); got != 0 {
+				t.Fatalf("unreclaimed = %d after the barrier", got)
+			}
+			d.tasksMu.Lock()
+			defer d.tasksMu.Unlock()
+			for i, b := range d.tasks[len(d.tasks):cap(d.tasks)] {
+				if b.tasks != nil || b.epoch != 0 || b.flushed != 0 {
+					t.Fatalf("spare slot %d of d.tasks still holds an executed batch (epoch %d, %d tasks)",
+						len(d.tasks)+i, b.epoch, len(b.tasks))
+				}
+			}
+		})
 	}
 }
 
