@@ -68,11 +68,10 @@ func watchLoop(col *obs.Collector, every time.Duration) {
 		}
 		s := rec.Snapshot()
 		fmt.Fprintf(os.Stderr,
-			"watch: %s retired=%d reclaimed=%d unreclaimed=%d peak=%d adv=%d forced=%d sig=%d rb=%d lag(p99)=%d cs(p99)=%v grace(p99)=%v age(p99)=%v\n",
+			"watch: %s retired=%d reclaimed=%d unreclaimed=%d peak=%d adv=%d forced=%d sig=%d rb=%d lag(p99)=%d grace(p99)=%v age(p99)=%v\n",
 			label, s.Retired, s.Reclaimed, s.Unreclaimed, s.PeakUnreclaimed,
 			s.EpochAdvances, s.ForcedAdvances, s.Signals, s.Rollbacks,
 			s.PollLag.P99,
-			time.Duration(s.CSNanos.P99),
 			time.Duration(s.GraceNanos.P99),
 			time.Duration(s.ReclaimAgeNanos.P99))
 	}

@@ -17,11 +17,17 @@ import "runtime"
 // they run.
 var YieldPeriod int
 
-// StepYield is called by traversal loops with a per-loop counter.
+// StepYield is called by traversal loops with a per-loop counter. It
+// inlines into every loop (inline_test.go at the repository root holds it
+// to that); the armed arm is a call.
 func StepYield(counter *int) {
-	if YieldPeriod == 0 {
-		return
+	if YieldPeriod != 0 {
+		stepYield(counter)
 	}
+}
+
+//go:noinline
+func stepYield(counter *int) {
 	*counter++
 	if *counter >= YieldPeriod {
 		*counter = 0

@@ -80,8 +80,8 @@ func RunStalled(cfg StallConfig) Measurement {
 		register = func() churnHandle { return l.Register() }
 		stall = func() func() {
 			h := l.Domain().Register()
-			h.Pin()
-			return func() { h.Unpin(); h.Unregister() }
+			h.Enter()
+			return func() { h.Exit(); h.Unregister() }
 		}
 		rec = l.Stats()
 	case hpbrcu.HP:

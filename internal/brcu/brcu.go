@@ -13,7 +13,7 @@
 // domain built with NeverSignal skips lines 31–32 and is plain RCU: the
 // one RCU in the repository, under internal/core's HP-RCU and under the
 // RCU and NR baselines of the data structures, which enter and leave
-// their sections with Pin and Unpin and retire with Defer; NoReclaim
+// their sections with Enter and Exit and retire with Defer; NoReclaim
 // makes such a domain the NR baseline.
 //
 // # Signal substitution
@@ -239,11 +239,18 @@ type Handle struct {
 	batchCap int
 
 	// Observability state, touched only past the obs.On gate. trace is
-	// nil-safe; pollN samples the epoch-lag histogram; csStart times the
-	// running critical-section attempt. All owner-goroutine-only.
-	trace   *obs.Trace
-	pollN   uint
-	csStart int64
+	// nil-safe; pollN samples the epoch-lag histogram. Both
+	// owner-goroutine-only.
+	trace *obs.Trace
+	pollN uint
+
+	// _ keeps Handle (200 bytes) out of the allocator's 192-byte size
+	// class. At 192 bytes BenchmarkPointGet/RCU read 75.6 ns against
+	// 64.0 and PointChurn/RCU 125 against 105 (medians of 10 alternated
+	// pairs, slower in 10/10; 2 vCPU, go1.24.0) with identical inlining,
+	// while 208 bytes, the class 200 lands in, measured like 200. Why the
+	// class matters is open (ROADMAP item 10(d)).
+	_ int64
 }
 
 // Register adds a thread to the domain with the default executor: free the
@@ -306,9 +313,6 @@ func (h *Handle) Describe() string {
 	return fmt.Sprintf("handle#%d phase=%s epoch=%d", h.id, phaseName(ph), e)
 }
 
-// outWord is the status word of a handle outside any critical section.
-const outWord = phaseOut
-
 // Unregister removes the thread, flushing pending deferred tasks first.
 func (h *Handle) Unregister() {
 	if ph, _ := unpack(h.status.Load()); ph == phaseInCs || ph == phaseInRm {
@@ -326,7 +330,7 @@ func (h *Handle) Unregister() {
 // handle leaves the registry. It returns the number of adopted tasks.
 func (h *Handle) Adopt() int {
 	n := len(h.batch)
-	h.ForceOut()
+	h.Exit()
 	h.leave()
 	return n
 }
@@ -340,22 +344,9 @@ func (h *Handle) leave() {
 
 // Enter begins (or re-begins, after a rollback) a critical section: it
 // announces InCs with the current global epoch (Algorithm 5 line 16). Any
-// pending RbReq from a previous section is superseded.
-func (h *Handle) Enter() {
-	if obs.On {
-		h.csStart = obs.Nanos()
-	}
-	h.status.Store(pack(phaseInCs, h.d.epoch.Load()))
-}
-
-// Pin enters a section that is never rolled back: Enter without the obs
-// timing, so that it inlines into the RCU and NR baselines' operations
-// at the price of two loads and a store. Those run on a NeverSignal
-// domain, where nothing neutralizes a section, and leave it with Unpin.
-func (h *Handle) Pin() { h.status.Store(pack(phaseInCs, h.d.epoch.Load())) }
-
-// Unpin leaves a section entered with Pin.
-func (h *Handle) Unpin() { h.status.Store(outWord) }
+// pending RbReq from a previous section is superseded. Two loads and a
+// store, it inlines into every caller.
+func (h *Handle) Enter() { h.status.Store(pack(phaseInCs, h.d.epoch.Load())) }
 
 // Poll is the cooperative stand-in for signal delivery: it reports false
 // when a neutralization request is pending, in which case the caller must
@@ -422,40 +413,20 @@ func (h *Handle) Refresh() bool {
 	return h.status.CompareAndSwap(st, pack(phaseInCs, e))
 }
 
-// Exit ends the critical section (Algorithm 5 line 18). A pending RbReq is
+// Exit ends the critical section (Algorithm 5 line 18) from whatever
+// phase the handle is in; an Out word carries no epoch. A pending RbReq is
 // discarded: per the framework contract the caller has already validated
 // its results with a successful Poll after its last protection, so
-// completing instead of rolling back is safe (see package comment).
-func (h *Handle) Exit() {
-	h.status.Store(outWord)
-	if obs.On && h.csStart != 0 {
-		h.d.rec.CSNanos.Record(obs.Nanos() - h.csStart)
-		h.csStart = 0
-	}
-}
+// completing instead of rolling back is safe (see package comment). The
+// recover barrier in internal/core calls it for the Exit a panic unwound
+// past, and Adopt for the one a dead owner never performed.
+func (h *Handle) Exit() { h.status.Store(phaseOut) }
 
 // RecordRollback counts one critical-section rollback.
 func (h *Handle) RecordRollback() {
 	h.d.rec.Rollbacks.Inc()
 	if obs.On {
 		h.trace.Rec(obs.EvRollback, 0)
-	}
-}
-
-// CriticalSection runs body as a boundable critical section (Algorithm 5
-// line 14). The body must poll via Poll and return false to roll back; it
-// is then re-run from the start with a fresh epoch, mirroring the paper's
-// siglongjmp to the checkpoint at line 15. The body must be
-// abort-rollback-safe (§4.1) apart from writes wrapped in Mask.
-func (h *Handle) CriticalSection(body func() bool) {
-	for {
-		h.Enter()
-		done := body()
-		h.Exit()
-		if done {
-			return
-		}
-		h.RecordRollback()
 	}
 }
 
@@ -527,12 +498,6 @@ func (h *Handle) runMasked(body func(), e uint64) {
 	body()
 }
 
-// ForceOut drives the handle out of whatever phase a panic left it in,
-// restoring the Out state the next operation expects: the recover
-// barrier's stand-in for the Exit the unwound control flow never performed,
-// and Adopt's for the one a dead owner never will.
-func (h *Handle) ForceOut() { h.status.Store(outWord) }
-
 // TraceEvent records an event on this handle's obs trace (no-op unless
 // the observability layer is active; nil-safe). The lifecycle layer in
 // internal/core uses it for panic and close events.
@@ -544,7 +509,7 @@ func (h *Handle) TraceEvent(k obs.EventKind, arg int64) {
 
 // Defer schedules a task for execution after all current critical sections
 // end (Algorithm 5 lines 22–34) and counts the node as retired. Only the
-// RCU and NR baselines call it, from inside sections entered with Pin on
+// RCU and NR baselines call it, from inside sections entered with Enter on
 // a NeverSignal domain: such a section is never rolled back, so nothing
 // can replay the defer. On a NoReclaim domain it counts and leaks.
 //

@@ -254,27 +254,6 @@ func TestRefreshCatchesUp(t *testing.T) {
 	reader.Unregister()
 }
 
-func TestCriticalSectionHelperRollsBack(t *testing.T) {
-	d := NewDomain(nil)
-	h := d.Register()
-	defer h.Unregister()
-
-	attempts := 0
-	h.CriticalSection(func() bool {
-		attempts++
-		if attempts < 3 {
-			return false // simulate an observed neutralization
-		}
-		return true
-	})
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-	if d.Stats().Rollbacks.Load() != 2 {
-		t.Fatalf("rollbacks = %d, want 2", d.Stats().Rollbacks.Load())
-	}
-}
-
 // TestGarbageBoundUnderStall checks the §5 robustness bound: with a stalled
 // thread pinned forever, the number of retired-but-unreclaimed nodes stays
 // below 2GN + GN² (+0 shields: plain BRCU has none).
@@ -309,12 +288,11 @@ func TestGarbageBoundUnderStall(t *testing.T) {
 // never signalled in time and once behind a baseline's pinned reader.
 func TestExecuteExpiredDropsRunBatches(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		opt        Option
-		enter, out func(*Handle)
+		name string
+		opt  Option
 	}{
-		{"Signalling", WithForceThreshold(1 << 20), (*Handle).Enter, (*Handle).Exit},
-		{"NeverSignal", NeverSignal(), (*Handle).Pin, (*Handle).Unpin},
+		{"Signalling", WithForceThreshold(1 << 20)},
+		{"NeverSignal", NeverSignal()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := alloc.NewPool[node]()
@@ -324,14 +302,14 @@ func TestExecuteExpiredDropsRunBatches(t *testing.T) {
 			w := d.Register()
 			defer w.Unregister()
 
-			tc.enter(reader) // pinned: every flush after the first queues
+			reader.Enter() // pinned: every flush after the first queues
 			for i := 0; i < 32*8; i++ {
 				retireOne(t, pool, cache, w)
 			}
 			if n := d.pendingBatches(); n < 31 {
 				t.Fatalf("setup: %d batches queued behind the pinned reader, want ≥ 31", n)
 			}
-			tc.out(reader)
+			reader.Exit()
 			reader.Unregister()
 			w.Barrier()
 

@@ -9,9 +9,8 @@ import (
 
 // TestObservabilityCapturesEpochTraffic runs a small retire/drain
 // workload with the obs layer on and checks that the trace and the
-// latency histograms actually fill: epoch advances show up as events,
-// critical sections land in CSNanos, and drained batches land in
-// GraceNanos.
+// latency histograms actually fill: epoch advances show up as events and
+// drained batches land in GraceNanos.
 func TestObservabilityCapturesEpochTraffic(t *testing.T) {
 	col := obs.NewCollector(64)
 	obs.Activate(col)
@@ -32,9 +31,6 @@ func TestObservabilityCapturesEpochTraffic(t *testing.T) {
 	h.Unregister()
 
 	rec := d.Stats()
-	if rec.CSNanos.Count() == 0 {
-		t.Error("no critical-section durations recorded")
-	}
 	if rec.GraceNanos.Count() == 0 {
 		t.Error("no grace-period lengths recorded")
 	}
@@ -83,7 +79,7 @@ func TestObservabilityOffRecordsNothing(t *testing.T) {
 	h.Unregister()
 
 	rec := d.Stats()
-	if rec.CSNanos.Count() != 0 || rec.GraceNanos.Count() != 0 ||
+	if rec.GraceNanos.Count() != 0 ||
 		rec.PollLag.Count() != 0 || rec.ReclaimAgeNanos.Count() != 0 {
 		t.Fatal("histograms recorded with the obs gate closed")
 	}

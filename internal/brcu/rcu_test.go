@@ -10,7 +10,7 @@ import (
 
 // The tests in this file hold a NeverSignal domain to plain RCU (§2.2):
 // the RCU and NR baselines of every data structure run on one, entering
-// with Pin, leaving with Unpin and retiring with the counting Defer inside
+// with Enter, leaving with Exit and retiring with the counting Defer inside
 // the section.
 
 func isFree(pool *alloc.Pool[node], slot uint64) bool {
@@ -71,7 +71,7 @@ func TestPinBlocksReclamation(t *testing.T) {
 	reclaimer := d.Register()
 	defer reclaimer.Unregister()
 
-	reader.Pin()
+	reader.Enter()
 	slot := retireOne(t, pool, cache, reclaimer)
 	for i := 0; i < 10; i++ {
 		reclaimer.Barrier() // cannot advance past the pinned reader
@@ -83,7 +83,7 @@ func TestPinBlocksReclamation(t *testing.T) {
 		t.Fatalf("never-signalling domain signalled (signals=%d, poll=%v)", n, reader.Poll())
 	}
 
-	reader.Unpin()
+	reader.Exit()
 	reader.Unregister()
 	reclaimer.Barrier()
 	if !isFree(pool, slot) {
@@ -102,7 +102,7 @@ func TestLaggingPinBlocksAdvance(t *testing.T) {
 	defer b.Unregister()
 
 	e0 := d.Epoch()
-	a.Pin() // pinned at the current epoch
+	a.Enter() // pinned at the current epoch
 	b.ForceFlush()
 	if d.Epoch() != e0+1 {
 		t.Fatalf("epoch = %d with the only section current, want %d", d.Epoch(), e0+1)
@@ -116,13 +116,13 @@ func TestLaggingPinBlocksAdvance(t *testing.T) {
 	if n := d.Stats().Signals.Load(); n != 0 || !a.Poll() {
 		t.Fatalf("never-signalling domain signalled (signals=%d, poll=%v)", n, a.Poll())
 	}
-	a.Unpin()
-	a.Pin() // catches up
+	a.Exit()
+	a.Enter() // catches up
 	b.ForceFlush()
 	if d.Epoch() != e0+2 {
 		t.Fatalf("epoch = %d after the re-pin, want %d", d.Epoch(), e0+2)
 	}
-	a.Unpin()
+	a.Exit()
 }
 
 // TestDeferredRunsAfterTwoEpochs: a node deferred at epoch e is freed only
@@ -148,7 +148,7 @@ func TestDeferredRunsAfterTwoEpochs(t *testing.T) {
 // TestDeferInsidePinFreesAfterUnpin: a baseline retires inside its own
 // section, which is never rolled back, so the counting Defer is legal
 // there. The section blocks its own retires like anyone else's: the node
-// survives every advance the section allows and is freed after Unpin.
+// survives every advance the section allows and is freed after Exit.
 func TestDeferInsidePinFreesAfterUnpin(t *testing.T) {
 	pool := alloc.NewPool[node]()
 	cache := pool.NewCache()
@@ -156,7 +156,7 @@ func TestDeferInsidePinFreesAfterUnpin(t *testing.T) {
 	h := d.Register()
 	defer h.Unregister()
 
-	h.Pin()
+	h.Enter()
 	slot := retireOne(t, pool, cache, h)
 	for i := 0; i < 10; i++ {
 		retireOne(t, pool, cache, h)
@@ -165,7 +165,7 @@ func TestDeferInsidePinFreesAfterUnpin(t *testing.T) {
 	if isFree(pool, slot) {
 		t.Fatal("node freed inside the section that retired it")
 	}
-	h.Unpin()
+	h.Exit()
 	h.Barrier()
 	if !isFree(pool, slot) {
 		t.Fatal("node not freed after the section ended")
@@ -221,7 +221,7 @@ func TestPinDeferChurn(t *testing.T) {
 			defer h.Unregister()
 			c := pool.NewCache()
 			for i := 0; i < perWorker; i++ {
-				h.Pin()
+				h.Enter()
 				cell := &shared[(seed+i)%len(shared)]
 				ns, _ := pool.Alloc(c)
 				cell.mu.Lock()
@@ -238,10 +238,10 @@ func TestPinDeferChurn(t *testing.T) {
 				runtime.Gosched()
 				if isFree(pool, cur) {
 					t.Error("a node read inside a live section was freed")
-					h.Unpin()
+					h.Exit()
 					return
 				}
-				h.Unpin()
+				h.Exit()
 			}
 		}(w)
 	}

@@ -32,7 +32,6 @@ var statusWordTransitions = []struct {
 	{"owner", "Refresh", [4]string{"= rollback", "InCs^ ok", "= rollback", "= rollback"}},
 	{"owner", "Mask", [4]string{"panic", "= ran(InRm)", "panic", "= rollback"}},
 	{"owner", "Mask exit", [4]string{"= ran,rollback", "= ran,rollback", "InCs ran", "= ran,rollback"}},
-	{"owner", "ForceOut", [4]string{"=", "Out", "Out", "Out"}},
 	{"owner", "Unregister", [4]string{"= left", "panic", "panic", "= left"}},
 
 	{"reclaimer", "neutralizeIfLagging below budget", [4]string{"= pass", "= blocked", "= blocked", "= pass"}},
@@ -139,7 +138,6 @@ var statusWordActions = map[string]func(s *subject) string{
 		s.h.status.Store(pack(phaseInCs, sectionEpoch))
 		return maskWord(s.h.Mask(func() { s.h.status.Store(start) }))
 	},
-	"ForceOut":   func(s *subject) string { s.h.ForceOut(); return "" },
 	"Unregister": func(s *subject) string { s.h.Unregister(); return s.left() },
 
 	"neutralizeIfLagging below budget": func(s *subject) string {

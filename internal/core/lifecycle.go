@@ -113,7 +113,7 @@ func (h *Handle) contain(r any, op string, clear func()) {
 			}
 		}()
 		pe.Handle = h.brcu.Describe()
-		h.brcu.ForceOut()
+		h.brcu.Exit()
 		if clear != nil {
 			clear()
 		}

@@ -60,7 +60,7 @@ func (h *EBRHandle) Barrier() { h.h.Barrier() }
 // bracketing key, excising the marked runs it meets. The pin is what makes
 // following links out of marked nodes safe, and what release drops.
 func (h *EBRHandle) find(key int64) (prev uint64, cur atomicx.Ref, found bool) {
-	h.h.Pin()
+	h.h.Enter()
 	l := &h.l
 retry:
 	prev = l.Head
@@ -94,7 +94,7 @@ retry:
 }
 
 func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.l.Pool) }
-func (h *EBRHandle) release()           { h.h.Unpin() }
+func (h *EBRHandle) release()           { h.h.Exit() }
 
 // Get returns the value mapped to key: the helping search, or the
 // optimistic contains on an HHS list.
@@ -109,7 +109,7 @@ func (h *EBRHandle) Get(key int64) (int64, bool) {
 // traversal through marked nodes, no helping, mark checked at the end.
 func (h *EBRHandle) GetOptimistic(key int64) (val int64, found bool) {
 	h.bind(key)
-	h.h.Pin()
+	h.h.Enter()
 	l := &h.l
 	cur := l.Pool.At(l.Head).Next.Load().Untagged()
 	yc := 0
@@ -123,6 +123,6 @@ func (h *EBRHandle) GetOptimistic(key int64) (val int64, found bool) {
 			val, found = n.Val.Load(), true
 		}
 	}
-	h.h.Unpin()
+	h.h.Exit()
 	return val, found
 }

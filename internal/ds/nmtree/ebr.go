@@ -47,7 +47,7 @@ func (h *EBRHandle) Barrier() { h.h.Barrier() }
 // seek pins and runs the NM seek to a leaf; the pin is the protection,
 // and what release drops.
 func (h *EBRHandle) seek(key int64) seekRecord {
-	h.h.Pin()
+	h.h.Enter()
 	t := h.t
 	c := t.seekInit()
 	yc := 0
@@ -58,4 +58,4 @@ func (h *EBRHandle) seek(key int64) seekRecord {
 }
 
 func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.t.pool) }
-func (h *EBRHandle) release()           { h.h.Unpin() }
+func (h *EBRHandle) release()           { h.h.Exit() }

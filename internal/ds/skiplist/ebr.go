@@ -48,7 +48,7 @@ func (h *EBRHandle) Barrier() { h.h.Barrier() }
 // unlink marked nodes. The pin is what makes stepping through marked nodes
 // safe, and what release drops.
 func (h *EBRHandle) find(key int64, past bool) {
-	h.h.Pin()
+	h.h.Enter()
 	l := h.l
 retry:
 	pred := l.head
@@ -82,13 +82,13 @@ retry:
 }
 
 func (h *EBRHandle) retire(slot uint64) { h.h.Defer(slot, h.l.pool) }
-func (h *EBRHandle) release()           { h.h.Unpin() }
+func (h *EBRHandle) release()           { h.h.Exit() }
 
 // Get is the wait-free-style get the paper evaluates on every scheme but
 // plain HP: it skips marked nodes without unlinking them. The helping find
 // serves Insert and Remove.
 func (h *EBRHandle) Get(key int64) (val int64, found bool) {
-	h.h.Pin()
+	h.h.Enter()
 	l := h.l
 	pred := l.head
 	var cur atomicx.Ref
@@ -117,6 +117,6 @@ func (h *EBRHandle) Get(key int64) (val int64, found bool) {
 			val, found = n.Val.Load(), true
 		}
 	}
-	h.h.Unpin()
+	h.h.Exit()
 	return val, found
 }

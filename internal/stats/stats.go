@@ -168,10 +168,6 @@ type Reclamation struct {
 	// PollLag is the epoch lag (global epoch minus announced handle
 	// epoch) observed at sampled BRCU poll points, in epochs.
 	PollLag Histogram
-	// CSNanos is the duration of (B)RCU critical sections, in nanoseconds,
-	// measured from the last Enter to the Exit: an attempt that rolls back
-	// re-Enters without an Exit, so its time is not recorded separately.
-	CSNanos Histogram
 	// GraceNanos is the grace-period length: the age of a deferred batch
 	// from its flush into the global task set until the drain that
 	// executes it, in nanoseconds.
@@ -211,7 +207,6 @@ type Snapshot struct {
 	// enabled during the run. Summaries are scalar-only, so Snapshot
 	// remains comparable.
 	PollLag         HistSummary
-	CSNanos         HistSummary
 	GraceNanos      HistSummary
 	ReclaimAgeNanos HistSummary
 }
@@ -243,7 +238,6 @@ func (r *Reclamation) Snapshot() Snapshot {
 		DrainNanos:     r.DrainNanos.Load(),
 
 		PollLag:         r.PollLag.Summary(),
-		CSNanos:         r.CSNanos.Summary(),
 		GraceNanos:      r.GraceNanos.Summary(),
 		ReclaimAgeNanos: r.ReclaimAgeNanos.Summary(),
 	}
@@ -271,7 +265,6 @@ func (r *Reclamation) Reset() {
 	r.ClosedByLadder.Reset()
 	r.DrainNanos.Reset()
 	r.PollLag.Reset()
-	r.CSNanos.Reset()
 	r.GraceNanos.Reset()
 	r.ReclaimAgeNanos.Reset()
 }
